@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet dedupvet lint fmt fuzz-smoke bench crash-consistency
+.PHONY: all build test race vet dedupvet lint fmt fuzz-smoke bench figures crash-consistency
 
 all: build vet test
 
@@ -20,7 +20,7 @@ race:
 vet: dedupvet
 	$(GO) vet ./...
 
-# Run the full suite, or a subset: make dedupvet ANALYZERS=lockorder,wiresym
+# Run the full suite, or a subset: make dedupvet ANALYZERS=lockorder,gorolife
 ANALYZERS ?=
 dedupvet:
 	$(GO) run ./cmd/dedupvet $(if $(ANALYZERS),-analyzers $(ANALYZERS)) ./...
@@ -46,8 +46,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentIndexDecode -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 30s ./internal/storage
 
+# The wall-clock benchmark (see bench/README.md); compare two result
+# files with: go run ./bench -compare a.json b.json
 bench:
-	DEDUPCR_QUICK=1 $(GO) test -bench . -benchtime 1x -run '^$$'
+	$(GO) run ./bench -out .bench_build/local.json
+
+# The paper's figures and tables as netsim shape reproductions, CI-sized.
+figures:
+	DEDUPCR_QUICK=1 $(GO) test -bench 'Fig|Table1|Fragmentation' -benchtime 1x -run '^$$'
 
 # Kill-and-recover matrix for the segment engine: a helper process is
 # killed at every fault-injection point and the store must reopen to the

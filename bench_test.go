@@ -9,19 +9,16 @@
 // Each benchmark runs the full pipeline — mini-app, chunking, collective
 // reduction, window exchange, storage commit — and reports the simulated
 // Shamrock seconds as benchmark metrics alongside the rendered table.
+// They reproduce the paper's shapes and gate nothing; wall-clock
+// performance is measured by `go run ./bench`.
 package dedupcr_test
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
-	"dedupcr"
-	"dedupcr/internal/chunk/gear"
 	"dedupcr/internal/experiments"
-	"dedupcr/internal/fingerprint"
-	"dedupcr/internal/storage"
 )
 
 func benchConfig() experiments.Config {
@@ -93,176 +90,6 @@ func BenchmarkFig5cCM1Shuffle(b *testing.B) { runExperiment(b, "fig5c") }
 
 // BenchmarkRestoreFragmentation runs the restore-side fragmentation
 // experiment — dump + instrumented restore across the duplication-degree
-// sweep — gating the restore hot path (recipe walk, fetch service,
-// telemetry gather) against regressions.
+// sweep over the restore hot path (recipe walk, fetch service,
+// telemetry gather).
 func BenchmarkRestoreFragmentation(b *testing.B) { runExperiment(b, "fragmentation") }
-
-// Chunking-path benchmarks gate the vectorized hot path: the gear
-// boundary scan, batched fingerprinting, and a full collective dump
-// running both on the serial reference path.
-
-// benchRandom returns a deterministic pseudo-random buffer (seeded rand,
-// identical on every run, so the gate compares like with like).
-func benchRandom(n int) []byte {
-	buf := make([]byte, n)
-	rand.New(rand.NewSource(1)).Read(buf)
-	return buf
-}
-
-// BenchmarkGearChunk measures the gear boundary scan alone over 4 MiB of
-// incompressible data — the phase the unrolled fast path accelerates.
-// Its baseline entry keeps the selected implementation honest: a
-// regression here usually means the scan fell back to the generic loop.
-func BenchmarkGearChunk(b *testing.B) {
-	buf := benchRandom(1 << 22)
-	c := gear.New(4096)
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Cuts(buf)
-	}
-}
-
-// BenchmarkBatchFingerprint measures fingerprint.BatchOf over 1024
-// chunk-sized spans — the per-shard call of the hash pool and the
-// serial path's inner loop.
-func BenchmarkBatchFingerprint(b *testing.B) {
-	buf := benchRandom(1 << 22)
-	spans := make([][]byte, 1024)
-	for i := range spans {
-		spans[i] = buf[i*4096 : (i+1)*4096]
-	}
-	dst := make([]fingerprint.FP, len(spans))
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fingerprint.BatchOf(dst, spans...)
-	}
-}
-
-// BenchmarkDumpGear runs a full 4-rank collective dump with the gear
-// chunker on the serial reference path (Parallelism=1) through the
-// public facade — boundary scan, batched hashing, reduction, window
-// exchange and storage commit end to end.
-func BenchmarkDumpGear(b *testing.B) {
-	const n, size = 4, 1 << 20
-	bufs := make([][]byte, n)
-	shared := benchRandom(size / 2)
-	for r := range bufs {
-		private := make([]byte, size/2)
-		rand.New(rand.NewSource(int64(r + 2))).Read(private)
-		bufs[r] = append(append([]byte{}, shared...), private...)
-	}
-	b.SetBytes(int64(n * size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cluster := dedupcr.NewCluster(n)
-		err := dedupcr.Run(n, func(c dedupcr.Comm) error {
-			_, err := dedupcr.DumpOutput(c, cluster.Node(c.Rank()), bufs[c.Rank()], dedupcr.Options{
-				K: 2, Approach: dedupcr.CollDedup, Name: "bench",
-				Chunker:     dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear, Size: 4096},
-				Parallelism: 1,
-			})
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Segment-engine micro-benchmarks gate the persistent store's two hot
-// paths: the checkpoint write path (append + seal + commit) and the
-// recovery path (manifest replay + index decode + chunk reads).
-
-const (
-	benchSegChunks    = 512
-	benchSegChunkSize = 4096
-)
-
-// benchSegData returns deterministic distinct chunk payloads.
-func benchSegData() [][]byte {
-	chunks := make([][]byte, benchSegChunks)
-	for i := range chunks {
-		data := make([]byte, benchSegChunkSize)
-		for j := range data {
-			data[j] = byte(i*31 + j*7)
-		}
-		chunks[i] = data
-	}
-	return chunks
-}
-
-// BenchmarkSegmentAppend measures a full checkpoint write through the
-// segment engine: 512 distinct 4 KiB chunks appended across ~8 sealed
-// segments, then committed and durably closed.
-func BenchmarkSegmentAppend(b *testing.B) {
-	chunks := benchSegData()
-	b.SetBytes(benchSegChunks * benchSegChunkSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := b.TempDir()
-		b.StartTimer()
-		s, err := storage.NewSegStore(dir, storage.SegConfig{SegmentTarget: 256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, data := range chunks {
-			if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := s.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSegmentRestore measures crash-recovery plus a full read-back:
-// each iteration reopens a committed store (manifest replay, per-segment
-// index decode and checksum verification) and fetches every chunk.
-func BenchmarkSegmentRestore(b *testing.B) {
-	chunks := benchSegData()
-	dir := b.TempDir()
-	s, err := storage.NewSegStore(dir, storage.SegConfig{SegmentTarget: 256 << 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fps := make([]fingerprint.FP, len(chunks))
-	for i, data := range chunks {
-		fps[i] = fingerprint.Of(data)
-		if err := s.PutChunk(fps[i], data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(benchSegChunks * benchSegChunkSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := storage.NewSegStore(dir, storage.SegConfig{SegmentTarget: 256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, fp := range fps {
-			data, err := s.GetChunk(fp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(data) != len(chunks[j]) {
-				b.Fatalf("chunk %d: %d bytes", j, len(data))
-			}
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

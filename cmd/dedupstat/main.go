@@ -48,7 +48,6 @@ import (
 func main() {
 	chunkSize := flag.Int("chunk", chunk.DefaultSize, "chunk size in bytes (target average for cdc/gear)")
 	chunkerName := flag.String("chunker", "", "chunking algorithm: fixed, cdc or gear (default fixed)")
-	cdc := flag.Bool("cdc", false, "deprecated: same as -chunker cdc")
 	clusterIn := flag.String("cluster", "", "render this cluster telemetry JSON file (dump and/or restore reports) as tables and exit")
 	bundleIn := flag.String("bundle", "", "render this post-mortem failure bundle directory (or every bundle-* under it) as a timeline and exit")
 	flag.Usage = func() {
@@ -81,15 +80,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dedupstat: %v\n", err)
 		os.Exit(2)
-	}
-	if *cdc {
-		// Deprecated alias: -cdc still selects CDC, but combining it with
-		// a conflicting -chunker is an error, not a silent preference.
-		if algo != chunk.AlgoFixed && algo != chunk.AlgoRabin {
-			fmt.Fprintf(os.Stderr, "dedupstat: -cdc (deprecated) conflicts with -chunker %s\n", algo)
-			os.Exit(2)
-		}
-		algo = chunk.AlgoRabin
 	}
 	chunker, err := chunk.New(chunk.Spec{Algo: algo, Size: *chunkSize})
 	if err != nil {

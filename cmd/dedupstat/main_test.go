@@ -41,7 +41,7 @@ func TestDedupstatSmoke(t *testing.T) {
 		}
 	}
 	// Content-defined mode must also work.
-	if out, err := exec.Command(bin, "-cdc", "-chunk", "512", fa).CombinedOutput(); err != nil {
+	if out, err := exec.Command(bin, "-chunker", "cdc", "-chunk", "512", fa).CombinedOutput(); err != nil {
 		t.Fatalf("cdc run: %v\n%s", err, out)
 	}
 	// Missing file is an error.

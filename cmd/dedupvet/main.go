@@ -2,7 +2,7 @@
 // bundling the internal/analysis suite (collective determinism, bounded
 // decoding, phase attribution, guarded-by lock annotations, context
 // discipline, raw-print hygiene, lock ordering, goroutine lifetime,
-// wire-codec symmetry, atomics discipline). It runs in two modes:
+// atomics discipline). It runs in two modes:
 //
 // Standalone (the Makefile/CI entry point, works without installing):
 //
@@ -39,12 +39,11 @@ import (
 	"dedupcr/internal/analysis/lockorder"
 	"dedupcr/internal/analysis/phaseattr"
 	"dedupcr/internal/analysis/rawprint"
-	"dedupcr/internal/analysis/wiresym"
 )
 
 // version is what -V=full reports; cmd/go hashes the line into its action
 // cache, so bump it when analyzer behaviour changes.
-const version = "v3"
+const version = "v4"
 
 // analyzers is the suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
@@ -56,7 +55,6 @@ var analyzers = []*analysis.Analyzer{
 	rawprint.Analyzer,
 	lockorder.Analyzer,
 	gorolife.Analyzer,
-	wiresym.Analyzer,
 	atomicfield.Analyzer,
 }
 

@@ -168,7 +168,7 @@ func run() error {
 	rank := flag.Int("rank", -1, "this process's rank")
 	hosts := flag.String("hosts", "", "host file: one host:port per line, line i = rank i")
 	storeDir := flag.String("store", "", "local store directory (default: in-memory)")
-	engine := flag.String("engine", "auto", "store engine: auto | mem | disk | seg (auto = seg when -store is set, mem otherwise; disk is the flat one-file-per-chunk engine)")
+	engine := flag.String("engine", "auto", "store engine: auto | mem | seg (auto = seg when -store is set, mem otherwise)")
 	k := flag.Int("k", 3, "replication factor")
 	approach := flag.String("approach", "coll", "no | local | coll")
 	name := flag.String("name", "ckpt", "dataset name")
@@ -180,7 +180,6 @@ func run() error {
 	jobID := flag.Uint64("job", 0, "wire-trace job id stamped into frame trace contexts (0 = derived from the dataset name; all ranks must agree)")
 	bundleDir := flag.String("bundle-dir", os.Getenv("DEDUPCR_BUNDLE_DIR"), "write post-mortem failure bundles under this directory (default $DEDUPCR_BUNDLE_DIR; empty disables)")
 	stats := flag.Bool("stats", false, "dump Prometheus-style counters to stderr on exit")
-	legacyPutSummary := flag.Bool("legacy-put-summary", false, "expose put latency as the old quantile summary instead of the bucketed histogram")
 	clusterOut := flag.String("cluster", "", "rank 0: write the gathered cluster telemetry JSON (ClusterDump for dump, ClusterRestore for restore) to this file")
 	timeout := flag.Duration("timeout", 0, "abort the collective operation after this long (0 = no deadline); on expiry every rank unblocks with a collective error")
 	retries := flag.Int("retries", 1, "attempts per window put; transient transport failures are retried up to this many times")
@@ -251,14 +250,6 @@ func run() error {
 	switch eng {
 	case "mem":
 		store = storage.NewMem()
-	case "disk":
-		if *storeDir == "" {
-			return fmt.Errorf("-engine disk needs -store DIR")
-		}
-		store, err = storage.NewDisk(*storeDir)
-		if err != nil {
-			return err
-		}
 	case "seg":
 		if *storeDir == "" {
 			return fmt.Errorf("-engine seg needs -store DIR")
@@ -272,7 +263,7 @@ func run() error {
 		defer seg.Close()
 		store = seg
 	default:
-		return fmt.Errorf("unknown engine %q (want auto, mem, disk or seg)", *engine)
+		return fmt.Errorf("unknown engine %q (want auto, mem or seg)", *engine)
 	}
 	// With -stats, every store operation's latency is histogrammed so the
 	// exit dump can report device-side quantiles next to the phase times.
@@ -344,7 +335,6 @@ func run() error {
 	case "dump":
 		err = doDump(ctx, comm, store, opts, verbArgs, dumpOutputs{
 			stats:      *stats,
-			promOpts:   metrics.PromOptions{LegacyPutSummary: *legacyPutSummary},
 			clusterOut: *clusterOut,
 		})
 	case "restore":
@@ -430,7 +420,6 @@ func writeStoreStats(w io.Writer, rank int, t *storage.Timed) {
 // dumpOutputs bundles doDump's reporting knobs.
 type dumpOutputs struct {
 	stats      bool
-	promOpts   metrics.PromOptions
 	clusterOut string
 }
 
@@ -486,7 +475,7 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 		fmt.Printf("rank %d: %d window puts retried after transient faults\n", comm.Rank(), m.PutRetries)
 	}
 	if out.stats {
-		m.WritePrometheusOpts(os.Stderr, out.promOpts)
+		m.WritePrometheus(os.Stderr)
 	}
 
 	// Gather the whole group's metrics to rank 0 in-band. Every rank

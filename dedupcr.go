@@ -68,10 +68,6 @@ type (
 // NewMemStore returns an in-memory node-local store.
 func NewMemStore() Store { return storage.NewMem() }
 
-// NewDiskStore opens a disk-backed node-local store rooted at dir (the
-// flat one-file-per-chunk engine).
-func NewDiskStore(dir string) (Store, error) { return storage.NewDisk(dir) }
-
 // NewSegStore opens the log-structured segment store rooted at dir:
 // chunks append into segments, checkpoints become durable atomically at
 // commit points, and a background compactor reclaims released space.
@@ -97,8 +93,8 @@ type (
 	// the window-put exchange (Options.Retry).
 	RetryPolicy = core.RetryPolicy
 	// ChunkerSpec selects the chunking algorithm and size
-	// (Options.Chunker): fixed-size, Rabin CDC, or gear-hash CDC with
-	// its arch-selected fast path. The zero value is fixed/4 KiB.
+	// (Options.Chunker): fixed-size, Rabin CDC, or gear-hash CDC. The
+	// zero value is fixed/4 KiB.
 	ChunkerSpec = chunk.Spec
 	// ChunkerAlgo names a chunking algorithm (ChunkerSpec.Algo).
 	ChunkerAlgo = chunk.Algo
@@ -113,8 +109,7 @@ const (
 	ChunkerCDC = chunk.AlgoRabin
 	// ChunkerGear is the gear-hash content-defined chunker: boundary-
 	// compatible bounds discipline with ChunkerCDC at a fraction of the
-	// per-byte cost (one table lookup + shift-add, unrolled fast path on
-	// amd64/arm64).
+	// per-byte cost (one table lookup + shift-add in an unrolled scan).
 	ChunkerGear = chunk.AlgoGear
 )
 

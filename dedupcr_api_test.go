@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dedupcr"
+	"dedupcr/internal/fingerprint"
 )
 
 // Compile-time lock on the public API surface: the legacy
@@ -35,13 +37,11 @@ var (
 
 	// Chunker-spec API: Options selects chunking through a first-class
 	// spec (algo + size); the three algorithm constants and the CLI
-	// parser are part of the locked surface. The deprecated
-	// Options.ContentDefined bool must also keep compiling until its
-	// removal is a conscious break.
+	// parser are part of the locked surface.
 	_ dedupcr.ChunkerSpec                       = dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear, Size: 4096}
 	_ []dedupcr.ChunkerAlgo                     = []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerCDC, dedupcr.ChunkerGear}
 	_ func(string) (dedupcr.ChunkerAlgo, error) = dedupcr.ParseChunker
-	_ dedupcr.Options                           = dedupcr.Options{Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerCDC}, ContentDefined: false}
+	_ dedupcr.Options                           = dedupcr.Options{Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerCDC}}
 )
 
 // TestCollectiveErrorTaxonomy pins the errors.Is/As contract of the
@@ -100,6 +100,78 @@ func TestPublicAPICancellation(t *testing.T) {
 	}
 }
 
+// rejectingStore misses every chunk read, so a restore fetches the
+// chunks from peers, and then fails the write that re-provisions them: a
+// store error in the middle of the restore, after peers started serving.
+type rejectingStore struct {
+	dedupcr.Store
+	err error
+}
+
+func (s rejectingStore) GetChunk(fingerprint.FP) ([]byte, error) { return nil, s.err }
+func (s rejectingStore) PutChunk(fingerprint.FP, []byte) error   { return s.err }
+
+// TestRestoreAbortsGroupOnStoreError checks that the context-less
+// Restore aborts the group when one rank fails: every peer, blocked in
+// the fetch service or the completion barrier, returns a typed
+// *CollectiveError naming the restore instead of waiting forever.
+func TestRestoreAbortsGroupOnStoreError(t *testing.T) {
+	const n, broken = 4, 1
+	cluster := dedupcr.NewCluster(n)
+	err := dedupcr.Run(n, func(c dedupcr.Comm) error {
+		buf := bytes.Repeat([]byte(fmt.Sprintf("rank%d ", c.Rank())), 4096)
+		_, err := dedupcr.DumpOutput(c, cluster.Node(c.Rank()), buf, dedupcr.Options{
+			K: 2, Approach: dedupcr.CollDedup, ChunkSize: 256, Name: "abort",
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cause := errors.New("device rejects writes")
+	errs := make([]error, n)
+	done := make(chan error, 1)
+	go func() {
+		var mu sync.Mutex
+		done <- dedupcr.Run(n, func(c dedupcr.Comm) error {
+			store := cluster.Node(c.Rank())
+			if c.Rank() == broken {
+				store = rejectingStore{store, cause}
+			}
+			_, err := dedupcr.Restore(c, store, "abort")
+			mu.Lock()
+			errs[c.Rank()] = err
+			mu.Unlock()
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("peers of the failed rank are still blocked in Restore")
+	}
+	for r, err := range errs {
+		var ce *dedupcr.CollectiveError
+		if !errors.As(err, &ce) {
+			t.Errorf("rank %d: %v, want a *CollectiveError", r, err)
+			continue
+		}
+		if ce.Phase != "restore" {
+			t.Errorf("rank %d: phase %q, want \"restore\"", r, ce.Phase)
+		}
+		if ranks := dedupcr.FailedRanks(err); !slices.Equal(ranks, []int{broken}) {
+			t.Errorf("rank %d: failed ranks %v, want [%d]", r, ranks, broken)
+		}
+	}
+	if !errors.Is(errs[broken], cause) {
+		t.Errorf("rank %d lost the store error: %v", broken, errs[broken])
+	}
+}
+
 // TestPublicAPIRoundTrip exercises the library exactly as a downstream
 // user would: through the root package only.
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -143,10 +215,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 // TestPublicAPIChunkerSpec dumps and restores through every chunking
-// algorithm the spec API can name, exactly as a downstream user would,
-// and pins the deprecated-alias contract: ContentDefined still selects
-// CDC chunking, and combining it with a non-fixed Chunker is an error,
-// not a silent preference.
+// algorithm the spec API can name, exactly as a downstream user would.
 func TestPublicAPIChunkerSpec(t *testing.T) {
 	const n, k = 4, 2
 	for _, algo := range []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerCDC, dedupcr.ChunkerGear} {
@@ -174,28 +243,6 @@ func TestPublicAPIChunkerSpec(t *testing.T) {
 		}
 	}
 
-	// Deprecated alias still works...
-	cluster := dedupcr.NewCluster(1)
-	err := dedupcr.Run(1, func(c dedupcr.Comm) error {
-		_, err := dedupcr.DumpOutput(c, cluster.Node(0), bytes.Repeat([]byte("x"), 8192), dedupcr.Options{
-			K: 1, Name: "legacy", ContentDefined: true, ChunkSize: 256,
-		})
-		return err
-	})
-	if err != nil {
-		t.Fatalf("deprecated ContentDefined alias broke: %v", err)
-	}
-	// ...and conflicts loudly with the spec.
-	err = dedupcr.Run(1, func(c dedupcr.Comm) error {
-		_, err := dedupcr.DumpOutput(c, cluster.Node(0), make([]byte, 4096), dedupcr.Options{
-			K: 1, ContentDefined: true,
-			Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear},
-		})
-		return err
-	})
-	if err == nil || !strings.Contains(err.Error(), "conflicts") {
-		t.Fatalf("ContentDefined+Chunker conflict not rejected: %v", err)
-	}
 }
 
 // TestPublicAPIRuntime drives the checkpoint-restart runtime through the

@@ -1,5 +1,5 @@
 // Sockets demo: the same collective dump, but over the real TCP
-// transport with disk-backed node stores — each rank listens on its own
+// transport with segment-store-backed nodes — each rank listens on its own
 // loopback port and all collectives (fingerprint allreduce, load
 // allgather, one-sided window puts) travel through actual sockets, the
 // deployment shape of cmd/replicad.
@@ -70,14 +70,21 @@ func main() {
 	for _, c := range comms {
 		c.Close()
 	}
-	fmt.Println("sockets OK: dump and restore ran over real TCP with disk-backed stores")
+	fmt.Println("sockets OK: dump and restore ran over real TCP with on-disk segment stores")
 }
 
-func runRank(ctx context.Context, c collectives.Comm, dir string) error {
-	store, err := storage.NewDisk(dir)
+func runRank(ctx context.Context, c collectives.Comm, dir string) (err error) {
+	store, err := storage.NewSegStore(dir, storage.SegConfig{})
 	if err != nil {
 		return err
 	}
+	// Close seals, commits and stops the compactor; its error matters
+	// only when nothing failed before it.
+	defer func() {
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	// A CM1 storm checkpoint as the dataset.
 	app := cm1.New(c.Rank(), c.Size(), cm1.Config{NX: 96, NY: 96})
 	for i := 0; i < 4; i++ {

@@ -3,7 +3,7 @@
 // graph of basic blocks, with def-use chains for locals and a
 // package-level call graph on top. It deliberately stops short of full
 // SSA (no phi nodes, no value numbering) — the flow-aware analyzers
-// built on it (lockorder, gorolife, wiresym, atomicfield) need path
+// built on it (lockorder, gorolife) need path
 // structure and resolution, not value semantics, and the build
 // environment pins dependencies to the standard library.
 //

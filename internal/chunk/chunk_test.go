@@ -132,10 +132,19 @@ func TestRecipeWireRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		blob2, err := back.MarshalBinary()
+		return err == nil && bytes.Equal(blob2, blob)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+	// The empty recipe is a header and nothing else, and decodes back.
+	blob, err := Recipe{}.MarshalBinary()
+	if err != nil || len(blob) != 4 {
+		t.Fatalf("empty recipe encodes to %d bytes (%v)", len(blob), err)
+	}
+	if back, rest, err := DecodeRecipe(blob); err != nil || back.Len() != 0 || len(rest) != 0 {
+		t.Fatalf("empty recipe decoded to %d chunks, %d bytes left (%v)", back.Len(), len(rest), err)
 	}
 }
 

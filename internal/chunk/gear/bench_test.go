@@ -6,10 +6,9 @@ import (
 	"dedupcr/internal/chunk"
 )
 
-// BenchmarkGearCuts measures the selected boundary scan (unrolled on
-// amd64/arm64, generic under purego) — compare against
+// BenchmarkGearCuts measures the boundary scan — compare against
 // BenchmarkGenericCuts and internal/chunk's BenchmarkContentDefinedSplit
-// to see the fast path's margin.
+// to see the unrolled loop's margin.
 func BenchmarkGearCuts(b *testing.B) {
 	buf := testBuf(1, 1<<22)
 	c := New(4096)
@@ -20,8 +19,7 @@ func BenchmarkGearCuts(b *testing.B) {
 	}
 }
 
-// BenchmarkGenericCuts measures the reference scan regardless of the
-// build's selection, via the test-only scan harness.
+// BenchmarkGenericCuts measures the test-only reference scan.
 func BenchmarkGenericCuts(b *testing.B) {
 	buf := testBuf(1, 1<<22)
 	c := New(4096)

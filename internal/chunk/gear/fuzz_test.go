@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzGearChunker is the differential fuzzer of the tentpole: on every
-// input, the unrolled fast path and the generic reference must return
-// identical cut points (the boundary-identity contract that lets ranks
-// on different architectures agree on chunk boundaries), and the cuts
+// FuzzGearChunker is the differential fuzzer of the boundary scan: on
+// every input, the unrolled production scan and the generic reference
+// must return identical cut points, and the cuts
 // must satisfy the structural invariants — strictly ascending, tiling
 // the buffer, bounded by Min/Max — plus split-stability: re-chunking the
 // suffix after any cut reproduces the remaining cuts.
@@ -74,8 +73,7 @@ func FuzzGearChunker(f *testing.F) {
 			}
 		}
 
-		// The selected implementation (whatever this build picked) agrees
-		// with the reference through the public entry point.
+		// The public entry point agrees with the reference.
 		pub := c.Cuts(data)
 		if len(pub) != len(cuts) {
 			t.Fatalf("Cuts %d cuts, reference %d", len(pub), len(cuts))

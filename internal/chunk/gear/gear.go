@@ -24,20 +24,17 @@
 // The cut condition tests the accumulator's HIGH bits (h & mask == 0
 // with mask occupying the top log2(avg) bits): high bits mix the full
 // 64-byte window, while low bits would depend on only the last few
-// bytes. Min/Avg/Max bounds follow the same normalized discipline as
-// chunk.ContentDefined: Avg rounds up to a power of two, Min = Avg/4
-// (clamped to the 64-byte window), Max = Avg*4, all derived from the
-// rounded value.
+// bytes. Min/Avg/Max bounds follow the normalized discipline of the
+// Rabin chunker (chunk.ContentDefined) — Avg rounds up to a power of
+// two, Min = Avg/4 (clamped to the 64-byte window), Max = Avg*4, all
+// derived from the rounded value.
 //
-// Two boundary-identical implementations exist: a plain reference loop
-// (cutGeneric) and an 8-way unrolled scan (cutUnrolled) that the
-// compiler keeps free of bounds checks. Package init selects the
-// unrolled path on amd64 and arm64 and the reference elsewhere — or
-// everywhere under the `purego` build tag, which CI uses to exercise
-// the fallback on amd64. The differential fuzzer, the golden cut-point
-// vectors under internal/chunk/testdata and the 100-run determinism
-// test all pin the two paths (and every architecture) to identical
-// boundaries.
+// The boundary scan is an 8-way unrolled loop (cutUnrolled) that the
+// compiler keeps free of bounds checks; it is pure Go and runs on every
+// architecture. The differential fuzzer and the golden cut-point vectors
+// under internal/chunk/testdata pin it to the plain reference loop the
+// tests keep (cutGeneric), and the 100-run determinism test pins it to
+// itself.
 package gear
 
 import (
@@ -70,16 +67,6 @@ func init() {
 	initTable()
 	chunk.Register(chunk.AlgoGear, func(size int) chunk.CutChunker { return New(size) })
 }
-
-// cut is the implementation the build selected at init: cutUnrolled on
-// amd64/arm64, cutGeneric elsewhere or under the purego tag. Both return
-// identical cut points on identical input.
-var cut func(buf []byte, minSize int, mask uint64) int
-
-// Impl names the selected scan implementation, for logs and tests.
-func Impl() string { return implName }
-
-var implName string
 
 // Chunker is a gear-hash content-defined chunker. It implements
 // chunk.CutChunker: the boundary scan (Cuts) is separable from
@@ -152,5 +139,5 @@ func (c *Chunker) cutPoint(buf []byte) int {
 	if limit > c.Max {
 		limit = c.Max
 	}
-	return cut(buf[:limit], c.Min, c.mask)
+	return cutUnrolled(buf[:limit], c.Min, c.mask)
 }

@@ -33,6 +33,24 @@ func testBuf(seed uint64, n int) []byte {
 	return buf
 }
 
+// cutGeneric is the reference boundary scan: the simplest loop that is
+// obviously correct. The production scan (cutUnrolled) must match it cut
+// for cut — see the differential fuzzer and the golden vectors. Same
+// preconditions as cutUnrolled.
+func cutGeneric(buf []byte, minSize int, mask uint64) int {
+	var h uint64
+	for i := minSize - Window; i < minSize; i++ {
+		h = h<<1 + table[buf[i]]
+	}
+	for i := minSize; i < len(buf); i++ {
+		h = h<<1 + table[buf[i]]
+		if h&mask == 0 {
+			return i + 1
+		}
+	}
+	return len(buf)
+}
+
 // cutsWith replicates Chunker.Cuts with an explicit scan function, so
 // both implementations can be driven through the full chunking loop.
 func cutsWith(fn func([]byte, int, uint64) int, c *Chunker, buf []byte) []int {
@@ -76,13 +94,6 @@ func TestNewBounds(t *testing.T) {
 	}
 }
 
-func TestImplSelected(t *testing.T) {
-	if Impl() == "" {
-		t.Fatal("no scan implementation selected at init")
-	}
-	t.Logf("gear scan implementation: %s", Impl())
-}
-
 func TestCutsInvariants(t *testing.T) {
 	c := New(256)
 	buf := testBuf(1, 64*1024+37)
@@ -112,8 +123,8 @@ func TestCutsInvariants(t *testing.T) {
 	}
 }
 
-// TestUnrolledMatchesGeneric pins the tentpole's core contract: the
-// 8-way unrolled scan and the reference loop return identical cut points
+// TestUnrolledMatchesGeneric pins the scan's core contract: the 8-way
+// unrolled scan and the reference loop return identical cut points
 // on identical input, across sizes that exercise the prime loop, the
 // unrolled body and the tail.
 func TestUnrolledMatchesGeneric(t *testing.T) {
@@ -210,7 +221,7 @@ func TestRegisteredWithSpec(t *testing.T) {
 // implementation produced when the vector was recorded. Any drift — a
 // table change, a mask change, a scan bug on one architecture — breaks
 // cross-version restores, so the vectors are committed and checked
-// against BOTH implementations.
+// against both the production scan and the reference.
 type goldenCase struct {
 	Name string `json:"name"`
 	Avg  int    `json:"avg"`

@@ -1,19 +1,22 @@
 package gear
 
-// cutUnrolled is the fast boundary scan selected on amd64 and arm64: the
-// same recurrence as cutGeneric, eight positions per loop iteration over
-// a re-sliced 8-byte block. The full-slice re-slice (b := buf[i:i+8:i+8])
-// lets the compiler prove every inner index in-bounds, so the hot loop
-// compiles to straight shift-add-lookup chains with no bounds checks and
-// no per-byte loop overhead — the compiler-friendly shape of the SIMD
-// skip-scanning kernels in the vector-chunking literature, without hand
-// assembly. It is compiled (and differentially tested) on every
-// architecture; init only selects it where it has been benchmarked to
-// win.
+// cutUnrolled is the boundary scan: the gear recurrence, eight positions
+// per loop iteration over a re-sliced 8-byte block. The full-slice
+// re-slice (b := buf[i:i+8:i+8]) lets the compiler prove every inner
+// index in-bounds, so the hot loop compiles to straight shift-add-lookup
+// chains with no bounds checks and no per-byte loop overhead — the
+// compiler-friendly shape of the SIMD skip-scanning kernels in the
+// vector-chunking literature, without hand assembly.
+//
+// buf is already clamped to Max by the caller; minSize > 0 and
+// minSize < len(buf) hold (cutPoint handles the short-buffer case), and
+// minSize >= Window by construction of the chunker.
 func cutUnrolled(buf []byte, minSize int, mask uint64) int {
 	var h uint64
-	// Same skip-scan priming as the reference: only the trailing Window
-	// bytes before minSize can still influence the accumulator.
+	// Skip-scan: the accumulator at position p depends only on bytes
+	// (p-Window, p], so priming can start Window bytes before the first
+	// position the cut condition may fire at. Bytes before that would
+	// have shifted entirely out of the 64-bit state.
 	for i := minSize - Window; i < minSize; i++ {
 		h = h<<1 + table[buf[i]]
 	}

@@ -14,9 +14,9 @@ const (
 	// related-work alternative, shift-resistant but slower per byte.
 	AlgoRabin
 	// AlgoGear is the gear-hash content-defined chunker: one table lookup
-	// and one shift-add per byte, with an arch-selected unrolled fast path
-	// (see internal/chunk/gear). Shift-resistant like AlgoRabin and
-	// several times faster per core.
+	// and one shift-add per byte in an unrolled scan (see
+	// internal/chunk/gear). Shift-resistant like AlgoRabin and several
+	// times faster per core.
 	AlgoGear
 
 	// numAlgos bounds the registry; new algorithms extend it.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -184,21 +185,41 @@ func TestKillUnblocksTCP(t *testing.T) {
 }
 
 // TestWatchContext: cancelling the watched context aborts the comm with
-// the cancellation cause; the stop function is idempotent and a stopped
-// watcher never aborts.
+// the cancellation cause — before WatchContext returns when the context
+// is already cancelled, soon after the cancellation otherwise; the stop
+// function is idempotent and a stopped watcher never aborts.
 func TestWatchContext(t *testing.T) {
-	_, comms := inprocComms(t, 2)
 	cause := errors.New("user hit ctrl-c")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	stop := WatchContext(ctx, comms[0])
-	defer stop()
-	cancel(cause)
-	errs := waitRanks(t, comms, 2*time.Second, func(c Comm) error {
-		return Barrier(c)
-	})
-	for r, err := range errs {
-		if !errors.Is(err, ErrAborted) || !errors.Is(err, cause) {
-			t.Errorf("rank %d: %v, want aborted with cause", r, err)
+	for _, tc := range []struct {
+		name        string
+		cancelFirst bool
+	}{
+		{"already cancelled", true},
+		{"cancelled while watching", false},
+	} {
+		_, comms := inprocComms(t, 2)
+		ctx, cancel := context.WithCancelCause(context.Background())
+		if tc.cancelFirst {
+			cancel(cause)
+		}
+		stop := WatchContext(ctx, comms[0])
+		cancel(cause) // a no-op when already cancelled
+		errs := waitRanks(t, comms, 2*time.Second, func(c Comm) error {
+			// The registration-time abort is synchronous: the very
+			// first barrier fails. The watcher goroutine's abort is
+			// not ordered against a barrier that is already running,
+			// so there the ranks keep meeting until it lands.
+			for {
+				if err := Barrier(c); err != nil || tc.cancelFirst {
+					return err
+				}
+			}
+		})
+		stop()
+		for r, err := range errs {
+			if !errors.Is(err, ErrAborted) || !errors.Is(err, cause) {
+				t.Errorf("%s: rank %d: %v, want aborted with cause", tc.name, r, err)
+			}
 		}
 	}
 
@@ -384,6 +405,8 @@ func FuzzAbortMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeAbortMsg([]int{3, 1, 3}, "rank 3 died"))
 	f.Add(encodeAbortMsg(nil, ""))
+	f.Add(encodeAbortMsg(nil, "cancelled, no rank to blame"))
+	f.Add(encodeAbortMsg([]int{0, 7}, ""))
 	f.Add([]byte{abortMsgVersion, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ranks, cause, err := decodeAbortMsg(data)
@@ -398,13 +421,13 @@ func FuzzAbortMessage(f *testing.F) {
 				t.Fatalf("decoded ranks not strictly ascending: %v", ranks)
 			}
 		}
-		// Re-encoding a decoded message must be stable.
-		re := encodeAbortMsg(ranks, cause)
-		ranks2, cause2, err := decodeAbortMsg(re)
+		// A decoded message is in normal form: it must survive encode +
+		// decode unchanged, rank for rank.
+		ranks2, cause2, err := decodeAbortMsg(encodeAbortMsg(ranks, cause))
 		if err != nil {
 			t.Fatalf("re-encoded message rejected: %v", err)
 		}
-		if cause2 != cause || len(ranks2) != len(ranks) {
+		if cause2 != cause || !slices.Equal(ranks2, ranks) {
 			t.Fatalf("re-encode mismatch: %v/%q vs %v/%q", ranks2, cause2, ranks, cause)
 		}
 	})

@@ -273,11 +273,17 @@ func NotePhase(c Comm, phase string) {
 }
 
 // WatchContext aborts the communicator when ctx is cancelled, so every
-// rank blocked in a collective unblocks promptly with a typed error. The
-// returned stop function releases the watcher (idempotent); callers must
-// invoke it when the watched operation completes.
+// rank blocked in a collective unblocks promptly with a typed error. A
+// context that is already cancelled aborts before WatchContext returns,
+// so the caller's next collective step fails instead of racing the
+// watcher. The returned stop function releases the watcher (idempotent);
+// callers must invoke it when the watched operation completes.
 func WatchContext(ctx context.Context, c Comm) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
+		return func() {}
+	}
+	if ctx.Err() != nil {
+		Abort(c, context.Cause(ctx))
 		return func() {}
 	}
 	done := make(chan struct{})

@@ -443,7 +443,7 @@ func TestDumpContentDefinedChunking(t *testing.T) {
 		prefix := bytes.Repeat([]byte{byte(c.Rank())}, 37*(c.Rank()+1))
 		buf := append(prefix, testBuffer(0, 12, 0, 0, 0)...)
 		o := Options{K: k, Approach: CollDedup, ChunkSize: 128,
-			ContentDefined: true, Name: "cdc"}
+			Chunker: chunk.Spec{Algo: chunk.AlgoRabin}, Name: "cdc"}
 		res, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o)
 		if err != nil {
 			return err

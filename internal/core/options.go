@@ -82,7 +82,6 @@ func (rp RetryPolicy) normalized() RetryPolicy {
 //	F              0 = DefaultF (2^17); negative = unbounded
 //	Chunker        zero = fixed-size chunking at ChunkSize
 //	ChunkSize      0 = 4 KiB (chunk.DefaultSize); fills Chunker.Size
-//	ContentDefined deprecated alias for Chunker.Algo = AlgoRabin
 //	Shuffle        nil = on for CollDedup, off for the baselines
 //	Name           "" = "dataset"
 //	Topology       nil = no rack awareness; non-nil requires Shuffle on
@@ -101,24 +100,16 @@ type Options struct {
 	F int
 	// Chunker selects the chunking algorithm and size as a first-class
 	// spec: fixed-size (the paper's page model, the zero value), the
-	// Rabin-style content-defined chunker, or the gear-hash chunker with
-	// its arch-selected fast path (chunk.AlgoGear). All ranks must agree
-	// — boundaries are collective decision state. A zero Chunker.Size is
-	// filled from ChunkSize; setting both to different values is an
-	// error.
+	// Rabin-style content-defined chunker, or the gear-hash chunker
+	// (chunk.AlgoGear). All ranks must agree — boundaries are collective
+	// decision state. A zero Chunker.Size is filled from ChunkSize;
+	// setting both to different values is an error.
 	Chunker chunk.Spec
 	// ChunkSize is the chunk size in bytes; 0 selects 4 KiB, the memory
 	// page size the paper matches chunks with. It remains the size knob
 	// for callers that never set Chunker; normalization keeps the two in
 	// sync.
 	ChunkSize int
-	// ContentDefined switches from fixed-size to content-defined (Rabin)
-	// chunking with ChunkSize as the expected size.
-	//
-	// Deprecated: set Chunker (chunk.Spec{Algo: chunk.AlgoRabin}) instead.
-	// Normalization maps this flag onto the spec; setting both it and a
-	// non-fixed Chunker.Algo is an error.
-	ContentDefined bool
 	// Shuffle enables the load-aware partner selection of Algorithm 2.
 	// Only meaningful for CollDedup (the baselines use naive partners,
 	// as in the paper). Default true for CollDedup via normalization.
@@ -167,16 +158,8 @@ func (o Options) normalized(groupSize int) (Options, error) {
 	if o.F < 0 {
 		o.F = 0 // Table semantics: F <= 0 means unbounded
 	}
-	// Resolve the chunker spec: the deprecated ContentDefined bool maps
-	// onto it, ChunkSize fills a zero Spec.Size, and conflicting settings
-	// are rejected instead of silently picking one.
-	if o.ContentDefined {
-		if o.Chunker.Algo != chunk.AlgoFixed {
-			return o, fmt.Errorf("core: Options.ContentDefined (deprecated) conflicts with Options.Chunker.Algo=%s: set only Chunker", o.Chunker.Algo)
-		}
-		o.Chunker.Algo = chunk.AlgoRabin
-		o.ContentDefined = false
-	}
+	// Resolve the chunker spec: ChunkSize fills a zero Spec.Size, and
+	// conflicting sizes are rejected instead of silently picking one.
 	if o.Chunker.Size > 0 && o.ChunkSize > 0 && o.Chunker.Size != o.ChunkSize {
 		return o, fmt.Errorf("core: Options.Chunker.Size=%d conflicts with Options.ChunkSize=%d: set only one", o.Chunker.Size, o.ChunkSize)
 	}

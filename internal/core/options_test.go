@@ -63,8 +63,7 @@ func TestOptionsNormalization(t *testing.T) {
 }
 
 // TestOptionsChunkerNormalization pins the chunker-spec rules: zero
-// values keep fixed/4KiB, the spec and the legacy ChunkSize agree or
-// error, the deprecated ContentDefined bool folds into the spec, and
+// values keep fixed/4KiB, the spec and ChunkSize agree or error, and
 // contradictory combinations fail loudly.
 func TestOptionsChunkerNormalization(t *testing.T) {
 	// Zero value: fixed at DefaultSize, mirrored both ways.
@@ -76,7 +75,7 @@ func TestOptionsChunkerNormalization(t *testing.T) {
 		t.Errorf("zero-value chunker = %+v ChunkSize=%d", o.Chunker, o.ChunkSize)
 	}
 
-	// Legacy ChunkSize fills the spec size.
+	// ChunkSize fills the spec size.
 	o, err = Options{K: 1, ChunkSize: 256, Chunker: chunk.Spec{Algo: chunk.AlgoGear}}.normalized(4)
 	if err != nil {
 		t.Fatal(err)
@@ -85,19 +84,6 @@ func TestOptionsChunkerNormalization(t *testing.T) {
 		t.Errorf("ChunkSize not threaded into the spec: %+v", o.Chunker)
 	}
 
-	// Deprecated ContentDefined selects CDC and clears itself.
-	o, err = Options{K: 1, ContentDefined: true, ChunkSize: 512}.normalized(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Chunker.Algo != chunk.AlgoRabin || o.ContentDefined {
-		t.Errorf("ContentDefined alias broken: %+v ContentDefined=%t", o.Chunker, o.ContentDefined)
-	}
-
-	// ContentDefined combined with an explicit non-fixed algo conflicts.
-	if _, err := (Options{K: 1, ContentDefined: true, Chunker: chunk.Spec{Algo: chunk.AlgoGear}}).normalized(4); err == nil || !strings.Contains(err.Error(), "conflicts") {
-		t.Errorf("ContentDefined+Chunker conflict not rejected: %v", err)
-	}
 	// Disagreeing sizes conflict.
 	if _, err := (Options{K: 1, ChunkSize: 512, Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: 256}}).normalized(4); err == nil {
 		t.Error("disagreeing ChunkSize and Chunker.Size accepted")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/storage"
 )
@@ -222,8 +223,9 @@ func TestParallelismDefault(t *testing.T) {
 // parallel, and the restore must still round-trip.
 func TestParallelDumpContentDefined(t *testing.T) {
 	const n = 4
-	o := Options{K: 2, Approach: CollDedup, ChunkSize: testPage, ContentDefined: true,
-		Name: "cdc-par", F: 1 << 10, Parallelism: 4}
+	o := Options{K: 2, Approach: CollDedup, ChunkSize: testPage,
+		Chunker: chunk.Spec{Algo: chunk.AlgoRabin},
+		Name:    "cdc-par", F: 1 << 10, Parallelism: 4}
 	run := runDumpWithStats(t, n, o)
 	restored := make([][]byte, n)
 	var mu sync.Mutex

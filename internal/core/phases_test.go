@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -114,19 +115,19 @@ func TestDumpTraceCoverage(t *testing.T) {
 	}
 }
 
-// TestRestoreWithTrace verifies the restore path emits its spans.
-func TestRestoreWithTrace(t *testing.T) {
+// TestRestoreTraceSpans verifies the restore path emits its spans.
+func TestRestoreTraceSpans(t *testing.T) {
 	const n = 4
 	o := Options{K: 2, Approach: LocalDedup, ChunkSize: testPage, Name: "rt"}
 	cluster, _, buffers := runDump(t, n, o)
 	tr := trace.New()
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		rec := tr.Recorder(1, c.Rank(), fmt.Sprintf("rank %d", c.Rank()))
-		got, err := RestoreWithTrace(c, cluster.Node(c.Rank()), "rt", rec)
+		res, err := RestoreOutputCtx(context.Background(), c, cluster.Node(c.Rank()), "rt", rec)
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, buffers[c.Rank()]) {
+		if !bytes.Equal(res.Data, buffers[c.Rank()]) {
 			return fmt.Errorf("rank %d restore mismatch", c.Rank())
 		}
 		return nil

@@ -35,8 +35,10 @@ type RestoreResult struct {
 //
 // Restore succeeds as long as at most K-1 nodes were lost, the guarantee
 // the replication factor buys.
+//
+//dedupvet:compat context-less convenience wrapper over RestoreCtx
 func Restore(c collectives.Comm, store storage.Store, name string) ([]byte, error) {
-	return RestoreWithTrace(c, store, name, nil)
+	return RestoreCtx(context.Background(), c, store, name)
 }
 
 // RestoreCtx is Restore under a context: cancelling ctx aborts the
@@ -46,49 +48,34 @@ func Restore(c collectives.Comm, store storage.Store, name string) ([]byte, erro
 // the group and surfaces on every survivor as a *collectives.CollectiveError;
 // the restore only reads and re-provisions, so no rollback is needed.
 func RestoreCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string) ([]byte, error) {
-	return RestoreCtxWithTrace(ctx, c, store, name, nil)
-}
-
-// RestoreCtxWithTrace is RestoreCtx with per-phase span recording.
-func RestoreCtxWithTrace(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) ([]byte, error) {
-	res, err := RestoreOutputCtx(ctx, c, store, name, rec)
+	res, err := RestoreOutputCtx(ctx, c, store, name, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res.Data, nil
 }
 
-// RestoreWithTrace is Restore with per-phase span recording. A nil
-// recorder behaves exactly like Restore.
-func RestoreWithTrace(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) ([]byte, error) {
-	res, err := RestoreOutput(c, store, name, rec)
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
-}
-
-// RestoreOutputCtx is RestoreOutput under a context (see RestoreCtx for
-// the abort semantics).
+// RestoreOutputCtx is the fully instrumented collective restore (see
+// RestoreCtx for the abort semantics): it returns the reassembled buffer
+// together with the rank's metrics.Restore — per-phase wall times, read
+// amplification, fragmentation and locality statistics, per-peer fetch
+// traffic and read-latency histograms — and records per-phase spans
+// into rec (a nil recorder records nothing).
 func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
 	stop := collectives.WatchContext(ctx, c)
 	defer stop()
-	res, err := RestoreOutput(c, store, name, rec)
+	res, err := restoreOutput(c, store, name, rec)
 	if err != nil {
 		return nil, failCollective(c, err, "restore")
 	}
 	return res, nil
 }
 
-// RestoreOutput is the fully instrumented collective restore: it returns
-// the reassembled buffer together with the rank's metrics.Restore —
-// per-phase wall times, read amplification, fragmentation and locality
-// statistics, per-peer fetch traffic and read-latency histograms. The
-// legacy Restore* entry points are thin wrappers discarding the metrics.
-func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
+// restoreOutput runs the restore pipeline.
+func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
 	me, n := c.Rank(), c.Size()
 	restoreStart := time.Now()
 	m := metrics.Restore{Rank: me, RunLengths: metrics.NewHistogram()}

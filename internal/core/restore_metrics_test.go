@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func runRestoreOutput(t *testing.T, cluster *storage.Cluster, n int, name string
 	results := make([]*RestoreResult, n)
 	var mu sync.Mutex
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		res, err := RestoreOutput(c, cluster.Node(c.Rank()), name, nil)
+		res, err := RestoreOutputCtx(context.Background(), c, cluster.Node(c.Rank()), name, nil)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -108,7 +109,10 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 		datasetBytes int64
 		uniqueBytes  int64
 	)
-	err := collectives.Run(n, func(c collectives.Comm) error {
+	// The scenario runner is the root of the call tree, so the
+	// background context originates here by design.
+	//dedupvet:compat
+	err := collectives.RunCtx(context.Background(), n, func(ctx context.Context, c collectives.Comm) error {
 		rank := c.Rank()
 		rec := tr.Recorder(pid, rank, fmt.Sprintf("rank %d", rank))
 		buf := fragBuffer(rank, d, chunksPerRank, chunkSize)
@@ -117,7 +121,7 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 			Chunker: chunk.Spec{Algo: cfg.Chunker, Size: chunkSize},
 			Name:    "frag", Trace: rec, Parallelism: cfg.Parallelism,
 		}
-		res, err := core.DumpOutput(c, cluster.Node(rank), buf, o)
+		res, err := core.DumpOutputCtx(ctx, c, cluster.Node(rank), buf, o)
 		if err != nil {
 			return err
 		}
@@ -128,7 +132,7 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 
 		// Restore in place: no failures, but coll-dedup already discarded
 		// chunks designated to other holders, so D > K forces fetches.
-		rres, err := core.RestoreOutput(c, cluster.Node(rank), "frag", rec)
+		rres, err := core.RestoreOutputCtx(ctx, c, cluster.Node(rank), "frag", rec)
 		if err != nil {
 			return err
 		}

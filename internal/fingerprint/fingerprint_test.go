@@ -53,16 +53,21 @@ func TestCompareConsistentWithBytes(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	fp := Of([]byte("payload"))
-	buf := fp.Marshal(nil)
-	got, rest, err := UnmarshalFP(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != fp {
-		t.Errorf("round trip: got %s, want %s", got, fp)
-	}
-	if len(rest) != 0 {
-		t.Errorf("unexpected %d trailing bytes", len(rest))
+	for _, tc := range []struct{ prefix, suffix string }{
+		{"", ""},
+		{"header", "next field"}, // embedded in a larger record
+	} {
+		buf := append(fp.Marshal([]byte(tc.prefix)), tc.suffix...)
+		got, rest, err := UnmarshalFP(buf[len(tc.prefix):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != fp {
+			t.Errorf("round trip: got %s, want %s", got, fp)
+		}
+		if string(buf[:len(tc.prefix)]) != tc.prefix || string(rest) != tc.suffix {
+			t.Errorf("neighbouring bytes disturbed: %q ... %q", buf[:len(tc.prefix)], rest)
+		}
 	}
 }
 

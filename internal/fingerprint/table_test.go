@@ -276,6 +276,31 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+
+	// The arms a merged table never shows: no entries at all, an entry
+	// nobody is designated for, and the unbounded F.
+	empty, orphan := NewTable(-1, 2), NewTable(8, 2)
+	orphan.entries[fpOf(1)] = &Entry{FP: fpOf(1), Freq: 5}
+	orphan.entries[fpOf(2)] = &Entry{FP: fpOf(2), Freq: 2, Ranks: []int32{0, 4}}
+	for name, tbl := range map[string]*Table{"empty": empty, "no-ranks": orphan} {
+		blob, err := tbl.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var back Table
+		if err := back.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if back.F != tbl.F || back.K != tbl.K || back.Len() != tbl.Len() {
+			t.Errorf("%s: decoded F=%d K=%d with %d entries", name, back.F, back.K, back.Len())
+		}
+		if e := back.Lookup(fpOf(1)); name == "no-ranks" && (e == nil || e.Freq != 5 || len(e.Ranks) != 0) {
+			t.Errorf("%s: undesignated entry decoded as %+v", name, e)
+		}
+		if blob2, err := back.MarshalBinary(); err != nil || string(blob2) != string(blob) {
+			t.Errorf("%s: decode + re-encode is not a fixed point (%v)", name, err)
+		}
+	}
 }
 
 func TestUnmarshalRejectsCorrupt(t *testing.T) {

@@ -5,16 +5,6 @@ import (
 	"io"
 )
 
-// PromOptions tunes the exposition output.
-type PromOptions struct {
-	// LegacyPutSummary emits dedupcr_put_latency_seconds as the
-	// quantile summary of PR 1 instead of the bucketed histogram.
-	// Summaries cannot be aggregated across ranks (quantiles of
-	// quantiles are meaningless), which is why the histogram is now the
-	// default; the flag keeps old dashboards alive.
-	LegacyPutSummary bool
-}
-
 // LatencyBuckets is the explicit `le` ladder (in seconds) of every
 // latency histogram family this package exposes: a 1-2.5-5 decade scan
 // from 1µs to 10s. Fixed, identical buckets on every rank are what make
@@ -59,14 +49,8 @@ func WriteLatencyHistogram(w io.Writer, name, help, labels string, h *Histogram)
 // WritePrometheus emits the dump's counters and phase timings in the
 // Prometheus plain-text exposition format, labelled with the rank — the
 // counter dump replicad prints on exit so a scrape-less deployment still
-// leaves machine-readable numbers behind. Equivalent to
-// WritePrometheusOpts with the zero options.
+// leaves machine-readable numbers behind.
 func (d Dump) WritePrometheus(w io.Writer) {
-	d.WritePrometheusOpts(w, PromOptions{})
-}
-
-// WritePrometheusOpts is WritePrometheus with explicit options.
-func (d Dump) WritePrometheusOpts(w io.Writer, o PromOptions) {
 	rank := fmt.Sprintf(`rank="%d"`, d.Rank)
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s{%s} %d\n", name, help, name, name, rank, v)
@@ -104,18 +88,7 @@ func (d Dump) WritePrometheusOpts(w io.Writer, o PromOptions) {
 	}
 
 	if d.PutLatency.Count() > 0 {
-		if o.LegacyPutSummary {
-			fmt.Fprintf(w, "# HELP dedupcr_put_latency_seconds Per-chunk window put latency.\n")
-			fmt.Fprintf(w, "# TYPE dedupcr_put_latency_seconds summary\n")
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				fmt.Fprintf(w, "dedupcr_put_latency_seconds{%s,quantile=\"%g\"} %.9f\n",
-					rank, q, float64(d.PutLatency.Quantile(q))/1e9)
-			}
-			fmt.Fprintf(w, "dedupcr_put_latency_seconds_sum{%s} %.9f\n", rank, float64(d.PutLatency.Sum())/1e9)
-			fmt.Fprintf(w, "dedupcr_put_latency_seconds_count{%s} %d\n", rank, d.PutLatency.Count())
-		} else {
-			WriteLatencyHistogram(w, "dedupcr_put_latency_seconds",
-				"Per-chunk window put latency.", rank, d.PutLatency)
-		}
+		WriteLatencyHistogram(w, "dedupcr_put_latency_seconds",
+			"Per-chunk window put latency.", rank, d.PutLatency)
 	}
 }

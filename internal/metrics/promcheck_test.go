@@ -33,30 +33,19 @@ func sampleDump() Dump {
 	}
 }
 
-// TestExpositionWellFormed runs the strict checker over both exposition
-// modes of a populated dump: the default bucketed-histogram output and
-// the legacy summary kept behind the flag.
+// TestExpositionWellFormed runs the strict checker over the exposition
+// of a populated dump.
 func TestExpositionWellFormed(t *testing.T) {
-	d := sampleDump()
-	for _, tc := range []struct {
-		name string
-		opts PromOptions
-	}{
-		{"histogram", PromOptions{}},
-		{"legacy-summary", PromOptions{LegacyPutSummary: true}},
-	} {
-		var buf bytes.Buffer
-		d.WritePrometheusOpts(&buf, tc.opts)
-		if err := CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Errorf("%s: %v\n%s", tc.name, err, buf.String())
-		}
+	var buf bytes.Buffer
+	sampleDump().WritePrometheus(&buf)
+	if err := CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Errorf("%v\n%s", err, buf.String())
 	}
 }
 
 // TestExpositionHistogramShape pins the put-latency family to the
 // explicit-bucket histogram form: _bucket series with the shared ladder,
-// an +Inf bucket equal to _count, and no quantile series unless the
-// legacy flag is set.
+// an +Inf bucket equal to _count, and no quantile series.
 func TestExpositionHistogramShape(t *testing.T) {
 	d := sampleDump()
 	var buf bytes.Buffer
@@ -66,19 +55,13 @@ func TestExpositionHistogramShape(t *testing.T) {
 		t.Fatalf("put latency not exposed as histogram:\n%s", out)
 	}
 	if strings.Contains(out, "quantile=") {
-		t.Errorf("default exposition still carries summary quantiles")
+		t.Errorf("exposition carries summary quantiles")
 	}
 	if !strings.Contains(out, `dedupcr_put_latency_seconds_bucket{rank="3",le="+Inf"} 5`) {
 		t.Errorf("+Inf bucket missing or wrong count:\n%s", out)
 	}
 	if !strings.Contains(out, `dedupcr_reduction_round_seconds{rank="3",round="0"} 0.002000000`) {
 		t.Errorf("reduction round times not exposed:\n%s", out)
-	}
-
-	buf.Reset()
-	d.WritePrometheusOpts(&buf, PromOptions{LegacyPutSummary: true})
-	if !strings.Contains(buf.String(), "# TYPE dedupcr_put_latency_seconds summary") {
-		t.Errorf("legacy flag lost the summary form:\n%s", buf.String())
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // renamed over the target, and the directory is fsynced so the rename
 // itself survives a power cut. A concurrent or post-crash reader never
 // observes a half-written file — it sees either the old content or the
-// new — which is the primitive both store engines build their commit
-// protocols on (chunk and blob writes in the flat engine, segment
-// indexes and the manifest in the segment engine).
+// new — which is the primitive the segment engine builds its commit
+// protocol on (blobs, segment indexes and the manifest).
 //
 // crash, when non-nil, is the deterministic fault-injection hook of the
 // crash-consistency matrix: it is invoked with label after the temp file
@@ -62,10 +61,10 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// fileBlobs is the named-blob side shared by the flat disk engine and
-// the segment engine: small metadata blobs (recipes, gc lists, restore
-// hints) as individual files under dir, each written atomically. Blob
-// names may contain '/' separators; they map to subdirectories.
+// fileBlobs is the named-blob side of the segment engine: small
+// metadata blobs (recipes, gc lists, restore hints) as individual files
+// under dir, each written atomically. Blob names may contain '/'
+// separators; they map to subdirectories.
 type fileBlobs struct {
 	dir   string
 	crash func(string) // crash-injection hook threaded into atomic writes

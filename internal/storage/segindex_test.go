@@ -109,6 +109,8 @@ func TestManifestRoundTrip(t *testing.T) {
 			{ID: 5, DataLen: 1, IdxSum: 1, Refs: []uint32{0, 2, 9}},
 			{ID: 11, DataLen: 1 << 30, IdxSum: 0xffffffff},
 		}},
+		// An override column that is present but empty is not "absent".
+		{Gen: 1, NextSeg: 2, Segs: []manifestSeg{{ID: 1, Refs: []uint32{}}}},
 	}
 	for i, m := range cases {
 		enc := m.encode()

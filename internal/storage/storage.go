@@ -3,13 +3,11 @@
 // several datasets or positions is kept once), recipe persistence, usage
 // accounting, and failure injection for resilience tests.
 //
-// Three implementations are provided: an in-memory store (used when
-// simulating hundreds of ranks in one process), a flat disk-backed
-// store (one file per chunk, used by the socket-transport daemon and
-// the examples that want real files on a real local device), and a
-// log-structured segment store (segment.go) with crash-safe checkpoint
-// commit and background compaction — the engine that holds many
-// checkpoints cheaply.
+// Two implementations are provided: an in-memory store (used when
+// simulating hundreds of ranks in one process) and a log-structured
+// segment store (segment.go) with crash-safe checkpoint commit and
+// background compaction — the durable engine of the socket-transport
+// daemon and the examples that want real files on a real local device.
 package storage
 
 import (
@@ -62,10 +60,9 @@ type Committer interface {
 }
 
 // Commit drives a store's checkpoint commit if it has one. Stores
-// without an explicit commit point (the in-memory store; the flat disk
-// engine, which is durable per-operation) are a no-op, so pipeline code
-// calls this unconditionally. Instrumentation wrappers exposing
-// Inner() Store are unwrapped.
+// without an explicit commit point (the in-memory store) are a no-op,
+// so pipeline code calls this unconditionally. Instrumentation wrappers
+// exposing Inner() Store are unwrapped.
 func Commit(s Store) error {
 	for {
 		if c, ok := s.(Committer); ok {

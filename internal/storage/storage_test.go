@@ -13,15 +13,11 @@ import (
 // conformance tests below run against all engines.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := NewDisk(filepath.Join(t.TempDir(), "node"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	seg, err := NewSeg(filepath.Join(t.TempDir(), "segnode"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"mem": NewMem(), "disk": disk, "seg": seg}
+	return map[string]Store{"mem": NewMem(), "seg": seg}
 }
 
 func TestPutGetChunk(t *testing.T) {
@@ -138,37 +134,6 @@ func TestFailSemantics(t *testing.T) {
 				t.Fatalf("failed node reports usage %d/%d", b, n)
 			}
 		})
-	}
-}
-
-func TestDiskStoreReopen(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "node")
-	s, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("persistent-chunk")
-	fp := fingerprint.Of(data)
-	if err := s.PutChunk(fp, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutBlob("meta", []byte("m")); err != nil {
-		t.Fatal(err)
-	}
-	// Re-open: content must be indexed again.
-	s2, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.GetChunk(fp)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("reopened store lost chunk: %v", err)
-	}
-	if blob, err := s2.GetBlob("meta"); err != nil || string(blob) != "m" {
-		t.Fatalf("reopened store lost blob: %v", err)
-	}
-	if b, n := s2.Usage(); n != 1 || b != int64(len(data)) {
-		t.Fatalf("reopened usage = %d/%d", b, n)
 	}
 }
 

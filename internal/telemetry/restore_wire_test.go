@@ -90,6 +90,40 @@ func TestRestoreWireRoundTrip(t *testing.T) {
 	if got, want := out.ReadAmplificationBytes(), in.ReadAmplificationBytes(); got != want {
 		t.Errorf("read amplification: got %g, want %g", got, want)
 	}
+
+	// Every optional arm of the layout, on and off, each a fixed point
+	// of decode + re-encode (see TestDumpWireRoundTrip).
+	for _, tc := range []struct {
+		name string
+		r    metrics.Restore
+	}{
+		{"full", in},
+		{"zero", metrics.Restore{}},
+		{"time-only", metrics.Restore{Rank: 1, BarrierExit: in.BarrierExit}},
+		{"peers-only", metrics.Restore{PeerFetchChunks: in.PeerFetchChunks, PeerFetchBytes: in.PeerFetchBytes}},
+		{"runs-only", metrics.Restore{RunLengths: in.RunLengths}},
+		{"fetch-latency-only", metrics.Restore{FetchLatency: in.FetchLatency}},
+		{"read-latency-only", metrics.Restore{StoreReadLatency: in.StoreReadLatency}},
+	} {
+		enc, err := EncodeRestore(tc.r)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		dec, err := DecodeRestore(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (dec.RunLengths == nil) != (tc.r.RunLengths == nil) ||
+			(dec.FetchLatency == nil) != (tc.r.FetchLatency == nil) ||
+			(dec.StoreReadLatency == nil) != (tc.r.StoreReadLatency == nil) ||
+			dec.BarrierExit.IsZero() != tc.r.BarrierExit.IsZero() ||
+			len(dec.PeerFetchChunks) != len(tc.r.PeerFetchChunks) {
+			t.Errorf("%s: optional field changed presence: %+v", tc.name, dec)
+		}
+		if re, err := EncodeRestore(dec); err != nil || !bytes.Equal(re, enc) {
+			t.Errorf("%s: decode + re-encode is not a fixed point (%v)", tc.name, err)
+		}
+	}
 }
 
 func TestRestoreWireNilHistogramsAndZeroTime(t *testing.T) {

@@ -23,22 +23,23 @@ func storeStatsFixture(rank int) metrics.StoreStats {
 }
 
 func TestStoreWireRoundTrip(t *testing.T) {
-	in := storeStatsFixture(3)
-	enc, err := EncodeStoreStats(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeStoreStats(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-	// Encoding is deterministic: same snapshot, same bytes.
-	enc2, _ := EncodeStoreStats(in)
-	if !bytes.Equal(enc, enc2) {
-		t.Fatal("store encoding not deterministic")
+	for _, in := range []metrics.StoreStats{storeStatsFixture(3), {}} {
+		enc, err := EncodeStoreStats(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := DecodeStoreStats(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != in {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
+		}
+		// Encoding is deterministic: same snapshot, same bytes.
+		enc2, _ := EncodeStoreStats(in)
+		if !bytes.Equal(enc, enc2) {
+			t.Fatal("store encoding not deterministic")
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -74,6 +75,41 @@ func TestDumpWireRoundTrip(t *testing.T) {
 	}
 	if out.PutLatency.Count() != in.PutLatency.Count() || out.PutLatency.Sum() != in.PutLatency.Sum() {
 		t.Errorf("histogram count/sum mismatch")
+	}
+
+	// Every optional arm of the layout, on and off. Each row must be a
+	// fixed point of decode + re-encode, so neither side can drop, swap
+	// or misplace a field the other one carries.
+	for _, tc := range []struct {
+		name string
+		d    metrics.Dump
+		v2   bool // relabel the encoding as wire v2 before decoding
+	}{
+		{"full", in, false},
+		{"full-v2", in, true},
+		{"zero", metrics.Dump{}, false},
+		{"time-only", metrics.Dump{Rank: 1, BarrierExit: in.BarrierExit}, false},
+		{"histogram-only", metrics.Dump{Rank: 2, PutLatency: in.PutLatency}, false},
+		{"workers-only", metrics.Dump{Phases: metrics.Phases{PutWorkers: in.Phases.PutWorkers}}, false},
+	} {
+		enc, err := EncodeDump(tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wire := append([]byte(nil), enc...)
+		if tc.v2 {
+			wire[0] = dumpWireVersionV2
+		}
+		dec, err := DecodeDump(wire)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (dec.PutLatency == nil) != (tc.d.PutLatency == nil) || dec.BarrierExit.IsZero() != tc.d.BarrierExit.IsZero() {
+			t.Errorf("%s: optional field changed presence: %+v", tc.name, dec)
+		}
+		if re, err := EncodeDump(dec); err != nil || !bytes.Equal(re, enc) {
+			t.Errorf("%s: decode + re-encode is not a fixed point (%v)", tc.name, err)
+		}
 	}
 }
 
