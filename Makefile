@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet dedupvet lint fmt fuzz-smoke bench figures crash-consistency
+.PHONY: all build test race vet dedupvet lint fmt fuzz-smoke bench bench-pairs figures crash-consistency
 
 all: build vet test
 
@@ -50,6 +50,18 @@ fuzz-smoke:
 # files with: go run ./bench -compare a.json b.json
 bench:
 	$(GO) run ./bench -out .bench_build/local.json
+
+# Alternating parent/change pairs of one workload, for a claimed gain:
+#   make bench-pairs BASE=HEAD~1 N=10 WORKLOAD=page-tcp-seg
+# prints every pair, both medians and quartiles and the win count
+# (METRIC and SEED default to dump_mbps and 1).
+BASE ?= HEAD
+N ?= 10
+WORKLOAD ?= page-tcp-seg
+METRIC ?= dump_mbps
+SEED ?= 1
+bench-pairs:
+	scripts/bench-pairs.sh $(BASE) $(N) $(WORKLOAD) $(METRIC) $(SEED)
 
 # The paper's figures and tables as netsim shape reproductions, CI-sized.
 figures:

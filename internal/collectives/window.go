@@ -3,6 +3,7 @@ package collectives
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -100,14 +101,39 @@ func (w *Window) Put(target int, offset int64, data []byte) error {
 	return err
 }
 
+// putOffsetHeader is the destination offset every put frame starts with.
+const putOffsetHeader = 8
+
+// MaxPutBytes is the largest put payload that, with its offset header,
+// fits the receiver's first frame allocation (frameAllocChunk): a put of
+// at most this many bytes is read into one buffer allocated once, never
+// through readFrame's grow-and-copy path. Senders that gather a
+// contiguous region into several puts cut it at this size.
+const MaxPutBytes = frameAllocChunk - putOffsetHeader
+
+// putFrames recycles put frames of up to frameAllocChunk bytes. The
+// transports do not retain data after Send returns, so a frame goes back
+// as soon as the send does.
+var putFrames = sync.Pool{New: func() any {
+	b := make([]byte, 0, frameAllocChunk)
+	return &b
+}}
+
 func (w *Window) put(target int, offset int64, data []byte) error {
 	if target == w.comm.Rank() {
 		// Local put: write directly.
 		return w.deposit(offset, data)
 	}
-	frame := make([]byte, 8+len(data))
+	var frame []byte
+	if len(data) <= MaxPutBytes {
+		fb := putFrames.Get().(*[]byte)
+		defer putFrames.Put(fb)
+		frame = (*fb)[:putOffsetHeader+len(data)]
+	} else {
+		frame = make([]byte, putOffsetHeader+len(data))
+	}
 	binary.BigEndian.PutUint64(frame, uint64(offset))
-	copy(frame[8:], data)
+	copy(frame[putOffsetHeader:], data)
 	if w.PutTimeout > 0 {
 		if ds, ok := w.comm.(DeadlineSender); ok {
 			return ds.SendDeadline(target, w.tag, frame, time.Now().Add(w.PutTimeout))
@@ -149,11 +175,11 @@ func (w *Window) Wait() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(frame) < 8 {
+		if len(frame) < putOffsetHeader {
 			return nil, fmt.Errorf("collectives: malformed window frame (%d bytes)", len(frame))
 		}
 		offset := int64(binary.BigEndian.Uint64(frame))
-		if err := w.deposit(offset, frame[8:]); err != nil {
+		if err := w.deposit(offset, frame[putOffsetHeader:]); err != nil {
 			return nil, err
 		}
 	}

@@ -165,3 +165,78 @@ func TestWildcardTagDisjointFromWindowEpochs(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxPutFrameReadInOneAllocation pins why MaxPutBytes is what it is:
+// the frame of a maximum-size put is exactly the receiver's first frame
+// allocation, so readFrame allocates its payload once — as for a tiny
+// frame — and only a frame one byte larger takes the grow-and-copy path.
+func TestMaxPutFrameReadInOneAllocation(t *testing.T) {
+	if MaxPutBytes+putOffsetHeader != frameAllocChunk {
+		t.Fatalf("MaxPutBytes %d + %d-byte offset header != frame allocation step %d", MaxPutBytes, putOffsetHeader, frameAllocChunk)
+	}
+	allocs := func(payloadLen int) float64 {
+		var wire bytes.Buffer
+		if err := writeFrame(&wire, windowTag(1), make([]byte, payloadLen)); err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(nil)
+		return testing.AllocsPerRun(20, func() {
+			r.Reset(wire.Bytes())
+			_, payload, _, err := readFrame(r)
+			if err != nil || len(payload) != payloadLen || cap(payload) != payloadLen {
+				t.Fatalf("readFrame(%d bytes): len %d cap %d err %v", payloadLen, len(payload), cap(payload), err)
+			}
+		})
+	}
+	tiny, maxPut, over := allocs(16), allocs(putOffsetHeader+MaxPutBytes), allocs(putOffsetHeader+MaxPutBytes+1)
+	if maxPut != tiny {
+		t.Errorf("a maximum-size put frame costs %.0f allocations to read, a 16-byte frame %.0f: the payload was not allocated once", maxPut, tiny)
+	}
+	if over != tiny+1 {
+		t.Errorf("a frame one byte over the cap costs %.0f allocations, want %.0f (one regrow)", over, tiny+1)
+	}
+}
+
+// TestWindowConcurrentPutsAroundCap drives concurrent put streams whose
+// sizes straddle MaxPutBytes over TCP: pooled frames must never leak one
+// put's bytes into another's, and a put above the cap must still arrive.
+func TestWindowConcurrentPutsAroundCap(t *testing.T) {
+	sizes := []int{MaxPutBytes, MaxPutBytes + 1, 1, MaxPutBytes - 1, 4096, MaxPutBytes}
+	var total int
+	for _, s := range sizes {
+		total += s
+	}
+	want := make([]byte, total)
+	for i := range want {
+		want[i] = byte(i * 31)
+	}
+	runTCP(t, 2, func(c Comm) error {
+		if c.Rank() == 0 {
+			win := OpenWindow(c, int64(total), 1)
+			buf, err := win.Wait()
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, want) {
+				return fmt.Errorf("window content corrupted")
+			}
+			return nil
+		}
+		win := OpenWindow(c, 0, 1)
+		errs := make(chan error, len(sizes))
+		off := 0
+		for _, s := range sizes {
+			go func(off, s int) { errs <- win.Put(0, int64(off), want[off:off+s]) }(off, s)
+			off += s
+		}
+		for range sizes {
+			if err := <-errs; err != nil {
+				return err
+			}
+		}
+		if st := win.Stats(); st.Puts != len(sizes) || st.PutBytes != int64(total) {
+			return fmt.Errorf("window stats %+v, want %d puts / %d bytes", st, len(sizes), total)
+		}
+		return nil
+	})
+}

@@ -422,11 +422,11 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 // retried up to rp.Attempts times with doubling backoff, counting each
 // retry; aborts, rank failures and cancellations are final and returned
 // immediately. Re-putting is idempotent at the receiver — the planned
-// offset region is fixed, so a retried record lands on the same bytes.
-func putRetry(win *collectives.Window, me, target int, off int64, rec []byte, rp RetryPolicy, retries *atomic.Int64) error {
+// offset region is fixed, so a retried slab lands on the same bytes.
+func putRetry(win *collectives.Window, me, target int, off int64, slab []byte, rp RetryPolicy, retries *atomic.Int64) error {
 	backoff := rp.Backoff
 	for attempt := 1; ; attempt++ {
-		err := win.Put(target, off, rec)
+		err := win.Put(target, off, slab)
 		if err == nil || attempt >= rp.Attempts || !collectives.IsTransient(err) {
 			return err
 		}
@@ -440,33 +440,56 @@ func putRetry(win *collectives.Window, me, target int, off int64, rec []byte, rp
 }
 
 // putPartner pushes every item destined for partner index d into the
-// target's window, records starting at off. The per-partner offset
-// regions are disjoint by construction (Algorithm 3), so putPartner calls
-// for different d never touch the same window bytes — which is what makes
-// them safe to run concurrently. Returns chunks and payload bytes sent.
-func putPartner(win *collectives.Window, me, target int, off int64, items []item, d int, rp RetryPolicy, retries *atomic.Int64) (int, int64, error) {
+// target's window: region bytes of records starting at off. The offset
+// planning (Algorithm 3) makes that region one contiguous run, so the
+// records — u32 length | payload each, self-describing so the receiver
+// parses its window sequentially regardless of how sender regions tile
+// it — are gathered into one slab and put once per
+// collectives.MaxPutBytes of region instead of once per chunk; a record
+// larger than that travels alone. The per-partner regions are disjoint by
+// construction, so putPartner calls for different d never touch the same
+// window bytes — which is what makes them safe to run concurrently.
+// Returns the chunks and payload bytes gathered, which is what was sent
+// unless an error is returned too.
+func putPartner(win *collectives.Window, me, target int, off, region int64, items []item, d int, rp RetryPolicy, retries *atomic.Int64) (int, int64, error) {
 	var chunks int
 	var bytes int64
+	slab := make([]byte, 0, min(region, collectives.MaxPutBytes))
+	flush := func() error {
+		if err := putRetry(win, me, target, off, slab, rp, retries); err != nil {
+			return fmt.Errorf("put to %d: %w", target, err)
+		}
+		off += int64(len(slab))
+		slab = slab[:0]
+		return nil
+	}
 	for _, it := range items {
 		if !sendsTo(it, d) {
 			continue
 		}
-		rec := encodeRecord(it.ch.Data)
-		if err := putRetry(win, me, target, off, rec, rp, retries); err != nil {
-			return chunks, bytes, fmt.Errorf("put to %d: %w", target, err)
+		data := it.ch.Data
+		if len(slab) > 0 && len(slab)+4+len(data) > collectives.MaxPutBytes {
+			if err := flush(); err != nil {
+				return chunks, bytes, err
+			}
 		}
-		off += int64(len(rec))
+		slab = binary.BigEndian.AppendUint32(slab, uint32(len(data)))
+		slab = append(slab, data...)
 		chunks++
-		bytes += int64(len(it.ch.Data))
+		bytes += int64(len(data))
 	}
-	return chunks, bytes, nil
+	var err error
+	if len(slab) > 0 {
+		err = flush()
+	}
+	return chunks, bytes, err
 }
 
 // putSerial is the reference put phase: partner windows filled one after
 // the other, in partner-index order.
 func putSerial(win *collectives.Window, plan *Plan, items []item, offs []int64, o Options, me int, m *metrics.Dump, retries *atomic.Int64) error {
 	for d := 1; d < o.K; d++ {
-		chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], items, d, o.Retry, retries)
+		chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d, o.Retry, retries)
 		m.SentChunks += chunks
 		m.SentBytes += bytes
 		if err != nil {
@@ -504,7 +527,7 @@ func putParallel(win *collectives.Window, plan *Plan, items []item, offs []int64
 			sp := o.Trace.Begin("put-worker").
 				Arg("partner", fmt.Sprint(d)).
 				Arg("target", fmt.Sprint(plan.Partner(me, d)))
-			chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], items, d, o.Retry, retries)
+			chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d, o.Retry, retries)
 			sp.End()
 			results[d-1] = putResult{chunks, bytes, time.Since(start), err}
 		}(d)
@@ -797,16 +820,6 @@ func sendLoads(items []item, k int) []int64 {
 		}
 	}
 	return load
-}
-
-// encodeRecord frames a chunk for the window: u32 length | payload.
-// Self-describing records let the receiver parse its window sequentially
-// regardless of how sender regions tile it.
-func encodeRecord(data []byte) []byte {
-	rec := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint32(rec, uint32(len(data)))
-	copy(rec[4:], data)
-	return rec
 }
 
 // commitReceived parses the filled window and stores every chunk,

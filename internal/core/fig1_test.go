@@ -102,10 +102,3 @@ func concat(parts ...[]byte) []byte {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -10,6 +10,27 @@ import (
 	"dedupcr/internal/storage"
 )
 
+// runComms drives body once per communicator of an existing group, one
+// goroutine each, and fails the test on the first rank error.
+func runComms[C collectives.Comm](t *testing.T, comms []C, body func(c collectives.Comm) error) {
+	t.Helper()
+	errs := make([]error, len(comms))
+	var wg sync.WaitGroup
+	for r := range comms {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = body(comms[r])
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
 // TestDumpRestoreOverTCP runs the full coll-dedup pipeline — fingerprint
 // allreduce, load allgathers, window puts, restore RPCs — over the real
 // socket transport.
@@ -28,21 +49,7 @@ func TestDumpRestoreOverTCP(t *testing.T) {
 
 	run := func(body func(c collectives.Comm) error) {
 		t.Helper()
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				errs[rank] = body(comms[rank])
-			}(r)
-		}
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
-			}
-		}
+		runComms(t, comms, body)
 	}
 
 	buffers := make([][]byte, n)

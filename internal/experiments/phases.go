@@ -77,7 +77,7 @@ func PhasesBreakdown(cfg Config) (*Table, error) {
 
 	for i, ap := range approaches {
 		if putQ[i][2] > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s put latency (rank mean): p50 %s, p99 %s",
+			t.Notes = append(t.Notes, fmt.Sprintf("%s put latency per gathered put (rank mean): p50 %s, p99 %s",
 				ap, metrics.Duration(time.Duration(putQ[i][0])), metrics.Duration(time.Duration(putQ[i][1]))))
 		}
 	}

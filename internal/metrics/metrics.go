@@ -66,8 +66,10 @@ type Dump struct {
 	// cluster telemetry plane aligns merged traces with). Zero when the
 	// transport did not record it.
 	BarrierExit time.Time
-	// PutLatency is the per-chunk window-put latency histogram
-	// (nanoseconds); nil when the dump recorded no puts.
+	// PutLatency is the window-put latency histogram (nanoseconds): one
+	// sample per put, and a dump gathers each partner's records into one
+	// put per collectives.MaxPutBytes of region — not one per chunk.
+	// Nil when the dump recorded no puts.
 	PutLatency *Histogram
 }
 

@@ -89,6 +89,6 @@ func (d Dump) WritePrometheus(w io.Writer) {
 
 	if d.PutLatency.Count() > 0 {
 		WriteLatencyHistogram(w, "dedupcr_put_latency_seconds",
-			"Per-chunk window put latency.", rank, d.PutLatency)
+			"Window put latency, one sample per gathered put.", rank, d.PutLatency)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dedupcr/internal/fingerprint"
@@ -141,6 +143,12 @@ func TestCrashMatrix(t *testing.T) {
 		{point: "compact-manifest-rename", expect: "ck2"},
 		{point: "compact-cleanup", expect: "ck2"},
 	}
+	// Appends are buffered, so the two append rows also pin what the kill
+	// left in the unsealed segment file: "append" dies with the first
+	// chunk of phase 2 buffered and nothing written, "torn-append" halfway
+	// through the first buffer flush (four chunks at the first seal, two
+	// of them written).
+	unsealed := map[string]int64{"append": 0, "torn-append": 2 * crashChunk}
 	for _, tc := range cases {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
@@ -156,9 +164,43 @@ func TestCrashMatrix(t *testing.T) {
 			if !errors.As(err, &ee) || ee.ExitCode() != crashExitCode {
 				t.Fatalf("helper exited %v, want crash exit %d; output:\n%s", err, crashExitCode, out)
 			}
+			if want, ok := unsealed[tc.point]; ok {
+				if got := unsealedBytes(t, dir); got != want {
+					t.Errorf("kill at %q left %d payload bytes in the unsealed segment, want %d", tc.point, got, want)
+				}
+			}
 			verifyAfterCrash(t, dir, tc.expect)
 		})
 	}
+}
+
+// unsealedBytes returns the size of the one segment data file that has no
+// sealed index next to it: what the killed process had written of its
+// active segment.
+func unsealedBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(-1)
+	for _, seg := range segs {
+		if _, err := os.Stat(strings.TrimSuffix(seg, ".seg") + ".idx"); err == nil {
+			continue
+		}
+		info, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size >= 0 {
+			t.Fatalf("more than one unsealed segment file in %s", dir)
+		}
+		size = info.Size()
+	}
+	if size < 0 {
+		t.Fatalf("no unsealed segment file in %s", dir)
+	}
+	return size
 }
 
 // verifyAfterCrash reopens the killed store and asserts it recovered to

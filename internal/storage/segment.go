@@ -93,14 +93,27 @@ type segFile struct {
 }
 
 // activeSeg is the segment currently being appended to. It is invisible
-// to the manifest until sealed.
+// to the manifest until sealed. Appended payload sits in the store's
+// tail buffer until a flush writes it: bytes [0, flushed) are in f,
+// bytes [flushed, len) in SegStore.tail, and no chunk straddles the two.
 type activeSeg struct {
 	id      uint64
 	f       *os.File
 	len     uint64     // payload bytes appended
+	flushed uint64     // payload bytes written to f
 	garbage uint64     // bytes of entries already released before sealing
 	entries []segEntry // append order; offsets ascending
 }
+
+// segTailBytes is the capacity of the append buffer: appended chunks are
+// written to the active segment once per this many payload bytes, not
+// once per chunk. 128 KiB already makes the write syscalls a rounding
+// error (≈ 200 per 16 MiB-per-rank dump instead of ≈ 7k), and it stays
+// below the size at which single writes were measured to stall: on the
+// reference box (Linux 6.18, ext4) every few dumps a run of 1 MiB writes
+// took 20-40 ms each — +500 ms on that dump — 512 KiB writes a third of
+// that, and writes of 256 KiB or less never did.
+const segTailBytes = 128 << 10
 
 // SegStore is the log-structured segment Store. Create with NewSeg or
 // NewSegStore; the extra methods beyond the Store interface are Commit
@@ -117,6 +130,7 @@ type SegStore struct {
 	nextSeg    uint64                      // guarded by mu: next segment ID to allocate
 	sealed     map[uint64]*segFile         // guarded by mu
 	active     *activeSeg                  // guarded by mu
+	tail       []byte                      // guarded by mu: unflushed payload of active, reused across segments
 	index      map[fingerprint.FP]chunkLoc // guarded by mu: live chunks only
 	liveBytes  int64                       // guarded by mu
 	liveChunks int                         // guarded by mu
@@ -309,6 +323,28 @@ func (s *SegStore) entryAtLocked(loc chunkLoc) (*segEntry, *os.File) {
 	return &sf.entries[loc.slot], sf.f
 }
 
+// flushTailLocked writes the buffered payload of the active segment with
+// one positional write. Positional writes mean a partially applied flush
+// never desynchronizes the append cursor: on error the tail is kept and
+// the next flush rewrites the same bytes at the same offset.
+func (s *SegStore) flushTailLocked() error {
+	a := s.active
+	if len(s.tail) == 0 {
+		return nil
+	}
+	if s.cfg.CrashPoint == "torn-append" {
+		a.f.WriteAt(s.tail[:len(s.tail)/2], int64(a.flushed))
+		a.f.Sync()
+		s.crash("torn-append")
+	}
+	if _, err := a.f.WriteAt(s.tail, int64(a.flushed)); err != nil {
+		return fmt.Errorf("storage: append to segment %016x: %w", a.id, err)
+	}
+	a.flushed += uint64(len(s.tail))
+	s.tail = s.tail[:0]
+	return nil
+}
+
 func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -331,15 +367,25 @@ func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
 		s.active = &activeSeg{id: s.nextSeg, f: f}
 		s.nextSeg++
 	}
-	// Positional writes: a partially applied write never desynchronizes
-	// the append cursor — the next chunk overwrites the torn bytes.
-	if s.cfg.CrashPoint == "torn-append" {
-		s.active.f.WriteAt(data[:len(data)/2], int64(s.active.len))
-		s.active.f.Sync()
-		s.crash("torn-append")
+	// The payload is buffered, not written: nothing is promised before
+	// the manifest names the sealed segment, and sealing flushes. A chunk
+	// that does not fit the buffer goes to the file directly, after the
+	// bytes that precede it.
+	if len(s.tail)+len(data) > segTailBytes {
+		if err := s.flushTailLocked(); err != nil {
+			return err
+		}
 	}
-	if _, err := s.active.f.WriteAt(data, int64(s.active.len)); err != nil {
-		return fmt.Errorf("storage: append chunk %s: %w", fp.Short(), err)
+	if len(data) > segTailBytes {
+		if _, err := s.active.f.WriteAt(data, int64(s.active.len)); err != nil {
+			return fmt.Errorf("storage: append chunk %s: %w", fp.Short(), err)
+		}
+		s.active.flushed += uint64(len(data))
+	} else {
+		if s.tail == nil {
+			s.tail = make([]byte, 0, segTailBytes)
+		}
+		s.tail = append(s.tail, data...)
 	}
 	s.crash("append")
 	s.active.entries = append(s.active.entries, segEntry{
@@ -369,6 +415,9 @@ func (s *SegStore) sealLocked() error {
 			s.active = nil
 		}
 		return nil
+	}
+	if err := s.flushTailLocked(); err != nil {
+		return err
 	}
 	if err := a.f.Sync(); err != nil {
 		return fmt.Errorf("storage: sync segment %016x: %w", a.id, err)
@@ -486,6 +535,10 @@ func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	}
 	e, f := s.entryAtLocked(loc)
 	buf := make([]byte, e.Length)
+	if a := s.active; a != nil && loc.seg == a.id && e.Offset >= a.flushed {
+		copy(buf, s.tail[e.Offset-a.flushed:])
+		return buf, nil
+	}
 	if _, err := f.ReadAt(buf, int64(e.Offset)); err != nil {
 		return nil, fmt.Errorf("storage: read chunk %s: %w", fp.Short(), err)
 	}
@@ -576,6 +629,7 @@ func (s *SegStore) Fail() {
 	os.Remove(s.manifestPath())
 	s.sealed = map[uint64]*segFile{}
 	s.active = nil
+	s.tail = nil
 	s.index = map[fingerprint.FP]chunkLoc{}
 	s.liveBytes = 0
 	s.liveChunks = 0

@@ -436,3 +436,100 @@ func TestSegManyCheckpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestSegTailBuffersAppends covers the append buffer: chunks are readable
+// while they exist only in memory, a chunk larger than the buffer goes to
+// the file behind the bytes that precede it, a row released before the
+// seal is dropped by it, and the committed state reopens byte-identically.
+func TestSegTailBuffersAppends(t *testing.T) {
+	dir := t.TempDir()
+	// Default 4 MiB target: nothing seals before the Commit below.
+	s, err := NewSegStore(dir, SegConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(s *SegStore, data []byte) {
+		t.Helper()
+		if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustGet := func(s *SegStore, label string, data []byte) {
+		t.Helper()
+		got, err := s.GetChunk(fingerprint.Of(data))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s not byte-identical", label)
+		}
+	}
+
+	const small = 8
+	for i := 0; i < small; i++ {
+		put(s, segChunk(i, 1024))
+	}
+	if s.active.flushed != 0 || len(s.tail) != small*1024 {
+		t.Fatalf("after %d small appends: %d bytes written, %d buffered; want 0 and %d",
+			small, s.active.flushed, len(s.tail), small*1024)
+	}
+	for i := 0; i < small; i++ {
+		mustGet(s, fmt.Sprintf("buffered chunk %d", i), segChunk(i, 1024))
+	}
+
+	// Released while still buffered: dead by the time the segment seals.
+	dead := segChunk(3, 1024)
+	if err := s.ReleaseChunk(fingerprint.Of(dead)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Larger than the buffer: the buffered bytes are flushed first, the
+	// chunk follows them in the file, and the next small chunk is
+	// buffered again behind it.
+	big := segChunk(77, segTailBytes+4096)
+	put(s, big)
+	if want := uint64(small*1024 + len(big)); s.active.flushed != want || len(s.tail) != 0 {
+		t.Fatalf("after the oversize append: %d bytes written, %d buffered; want %d and 0",
+			s.active.flushed, len(s.tail), want)
+	}
+	after := segChunk(78, 1024)
+	put(s, after)
+	mustGet(s, "oversize chunk", big)
+	mustGet(s, "chunk buffered behind the oversize one", after)
+	mustGet(s, "flushed chunk 0", segChunk(0, 1024))
+
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.sealed) != 1 {
+		t.Fatalf("%d sealed segments after commit, want 1", len(s.sealed))
+	}
+	for _, sf := range s.sealed {
+		if len(sf.entries) != small-1+2 {
+			t.Errorf("sealed segment has %d rows, want %d (the released row dropped)", len(sf.entries), small-1+2)
+		}
+		if want := uint64(small*1024 + len(big) + len(after)); sf.dataLen != want {
+			t.Errorf("sealed segment holds %d payload bytes, want %d", sf.dataLen, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewSegStore(dir, SegConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < small; i++ {
+		if i == 3 {
+			if ok, _ := r.HasChunk(fingerprint.Of(dead)); ok {
+				t.Error("released chunk live after reopen")
+			}
+			continue
+		}
+		mustGet(r, fmt.Sprintf("chunk %d after reopen", i), segChunk(i, 1024))
+	}
+	mustGet(r, "oversize chunk after reopen", big)
+	mustGet(r, "last chunk after reopen", after)
+}
