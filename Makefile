@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameTraceContextDecode -fuzztime 30s ./internal/collectives
 	$(GO) test -run '^$$' -fuzz FuzzTableUnmarshal -fuzztime 30s ./internal/fingerprint
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetaUnmarshal -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzChunksReply -fuzztime 30s ./internal/fetch
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDump -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetricsDecode -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzHybridMetaUnmarshal -fuzztime 30s ./internal/hybrid
@@ -54,7 +55,10 @@ bench:
 # Alternating parent/change pairs of one workload, for a claimed gain:
 #   make bench-pairs BASE=HEAD~1 N=10 WORKLOAD=page-tcp-seg
 # prints every pair, both medians and quartiles and the win count
-# (METRIC and SEED default to dump_mbps and 1).
+# (METRIC and SEED default to dump_mbps and 1). A restore claim names its
+# metric: METRIC=restore_mbps. Any *_mbps metric counts higher as better,
+# every other one lower. Only base.txt/head.txt (the raw values) are left
+# under .bench_build/pairs afterwards.
 BASE ?= HEAD
 N ?= 10
 WORKLOAD ?= page-tcp-seg

@@ -241,31 +241,7 @@ func TestOversizeChunkDumpRestore(t *testing.T) {
 	const n, k, chunkSize = 4, 3, 2 << 20
 	for _, transport := range []string{"inproc", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
-			comms := make([]collectives.Comm, n)
-			if transport == "tcp" {
-				tc, err := collectives.StartLocalTCP(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r, c := range tc {
-					comms[r] = c
-				}
-			} else {
-				g, err := collectives.NewGroup(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := range comms {
-					if comms[r], err = g.Comm(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			defer func() {
-				for _, c := range comms {
-					c.Close()
-				}
-			}()
+			comms := startComms(t, transport, n)
 			cluster := storage.NewCluster(n)
 			buffers := make([][]byte, n)
 			for r := range buffers {

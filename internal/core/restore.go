@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dedupcr/internal/collectives"
@@ -26,12 +27,18 @@ type RestoreResult struct {
 }
 
 // Restore is the collective inverse of DumpOutput: every rank calls it
-// and receives back the byte-exact buffer it dumped under name. Chunks or
-// metadata missing from the local store (after a node failure and
-// replacement) are pulled from peers: first the designated ranks recorded
-// in the restore hints, then the neighbour metadata replicas, then a
-// linear sweep as a last resort. Recovered chunks are re-stored locally,
-// so a restore also re-provisions a replaced node.
+// and receives back the byte-exact buffer it dumped under name. One walk
+// over the recipe places what the local store serves, each position
+// checked against its length and fingerprint; chunks the store cannot
+// serve (discarded natural replicas, or everything after a node failure
+// and replacement) are pulled from peers in batched, pipelined exchanges
+// — many fingerprints per request, two requests outstanding per peer,
+// all peers at once — asking first the designated ranks recorded in the
+// restore hints, then every other rank in turn. A fetched chunk is
+// verified against its fingerprint before anything else happens to it;
+// a replica that fails is a miss, and the next holder is asked. Verified
+// chunks are re-stored locally, so a restore also re-provisions a
+// replaced node. Missing metadata comes from the neighbour replicas.
 //
 // Restore succeeds as long as at most K-1 nodes were lost, the guarantee
 // the replication factor buys.
@@ -109,69 +116,37 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 	localBlobReads := 0 // successful local blob reads (meta, gc list)
 	if metaFetched {
 		m.MetaFetches = 1
+		// The metadata sweep asks one peer at a time, so its share of the
+		// Fetch phase is the sum of those round trips.
+		m.Phases.Fetch = time.Duration(fs.Latency().Sum())
 	} else {
 		localBlobReads++
 	}
 	m.TotalChunks = meta.Recipe.Len()
 	m.UniqueChunks = len(meta.Recipe.Unique())
 
-	// The recipe walk is sequential (Assemble calls lookup per position
-	// on one goroutine), so a running same-source counter measures
-	// sequential locality exactly: a run ends whenever the serving source
-	// changes (local store vs. one particular peer).
-	localFPs := make(map[fingerprint.FP]bool)
-	const noSource = -2 // distinct from local (-1) and any peer rank
-	curSource, curRun := noSource, int64(0)
-	endRun := func() {
-		if curRun > 0 {
-			m.RunLengths.Record(curRun)
-			if curRun > m.LargestRun {
-				m.LargestRun = curRun
-			}
-		}
-		curRun = 0
-	}
-	note := func(source int) {
-		if source != curSource {
-			endRun()
-			curSource = source
-		}
-		curRun++
-	}
-
-	var cached []fingerprint.FP
 	collectives.NotePhase(c, "assemble")
 	assembleSpan := rec.Begin("assemble")
 	phaseStart = time.Now()
-	buf, err := meta.Recipe.Assemble(func(fp fingerprint.FP) ([]byte, error) {
-		if data, err := timed.GetChunk(fp); err == nil {
-			m.LocalChunks++
-			m.LocalBytes += int64(len(data))
-			localFPs[fp] = true
-			note(-1)
-			return data, nil
-		}
-		data, peer, err := fetchChunk(c, meta, fs, fp)
-		if err != nil {
-			return nil, err
-		}
-		m.FetchedChunks++
-		m.FetchedBytes += int64(len(data))
-		note(peer)
-		// Re-provision the local store with the recovered chunk.
-		if err := timed.PutChunk(fp, data); err != nil && !errors.Is(err, storage.ErrFailed) {
-			return nil, err
-		}
-		cached = append(cached, fp)
-		return data, nil
-	})
-	endRun()
+	a := &assembly{comm: c, store: timed, fs: fs, meta: meta, m: &m}
+	err = a.walk()
+	if err == nil && len(a.holes) > 0 {
+		// Exchanges overlap, so the fetch stage is charged as wall time:
+		// first ask sent to last reply placed, inside Assemble.
+		fetchSpan := rec.Begin("fetch").Arg("fingerprints", fmt.Sprint(len(a.holes)))
+		fetchStart := time.Now()
+		err = a.fetchHoles()
+		m.Phases.Fetch += time.Since(fetchStart)
+		fetchSpan.End()
+	}
 	m.Phases.Assemble = time.Since(phaseStart)
-	assembleSpan.Arg("fetched-chunks", fmt.Sprint(len(cached))).End()
+	assembleSpan.Arg("fetched-chunks", fmt.Sprint(len(a.cached))).End()
 	if err != nil {
 		srv.Stop()
 		return nil, fmt.Errorf("rank %d assemble %q: %w", me, name, err)
 	}
+	a.noteRuns()
+	buf, cached := a.buf, a.cached
 	m.LogicalBytes = int64(len(buf))
 
 	collectives.NotePhase(c, "restore-commit")
@@ -227,16 +202,16 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 		m.BarrierExit = time.Now()
 	}
 	m.Phases.Total = time.Since(restoreStart)
-	finishRestoreMetrics(&m, fs, timed, len(localFPs)+localBlobReads)
+	finishRestoreMetrics(&m, fs, timed, a.localObjects()+localBlobReads)
 	restoreSpan.Arg("read-amp-bytes", fmt.Sprintf("%.3f", m.ReadAmplificationBytes()))
 	return &RestoreResult{Data: buf, Metrics: m}, nil
 }
 
 // finishRestoreMetrics folds the fetch-client and timed-store
-// instrumentation into m: per-peer traffic, request/miss counts, fetch
-// latency (whose sum is the Fetch phase — time spent inside remote RPCs
-// during assembly), the local read-latency histogram and the
-// distinct-objects count. Shared by the plain and hybrid restore paths.
+// instrumentation into m: per-peer traffic, request/miss counts, the
+// per-exchange fetch latency, the local read-latency histogram and the
+// distinct-objects count. (Phases.Fetch is stamped where the fetches
+// happen: exchanges overlap, so it is wall time, not a latency sum.)
 func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Timed, objectsTouched int) {
 	m.ObjectsTouched = objectsTouched
 	m.FetchRequests = fs.Requests()
@@ -245,7 +220,6 @@ func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Ti
 	m.PeerFetchBytes = fs.PeerBytes()
 	m.SourceRanks = fs.SourceRanks()
 	m.FetchLatency = fs.Latency()
-	m.Phases.Fetch = time.Duration(m.FetchLatency.Sum())
 	if timed.ReadLatency().Count() > 0 {
 		m.StoreReadLatency = timed.ReadLatency()
 	}
@@ -283,37 +257,249 @@ func loadMeta(c collectives.Comm, store storage.Store, fs *fetch.Stats, name str
 	return meta, fetched, nil
 }
 
-// fetchChunk pulls fp from peers: designated ranks first (the hint path),
-// then every other rank. It reports which peer served the chunk.
-func fetchChunk(c collectives.Comm, meta *RestoreMeta, fs *fetch.Stats, fp fingerprint.FP) ([]byte, int, error) {
-	me, n := c.Rank(), c.Size()
-	tried := make(map[int]bool, n)
-	tried[me] = true
-	try := func(peer int) ([]byte, bool, error) {
-		if tried[peer] {
-			return nil, false, nil
+// fetchDepth is how many batched requests a rank keeps outstanding per
+// peer: one being served while the previous reply is consumed. It also
+// bounds what a requester buffers — fetchDepth × collectives.MaxPutBytes
+// per peer — and deeper pipelines measured no faster.
+const fetchDepth = 2
+
+// assembly is one rank's reassembly of its image: a single walk over the
+// recipe places everything the local store serves and files the rest as
+// holes; batched, pipelined exchanges with the peers then fill the holes.
+type assembly struct {
+	comm  collectives.Comm
+	store storage.Store
+	fs    *fetch.Stats
+	meta  *RestoreMeta
+	m     *metrics.Restore
+
+	buf []byte
+	// source records, per recipe position, who served it: 0 is the local
+	// store, p+1 is peer p.
+	source []int32
+	holes  map[fingerprint.FP]*hole
+	peers  []peerQueue
+	// cached lists the fetched (hence re-provisioned) fingerprints.
+	cached []fingerprint.FP
+	// refilled counts fetched fingerprints that filled more than one hole.
+	refilled int
+}
+
+// hole is a fingerprint the local store could not serve: the recipe
+// positions waiting for it and how far down its candidate list the
+// asking has got.
+type hole struct {
+	fp    fingerprint.FP
+	size  int32
+	first int     // recipe index of the first position
+	at    []int64 // image offset of every position
+	hints []int32
+	asked int // candidates consumed: hints first, then the sweep
+}
+
+// peerQueue is what is still to be asked of one peer, in filing order,
+// and how many requests to it await their reply.
+type peerQueue struct {
+	queue    []*hole
+	inflight int
+}
+
+// nextPeer returns the next peer to ask for h, in the order a one-chunk-
+// at-a-time fetch would try them, each peer at most once: the hinted
+// (designated) ranks in hint order — this rank, repeats and ranks outside
+// the group skipped — then every other rank, (me+d) mod n for d = 1…n-1.
+// It reports false once every other rank has been offered.
+func (h *hole) nextPeer(me, n int) (int, bool) {
+	for h.asked < len(h.hints)+n-1 {
+		k := h.asked
+		h.asked++
+		if k < len(h.hints) {
+			r := int(h.hints[k])
+			if r != me && r >= 0 && r < n && !slices.Contains(h.hints[:k], h.hints[k]) {
+				return r, true
+			}
+			continue
 		}
-		tried[peer] = true
-		return fs.Chunk(c, fetchClass, peer, fp)
+		peer := (me + k - len(h.hints) + 1) % n
+		if !slices.Contains(h.hints, int32(peer)) {
+			return peer, true
+		}
 	}
-	for _, r := range meta.Hints[fp] {
-		data, ok, err := try(int(r))
+	return 0, false
+}
+
+// walk reads every recipe position the local store serves — checking its
+// length and SHA-1 against the recipe, once per position — straight into
+// place, and files every position it cannot serve (not found, read
+// error, failed store) under its fingerprint, queued at the first peer
+// to ask.
+func (a *assembly) walk() error {
+	r := a.meta.Recipe
+	total := r.TotalBytes()
+	if total < 0 {
+		return fmt.Errorf("recipe describes %d bytes", total)
+	}
+	a.buf = make([]byte, total)
+	a.source = make([]int32, r.Len())
+	a.holes = make(map[fingerprint.FP]*hole)
+	a.peers = make([]peerQueue, a.comm.Size())
+	var off int64
+	for i, fp := range r.FPs {
+		size := int64(r.Sizes[i])
+		if size < 0 || off+size > total {
+			return fmt.Errorf("chunk %d (%s): recipe size %d", i, fp.Short(), size)
+		}
+		data, err := a.store.GetChunk(fp)
 		if err != nil {
-			return nil, -1, err
+			h := a.holes[fp]
+			if h == nil {
+				h = &hole{fp: fp, size: r.Sizes[i], first: i, hints: a.meta.Hints[fp]}
+				a.holes[fp] = h
+				if err := a.enqueue(h); err != nil {
+					return err
+				}
+			}
+			if h.size != r.Sizes[i] {
+				return fmt.Errorf("chunk %d (%s): recipe says %d bytes here and %d earlier", i, fp.Short(), size, h.size)
+			}
+			h.at = append(h.at, off)
+			off += size
+			continue
 		}
-		if ok {
-			return data, int(r), nil
+		if int64(len(data)) != size {
+			return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), len(data), size)
 		}
+		if fingerprint.Of(data) != fp {
+			return fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
+		}
+		copy(a.buf[off:], data)
+		a.m.LocalChunks++
+		a.m.LocalBytes += size
+		off += size
 	}
-	for d := 1; d < n; d++ {
-		peer := (me + d) % n
-		data, ok, err := try(peer)
+	return nil
+}
+
+// enqueue files h with the next peer on its candidate list; a
+// fingerprint nobody is left to ask for is lost.
+func (a *assembly) enqueue(h *hole) error {
+	peer, ok := h.nextPeer(a.comm.Rank(), a.comm.Size())
+	if !ok {
+		return fmt.Errorf("chunk %s lost on all surviving nodes", h.fp.Short())
+	}
+	a.peers[peer].queue = append(a.peers[peer].queue, h)
+	return nil
+}
+
+// cut takes the next request off the front of q: as many fingerprints as
+// keep the expected reply within collectives.MaxPutBytes, at least one (a
+// chunk above the cap travels alone).
+func (q *peerQueue) cut() []fingerprint.FP {
+	n, payload := 0, int64(0)
+	for n < len(q.queue) {
+		next := payload + int64(q.queue[n].size)
+		if n > 0 && fetch.ReplyBytes(n+1, next) > collectives.MaxPutBytes {
+			break
+		}
+		n, payload = n+1, next
+	}
+	fps := make([]fingerprint.FP, n)
+	for i, h := range q.queue[:n] {
+		fps[i] = h.fp
+	}
+	q.queue = q.queue[n:]
+	return fps
+}
+
+// fetchHoles fills the holes: it keeps every peer with queued
+// fingerprints topped up to fetchDepth requests and consumes replies in
+// whatever order they arrive. A record is accepted when its length
+// matches the recipe and its SHA-1 the fingerprint; only then is it
+// stored (re-provisioning this node) and copied into every hole of that
+// fingerprint. Anything else — not found, wrong length, corrupt — is a
+// miss, and the fingerprint moves on to its next candidate's queue.
+func (a *assembly) fetchHoles() error {
+	pipe := fetch.NewPipeline(a.comm, fetchClass)
+	for {
+		for p := range a.peers {
+			q := &a.peers[p]
+			for q.inflight < fetchDepth && len(q.queue) > 0 {
+				if err := pipe.Ask(p, q.cut()); err != nil {
+					return err
+				}
+				q.inflight++
+			}
+		}
+		if pipe.Outstanding() == 0 {
+			return nil
+		}
+		ex, err := pipe.Next()
 		if err != nil {
-			return nil, -1, err
+			return err
 		}
-		if ok {
-			return data, peer, nil
+		a.peers[ex.Peer].inflight--
+		served, servedBytes := 0, int64(0)
+		for i, fp := range ex.FPs {
+			h, r := a.holes[fp], ex.Records[i]
+			if !r.Found || len(r.Data) != int(h.size) || fingerprint.Of(r.Data) != fp {
+				if err := a.enqueue(h); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := a.accept(h, ex.Peer, r.Data); err != nil {
+				return err
+			}
+			served++
+			servedBytes += int64(h.size)
+		}
+		a.fs.Exchange(ex.Peer, len(ex.FPs), served, servedBytes, ex.Elapsed)
+	}
+}
+
+// accept places verified bytes: into the local store (ErrFailed is
+// tolerated — a failed store just stays un-provisioned) and into every
+// hole of the fingerprint. The first hole counts as fetched from peer;
+// the others as local, which is where a position-by-position walk would
+// have found the re-provisioned copy.
+func (a *assembly) accept(h *hole, peer int, data []byte) error {
+	if err := a.store.PutChunk(h.fp, data); err != nil && !errors.Is(err, storage.ErrFailed) {
+		return err
+	}
+	a.cached = append(a.cached, h.fp)
+	for _, off := range h.at {
+		copy(a.buf[off:], data)
+	}
+	a.source[h.first] = int32(peer) + 1
+	a.m.FetchedChunks++
+	a.m.FetchedBytes += int64(h.size)
+	if again := len(h.at) - 1; again > 0 {
+		a.refilled++
+		a.m.LocalChunks += again
+		a.m.LocalBytes += int64(again) * int64(h.size)
+	}
+	return nil
+}
+
+// localObjects is the number of distinct fingerprints served by the local
+// store: those that never were a hole, plus the fetched ones whose later
+// positions count as local reads. (A store that fails mid-walk may have
+// served a fingerprint before it became a hole; that one is not counted.)
+func (a *assembly) localObjects() int {
+	return a.m.UniqueChunks - len(a.holes) + a.refilled
+}
+
+// noteRuns measures sequential locality over the finished walk: a run is
+// a maximal stretch of consecutive positions served by the same source
+// (the local store, or one particular peer).
+func (a *assembly) noteRuns() {
+	run := int64(0)
+	for i, src := range a.source {
+		run++
+		if i+1 == len(a.source) || a.source[i+1] != src {
+			a.m.RunLengths.Record(run)
+			a.m.LargestRun = max(a.m.LargestRun, run)
+			run = 0
 		}
 	}
-	return nil, -1, fmt.Errorf("chunk %s lost on all surviving nodes", fp.Short())
 }

@@ -16,10 +16,14 @@ import (
 
 // Request frame:  u8 op | u32 requester | payload
 // Reply frame:    u8 found | payload
+//
+// opChunks is the batched form (see batch.go): its payload is
+// u32 id | n × FP and its reply u8 replyChunks | u32 id | n × record.
 const (
-	opStop  = 0
-	opBlob  = 1
-	opChunk = 2
+	opStop   = 0
+	opBlob   = 1
+	opChunk  = 2
+	opChunks = 3
 )
 
 // Class separates independent fetch protocols' tag spaces.
@@ -78,6 +82,12 @@ func (s *Server) loop(store storage.Store) {
 		if op == opStop {
 			return
 		}
+		if op == opChunks {
+			if err := s.reply(requester, serveChunks(store, payload)); err != nil {
+				return
+			}
+			continue
+		}
 		var (
 			data  []byte
 			found bool
@@ -101,12 +111,18 @@ func (s *Server) loop(store storage.Store) {
 			reply[0] = 1
 		}
 		copy(reply[1:], data)
-		if requester >= 0 && requester < s.comm.Size() {
-			if err := s.comm.Send(requester, s.class.replyTag(requester), reply); err != nil {
-				return
-			}
+		if err := s.reply(requester, reply); err != nil {
+			return
 		}
 	}
+}
+
+// reply sends one reply frame; a requester outside the group gets none.
+func (s *Server) reply(requester int, frame []byte) error {
+	if requester < 0 || requester >= s.comm.Size() {
+		return nil
+	}
+	return s.comm.Send(requester, s.class.replyTag(requester), frame)
 }
 
 // call performs one synchronous request to peer.

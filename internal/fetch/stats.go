@@ -10,14 +10,16 @@ import (
 )
 
 // Stats is an instrumented fetch client: it wraps the package-level Blob
-// and Chunk calls and records per-RPC latency, per-peer traffic and
+// and Chunk calls and records per-exchange latency, per-peer traffic and
 // miss counts — the raw material of restore read-amplification and
-// fetch-imbalance reporting. A nil *Stats is valid and records nothing,
-// so instrumented call sites never branch on "is instrumentation on".
+// fetch-imbalance reporting. Batched exchanges (Pipeline) are recorded
+// by their caller through Exchange, once it has judged every answer. A
+// nil *Stats is valid and records nothing, so instrumented call sites
+// never branch on "is instrumentation on".
 //
-// All methods are safe for concurrent use; the fetch protocol itself is
-// one-outstanding-request-per-rank, but hybrid shard recovery may fetch
-// from a helper goroutine while counters are read.
+// All methods are safe for concurrent use: a plain restore keeps several
+// batched exchanges in flight on one goroutine, and hybrid shard recovery
+// may fetch from a helper goroutine while counters are read.
 type Stats struct {
 	mu         sync.Mutex
 	latency    *metrics.Histogram
@@ -37,21 +39,32 @@ func NewStats(n int) *Stats {
 	}
 }
 
+// record notes one single-call RPC: an exchange that asked for one thing.
 func (s *Stats) record(peer int, data []byte, found bool, elapsed time.Duration) {
+	if found {
+		s.Exchange(peer, 1, 1, int64(len(data)), elapsed)
+	} else {
+		s.Exchange(peer, 1, 0, 0, elapsed)
+	}
+}
+
+// Exchange records one batched exchange with peer: asked fingerprints
+// went out in one request, served of them (servedBytes in all) came back
+// and were accepted, and the reply took elapsed to arrive. The rest —
+// answered not-found, or rejected by the caller — count as misses. One
+// latency sample per exchange, however many fingerprints it carried.
+func (s *Stats) Exchange(peer, asked, served int, servedBytes int64, elapsed time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.requests++
+	s.requests += int64(asked)
+	s.misses += int64(asked - served)
 	s.latency.Record(int64(elapsed))
-	if !found {
-		s.misses++
-		return
-	}
 	if peer >= 0 && peer < len(s.peerChunks) {
-		s.peerChunks[peer]++
-		s.peerBytes[peer] += int64(len(data))
+		s.peerChunks[peer] += int64(served)
+		s.peerBytes[peer] += servedBytes
 	}
 }
 
@@ -77,7 +90,9 @@ func (s *Stats) Blob(c collectives.Comm, class Class, peer int, name string) ([]
 	return data, found, err
 }
 
-// Requests returns how many fetch RPCs were issued (misses included).
+// Requests returns how many chunks or blobs were asked of a peer (misses
+// included): one per single-call RPC, one per fingerprint of a batched
+// exchange.
 func (s *Stats) Requests() int64 {
 	if s == nil {
 		return 0
@@ -87,7 +102,8 @@ func (s *Stats) Requests() int64 {
 	return s.requests
 }
 
-// Misses returns how many RPCs came back not-found.
+// Misses returns how many of those asks came back not-found or were
+// rejected by the caller.
 func (s *Stats) Misses() int64 {
 	if s == nil {
 		return 0
@@ -97,7 +113,8 @@ func (s *Stats) Misses() int64 {
 	return s.misses
 }
 
-// Latency returns the per-RPC latency histogram (nanoseconds), or nil if
+// Latency returns the latency histogram (nanoseconds), one sample per
+// exchange — a single-call RPC or a whole batched request — or nil if
 // nothing was recorded.
 func (s *Stats) Latency() *metrics.Histogram {
 	if s == nil {

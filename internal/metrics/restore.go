@@ -20,18 +20,22 @@ type Restore struct {
 	// UniqueChunks counts distinct fingerprints in the recipe.
 	TotalChunks  int
 	UniqueChunks int
-	// LocalChunks / LocalBytes count recipe lookups served by the local
+	// LocalChunks / LocalBytes count recipe positions served by the local
 	// store, one per occurrence: duplicates are re-read per position, so
-	// these already include the dedup-induced re-read amplification.
+	// these already include the dedup-induced re-read amplification. The
+	// second and later positions of a fetched chunk count here too — the
+	// fetched (and re-provisioned) bytes are copied to them.
 	LocalChunks int
 	LocalBytes  int64
 	// FetchedChunks / FetchedBytes count chunks pulled from peers over
 	// the fetch service (the network component of read amplification).
 	FetchedChunks int
 	FetchedBytes  int64
-	// FetchRequests counts fetch RPCs issued, misses included;
-	// FetchMisses counts "not found" replies (a miss means the hint path
-	// failed and the sweep went one peer further).
+	// FetchRequests counts chunks and blobs asked of a peer, misses
+	// included — one per fingerprint of a batched request, not one per
+	// request; FetchMisses counts the asks answered not-found or whose
+	// bytes failed verification (a miss means the fingerprint went on to
+	// its next candidate peer).
 	FetchRequests int64
 	FetchMisses   int64
 	// MetaFetches counts restore-metadata blobs that had to come from a
@@ -62,8 +66,11 @@ type Restore struct {
 	// BarrierExit is the wall-clock instant this rank left the restore's
 	// completion barrier (same clock-offset anchor as Dump.BarrierExit).
 	BarrierExit time.Time
-	// FetchLatency is the per-RPC remote fetch latency histogram
-	// (nanoseconds); nil when nothing was fetched.
+	// FetchLatency is the remote fetch latency histogram (nanoseconds),
+	// one sample per exchange: a batched chunk request (request sent to
+	// reply received, however many chunks it carried) or a single blob or
+	// chunk call. Exchanges overlap, so its sum can exceed Phases.Fetch.
+	// Nil when nothing was fetched.
 	FetchLatency *Histogram
 	// StoreReadLatency is the local store read latency histogram
 	// (nanoseconds) recorded through the read-side storage.Timed path.
@@ -98,17 +105,19 @@ func (r Restore) ReadAmplificationChunks() float64 {
 
 // RestorePhases is the wall-clock decomposition of one collective restore
 // on one rank. Meta, Assemble, Recover, Commit and Barrier are disjoint
-// and sum to (almost) Total; Fetch is the cumulative remote-fetch time
-// and is attributed INSIDE Assemble (a fetch happens mid-assembly), so it
-// is excluded from Sum.
+// and sum to (almost) Total; Fetch is the wall time of the remote-fetch
+// stage and lies INSIDE Meta and Assemble, so it is excluded from Sum.
 type RestorePhases struct {
 	// Meta is the restore-metadata load (local read or peer fetch).
 	Meta time.Duration
 	// Assemble is the recipe walk: local reads, remote fetches and
 	// re-provisioning writes.
 	Assemble time.Duration
-	// Fetch is the cumulative time spent inside remote chunk/blob
-	// fetches during assembly (contained in Assemble).
+	// Fetch is the wall time of remote fetching: the batched chunk fetch
+	// stage of assembly (first request sent to last reply placed — its
+	// exchanges overlap, so this is not a sum of latencies; contained in
+	// Assemble) plus the metadata blob fetches (contained in Meta). The
+	// hybrid restore fetches one chunk at a time and reports the sum.
 	Fetch time.Duration
 	// Recover is erasure-coded shard reconstruction (hybrid restores
 	// only; zero for plain restores).
@@ -225,8 +234,8 @@ func (r Restore) WritePrometheus(w io.Writer) {
 	counter("dedupcr_restore_local_bytes_total", "Bytes served by the local store.", r.LocalBytes)
 	counter("dedupcr_restore_fetched_chunks_total", "Chunks pulled from peers.", int64(r.FetchedChunks))
 	counter("dedupcr_restore_fetched_bytes_total", "Bytes pulled from peers.", r.FetchedBytes)
-	counter("dedupcr_restore_fetch_requests_total", "Fetch RPCs issued, misses included.", r.FetchRequests)
-	counter("dedupcr_restore_fetch_misses_total", "Fetch RPCs answered not-found.", r.FetchMisses)
+	counter("dedupcr_restore_fetch_requests_total", "Chunks and blobs asked of a peer, misses included.", r.FetchRequests)
+	counter("dedupcr_restore_fetch_misses_total", "Asks answered not-found or rejected on verification.", r.FetchMisses)
 	counter("dedupcr_restore_meta_fetches_total", "Restore-metadata blobs recovered from peer replicas.", int64(r.MetaFetches))
 	counter("dedupcr_restore_recovered_chunks_total", "Chunks rebuilt by erasure reconstruction.", int64(r.RecoveredChunks))
 	counter("dedupcr_restore_source_ranks", "Distinct peer ranks that served at least one chunk.", int64(r.SourceRanks))
@@ -261,7 +270,7 @@ func (r Restore) WritePrometheus(w io.Writer) {
 		"Length (chunks) of maximal same-source sequential runs in the recipe walk.",
 		rank, RunLengthBuckets, r.RunLengths)
 	WriteLatencyHistogram(w, "dedupcr_restore_fetch_latency_seconds",
-		"Per-RPC remote chunk/blob fetch latency.", rank, r.FetchLatency)
+		"Remote fetch latency, one sample per exchange (batched chunk request or blob call).", rank, r.FetchLatency)
 	WriteLatencyHistogram(w, "dedupcr_restore_store_read_latency_seconds",
 		"Local store read latency during the restore.", rank, r.StoreReadLatency)
 }

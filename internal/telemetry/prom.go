@@ -127,9 +127,9 @@ func (cr *ClusterRestore) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "dedupcr_cluster_restore_fetched_chunks %d\n", cr.TotalFetchedChunks)
 	gauge("dedupcr_cluster_restore_recovered_chunks", "Chunks rebuilt by erasure reconstruction, summed over ranks.")
 	fmt.Fprintf(w, "dedupcr_cluster_restore_recovered_chunks %d\n", cr.TotalRecoveredChunks)
-	gauge("dedupcr_cluster_restore_fetch_requests", "Fetch RPCs issued, summed over ranks.")
+	gauge("dedupcr_cluster_restore_fetch_requests", "Chunks and blobs asked of a peer, summed over ranks.")
 	fmt.Fprintf(w, "dedupcr_cluster_restore_fetch_requests %d\n", cr.TotalFetchRequests)
-	gauge("dedupcr_cluster_restore_fetch_misses", "Fetch RPCs answered not-found, summed over ranks.")
+	gauge("dedupcr_cluster_restore_fetch_misses", "Asks answered not-found or rejected on verification, summed over ranks.")
 	fmt.Fprintf(w, "dedupcr_cluster_restore_fetch_misses %d\n", cr.TotalFetchMisses)
 	gauge("dedupcr_cluster_restore_objects_touched", "Distinct local store objects read, summed over ranks.")
 	fmt.Fprintf(w, "dedupcr_cluster_restore_objects_touched %d\n", cr.TotalObjectsTouched)
@@ -172,7 +172,7 @@ func (cr *ClusterRestore) WritePrometheus(w io.Writer) {
 		}
 	}
 	if cr.FetchLatency.Count > 0 {
-		gauge("dedupcr_cluster_restore_fetch_latency_seconds", "Merged per-RPC fetch latency (stat: p50/p90/p99/max/mean).")
+		gauge("dedupcr_cluster_restore_fetch_latency_seconds", "Merged per-exchange fetch latency (stat: p50/p90/p99/max/mean).")
 		for _, s := range []struct {
 			stat string
 			v    float64

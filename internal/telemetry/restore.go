@@ -82,7 +82,8 @@ type ClusterRestore struct {
 	// erasure-rebuilt chunks over ranks.
 	TotalFetchedChunks   int64
 	TotalRecoveredChunks int64
-	// TotalFetchRequests / TotalFetchMisses sum fetch RPCs over ranks; a
+	// TotalFetchRequests / TotalFetchMisses sum the chunks and blobs asked
+	// of peers over ranks (one per fingerprint of a batched request); a
 	// high miss share means the hint paths were stale and restores swept.
 	TotalFetchRequests int64
 	TotalFetchMisses   int64
@@ -114,8 +115,8 @@ type ClusterRestore struct {
 	// plot the locality distribution without the raw histogram.
 	RunLengths    HistSummary
 	RunLengthDist []int64
-	// FetchLatency / StoreReadLatency summarize the merged per-RPC fetch
-	// and local store read latency histograms (nanoseconds).
+	// FetchLatency / StoreReadLatency summarize the merged per-exchange
+	// fetch and local store read latency histograms (nanoseconds).
 	FetchLatency     HistSummary
 	StoreReadLatency HistSummary
 	// PerRank has one summary per rank, indexed by rank.

@@ -8,7 +8,9 @@
 #
 # BASE is any git ref; the change is the working tree. The base is
 # checked out with `git archive` into .bench_build/pairs (git-ignored),
-# which leaves no worktree registration behind.
+# which leaves no worktree registration behind; the checkout and the
+# benchmark's segment stores are removed on exit (a second copy of the
+# tree pollutes every grep -r), base.txt and head.txt stay.
 set -eu
 
 base=${1:?usage: bench-pairs.sh BASE [N] [WORKLOAD] [METRIC] [SEED]}
@@ -20,6 +22,7 @@ seed=${5:-1}
 root=$(git rev-parse --show-toplevel)
 work=$root/.bench_build/pairs
 rm -rf "$work"
+trap 'rm -rf "$work/base" "$work/stores"' EXIT
 mkdir -p "$work/base"
 git -C "$root" archive "$base" | tar -x -C "$work/base"
 (cd "$work/base" && go build -o "$work/bench-base" ./bench)
