@@ -39,7 +39,8 @@ type Result struct {
 
 // item is one chunk this rank keeps: it is stored locally and sent to
 // the partners whose indices (1..K-1) appear in partners, in ascending
-// order. An empty set means store-only.
+// order. An empty set means store-only. partners may be a row of
+// prefixes shared with other items: replace it, never write through it.
 type item struct {
 	ch       chunk.Chunk
 	partners []int
@@ -49,11 +50,17 @@ type item struct {
 	entry *fingerprint.Entry
 }
 
-// prefix returns the partner indices 1..p.
-func prefix(p int) []int {
-	out := make([]int, 0, p)
-	for d := 1; d <= p; d++ {
-		out = append(out, d)
+// prefixes returns the partner index sets 1..p for every p in [0, k): row
+// p of the result. They are windows of one array, built once per dump and
+// shared read-only by every item that sends to its first p partners.
+func prefixes(k int) [][]int {
+	full := make([]int, max(k-1, 0))
+	out := make([][]int, len(full)+1)
+	for p := range out {
+		if p > 0 {
+			full[p-1] = p
+		}
+		out[p] = full[:p:p]
 	}
 	return out
 }
@@ -569,6 +576,7 @@ func localDedup(chunks []chunk.Chunk) []chunk.Chunk {
 // table of this rank's unique fingerprints, produced by the parallel
 // pipeline overlapping its construction with hashing.
 func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Table, o Options, m *metrics.Dump) ([]item, map[fingerprint.FP][]int32, *fingerprint.Table, error) {
+	first := prefixes(o.K)
 	switch o.Approach {
 	case NoDedup:
 		// Full replication: every chunk, duplicates included, is stored
@@ -576,7 +584,7 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 		// so the whole dataset counts as unique content.
 		items := make([]item, len(all))
 		for i, ch := range all {
-			items[i] = item{ch: ch, partners: prefix(o.K - 1)}
+			items[i] = item{ch: ch, partners: first[o.K-1]}
 		}
 		m.UniqueContentBytes = m.DatasetBytes
 		return items, nil, nil, nil
@@ -584,7 +592,7 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 	case LocalDedup:
 		items := make([]item, len(uniq))
 		for i, ch := range uniq {
-			items[i] = item{ch: ch, partners: prefix(o.K - 1)}
+			items[i] = item{ch: ch, partners: first[o.K-1]}
 			m.UniqueContentBytes += int64(len(ch.Data))
 		}
 		return items, nil, nil, nil
@@ -601,7 +609,7 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 			e := global.Lookup(ch.FP)
 			if e == nil {
 				// Treated as globally unique: classic replication.
-				items = append(items, item{ch: ch, partners: prefix(o.K - 1)})
+				items = append(items, item{ch: ch, partners: first[o.K-1]})
 				m.UniqueContentBytes += int64(len(ch.Data))
 				continue
 			}
@@ -613,8 +621,10 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 			idx := e.RankIndex(me)
 			if idx < 0 {
 				// Other ranks are designated: the desired replication
-				// factor is (or will be made) satisfied without us.
-				hints[ch.FP] = append([]int32(nil), e.Ranks...)
+				// factor is (or will be made) satisfied without us. The
+				// hint aliases the global view's rank storage, which
+				// nothing writes after the broadcast.
+				hints[ch.FP] = e.Ranks
 				continue
 			}
 			d := len(e.Ranks)
@@ -627,7 +637,7 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 			// designated ranks; we serve the slots congruent to our
 			// index in the designated list.
 			p := roundRobinShare(o.K, d, idx)
-			items = append(items, item{ch: ch, partners: prefix(p), entry: e})
+			items = append(items, item{ch: ch, partners: first[p], entry: e})
 		}
 		return items, hints, global, nil
 
@@ -763,20 +773,19 @@ func roundRobinShare(k, d, idx int) int {
 //
 //dedupvet:phased
 func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Table, o Options, m *metrics.Dump) (*fingerprint.Table, error) {
-	local := leaf
-	if local == nil {
-		fps := make([]fingerprint.FP, len(uniq))
-		for i, ch := range uniq {
-			fps[i] = ch.FP
+	if leaf == nil {
+		leaf = fingerprint.NewTable(o.F, o.K)
+		for _, ch := range uniq {
+			leaf.AddLocal(ch.FP, int32(c.Rank()))
 		}
-		local = fingerprint.Local(fps, int32(c.Rank()), o.F, o.K)
+		leaf.Trim()
 	}
-	blob, err := local.MarshalBinary()
+	blob, err := leaf.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	pre := c.Stats()
-	out, err := collectives.Allreduce(c, blob, mergeTables)
+	out, err := collectives.Allreduce(c, blob, fingerprint.MergeWire)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint allreduce: %w", err)
 	}
@@ -791,20 +800,6 @@ func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Tabl
 		return nil, fmt.Errorf("decode global view: %w", err)
 	}
 	return global, nil
-}
-
-// mergeTables is the MergeFunc wrapping fingerprint.Table.Merge for the
-// byte-oriented Allreduce.
-func mergeTables(acc, other []byte) ([]byte, error) {
-	var a, b fingerprint.Table
-	if err := a.UnmarshalBinary(acc); err != nil {
-		return nil, err
-	}
-	if err := b.UnmarshalBinary(other); err != nil {
-		return nil, err
-	}
-	a.Merge(&b)
-	return a.MarshalBinary()
 }
 
 // sendLoads builds the paper's Load vector in bytes: Load[0] is the local
@@ -822,31 +817,52 @@ func sendLoads(items []item, k int) []int64 {
 	return load
 }
 
+// recvBatch is how many received records commitReceived fingerprints per
+// fingerprint.BatchOf call: the hash pool's shard size, enough to amortise
+// the digest set-up that dominates SHA-1 over small chunks.
+const recvBatch = 64
+
 // commitReceived parses the filled window and stores every chunk,
 // fingerprinting it on arrival (the receiver indexes partner chunks by
-// content, exactly like its own). It returns the stored references for
-// the dataset's reclamation list — including, on error, the references
-// already committed, so the caller can roll them back.
+// content, exactly like its own) — a batch of records at a time, every
+// byte still hashed before it reaches the store. It returns the stored
+// references for the dataset's reclamation list — including, on error,
+// the references already committed, so the caller can roll them back: a
+// malformed record fails the window only after the records before it are
+// stored.
 func commitReceived(store storage.Store, recvBuf []byte, m *metrics.Dump) ([]fingerprint.FP, error) {
 	var refs []fingerprint.FP
+	var spans [recvBatch][]byte
+	var fps [recvBatch]fingerprint.FP
 	for cur := 0; cur < len(recvBuf); {
-		if cur+4 > len(recvBuf) {
-			return refs, fmt.Errorf("window record header truncated at offset %d", cur)
+		var malformed error
+		n := 0
+		for ; n < recvBatch && cur < len(recvBuf); n++ {
+			if cur+4 > len(recvBuf) {
+				malformed = fmt.Errorf("window record header truncated at offset %d", cur)
+				break
+			}
+			size := int(binary.BigEndian.Uint32(recvBuf[cur:]))
+			cur += 4
+			if cur+size > len(recvBuf) {
+				malformed = fmt.Errorf("window record of %d bytes overruns window at offset %d", size, cur)
+				break
+			}
+			spans[n] = recvBuf[cur : cur+size]
+			cur += size
 		}
-		size := int(binary.BigEndian.Uint32(recvBuf[cur:]))
-		cur += 4
-		if cur+size > len(recvBuf) {
-			return refs, fmt.Errorf("window record of %d bytes overruns window at offset %d", size, cur)
+		fingerprint.BatchOf(fps[:n], spans[:n]...)
+		for i, data := range spans[:n] {
+			if err := store.PutChunk(fps[i], data); err != nil {
+				return refs, err
+			}
+			refs = append(refs, fps[i])
+			m.RecvChunks++
+			m.RecvBytes += int64(len(data))
 		}
-		data := recvBuf[cur : cur+size]
-		cur += size
-		fp := fingerprint.Of(data)
-		if err := store.PutChunk(fp, data); err != nil {
-			return refs, err
+		if malformed != nil {
+			return refs, malformed
 		}
-		refs = append(refs, fp)
-		m.RecvChunks++
-		m.RecvBytes += int64(size)
 	}
 	return refs, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +41,7 @@ func buildRefineCase(rng *rand.Rand) (n, k int, e *fingerprint.Entry, shuffle []
 		share := roundRobinShare(k, d, idx)
 		items := []item{{
 			ch:       chunk.Chunk{FP: e.FP},
-			partners: prefix(share),
+			partners: prefixes(k)[share],
 			entry:    e,
 		}}
 		refineTargets(items, shuffle, k, int(r))
@@ -124,5 +125,43 @@ func TestRefineTargetsInvariants(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefineTargetsLeavesSharedPrefixesAlone: classify hands every item
+// that sends to its first p partners the same row of prefixes, so
+// refineTargets may replace an item's partner set but never write through
+// it — over random scenarios, with every item of a dump sharing the rows.
+func TestRefineTargetsLeavesSharedPrefixesAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for round := 0; round < 200; round++ {
+		n := rng.Intn(14) + 3
+		k := rng.Intn(n-1) + 2
+		shared := prefixes(k)
+		var items []item
+		me := rng.Intn(n)
+		for i := 0; i < 20; i++ {
+			// A designated list of d < k ranks that includes me.
+			d := rng.Intn(k-1) + 1
+			ranks := []int32{int32(me)}
+			for _, r := range rng.Perm(n) {
+				if len(ranks) < d && r != me {
+					ranks = append(ranks, int32(r))
+				}
+			}
+			slices.Sort(ranks)
+			e := &fingerprint.Entry{FP: fingerprint.Of([]byte{byte(round), byte(i)}), Freq: uint32(len(ranks)), Ranks: ranks}
+			p := roundRobinShare(k, len(ranks), e.RankIndex(int32(me)))
+			items = append(items, item{ch: chunk.Chunk{FP: e.FP}, partners: shared[p], entry: e})
+		}
+		refineTargets(items, rng.Perm(n), k, me)
+		for p, row := range prefixes(k) {
+			if !slices.Equal(shared[p], row) {
+				t.Fatalf("round %d (n=%d k=%d): shared prefix %d is now %v", round, n, k, p, shared[p])
+			}
+		}
+		if full := shared[k-1][:k-1]; !slices.Equal(full, prefixes(k)[k-1]) {
+			t.Fatalf("round %d: backing array of the shared prefixes is now %v", round, full)
+		}
 	}
 }

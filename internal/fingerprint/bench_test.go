@@ -22,6 +22,7 @@ func BenchmarkHMerge(b *testing.B) {
 	for _, entries := range []int{1 << 10, 1 << 13} {
 		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
 			_, t2 := benchTables(entries, entries, 3)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -38,6 +39,7 @@ func BenchmarkHMerge(b *testing.B) {
 func BenchmarkTableMarshal(b *testing.B) {
 	t1, t2 := benchTables(1<<13, 1<<13, 3)
 	t1.Merge(t2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blob, err := t1.MarshalBinary()
@@ -57,6 +59,7 @@ func BenchmarkTableUnmarshal(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var back Table
@@ -73,6 +76,7 @@ func BenchmarkLocalLeaf(b *testing.B) {
 	for i := range fps {
 		fps[i] = fpOf(i)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Local(fps, 0, 1<<13, 3)

@@ -1,11 +1,14 @@
-// Package fingerprint provides content fingerprints for fixed-size chunks
-// and the frequency-merge machinery (HMERGE) at the heart of the collective
+// Package fingerprint provides content fingerprints for chunks and the
+// frequency-merge machinery (HMERGE) at the heart of the collective
 // deduplication scheme: a bounded table of the F most frequent fingerprints,
-// each mapped to its global frequency and a load-balanced list of at most K
-// designated ranks.
+// each with its global frequency and a load-balanced list of at most K
+// designated ranks, kept as flat fingerprint-sorted rows that a reduction
+// step merge-joins straight from, and back into, the wire's order.
 package fingerprint
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
@@ -54,26 +57,18 @@ func (f FP) Short() string { return hex.EncodeToString(f[:4]) }
 
 // Less orders fingerprints lexicographically. Used for deterministic
 // iteration orders in the reduction.
-func (f FP) Less(g FP) bool {
-	for i := 0; i < Size; i++ {
-		if f[i] != g[i] {
-			return f[i] < g[i]
-		}
-	}
-	return false
-}
+func (f FP) Less(g FP) bool { return compare(&f, &g) < 0 }
 
 // Compare returns -1, 0 or +1 comparing f and g lexicographically.
-func (f FP) Compare(g FP) int {
-	for i := 0; i < Size; i++ {
-		switch {
-		case f[i] < g[i]:
-			return -1
-		case f[i] > g[i]:
-			return 1
-		}
+func (f FP) Compare(g FP) int { return compare(&f, &g) }
+
+// compare is Compare without the copies, for the table's inner loops; the
+// leading eight bytes, decisive but for colliding prefixes, go as one integer.
+func compare(f, g *FP) int {
+	if a, b := binary.BigEndian.Uint64(f[:]), binary.BigEndian.Uint64(g[:]); a != b {
+		return cmp.Compare(a, b)
 	}
-	return 0
+	return bytes.Compare(f[8:], g[8:])
 }
 
 // Marshal appends the wire form of f to dst and returns the result.

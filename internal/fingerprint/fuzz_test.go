@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -35,9 +36,50 @@ func FuzzBatchOf(f *testing.F) {
 	})
 }
 
+// hostileTables are frames a correct peer never sends and the flat table
+// cannot hold: the decoder must turn each down (the last only fails
+// Validate).
+func hostileTables(tb testing.TB) map[string][]byte {
+	blob, err := Local([]FP{fpOf(1), fpOf(2)}, 3, 0, 2).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const entry = Size + 6 + 4 // one designated rank
+	first, second := blob[12:12+entry], blob[12+entry:]
+	with := func(edit func(b []byte)) []byte {
+		b := append([]byte(nil), blob...)
+		edit(b)
+		return b
+	}
+	// One entry whose rank list is given: 12 + 26 + 4 per rank bytes.
+	ranked := func(k uint32, ranks ...uint32) []byte {
+		b := append([]byte(nil), blob[:12+Size+4]...)
+		binary.BigEndian.PutUint32(b[4:], k)
+		binary.BigEndian.PutUint32(b[8:], 1)
+		b = binary.BigEndian.AppendUint16(b, uint16(len(ranks)))
+		for _, r := range ranks {
+			b = binary.BigEndian.AppendUint32(b, r)
+		}
+		return b
+	}
+	return map[string][]byte{
+		"swapped":      append(append(append([]byte(nil), blob[:12]...), second...), first...),
+		"duplicated":   with(func(b []byte) { copy(b[12+entry:], first) }),
+		"rank-max":     ranked(2, 0x7fffffff),
+		"rank-bound":   ranked(2, maxRanks),
+		"rank-neg":     ranked(2, 0x80000000),
+		"ranks-swap":   ranked(2, 5, 4),
+		"ranks-dup":    ranked(2, 5, 5),
+		"ranks-over-k": ranked(1, 4, 5),
+	}
+}
+
 // FuzzTableUnmarshal drives the table decoder with arbitrary bytes: the
-// peer-controlled count prefix must never panic or size an unbounded
-// allocation, and any input that decodes must survive a re-encode cycle.
+// peer-controlled count prefix and rank ids must never panic or size an
+// unbounded allocation, and whatever decodes is a table the flat layout
+// can hold — it re-encodes byte-identically, and its order and load
+// bookkeeping pass Validate, which may only object to what an entry
+// claims (no designated rank, more than K, frequency 0, more than F).
 func FuzzTableUnmarshal(f *testing.F) {
 	valid, err := buildShuffled(1).MarshalBinary()
 	if err != nil {
@@ -51,6 +93,9 @@ func FuzzTableUnmarshal(f *testing.F) {
 	hostile := append([]byte(nil), valid[:12]...)
 	binary.BigEndian.PutUint32(hostile[8:], 0x0FFFFFFF)
 	f.Add(hostile)
+	for _, name := range []string{"swapped", "duplicated", "rank-max", "ranks-over-k"} {
+		f.Add(hostileTables(f)[name])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tb Table
@@ -61,9 +106,18 @@ func FuzzTableUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded table failed: %v", err)
 		}
-		var tb2 Table
-		if err := tb2.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("re-decode of re-encoded table failed: %v", err)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("decode + re-encode changed the bytes")
+		}
+		claimsOK := tb.F <= 0 || tb.Len() <= tb.F
+		for _, e := range tb.Entries() {
+			claimsOK = claimsOK && e.Freq > 0 && len(e.Ranks) > 0 && len(e.Ranks) <= tb.K
+			if got := tb.Lookup(e.FP); got != e {
+				t.Fatalf("Lookup(%s) = %p, entry is %p", e.FP.Short(), got, e)
+			}
+		}
+		if err := tb.Validate(); (err == nil) != claimsOK {
+			t.Fatalf("Validate() = %v on a decoded table whose entries' claims are sound: %v", err, claimsOK)
 		}
 	})
 }

@@ -1,8 +1,10 @@
 package fingerprint
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Entry is one row of the global fingerprint view: a fingerprint, the
@@ -11,72 +13,77 @@ import (
 //
 // Ranks is kept sorted ascending; the position of a rank inside Ranks
 // drives the round-robin assignment of missing replicas, so a shared
-// deterministic order matters.
+// deterministic order matters. A Table's entries share one rank array:
+// read Ranks, never write through it.
 type Entry struct {
 	FP    FP
 	Freq  uint32
 	Ranks []int32
 }
 
-// clone returns a deep copy of e.
-func (e *Entry) clone() *Entry {
-	c := &Entry{FP: e.FP, Freq: e.Freq, Ranks: make([]int32, len(e.Ranks))}
-	copy(c.Ranks, e.Ranks)
-	return c
-}
-
 // HasRank reports whether rank is among the designated ranks of e.
-func (e *Entry) HasRank(rank int32) bool {
-	i := sort.Search(len(e.Ranks), func(i int) bool { return e.Ranks[i] >= rank })
-	return i < len(e.Ranks) && e.Ranks[i] == rank
-}
+func (e *Entry) HasRank(rank int32) bool { return e.RankIndex(rank) >= 0 }
 
 // RankIndex returns the position of rank inside the sorted designated
 // list, or -1 when rank is not designated.
 func (e *Entry) RankIndex(rank int32) int {
-	i := sort.Search(len(e.Ranks), func(i int) bool { return e.Ranks[i] >= rank })
-	if i < len(e.Ranks) && e.Ranks[i] == rank {
+	if i, ok := slices.BinarySearch(e.Ranks, rank); ok {
 		return i
 	}
 	return -1
 }
 
+// maxRanks bounds the rank ids a decoded table may name. The load vector
+// is indexed by rank id and a decoded id is peer-controlled: unbounded, a
+// 42-byte frame naming rank 2^31-1 would size an 8 GiB allocation.
+const maxRanks = 1 << 20
+
 // Table is the HMERGE reduction state: a bounded set of at most F
 // fingerprint entries (the most frequent seen so far) plus the
-// designation-load bookkeeping used to balance rank assignment.
-//
-// The zero Table is not usable; construct with NewTable or Local.
+// designation-load bookkeeping used to balance rank assignment. Entries
+// live in ascending fingerprint order — the wire's order — in flat arrays,
+// a handful of heap objects however many there are, and every operation
+// is a linear pass over that order: no step of a reduction hashes,
+// re-sorts or allocates per entry. Construct with NewTable or Local, or
+// decode into the zero Table.
 type Table struct {
 	// F is the maximum number of entries retained (the paper's threshold,
 	// 2^17 in the evaluation). F <= 0 means unbounded.
 	F int
 	// K is the replication factor: at most K designated ranks per entry.
 	K int
+	// rows holds the entries, fingerprints strictly ascending; each
+	// row's Ranks is a window of ranks.
+	rows  []Entry
+	ranks []int32
+	// load counts, per rank id, how many entries currently designate that
+	// rank. It is the quantity minimized by the truncation rule.
+	load []int32
+	// index[p] is the first row whose leading 32 fingerprint bits >> shift
+	// are >= p; SHA-1 prefixes are uniform, so a slot spans a row or two.
+	// Rebuilt whenever rows change: Lookup only reads.
+	index []uint32
+	shift uint8
+	// pending collects AddLocal calls until Trim sorts them into rows.
+	pending []leafRow
+}
 
-	entries map[FP]*Entry
-	// load counts, per rank, how many entries currently designate it.
-	// It is the quantity minimized by the truncation rule.
-	load map[int32]int32
+// leafRow is one AddLocal call awaiting Trim; 4-byte aligned, it sorts
+// three times faster than a bare (byte-aligned) FP would.
+type leafRow struct {
+	fp   FP
+	rank int32
 }
 
 // NewTable returns an empty table with the given bounds.
-func NewTable(f, k int) *Table {
-	if k < 1 {
-		k = 1
-	}
-	return &Table{
-		F:       f,
-		K:       k,
-		entries: make(map[FP]*Entry),
-		load:    make(map[int32]int32),
-	}
-}
+func NewTable(f, k int) *Table { return &Table{F: f, K: max(k, 1)} }
 
 // Local builds the leaf table of a reduction: every locally unique
 // fingerprint of rank appears with frequency 1 and a single designated
 // rank. The input need not be deduplicated; duplicates are collapsed.
 func Local(fps []FP, rank int32, f, k int) *Table {
 	t := NewTable(f, k)
+	t.pending = make([]leafRow, 0, len(fps))
 	for _, fp := range fps {
 		t.AddLocal(fp, rank)
 	}
@@ -84,45 +91,94 @@ func Local(fps []FP, rank int32, f, k int) *Table {
 	return t
 }
 
-// AddLocal inserts one locally observed fingerprint into a leaf table
+// AddLocal records one locally observed fingerprint for the leaf table
 // under construction: frequency 1, the calling rank designated. Repeated
-// fingerprints are collapsed, so callers may feed the raw chunk stream.
-// The parallel dump pipeline builds its leaf table incrementally through
-// AddLocal while later chunks are still being hashed; callers must invoke
-// Trim once the stream ends to restore the top-F bound before the table
-// enters a reduction.
+// fingerprints are collapsed, so callers may feed the raw chunk stream, as
+// the dump pipeline does while later chunks are still being hashed. Nothing
+// fed is visible (Len, Lookup, Entries, the wire) until Trim closes the
+// stream; AddLocal may not follow it.
 func (t *Table) AddLocal(fp FP, rank int32) {
-	if _, ok := t.entries[fp]; ok {
-		return
-	}
-	t.entries[fp] = &Entry{FP: fp, Freq: 1, Ranks: []int32{rank}}
-	t.load[rank]++
+	t.pending = append(t.pending, leafRow{fp, rank})
 }
 
-// Trim enforces the top-F bound, the closing step of incremental leaf
-// construction via AddLocal. Merge applies it automatically.
-func (t *Table) Trim() { t.trim() }
+// Trim closes incremental leaf construction: the fingerprints fed through
+// AddLocal become the table's rows — one sort, duplicates dropped — and
+// the top-F bound is enforced. Merge applies that bound automatically.
+func (t *Table) Trim() {
+	if p := t.pending; len(p) > 0 {
+		slices.SortFunc(p, func(a, b leafRow) int { return compare(&a.fp, &b.fp) })
+		p = slices.CompactFunc(p, func(a, b leafRow) bool { return a.fp == b.fp })
+		if t.F > 0 && len(p) > t.F {
+			p = p[:t.F] // every frequency is 1: the top F are the first F
+		}
+		t.rows, t.ranks, t.load = make([]Entry, len(p)), make([]int32, len(p)), nil
+		for i, l := range p {
+			t.ranks[i] = l.rank
+			t.rows[i] = Entry{FP: l.fp, Freq: 1, Ranks: t.ranks[i : i+1 : i+1]}
+			t.designate(l.rank)
+		}
+		t.pending = nil
+	}
+	t.evict()
+	t.reindex()
+}
 
 // Len returns the number of entries currently held.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return len(t.rows) }
 
-// Lookup returns the entry for fp, or nil.
-func (t *Table) Lookup(fp FP) *Entry { return t.entries[fp] }
+// Lookup returns the entry for fp, or nil. The entry points into the
+// table and is valid until the table is next merged or decoded into.
+func (t *Table) Lookup(fp FP) *Entry {
+	if t.index == nil {
+		return nil
+	}
+	p := binary.BigEndian.Uint32(fp[:]) >> t.shift
+	lo, hi := t.index[p], t.index[p+1]
+	if i, ok := slices.BinarySearchFunc(t.rows[lo:hi], &fp, func(e Entry, fp *FP) int { return compare(&e.FP, fp) }); ok {
+		return &t.rows[int(lo)+i]
+	}
+	return nil
+}
+
+// reindex rebuilds the prefix index over the current rows in one pass.
+func (t *Table) reindex() {
+	n := len(t.rows)
+	bitsUsed := max(bits.Len(uint(n))-1, 0) // about one slot per row
+	t.index, t.shift = make([]uint32, 1<<bitsUsed+1), uint8(32-bitsUsed)
+	p := 0
+	for i := range t.rows {
+		for q := int(binary.BigEndian.Uint32(t.rows[i].FP[:]) >> t.shift); p <= q; p++ {
+			t.index[p] = uint32(i)
+		}
+	}
+	for ; p < len(t.index); p++ {
+		t.index[p] = uint32(n)
+	}
+}
 
 // Load returns the designation load of rank.
-func (t *Table) Load(rank int32) int32 { return t.load[rank] }
-
-// Entries returns all entries sorted by fingerprint. The returned slice
-// aliases the table's entries; callers must not mutate them.
-func (t *Table) Entries() []*Entry {
-	out := make([]*Entry, 0, len(t.entries))
-	// Collection order is irrelevant: the sort below imposes the shared
-	// fingerprint order every rank agrees on.
-	//dedupvet:ordered
-	for _, e := range t.entries {
-		out = append(out, e)
+func (t *Table) Load(rank int32) int32 {
+	if rank < 0 || int(rank) >= len(t.load) {
+		return 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FP.Less(out[j].FP) })
+	return t.load[rank]
+}
+
+// designate counts one more designation of rank r, growing load to it.
+func (t *Table) designate(r int32) {
+	if int(r) >= len(t.load) {
+		t.load = append(t.load, make([]int32, int(r)+1-len(t.load))...)
+	}
+	t.load[r]++
+}
+
+// Entries returns all entries sorted by fingerprint. The returned
+// pointers alias the table's entries; callers must not mutate them.
+func (t *Table) Entries() []*Entry {
+	out := make([]*Entry, len(t.rows))
+	for i := range t.rows {
+		out[i] = &t.rows[i]
+	}
 	return out
 }
 
@@ -134,130 +190,125 @@ func (t *Table) Entries() []*Entry {
 //  3. only the F most frequent fingerprints of the union are retained
 //     (ties broken by fingerprint order so all ranks agree).
 //
-// Merge mutates t and leaves other untouched. It is deterministic: merging
-// the same pair of tables always yields the same result, which the
-// reduction relies on.
+// It is a merge-join of the two sorted row arrays into fresh ones: other's
+// rows are folded in ascending fingerprint order — the order the
+// load-dependent truncation is defined over — and rows only t holds pass
+// through untouched. Merge mutates t only, and deterministically: the same
+// pair of tables always yields the same result, as the reduction requires.
 func (t *Table) Merge(other *Table) {
 	if other == nil {
 		return
 	}
-	// Deterministic processing order: fingerprints ascending.
-	for _, oe := range other.Entries() {
-		e, ok := t.entries[oe.FP]
-		if !ok {
-			c := oe.clone()
-			t.entries[oe.FP] = c
-			for _, r := range c.Ranks {
-				t.load[r]++
-			}
-			t.truncateRanks(c)
-			continue
+	a, b := t.rows, other.rows
+	rows := make([]Entry, 0, len(a)+len(b))
+	ranks := make([]int32, 0, len(t.ranks)+len(other.ranks))
+	for len(a) > 0 || len(b) > 0 {
+		// c orders the heads: < 0 the next row is t's alone, > 0 it is
+		// other's alone, 0 both hold it.
+		c := -1
+		if len(a) == 0 {
+			c = 1
+		} else if len(b) > 0 {
+			c = compare(&a[0].FP, &b[0].FP)
 		}
-		e.Freq += oe.Freq
-		for _, r := range oe.Ranks {
-			if !e.HasRank(r) {
-				e.Ranks = insertSorted(e.Ranks, r)
-				t.load[r]++
-			}
+		var e Entry
+		start := len(ranks)
+		if c <= 0 {
+			e, a = a[0], a[1:]
+			ranks = append(ranks, e.Ranks...)
 		}
-		t.truncateRanks(e)
+		if c >= 0 {
+			e.FP, e.Freq = b[0].FP, e.Freq+b[0].Freq
+			for _, r := range b[0].Ranks {
+				if i, held := slices.BinarySearch(ranks[start:], r); !held {
+					ranks = slices.Insert(ranks, start+i, r)
+					t.designate(r)
+				}
+			}
+			ranks, b = t.truncateRanks(ranks, start), b[1:]
+		}
+		e.Ranks = ranks[start:len(ranks):len(ranks)]
+		rows = append(rows, e)
 	}
-	t.trim()
+	t.rows, t.ranks = rows, ranks
+	t.evict()
+	t.reindex()
 }
 
-// truncateRanks enforces |Ranks| <= K by evicting the most loaded ranks
-// first, shifting designation toward less loaded processes.
-func (t *Table) truncateRanks(e *Entry) {
-	for len(e.Ranks) > t.K {
-		// Pick the rank with the highest current load; break ties by the
-		// larger rank id so the choice is deterministic.
-		worst := 0
-		for i := 1; i < len(e.Ranks); i++ {
-			li, lw := t.load[e.Ranks[i]], t.load[e.Ranks[worst]]
-			if li > lw || (li == lw && e.Ranks[i] > e.Ranks[worst]) {
+// truncateRanks enforces at most K designated ranks on the row under
+// construction, ranks[start:], evicting the most loaded ranks first, which
+// shifts designation toward less loaded processes.
+func (t *Table) truncateRanks(ranks []int32, start int) []int32 {
+	for len(ranks)-start > t.K {
+		// Ties go to the larger rank id: ids ascend, so to the later one.
+		worst := start
+		for i := start + 1; i < len(ranks); i++ {
+			if t.load[ranks[i]] >= t.load[ranks[worst]] {
 				worst = i
 			}
 		}
-		t.load[e.Ranks[worst]]--
-		e.Ranks = append(e.Ranks[:worst], e.Ranks[worst+1:]...)
+		t.load[ranks[worst]]--
+		ranks = append(ranks[:worst], ranks[worst+1:]...)
 	}
+	return ranks
 }
 
-// trim enforces the top-F bound, releasing designations of evicted
-// entries. Entries are ranked by frequency descending, fingerprint
-// ascending.
-func (t *Table) trim() {
-	if t.F <= 0 || len(t.entries) <= t.F {
+// evict enforces the top-F bound by (frequency descending, fingerprint
+// ascending), releasing the designations of evicted entries: everything
+// above the F-th largest frequency stays, then the first rows at it.
+func (t *Table) evict() {
+	n := len(t.rows)
+	if t.F <= 0 || n <= t.F {
 		return
 	}
-	all := t.Entries()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Freq != all[j].Freq {
-			return all[i].Freq > all[j].Freq
+	freqs := make([]uint32, n)
+	for i := range t.rows {
+		freqs[i] = t.rows[i].Freq
+	}
+	slices.Sort(freqs)
+	cut, room := freqs[n-t.F], t.F
+	for i := n - 1; freqs[i] > cut; i-- {
+		room--
+	}
+	kept := t.rows[:0]
+	for _, e := range t.rows {
+		if e.Freq > cut || (e.Freq == cut && room > 0) {
+			if kept = append(kept, e); e.Freq == cut {
+				room--
+			}
+			continue
 		}
-		return all[i].FP.Less(all[j].FP)
-	})
-	for _, e := range all[t.F:] {
 		for _, r := range e.Ranks {
 			t.load[r]--
 		}
-		delete(t.entries, e.FP)
 	}
-}
-
-// insertSorted inserts r into the ascending slice s, keeping it sorted.
-func insertSorted(s []int32, r int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= r })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = r
-	return s
+	t.rows = kept
 }
 
 // Validate checks internal invariants; used by tests and debug builds.
 func (t *Table) Validate() error {
-	want := make(map[int32]int32)
-	// Validation is order-insensitive: each entry is checked in
-	// isolation and the load recount is commutative.
-	//dedupvet:ordered
-	for _, e := range t.entries {
-		if len(e.Ranks) == 0 {
-			return fmt.Errorf("fingerprint %s has no designated ranks", e.FP.Short())
+	want := make([]int32, len(t.load))
+	for i := range t.rows {
+		e := &t.rows[i]
+		if i > 0 && compare(&e.FP, &t.rows[i-1].FP) <= 0 {
+			return fmt.Errorf("fingerprint %s out of order", e.FP.Short())
 		}
-		if len(e.Ranks) > t.K {
-			return fmt.Errorf("fingerprint %s has %d > K=%d designated ranks", e.FP.Short(), len(e.Ranks), t.K)
+		if e.Freq == 0 || len(e.Ranks) == 0 || len(e.Ranks) > t.K {
+			return fmt.Errorf("fingerprint %s has frequency %d and %d designated ranks, want > 0 and 1..K=%d", e.FP.Short(), e.Freq, len(e.Ranks), t.K)
 		}
-		if !sort.SliceIsSorted(e.Ranks, func(i, j int) bool { return e.Ranks[i] < e.Ranks[j] }) {
-			return fmt.Errorf("fingerprint %s ranks not sorted: %v", e.FP.Short(), e.Ranks)
-		}
-		for i := 1; i < len(e.Ranks); i++ {
-			if e.Ranks[i] == e.Ranks[i-1] {
-				return fmt.Errorf("fingerprint %s duplicate rank %d", e.FP.Short(), e.Ranks[i])
+		for j, r := range e.Ranks {
+			if r < 0 || int(r) >= len(want) || (j > 0 && r <= e.Ranks[j-1]) {
+				return fmt.Errorf("fingerprint %s ranks %v unsorted, duplicate or outside the load vector", e.FP.Short(), e.Ranks)
 			}
-		}
-		if e.Freq == 0 {
-			return fmt.Errorf("fingerprint %s has zero frequency", e.FP.Short())
-		}
-		for _, r := range e.Ranks {
 			want[r]++
 		}
 	}
-	if t.F > 0 && len(t.entries) > t.F {
-		return fmt.Errorf("table holds %d entries > F=%d", len(t.entries), t.F)
+	if t.F > 0 && len(t.rows) > t.F {
+		return fmt.Errorf("table holds %d entries > F=%d", len(t.rows), t.F)
 	}
-	//dedupvet:ordered — order-insensitive comparison of two load maps.
 	for r, n := range want {
 		if t.load[r] != n {
 			return fmt.Errorf("rank %d load=%d, recount=%d", r, t.load[r], n)
-		}
-	}
-	//dedupvet:ordered
-	for r, n := range t.load {
-		if n != 0 && want[r] == 0 {
-			return fmt.Errorf("rank %d load=%d but designates nothing", r, n)
-		}
-		if n < 0 {
-			return fmt.Errorf("rank %d negative load %d", r, n)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -280,8 +281,8 @@ func TestWireRoundTrip(t *testing.T) {
 	// The arms a merged table never shows: no entries at all, an entry
 	// nobody is designated for, and the unbounded F.
 	empty, orphan := NewTable(-1, 2), NewTable(8, 2)
-	orphan.entries[fpOf(1)] = &Entry{FP: fpOf(1), Freq: 5}
-	orphan.entries[fpOf(2)] = &Entry{FP: fpOf(2), Freq: 2, Ranks: []int32{0, 4}}
+	orphan.rows = []Entry{{FP: fpOf(1), Freq: 5}, {FP: fpOf(2), Freq: 2, Ranks: []int32{0, 4}}}
+	slices.SortFunc(orphan.rows, func(a, b Entry) int { return a.FP.Compare(b.FP) })
 	for name, tbl := range map[string]*Table{"empty": empty, "no-ranks": orphan} {
 		blob, err := tbl.MarshalBinary()
 		if err != nil {
@@ -320,6 +321,24 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 		var back Table
 		if err := back.UnmarshalBinary(b); err == nil && name != "dup-header" {
 			t.Errorf("%s: expected decode error", name)
+		}
+	}
+	// What the flat layout cannot hold. A peer-controlled rank id indexes
+	// the load vector, so it must be turned down before it sizes one.
+	for name, b := range hostileTables(t) {
+		var back Table
+		err := back.UnmarshalBinary(b)
+		if name == "ranks-over-k" {
+			if err != nil || back.Validate() == nil {
+				t.Errorf("%s: decode %v, Validate %v; want decoded and invalid", name, err, back.Validate())
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: expected decode error", name)
+		}
+		if len(back.load) > maxRanks {
+			t.Errorf("%s: load vector grew to %d slots", name, len(back.load))
 		}
 	}
 }

@@ -212,26 +212,16 @@ func localDedup(chunks []chunk.Chunk) []chunk.Chunk {
 
 // reduceGlobal mirrors the coll-dedup fingerprint reduction.
 func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, o Options) (*fingerprint.Table, error) {
-	fps := make([]fingerprint.FP, len(uniq))
-	for i, ch := range uniq {
-		fps[i] = ch.FP
+	leaf := fingerprint.NewTable(o.F, o.K)
+	for _, ch := range uniq {
+		leaf.AddLocal(ch.FP, int32(c.Rank()))
 	}
-	local := fingerprint.Local(fps, int32(c.Rank()), o.F, o.K)
-	blob, err := local.MarshalBinary()
+	leaf.Trim()
+	blob, err := leaf.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	out, err := collectives.Allreduce(c, blob, func(acc, other []byte) ([]byte, error) {
-		var a, b fingerprint.Table
-		if err := a.UnmarshalBinary(acc); err != nil {
-			return nil, err
-		}
-		if err := b.UnmarshalBinary(other); err != nil {
-			return nil, err
-		}
-		a.Merge(&b)
-		return a.MarshalBinary()
-	})
+	out, err := collectives.Allreduce(c, blob, fingerprint.MergeWire)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint allreduce: %w", err)
 	}
