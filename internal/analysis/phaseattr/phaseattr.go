@@ -8,7 +8,7 @@
 //  1. Phase before blocking. Inside the dump/restore pipeline (packages
 //     ending in internal/core or internal/telemetry), a blocking
 //     collective call — collectives.Barrier/Bcast/Gather/Allgather/
-//     Allreduce/Reduce/AllgatherInt64, or (*collectives.Window).Wait —
+//     Allreduce/Reduce/AllgatherInt64, or (*collectives.Window).Wait/Next —
 //     must be lexically preceded, in the same function, by a call to
 //     collectives.NotePhase (directly or inside an earlier closure such
 //     as the pipeline's begin() helper). Helpers that run with the phase
@@ -108,8 +108,8 @@ func checkPhaseBeforeBlocking(pass *analysis.Pass, fn *ast.FuncDecl) {
 			notePos = append(notePos, call.Pos())
 		case callee.Type().(*types.Signature).Recv() == nil && blockingCollectives[callee.Name()]:
 			blocking = append(blocking, site{call.Pos(), callee.Name()})
-		case callee.Name() == "Wait" && recvIsWindow(callee):
-			blocking = append(blocking, site{call.Pos(), "Window.Wait"})
+		case (callee.Name() == "Wait" || callee.Name() == "Next") && recvIsWindow(callee):
+			blocking = append(blocking, site{call.Pos(), "Window." + callee.Name()})
 		}
 		return true
 	})

@@ -32,3 +32,6 @@ type Window struct{}
 
 // Wait blocks until every outstanding put landed.
 func (w *Window) Wait() error { return nil }
+
+// Next blocks until the next put in offset order landed.
+func (w *Window) Next() ([]byte, error) { return nil, nil }

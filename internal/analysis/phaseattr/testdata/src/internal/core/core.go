@@ -32,6 +32,11 @@ func waitUnphased(w *collectives.Window) error {
 	return w.Wait() // want "blocking collective Window.Wait without a preceding NotePhase"
 }
 
+// nextUnphased drains the window frame by frame without a phase.
+func nextUnphased(w *collectives.Window) ([]byte, error) {
+	return w.Next() // want "blocking collective Window.Next without a preceding NotePhase"
+}
+
 // newError drops the phase the taxonomy exists to carry.
 func newError(ranks []int) error {
 	return &collectives.CollectiveError{Ranks: ranks} // want "CollectiveError constructed without Phase attribution"

@@ -65,6 +65,28 @@ type Comm interface {
 	Close() error
 }
 
+// frameTaker is implemented by the transports that can take a sent buffer
+// over instead of copying it (in-process, TCP).
+type frameTaker interface {
+	sendOwned(to int, tag Tag, frame []byte, deadline time.Time) error
+}
+
+// Handover sends frame to rank `to` under tag and hands the buffer over:
+// after a nil return the caller must not touch frame again, and the
+// receiver may get that very buffer. After an error it was not retained.
+// A Comm that cannot take ownership — any wrapper, the fault-injection
+// one included — gets a copying Send. A non-zero deadline bounds the send
+// on DeadlineSender transports.
+func Handover(c Comm, to int, tag Tag, frame []byte, deadline time.Time) error {
+	if ft, ok := c.(frameTaker); ok {
+		return ft.sendOwned(to, tag, frame, deadline)
+	}
+	if ds, ok := c.(DeadlineSender); ok && !deadline.IsZero() {
+		return ds.SendDeadline(to, tag, frame, deadline)
+	}
+	return c.Send(to, tag, frame)
+}
+
 // Stats counts transport traffic for one rank. The experiment harness
 // feeds these into the performance model, so they must reflect every byte
 // a rank pushes to or pulls from its peers (self-sends are free and not

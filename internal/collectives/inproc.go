@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dedupcr/internal/obs"
 )
@@ -84,6 +85,7 @@ type InprocComm struct {
 var _ Comm = (*InprocComm)(nil)
 var _ aborter = (*InprocComm)(nil)
 var _ killer = (*InprocComm)(nil)
+var _ frameTaker = (*InprocComm)(nil)
 
 // Rank implements Comm.
 func (c *InprocComm) Rank() int { return c.rank }
@@ -116,6 +118,12 @@ func (c *InprocComm) killComm(e *CollectiveError) {
 // Send implements Comm. The payload is copied, so the caller may reuse
 // data immediately (matching the TCP transport's semantics).
 func (c *InprocComm) Send(to int, tag Tag, data []byte) error {
+	return c.sendOwned(to, tag, append(make([]byte, 0, len(data)), data...), time.Time{})
+}
+
+// sendOwned implements frameTaker: the receiver gets msg itself. There is
+// nothing to time out in process.
+func (c *InprocComm) sendOwned(to int, tag Tag, msg []byte, _ time.Time) error {
 	if err := checkPeer(c, to); err != nil {
 		return err
 	}
@@ -128,11 +136,9 @@ func (c *InprocComm) Send(to int, tag Tag, data []byte) error {
 	if e := c.group.boxes[c.rank].abortErr(); e != nil {
 		return e
 	}
-	msg := make([]byte, len(data))
-	copy(msg, data)
 	c.group.boxes[to].put(c.rank, tag, msg)
 	if to != c.rank {
-		c.countSend(to, len(data))
+		c.countSend(to, len(msg))
 	}
 	return nil
 }

@@ -57,6 +57,7 @@ var _ Comm = (*TCPComm)(nil)
 var _ aborter = (*TCPComm)(nil)
 var _ killer = (*TCPComm)(nil)
 var _ DeadlineSender = (*TCPComm)(nil)
+var _ frameTaker = (*TCPComm)(nil)
 
 // tcpSender is one outgoing connection with its write lock.
 type tcpSender struct {
@@ -424,6 +425,16 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 	}
 	c.countSend(to, len(data))
 	return nil
+}
+
+// sendOwned implements frameTaker: TCP never retains a sent buffer, so a
+// handed-over full-size frame is recycled for the next put.
+func (c *TCPComm) sendOwned(to int, tag Tag, frame []byte, deadline time.Time) error {
+	err := c.SendDeadline(to, tag, frame, deadline)
+	if err == nil && cap(frame) == frameAllocChunk {
+		putFrames.Put(&frame)
+	}
+	return err
 }
 
 // Recv implements Comm. The AnyRank wildcard is accepted for window tags.

@@ -1,8 +1,11 @@
 package collectives
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,29 +16,35 @@ import (
 // (Algorithm 3 of the paper). Because the offset planning tells the owner
 // exactly how many bytes will arrive, the window is opened with the exact
 // expected size and completion needs no extra synchronization: the owner
-// simply drains puts until the window is full.
+// simply drains puts until every byte has arrived.
+//
+// Frames are handed over, not copied: a sender appends its payload to a
+// NewFrame (which leaves room for the destination offset) and PutFrame
+// gives the frame to the transport (see Handover). The owner holds no
+// window-sized buffer: Next hands out the landed payloads in window-offset
+// order, holding frames that arrive ahead of the cursor, so the caller
+// can commit each frame as it lands.
 //
 // Usage (all ranks):
 //
 //	win := OpenWindow(comm, expectedBytes, epoch)
-//	... win.Put(target, offset, data) for each partner ...
-//	buf, err := win.Wait()   // blocks until the window is full
+//	... win.PutFrame(target, offset, frame) for each partner ...
+//	for { payload, err := win.Next(); ... } // io.EOF once complete
 //
-// Put and Wait may be interleaved freely; the wire protocol is symmetric
-// across transports (a header frame with the destination offset followed
-// by the payload in the same frame).
-//
-// Put is safe for concurrent use from multiple goroutines of the owning
-// rank (the parallel dump pipeline drives one put stream per partner):
-// the fill and instrumentation counters are atomic, and concurrent local
-// deposits are race-free because the offset planning guarantees disjoint
-// destination regions. Wait must be called from a single goroutine, after
-// or concurrently with the puts.
+// Put and Wait are the copying forms of the same two operations: Put
+// copies data into a fresh frame, Wait drains the whole window into one
+// buffer. PutFrame is safe for concurrent use from multiple goroutines of
+// the owning rank (the parallel dump pipeline drives one put stream per
+// partner); Next and Wait must be called from a single goroutine.
 type Window struct {
-	comm   Comm
-	tag    Tag
-	buf    []byte
-	filled atomic.Int64
+	comm Comm
+	tag  Tag
+	size int64
+
+	// Drain state: the window offset of the next byte to hand out, and
+	// the frames that landed beyond it, sorted by offset.
+	cursor int64
+	held   []heldFrame
 
 	// OnPut, when set before the first Put, observes every put's payload
 	// size and wall-clock latency (including transport blocking). The
@@ -54,17 +63,23 @@ type Window struct {
 	waitTime time.Duration
 }
 
+// heldFrame is a put payload that arrived ahead of the drain cursor.
+type heldFrame struct {
+	off  int64
+	data []byte
+}
+
 // WindowStats reports what one window epoch did: outbound puts (remote
 // and local) and the time spent draining the own window.
 type WindowStats struct {
 	// Puts and PutBytes count this rank's outgoing Put calls.
 	Puts     int
 	PutBytes int64
-	// WaitTime is the wall time Wait spent until the window was full.
+	// WaitTime is the wall time Next and Wait spent waiting for frames.
 	WaitTime time.Duration
 }
 
-// Stats returns the window's instrumentation. Call it after Wait.
+// Stats returns the window's instrumentation. Call it after the drain.
 func (w *Window) Stats() WindowStats {
 	return WindowStats{Puts: int(w.puts.Load()), PutBytes: w.putBytes.Load(), WaitTime: w.waitTime}
 }
@@ -77,28 +92,10 @@ func windowTag(epoch uint32) Tag {
 
 // OpenWindow exposes a window of exactly size bytes for the given epoch.
 // Every rank participating in the epoch must open a window (possibly of
-// size zero) with the same epoch number.
+// size zero) with the same epoch number. Nothing is allocated: the bytes
+// arrive in the senders' frames.
 func OpenWindow(c Comm, size int64, epoch uint32) *Window {
-	return &Window{comm: c, tag: windowTag(epoch), buf: make([]byte, size)}
-}
-
-// Put writes data into the window of rank target at the given byte offset.
-// The caller must have planned offsets so that puts never overlap and the
-// target window is exactly filled; violations are detected by the target.
-func (w *Window) Put(target int, offset int64, data []byte) error {
-	if err := checkPeer(w.comm, target); err != nil {
-		return err
-	}
-	start := time.Now()
-	err := w.put(target, offset, data)
-	if err == nil {
-		w.puts.Add(1)
-		w.putBytes.Add(int64(len(data)))
-		if w.OnPut != nil {
-			w.OnPut(len(data), time.Since(start))
-		}
-	}
-	return err
+	return &Window{comm: c, tag: windowTag(epoch), size: size}
 }
 
 // putOffsetHeader is the destination offset every put frame starts with.
@@ -111,85 +108,112 @@ const putOffsetHeader = 8
 // contiguous region into several puts cut it at this size.
 const MaxPutBytes = frameAllocChunk - putOffsetHeader
 
-// putFrames recycles put frames of up to frameAllocChunk bytes. The
-// transports do not retain data after Send returns, so a frame goes back
-// as soon as the send does.
-var putFrames = sync.Pool{New: func() any {
-	b := make([]byte, 0, frameAllocChunk)
-	return &b
-}}
+// putFrames recycles the full-size put frames TCP has written (frames a
+// receiver was handed are its own).
+var putFrames sync.Pool
 
-func (w *Window) put(target int, offset int64, data []byte) error {
-	if target == w.comm.Rank() {
-		// Local put: write directly.
-		return w.deposit(offset, data)
+// NewFrame returns an empty put frame — its length is the offset
+// headroom — with room for n payload bytes.
+func NewFrame(n int) []byte {
+	if fb, ok := putFrames.Get().(*[]byte); ok && n <= MaxPutBytes {
+		return (*fb)[:putOffsetHeader]
 	}
-	var frame []byte
-	if len(data) <= MaxPutBytes {
-		fb := putFrames.Get().(*[]byte)
-		defer putFrames.Put(fb)
-		frame = (*fb)[:putOffsetHeader+len(data)]
-	} else {
-		frame = make([]byte, putOffsetHeader+len(data))
-	}
-	binary.BigEndian.PutUint64(frame, uint64(offset))
-	copy(frame[putOffsetHeader:], data)
-	if w.PutTimeout > 0 {
-		if ds, ok := w.comm.(DeadlineSender); ok {
-			return ds.SendDeadline(target, w.tag, frame, time.Now().Add(w.PutTimeout))
-		}
-	}
-	return w.comm.Send(target, w.tag, frame)
+	return make([]byte, putOffsetHeader, putOffsetHeader+n)
 }
 
-// deposit writes payload at offset into the local window buffer. Callers
-// depositing concurrently must target disjoint regions (the planner
-// guarantees it); the fill counter is atomic, so the completion check in
-// Wait observes every deposit's copy through the counter's
-// happens-before chain.
-func (w *Window) deposit(offset int64, data []byte) error {
-	if offset < 0 || offset+int64(len(data)) > int64(len(w.buf)) {
-		return fmt.Errorf("collectives: put of %d bytes at offset %d exceeds window of %d bytes",
-			len(data), offset, len(w.buf))
+// Put writes data into the window of rank target at the given byte
+// offset, through a fresh frame: data stays the caller's.
+func (w *Window) Put(target int, offset int64, data []byte) error {
+	return w.PutFrame(target, offset, append(NewFrame(len(data)), data...))
+}
+
+// PutFrame writes the payload of frame — a NewFrame with the payload
+// appended — into the window of rank target at the given byte offset, and
+// hands the frame over: after a nil return the caller must not touch it;
+// after an error it may put it again. The caller must have planned
+// offsets so that puts never overlap and the target window is exactly
+// filled; violations are detected by the target.
+func (w *Window) PutFrame(target int, offset int64, frame []byte) error {
+	if err := checkPeer(w.comm, target); err != nil {
+		return err
 	}
-	copy(w.buf[offset:], data)
-	if f := w.filled.Add(int64(len(data))); f > int64(len(w.buf)) {
-		return fmt.Errorf("collectives: window overfilled: %d bytes deposited into %d-byte window",
-			f, len(w.buf))
+	n := len(frame) - putOffsetHeader
+	if offset < 0 || target == w.comm.Rank() && offset > w.size-int64(n) {
+		return fmt.Errorf("collectives: put of %d bytes at offset %d exceeds window of %d bytes", n, offset, w.size)
+	}
+	binary.BigEndian.PutUint64(frame, uint64(offset))
+	start := time.Now()
+	var deadline time.Time
+	if w.PutTimeout > 0 {
+		deadline = start.Add(w.PutTimeout)
+	}
+	if err := Handover(w.comm, target, w.tag, frame, deadline); err != nil {
+		return err
+	}
+	w.puts.Add(1)
+	w.putBytes.Add(int64(n))
+	if w.OnPut != nil {
+		w.OnPut(n, time.Since(start))
 	}
 	return nil
 }
 
-// Wait blocks until the window is exactly full and returns its buffer.
-// Senders are identified implicitly: any rank may contribute, and the
-// exact-size property doubles as the completion fence.
-//
-// Wait assumes non-overlapping puts (guaranteed by the offset planning);
-// it counts bytes, so overlapping puts would stall or overfill, both of
-// which are reported as errors.
-func (w *Window) Wait() ([]byte, error) {
+// Next returns the next put's payload in window-offset order, which the
+// caller now owns, or io.EOF once the whole window has been handed out.
+// A frame is checked as it lands: outside the window, on bytes already
+// handed out, or overlapping a held put is an error. Puts are therefore
+// disjoint and in bounds, so the window cannot overfill, and it is
+// complete exactly when the cursor reaches its size.
+func (w *Window) Next() ([]byte, error) {
 	start := time.Now()
 	defer func() { w.waitTime += time.Since(start) }()
-	for w.filled.Load() < int64(len(w.buf)) {
-		frame, err := w.recvAny()
+	for {
+		if len(w.held) > 0 && w.held[0].off == w.cursor {
+			data := w.held[0].data
+			w.held = w.held[1:]
+			w.cursor += int64(len(data))
+			return data, nil
+		}
+		if w.cursor == w.size {
+			return nil, io.EOF
+		}
+		frame, err := w.comm.Recv(AnyRank, w.tag)
 		if err != nil {
 			return nil, err
 		}
 		if len(frame) < putOffsetHeader {
 			return nil, fmt.Errorf("collectives: malformed window frame (%d bytes)", len(frame))
 		}
-		offset := int64(binary.BigEndian.Uint64(frame))
-		if err := w.deposit(offset, frame[putOffsetHeader:]); err != nil {
-			return nil, err
+		off, data := int64(binary.BigEndian.Uint64(frame)), frame[putOffsetHeader:]
+		if off < 0 || off > w.size-int64(len(data)) {
+			return nil, fmt.Errorf("collectives: put of %d bytes at offset %d exceeds window of %d bytes",
+				len(data), off, w.size)
 		}
+		if len(data) == 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(w.held, off, func(h heldFrame, off int64) int { return cmp.Compare(h.off, off) })
+		if off < w.cursor || i > 0 && w.held[i-1].off+int64(len(w.held[i-1].data)) > off ||
+			i < len(w.held) && w.held[i].off < off+int64(len(data)) {
+			return nil, fmt.Errorf("collectives: put of %d bytes at offset %d overlaps an earlier put", len(data), off)
+		}
+		w.held = slices.Insert(w.held, i, heldFrame{off, data})
 	}
-	return w.buf, nil
 }
 
-// recvAny receives the next window frame from any peer. Transports
-// deliver window traffic under the wildcard sender AnyRank.
-func (w *Window) recvAny() ([]byte, error) {
-	return w.comm.Recv(AnyRank, w.tag)
+// Wait drains the window through Next into one buffer and returns it.
+func (w *Window) Wait() ([]byte, error) {
+	buf := make([]byte, 0, w.size)
+	for {
+		data, err := w.Next()
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, data...)
+	}
 }
 
 // AnyRank is the wildcard sender rank used for window traffic, where the

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,6 +12,15 @@ import (
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/storage"
 )
+
+// commitReceived commits a whole window held in one buffer, as one frame,
+// and returns the references stored (on error, those stored before it).
+func commitReceived(store storage.Store, recvBuf []byte, m *metrics.Dump) ([]fingerprint.FP, error) {
+	c := committer{store: store, m: m, size: int64(len(recvBuf)), p: recvBuf,
+		next: func() ([]byte, error) { return nil, io.EOF }}
+	err := c.commit()
+	return c.refs, err
+}
 
 // commitReceivedPerRecord is commitReceived as it was before received
 // records were fingerprinted in batches — one fingerprint.Of and one
@@ -48,6 +58,15 @@ func commitReceivedPerRecord(store storage.Store, recvBuf []byte, m *metrics.Dum
 // reference: both must store the same chunks, return exactly the
 // references stored so far and report the same error.
 func TestCommitReceivedMatchesPerRecord(t *testing.T) {
+	for name, w := range receivedWindows() {
+		checkCommitted(t, name, commitWith(commitReceived, w), commitWith(commitReceivedPerRecord, w))
+	}
+}
+
+// receivedWindows are the whole and broken windows the commit tests
+// feed: empty, one record, exactly one batch, one past it, several
+// batches, and windows broken in the middle of a batch.
+func receivedWindows() map[string][]byte {
 	rng := rand.New(rand.NewSource(22))
 	window := func(records int) []byte {
 		var w []byte
@@ -68,31 +87,75 @@ func TestCommitReceivedMatchesPerRecord(t *testing.T) {
 	overrun := append(window(recvBatch+10), encodeRecord(make([]byte, 30))...)
 	cases["record overruns mid-batch"] = overrun[:len(overrun)-1]
 	cases["first record overruns"] = []byte{0, 0, 1, 0, 7}
+	return cases
+}
 
-	for name, w := range cases {
-		got, want := storage.NewMem(), storage.NewMem()
-		var gm, wm metrics.Dump
-		gotRefs, gotErr := commitReceived(got, w, &gm)
-		wantRefs, wantErr := commitReceivedPerRecord(want, w, &wm)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Errorf("%s: error %v, per-record reference %v", name, gotErr, wantErr)
+// commitRun is one commit of a window: the store it filled, the
+// references and error it returned, and its counters.
+type commitRun struct {
+	store storage.Store
+	refs  []fingerprint.FP
+	err   error
+	m     metrics.Dump
+}
+
+// commitWith commits window w into a fresh store through commit.
+func commitWith(commit func(storage.Store, []byte, *metrics.Dump) ([]fingerprint.FP, error), w []byte) commitRun {
+	r := commitRun{store: storage.NewMem()}
+	r.refs, r.err = commit(r.store, w, &r.m)
+	return r
+}
+
+// checkCommitted compares a commit against its reference: same error,
+// same references in the same order, same counters, same store contents.
+func checkCommitted(t *testing.T, name string, got, want commitRun) {
+	t.Helper()
+	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+		t.Errorf("%s: error %v, reference %v", name, got.err, want.err)
+	}
+	if !slices.Equal(got.refs, want.refs) {
+		t.Errorf("%s: %d references returned, reference %d (or another order)", name, len(got.refs), len(want.refs))
+	}
+	if got.m.RecvChunks != want.m.RecvChunks || got.m.RecvBytes != want.m.RecvBytes || got.m.RecvChunks != len(want.refs) {
+		t.Errorf("%s: counted %d chunks / %d bytes, reference %d / %d", name, got.m.RecvChunks, got.m.RecvBytes, want.m.RecvChunks, want.m.RecvBytes)
+	}
+	for _, fp := range want.refs {
+		g, err1 := got.store.GetChunk(fp)
+		w, err2 := want.store.GetChunk(fp)
+		if err1 != nil || err2 != nil || string(g) != string(w) || fingerprint.Of(g) != fp {
+			t.Errorf("%s: chunk %s stored differently (%v, %v)", name, fp.Short(), err1, err2)
 		}
-		if !slices.Equal(gotRefs, wantRefs) {
-			t.Errorf("%s: %d references returned, reference %d (or another order)", name, len(gotRefs), len(wantRefs))
-		}
-		if gm.RecvChunks != wm.RecvChunks || gm.RecvBytes != wm.RecvBytes || gm.RecvChunks != len(wantRefs) {
-			t.Errorf("%s: counted %d chunks / %d bytes, reference %d / %d", name, gm.RecvChunks, gm.RecvBytes, wm.RecvChunks, wm.RecvBytes)
-		}
-		for _, fp := range wantRefs {
-			g, err1 := got.GetChunk(fp)
-			w, err2 := want.GetChunk(fp)
-			if err1 != nil || err2 != nil || string(g) != string(w) || fingerprint.Of(g) != fp {
-				t.Errorf("%s: chunk %s stored differently (%v, %v)", name, fp.Short(), err1, err2)
+	}
+	gb, gc := got.store.Usage()
+	if wb, wc := want.store.Usage(); gb != wb || gc != wc {
+		t.Errorf("%s: store holds %d bytes in %d chunks, reference %d in %d", name, gb, gc, wb, wc)
+	}
+}
+
+// TestCommitterCutFramesMatchWholeWindow: a window that arrives as many
+// frames — cut at random points, inside headers and payloads alike, in
+// pieces down to one byte — commits exactly as the whole window does:
+// records cut by a frame boundary are carried across, and a broken
+// window fails with the same error after the same records.
+func TestCommitterCutFramesMatchWholeWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for name, w := range receivedWindows() {
+		for trial := 0; trial < 8; trial++ {
+			maxPiece := 1 + rng.Intn(1+len(w)/(1+trial))
+			cuts := func(store storage.Store, w []byte, m *metrics.Dump) ([]fingerprint.FP, error) {
+				c := committer{store: store, m: m, size: int64(len(w)), next: func() ([]byte, error) {
+					if len(w) == 0 {
+						return nil, io.EOF
+					}
+					k := min(1+rng.Intn(maxPiece), len(w))
+					piece := w[:k]
+					w = w[k:]
+					return piece, nil
+				}}
+				err := c.commit()
+				return c.refs, err
 			}
-		}
-		gb, gc := got.Usage()
-		if wb, wc := want.Usage(); gb != wb || gc != wc {
-			t.Errorf("%s: store holds %d bytes in %d chunks, reference %d in %d", name, gb, gc, wb, wc)
+			checkCommitted(t, fmt.Sprintf("%s, pieces of at most %d bytes", name, maxPiece), commitWith(cuts, w), commitWith(commitReceived, w))
 		}
 	}
 }

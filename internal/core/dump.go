@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -322,9 +323,9 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		return nil, fmt.Errorf("rank %d plan: %w", me, err)
 	}
 
-	// Phase 6 — single-sided exchange: open an exactly-sized window, put
+	// Phase 6 — single-sided exchange: open an exactly-sized window and put
 	// each replicated chunk into the partner windows at the planned
-	// offsets, then drain the own window until full.
+	// offsets. The own window is drained in phase 7.
 	winSize := plan.WindowSize(me)
 	m.WindowBytes = winSize
 	done = begin("window-open", &m.Phases.WindowOpen)
@@ -348,40 +349,45 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	if err != nil {
 		return nil, fmt.Errorf("rank %d %w", me, err)
 	}
-	done = begin("window-wait", &m.Phases.WindowWait)
-	recvBuf, err := win.Wait()
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("rank %d window: %w", me, err)
-	}
 
-	// Phase 7 — commit: own chunks, received chunks, restore metadata
-	// (with the recipe built here, where it is consumed), and the
+	// Phase 7 — commit: own chunks, then each window frame's records as
+	// the frame lands (time blocked on the window is WindowWait), restore
+	// metadata (with the recipe built here, where it is consumed), and the
 	// reference list that lets Forget reclaim this dataset. Every stored
 	// reference is tracked so a failure anywhere from here on rolls the
 	// local store back to its pre-dump state (see rollbackDump) — the
 	// consistency half of the abort protocol.
 	done = begin("commit", &m.Phases.Commit)
-	recipe := chunk.BuildRecipe(chunks)
-	refs := make([]fingerprint.FP, 0, len(items))
+	switchTo := func(name string, dst *time.Duration) {
+		done()
+		done = begin(name, dst)
+	}
+	cm := &committer{store: store, m: &m, size: winSize, refs: make([]fingerprint.FP, 0, len(items)),
+		next: func() ([]byte, error) {
+			switchTo("window-wait", &m.Phases.WindowWait)
+			frame, err := win.Next()
+			if err != nil && err != io.EOF {
+				return nil, fmt.Errorf("window: %w", err)
+			}
+			switchTo("commit", &m.Phases.Commit)
+			return frame, err
+		}}
 	commitErr := func() error {
 		for _, it := range items {
 			if err := store.PutChunk(it.ch.FP, it.ch.Data); err != nil {
 				return fmt.Errorf("rank %d store chunk: %w", me, err)
 			}
-			refs = append(refs, it.ch.FP)
+			cm.refs = append(cm.refs, it.ch.FP)
 			m.StoredChunks++
 			m.StoredBytes += int64(len(it.ch.Data))
 		}
-		recvRefs, err := commitReceived(store, recvBuf, &m)
-		refs = append(refs, recvRefs...)
-		if err != nil {
-			return fmt.Errorf("rank %d commit received: %w", me, err)
+		if err := cm.commit(); err != nil {
+			return fmt.Errorf("rank %d receive: %w", me, err)
 		}
-		if err := store.PutBlob(gcName(o.Name, me), marshalFPs(refs)); err != nil {
+		if err := store.PutBlob(gcName(o.Name, me), marshalFPs(cm.refs)); err != nil {
 			return fmt.Errorf("rank %d gc list: %w", me, err)
 		}
-		if err := persistMeta(c, store, o, recipe, hints); err != nil {
+		if err := persistMeta(c, store, o, chunk.BuildRecipe(chunks), hints); err != nil {
 			return fmt.Errorf("rank %d persist meta: %w", me, err)
 		}
 		// Checkpoint-grained durability point: on commit-aware engines
@@ -396,7 +402,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	}()
 	done()
 	if commitErr != nil {
-		rollbackDump(store, o.Name, me, n, o.K, refs)
+		rollbackDump(store, o.Name, me, n, o.K, cm.refs)
 		return nil, commitErr
 	}
 
@@ -410,7 +416,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	err = collectives.Barrier(c)
 	done()
 	if err != nil {
-		rollbackDump(store, o.Name, me, n, o.K, refs)
+		rollbackDump(store, o.Name, me, n, o.K, cm.refs)
 		return nil, fmt.Errorf("rank %d final barrier: %w", me, err)
 	}
 	// The completion barrier's exit stamp doubles as this rank's wall-clock
@@ -428,12 +434,12 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 // transport failures (refused dials, timed-out puts, injected faults) are
 // retried up to rp.Attempts times with doubling backoff, counting each
 // retry; aborts, rank failures and cancellations are final and returned
-// immediately. Re-putting is idempotent at the receiver — the planned
-// offset region is fixed, so a retried slab lands on the same bytes.
-func putRetry(win *collectives.Window, me, target int, off int64, slab []byte, rp RetryPolicy, retries *atomic.Int64) error {
+// immediately. A failed put neither reached the window nor handed the
+// frame over, so the retry puts the same frame at the same offset.
+func putRetry(win *collectives.Window, me, target int, off int64, frame []byte, rp RetryPolicy, retries *atomic.Int64) error {
 	backoff := rp.Backoff
 	for attempt := 1; ; attempt++ {
-		err := win.Put(target, off, slab)
+		err := win.PutFrame(target, off, frame)
 		if err == nil || attempt >= rp.Attempts || !collectives.IsTransient(err) {
 			return err
 		}
@@ -451,23 +457,26 @@ func putRetry(win *collectives.Window, me, target int, off int64, slab []byte, r
 // planning (Algorithm 3) makes that region one contiguous run, so the
 // records — u32 length | payload each, self-describing so the receiver
 // parses its window sequentially regardless of how sender regions tile
-// it — are gathered into one slab and put once per
-// collectives.MaxPutBytes of region instead of once per chunk; a record
-// larger than that travels alone. The per-partner regions are disjoint by
-// construction, so putPartner calls for different d never touch the same
-// window bytes — which is what makes them safe to run concurrently.
-// Returns the chunks and payload bytes gathered, which is what was sent
-// unless an error is returned too.
+// it — are appended straight into a put frame, which is handed to the
+// window once per collectives.MaxPutBytes of region instead of once per
+// chunk; a record larger than that travels alone. A handed-over frame is
+// never touched again: the next records go into a new one. The
+// per-partner regions are disjoint by construction, so putPartner calls
+// for different d never touch the same window bytes — which is what makes
+// them safe to run concurrently. Returns the chunks and payload bytes
+// gathered, which is what was sent unless an error is returned too.
 func putPartner(win *collectives.Window, me, target int, off, region int64, items []item, d int, rp RetryPolicy, retries *atomic.Int64) (int, int64, error) {
 	var chunks int
 	var bytes int64
-	slab := make([]byte, 0, min(region, collectives.MaxPutBytes))
+	var frame []byte
+	used := 0 // record bytes in frame
 	flush := func() error {
-		if err := putRetry(win, me, target, off, slab, rp, retries); err != nil {
+		if err := putRetry(win, me, target, off, frame, rp, retries); err != nil {
 			return fmt.Errorf("put to %d: %w", target, err)
 		}
-		off += int64(len(slab))
-		slab = slab[:0]
+		off += int64(used)
+		region -= int64(used)
+		frame, used = nil, 0
 		return nil
 	}
 	for _, it := range items {
@@ -475,18 +484,22 @@ func putPartner(win *collectives.Window, me, target int, off, region int64, item
 			continue
 		}
 		data := it.ch.Data
-		if len(slab) > 0 && len(slab)+4+len(data) > collectives.MaxPutBytes {
+		if used > 0 && used+4+len(data) > collectives.MaxPutBytes {
 			if err := flush(); err != nil {
 				return chunks, bytes, err
 			}
 		}
-		slab = binary.BigEndian.AppendUint32(slab, uint32(len(data)))
-		slab = append(slab, data...)
+		if frame == nil {
+			frame = collectives.NewFrame(max(4+len(data), int(min(region, collectives.MaxPutBytes))))
+		}
+		frame = binary.BigEndian.AppendUint32(frame, uint32(len(data)))
+		frame = append(frame, data...)
+		used += 4 + len(data)
 		chunks++
 		bytes += int64(len(data))
 	}
 	var err error
-	if len(slab) > 0 {
+	if used > 0 {
 		err = flush()
 	}
 	return chunks, bytes, err
@@ -817,54 +830,105 @@ func sendLoads(items []item, k int) []int64 {
 	return load
 }
 
-// recvBatch is how many received records commitReceived fingerprints per
+// recvBatch is how many received records the committer fingerprints per
 // fingerprint.BatchOf call: the hash pool's shard size, enough to amortise
 // the digest set-up that dominates SHA-1 over small chunks.
 const recvBatch = 64
 
-// commitReceived parses the filled window and stores every chunk,
-// fingerprinting it on arrival (the receiver indexes partner chunks by
-// content, exactly like its own) — a batch of records at a time, every
-// byte still hashed before it reaches the store. It returns the stored
-// references for the dataset's reclamation list — including, on error,
-// the references already committed, so the caller can roll them back: a
-// malformed record fails the window only after the records before it are
-// stored.
-func commitReceived(store storage.Store, recvBuf []byte, m *metrics.Dump) ([]fingerprint.FP, error) {
-	var refs []fingerprint.FP
-	var spans [recvBatch][]byte
-	var fps [recvBatch]fingerprint.FP
-	for cur := 0; cur < len(recvBuf); {
-		var malformed error
-		n := 0
-		for ; n < recvBatch && cur < len(recvBuf); n++ {
-			if cur+4 > len(recvBuf) {
-				malformed = fmt.Errorf("window record header truncated at offset %d", cur)
-				break
-			}
-			size := int(binary.BigEndian.Uint32(recvBuf[cur:]))
-			cur += 4
-			if cur+size > len(recvBuf) {
-				malformed = fmt.Errorf("window record of %d bytes overruns window at offset %d", size, cur)
-				break
-			}
-			spans[n] = recvBuf[cur : cur+size]
-			cur += size
+// committer stores the record stream of a dump's window, frame by frame
+// as the frames land in window-offset order, and keeps every reference
+// stored so a failure rolls back exactly those (rollbackDump). Records
+// are fingerprinted on arrival (the receiver indexes partner chunks by
+// content, exactly like its own), a batch at a time, every byte hashed
+// before it reaches the store.
+type committer struct {
+	store storage.Store
+	m     *metrics.Dump
+	refs  []fingerprint.FP
+	size  int64                  // window bytes
+	next  func() ([]byte, error) // the next frame; io.EOF after the last
+	p     []byte                 // the unread rest of the current frame
+
+	n     int // queued records
+	spans [recvBatch][]byte
+	fps   [recvBatch]fingerprint.FP
+}
+
+// commit stores every record of the stream; queued records are stored
+// before it returns, whatever the error.
+func (c *committer) commit() (err error) {
+	defer func() {
+		if ferr := c.flush(); ferr != nil {
+			err = ferr
 		}
-		fingerprint.BatchOf(fps[:n], spans[:n]...)
-		for i, data := range spans[:n] {
-			if err := store.PutChunk(fps[i], data); err != nil {
-				return refs, err
-			}
-			refs = append(refs, fps[i])
-			m.RecvChunks++
-			m.RecvBytes += int64(len(data))
+	}()
+	for pos := int64(0); ; {
+		hdr, err := c.read(4)
+		if err == io.EOF && len(hdr) == 0 {
+			return nil
+		} else if err == io.EOF {
+			return fmt.Errorf("window record header truncated at offset %d", pos)
+		} else if err != nil {
+			return err
 		}
-		if malformed != nil {
-			return refs, malformed
+		size := int64(binary.BigEndian.Uint32(hdr))
+		if pos += 4; size > c.size-pos {
+			return fmt.Errorf("window record of %d bytes overruns window at offset %d", size, pos)
+		}
+		data, err := c.read(int(size))
+		if err != nil {
+			return err
+		}
+		pos += size
+		if c.spans[c.n], c.n = data, c.n+1; c.n == recvBatch {
+			if err := c.flush(); err != nil {
+				return err
+			}
 		}
 	}
-	return refs, nil
+}
+
+// read returns the next n bytes of the stream: in place when the current
+// frame holds them, else assembled from the frames they span (a record
+// cut by a frame boundary). Queued records are stored before it waits for
+// a frame, so each frame is committed as it lands.
+func (c *committer) read(n int) ([]byte, error) {
+	if n <= len(c.p) {
+		b := c.p[:n]
+		c.p = c.p[n:]
+		return b, nil
+	}
+	b := make([]byte, 0, n)
+	for {
+		k := min(n-len(b), len(c.p))
+		b, c.p = append(b, c.p[:k]...), c.p[k:]
+		if len(b) == n {
+			return b, nil
+		}
+		if err := c.flush(); err != nil {
+			return nil, err
+		}
+		var err error
+		if c.p, err = c.next(); err != nil {
+			return b, err
+		}
+	}
+}
+
+// flush fingerprints and stores the queued records.
+func (c *committer) flush() error {
+	spans := c.spans[:c.n]
+	c.n = 0
+	fingerprint.BatchOf(c.fps[:len(spans)], spans...)
+	for i, data := range spans {
+		if err := c.store.PutChunk(c.fps[i], data); err != nil {
+			return err
+		}
+		c.refs = append(c.refs, c.fps[i])
+		c.m.RecvChunks++
+		c.m.RecvBytes += int64(len(data))
+	}
+	return nil
 }
 
 // persistMeta stores this rank's RestoreMeta locally and exchanges

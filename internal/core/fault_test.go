@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dedupcr/internal/collectives"
+	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/storage"
 )
 
@@ -155,6 +156,62 @@ func TestDumpKillPerPhase(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// countingPuts counts a store's PutChunk calls.
+type countingPuts struct {
+	storage.Store
+	puts int
+}
+
+func (s *countingPuts) PutChunk(fp fingerprint.FP, data []byte) error {
+	s.puts++
+	return s.Store.PutChunk(fp, data)
+}
+
+// TestDumpKillInDrainRollsBack: a rank killed inside the drain — its own
+// chunks and its first window frame committed, its second frame awaited
+// — and every survivor roll their stores back to the pre-dump state:
+// usage, and reference counts too, since forgetting the one committed
+// checkpoint then empties every store.
+func TestDumpKillInDrainRollsBack(t *testing.T) {
+	const n, victim, slabs = 4, 2, 3
+	cluster := storage.NewCluster(n)
+	cleanDump(t, n, cluster, "ckpt-0")
+	baseBytes, baseChunks := cluster.TotalUsage()
+	plan := collectives.FaultPlan{Faults: []collectives.Fault{
+		{Kind: collectives.FaultKill, Rank: victim, Phase: "window-wait", Peer: collectives.AnyRank, After: 1},
+	}}
+	stores := make([]*countingPuts, n)
+	errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
+		// Rank-private data spanning several slabs: with K=2 each window
+		// arrives as slabs frames from one partner.
+		o := faultOpts("ckpt-1")
+		o.ChunkSize = slabChunk
+		stores[c.Rank()] = &countingPuts{Store: cluster.Node(c.Rank())}
+		_, err := DumpOutputCtx(context.Background(), collectives.InjectFaults(c, plan), stores[c.Rank()], slabStreamBuffer(c.Rank(), slabs), o)
+		return err
+	})
+	for r, err := range errs {
+		if err == nil {
+			t.Fatalf("rank %d reported success with rank %d killed in the drain", r, victim)
+		}
+	}
+	own := (len(slabStreamBuffer(victim, slabs)) + slabChunk - 1) / slabChunk
+	if stores[victim].puts <= own {
+		t.Fatalf("victim stored %d chunks before the kill, want its %d own chunks and a frame's worth", stores[victim].puts, own)
+	}
+	if b, c := cluster.TotalUsage(); b != baseBytes || c != baseChunks {
+		t.Errorf("store usage after the aborted dump: %d bytes / %d chunks, want %d / %d", b, c, baseBytes, baseChunks)
+	}
+	for r := 0; r < n; r++ {
+		if err := Forget(cluster.Node(r), "ckpt-0", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, c := cluster.TotalUsage(); b != 0 || c != 0 {
+		t.Errorf("forgetting the only committed checkpoint left %d bytes / %d chunks: the rollback leaked references", b, c)
 	}
 }
 

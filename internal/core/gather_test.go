@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -88,14 +89,7 @@ func putAndDrain(t *testing.T, plan *Plan, items [][]item, parallel bool) ([][]b
 func checkGathered(t *testing.T, k int, shuffle []int, items [][]item) []collectives.WindowStats {
 	t.Helper()
 	n := len(items)
-	sendLoad := make([][]int64, n)
-	for r := range sendLoad {
-		sendLoad[r] = sendLoads(items[r], k)
-	}
-	plan, err := NewPlan(shuffle, sendLoad, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planFor(t, k, shuffle, items)
 	want := referenceWindows(plan, items)
 	var serial []collectives.WindowStats
 	for _, parallel := range []bool{false, true} {
@@ -232,6 +226,121 @@ func TestGatheredWindowEdges(t *testing.T) {
 			}
 		}
 	})
+}
+
+// planFor plans the windows of the given per-rank items.
+func planFor(t *testing.T, k int, shuffle []int, items [][]item) *Plan {
+	t.Helper()
+	sendLoad := make([][]int64, len(items))
+	for r := range sendLoad {
+		sendLoad[r] = sendLoads(items[r], k)
+	}
+	plan, err := NewPlan(shuffle, sendLoad, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestPutHandsFramesOver is the ownership property of the put path: every
+// rank drains its window frame by frame and scribbles over each payload
+// as soon as it has checked it against the per-record layout, serial
+// puts and one goroutine per partner alike. A sender that touched a
+// frame after handing it over would race with the scribbling (reported
+// under -race) or corrupt a later frame.
+func TestPutHandsFramesOver(t *testing.T) {
+	const n, k = 4, 3
+	rng := rand.New(rand.NewSource(27))
+	items := make([][]item, n)
+	for r := range items {
+		for i := 0; i < 40; i++ {
+			items[r] = append(items[r], randomItem(rng, rng.Intn(200<<10), k))
+		}
+	}
+	plan := planFor(t, k, rng.Perm(n), items)
+	want := referenceWindows(plan, items)
+	for _, put := range []func(*collectives.Window, *Plan, []item, []int64, Options, int, *metrics.Dump, *atomic.Int64) error{putSerial, putParallel} {
+		err := collectives.Run(n, func(c collectives.Comm) error {
+			me := c.Rank()
+			win := collectives.OpenWindow(c, plan.WindowSize(me), c.NextSeq())
+			var retries atomic.Int64
+			if err := put(win, plan, items[me], plan.Offsets(me), Options{K: k, Parallelism: k}, me, &metrics.Dump{}, &retries); err != nil {
+				return err
+			}
+			off := 0
+			for {
+				p, err := win.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(p, want[me][off:off+len(p)]) {
+					return fmt.Errorf("rank %d: frame at window offset %d differs from the per-record layout", me, off)
+				}
+				off += len(p)
+				for i := range p {
+					p[i] = 0xff
+				}
+			}
+			return collectives.Barrier(c)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDrainCommitsCutRecords: a hand-built sender cuts its record stream
+// — a lone record above collectives.MaxPutBytes among small ones — inside
+// headers, inside payloads and on record boundaries, and puts the pieces
+// last first. The owner commits its window frame by frame as it drains,
+// exactly as commitReceived commits the whole stream at once.
+func TestDrainCommitsCutRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var stream []byte
+	for _, size := range []int{10, 0, collectives.MaxPutBytes + 100, 3, 70 << 10, 1} {
+		data := make([]byte, size)
+		rng.Read(data)
+		stream = append(stream, encodeRecord(data)...)
+	}
+	big := 4 + 10 + 4 // where the big record starts
+	cuts := []int{2, 4 + 10 + 1, big + 2, big + 1000, big + 4 + collectives.MaxPutBytes + 100, len(stream) - 3}
+	want := commitWith(commitReceived, stream)
+	got := commitRun{store: storage.NewMem()}
+	err := collectives.Run(2, func(c collectives.Comm) error {
+		size := int64(len(stream))
+		if c.Rank() == 1 {
+			size = 0
+		}
+		win := collectives.OpenWindow(c, size, c.NextSeq())
+		if c.Rank() == 1 {
+			end := len(stream)
+			for i := len(cuts) - 1; i >= -1; i-- {
+				start := 0
+				if i >= 0 {
+					start = cuts[i]
+				}
+				if err := win.Put(0, int64(start), stream[start:end]); err != nil {
+					return err
+				}
+				end = start
+			}
+			return nil
+		}
+		cm := committer{store: got.store, m: &got.m, size: size, next: win.Next}
+		got.err = cm.commit()
+		got.refs = cm.refs
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.err != nil || len(want.refs) != 6 {
+		t.Fatalf("reference commit: %d records, %v", len(want.refs), want.err)
+	}
+	checkCommitted(t, "cut stream", got, want)
 }
 
 // TestOversizeChunkDumpRestore dumps 2 MiB chunks — every record larger

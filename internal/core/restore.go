@@ -167,11 +167,14 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 			return nil, err
 		}
 	}
-	// Re-persist the metadata locally so future restores are local again.
-	if blob, merr := meta.MarshalBinary(); merr == nil {
-		if err := timed.PutBlob(metaName(name, me), blob); err != nil && !errors.Is(err, storage.ErrFailed) {
-			srv.Stop()
-			return nil, err
+	// Re-persist fetched metadata locally so future restores are local
+	// again; metadata read locally is already there.
+	if metaFetched {
+		if blob, merr := meta.MarshalBinary(); merr == nil {
+			if err := timed.PutBlob(metaName(name, me), blob); err != nil && !errors.Is(err, storage.ErrFailed) {
+				srv.Stop()
+				return nil, err
+			}
 		}
 	}
 	// Best-effort durability for the re-provisioned chunks and metadata

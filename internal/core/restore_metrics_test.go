@@ -173,3 +173,47 @@ func TestRestoreMetricsAfterNodeFailure(t *testing.T) {
 		}
 	}
 }
+
+// blobWrites counts a store's PutBlob calls per blob name.
+type blobWrites struct {
+	storage.Store
+	writes map[string]int
+}
+
+func (s *blobWrites) PutBlob(name string, data []byte) error {
+	s.writes[name]++
+	return s.Store.PutBlob(name, data)
+}
+
+// TestRestoreRewritesOnlyFetchedMeta: a restore that reads its metadata
+// locally writes no metadata blob; a rank whose store was wiped fetches
+// its metadata from a neighbour and persists it once.
+func TestRestoreRewritesOnlyFetchedMeta(t *testing.T) {
+	const n, wiped = 4, 1
+	cluster, _, buffers := runDump(t, n, Options{K: 2, Approach: CollDedup, ChunkSize: testPage, Name: "ck"})
+	cluster.FailNodes(wiped)
+	cluster.Replace(wiped)
+	stores := make([]*blobWrites, n)
+	for r := range stores {
+		stores[r] = &blobWrites{Store: cluster.Node(r), writes: map[string]int{}}
+	}
+	err := collectives.Run(n, func(c collectives.Comm) error {
+		got, err := Restore(c, stores[c.Rank()], "ck")
+		if err == nil && !bytes.Equal(got, buffers[c.Rank()]) {
+			err = fmt.Errorf("rank %d restored wrong content", c.Rank())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, s := range stores {
+		want := 0
+		if r == wiped {
+			want = 1
+		}
+		if got := s.writes[metaName("ck", r)]; got != want {
+			t.Errorf("rank %d wrote its restore metadata %d times, want %d", r, got, want)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package fetch
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
@@ -117,12 +118,13 @@ func (s *Server) loop(store storage.Store) {
 	}
 }
 
-// reply sends one reply frame; a requester outside the group gets none.
+// reply hands one freshly built reply frame over to the transport; a
+// requester outside the group gets none.
 func (s *Server) reply(requester int, frame []byte) error {
 	if requester < 0 || requester >= s.comm.Size() {
 		return nil
 	}
-	return s.comm.Send(requester, s.class.replyTag(requester), frame)
+	return collectives.Handover(s.comm, requester, s.class.replyTag(requester), frame, time.Time{})
 }
 
 // call performs one synchronous request to peer.

@@ -44,15 +44,19 @@ type Phases struct {
 	// offset planning; for the no-dedup and local-dedup baselines it also
 	// absorbs chunk classification (plain partner assignment).
 	Planning time.Duration
-	// WindowOpen is the receive-window allocation.
+	// WindowOpen is setting up the receive window (nothing is allocated:
+	// the bytes arrive in the senders' frames).
 	WindowOpen time.Duration
 	// Put is the cumulative time spent pushing chunks into partner
 	// windows.
 	Put time.Duration
-	// WindowWait is the drain of the own window until full.
+	// WindowWait is the time the drain of the own window spent blocked
+	// on the next frame in offset order. The drain interleaves with
+	// Commit, frame by frame; each moment of it accrues to exactly one of
+	// the two, so Sum still accounts for Total.
 	WindowWait time.Duration
-	// Commit covers local chunk stores, received-chunk commits, the GC
-	// list and restore-metadata persistence.
+	// Commit covers local chunk stores, each received frame's commit as
+	// it lands, the GC list and restore-metadata persistence.
 	Commit time.Duration
 	// Barrier is the final completion barrier.
 	Barrier time.Duration

@@ -531,7 +531,7 @@ func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	}
 	loc, ok := s.index[fp]
 	if !ok {
-		return nil, fmt.Errorf("chunk %s: %w", fp.Short(), ErrNotFound)
+		return nil, chunkNotFound(fp)
 	}
 	e, f := s.entryAtLocked(loc)
 	buf := make([]byte, e.Length)

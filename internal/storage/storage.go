@@ -25,6 +25,17 @@ var ErrFailed = errors.New("storage: node failed")
 // ErrNotFound is returned when a chunk or recipe is absent.
 var ErrNotFound = errors.New("storage: not found")
 
+// chunkNotFound is GetChunk's miss: it matches ErrNotFound and prints as
+// "chunk <fp>: storage: not found", but builds that text only when it is
+// printed — a wiped rank misses at every position of its recipe.
+type chunkNotFound fingerprint.FP
+
+func (e chunkNotFound) Error() string {
+	return "chunk " + fingerprint.FP(e).Short() + ": " + ErrNotFound.Error()
+}
+
+func (e chunkNotFound) Unwrap() error { return ErrNotFound }
+
 // Store is a node-local chunk store.
 type Store interface {
 	// PutChunk stores data under fp, incrementing its reference count if
@@ -123,7 +134,7 @@ func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	}
 	c, ok := s.chunks[fp]
 	if !ok {
-		return nil, fmt.Errorf("chunk %s: %w", fp.Short(), ErrNotFound)
+		return nil, chunkNotFound(fp)
 	}
 	return c.data, nil
 }

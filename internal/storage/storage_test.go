@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -41,6 +42,24 @@ func TestPutGetChunk(t *testing.T) {
 			}
 			if _, err := s.GetChunk(fingerprint.Of([]byte("absent"))); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing chunk error = %v, want ErrNotFound", err)
+			}
+		})
+	}
+}
+
+// TestChunkMissError pins what a GetChunk miss looks like on every
+// engine: it matches ErrNotFound and prints "chunk <fp>: storage: not
+// found", the text the eagerly formatted error had.
+func TestChunkMissError(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			fp := fingerprint.Of([]byte("absent"))
+			_, err := s.GetChunk(fp)
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("miss = %v, want ErrNotFound", err)
+			}
+			if want := fmt.Sprintf("chunk %s: %v", fp.Short(), ErrNotFound); err.Error() != want {
+				t.Fatalf("miss prints %q, want %q", err, want)
 			}
 		})
 	}
