@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/metrics"
+	"dedupcr/internal/storage"
 	"dedupcr/internal/telemetry"
 )
 
@@ -257,5 +259,35 @@ func TestReadHosts(t *testing.T) {
 	}
 	if _, err := readHosts(path); err == nil {
 		t.Fatal("empty host list accepted")
+	}
+}
+
+// TestStoreStatsExposition: the store latency families replicad prints
+// pass the exposition check, and the read family counts every chunk and
+// blob read once.
+func TestStoreStatsExposition(t *testing.T) {
+	ts := storage.NewTimed(storage.NewMem())
+	fp := fingerprint.Of([]byte("chunk"))
+	if err := ts.PutChunk(fp, []byte("chunk")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.PutBlob("meta", []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	ts.GetChunk(fp)
+	ts.HasChunk(fp)
+	ts.GetBlob("meta")
+	var buf bytes.Buffer
+	writeStoreStats(&buf, 1, ts)
+	if err := metrics.CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("store stats exposition: %v\n%s", err, buf.String())
+	}
+	for _, want := range []string{
+		`dedupcr_store_read_latency_seconds_count{rank="1"} 3`,
+		`dedupcr_store_write_latency_seconds_count{rank="1"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("store stats lack %q:\n%s", want, buf.String())
+		}
 	}
 }

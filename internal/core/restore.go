@@ -123,7 +123,6 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 		localBlobReads++
 	}
 	m.TotalChunks = meta.Recipe.Len()
-	m.UniqueChunks = len(meta.Recipe.Unique())
 
 	collectives.NotePhase(c, "assemble")
 	assembleSpan := rec.Begin("assemble")
@@ -147,7 +146,10 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 	}
 	a.noteRuns()
 	buf, cached := a.buf, a.cached
+	// Every position not fetched was local: read, or copied from the
+	// first position of its fingerprint.
 	m.LogicalBytes = int64(len(buf))
+	m.LocalChunks, m.LocalBytes = m.TotalChunks-m.FetchedChunks, m.LogicalBytes-m.FetchedBytes
 
 	collectives.NotePhase(c, "restore-commit")
 	commitSpan := rec.Begin("commit")
@@ -223,8 +225,8 @@ func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Ti
 	m.PeerFetchBytes = fs.PeerBytes()
 	m.SourceRanks = fs.SourceRanks()
 	m.FetchLatency = fs.Latency()
-	if timed.ReadLatency().Count() > 0 {
-		m.StoreReadLatency = timed.ReadLatency()
+	if reads := timed.ReadLatency(); reads.Count() > 0 {
+		m.StoreReadLatency = reads
 	}
 }
 
@@ -280,30 +282,49 @@ type assembly struct {
 	// source records, per recipe position, who served it: 0 is the local
 	// store, p+1 is peer p.
 	source []int32
-	holes  map[fingerprint.FP]*hole
-	peers  []peerQueue
+	// seen is the walk's one fingerprint-keyed table: every distinct
+	// fingerprint of the recipe, placed or a hole.
+	seen  map[fingerprint.FP]span
+	holes []hole
+	// repeats are the later positions of holes, copied from the first
+	// once every hole is filled.
+	repeats []repeat
+	peers   []peerQueue
 	// cached lists the fetched (hence re-provisioned) fingerprints.
 	cached []fingerprint.FP
 	// refilled counts fetched fingerprints that filled more than one hole.
 	refilled int
 }
 
-// hole is a fingerprint the local store could not serve: the recipe
-// positions waiting for it and how far down its candidate list the
-// asking has got.
+// span is an entry of the walk's table: the image offset and length of a
+// fingerprint's first position and, if the store could not serve it, the
+// index of its hole (else -1). It holds no pointer, so the table costs
+// the garbage collector nothing.
+type span struct {
+	off        int64
+	size, hole int32
+}
+
+// repeat copies size bytes at src to dst in the image.
+type repeat struct{ dst, src, size int64 }
+
+// hole is a fingerprint the local store could not serve: where its first
+// position is, whether later positions repeat it, and how far down its
+// candidate list the asking has got.
 type hole struct {
 	fp    fingerprint.FP
 	size  int32
-	first int     // recipe index of the first position
-	at    []int64 // image offset of every position
+	first int   // recipe index of the first position
+	off   int64 // image offset of the first position
+	later bool  // the recipe repeats it
 	hints []int32
 	asked int // candidates consumed: hints first, then the sweep
 }
 
-// peerQueue is what is still to be asked of one peer, in filing order,
-// and how many requests to it await their reply.
+// peerQueue is what is still to be asked of one peer — hole indices, in
+// filing order — and how many requests to it await their reply.
 type peerQueue struct {
-	queue    []*hole
+	queue    []int32
 	inflight int
 }
 
@@ -331,11 +352,12 @@ func (h *hole) nextPeer(me, n int) (int, bool) {
 	return 0, false
 }
 
-// walk reads every recipe position the local store serves — checking its
-// length and SHA-1 against the recipe, once per position — straight into
-// place, and files every position it cannot serve (not found, read
-// error, failed store) under its fingerprint, queued at the first peer
-// to ask.
+// walk reads each distinct fingerprint the local store serves once —
+// checking its length and SHA-1 against the recipe — straight into place,
+// and copies the verified bytes of that first position into every later
+// one. A fingerprint the store cannot serve (not found, read error,
+// failed store) becomes a hole, queued at the first peer to ask; its
+// later positions wait in repeats until the hole is filled.
 func (a *assembly) walk() error {
 	r := a.meta.Recipe
 	total := r.TotalBytes()
@@ -344,7 +366,7 @@ func (a *assembly) walk() error {
 	}
 	a.buf = make([]byte, total)
 	a.source = make([]int32, r.Len())
-	a.holes = make(map[fingerprint.FP]*hole)
+	a.seen = make(map[fingerprint.FP]span, r.Len())
 	a.peers = make([]peerQueue, a.comm.Size())
 	var off int64
 	for i, fp := range r.FPs {
@@ -352,89 +374,102 @@ func (a *assembly) walk() error {
 		if size < 0 || off+size > total {
 			return fmt.Errorf("chunk %d (%s): recipe size %d", i, fp.Short(), size)
 		}
-		data, err := a.store.GetChunk(fp)
-		if err != nil {
-			h := a.holes[fp]
-			if h == nil {
-				h = &hole{fp: fp, size: r.Sizes[i], first: i, hints: a.meta.Hints[fp]}
-				a.holes[fp] = h
-				if err := a.enqueue(h); err != nil {
+		sp, seen := a.seen[fp]
+		switch {
+		case seen && sp.hole < 0 && sp.size != r.Sizes[i]:
+			return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), sp.size, size)
+		case seen && sp.size != r.Sizes[i]:
+			return fmt.Errorf("chunk %d (%s): recipe says %d bytes here and %d earlier", i, fp.Short(), size, sp.size)
+		case seen && sp.hole < 0:
+			copy(a.buf[off:off+size], a.buf[sp.off:])
+		case seen:
+			a.holes[sp.hole].later = true
+			a.repeats = append(a.repeats, repeat{dst: off, src: sp.off, size: size})
+		default:
+			sp = span{off: off, size: r.Sizes[i], hole: -1}
+			data, err := a.store.GetChunk(fp)
+			switch {
+			case err != nil:
+				sp.hole = int32(len(a.holes))
+				a.holes = append(a.holes, hole{fp: fp, size: r.Sizes[i], first: i, off: off, hints: a.meta.Hints[fp]})
+				if err := a.enqueue(sp.hole); err != nil {
 					return err
 				}
+			case int64(len(data)) != size:
+				return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), len(data), size)
+			case fingerprint.Of(data) != fp:
+				return fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
+			default:
+				copy(a.buf[off:], data)
 			}
-			if h.size != r.Sizes[i] {
-				return fmt.Errorf("chunk %d (%s): recipe says %d bytes here and %d earlier", i, fp.Short(), size, h.size)
-			}
-			h.at = append(h.at, off)
-			off += size
-			continue
+			a.seen[fp] = sp
 		}
-		if int64(len(data)) != size {
-			return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), len(data), size)
-		}
-		if fingerprint.Of(data) != fp {
-			return fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
-		}
-		copy(a.buf[off:], data)
-		a.m.LocalChunks++
-		a.m.LocalBytes += size
 		off += size
 	}
+	a.m.UniqueChunks = len(a.seen)
 	return nil
 }
 
-// enqueue files h with the next peer on its candidate list; a
+// enqueue files hole hi with the next peer on its candidate list; a
 // fingerprint nobody is left to ask for is lost.
-func (a *assembly) enqueue(h *hole) error {
+func (a *assembly) enqueue(hi int32) error {
+	h := &a.holes[hi]
 	peer, ok := h.nextPeer(a.comm.Rank(), a.comm.Size())
 	if !ok {
 		return fmt.Errorf("chunk %s lost on all surviving nodes", h.fp.Short())
 	}
-	a.peers[peer].queue = append(a.peers[peer].queue, h)
+	a.peers[peer].queue = append(a.peers[peer].queue, hi)
 	return nil
 }
 
-// cut takes the next request off the front of q: as many fingerprints as
-// keep the expected reply within collectives.MaxPutBytes, at least one (a
-// chunk above the cap travels alone).
-func (q *peerQueue) cut() []fingerprint.FP {
+// cut takes the next request off the front of q: as many holes as keep
+// the expected reply within collectives.MaxPutBytes, at least one (a
+// chunk above the cap travels alone). It returns the holes' fingerprints
+// and the holes themselves, in the same order.
+func (q *peerQueue) cut(holes []hole) ([]fingerprint.FP, []int32) {
 	n, payload := 0, int64(0)
 	for n < len(q.queue) {
-		next := payload + int64(q.queue[n].size)
+		next := payload + int64(holes[q.queue[n]].size)
 		if n > 0 && fetch.ReplyBytes(n+1, next) > collectives.MaxPutBytes {
 			break
 		}
 		n, payload = n+1, next
 	}
+	cut := q.queue[:n:n]
 	fps := make([]fingerprint.FP, n)
-	for i, h := range q.queue[:n] {
-		fps[i] = h.fp
+	for i, hi := range cut {
+		fps[i] = holes[hi].fp
 	}
 	q.queue = q.queue[n:]
-	return fps
+	return fps, cut
 }
 
 // fetchHoles fills the holes: it keeps every peer with queued
 // fingerprints topped up to fetchDepth requests and consumes replies in
-// whatever order they arrive. A record is accepted when its length
-// matches the recipe and its SHA-1 the fingerprint; only then is it
-// stored (re-provisioning this node) and copied into every hole of that
-// fingerprint. Anything else — not found, wrong length, corrupt — is a
-// miss, and the fingerprint moves on to its next candidate's queue.
+// whatever order they arrive, record i of a reply answering hole i of the
+// request with the reply's exchange id. A record is accepted when its
+// length matches the recipe and its SHA-1 the fingerprint; only then is
+// it stored (re-provisioning this node) and placed. Anything else — not
+// found, wrong length, corrupt — is a miss, and the hole moves on to its
+// next candidate's queue. Once every hole is filled, the repeated
+// positions are copied from the first.
 func (a *assembly) fetchHoles() error {
 	pipe := fetch.NewPipeline(a.comm, fetchClass)
+	var asked [][]int32 // the holes of every request, by exchange id
 	for {
 		for p := range a.peers {
 			q := &a.peers[p]
 			for q.inflight < fetchDepth && len(q.queue) > 0 {
-				if err := pipe.Ask(p, q.cut()); err != nil {
+				fps, cut := q.cut(a.holes)
+				if err := pipe.Ask(p, fps); err != nil {
 					return err
 				}
+				asked = append(asked, cut)
 				q.inflight++
 			}
 		}
 		if pipe.Outstanding() == 0 {
-			return nil
+			break
 		}
 		ex, err := pipe.Next()
 		if err != nil {
@@ -442,10 +477,10 @@ func (a *assembly) fetchHoles() error {
 		}
 		a.peers[ex.Peer].inflight--
 		served, servedBytes := 0, int64(0)
-		for i, fp := range ex.FPs {
-			h, r := a.holes[fp], ex.Records[i]
-			if !r.Found || len(r.Data) != int(h.size) || fingerprint.Of(r.Data) != fp {
-				if err := a.enqueue(h); err != nil {
+		for i, hi := range asked[ex.ID] {
+			h, r := &a.holes[hi], ex.Records[i]
+			if !r.Found || len(r.Data) != int(h.size) || fingerprint.Of(r.Data) != h.fp {
+				if err := a.enqueue(hi); err != nil {
 					return err
 				}
 				continue
@@ -458,36 +493,35 @@ func (a *assembly) fetchHoles() error {
 		}
 		a.fs.Exchange(ex.Peer, len(ex.FPs), served, servedBytes, ex.Elapsed)
 	}
+	for _, rp := range a.repeats {
+		copy(a.buf[rp.dst:rp.dst+rp.size], a.buf[rp.src:])
+	}
+	return nil
 }
 
 // accept places verified bytes: into the local store (ErrFailed is
-// tolerated — a failed store just stays un-provisioned) and into every
-// hole of the fingerprint. The first hole counts as fetched from peer;
-// the others as local, which is where a position-by-position walk would
-// have found the re-provisioned copy.
+// tolerated — a failed store just stays un-provisioned) and at the hole's
+// first position, which counts as fetched from peer. Later positions
+// count as local, which is where a position-by-position walk would have
+// found the re-provisioned copy.
 func (a *assembly) accept(h *hole, peer int, data []byte) error {
 	if err := a.store.PutChunk(h.fp, data); err != nil && !errors.Is(err, storage.ErrFailed) {
 		return err
 	}
 	a.cached = append(a.cached, h.fp)
-	for _, off := range h.at {
-		copy(a.buf[off:], data)
-	}
+	copy(a.buf[h.off:], data)
 	a.source[h.first] = int32(peer) + 1
 	a.m.FetchedChunks++
 	a.m.FetchedBytes += int64(h.size)
-	if again := len(h.at) - 1; again > 0 {
+	if h.later {
 		a.refilled++
-		a.m.LocalChunks += again
-		a.m.LocalBytes += int64(again) * int64(h.size)
 	}
 	return nil
 }
 
 // localObjects is the number of distinct fingerprints served by the local
 // store: those that never were a hole, plus the fetched ones whose later
-// positions count as local reads. (A store that fails mid-walk may have
-// served a fingerprint before it became a hole; that one is not counted.)
+// positions count as local reads.
 func (a *assembly) localObjects() int {
 	return a.m.UniqueChunks - len(a.holes) + a.refilled
 }

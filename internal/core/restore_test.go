@@ -107,16 +107,21 @@ func TestRequestCut(t *testing.T) {
 		{"exactly the cap", []int32{collectives.MaxPutBytes - 10}, []int{1}},
 	} {
 		var q peerQueue
+		var holes []hole
 		for i, size := range tc.sizes {
-			q.queue = append(q.queue, &hole{fp: fingerprint.Of([]byte{byte(i)}), size: size})
+			holes = append(holes, hole{fp: fingerprint.Of([]byte{byte(i)}), size: size})
+			q.queue = append(q.queue, int32(i))
 		}
 		var got []int
 		at := 0
 		for len(q.queue) > 0 {
-			fps := q.cut()
+			fps, cut := q.cut(holes)
+			if len(cut) != len(fps) {
+				t.Fatalf("%s: request %d names %d fingerprints but hands back %d holes", tc.name, len(got), len(fps), len(cut))
+			}
 			payload := int64(0)
 			for i, fp := range fps {
-				if fp != fingerprint.Of([]byte{byte(at + i)}) {
+				if fp != fingerprint.Of([]byte{byte(at + i)}) || cut[i] != int32(at+i) {
 					t.Fatalf("%s: request %d is out of queue order", tc.name, len(got))
 				}
 				payload += int64(tc.sizes[at+i])

@@ -1,0 +1,360 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dedupcr/internal/chunk"
+	"dedupcr/internal/collectives"
+	"dedupcr/internal/fetch"
+	"dedupcr/internal/fingerprint"
+	"dedupcr/internal/metrics"
+	"dedupcr/internal/storage"
+)
+
+// countingStore counts GetChunk calls per fingerprint.
+type countingStore struct {
+	storage.Store
+	mu    sync.Mutex
+	reads map[fingerprint.FP]int
+}
+
+func newCountingStore(s storage.Store) *countingStore {
+	return &countingStore{Store: s, reads: make(map[fingerprint.FP]int)}
+}
+
+func (s *countingStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+	s.mu.Lock()
+	s.reads[fp]++
+	s.mu.Unlock()
+	return s.Store.GetChunk(fp)
+}
+
+// readTwice lists the fingerprints read more than once.
+func (s *countingStore) readTwice() []fingerprint.FP {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []fingerprint.FP
+	for fp, n := range s.reads {
+		if n > 1 {
+			out = append(out, fp)
+		}
+	}
+	return out
+}
+
+// randomImage draws a recipe over a small pool of chunks, so positions
+// repeat, and returns the meta, the image it describes and the pool. A
+// few chunks are short, and some fingerprints carry hints.
+func randomImage(rng *rand.Rand, n int) (*RestoreMeta, []byte, [][]byte) {
+	pool := make([][]byte, 1+rng.Intn(12))
+	for i := range pool {
+		pool[i] = page(fmt.Sprintf("walk-%d-%d", rng.Int63(), i))
+		if rng.Intn(4) == 0 {
+			pool[i] = pool[i][:rng.Intn(testPage)]
+		}
+	}
+	meta := &RestoreMeta{Hints: make(map[fingerprint.FP][]int32)}
+	var image []byte
+	for i, positions := 0, rng.Intn(40); i < positions; i++ {
+		data := pool[rng.Intn(len(pool))]
+		meta.Recipe.FPs = append(meta.Recipe.FPs, fingerprint.Of(data))
+		meta.Recipe.Sizes = append(meta.Recipe.Sizes, int32(len(data)))
+		image = append(image, data...)
+	}
+	for _, data := range pool {
+		if rng.Intn(2) == 0 {
+			meta.Hints[fingerprint.Of(data)] = []int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+		}
+	}
+	return meta, image, pool
+}
+
+// walkWith runs the local walk alone, as rank comm.Rank() of comm's group.
+func walkWith(comm collectives.Comm, store storage.Store, meta *RestoreMeta) (*assembly, error) {
+	a := &assembly{comm: comm, store: store, meta: meta, m: &metrics.Restore{RunLengths: metrics.NewHistogram()}}
+	return a, a.walk()
+}
+
+// TestWalkReadsEachDistinctOnce: over random recipes full of repeats, the
+// walk reads (and so hashes) each distinct fingerprint from the store
+// exactly once, whether the store serves everything, nothing, or dies
+// after its first read, and UniqueChunks always equals the number of
+// distinct fingerprints in the recipe. A full store places the whole
+// image; otherwise every fingerprint the store did not serve is one hole,
+// queued once, with its later positions waiting as repeats.
+func TestWalkReadsEachDistinctOnce(t *testing.T) {
+	const n = 4
+	comm := startComms(t, "inproc", n)[1]
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 300; trial++ {
+		meta, image, pool := randomImage(rng, n)
+		unique := meta.Recipe.Unique()
+		for _, state := range []string{"full", "wiped", "fails mid-walk"} {
+			mem := storage.NewMem()
+			if state != "wiped" {
+				for _, data := range pool {
+					if err := mem.PutChunk(fingerprint.Of(data), data); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			counted := newCountingStore(mem)
+			var store storage.Store = counted
+			if state == "fails mid-walk" {
+				store = &failingStore{Store: counted}
+			}
+			a, err := walkWith(comm, store, meta)
+			if err != nil {
+				t.Fatalf("trial %d, %s store: %v", trial, state, err)
+			}
+			if twice := counted.readTwice(); len(twice) > 0 {
+				t.Fatalf("trial %d, %s store: %d fingerprints read more than once", trial, state, len(twice))
+			}
+			if len(counted.reads) != len(unique) {
+				t.Fatalf("trial %d, %s store: %d fingerprints read, recipe has %d", trial, state, len(counted.reads), len(unique))
+			}
+			if a.m.UniqueChunks != len(unique) {
+				t.Fatalf("trial %d, %s store: UniqueChunks %d, recipe has %d distinct", trial, state, a.m.UniqueChunks, len(unique))
+			}
+			queued := 0
+			for _, q := range a.peers {
+				queued += len(q.queue)
+			}
+			wantHoles := map[string]int{"full": 0, "wiped": len(unique), "fails mid-walk": max(0, len(unique)-1)}[state]
+			if len(a.holes) != wantHoles || queued != wantHoles {
+				t.Fatalf("trial %d, %s store: %d holes, %d queued; want %d", trial, state, len(a.holes), queued, wantHoles)
+			}
+			// Every later position of a hole waits as a repeat, and a hole
+			// knows whether it has any.
+			positions := make(map[fingerprint.FP]int)
+			for _, fp := range meta.Recipe.FPs {
+				positions[fp]++
+			}
+			later := 0
+			for _, h := range a.holes {
+				later += positions[h.fp] - 1
+				if h.later != (positions[h.fp] > 1) {
+					t.Fatalf("trial %d, %s store: hole %s marked later=%v at %d positions", trial, state, h.fp.Short(), h.later, positions[h.fp])
+				}
+			}
+			if len(a.repeats) != later {
+				t.Fatalf("trial %d, %s store: %d repeats for %d later positions of holes", trial, state, len(a.repeats), later)
+			}
+			if state == "full" && !bytes.Equal(a.buf, image) {
+				t.Fatalf("trial %d: full store walk placed the wrong image", trial)
+			}
+		}
+	}
+}
+
+// TestWalkChecksEveryPosition: reading a fingerprint once does not mean
+// checking it once. A repeat whose recipe size differs from the first
+// position's fails with the same text a re-read would have produced; a
+// repeated hole of a different size fails as before; a chunk whose bytes
+// do not hash to its fingerprint fails the walk at its first position.
+func TestWalkChecksEveryPosition(t *testing.T) {
+	comm := startComms(t, "inproc", 3)[0]
+	a, b := page("check-a"), page("check-b")
+	fa, fb := fingerprint.Of(a), fingerprint.Of(b)
+	meta := &RestoreMeta{Recipe: chunk.Recipe{
+		FPs:   []fingerprint.FP{fa, fb, fa},
+		Sizes: []int32{int32(len(a)), int32(len(b)), int32(len(a)) - 1},
+	}}
+	full := storage.NewMem()
+	for _, data := range [][]byte{a, b} {
+		if err := full.PutChunk(fingerprint.Of(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		store storage.Store
+		want  string
+	}{
+		{"placed repeat, other size", full,
+			fmt.Sprintf("chunk 2 (%s): got %d bytes, recipe says %d", fa.Short(), len(a), len(a)-1)},
+		{"hole repeat, other size", storage.NewMem(),
+			fmt.Sprintf("chunk 2 (%s): recipe says %d bytes here and %d earlier", fa.Short(), len(a)-1, len(a))},
+		{"corrupt chunk", corruptStore{full, fb},
+			fmt.Sprintf("chunk 1: content does not match fingerprint %s", fb.Short())},
+	} {
+		if _, err := walkWith(comm, tc.store, meta); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: walk error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRestoreReadsEachLocalChunkOnce: a whole restore of one rank reads
+// its local store once per distinct fingerprint of its recipe — the
+// chunks it holds and the ones it then fetches — and a local chunk whose
+// bytes are corrupt fails the restore on every rank before any image is
+// returned.
+func TestRestoreReadsEachLocalChunkOnce(t *testing.T) {
+	const n, k, r = 6, 3, 2
+	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	cluster, _, buffers := runDump(t, n, o)
+	stores := clusterStores(cluster)
+	counted := newCountingStore(stores[r])
+	stores[r] = counted
+	res := restoreAlone(t, stores, r, "ck")
+	if !bytes.Equal(res.Data, buffers[r]) {
+		t.Fatal("restored bytes differ")
+	}
+	if twice := counted.readTwice(); len(twice) > 0 {
+		t.Fatalf("%d fingerprints read from the local store more than once", len(twice))
+	}
+	if m := res.Metrics; len(counted.reads) != m.UniqueChunks || m.TotalChunks <= m.UniqueChunks || m.FetchedChunks == 0 {
+		t.Fatalf("%d local reads for %d distinct of %d positions (%d fetched); want one read per distinct, and repeats and fetches in the recipe",
+			len(counted.reads), m.UniqueChunks, m.TotalChunks, m.FetchedChunks)
+	}
+
+	// A local chunk served corrupt: rank r's own unique page, not asked
+	// of it by anyone else.
+	bad := fingerprint.Of(page(fmt.Sprintf("uniq-%d-0", r)))
+	if has, _ := counted.Store.HasChunk(bad); !has {
+		t.Fatal("test premise: rank r does not hold its own unique page")
+	}
+	stores[r] = corruptStore{counted.Store, bad}
+	results := make([]*RestoreResult, n)
+	errs := runRanks(t, n, 30*time.Second, func(c collectives.Comm) error {
+		var err error
+		results[c.Rank()], err = RestoreOutputCtx(context.Background(), c, stores[c.Rank()], "ck", nil)
+		return err
+	})
+	for rank, err := range errs {
+		var ce *collectives.CollectiveError
+		if !errors.As(err, &ce) || results[rank] != nil {
+			t.Errorf("rank %d: %v (image returned: %v), want a *CollectiveError and no image", rank, err, results[rank] != nil)
+		}
+	}
+	if errs[r] == nil || !strings.Contains(errs[r].Error(), "content does not match fingerprint "+bad.Short()) {
+		t.Errorf("rank %d: %v, want the walk's fingerprint mismatch", r, errs[r])
+	}
+}
+
+// slowStore sleeps before every chunk read.
+type slowStore struct {
+	storage.Store
+	delay time.Duration
+}
+
+func (s slowStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+	time.Sleep(s.delay)
+	return s.Store.GetChunk(fp)
+}
+
+// orderComm records, off the fetch protocol on the wire (see depthComm),
+// the exchange ids this rank asked in order and the ids of the replies in
+// the order they arrived.
+type orderComm struct {
+	collectives.Comm
+	mu            sync.Mutex
+	asked, landed []uint32
+	peerOf        map[uint32]int
+}
+
+func (o *orderComm) Send(to int, tag collectives.Tag, data []byte) error {
+	if tag == collectives.WildcardTag(0) && len(data) >= 9 && data[0] == 3 {
+		o.mu.Lock()
+		id := binary.BigEndian.Uint32(data[5:])
+		o.asked = append(o.asked, id)
+		o.peerOf[id] = to
+		o.mu.Unlock()
+	}
+	return o.Comm.Send(to, tag, data)
+}
+
+func (o *orderComm) Recv(from int, tag collectives.Tag) ([]byte, error) {
+	data, err := o.Comm.Recv(from, tag)
+	if err == nil && tag == collectives.WildcardTag(1+uint32(o.Rank())) && len(data) >= 5 && data[0] == 2 {
+		o.mu.Lock()
+		o.landed = append(o.landed, binary.BigEndian.Uint32(data[1:]))
+		o.mu.Unlock()
+	}
+	return data, err
+}
+
+// TestRepliesFillTheirOwnHoles: rank 0 has nothing and pulls its image
+// from two peers, each holding half of it, several requests' worth each.
+// The first peer asked is slow, so replies land out of the order they
+// were asked in, interleaved across peers. Each reply still fills exactly
+// the holes of its own request: no record is rejected, every chunk is
+// asked once, and the image is byte-identical — in-proc and over TCP.
+func TestRepliesFillTheirOwnHoles(t *testing.T) {
+	const n, chunkSize, perPeer = 3, 64 << 10, 40 // ~2.5 MiB per peer: three requests each
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			stores := []storage.Store{storage.NewMem(), storage.NewMem(), storage.NewMem()}
+			meta := &RestoreMeta{Rank: 0, K: 2, Hints: make(map[fingerprint.FP][]int32)}
+			rng := rand.New(rand.NewSource(4))
+			content := make(map[fingerprint.FP][]byte)
+			var order []fingerprint.FP
+			for i := 0; i < 2*perPeer; i++ {
+				data := make([]byte, chunkSize)
+				rng.Read(data)
+				fp := fingerprint.Of(data)
+				holder := 1 + i%2
+				if err := stores[holder].PutChunk(fp, data); err != nil {
+					t.Fatal(err)
+				}
+				meta.Hints[fp] = []int32{int32(holder)}
+				content[fp] = data
+				order = append(order, fp)
+			}
+			// Every chunk twice: once in order, once in reverse.
+			meta.Recipe.FPs = append(slices.Clone(order), order...)
+			slices.Reverse(meta.Recipe.FPs[len(order):])
+			var image []byte
+			for _, fp := range meta.Recipe.FPs {
+				meta.Recipe.Sizes = append(meta.Recipe.Sizes, chunkSize)
+				image = append(image, content[fp]...)
+			}
+			blob, err := meta.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stores[0].PutBlob(metaName("img", 0), blob); err != nil {
+				t.Fatal(err)
+			}
+			stores[1] = slowStore{stores[1], 300 * time.Microsecond}
+
+			comms := startComms(t, transport, n)
+			rec := &orderComm{Comm: comms[0], peerOf: make(map[uint32]int)}
+			comms[0] = rec
+			var res *RestoreResult
+			runComms(t, comms, func(c collectives.Comm) error {
+				if c.Rank() == 0 {
+					var err error
+					res, err = RestoreOutputCtx(context.Background(), c, stores[0], "img", nil)
+					return err
+				}
+				srv := fetch.Serve(c, stores[c.Rank()], fetchClass)
+				defer srv.Stop()
+				return collectives.Barrier(c)
+			})
+			if !bytes.Equal(res.Data, image) {
+				t.Fatal("restored image differs")
+			}
+			if m := res.Metrics; m.FetchMisses != 0 || m.FetchRequests != 2*perPeer || m.FetchedChunks != 2*perPeer {
+				t.Fatalf("%d asks, %d misses, %d fetched; want %d, 0, %d: a reply filled another request's holes",
+					m.FetchRequests, m.FetchMisses, m.FetchedChunks, 2*perPeer, 2*perPeer)
+			}
+			// Premise: the slow peer was asked first, the fast one answered
+			// first.
+			if len(rec.asked) < 4 || rec.peerOf[rec.asked[0]] != 1 || rec.peerOf[rec.landed[0]] != 2 {
+				t.Fatalf("test premise: asked %v, landed %v (peers %v); want rank 1 asked first and rank 2 answering first",
+					rec.asked, rec.landed, rec.peerOf)
+			}
+		})
+	}
+}

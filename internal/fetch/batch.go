@@ -143,9 +143,12 @@ func ReplyBytes(n int, payload int64) int64 {
 	return replyHeader + recHeader*int64(n) + payload
 }
 
-// Exchange is one completed batched request: what was asked of whom, the
-// answers in the same order, and how long the reply took to arrive.
+// Exchange is one completed batched request: its id (a pipeline numbers
+// its asks 0, 1, 2, … in the order they were made), what was asked of
+// whom, the answers in the same order, and how long the reply took to
+// arrive.
 type Exchange struct {
+	ID      uint32
 	Peer    int
 	FPs     []fingerprint.FP
 	Records []Record
@@ -220,5 +223,5 @@ func (p *Pipeline) Next() (Exchange, error) {
 	if err != nil {
 		return Exchange{}, fmt.Errorf("%w (rank %d, exchange %d)", err, a.peer, id)
 	}
-	return Exchange{Peer: a.peer, FPs: a.fps, Records: recs, Elapsed: time.Since(a.sent)}, nil
+	return Exchange{ID: id, Peer: a.peer, FPs: a.fps, Records: recs, Elapsed: time.Since(a.sent)}, nil
 }

@@ -213,18 +213,19 @@ func TestBatchedRepliesOutOfOrder(t *testing.T) {
 		if err := p.Ask(2, []fingerprint.FP{fp2, fp1}); err != nil {
 			return err
 		}
+		// Exchange ids number the asks from 0.
 		ex, err := p.Next()
 		if err != nil {
 			return err
 		}
-		if ex.Peer != 2 || !bytes.Equal(ex.Records[0].Data, two) || ex.Records[1].Found {
+		if ex.ID != 1 || ex.Peer != 2 || !bytes.Equal(ex.Records[0].Data, two) || ex.Records[1].Found {
 			return fmt.Errorf("first reply %+v, want rank 2's", ex)
 		}
 		gate <- struct{}{}
 		if ex, err = p.Next(); err != nil {
 			return err
 		}
-		if ex.Peer != 1 || !bytes.Equal(ex.Records[0].Data, one) || p.Outstanding() != 0 {
+		if ex.ID != 0 || ex.Peer != 1 || !bytes.Equal(ex.Records[0].Data, one) || p.Outstanding() != 0 {
 			return fmt.Errorf("second reply %+v, want rank 1's", ex)
 		}
 		return nil

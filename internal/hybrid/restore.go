@@ -210,8 +210,8 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 	rm.SourceRanks = fs.SourceRanks()
 	rm.FetchLatency = fs.Latency()
 	rm.Phases.Fetch = time.Duration(rm.FetchLatency.Sum())
-	if timed.ReadLatency().Count() > 0 {
-		rm.StoreReadLatency = timed.ReadLatency()
+	if reads := timed.ReadLatency(); reads.Count() > 0 {
+		rm.StoreReadLatency = reads
 	}
 	return buf, rm, nil
 }

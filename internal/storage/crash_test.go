@@ -15,8 +15,12 @@ import (
 // Crash-consistency matrix: for every injection point in the engine's
 // write paths, a helper process is killed (os.Exit, no cleanup — the
 // moral equivalent of kill -9 for fs state) exactly there, and the
-// parent asserts the reopened store is byte-identical to the last
-// committed checkpoint — never a torn mix.
+// parent asserts the reopened store's chunks are byte-identical to the
+// last committed checkpoint — never a torn mix of chunk sets.
+//
+// Blobs are not checkpoint-grained: each is atomic per object and
+// durable as soon as PutBlob returns, whether or not a Commit follows.
+// Every row pins whether the phase-2 blob survived the kill.
 //
 // The helper runs two phases over the same directory:
 //
@@ -122,26 +126,29 @@ func TestCrashMatrix(t *testing.T) {
 	if os.Getenv(crashEnvHelper) == "1" {
 		t.Skip("inside helper")
 	}
-	// expect: the state the reopened store must show. "ck1" = checkpoint
-	// 1 exactly (phase 2 fully lost); "ck2" = the committed phase-2
-	// state (releases applied, ck2 chunks live).
+	// expect: the chunk state the reopened store must show. "ck1" =
+	// checkpoint 1 exactly (phase 2's chunks and releases lost); "ck2" =
+	// the committed phase-2 state (releases applied, ck2 chunks live).
+	// blob2: whether the phase-2 blob, written before the kill and never
+	// committed on the ck1 rows, is there after reopen.
 	cases := []struct {
 		point  string
 		op     string // "" = commit+compact, "close" = Close
 		expect string
+		blob2  bool
 	}{
 		{point: "torn-append", expect: "ck1"},
 		{point: "append", expect: "ck1"},
 		{point: "seal", expect: "ck1"},
 		{point: "idx-rename", expect: "ck1"},
 		{point: "blob-rename", expect: "ck1"},
-		{point: "commit", expect: "ck1"},
-		{point: "manifest-rename", expect: "ck1"},
-		{point: "close-commit", op: "close", expect: "ck1"},
-		{point: "compact-idx-rename", expect: "ck2"},
-		{point: "compact", expect: "ck2"},
-		{point: "compact-manifest-rename", expect: "ck2"},
-		{point: "compact-cleanup", expect: "ck2"},
+		{point: "commit", expect: "ck1", blob2: true},
+		{point: "manifest-rename", expect: "ck1", blob2: true},
+		{point: "close-commit", op: "close", expect: "ck1", blob2: true},
+		{point: "compact-idx-rename", expect: "ck2", blob2: true},
+		{point: "compact", expect: "ck2", blob2: true},
+		{point: "compact-manifest-rename", expect: "ck2", blob2: true},
+		{point: "compact-cleanup", expect: "ck2", blob2: true},
 	}
 	// Appends are buffered, so the two append rows also pin what the kill
 	// left in the unsealed segment file: "append" dies with the first
@@ -169,7 +176,7 @@ func TestCrashMatrix(t *testing.T) {
 					t.Errorf("kill at %q left %d payload bytes in the unsealed segment, want %d", tc.point, got, want)
 				}
 			}
-			verifyAfterCrash(t, dir, tc.expect)
+			verifyAfterCrash(t, dir, tc.expect, tc.blob2)
 		})
 	}
 }
@@ -204,8 +211,9 @@ func unsealedBytes(t *testing.T, dir string) int64 {
 }
 
 // verifyAfterCrash reopens the killed store and asserts it recovered to
-// the expected committed checkpoint, byte for byte.
-func verifyAfterCrash(t *testing.T, dir, expect string) {
+// the expected committed checkpoint, byte for byte, with the phase-2 blob
+// present exactly when blob2 says so.
+func verifyAfterCrash(t *testing.T, dir, expect string, blob2 bool) {
 	t.Helper()
 	s, err := NewSegStore(dir, SegConfig{SegmentTarget: 4 << 10})
 	if err != nil {
@@ -257,16 +265,21 @@ func verifyAfterCrash(t *testing.T, dir, expect string) {
 		for i := 0; i < ck2Chunks; i++ {
 			mustHave(fmt.Sprintf("ck2 chunk %d", i), ck2Data(i))
 		}
-		for _, name := range []string{"ck1/meta", "ck2/meta"} {
-			if _, err := s.GetBlob(name); err != nil {
-				t.Fatalf("blob %s after recovery: %v", name, err)
-			}
+		if _, err := s.GetBlob("ck1/meta"); err != nil {
+			t.Fatalf("blob ck1/meta after recovery: %v", err)
 		}
 		if _, chunks := s.Usage(); chunks != ck1Chunks-dropped+ck2Chunks {
 			t.Fatalf("recovered store has %d chunks, want %d", chunks, ck1Chunks-dropped+ck2Chunks)
 		}
 	default:
 		t.Fatalf("unknown expectation %q", expect)
+	}
+	b, err := s.GetBlob("ck2/meta")
+	switch {
+	case blob2 && (err != nil || string(b) != "ck2"):
+		t.Fatalf("phase-2 blob after recovery: %q, %v; want it durable since PutBlob", b, err)
+	case !blob2 && !errors.Is(err, ErrNotFound):
+		t.Fatalf("phase-2 blob after recovery: %q, %v; the kill came before PutBlob finished", b, err)
 	}
 
 	// The recovered store must stay fully operational: another

@@ -8,12 +8,19 @@
 // segment store (segment.go) with crash-safe checkpoint commit and
 // background compaction — the durable engine of the socket-transport
 // daemon and the examples that want real files on a real local device.
+//
+// The in-memory store packs chunk bytes into append-only 256 KiB arenas
+// behind a pointer-free fingerprint index: one heap object per arena, not
+// per chunk. An arena whose chunks are all released is dropped; when the
+// dead bytes exceed both the live bytes and one arena, the live chunks
+// are repacked into fresh arenas. Arenas are never written in place, so
+// bytes GetChunk returned stay valid.
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dedupcr/internal/fingerprint"
@@ -63,9 +70,11 @@ type Store interface {
 }
 
 // Committer is implemented by stores with an explicit durability point:
-// Commit makes every put, release and blob write since the previous
-// Commit survive a crash, atomically — after a kill, the store reopens
+// Commit makes every chunk put and release since the previous Commit
+// survive a crash, atomically — after a kill, the store's chunks reopen
 // to the last committed state, never a prefix of an uncommitted one.
+// Blobs are not part of it: each is atomic on its own and durable as
+// soon as PutBlob returns.
 type Committer interface {
 	Commit() error
 }
@@ -87,25 +96,51 @@ func Commit(s Store) error {
 	}
 }
 
-// memStore is the in-memory Store.
+// arenaSize is the capacity of one in-memory arena. A chunk larger than
+// an arena gets an arena of its own, sized to it.
+const arenaSize = 256 << 10
+
+// memStore is the in-memory Store. Chunk bytes are appended to
+// append-only arenas, and the index maps each fingerprint to a
+// pointer-free slot, so the garbage collector has nothing to mark per
+// chunk however many the store holds.
+//
+// Space comes back two ways. An arena whose chunks are all released is
+// dropped. Once the dead bytes — released chunks in arenas still held —
+// exceed both the live bytes and one arena, every live chunk is repacked
+// into fresh arenas. No arena is ever written in place, so a slice
+// GetChunk handed out keeps its bytes.
 type memStore struct {
 	mu     sync.Mutex
-	chunks map[fingerprint.FP]*memChunk // guarded by mu
-	blobs  map[string][]byte            // guarded by mu
-	bytes  int64                        // guarded by mu
-	failed bool                         // guarded by mu
+	index  map[fingerprint.FP]slot // guarded by mu
+	arenas []arena                 // guarded by mu; a dropped arena has a nil buf
+	free   []int32                 // guarded by mu: indices of dropped arenas
+	cur    int32                   // guarded by mu: the arena puts append to, or -1
+	blobs  map[string][]byte       // guarded by mu
+	bytes  int64                   // guarded by mu: live chunk bytes
+	dead   int64                   // guarded by mu
+	failed bool                    // guarded by mu
 }
 
-type memChunk struct {
-	data []byte
-	refs int
+// slot locates one chunk: length bytes at off in arenas[arena]. A
+// zero-length chunk has no arena (-1).
+type slot struct {
+	arena, off, length, refs int32
+}
+
+// arena is one append-only run of chunk bytes; live counts the bytes of
+// its chunks still referenced.
+type arena struct {
+	buf  []byte
+	live int64
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() Store {
 	return &memStore{
-		chunks: make(map[fingerprint.FP]*memChunk),
-		blobs:  make(map[string][]byte),
+		index: make(map[fingerprint.FP]slot),
+		cur:   -1,
+		blobs: make(map[string][]byte),
 	}
 }
 
@@ -115,28 +150,63 @@ func (s *memStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	if s.failed {
 		return ErrFailed
 	}
-	if c, ok := s.chunks[fp]; ok {
-		c.refs++
+	if sl, ok := s.index[fp]; ok {
+		sl.refs++
+		s.index[fp] = sl
 		return nil
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.chunks[fp] = &memChunk{data: cp, refs: 1}
+	s.index[fp] = s.placeLocked(data, 1)
 	s.bytes += int64(len(data))
 	return nil
 }
 
+// placeLocked copies data into an arena and returns its slot.
+func (s *memStore) placeLocked(data []byte, refs int32) slot {
+	n := len(data)
+	if n == 0 {
+		return slot{arena: -1, refs: refs}
+	}
+	a := s.cur
+	if n > arenaSize {
+		a = s.newArenaLocked(n)
+	} else if a < 0 || cap(s.arenas[a].buf)-len(s.arenas[a].buf) < n {
+		a = s.newArenaLocked(arenaSize)
+		s.cur = a
+	}
+	ar := &s.arenas[a]
+	off := len(ar.buf)
+	ar.buf = append(ar.buf, data...)
+	ar.live += int64(n)
+	return slot{arena: a, off: int32(off), length: int32(n), refs: refs}
+}
+
+func (s *memStore) newArenaLocked(size int) int32 {
+	a := int32(len(s.arenas))
+	if k := len(s.free); k > 0 {
+		a, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		s.arenas = append(s.arenas, arena{})
+	}
+	s.arenas[a] = arena{buf: make([]byte, 0, size)}
+	return a
+}
+
+// GetChunk returns the chunk's bytes in place, capacity clipped to length.
 func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
 		return nil, ErrFailed
 	}
-	c, ok := s.chunks[fp]
+	sl, ok := s.index[fp]
 	if !ok {
 		return nil, chunkNotFound(fp)
 	}
-	return c.data, nil
+	if sl.arena < 0 {
+		return []byte{}, nil
+	}
+	end := sl.off + sl.length
+	return s.arenas[sl.arena].buf[sl.off:end:end], nil
 }
 
 func (s *memStore) HasChunk(fp fingerprint.FP) (bool, error) {
@@ -145,7 +215,7 @@ func (s *memStore) HasChunk(fp fingerprint.FP) (bool, error) {
 	if s.failed {
 		return false, ErrFailed
 	}
-	_, ok := s.chunks[fp]
+	_, ok := s.index[fp]
 	return ok, nil
 }
 
@@ -155,16 +225,46 @@ func (s *memStore) ReleaseChunk(fp fingerprint.FP) error {
 	if s.failed {
 		return ErrFailed
 	}
-	c, ok := s.chunks[fp]
+	sl, ok := s.index[fp]
 	if !ok {
 		return fmt.Errorf("release chunk %s: %w", fp.Short(), ErrNotFound)
 	}
-	c.refs--
-	if c.refs == 0 {
-		s.bytes -= int64(len(c.data))
-		delete(s.chunks, fp)
+	if sl.refs--; sl.refs > 0 {
+		s.index[fp] = sl
+		return nil
+	}
+	delete(s.index, fp)
+	s.bytes -= int64(sl.length)
+	if sl.arena < 0 {
+		return nil
+	}
+	ar := &s.arenas[sl.arena]
+	ar.live -= int64(sl.length)
+	s.dead += int64(sl.length)
+	if ar.live == 0 { // drop it: none of its bytes are held any more
+		s.dead -= int64(len(ar.buf))
+		*ar = arena{}
+		s.free = append(s.free, sl.arena)
+		if sl.arena == s.cur {
+			s.cur = -1
+		}
+	}
+	if s.dead > s.bytes && s.dead > arenaSize {
+		s.repackLocked()
 	}
 	return nil
+}
+
+// repackLocked copies every live chunk into fresh arenas and lets the old
+// ones go; slices handed out earlier keep them alive as long as needed.
+func (s *memStore) repackLocked() {
+	old := s.arenas
+	s.arenas, s.free, s.cur, s.dead = nil, nil, -1, 0
+	for fp, sl := range s.index {
+		if sl.arena >= 0 {
+			s.index[fp] = s.placeLocked(old[sl.arena].buf[sl.off:sl.off+sl.length], sl.refs)
+		}
+	}
 }
 
 func (s *memStore) PutBlob(name string, data []byte) error {
@@ -193,16 +293,16 @@ func (s *memStore) GetBlob(name string) ([]byte, error) {
 func (s *memStore) Usage() (int64, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes, len(s.chunks)
+	return s.bytes, len(s.index)
 }
 
 func (s *memStore) Fail() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.failed = true
-	s.chunks = nil
+	s.index, s.arenas, s.free, s.cur = nil, nil, nil, -1
 	s.blobs = nil
-	s.bytes = 0
+	s.bytes, s.dead = 0, 0
 }
 
 func (s *memStore) Failed() bool {
@@ -275,10 +375,5 @@ func (c *Cluster) UsageByNode() []int64 {
 
 // MaxUsage returns the highest per-node unique byte usage.
 func (c *Cluster) MaxUsage() int64 {
-	usage := c.UsageByNode()
-	sort.Slice(usage, func(i, j int) bool { return usage[i] > usage[j] })
-	if len(usage) == 0 {
-		return 0
-	}
-	return usage[0]
+	return slices.Max(append(c.UsageByNode(), 0))
 }

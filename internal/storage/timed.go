@@ -15,7 +15,6 @@ import (
 // disk.
 type Timed struct {
 	inner     Store
-	read      *metrics.Histogram
 	write     *metrics.Histogram
 	chunkRead *metrics.Histogram
 	blobRead  *metrics.Histogram
@@ -27,7 +26,6 @@ var _ Store = (*Timed)(nil)
 func NewTimed(store Store) *Timed {
 	return &Timed{
 		inner:     store,
-		read:      metrics.NewHistogram(),
 		write:     metrics.NewHistogram(),
 		chunkRead: metrics.NewHistogram(),
 		blobRead:  metrics.NewHistogram(),
@@ -35,8 +33,14 @@ func NewTimed(store Store) *Timed {
 }
 
 // ReadLatency returns the histogram of GetChunk/HasChunk/GetBlob
-// latencies in nanoseconds (the union of the per-object-kind splits).
-func (t *Timed) ReadLatency() *metrics.Histogram { return t.read }
+// latencies in nanoseconds: a snapshot merging the per-object-kind
+// splits below.
+func (t *Timed) ReadLatency() *metrics.Histogram {
+	h := metrics.NewHistogram()
+	h.Merge(t.chunkRead)
+	h.Merge(t.blobRead)
+	return h
+}
 
 // ChunkReadLatency returns the histogram of GetChunk/HasChunk latencies
 // only — the restore assembly path, without the metadata-blob reads that
@@ -53,57 +57,55 @@ func (t *Timed) WriteLatency() *metrics.Histogram { return t.write }
 // Inner returns the wrapped store.
 func (t *Timed) Inner() Store { return t.inner }
 
-func (t *Timed) timeWrite(f func() error) error {
-	start := time.Now()
-	err := f()
-	t.write.Record(time.Since(start).Nanoseconds())
-	return err
-}
+// clockOrigin anchors the clock Timed reads: time.Since of a monotonic
+// time is one monotonic clock read, where time.Now reads the wall clock
+// as well.
+var clockOrigin = time.Now()
 
-func (t *Timed) timeRead(kind *metrics.Histogram, f func() error) error {
-	start := time.Now()
-	err := f()
-	ns := time.Since(start).Nanoseconds()
-	t.read.Record(ns)
-	kind.Record(ns)
-	return err
-}
+// now reads the monotonic clock.
+func now() time.Duration { return time.Since(clockOrigin) }
+
+// record adds the latency of an operation begun at start to h. Each
+// operation defers it with start already evaluated: one clock read on
+// entry, one on return.
+func record(h *metrics.Histogram, start time.Duration) { h.Record(int64(now() - start)) }
 
 func (t *Timed) PutChunk(fp fingerprint.FP, data []byte) error {
-	return t.timeWrite(func() error { return t.inner.PutChunk(fp, data) })
+	defer record(t.write, now())
+	return t.inner.PutChunk(fp, data)
 }
 
 func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	var data []byte
-	err := t.timeRead(t.chunkRead, func() (e error) { data, e = t.inner.GetChunk(fp); return })
-	return data, err
+	defer record(t.chunkRead, now())
+	return t.inner.GetChunk(fp)
 }
 
 func (t *Timed) HasChunk(fp fingerprint.FP) (bool, error) {
-	var ok bool
-	err := t.timeRead(t.chunkRead, func() (e error) { ok, e = t.inner.HasChunk(fp); return })
-	return ok, err
+	defer record(t.chunkRead, now())
+	return t.inner.HasChunk(fp)
 }
 
 func (t *Timed) ReleaseChunk(fp fingerprint.FP) error {
-	return t.timeWrite(func() error { return t.inner.ReleaseChunk(fp) })
+	defer record(t.write, now())
+	return t.inner.ReleaseChunk(fp)
 }
 
 func (t *Timed) PutBlob(name string, data []byte) error {
-	return t.timeWrite(func() error { return t.inner.PutBlob(name, data) })
+	defer record(t.write, now())
+	return t.inner.PutBlob(name, data)
 }
 
 func (t *Timed) GetBlob(name string) ([]byte, error) {
-	var data []byte
-	err := t.timeRead(t.blobRead, func() (e error) { data, e = t.inner.GetBlob(name); return })
-	return data, err
+	defer record(t.blobRead, now())
+	return t.inner.GetBlob(name)
 }
 
 // Commit forwards a checkpoint commit to the wrapped store, timing it
 // as a write — manifest fsyncs are exactly the device-side cost the
 // write histogram exists to surface.
 func (t *Timed) Commit() error {
-	return t.timeWrite(func() error { return Commit(t.inner) })
+	defer record(t.write, now())
+	return Commit(t.inner)
 }
 
 func (t *Timed) Usage() (int64, int) { return t.inner.Usage() }
