@@ -56,12 +56,20 @@ func testBuffer(rank, shared, group, localdup, unique int) []byte {
 func runDump(t *testing.T, n int, o Options) (*storage.Cluster, []*Result, [][]byte) {
 	t.Helper()
 	cluster := storage.NewCluster(n)
+	results, buffers := dumpInto(t, clusterStores(cluster), o)
+	return cluster, results, buffers
+}
+
+// dumpInto is runDump into the given stores, one per rank.
+func dumpInto(t *testing.T, stores []storage.Store, o Options) ([]*Result, [][]byte) {
+	t.Helper()
+	n := len(stores)
 	results := make([]*Result, n)
 	buffers := make([][]byte, n)
 	var mu sync.Mutex
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		buf := testBuffer(c.Rank(), 6, 4, 3, 2+c.Rank()%3)
-		res, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o)
+		res, err := DumpOutput(c, stores[c.Rank()], buf, o)
 		if err != nil {
 			return err
 		}
@@ -74,7 +82,7 @@ func runDump(t *testing.T, n int, o Options) (*storage.Cluster, []*Result, [][]b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster, results, buffers
+	return results, buffers
 }
 
 func TestDumpRestoreRoundTrip(t *testing.T) {

@@ -29,16 +29,18 @@ type RestoreResult struct {
 // Restore is the collective inverse of DumpOutput: every rank calls it
 // and receives back the byte-exact buffer it dumped under name. One walk
 // over the recipe places what the local store serves, each position
-// checked against its length and fingerprint; chunks the store cannot
-// serve (discarded natural replicas, or everything after a node failure
-// and replacement) are pulled from peers in batched, pipelined exchanges
-// — many fingerprints per request, two requests outstanding per peer,
-// all peers at once — asking first the designated ranks recorded in the
-// restore hints, then every other rank in turn. A fetched chunk is
-// verified against its fingerprint before anything else happens to it;
-// a replica that fails is a miss, and the next holder is asked. Verified
-// chunks are re-stored locally, so a restore also re-provisions a
-// replaced node. Missing metadata comes from the neighbour replicas.
+// checked against its length and vouched for by the store's at-rest
+// checksum (a corrupt local chunk fails the restore); chunks the store
+// cannot serve (discarded natural replicas, or everything after a node
+// failure and replacement) are pulled from peers in batched, pipelined
+// exchanges — many fingerprints per request, two requests outstanding
+// per peer, all peers at once — asking first the designated ranks
+// recorded in the restore hints, then every other rank in turn. A
+// fetched chunk is verified against its fingerprint before anything else
+// happens to it; a replica that fails is a miss, and the next holder is
+// asked. Verified chunks are re-stored locally, so a restore also
+// re-provisions a replaced node. Missing metadata comes from the
+// neighbour replicas.
 //
 // Restore succeeds as long as at most K-1 nodes were lost, the guarantee
 // the replication factor buys.
@@ -353,11 +355,14 @@ func (h *hole) nextPeer(me, n int) (int, bool) {
 }
 
 // walk reads each distinct fingerprint the local store serves once —
-// checking its length and SHA-1 against the recipe — straight into place,
-// and copies the verified bytes of that first position into every later
-// one. A fingerprint the store cannot serve (not found, read error,
-// failed store) becomes a hole, queued at the first peer to ask; its
-// later positions wait in repeats until the hole is filled.
+// checking its length against the recipe — straight into place, and
+// copies the bytes of that first position into every later one. It does
+// not SHA-1 them: every byte entered the store bound to its fingerprint,
+// and the store's checksum vouches they have not changed since, so a
+// storage.ErrCorrupt fails the walk. A fingerprint the store cannot serve
+// otherwise (not found, read error, failed store) becomes a hole, queued
+// at the first peer to ask; its later positions wait in repeats until the
+// hole is filled.
 func (a *assembly) walk() error {
 	r := a.meta.Recipe
 	total := r.TotalBytes()
@@ -389,6 +394,8 @@ func (a *assembly) walk() error {
 			sp = span{off: off, size: r.Sizes[i], hole: -1}
 			data, err := a.store.GetChunk(fp)
 			switch {
+			case errors.Is(err, storage.ErrCorrupt):
+				return fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
 			case err != nil:
 				sp.hole = int32(len(a.holes))
 				a.holes = append(a.holes, hole{fp: fp, size: r.Sizes[i], first: i, off: off, hints: a.meta.Hints[fp]})
@@ -397,8 +404,6 @@ func (a *assembly) walk() error {
 				}
 			case int64(len(data)) != size:
 				return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), len(data), size)
-			case fingerprint.Of(data) != fp:
-				return fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
 			default:
 				copy(a.buf[off:], data)
 			}
@@ -448,8 +453,9 @@ func (q *peerQueue) cut(holes []hole) ([]fingerprint.FP, []int32) {
 // fingerprints topped up to fetchDepth requests and consumes replies in
 // whatever order they arrive, record i of a reply answering hole i of the
 // request with the reply's exchange id. A record is accepted when its
-// length matches the recipe and its SHA-1 the fingerprint; only then is
-// it stored (re-provisioning this node) and placed. Anything else — not
+// length matches the recipe and its SHA-1 the fingerprint — bytes from a
+// peer are the one thing the restore still hashes; only then is it stored
+// (re-provisioning this node) and placed. Anything else — not
 // found, wrong length, corrupt — is a miss, and the hole moves on to its
 // next candidate's queue. Once every hole is filled, the repeated
 // positions are copied from the first.

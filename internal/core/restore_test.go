@@ -390,7 +390,10 @@ func TestBatchedFetchCountsMatchReference(t *testing.T) {
 	}
 }
 
-// corruptStore serves one fingerprint with a flipped byte.
+// corruptStore serves one fingerprint with a flipped byte. It flips above
+// the store, past its at-rest check, so it models a peer that serves bad
+// bytes — what the restore's SHA-1 of fetched records is for. A chunk that
+// changed inside a store is scribble's or flipOnDisk's job (walk_test.go).
 type corruptStore struct {
 	storage.Store
 	fp fingerprint.FP
@@ -460,35 +463,53 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 		return stores, rec, buffers, holders
 	}
 
-	t.Run("next replica serves", func(t *testing.T) {
-		stores, rec, buffers, _ := setup(t)
-		meta := loadMetaOf(t, stores, r, "ck")
-		_, cleanMisses := referenceCounts(stores, meta, r, "ck")
-		first, _ := fetchChunk(r, n, meta.Hints[bad], func(peer int) bool {
-			has, _ := stores[peer].HasChunk(bad)
-			return has
-		})
-		stores[first] = corruptStore{stores[first], bad}
-		requests, misses := referenceCounts(stores, meta, r, "ck")
-		if misses <= cleanMisses {
-			t.Fatalf("test premise: corrupting rank %d's replica adds no miss (%d, clean %d)", first, misses, cleanMisses)
-		}
+	// The first holder's replica is corrupt in one of two places: above
+	// its store, so its peer serves bad bytes that the requester's SHA-1
+	// rejects; or inside its store, so its fetch server's GetChunk fails
+	// the at-rest check and answers not-found. Either way its answer is one
+	// more miss, the next holder serves, and the requester stores only
+	// verified bytes.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, stores []storage.Store, first int)
+	}{
+		{"next replica serves", func(t *testing.T, stores []storage.Store, first int) {
+			stores[first] = corruptStore{stores[first], bad}
+		}},
+		{"first holder's store corrupt", func(t *testing.T, stores []storage.Store, first int) {
+			scribble(t, stores[first], bad)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stores, rec, buffers, _ := setup(t)
+			meta := loadMetaOf(t, stores, r, "ck")
+			_, cleanMisses := referenceCounts(stores, meta, r, "ck")
+			first, _ := fetchChunk(r, n, meta.Hints[bad], func(peer int) bool {
+				has, _ := stores[peer].HasChunk(bad)
+				return has
+			})
+			tc.corrupt(t, stores, first)
+			requests, misses := referenceCounts(stores, meta, r, "ck")
+			if misses <= cleanMisses {
+				t.Fatalf("test premise: corrupting rank %d's replica adds no miss (%d, clean %d)", first, misses, cleanMisses)
+			}
 
-		res := restoreAlone(t, stores, r, "ck")
-		if !bytes.Equal(res.Data, buffers[r]) {
-			t.Fatal("restored bytes differ")
-		}
-		if m := res.Metrics; m.FetchRequests != requests || m.FetchMisses != misses {
-			t.Errorf("%d asks / %d misses, want %d / %d: the rejected replica is one more miss",
-				m.FetchRequests, m.FetchMisses, requests, misses)
-		}
-		if got := rec.badPuts(); len(got) != 0 {
-			t.Errorf("requester's store was handed unverified bytes for %v", got)
-		}
-		if data, err := rec.GetChunk(bad); err != nil || !bytes.Equal(data, private) {
-			t.Errorf("requester not re-provisioned with the good replica: %v", err)
-		}
-	})
+			res := restoreAlone(t, stores, r, "ck")
+			if !bytes.Equal(res.Data, buffers[r]) {
+				t.Fatal("restored bytes differ")
+			}
+			if m := res.Metrics; m.FetchRequests != requests || m.FetchMisses != misses {
+				t.Errorf("%d asks / %d misses, want %d / %d: the rejected replica is one more miss",
+					m.FetchRequests, m.FetchMisses, requests, misses)
+			}
+			if got := rec.badPuts(); len(got) != 0 {
+				t.Errorf("requester's store was handed unverified bytes for %v", got)
+			}
+			if data, err := rec.GetChunk(bad); err != nil || !bytes.Equal(data, private) {
+				t.Errorf("requester not re-provisioned with the good replica: %v", err)
+			}
+		})
+	}
 
 	t.Run("every replica corrupt", func(t *testing.T) {
 		stores, rec, _, holders := setup(t)

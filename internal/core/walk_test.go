@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -157,11 +159,63 @@ func TestWalkReadsEachDistinctOnce(t *testing.T) {
 	}
 }
 
+// scribble corrupts fp's bytes inside an in-memory store by writing
+// through the slice GetChunk returned: the arena itself changes, under
+// the sum the store took at put.
+func scribble(t *testing.T, s storage.Store, fp fingerprint.FP) {
+	t.Helper()
+	data, err := s.GetChunk(fp)
+	if err != nil || len(data) == 0 {
+		t.Fatalf("scribble %s: %d bytes, %v", fp.Short(), len(data), err)
+	}
+	data[0] ^= 1
+}
+
+// openSeg opens a segment store at dir, closed when the test ends.
+func openSeg(t *testing.T, dir string) *storage.SegStore {
+	t.Helper()
+	s, err := storage.NewSegStore(dir, storage.SegConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// flipOnDisk closes the segment store s at dir, flips one byte of data
+// where it sits in a committed segment file, and reopens the store.
+func flipOnDisk(t *testing.T, s *storage.SegStore, dir string, data []byte) *storage.SegStore {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(raw, data); i >= 0 {
+			raw[i] ^= 1
+			if err := os.WriteFile(f, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return openSeg(t, dir)
+		}
+	}
+	t.Fatalf("no segment file under %s holds the chunk", dir)
+	return nil
+}
+
 // TestWalkChecksEveryPosition: reading a fingerprint once does not mean
 // checking it once. A repeat whose recipe size differs from the first
 // position's fails with the same text a re-read would have produced; a
 // repeated hole of a different size fails as before; a chunk whose bytes
-// do not hash to its fingerprint fails the walk at its first position.
+// changed inside the store — scribbled into a memory arena, or flipped in
+// a sealed segment file — fails the walk at its first position.
 func TestWalkChecksEveryPosition(t *testing.T) {
 	comm := startComms(t, "inproc", 3)[0]
 	a, b := page("check-a"), page("check-b")
@@ -170,12 +224,20 @@ func TestWalkChecksEveryPosition(t *testing.T) {
 		FPs:   []fingerprint.FP{fa, fb, fa},
 		Sizes: []int32{int32(len(a)), int32(len(b)), int32(len(a)) - 1},
 	}}
-	full := storage.NewMem()
-	for _, data := range [][]byte{a, b} {
-		if err := full.PutChunk(fingerprint.Of(data), data); err != nil {
-			t.Fatal(err)
+	fill := func(s storage.Store) storage.Store {
+		for _, data := range [][]byte{a, b} {
+			if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return s
 	}
+	full, scribbled := fill(storage.NewMem()), fill(storage.NewMem())
+	scribble(t, scribbled, fb)
+	dir := t.TempDir()
+	seg := fill(openSeg(t, dir)).(*storage.SegStore)
+	flipped := flipOnDisk(t, seg, dir, b)
+	mismatch := fmt.Sprintf("chunk 1: content does not match fingerprint %s", fb.Short())
 	for _, tc := range []struct {
 		name  string
 		store storage.Store
@@ -185,8 +247,8 @@ func TestWalkChecksEveryPosition(t *testing.T) {
 			fmt.Sprintf("chunk 2 (%s): got %d bytes, recipe says %d", fa.Short(), len(a), len(a)-1)},
 		{"hole repeat, other size", storage.NewMem(),
 			fmt.Sprintf("chunk 2 (%s): recipe says %d bytes here and %d earlier", fa.Short(), len(a)-1, len(a))},
-		{"corrupt chunk", corruptStore{full, fb},
-			fmt.Sprintf("chunk 1: content does not match fingerprint %s", fb.Short())},
+		{"corrupt chunk in memory", scribbled, mismatch},
+		{"corrupt chunk on disk", flipped, mismatch},
 	} {
 		if _, err := walkWith(comm, tc.store, meta); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: walk error %v, want %q", tc.name, err, tc.want)
@@ -194,51 +256,69 @@ func TestWalkChecksEveryPosition(t *testing.T) {
 	}
 }
 
-// TestRestoreReadsEachLocalChunkOnce: a whole restore of one rank reads
-// its local store once per distinct fingerprint of its recipe — the
-// chunks it holds and the ones it then fetches — and a local chunk whose
-// bytes are corrupt fails the restore on every rank before any image is
-// returned.
+// TestRestoreReadsEachLocalChunkOnce: on either engine, a whole restore
+// of one rank reads its local store once per distinct fingerprint of its
+// recipe — the chunks it holds and the ones it then fetches — and a local
+// chunk whose bytes changed inside the store fails the restore on every
+// rank before any image is returned.
 func TestRestoreReadsEachLocalChunkOnce(t *testing.T) {
 	const n, k, r = 6, 3, 2
 	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
-	cluster, _, buffers := runDump(t, n, o)
-	stores := clusterStores(cluster)
-	counted := newCountingStore(stores[r])
-	stores[r] = counted
-	res := restoreAlone(t, stores, r, "ck")
-	if !bytes.Equal(res.Data, buffers[r]) {
-		t.Fatal("restored bytes differ")
-	}
-	if twice := counted.readTwice(); len(twice) > 0 {
-		t.Fatalf("%d fingerprints read from the local store more than once", len(twice))
-	}
-	if m := res.Metrics; len(counted.reads) != m.UniqueChunks || m.TotalChunks <= m.UniqueChunks || m.FetchedChunks == 0 {
-		t.Fatalf("%d local reads for %d distinct of %d positions (%d fetched); want one read per distinct, and repeats and fetches in the recipe",
-			len(counted.reads), m.UniqueChunks, m.TotalChunks, m.FetchedChunks)
-	}
+	private := page(fmt.Sprintf("uniq-%d-0", r)) // rank r's own, not asked of it by anyone else
+	bad := fingerprint.Of(private)
+	for _, engine := range []string{"mem", "seg"} {
+		t.Run(engine, func(t *testing.T) {
+			stores := make([]storage.Store, n)
+			dirs := make([]string, n)
+			for i := range stores {
+				if engine == "mem" {
+					stores[i] = storage.NewMem()
+				} else {
+					dirs[i] = t.TempDir()
+					stores[i] = openSeg(t, dirs[i])
+				}
+			}
+			_, buffers := dumpInto(t, stores, o)
+			engineStore := stores[r]
+			counted := newCountingStore(engineStore)
+			stores[r] = counted
+			res := restoreAlone(t, stores, r, "ck")
+			if !bytes.Equal(res.Data, buffers[r]) {
+				t.Fatal("restored bytes differ")
+			}
+			if twice := counted.readTwice(); len(twice) > 0 {
+				t.Fatalf("%d fingerprints read from the local store more than once", len(twice))
+			}
+			if m := res.Metrics; len(counted.reads) != m.UniqueChunks || m.TotalChunks <= m.UniqueChunks || m.FetchedChunks == 0 {
+				t.Fatalf("%d local reads for %d distinct of %d positions (%d fetched); want one read per distinct, and repeats and fetches in the recipe",
+					len(counted.reads), m.UniqueChunks, m.TotalChunks, m.FetchedChunks)
+			}
 
-	// A local chunk served corrupt: rank r's own unique page, not asked
-	// of it by anyone else.
-	bad := fingerprint.Of(page(fmt.Sprintf("uniq-%d-0", r)))
-	if has, _ := counted.Store.HasChunk(bad); !has {
-		t.Fatal("test premise: rank r does not hold its own unique page")
-	}
-	stores[r] = corruptStore{counted.Store, bad}
-	results := make([]*RestoreResult, n)
-	errs := runRanks(t, n, 30*time.Second, func(c collectives.Comm) error {
-		var err error
-		results[c.Rank()], err = RestoreOutputCtx(context.Background(), c, stores[c.Rank()], "ck", nil)
-		return err
-	})
-	for rank, err := range errs {
-		var ce *collectives.CollectiveError
-		if !errors.As(err, &ce) || results[rank] != nil {
-			t.Errorf("rank %d: %v (image returned: %v), want a *CollectiveError and no image", rank, err, results[rank] != nil)
-		}
-	}
-	if errs[r] == nil || !strings.Contains(errs[r].Error(), "content does not match fingerprint "+bad.Short()) {
-		t.Errorf("rank %d: %v, want the walk's fingerprint mismatch", r, errs[r])
+			if has, _ := engineStore.HasChunk(bad); !has {
+				t.Fatal("test premise: rank r does not hold its own unique page")
+			}
+			if engine == "mem" {
+				scribble(t, engineStore, bad)
+				stores[r] = engineStore
+			} else {
+				stores[r] = flipOnDisk(t, engineStore.(*storage.SegStore), dirs[r], private)
+			}
+			results := make([]*RestoreResult, n)
+			errs := runRanks(t, n, 30*time.Second, func(c collectives.Comm) error {
+				var err error
+				results[c.Rank()], err = RestoreOutputCtx(context.Background(), c, stores[c.Rank()], "ck", nil)
+				return err
+			})
+			for rank, err := range errs {
+				var ce *collectives.CollectiveError
+				if !errors.As(err, &ce) || results[rank] != nil {
+					t.Errorf("rank %d: %v (image returned: %v), want a *CollectiveError and no image", rank, err, results[rank] != nil)
+				}
+			}
+			if errs[r] == nil || !strings.Contains(errs[r].Error(), "content does not match fingerprint "+bad.Short()) {
+				t.Errorf("rank %d: %v, want the walk's fingerprint mismatch", r, errs[r])
+			}
+		})
 	}
 }
 

@@ -90,7 +90,9 @@ func (s *SegStore) compactLocked() (int, error) {
 // rewriteLocked copies a victim's live chunks into a fresh sealed
 // segment and repoints the in-memory index at it. A victim with no live
 // chunks needs no replacement. The new segment is invisible until the
-// caller commits the manifest.
+// caller commits the manifest. Bytes are copied unchecked and each row
+// keeps the sum taken at put, so a chunk that changed on disk before the
+// compaction still fails its check after it.
 func (s *SegStore) rewriteLocked(v *segFile, copied *int64) error {
 	live := make([]segEntry, 0, len(v.entries))
 	for _, e := range v.entries {

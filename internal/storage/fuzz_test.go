@@ -28,6 +28,14 @@ func FuzzSegmentIndexDecode(f *testing.F) {
 	hostile = append(hostile, segIndexVersion)
 	hostile = appendUvarintForTest(hostile, 1<<40)
 	f.Add(appendCRC(hostile))
+	// Version 2 seeds: the sum column cut short under a valid checksum,
+	// extreme sums and a zero-length row, and the same rows in the v1
+	// layout, which must be refused.
+	f.Add(appendCRC(append([]byte(nil), valid[:len(valid)-4-2]...)))
+	edge := []segEntry{detEntry(1), detEntry(2)}
+	edge[0].Sum, edge[1].Sum, edge[1].Length = 0, ^uint32(0), 0
+	f.Add(encodeSegIndex(edge))
+	f.Add(encodeSegIndexV1(entries))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := decodeSegIndex(data)

@@ -107,14 +107,17 @@ func sameError(got, want error) error {
 }
 
 // checkArenas asserts the arena store's accounting: dead is exactly what
-// the arenas hold beyond the live bytes, every arena's live count matches
-// the chunks indexed into it, no arena without live bytes is kept, and
-// the arenas hold at most 2 × live bytes plus one arena.
+// the arenas hold beyond the live chunks and their sums, every arena's
+// live count matches the chunks indexed into it, no arena without live
+// bytes is kept, and the arenas hold at most 2 × live bytes, plus the live
+// chunks' sums, plus one arena.
 func checkArenas(s *memStore) error {
 	live := make([]int64, len(s.arenas))
+	sums := int64(0)
 	for _, sl := range s.index {
 		if sl.arena >= 0 {
-			live[sl.arena] += int64(sl.length)
+			live[sl.arena] += int64(sl.length + sumSize)
+			sums += sumSize
 		}
 	}
 	var held, dead int64
@@ -134,8 +137,8 @@ func checkArenas(s *memStore) error {
 	if dead != s.dead {
 		return fmt.Errorf("store counts %d dead bytes, arenas hold %d", s.dead, dead)
 	}
-	if held > 2*s.bytes+arenaSize {
-		return fmt.Errorf("arenas hold %d bytes for %d live", held, s.bytes)
+	if held > 2*s.bytes+sums+arenaSize {
+		return fmt.Errorf("arenas hold %d bytes for %d live and %d of sums", held, s.bytes, sums)
 	}
 	return nil
 }
@@ -285,7 +288,7 @@ func TestMemStoreMatchesReference(t *testing.T) {
 // chunks into fresh arenas, while every slice handed out before keeps its
 // bytes.
 func TestMemStoreRepack(t *testing.T) {
-	const size, perArena = 16 << 10, arenaSize / (16 << 10)
+	const size, perArena = 16 << 10, arenaSize / (16<<10 + sumSize)
 	s := NewMem().(*memStore)
 	var fps []fingerprint.FP
 	var out []handedOut
@@ -303,7 +306,7 @@ func TestMemStoreRepack(t *testing.T) {
 		out = append(out, handedOut{got, data})
 	}
 	if len(s.arenas) != 4 || s.dead != 0 {
-		t.Fatalf("%d arenas, %d dead bytes after filling four exactly", len(s.arenas), s.dead)
+		t.Fatalf("%d arenas, %d dead bytes after filling four", len(s.arenas), s.dead)
 	}
 	for _, fp := range fps[:perArena] {
 		if err := s.ReleaseChunk(fp); err != nil {

@@ -22,31 +22,37 @@ import (
 //	                    in the segment data file)
 //	length column:      count × uvarint (payload bytes)
 //	refcount column:    count × uvarint (references held at seal time)
+//	sum column:         count × u32 big-endian (the chunk's CRC-32C over
+//	                    fp ‖ payload, taken at put)
 //	crc32 (IEEE) of everything above, u32 big-endian
 //
 // Sorting by fingerprint makes the encoding a pure function of the entry
 // *set*: any insertion order yields byte-identical output (the
 // determinism contract the 100-run regression test locks in), and lookup
 // structures can binary-search the fingerprint column without decoding
-// the varint columns.
+// the varint columns. Version 2 added the sum column; a version 1 index
+// is refused, not migrated.
 const (
 	segIndexMagic   = "DSix"
-	segIndexVersion = 1
+	segIndexVersion = 2
 	// segIndexMinEntry is the least bytes one entry can occupy: the
-	// fingerprint plus one varint byte per packed column. Bounds the
-	// count prefix of a hostile index against the input length.
-	segIndexMinEntry = fingerprint.Size + 3
+	// fingerprint, one varint byte per packed column and the sum. Bounds
+	// the count prefix of a hostile index against the input length.
+	segIndexMinEntry = fingerprint.Size + 3 + sumSize
 )
 
 // segEntry is one chunk's row in a segment index. Offset/Length locate
 // the payload inside the segment data file; Refs is the chunk's current
 // reference count (mutated in memory after sealing, persisted at seal
-// time here and as manifest overrides afterwards).
+// time here and as manifest overrides afterwards); Sum is the chunk's
+// at-rest checksum, taken at put and carried unchanged by compaction.
+// The field order packs a row into 40 bytes.
 type segEntry struct {
 	FP     fingerprint.FP
-	Offset uint64
 	Length uint32
+	Offset uint64
 	Refs   uint32
+	Sum    uint32
 }
 
 // encodeSegIndex marshals entries into the columnar index format. The
@@ -59,7 +65,7 @@ func encodeSegIndex(entries []segEntry) []byte {
 	copy(sorted, entries)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].FP.Less(sorted[j].FP) })
 
-	buf := make([]byte, 0, len(segIndexMagic)+1+binary.MaxVarintLen64+len(sorted)*(fingerprint.Size+12)+4)
+	buf := make([]byte, 0, len(segIndexMagic)+1+binary.MaxVarintLen64+len(sorted)*(fingerprint.Size+12+sumSize)+4)
 	buf = append(buf, segIndexMagic...)
 	buf = append(buf, segIndexVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
@@ -74,6 +80,9 @@ func encodeSegIndex(entries []segEntry) []byte {
 	}
 	for _, e := range sorted {
 		buf = binary.AppendUvarint(buf, uint64(e.Refs))
+	}
+	for _, e := range sorted {
+		buf = binary.BigEndian.AppendUint32(buf, e.Sum)
 	}
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
@@ -140,6 +149,13 @@ func decodeSegIndex(data []byte) ([]segEntry, error) {
 		}
 		entries[i].Refs, rest = uint32(v), rest[n:]
 	}
+	if uint64(len(rest)) < count*sumSize {
+		return nil, fmt.Errorf("storage: segment index sum column truncated")
+	}
+	for i := range entries {
+		entries[i].Sum = binary.BigEndian.Uint32(rest[i*sumSize:])
+	}
+	rest = rest[count*sumSize:]
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("storage: %d trailing bytes after segment index", len(rest))
 	}

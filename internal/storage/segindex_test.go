@@ -25,7 +25,17 @@ func detEntry(i int) segEntry {
 		Offset: uint64(i) * 4096,
 		Length: uint32(1024 + i%3000),
 		Refs:   uint32(1 + i%5),
+		Sum:    uint32(i) * 0x9e3779b1,
 	}
+}
+
+// encodeSegIndexV1 builds an index in the version 1 layout — no sum
+// column — the way a store written before the column existed has it.
+func encodeSegIndexV1(entries []segEntry) []byte {
+	v2 := encodeSegIndex(entries)
+	body := v2[:len(v2)-4-len(entries)*sumSize]
+	body[len(segIndexMagic)] = 1
+	return appendCRC(body)
 }
 
 // TestSegIndexEncodingByteIdentical locks in the codec's determinism
@@ -50,6 +60,11 @@ func TestSegIndexEncodingByteIdentical(t *testing.T) {
 			t.Fatalf("run %d: shuffled insertion order changed the encoding (%d vs %d bytes)", run, len(got), len(want))
 		}
 	}
+	// The sum column is part of the encoding: one changed sum, other bytes.
+	base[n/2].Sum ^= 1
+	if bytes.Equal(encodeSegIndex(base), want) {
+		t.Fatal("a changed sum left the encoding as it was")
+	}
 }
 
 func TestSegIndexRoundTrip(t *testing.T) {
@@ -70,6 +85,16 @@ func TestSegIndexRoundTrip(t *testing.T) {
 		if !bytes.Equal(encodeSegIndex(dec), enc) {
 			t.Fatalf("n=%d: decode/re-encode not a fixed point", n)
 		}
+		// Every column, the sums included, comes back on its own row.
+		byFP := make(map[fingerprint.FP]segEntry, n)
+		for _, e := range entries {
+			byFP[e.FP] = e
+		}
+		for _, e := range dec {
+			if e != byFP[e.FP] {
+				t.Fatalf("n=%d: row %s decoded as %+v, encoded %+v", n, e.FP.Short(), e, byFP[e.FP])
+			}
+		}
 	}
 }
 
@@ -85,10 +110,17 @@ func TestSegIndexDecodeRejectsCorruption(t *testing.T) {
 		"trailing":  append(append([]byte(nil), enc...), 0),
 	}
 	cases["flipped"][len(enc)/2] ^= 0x40
+	// A checksummed body whose sum column is cut short.
+	cases["sum column truncated"] = appendCRC(append([]byte(nil), enc[:len(enc)-4-1]...))
 	for name, data := range cases {
 		if _, err := decodeSegIndex(data); err == nil {
 			t.Errorf("%s: corrupted index decoded without error", name)
 		}
+	}
+	// A version 1 index — sound, but without sums — is refused with the
+	// version error, not migrated.
+	if _, err := decodeSegIndex(encodeSegIndexV1(entries)); err == nil || err.Error() != "storage: segment index version 1, want 2" {
+		t.Errorf("v1 index: %v, want the version error", err)
 	}
 	// A hostile count prefix must be rejected by the bound check, not
 	// allocate: craft a valid-checksum body claiming 2^40 entries.

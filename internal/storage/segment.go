@@ -26,6 +26,10 @@ import (
 // manifest and discards every unsealed tail (see manifest.go for the
 // commit protocol and the case analysis).
 //
+// Every row carries its chunk's CRC-32C (see chunkSum), taken at put,
+// persisted in the segment index and checked on every read, whether the
+// bytes come from the tail buffer or the file.
+//
 // Tombstones accumulate in place — ReleaseChunk only drops the in-memory
 // reference, leaving the payload as garbage inside its sealed segment —
 // and a compactor (background goroutine or explicit Compact call)
@@ -389,7 +393,7 @@ func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	}
 	s.crash("append")
 	s.active.entries = append(s.active.entries, segEntry{
-		FP: fp, Offset: s.active.len, Length: uint32(len(data)), Refs: 1,
+		FP: fp, Offset: s.active.len, Length: uint32(len(data)), Refs: 1, Sum: chunkSum(fp, data),
 	})
 	s.index[fp] = chunkLoc{seg: s.active.id, slot: len(s.active.entries) - 1}
 	s.active.len += uint64(len(data))
@@ -523,26 +527,38 @@ func (s *SegStore) writeManifestLocked(renamePoint string) error {
 	return nil
 }
 
+// GetChunk reads the chunk from the tail buffer or its segment file and
+// checks it against the sum its row carries, outside the mutex.
 func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+	buf, sum, err := s.readChunk(fp)
+	if err != nil {
+		return nil, err
+	}
+	return checkSum(fp, buf, sum)
+}
+
+// readChunk copies out a chunk's stored bytes and returns them with its
+// sum, unchecked.
+func (s *SegStore) readChunk(fp fingerprint.FP) ([]byte, uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
-		return nil, ErrFailed
+		return nil, 0, ErrFailed
 	}
 	loc, ok := s.index[fp]
 	if !ok {
-		return nil, chunkNotFound(fp)
+		return nil, 0, chunkNotFound(fp)
 	}
 	e, f := s.entryAtLocked(loc)
 	buf := make([]byte, e.Length)
 	if a := s.active; a != nil && loc.seg == a.id && e.Offset >= a.flushed {
 		copy(buf, s.tail[e.Offset-a.flushed:])
-		return buf, nil
+		return buf, e.Sum, nil
 	}
 	if _, err := f.ReadAt(buf, int64(e.Offset)); err != nil {
-		return nil, fmt.Errorf("storage: read chunk %s: %w", fp.Short(), err)
+		return nil, 0, fmt.Errorf("storage: read chunk %s: %w", fp.Short(), err)
 	}
-	return buf, nil
+	return buf, e.Sum, nil
 }
 
 func (s *SegStore) HasChunk(fp fingerprint.FP) (bool, error) {

@@ -9,17 +9,29 @@
 // background compaction — the durable engine of the socket-transport
 // daemon and the examples that want real files on a real local device.
 //
+// Who verifies what: every chunk enters a store already bound to its
+// SHA-1 fingerprint — its owner hashed it, or the receiver or a restore
+// checked it before PutChunk — so the store does not hash it again.
+// Instead PutChunk takes a CRC-32C over fingerprint ‖ bytes, and GetChunk
+// checks it on every read and returns ErrCorrupt on a mismatch: SHA-1 at
+// ingest binds the bytes to their fingerprint, the CRC at rest catches
+// any change since (a flipped byte, or an index row pointing at another
+// chunk's bytes).
+//
 // The in-memory store packs chunk bytes into append-only 256 KiB arenas
 // behind a pointer-free fingerprint index: one heap object per arena, not
-// per chunk. An arena whose chunks are all released is dropped; when the
+// per chunk. Each chunk's 4-byte sum sits in the arena right behind its
+// bytes. An arena whose chunks are all released is dropped; when the
 // dead bytes exceed both the live bytes and one arena, the live chunks
-// are repacked into fresh arenas. Arenas are never written in place, so
-// bytes GetChunk returned stay valid.
+// and their sums are repacked into fresh arenas. Arenas are never written
+// in place, so bytes GetChunk returned stay valid.
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sync"
 
@@ -43,12 +55,45 @@ func (e chunkNotFound) Error() string {
 
 func (e chunkNotFound) Unwrap() error { return ErrNotFound }
 
+// ErrCorrupt is returned by GetChunk when a chunk's bytes no longer match
+// the checksum taken when they were stored.
+var ErrCorrupt = errors.New("storage: chunk corrupt")
+
+// sumSize is the size of a chunk's at-rest checksum.
+const sumSize = 4
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// chunkSum is a chunk's at-rest checksum: CRC-32C over fp ‖ data. Covering
+// the fingerprint makes a row that points at another chunk's bytes fail
+// the check too. The fingerprint is folded in a byte at a time: handing
+// crc32 a slice of it would move fp to the heap on every call.
+func chunkSum(fp fingerprint.FP, data []byte) uint32 {
+	crc := ^uint32(0)
+	for _, b := range fp {
+		crc = castagnoli[byte(crc)^b] ^ crc>>8
+	}
+	return crc32.Update(^crc, castagnoli, data)
+}
+
+// checkSum returns data if it still matches sum, else ErrCorrupt.
+func checkSum(fp fingerprint.FP, data []byte, sum uint32) ([]byte, error) {
+	if chunkSum(fp, data) != sum {
+		return nil, fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
+	}
+	return data, nil
+}
+
 // Store is a node-local chunk store.
 type Store interface {
 	// PutChunk stores data under fp, incrementing its reference count if
-	// already present. The store keeps its own copy of data.
+	// already present. The store keeps its own copy of data, and a
+	// checksum of it. The caller vouches that data hashes to fp: the store
+	// does not SHA-1 it.
 	PutChunk(fp fingerprint.FP, data []byte) error
-	// GetChunk returns the content of fp, or ErrNotFound.
+	// GetChunk returns the content of fp, ErrNotFound, or ErrCorrupt if
+	// the stored bytes no longer match the checksum PutChunk took. Bytes
+	// it returns are the bytes PutChunk was given.
 	GetChunk(fp fingerprint.FP) ([]byte, error)
 	// HasChunk reports whether fp is stored.
 	HasChunk(fp fingerprint.FP) (bool, error)
@@ -96,14 +141,14 @@ func Commit(s Store) error {
 	}
 }
 
-// arenaSize is the capacity of one in-memory arena. A chunk larger than
-// an arena gets an arena of its own, sized to it.
+// arenaSize is the capacity of one in-memory arena. A chunk that does not
+// fit an empty arena with its sum gets an arena of its own, sized to it.
 const arenaSize = 256 << 10
 
-// memStore is the in-memory Store. Chunk bytes are appended to
-// append-only arenas, and the index maps each fingerprint to a
-// pointer-free slot, so the garbage collector has nothing to mark per
-// chunk however many the store holds.
+// memStore is the in-memory Store. Chunk bytes, each followed by its
+// sum, are appended to append-only arenas, and the index maps each
+// fingerprint to a pointer-free slot, so the garbage collector has
+// nothing to mark per chunk however many the store holds.
 //
 // Space comes back two ways. An arena whose chunks are all released is
 // dropped. Once the dead bytes — released chunks in arenas still held —
@@ -118,18 +163,19 @@ type memStore struct {
 	cur    int32                   // guarded by mu: the arena puts append to, or -1
 	blobs  map[string][]byte       // guarded by mu
 	bytes  int64                   // guarded by mu: live chunk bytes
-	dead   int64                   // guarded by mu
+	dead   int64                   // guarded by mu: arena bytes of released chunks and their sums
 	failed bool                    // guarded by mu
 }
 
-// slot locates one chunk: length bytes at off in arenas[arena]. A
-// zero-length chunk has no arena (-1).
+// slot locates one chunk: length bytes at off in arenas[arena], its sum
+// in the sumSize bytes after them. A zero-length chunk has no arena (-1)
+// and no sum: there are no bytes to change.
 type slot struct {
 	arena, off, length, refs int32
 }
 
-// arena is one append-only run of chunk bytes; live counts the bytes of
-// its chunks still referenced.
+// arena is one append-only run of chunks and their sums; live counts the
+// bytes of its chunks still referenced, sums included.
 type arena struct {
 	buf  []byte
 	live int64
@@ -155,28 +201,28 @@ func (s *memStore) PutChunk(fp fingerprint.FP, data []byte) error {
 		s.index[fp] = sl
 		return nil
 	}
-	s.index[fp] = s.placeLocked(data, 1)
+	s.index[fp] = s.placeLocked(data, chunkSum(fp, data), 1)
 	s.bytes += int64(len(data))
 	return nil
 }
 
-// placeLocked copies data into an arena and returns its slot.
-func (s *memStore) placeLocked(data []byte, refs int32) slot {
+// placeLocked copies data and its sum into an arena and returns its slot.
+func (s *memStore) placeLocked(data []byte, sum uint32, refs int32) slot {
 	n := len(data)
 	if n == 0 {
 		return slot{arena: -1, refs: refs}
 	}
 	a := s.cur
-	if n > arenaSize {
-		a = s.newArenaLocked(n)
-	} else if a < 0 || cap(s.arenas[a].buf)-len(s.arenas[a].buf) < n {
+	if n+sumSize > arenaSize {
+		a = s.newArenaLocked(n + sumSize)
+	} else if a < 0 || cap(s.arenas[a].buf)-len(s.arenas[a].buf) < n+sumSize {
 		a = s.newArenaLocked(arenaSize)
 		s.cur = a
 	}
 	ar := &s.arenas[a]
 	off := len(ar.buf)
-	ar.buf = append(ar.buf, data...)
-	ar.live += int64(n)
+	ar.buf = binary.LittleEndian.AppendUint32(append(ar.buf, data...), sum)
+	ar.live += int64(n + sumSize)
 	return slot{arena: a, off: int32(off), length: int32(n), refs: refs}
 }
 
@@ -191,22 +237,30 @@ func (s *memStore) newArenaLocked(size int) int32 {
 	return a
 }
 
-// GetChunk returns the chunk's bytes in place, capacity clipped to length.
+// GetChunk returns the chunk's bytes in place, capacity clipped to length,
+// once they match their sum. The check runs outside the mutex: the bytes
+// and the sum behind them were written before the slot was published and
+// are never written again.
 func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.failed {
+		s.mu.Unlock()
 		return nil, ErrFailed
 	}
 	sl, ok := s.index[fp]
-	if !ok {
-		return nil, chunkNotFound(fp)
+	var buf []byte
+	if ok && sl.arena >= 0 {
+		buf = s.arenas[sl.arena].buf
 	}
-	if sl.arena < 0 {
+	s.mu.Unlock()
+	switch {
+	case !ok:
+		return nil, chunkNotFound(fp)
+	case sl.arena < 0:
 		return []byte{}, nil
 	}
 	end := sl.off + sl.length
-	return s.arenas[sl.arena].buf[sl.off:end:end], nil
+	return checkSum(fp, buf[sl.off:end:end], binary.LittleEndian.Uint32(buf[end:]))
 }
 
 func (s *memStore) HasChunk(fp fingerprint.FP) (bool, error) {
@@ -239,8 +293,8 @@ func (s *memStore) ReleaseChunk(fp fingerprint.FP) error {
 		return nil
 	}
 	ar := &s.arenas[sl.arena]
-	ar.live -= int64(sl.length)
-	s.dead += int64(sl.length)
+	ar.live -= int64(sl.length + sumSize)
+	s.dead += int64(sl.length + sumSize)
 	if ar.live == 0 { // drop it: none of its bytes are held any more
 		s.dead -= int64(len(ar.buf))
 		*ar = arena{}
@@ -257,12 +311,15 @@ func (s *memStore) ReleaseChunk(fp fingerprint.FP) error {
 
 // repackLocked copies every live chunk into fresh arenas and lets the old
 // ones go; slices handed out earlier keep them alive as long as needed.
+// Each chunk takes its stored sum along, not a new one, so bytes that
+// changed before the repack still fail the check after it.
 func (s *memStore) repackLocked() {
 	old := s.arenas
 	s.arenas, s.free, s.cur, s.dead = nil, nil, -1, 0
 	for fp, sl := range s.index {
 		if sl.arena >= 0 {
-			s.index[fp] = s.placeLocked(old[sl.arena].buf[sl.off:sl.off+sl.length], sl.refs)
+			buf, end := old[sl.arena].buf, sl.off+sl.length
+			s.index[fp] = s.placeLocked(buf[sl.off:end], binary.LittleEndian.Uint32(buf[end:]), sl.refs)
 		}
 	}
 }

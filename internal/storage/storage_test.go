@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"dedupcr/internal/fingerprint"
 )
@@ -186,5 +189,325 @@ func TestClusterAccounting(t *testing.T) {
 	c.Replace(3)
 	if c.Node(3).Failed() {
 		t.Fatal("replaced node still failed")
+	}
+}
+
+// flipStored flips the first byte of fp's stored bytes in place, wherever
+// the engine keeps them: a memory arena, the segment store's tail buffer,
+// or a segment data file (open or closed).
+func flipStored(t *testing.T, s Store, fp fingerprint.FP) {
+	t.Helper()
+	switch s := s.(type) {
+	case *memStore:
+		sl := s.index[fp]
+		s.arenas[sl.arena].buf[sl.off] ^= 1
+	case *SegStore:
+		loc := s.index[fp]
+		e, _ := s.entryAtLocked(loc)
+		if a := s.active; a != nil && loc.seg == a.id && e.Offset >= a.flushed {
+			s.tail[e.Offset-a.flushed] ^= 1
+			return
+		}
+		f, err := os.OpenFile(s.segPath(loc.seg), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b := []byte{0}
+		if _, err := f.ReadAt(b, int64(e.Offset)); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 1
+		if _, err := f.WriteAt(b, int64(e.Offset)); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("flipStored: no engine behind %T", s)
+	}
+}
+
+// checkCorrupt asserts what a store holding a corrupt chunk looks like:
+// GetChunk on fp returns ErrCorrupt, printed "chunk <fp>: storage: chunk
+// corrupt", and no bytes; every chunk in intact reads back; HasChunk,
+// Usage and ReleaseChunk behave as for a sound chunk, and once released
+// fp is an ordinary miss.
+func checkCorrupt(t *testing.T, s Store, fp fingerprint.FP, intact ...[]byte) {
+	t.Helper()
+	bytesBefore, chunksBefore := s.Usage()
+	data, err := s.GetChunk(fp)
+	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) || data != nil {
+		t.Fatalf("corrupt chunk: %d bytes, %v; want ErrCorrupt alone", len(data), err)
+	}
+	if want := fmt.Sprintf("chunk %s: %v", fp.Short(), ErrCorrupt); err.Error() != want {
+		t.Fatalf("corrupt chunk prints %q, want %q", err, want)
+	}
+	for i, want := range intact {
+		if got, err := s.GetChunk(fingerprint.Of(want)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("intact chunk %d: %v", i, err)
+		}
+	}
+	if has, err := s.HasChunk(fp); !has || err != nil {
+		t.Fatalf("HasChunk on the corrupt chunk = %v, %v", has, err)
+	}
+	if b, n := s.Usage(); b != bytesBefore || n != chunksBefore {
+		t.Fatalf("Usage moved on a corrupt read: %d/%d, was %d/%d", b, n, bytesBefore, chunksBefore)
+	}
+	if err := s.ReleaseChunk(fp); err != nil {
+		t.Fatalf("ReleaseChunk on the corrupt chunk: %v", err)
+	}
+	if _, err := s.GetChunk(fp); !errors.Is(err, ErrNotFound) || err.Error() != fmt.Sprintf("chunk %s: %v", fp.Short(), ErrNotFound) {
+		t.Fatalf("released corrupt chunk: %v, want the usual miss", err)
+	}
+}
+
+// TestChunkSumCatchesFlippedByte: on every engine, one byte changed in a
+// stored chunk fails GetChunk with ErrCorrupt and leaves everything else
+// as it was.
+func TestChunkSumCatchesFlippedByte(t *testing.T) {
+	target, other := segChunk(1, 1024), segChunk(2, 1024)
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, data := range [][]byte{target, other} {
+				if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flipStored(t, s, fingerprint.Of(target))
+			checkCorrupt(t, s, fingerprint.Of(target), other)
+		})
+	}
+}
+
+// TestChunkSumCoversFingerprint: an index row that points at another
+// chunk's bytes — and that chunk's sum — is caught, because the sum
+// covers the fingerprint, not just the bytes.
+func TestChunkSumCoversFingerprint(t *testing.T) {
+	a, b := segChunk(1, 1024), segChunk(2, 1024)
+	fa, fb := fingerprint.Of(a), fingerprint.Of(b)
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, data := range [][]byte{a, b} {
+				if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch s := s.(type) {
+			case *memStore:
+				s.index[fa] = s.index[fb]
+			case *SegStore:
+				if err := s.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				ea, _ := s.entryAtLocked(s.index[fa])
+				eb, _ := s.entryAtLocked(s.index[fb])
+				ea.Offset, ea.Length, ea.Sum = eb.Offset, eb.Length, eb.Sum
+			}
+			checkCorrupt(t, s, fa, b)
+		})
+	}
+}
+
+// TestZeroLengthChunk: an empty chunk is stored, counted, read back empty
+// and released like any other, and on the segment engine survives a
+// reopen with its sum.
+func TestZeroLengthChunk(t *testing.T) {
+	fp := fingerprint.Of(nil)
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := s.PutChunk(fp, nil); err != nil {
+				t.Fatal(err)
+			}
+			if b, n := s.Usage(); b != 0 || n != 1 {
+				t.Fatalf("Usage %d/%d, want 0 bytes / 1 chunk", b, n)
+			}
+			if seg, ok := s.(*SegStore); ok {
+				if err := seg.Close(); err != nil {
+					t.Fatal(err)
+				}
+				reopened, err := NewSegStore(seg.dir, SegConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer reopened.Close()
+				s = reopened
+			}
+			if got, err := s.GetChunk(fp); err != nil || len(got) != 0 {
+				t.Fatalf("empty chunk read back as %d bytes, %v", len(got), err)
+			}
+			if err := s.ReleaseChunk(fp); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.GetChunk(fp); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("released empty chunk: %v", err)
+			}
+		})
+	}
+}
+
+// TestMemStoreSumSurvivesRepack: a repack moves each chunk's sum with it,
+// not a new one, so a byte flipped before the repack is still reported
+// after it, and one flipped in the fresh arena is caught too.
+func TestMemStoreSumSurvivesRepack(t *testing.T) {
+	target, other := segChunk(1, 1024), segChunk(2, 1024)
+	fp := fingerprint.Of(target)
+	repack := func(t *testing.T, s *memStore) {
+		t.Helper()
+		sl := s.index[fp]
+		before := &s.arenas[sl.arena].buf[sl.off]
+		s.mu.Lock()
+		s.repackLocked()
+		s.mu.Unlock()
+		sl = s.index[fp]
+		if &s.arenas[sl.arena].buf[sl.off] == before {
+			t.Fatal("test premise: the repack did not move the chunk")
+		}
+	}
+	for _, flipFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("flipped before repack=%v", flipFirst), func(t *testing.T) {
+			s := NewMem().(*memStore)
+			for _, data := range [][]byte{target, other} {
+				if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if flipFirst {
+				flipStored(t, s, fp)
+				repack(t, s)
+			} else {
+				repack(t, s)
+				flipStored(t, s, fp)
+			}
+			checkCorrupt(t, s, fp, other)
+		})
+	}
+}
+
+// TestSegSumAtEveryStage: wherever a segment store keeps a chunk — the
+// tail buffer, a written but unsealed segment, a sealed one, a segment
+// reopened from disk, a compaction's rewrite — a flipped byte fails its
+// read, and a chunk flipped before a compaction is still reported after
+// it.
+func TestSegSumAtEveryStage(t *testing.T) {
+	target, other := segChunk(1, 1024), segChunk(2, 1024)
+	garbage := segChunk(3, 16<<10)
+	fp := fingerprint.Of(target)
+	open := func(t *testing.T, dir string) *SegStore {
+		t.Helper()
+		s, err := NewSegStore(dir, SegConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	put := func(t *testing.T, s *SegStore, chunks ...[]byte) {
+		t.Helper()
+		for _, data := range chunks {
+			if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commit := func(t *testing.T, s *SegStore) {
+		t.Helper()
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// compact makes the segment holding target a victim (its garbage
+	// outweighs it) and rewrites it.
+	compact := func(t *testing.T, s *SegStore) {
+		t.Helper()
+		seg := s.index[fp].seg
+		if err := s.ReleaseChunk(fingerprint.Of(garbage)); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, s)
+		if n, err := s.Compact(); err != nil || n == 0 || s.index[fp].seg == seg {
+			t.Fatalf("test premise: compaction rewrote %d segments (%v), target still in %016x: %v", n, err, seg, s.index[fp].seg == seg)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		stage func(t *testing.T, s *SegStore, dir string) *SegStore
+	}{
+		{"tail buffer", func(t *testing.T, s *SegStore, dir string) *SegStore {
+			put(t, s, target, other)
+			if s.active.flushed != 0 {
+				t.Fatal("test premise: target left the tail buffer")
+			}
+			flipStored(t, s, fp)
+			return s
+		}},
+		{"written, unsealed", func(t *testing.T, s *SegStore, dir string) *SegStore {
+			put(t, s, target, other, segChunk(4, segTailBytes+1))
+			if s.active == nil || s.active.flushed <= s.active.entries[0].Offset {
+				t.Fatal("test premise: target not written to the active segment")
+			}
+			flipStored(t, s, fp)
+			return s
+		}},
+		{"sealed", func(t *testing.T, s *SegStore, dir string) *SegStore {
+			put(t, s, target, other)
+			commit(t, s)
+			flipStored(t, s, fp)
+			return s
+		}},
+		{"after reopen", func(t *testing.T, s *SegStore, dir string) *SegStore {
+			put(t, s, target, other)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			flipStored(t, s, fp)
+			return open(t, dir)
+		}},
+		{"after compaction", func(t *testing.T, s *SegStore, dir string) *SegStore {
+			put(t, s, target, other, garbage)
+			commit(t, s)
+			compact(t, s)
+			flipStored(t, s, fp)
+			return s
+		}},
+		{"flipped before compaction", func(t *testing.T, s *SegStore, dir string) *SegStore {
+			put(t, s, target, other, garbage)
+			commit(t, s)
+			flipStored(t, s, fp)
+			compact(t, s)
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := tc.stage(t, open(t, dir), dir)
+			checkCorrupt(t, s, fp, other)
+		})
+	}
+}
+
+// TestEntrySizes pins the per-chunk index footprint the sums must not
+// grow: memStore keeps its sum in the arena, not the slot, and segEntry's
+// field order packs the sum into what was padding.
+func TestEntrySizes(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 16 {
+		t.Errorf("memStore slot is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(segEntry{}); got != 40 {
+		t.Errorf("segEntry is %d bytes, want 40", got)
+	}
+}
+
+// TestChunkSum: the at-rest sum is exactly CRC-32C over fp ‖ data, for
+// empty and non-empty chunks, and taking it allocates nothing.
+func TestChunkSum(t *testing.T) {
+	for _, size := range []int{0, 1, 255, 4096} {
+		data := segChunk(size, 4096)[:size]
+		fp := fingerprint.Of(data)
+		want := crc32.Checksum(append(fp[:], data...), crc32.MakeTable(crc32.Castagnoli))
+		if got := chunkSum(fp, data); got != want {
+			t.Errorf("%d bytes: sum %08x, CRC-32C of fp ‖ data is %08x", size, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { chunkSum(fp, data) }); allocs != 0 {
+			t.Errorf("%d bytes: chunkSum allocates %.0f times", size, allocs)
+		}
 	}
 }
