@@ -43,7 +43,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunksReply -fuzztime 30s ./internal/fetch
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDump -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetricsDecode -fuzztime 30s ./internal/telemetry
-	$(GO) test -run '^$$' -fuzz FuzzHybridMetaUnmarshal -fuzztime 30s ./internal/hybrid
 	$(GO) test -run '^$$' -fuzz FuzzSegmentIndexDecode -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 30s ./internal/storage
 

@@ -71,74 +71,3 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
-
-// ClosureValue resolves a locally-bound function variable to the single
-// *ast.FuncLit assigned to it within scope. It returns nil when the
-// variable is assigned more than once, assigned a non-literal, or never
-// assigned in scope — callers must treat nil as "unresolvable", not
-// "no function".
-func ClosureValue(info *types.Info, scope ast.Node, obj types.Object) *ast.FuncLit {
-	var lit *ast.FuncLit
-	assigns := 0
-	ast.Inspect(scope, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			var o types.Object
-			if d := info.Defs[id]; d != nil {
-				o = d
-			} else {
-				o = info.Uses[id]
-			}
-			if o != obj {
-				continue
-			}
-			assigns++
-			if fl, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit); ok {
-				lit = fl
-			}
-		}
-		return true
-	})
-	if assigns != 1 {
-		return nil
-	}
-	return lit
-}
-
-// Assignments returns every expression assigned to obj inside scope,
-// covering := and = forms (var decls with initializers are not
-// AssignStmts and are intentionally out of scope for the analyzers
-// using this). The result preserves source order.
-func Assignments(info *types.Info, scope ast.Node, obj types.Object) []ast.Expr {
-	var out []ast.Expr
-	ast.Inspect(scope, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			var o types.Object
-			if d := info.Defs[id]; d != nil {
-				o = d
-			} else {
-				o = info.Uses[id]
-			}
-			if o == obj {
-				out = append(out, as.Rhs[i])
-			}
-		}
-		return true
-	})
-	return out
-}

@@ -227,48 +227,3 @@ func dynamic() { fn() }
 		}
 	}
 }
-
-func TestClosureValue(t *testing.T) {
-	const src = `package p
-
-func host() {
-	once := func() int { return 1 }
-	_ = once()
-
-	var twice func() int
-	twice = func() int { return 2 }
-	twice = func() int { return 3 }
-	_ = twice()
-}
-`
-	_, file, info := parseAndCheck(t, src)
-	body := funcBody(t, file, "host")
-	var onceObj, twiceObj types.Object
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if d := info.Defs[id]; d != nil {
-			switch id.Name {
-			case "once":
-				onceObj = d
-			case "twice":
-				twiceObj = d
-			}
-		}
-		return true
-	})
-	if onceObj == nil || twiceObj == nil {
-		t.Fatal("objects not found")
-	}
-	if lit := ClosureValue(info, body, onceObj); lit == nil {
-		t.Error("once: single-assignment closure should resolve")
-	}
-	if lit := ClosureValue(info, body, twiceObj); lit != nil {
-		t.Error("twice: reassigned closure must not resolve")
-	}
-	if got := len(Assignments(info, body, twiceObj)); got != 2 {
-		t.Errorf("Assignments(twice) = %d, want 2", got)
-	}
-}

@@ -7,15 +7,14 @@ import (
 
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
-	"dedupcr/internal/hybrid"
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/netsim"
 	"dedupcr/internal/storage"
 )
 
 // The ablation experiments go beyond the paper: they quantify the design
-// choices DESIGN.md calls out (shuffle strategy, restore recovery cost,
-// and the future-work dedup+erasure hybrid).
+// choices DESIGN.md calls out (shuffle strategy, restore recovery cost
+// and the checkpoint architecture).
 
 // AblationShuffle compares three partner-selection strategies on the same
 // measured SendLoad matrices: none (identity order), the literal
@@ -178,85 +177,6 @@ func AblationPFS(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.0fs", resNo.CheckpointTime()),
 			fmt.Sprintf("%.0fs", res.CheckpointTime()),
 		})
-	}
-	return t, nil
-}
-
-// AblationHybrid compares the network volume of replication-based
-// coll-dedup against the dedup+erasure hybrid at equal protection.
-func AblationHybrid(cfg Config) (*Table, error) {
-	n := 24
-	if cfg.Quick {
-		n = 8
-	}
-	const k = 3
-	w := HPCCG()
-	t := &Table{
-		ID:     "ablation-hybrid",
-		Title:  fmt.Sprintf("Replication vs dedup+erasure hybrid, HPCCG, %d processes, K=%d", n, k),
-		Header: []string{"scheme", "network bytes (total)", "network bytes (max rank)"},
-		Notes: []string{
-			"both schemes survive any K-1 node losses; the hybrid trades bandwidth for reconstruction cost",
-			"the paper's conclusion proposes exactly this combination as future work",
-		},
-	}
-
-	mkBuf := func(rank int) []byte {
-		app := w.New(rank, n)
-		for s := 0; s < w.StepsPerPhase; s++ {
-			app.Step()
-		}
-		return app.CheckpointImage()
-	}
-
-	// Replication (coll-dedup).
-	{
-		cluster := storage.NewCluster(n)
-		sent := make([]int64, n)
-		var mu sync.Mutex
-		err := collectives.Run(n, func(c collectives.Comm) error {
-			o := core.Options{K: k, Approach: core.CollDedup, F: w.F,
-				ChunkSize: w.ChunkSize, Name: "abl"}
-			res, err := core.DumpOutput(c, cluster.Node(c.Rank()), mkBuf(c.Rank()), o)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sent[c.Rank()] = res.Metrics.SentBytes
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"coll-dedup replication",
-			metrics.Bytes(int64(float64(metrics.Sum(sent)) * w.Scale)),
-			metrics.Bytes(int64(float64(metrics.Max(sent)) * w.Scale))})
-	}
-
-	// Hybrid (dedup + Reed-Solomon groups).
-	{
-		cluster := storage.NewCluster(n)
-		sent := make([]int64, n)
-		var mu sync.Mutex
-		err := collectives.Run(n, func(c collectives.Comm) error {
-			o := hybrid.Options{K: k, Group: 4, F: w.F,
-				ChunkSize: w.ChunkSize, Name: "abl"}
-			rep, err := hybrid.Protect(c, cluster.Node(c.Rank()), mkBuf(c.Rank()), o)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sent[c.Rank()] = rep.GatherBytesSent + rep.ParityBytesSent
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"dedup + RS(4,2) hybrid",
-			metrics.Bytes(int64(float64(metrics.Sum(sent)) * w.Scale)),
-			metrics.Bytes(int64(float64(metrics.Max(sent)) * w.Scale))})
 	}
 	return t, nil
 }

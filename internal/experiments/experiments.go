@@ -142,7 +142,6 @@ var Registry = []Experiment{
 	{"parallel", "Ablation: hot-path parallelism, serial vs GOMAXPROCS workers (beyond paper)", AblationParallel},
 	{"ablation-shuffle", "Ablation: partner-selection strategies (beyond paper)", AblationShuffle},
 	{"ablation-restore", "Ablation: restore cost vs node failures (beyond paper)", AblationRestore},
-	{"ablation-hybrid", "Ablation: replication vs dedup+erasure hybrid (beyond paper)", AblationHybrid},
 	{"ablation-pfs", "Ablation: PFS vs local-storage checkpointing (beyond paper)", AblationPFS},
 }
 

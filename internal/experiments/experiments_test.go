@@ -16,7 +16,7 @@ func quickCfg() Config { return Config{Quick: true} }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3a", "fig3b", "fig3c", "table1", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig5c",
-		"phases", "imbalance", "fragmentation", "parallel", "ablation-shuffle", "ablation-restore", "ablation-hybrid", "ablation-pfs"}
+		"phases", "imbalance", "fragmentation", "parallel", "ablation-shuffle", "ablation-restore", "ablation-pfs"}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
 			t.Errorf("experiment %q missing from registry", id)

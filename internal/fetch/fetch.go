@@ -1,8 +1,8 @@
 // Package fetch is the peer fetch service used during restores: while a
 // collective restore runs, every rank serves chunk and blob requests so
 // peers can pull data their own (possibly replaced) local store no longer
-// holds. Multiple protocols can coexist by using distinct classes (the
-// plain restore and the hybrid erasure restore use different ones).
+// holds. A Class gives one fetch service its own tag space on the
+// communicator.
 package fetch
 
 import (

@@ -5,21 +5,19 @@ import (
 	"time"
 
 	"dedupcr/internal/collectives"
-	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/metrics"
 )
 
 // Stats is an instrumented fetch client: it wraps the package-level Blob
-// and Chunk calls and records per-exchange latency, per-peer traffic and
+// call and records per-exchange latency, per-peer traffic and
 // miss counts — the raw material of restore read-amplification and
 // fetch-imbalance reporting. Batched exchanges (Pipeline) are recorded
 // by their caller through Exchange, once it has judged every answer. A
 // nil *Stats is valid and records nothing, so instrumented call sites
 // never branch on "is instrumentation on".
 //
-// All methods are safe for concurrent use: a plain restore keeps several
-// batched exchanges in flight on one goroutine, and hybrid shard recovery
-// may fetch from a helper goroutine while counters are read.
+// All methods are safe for concurrent use. The restore keeps several
+// batched exchanges in flight on one goroutine.
 type Stats struct {
 	mu         sync.Mutex
 	latency    *metrics.Histogram
@@ -66,16 +64,6 @@ func (s *Stats) Exchange(peer, asked, served int, servedBytes int64, elapsed tim
 		s.peerChunks[peer] += int64(served)
 		s.peerBytes[peer] += servedBytes
 	}
-}
-
-// Chunk fetches a chunk by fingerprint from peer, recording the RPC.
-func (s *Stats) Chunk(c collectives.Comm, class Class, peer int, fp fingerprint.FP) ([]byte, bool, error) {
-	start := time.Now()
-	data, found, err := Chunk(c, class, peer, fp)
-	if err == nil {
-		s.record(peer, data, found, time.Since(start))
-	}
-	return data, found, err
 }
 
 // Blob fetches a named blob from peer, recording the RPC. Blob payloads

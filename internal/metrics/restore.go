@@ -41,9 +41,6 @@ type Restore struct {
 	// MetaFetches counts restore-metadata blobs that had to come from a
 	// peer replica because the local copy was lost.
 	MetaFetches int
-	// RecoveredChunks counts chunks rebuilt by erasure reconstruction
-	// instead of fetched whole (hybrid restores only).
-	RecoveredChunks int
 	// SourceRanks is the number of distinct peer ranks that served at
 	// least one chunk — the rank-level scatter of this rank's image.
 	SourceRanks int
@@ -104,7 +101,7 @@ func (r Restore) ReadAmplificationChunks() float64 {
 }
 
 // RestorePhases is the wall-clock decomposition of one collective restore
-// on one rank. Meta, Assemble, Recover, Commit and Barrier are disjoint
+// on one rank. Meta, Assemble, Commit and Barrier are disjoint
 // and sum to (almost) Total; Fetch is the wall time of the remote-fetch
 // stage and lies INSIDE Meta and Assemble, so it is excluded from Sum.
 type RestorePhases struct {
@@ -116,12 +113,8 @@ type RestorePhases struct {
 	// Fetch is the wall time of remote fetching: the batched chunk fetch
 	// stage of assembly (first request sent to last reply placed — its
 	// exchanges overlap, so this is not a sum of latencies; contained in
-	// Assemble) plus the metadata blob fetches (contained in Meta). The
-	// hybrid restore fetches one chunk at a time and reports the sum.
+	// Assemble) plus the metadata blob fetches (contained in Meta).
 	Fetch time.Duration
-	// Recover is erasure-coded shard reconstruction (hybrid restores
-	// only; zero for plain restores).
-	Recover time.Duration
 	// Commit covers post-assembly persistence: the reclamation-list
 	// update and metadata re-replication.
 	Commit time.Duration
@@ -135,7 +128,7 @@ type RestorePhases struct {
 // Sum adds the disjoint phases (excluding Fetch, which Assemble already
 // contains, and Total).
 func (p RestorePhases) Sum() time.Duration {
-	return p.Meta + p.Assemble + p.Recover + p.Commit + p.Barrier
+	return p.Meta + p.Assemble + p.Commit + p.Barrier
 }
 
 // Other returns the unattributed remainder Total - Sum (clamped at 0).
@@ -151,17 +144,15 @@ func (p *RestorePhases) Add(q RestorePhases) {
 	p.Meta += q.Meta
 	p.Assemble += q.Assemble
 	p.Fetch += q.Fetch
-	p.Recover += q.Recover
 	p.Commit += q.Commit
 	p.Barrier += q.Barrier
 	p.Total += q.Total
 }
 
 // RestorePhaseNames lists the restore phase labels in pipeline order,
-// matching the span names recorded by internal/core and internal/hybrid.
+// matching the span names recorded by internal/core.
 var RestorePhaseNames = []string{
-	"restore-meta", "assemble", "fetch", "shard-recover",
-	"restore-commit", "restore-barrier",
+	"restore-meta", "assemble", "fetch", "restore-commit", "restore-barrier",
 }
 
 // ByName returns the duration of the named phase (one of
@@ -174,8 +165,6 @@ func (p RestorePhases) ByName(name string) time.Duration {
 		return p.Assemble
 	case "fetch":
 		return p.Fetch
-	case "shard-recover":
-		return p.Recover
 	case "restore-commit":
 		return p.Commit
 	case "restore-barrier":
@@ -237,7 +226,6 @@ func (r Restore) WritePrometheus(w io.Writer) {
 	counter("dedupcr_restore_fetch_requests_total", "Chunks and blobs asked of a peer, misses included.", r.FetchRequests)
 	counter("dedupcr_restore_fetch_misses_total", "Asks answered not-found or rejected on verification.", r.FetchMisses)
 	counter("dedupcr_restore_meta_fetches_total", "Restore-metadata blobs recovered from peer replicas.", int64(r.MetaFetches))
-	counter("dedupcr_restore_recovered_chunks_total", "Chunks rebuilt by erasure reconstruction.", int64(r.RecoveredChunks))
 	counter("dedupcr_restore_source_ranks", "Distinct peer ranks that served at least one chunk.", int64(r.SourceRanks))
 	counter("dedupcr_restore_objects_touched", "Distinct local store objects read (chunks + blobs).", int64(r.ObjectsTouched))
 	counter("dedupcr_restore_largest_run_chunks", "Longest same-source sequential run in the recipe walk.", r.LargestRun)

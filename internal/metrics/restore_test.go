@@ -24,14 +24,13 @@ func sampleRestore() Restore {
 	return Restore{
 		Rank: 2, LogicalBytes: 1 << 20, TotalChunks: 256, UniqueChunks: 240,
 		LocalChunks: 150, LocalBytes: 614_400, FetchedChunks: 106, FetchedBytes: 434_176,
-		FetchRequests: 110, FetchMisses: 4, MetaFetches: 1, RecoveredChunks: 8,
+		FetchRequests: 110, FetchMisses: 4, MetaFetches: 1,
 		SourceRanks: 3, ObjectsTouched: 151, LargestRun: 120,
 		PeerFetchChunks: []int64{0, 40, 0, 66}, PeerFetchBytes: []int64{0, 163_840, 0, 270_336},
 		Phases: RestorePhases{
 			Meta: 200 * time.Microsecond, Assemble: 8 * time.Millisecond,
-			Fetch: 5 * time.Millisecond, Recover: time.Millisecond,
-			Commit: 500 * time.Microsecond, Barrier: 300 * time.Microsecond,
-			Total: 10 * time.Millisecond,
+			Fetch: 5 * time.Millisecond, Commit: 500 * time.Microsecond,
+			Barrier: 300 * time.Microsecond, Total: 10 * time.Millisecond,
 		},
 		BarrierExit:      time.Unix(1700000000, 0),
 		RunLengths:       runs,
@@ -83,6 +82,9 @@ func TestRestoreExpositionShape(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "recovered_chunks") {
+		t.Errorf("exposition still carries a recovered-chunk family:\n%s", out)
+	}
 	if strings.Contains(out, `peer="0"`) || strings.Contains(out, `peer="2"`) {
 		t.Errorf("zero peer slots exposed:\n%s", out)
 	}
@@ -110,11 +112,10 @@ func TestReadAmplification(t *testing.T) {
 func TestRestorePhasesDecomposition(t *testing.T) {
 	p := RestorePhases{
 		Meta: 1 * time.Millisecond, Assemble: 8 * time.Millisecond,
-		Fetch: 5 * time.Millisecond, Recover: 2 * time.Millisecond,
-		Commit: 1 * time.Millisecond, Barrier: 1 * time.Millisecond,
-		Total: 14 * time.Millisecond,
+		Fetch: 5 * time.Millisecond, Commit: 1 * time.Millisecond,
+		Barrier: 1 * time.Millisecond, Total: 12 * time.Millisecond,
 	}
-	if got, want := p.Sum(), 13*time.Millisecond; got != want {
+	if got, want := p.Sum(), 11*time.Millisecond; got != want {
 		t.Errorf("Sum: got %v, want %v (Fetch must not double-count)", got, want)
 	}
 	if got, want := p.Other(), time.Millisecond; got != want {
@@ -126,13 +127,10 @@ func TestRestorePhasesDecomposition(t *testing.T) {
 	var q RestorePhases
 	q.Add(p)
 	q.Add(p)
-	if q.Assemble != 16*time.Millisecond || q.Fetch != 10*time.Millisecond || q.Total != 28*time.Millisecond {
+	if q.Assemble != 16*time.Millisecond || q.Fetch != 10*time.Millisecond || q.Total != 24*time.Millisecond {
 		t.Errorf("Add accumulation wrong: %+v", q)
 	}
 	for _, name := range RestorePhaseNames {
-		if name == "fetch" || name == "shard-recover" {
-			continue
-		}
 		if p.ByName(name) == 0 {
 			t.Errorf("ByName(%q) returned 0 for populated phases", name)
 		}

@@ -125,8 +125,6 @@ func (cr *ClusterRestore) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "dedupcr_cluster_restore_fetched_bytes %d\n", cr.TotalFetchedBytes)
 	gauge("dedupcr_cluster_restore_fetched_chunks", "Chunks pulled from peers, summed over ranks.")
 	fmt.Fprintf(w, "dedupcr_cluster_restore_fetched_chunks %d\n", cr.TotalFetchedChunks)
-	gauge("dedupcr_cluster_restore_recovered_chunks", "Chunks rebuilt by erasure reconstruction, summed over ranks.")
-	fmt.Fprintf(w, "dedupcr_cluster_restore_recovered_chunks %d\n", cr.TotalRecoveredChunks)
 	gauge("dedupcr_cluster_restore_fetch_requests", "Chunks and blobs asked of a peer, summed over ranks.")
 	fmt.Fprintf(w, "dedupcr_cluster_restore_fetch_requests %d\n", cr.TotalFetchRequests)
 	gauge("dedupcr_cluster_restore_fetch_misses", "Asks answered not-found or rejected on verification, summed over ranks.")

@@ -78,10 +78,8 @@ type ClusterRestore struct {
 	TotalLogicalBytes int64
 	TotalLocalBytes   int64
 	TotalFetchedBytes int64
-	// TotalFetchedChunks / TotalRecoveredChunks sum peer-fetched and
-	// erasure-rebuilt chunks over ranks.
-	TotalFetchedChunks   int64
-	TotalRecoveredChunks int64
+	// TotalFetchedChunks sums peer-fetched chunks over ranks.
+	TotalFetchedChunks int64
 	// TotalFetchRequests / TotalFetchMisses sum the chunks and blobs asked
 	// of peers over ranks (one per fingerprint of a batched request); a
 	// high miss share means the hint paths were stale and restores swept.
@@ -186,7 +184,6 @@ func AggregateRestore(rs []metrics.Restore, opts Options) (*ClusterRestore, erro
 		cr.TotalLocalBytes += r.LocalBytes
 		cr.TotalFetchedBytes += r.FetchedBytes
 		cr.TotalFetchedChunks += int64(r.FetchedChunks)
-		cr.TotalRecoveredChunks += int64(r.RecoveredChunks)
 		cr.TotalFetchRequests += r.FetchRequests
 		cr.TotalFetchMisses += r.FetchMisses
 		cr.TotalObjectsTouched += int64(r.ObjectsTouched)
@@ -362,13 +359,9 @@ func (cr *ClusterRestore) WriteText(w io.Writer) {
 			ps.Name, metrics.Duration(ps.Min), metrics.Duration(ps.Median),
 			metrics.Duration(ps.P95), metrics.Duration(ps.Max), ps.SlowestRank)
 	}
-	fmt.Fprintf(w, "\nread volume: logical %s, local %s, fetched %s (%d chunks",
+	fmt.Fprintf(w, "\nread volume: logical %s, local %s, fetched %s (%d chunks)\n",
 		metrics.Bytes(cr.TotalLogicalBytes), metrics.Bytes(cr.TotalLocalBytes),
 		metrics.Bytes(cr.TotalFetchedBytes), cr.TotalFetchedChunks)
-	if cr.TotalRecoveredChunks > 0 {
-		fmt.Fprintf(w, ", %d rebuilt", cr.TotalRecoveredChunks)
-	}
-	fmt.Fprintf(w, ")\n")
 	fmt.Fprintf(w, "read amplification: %.3fx bytes, %.3fx chunks\n",
 		cr.ReadAmplificationBytes, cr.ReadAmplificationChunks)
 	if cr.TotalFetchRequests > 0 {

@@ -254,6 +254,9 @@ func TestClusterRestoreExpositionWellFormed(t *testing.T) {
 		t.Errorf("cluster restore exposition malformed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
+	if strings.Contains(out, "recovered_chunks") {
+		t.Errorf("exposition still carries a recovered-chunk family:\n%s", out)
+	}
 	for _, want := range []string{
 		"dedupcr_cluster_restore_ranks 4",
 		`dedupcr_cluster_restore_phase_seconds{phase="assemble",stat="median"}`,

@@ -9,9 +9,9 @@ import (
 )
 
 // restoreWireVersion tags the binary layout of an encoded
-// metrics.Restore. The restore family was introduced with telemetry wire
-// version 3, so it starts there; there is no older layout to accept.
-const restoreWireVersion = 3
+// metrics.Restore. Frames of any other version, v3 included, are refused,
+// not migrated.
+const restoreWireVersion = 4
 
 // EncodeRestore serializes one rank's restore metrics for the in-band
 // gather: a version byte, the fixed counters and phase durations as
@@ -56,14 +56,13 @@ func EncodeRestore(r metrics.Restore) ([]byte, error) {
 	i64(r.FetchRequests)
 	i64(r.FetchMisses)
 	i64(int64(r.MetaFetches))
-	i64(int64(r.RecoveredChunks))
 	i64(int64(r.SourceRanks))
 	i64(int64(r.ObjectsTouched))
 	i64(r.LargestRun)
 
 	p := r.Phases
 	for _, ph := range []time.Duration{
-		p.Meta, p.Assemble, p.Fetch, p.Recover, p.Commit, p.Barrier, p.Total,
+		p.Meta, p.Assemble, p.Fetch, p.Commit, p.Barrier, p.Total,
 	} {
 		i64(int64(ph))
 	}
@@ -156,7 +155,7 @@ func DecodeRestore(data []byte) (metrics.Restore, error) {
 		}
 	}
 
-	ints := make([]int64, 15)
+	ints := make([]int64, 14)
 	for i := range ints {
 		v, ok := i64()
 		if !ok {
@@ -175,12 +174,11 @@ func DecodeRestore(data []byte) (metrics.Restore, error) {
 	r.FetchRequests = ints[8]
 	r.FetchMisses = ints[9]
 	r.MetaFetches = int(ints[10])
-	r.RecoveredChunks = int(ints[11])
-	r.SourceRanks = int(ints[12])
-	r.ObjectsTouched = int(ints[13])
-	r.LargestRun = ints[14]
+	r.SourceRanks = int(ints[11])
+	r.ObjectsTouched = int(ints[12])
+	r.LargestRun = ints[13]
 
-	phases := make([]time.Duration, 7)
+	phases := make([]time.Duration, 6)
 	for i := range phases {
 		v, ok := i64()
 		if !ok {
@@ -189,8 +187,8 @@ func DecodeRestore(data []byte) (metrics.Restore, error) {
 		phases[i] = time.Duration(v)
 	}
 	p := &r.Phases
-	p.Meta, p.Assemble, p.Fetch, p.Recover = phases[0], phases[1], phases[2], phases[3]
-	p.Commit, p.Barrier, p.Total = phases[4], phases[5], phases[6]
+	p.Meta, p.Assemble, p.Fetch = phases[0], phases[1], phases[2]
+	p.Commit, p.Barrier, p.Total = phases[3], phases[4], phases[5]
 
 	var ok bool
 	if r.PeerFetchChunks, ok = i64s(); !ok {

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,14 +28,13 @@ func fullRestore(rank int) metrics.Restore {
 	return metrics.Restore{
 		Rank: rank, LogicalBytes: 1 << 20, TotalChunks: 256, UniqueChunks: 240,
 		LocalChunks: 150, LocalBytes: 600_000, FetchedChunks: 106, FetchedBytes: 448_576,
-		FetchRequests: 110, FetchMisses: 4, MetaFetches: 1, RecoveredChunks: 12,
+		FetchRequests: 110, FetchMisses: 4, MetaFetches: 1,
 		SourceRanks: 5, ObjectsTouched: 161, LargestRun: 256,
 		PeerFetchChunks: []int64{0, 40, 66}, PeerFetchBytes: []int64{0, 160_000, 288_576},
 		Phases: metrics.RestorePhases{
 			Meta: 300 * time.Microsecond, Assemble: 9 * time.Millisecond,
-			Fetch: 6 * time.Millisecond, Recover: 2 * time.Millisecond,
-			Commit: time.Millisecond, Barrier: 700 * time.Microsecond,
-			Total: 13 * time.Millisecond,
+			Fetch: 6 * time.Millisecond, Commit: time.Millisecond,
+			Barrier: 700 * time.Microsecond, Total: 11 * time.Millisecond,
 		},
 		BarrierExit:      time.Unix(1700000000, 987654321),
 		RunLengths:       runs,
@@ -53,18 +54,17 @@ func TestRestoreWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Compare everything except the histogram pointers field-wise.
+	// Compare every scalar field and the phases; the histograms, the peer
+	// matrix and the wall stamp are checked separately below.
 	inCmp, outCmp := in, out
 	inCmp.RunLengths, outCmp.RunLengths = nil, nil
 	inCmp.FetchLatency, outCmp.FetchLatency = nil, nil
 	inCmp.StoreReadLatency, outCmp.StoreReadLatency = nil, nil
 	inCmp.PeerFetchChunks, outCmp.PeerFetchChunks = nil, nil
 	inCmp.PeerFetchBytes, outCmp.PeerFetchBytes = nil, nil
-	if inCmp.Rank != outCmp.Rank || inCmp.FetchedBytes != outCmp.FetchedBytes ||
-		inCmp.Phases != outCmp.Phases || inCmp.LargestRun != outCmp.LargestRun ||
-		inCmp.ObjectsTouched != outCmp.ObjectsTouched ||
-		!inCmp.BarrierExit.Equal(outCmp.BarrierExit) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", inCmp, outCmp)
+	inCmp.BarrierExit, outCmp.BarrierExit = time.Time{}, time.Time{}
+	if !reflect.DeepEqual(inCmp, outCmp) || !in.BarrierExit.Equal(out.BarrierExit) {
+		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
 	if len(out.PeerFetchChunks) != 3 || out.PeerFetchChunks[2] != 66 ||
 		len(out.PeerFetchBytes) != 3 || out.PeerFetchBytes[1] != 160_000 {
@@ -163,6 +163,12 @@ func TestRestoreWireRejects(t *testing.T) {
 	if _, err := DecodeRestore(append([]byte{dumpWireVersionV2}, enc[1:]...)); err == nil {
 		t.Error("v2 version byte accepted on the restore codec")
 	}
+	// A genuine v3 frame (with the recovered-chunk counter and the
+	// reconstruction phase) is refused by its version byte, not migrated.
+	_, err = DecodeRestore(encodeRestoreV3(t, fullRestore(1)))
+	if err == nil || !strings.Contains(err.Error(), "restore wire version 3, want 4") {
+		t.Errorf("v3 frame: got %v, want the version error", err)
+	}
 	for _, cut := range []int{1, 8, len(enc) / 2, len(enc) - 1} {
 		if _, err := DecodeRestore(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
@@ -171,6 +177,25 @@ func TestRestoreWireRejects(t *testing.T) {
 	if _, err := DecodeRestore(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+}
+
+// encodeRestoreV3 builds the v3 layout of r: the v4 encoding with a zero
+// recovered-chunk counter after MetaFetches and a zero reconstruction
+// phase after Fetch.
+func encodeRestoreV3(t testing.TB, r metrics.Restore) []byte {
+	t.Helper()
+	v4, err := EncodeRestore(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const counterAt = 1 + 11*8     // version byte, Rank..MetaFetches
+	const phaseAt = 1 + 14*8 + 3*8 // every counter, Meta, Assemble, Fetch
+	zero := make([]byte, 8)
+	v3 := append([]byte{3}, v4[1:counterAt]...)
+	v3 = append(v3, zero...)
+	v3 = append(v3, v4[counterAt:phaseAt]...)
+	v3 = append(v3, zero...)
+	return append(v3, v4[phaseAt:]...)
 }
 
 // TestDumpWireDecodesV2 pins cross-version compatibility: the wire bump
@@ -230,6 +255,7 @@ func FuzzRestoreMetricsDecode(f *testing.F) {
 	f.Add(valid[:9])
 	f.Add([]byte{})
 	f.Add([]byte{restoreWireVersion})
+	f.Add(encodeRestoreV3(f, fullRestore(1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRestore(data)
