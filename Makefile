@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunksReply -fuzztime 30s ./internal/fetch
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDump -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetricsDecode -fuzztime 30s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStore -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzSegmentIndexDecode -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 30s ./internal/storage
 

@@ -481,7 +481,7 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 	// Gather the whole group's metrics to rank 0 in-band. Every rank
 	// enters the collective unconditionally (the flags may differ per
 	// invocation; a one-sided gather would hang), rank 0 publishes.
-	cd, err := telemetry.GatherCluster(comm, m, telemetry.Options{})
+	cd, err := telemetry.GatherCluster(comm, m)
 	if err != nil {
 		return err
 	}
@@ -559,7 +559,7 @@ func doRestore(ctx context.Context, comm collectives.Comm, store storage.Store, 
 	// Gather the whole group's restore metrics to rank 0 in-band. As in
 	// doDump, every rank enters the collective unconditionally (a
 	// one-sided gather would hang), rank 0 publishes.
-	cr, err := telemetry.GatherClusterRestore(comm, m, telemetry.Options{})
+	cr, err := telemetry.GatherClusterRestore(comm, m)
 	if err != nil {
 		return err
 	}

@@ -201,7 +201,7 @@ func TestClusterEndpoints(t *testing.T) {
 		dumps[r].Phases.Total = time.Duration(r+1) * 12 * time.Millisecond
 		dumps[r].BarrierExit = time.Unix(1700000000, int64(r)*1000)
 	}
-	cd, err := telemetry.Aggregate(dumps, telemetry.Options{})
+	cd, err := telemetry.Aggregate(dumps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 		if !bytes.Equal(rres.Data, buf) {
 			return fmt.Errorf("rank %d corrupt restore", rank)
 		}
-		got, err := telemetry.GatherClusterRestore(c, rres.Metrics, telemetry.Options{})
+		got, err := telemetry.GatherClusterRestore(c, rres.Metrics)
 		if err != nil {
 			return err
 		}

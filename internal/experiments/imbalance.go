@@ -101,7 +101,7 @@ func runClusterScenario(cfg Config, w Workload, n, k int, approach core.Approach
 		if err != nil {
 			return err
 		}
-		got, err := telemetry.GatherCluster(c, res.Metrics, telemetry.Options{})
+		got, err := telemetry.GatherCluster(c, res.Metrics)
 		if err != nil {
 			return err
 		}

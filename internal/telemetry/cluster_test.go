@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
+	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
 	"dedupcr/internal/trace"
 )
@@ -31,6 +33,59 @@ func telemetryWorkload(rank, pages, pageSize int) []byte {
 		}
 	}
 	return buf
+}
+
+// TestGatherClusterPhase checks that the dump gather runs under its own
+// phase: a fault keyed on "dump-telemetry" fires inside GatherCluster,
+// and one keyed on the dump's last phase, "barrier", no longer does.
+func TestGatherClusterPhase(t *testing.T) {
+	const n, victim = 4, 1
+	for _, tc := range []struct {
+		phase string
+		fires bool
+	}{{"dump-telemetry", true}, {"barrier", false}} {
+		t.Run(tc.phase, func(t *testing.T) {
+			ring := obs.New(256)
+			defer obs.SetDefault(obs.SetDefault(ring))
+			plan := collectives.FaultPlan{Faults: []collectives.Fault{
+				{Kind: collectives.FaultKill, Rank: victim, Phase: tc.phase, Peer: collectives.AnyRank},
+			}}
+			dumps := clusterDumps(n)
+			errs := make([]error, n)
+			err := collectives.Run(n, func(c collectives.Comm) error {
+				fc := collectives.InjectFaults(c, plan)
+				collectives.NotePhase(fc, "barrier") // where the dump leaves off
+				_, errs[c.Rank()] = GatherCluster(fc, dumps[c.Rank()])
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := errors.Is(errs[victim], collectives.ErrInjected); got != tc.fires {
+				t.Fatalf("victim error %v: injected = %v, want %v", errs[victim], got, tc.fires)
+			}
+			if !tc.fires {
+				for r, err := range errs {
+					if err != nil {
+						t.Errorf("rank %d: %v", r, err)
+					}
+				}
+				return
+			}
+			if errs[0] == nil {
+				t.Error("rank 0 gathered without the killed rank")
+			}
+			var faults []string
+			for _, e := range ring.Events() {
+				if e.Kind == obs.KindFault {
+					faults = append(faults, e.Phase)
+				}
+			}
+			if len(faults) != 1 || faults[0] != "dump-telemetry" {
+				t.Errorf("fault events name phases %v, want [dump-telemetry]", faults)
+			}
+		})
+	}
 }
 
 // TestClusterAcceptance is the tentpole's end-to-end check: a multi-rank
@@ -56,7 +111,7 @@ func TestClusterAcceptance(t *testing.T) {
 		mu.Lock()
 		results[rank] = res
 		mu.Unlock()
-		got, err := GatherCluster(c, res.Metrics, Options{})
+		got, err := GatherCluster(c, res.Metrics)
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,7 @@ import (
 // cluster families, with and without stragglers present.
 func TestClusterExpositionWellFormed(t *testing.T) {
 	dumps := clusterDumps(4)
-	cd, err := Aggregate(dumps, Options{})
+	cd, err := Aggregate(dumps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestClusterExpositionWellFormed(t *testing.T) {
 	for r := range flat {
 		flat[r] = metrics.Dump{Rank: r, Phases: metrics.Phases{Put: time.Millisecond, Total: time.Millisecond}}
 	}
-	cdFlat, err := Aggregate(flat, Options{})
+	cdFlat, err := Aggregate(flat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"dedupcr/internal/collectives"
 	"dedupcr/internal/metrics"
 )
 
@@ -124,62 +123,37 @@ type ClusterRestore struct {
 	Stragglers []Straggler
 	// ClockSpread is the width of the barrier-exit stamp window.
 	ClockSpread time.Duration
-	// Options echoes the straggler thresholds.
-	Options Options
 }
 
 // AggregateRestore reduces per-rank restore metrics into a
 // ClusterRestore. Like Aggregate it is a pure function shared by the
 // in-band gather and the experiment harness; the slice may be in any
 // rank order and every rank must appear exactly once.
-func AggregateRestore(rs []metrics.Restore, opts Options) (*ClusterRestore, error) {
-	if len(rs) == 0 {
-		return nil, fmt.Errorf("telemetry: no restores to aggregate")
+func AggregateRestore(rs []metrics.Restore) (*ClusterRestore, error) {
+	rs, err := inRankOrder(rs, restoreCodec)
+	if err != nil {
+		return nil, err
 	}
-	opts = opts.normalized()
-	byRank := make([]*metrics.Restore, len(rs))
-	for i := range rs {
-		r := &rs[i]
-		if r.Rank < 0 || r.Rank >= len(rs) {
-			return nil, fmt.Errorf("telemetry: restore rank %d out of range [0,%d)", r.Rank, len(rs))
-		}
-		if byRank[r.Rank] != nil {
-			return nil, fmt.Errorf("telemetry: duplicate restore for rank %d", r.Rank)
-		}
-		byRank[r.Rank] = r
-	}
-
-	cr := &ClusterRestore{Kind: "restore", Ranks: len(rs), Options: opts}
-
-	var ref time.Time
-	for _, r := range byRank {
-		if r.BarrierExit.After(ref) {
-			ref = r.BarrierExit
-		}
-	}
-	var earliest time.Time
+	n := len(rs)
+	cr := &ClusterRestore{Kind: "restore", Ranks: n, PerRank: make([]RestoreRankSummary, n)}
+	offsets, spread := clockOffsets(n, func(r int) time.Time { return rs[r].BarrierExit })
+	cr.ClockSpread = spread
 	var totalUnique int64
 	runLengths := metrics.NewHistogram()
 	fetchLatency := metrics.NewHistogram()
 	storeRead := metrics.NewHistogram()
 	var haveMatrix bool
-	cr.PerRank = make([]RestoreRankSummary, len(byRank))
-	for rank, r := range byRank {
-		rrs := RestoreRankSummary{
+	fetched := make([]int64, n)
+	for rank, r := range rs {
+		cr.PerRank[rank] = RestoreRankSummary{
 			Rank: rank, LogicalBytes: r.LogicalBytes,
 			LocalBytes: r.LocalBytes, FetchedBytes: r.FetchedBytes,
 			FetchedChunks: r.FetchedChunks, SourceRanks: r.SourceRanks,
 			ObjectsTouched: r.ObjectsTouched,
 			ReadAmpBytes:   r.ReadAmplificationBytes(),
 			LargestRun:     r.LargestRun, Total: r.Phases.Total,
+			ClockOffset: offsets[rank],
 		}
-		if !r.BarrierExit.IsZero() {
-			rrs.ClockOffset = ref.Sub(r.BarrierExit)
-			if earliest.IsZero() || r.BarrierExit.Before(earliest) {
-				earliest = r.BarrierExit
-			}
-		}
-		cr.PerRank[rank] = rrs
 		cr.TotalLogicalBytes += r.LogicalBytes
 		cr.TotalLocalBytes += r.LocalBytes
 		cr.TotalFetchedBytes += r.FetchedBytes
@@ -188,18 +162,12 @@ func AggregateRestore(rs []metrics.Restore, opts Options) (*ClusterRestore, erro
 		cr.TotalFetchMisses += r.FetchMisses
 		cr.TotalObjectsTouched += int64(r.ObjectsTouched)
 		totalUnique += int64(r.UniqueChunks)
-		if r.SourceRanks > cr.MaxSourceRanks {
-			cr.MaxSourceRanks = r.SourceRanks
-		}
+		cr.MaxSourceRanks = max(cr.MaxSourceRanks, r.SourceRanks)
 		runLengths.Merge(r.RunLengths)
 		fetchLatency.Merge(r.FetchLatency)
 		storeRead.Merge(r.StoreReadLatency)
-		if len(r.PeerFetchBytes) > 0 {
-			haveMatrix = true
-		}
-	}
-	if !earliest.IsZero() {
-		cr.ClockSpread = ref.Sub(earliest)
+		haveMatrix = haveMatrix || len(r.PeerFetchBytes) > 0
+		fetched[rank] = r.FetchedBytes
 	}
 	if cr.TotalLogicalBytes > 0 {
 		cr.ReadAmplificationBytes = float64(cr.TotalFetchedBytes) / float64(cr.TotalLogicalBytes)
@@ -208,15 +176,11 @@ func AggregateRestore(rs []metrics.Restore, opts Options) (*ClusterRestore, erro
 		cr.ReadAmplificationChunks = float64(cr.TotalFetchedChunks) / float64(totalUnique)
 	}
 
-	fetched := make([]int64, len(byRank))
-	served := make([]int64, len(byRank))
+	served := make([]int64, n)
 	if haveMatrix {
-		cr.FetchMatrix = make([][]int64, len(byRank))
-	}
-	for rank, r := range byRank {
-		fetched[rank] = r.FetchedBytes
-		if haveMatrix {
-			row := make([]int64, len(byRank))
+		cr.FetchMatrix = make([][]int64, n)
+		for rank, r := range rs {
+			row := make([]int64, n)
 			copy(row, r.PeerFetchBytes)
 			cr.FetchMatrix[rank] = row
 			for peer, b := range row {
@@ -242,106 +206,27 @@ func AggregateRestore(rs []metrics.Restore, opts Options) (*ClusterRestore, erro
 		cr.RunLengthDist[len(metrics.RunLengthBuckets)] = runLengths.Count() - prev
 	}
 
-	names := append(append([]string(nil), metrics.RestorePhaseNames...), "total")
-	for _, name := range names {
-		durs := make([]int64, len(byRank))
-		for rank, r := range byRank {
-			if name == "total" {
-				durs[rank] = int64(r.Phases.Total)
-			} else {
-				durs[rank] = int64(r.Phases.ByName(name))
-			}
+	// "fetch" is contained in "assemble" and would double-flag.
+	cr.Phases, cr.Stragglers = phaseSpread(metrics.RestorePhaseNames, "fetch", n, func(r int, phase string) time.Duration {
+		if phase == "total" {
+			return rs[r].Phases.Total
 		}
-		ps := PhaseStat{
-			Name:   name,
-			Min:    time.Duration(metrics.Quantile(durs, 0)),
-			Median: time.Duration(metrics.Quantile(durs, 0.5)),
-			P95:    time.Duration(metrics.Quantile(durs, 0.95)),
-			Max:    time.Duration(metrics.Max(durs)),
-			Mean:   time.Duration(metrics.Avg(durs)),
-		}
-		for rank, v := range durs {
-			if time.Duration(v) == ps.Max {
-				ps.SlowestRank = rank
-				break
-			}
-		}
-		cr.Phases = append(cr.Phases, ps)
-
-		// Straggler rule: duration > factor x median AND excess >= floor.
-		// "fetch" is contained in "assemble" and would double-flag.
-		if name == "total" || name == "fetch" || opts.StragglerFactor < 0 {
-			continue
-		}
-		median := time.Duration(metrics.Quantile(durs, 0.5))
-		for rank, v := range durs {
-			d := time.Duration(v)
-			if float64(d) > opts.StragglerFactor*float64(median) && d-median >= opts.MinExcess {
-				cr.Stragglers = append(cr.Stragglers, Straggler{
-					Rank: rank, Phase: name, Duration: d, Median: median,
-				})
-			}
-		}
-	}
+		return rs[r].Phases.ByName(phase)
+	})
 	return cr, nil
-}
-
-// GatherClusterRestore collects every rank's restore metrics at rank 0
-// over the group's own communicator and reduces them into a
-// ClusterRestore. Like GatherCluster it is a collective call: every rank
-// enters with its own metrics, only rank 0 receives a non-nil result,
-// and the gather rides the group's own transport.
-func GatherClusterRestore(c collectives.Comm, r metrics.Restore, opts Options) (*ClusterRestore, error) {
-	enc, err := EncodeRestore(r)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d encode restore: %w", c.Rank(), err)
-	}
-	// The gather runs after the restore's completion barrier; failures
-	// here belong to the telemetry plane, not a restore phase.
-	collectives.NotePhase(c, "restore-telemetry")
-	raw, err := collectives.Gather(c, 0, enc)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d restore gather: %w", c.Rank(), err)
-	}
-	if c.Rank() != 0 {
-		return nil, nil
-	}
-	rs := make([]metrics.Restore, len(raw))
-	for rank, b := range raw {
-		rr, err := DecodeRestore(b)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: decode restore rank %d: %w", rank, err)
-		}
-		if rr.Rank != rank {
-			return nil, fmt.Errorf("telemetry: restore gather slot %d carries rank %d", rank, rr.Rank)
-		}
-		rs[rank] = rr
-	}
-	return AggregateRestore(rs, opts)
 }
 
 // StragglersFor returns the flagged stragglers of one rank, in phase
 // order.
 func (cr *ClusterRestore) StragglersFor(rank int) []Straggler {
-	var out []Straggler
-	for _, s := range cr.Stragglers {
-		if s.Rank == rank {
-			out = append(out, s)
-		}
-	}
-	return out
+	return stragglersOf(cr.Stragglers, rank)
 }
 
 // Phase returns the spread entry for the named phase, or a zero
 // PhaseStat when absent.
-func (cr *ClusterRestore) Phase(name string) PhaseStat {
-	for _, ps := range cr.Phases {
-		if ps.Name == name {
-			return ps
-		}
-	}
-	return PhaseStat{}
-}
+func (cr *ClusterRestore) Phase(name string) PhaseStat { return phaseNamed(cr.Phases, name) }
+
+func (cr *ClusterRestore) flagged() []Straggler { return cr.Stragglers }
 
 // WriteText renders the cluster restore as the fixed-width table
 // dedupstat and the experiment harness print: phase spreads, read
@@ -349,16 +234,7 @@ func (cr *ClusterRestore) Phase(name string) PhaseStat {
 // straggler list.
 func (cr *ClusterRestore) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "cluster restore: %d ranks\n\n", cr.Ranks)
-	fmt.Fprintf(w, "%-15s %10s %10s %10s %10s %8s\n",
-		"phase", "min", "median", "p95", "max", "slowest")
-	for _, ps := range cr.Phases {
-		if ps.Max == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-15s %10s %10s %10s %10s %8d\n",
-			ps.Name, metrics.Duration(ps.Min), metrics.Duration(ps.Median),
-			metrics.Duration(ps.P95), metrics.Duration(ps.Max), ps.SlowestRank)
-	}
+	writePhaseTable(w, 15, cr.Phases)
 	fmt.Fprintf(w, "\nread volume: logical %s, local %s, fetched %s (%d chunks)\n",
 		metrics.Bytes(cr.TotalLogicalBytes), metrics.Bytes(cr.TotalLocalBytes),
 		metrics.Bytes(cr.TotalFetchedBytes), cr.TotalFetchedChunks)
@@ -387,17 +263,5 @@ func (cr *ClusterRestore) WriteText(w io.Writer) {
 		}
 		fmt.Fprintf(w, "\n")
 	}
-	fmt.Fprintf(w, "clock spread: %s\n", metrics.Duration(cr.ClockSpread))
-	if len(cr.Stragglers) == 0 {
-		fmt.Fprintf(w, "stragglers: none (factor %.2f, floor %s)\n",
-			cr.Options.StragglerFactor, metrics.Duration(cr.Options.MinExcess))
-		return
-	}
-	fmt.Fprintf(w, "stragglers (> %.2fx median, excess >= %s):\n",
-		cr.Options.StragglerFactor, metrics.Duration(cr.Options.MinExcess))
-	for _, s := range cr.Stragglers {
-		fmt.Fprintf(w, "  rank %d %-15s %10s vs median %s (+%s)\n",
-			s.Rank, s.Phase, metrics.Duration(s.Duration),
-			metrics.Duration(s.Median), metrics.Duration(s.Excess()))
-	}
+	writeStragglerList(w, 15, cr.ClockSpread, cr.Stragglers)
 }

@@ -9,6 +9,7 @@ import (
 
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/metrics"
+	"dedupcr/internal/obs"
 )
 
 // clusterRestores builds a deterministic n-rank restore fixture: rank r
@@ -56,7 +57,7 @@ func clusterRestores(n int) []metrics.Restore {
 
 func TestAggregateRestore(t *testing.T) {
 	n := 4
-	cr, err := AggregateRestore(clusterRestores(n), Options{})
+	cr, err := AggregateRestore(clusterRestores(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +140,17 @@ func TestAggregateRestore(t *testing.T) {
 }
 
 func TestAggregateRestoreRejects(t *testing.T) {
-	if _, err := AggregateRestore(nil, Options{}); err == nil {
+	if _, err := AggregateRestore(nil); err == nil {
 		t.Error("empty slice accepted")
 	}
 	rs := clusterRestores(3)
 	rs[2].Rank = 0
-	if _, err := AggregateRestore(rs, Options{}); err == nil {
+	if _, err := AggregateRestore(rs); err == nil {
 		t.Error("duplicate rank accepted")
 	}
 	rs = clusterRestores(3)
 	rs[1].Rank = 7
-	if _, err := AggregateRestore(rs, Options{}); err == nil {
+	if _, err := AggregateRestore(rs); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
 }
@@ -158,7 +159,7 @@ func TestAggregateRestoreRejects(t *testing.T) {
 // dedupstat relies on: a marshalled ClusterRestore carries Kind
 // "restore" and survives a round trip.
 func TestClusterRestoreJSONKind(t *testing.T) {
-	cr, err := AggregateRestore(clusterRestores(3), Options{})
+	cr, err := AggregateRestore(clusterRestores(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestClusterRestoreJSONKind(t *testing.T) {
 }
 
 func TestClusterRestoreWriteText(t *testing.T) {
-	cr, err := AggregateRestore(clusterRestores(4), Options{})
+	cr, err := AggregateRestore(clusterRestores(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestGatherClusterRestore(t *testing.T) {
 	fix := clusterRestores(n)
 	var got *ClusterRestore
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		cr, err := GatherClusterRestore(c, fix[c.Rank()], Options{})
+		cr, err := GatherClusterRestore(c, fix[c.Rank()])
 		if err != nil {
 			return err
 		}
@@ -226,7 +227,7 @@ func TestGatherClusterRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := AggregateRestore(clusterRestores(n), Options{})
+	want, err := AggregateRestore(clusterRestores(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +242,36 @@ func TestGatherClusterRestore(t *testing.T) {
 	}
 }
 
+// TestGatherClusterRestoreLogsStragglers checks that a restore straggler
+// reaches the flight recorder the way a dump straggler does: one event
+// naming its rank and phase.
+func TestGatherClusterRestoreLogsStragglers(t *testing.T) {
+	const n = 4
+	ring := obs.NewWithClock(256, func() time.Duration { return time.Second })
+	defer obs.SetDefault(obs.SetDefault(ring))
+	fix := clusterRestores(n)
+	err := collectives.Run(n, func(c collectives.Comm) error {
+		_, err := GatherClusterRestore(c, fix[c.Rank()])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []obs.Event
+	for _, e := range ring.Events() {
+		if e.Kind == obs.KindStraggler {
+			got = append(got, e)
+		}
+	}
+	if len(got) != 1 || got[0].Rank != n-1 || got[0].Phase != "restore-barrier" {
+		t.Fatalf("straggler events = %+v, want one for rank %d restore-barrier", got, n-1)
+	}
+}
+
 // TestClusterRestoreExpositionWellFormed runs the strict checker over
 // the dedupcr_cluster_restore_* families and pins key samples.
 func TestClusterRestoreExpositionWellFormed(t *testing.T) {
-	cr, err := AggregateRestore(clusterRestores(4), Options{})
+	cr, err := AggregateRestore(clusterRestores(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +305,7 @@ func TestClusterRestoreExpositionWellFormed(t *testing.T) {
 	for r := range flat {
 		flat[r] = metrics.Restore{Rank: r, LogicalBytes: 1000, LocalBytes: 1000}
 	}
-	crFlat, err := AggregateRestore(flat, Options{})
+	crFlat, err := AggregateRestore(flat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
-	"dedupcr/internal/collectives"
 	"dedupcr/internal/metrics"
 )
 
@@ -13,57 +11,6 @@ import (
 // local metrics.StoreStats after a dump (the zero value on non-segment
 // engines), rank 0 reduces them. In-band like the dump and restore
 // gathers — no out-of-band monitoring channel.
-
-// storeWireVersion tags the binary layout of an encoded
-// metrics.StoreStats so a mixed-version group fails loudly.
-const storeWireVersion = 1
-
-// storeWireInts is the number of int64 fields following the version
-// byte (rank plus the 15 gauge/counter fields, in struct order).
-const storeWireInts = 16
-
-// EncodeStoreStats serializes one rank's store snapshot for the in-band
-// gather: a version byte followed by a fixed block of big-endian int64s.
-func EncodeStoreStats(s metrics.StoreStats) ([]byte, error) {
-	buf := make([]byte, 0, 1+8*storeWireInts)
-	buf = append(buf, storeWireVersion)
-	for _, v := range []int64{
-		int64(s.Rank),
-		s.Segments, s.SealedSegments, s.LiveChunks, s.LiveBytes,
-		s.DataBytes, s.GarbageBytes, s.Gen,
-		s.Seals, s.Commits, s.Compactions, s.SegmentsCompacted,
-		s.TombstonedBytes, s.ReclaimedBytes, s.CopiedBytes, s.CopiedChunks,
-	} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf, nil
-}
-
-// DecodeStoreStats reverses EncodeStoreStats. Strict: the version must
-// match and the encoding must be exactly the fixed block, no trailer.
-func DecodeStoreStats(data []byte) (metrics.StoreStats, error) {
-	var s metrics.StoreStats
-	if len(data) == 0 {
-		return s, fmt.Errorf("telemetry: empty store encoding")
-	}
-	if data[0] != storeWireVersion {
-		return s, fmt.Errorf("telemetry: store wire version %d, want %d", data[0], storeWireVersion)
-	}
-	data = data[1:]
-	if len(data) != 8*storeWireInts {
-		return s, fmt.Errorf("telemetry: store encoding has %d payload bytes, want %d", len(data), 8*storeWireInts)
-	}
-	ints := make([]int64, storeWireInts)
-	for i := range ints {
-		ints[i] = int64(binary.BigEndian.Uint64(data[8*i:]))
-	}
-	s.Rank = int(ints[0])
-	s.Segments, s.SealedSegments, s.LiveChunks, s.LiveBytes = ints[1], ints[2], ints[3], ints[4]
-	s.DataBytes, s.GarbageBytes, s.Gen = ints[5], ints[6], ints[7]
-	s.Seals, s.Commits, s.Compactions, s.SegmentsCompacted = ints[8], ints[9], ints[10], ints[11]
-	s.TombstonedBytes, s.ReclaimedBytes, s.CopiedBytes, s.CopiedChunks = ints[12], ints[13], ints[14], ints[15]
-	return s, nil
-}
 
 // ClusterStore is rank 0's reduced view of every rank's local store —
 // the storage-plane sibling of ClusterDump and ClusterRestore.
@@ -93,27 +40,16 @@ type ClusterStore struct {
 // Pure function shared by the in-band gather and the experiment harness;
 // the slice may be in any rank order, every rank exactly once.
 func AggregateStore(stats []metrics.StoreStats) (*ClusterStore, error) {
-	if len(stats) == 0 {
-		return nil, fmt.Errorf("telemetry: no store stats to aggregate")
+	stats, err := inRankOrder(stats, storeCodec)
+	if err != nil {
+		return nil, err
 	}
-	cs := &ClusterStore{Kind: "store", Ranks: len(stats), PerRank: make([]metrics.StoreStats, len(stats))}
-	seen := make([]bool, len(stats))
+	cs := &ClusterStore{Kind: "store", Ranks: len(stats), PerRank: stats}
 	garbage := make([]int64, len(stats))
-	for i := range stats {
-		s := stats[i]
-		if s.Rank < 0 || s.Rank >= len(stats) {
-			return nil, fmt.Errorf("telemetry: store rank %d out of range [0,%d)", s.Rank, len(stats))
-		}
-		if seen[s.Rank] {
-			return nil, fmt.Errorf("telemetry: duplicate store stats for rank %d", s.Rank)
-		}
-		seen[s.Rank] = true
-		cs.PerRank[s.Rank] = s
+	for r, s := range stats {
 		cs.Total.Add(s)
-		garbage[s.Rank] = s.GarbageBytes
-		if r := s.GarbageRatio(); r > cs.MaxGarbageRatio {
-			cs.MaxGarbageRatio = r
-		}
+		garbage[r] = s.GarbageBytes
+		cs.MaxGarbageRatio = max(cs.MaxGarbageRatio, s.GarbageRatio())
 	}
 	cs.GarbageRatio = cs.Total.GarbageRatio()
 	cs.ReclaimRatio = cs.Total.ReclaimRatio()
@@ -121,71 +57,25 @@ func AggregateStore(stats []metrics.StoreStats) (*ClusterStore, error) {
 	return cs, nil
 }
 
-// GatherClusterStore collects every rank's store snapshot at rank 0 and
-// reduces them into a ClusterStore. Collective like GatherCluster: every
-// rank must enter it unconditionally — ranks on non-segment engines
-// report the zero snapshot — and only rank 0 receives a non-nil result.
-//
-//dedupvet:phased
-func GatherClusterStore(c collectives.Comm, s metrics.StoreStats) (*ClusterStore, error) {
-	enc, err := EncodeStoreStats(s)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d encode store: %w", c.Rank(), err)
-	}
-	collectives.NotePhase(c, "store-telemetry")
-	raw, err := collectives.Gather(c, 0, enc)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d store gather: %w", c.Rank(), err)
-	}
-	if c.Rank() != 0 {
-		return nil, nil
-	}
-	stats := make([]metrics.StoreStats, len(raw))
-	for rank, b := range raw {
-		ss, err := DecodeStoreStats(b)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: decode store rank %d: %w", rank, err)
-		}
-		if ss.Rank != rank {
-			return nil, fmt.Errorf("telemetry: store gather slot %d carries rank %d", rank, ss.Rank)
-		}
-		stats[rank] = ss
-	}
-	return AggregateStore(stats)
-}
+func (cs *ClusterStore) flagged() []Straggler { return nil }
 
 // WritePrometheus renders the cluster store view in Prometheus text
 // exposition format, the dedupcr_cluster_store_* families.
 func (cs *ClusterStore) WritePrometheus(w io.Writer) {
-	gauge := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	gauge("dedupcr_cluster_store_ranks", "Number of ranks aggregated into the cluster store view.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_ranks %d\n", cs.Ranks)
-	gauge("dedupcr_cluster_store_segments", "Segments across all local stores (sealed plus active).")
-	fmt.Fprintf(w, "dedupcr_cluster_store_segments %d\n", cs.Total.Segments)
-	gauge("dedupcr_cluster_store_live_bytes", "Live payload bytes across all local stores.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_live_bytes %d\n", cs.Total.LiveBytes)
-	gauge("dedupcr_cluster_store_data_bytes", "On-disk payload bytes across all local stores, garbage included.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_data_bytes %d\n", cs.Total.DataBytes)
-	gauge("dedupcr_cluster_store_garbage_bytes", "Tombstoned payload bytes awaiting compaction, cluster-wide.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_garbage_bytes %d\n", cs.Total.GarbageBytes)
-	gauge("dedupcr_cluster_store_garbage_ratio", "Cluster-wide tombstoned fraction of on-disk payload.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_garbage_ratio %.6f\n", cs.GarbageRatio)
-	gauge("dedupcr_cluster_store_max_garbage_ratio", "Worst single rank's garbage fraction.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_max_garbage_ratio %.6f\n", cs.MaxGarbageRatio)
-	gauge("dedupcr_cluster_store_reclaim_ratio", "Reclaimed fraction of all tombstoned bytes, cluster-wide.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_reclaim_ratio %.6f\n", cs.ReclaimRatio)
-	gauge("dedupcr_cluster_store_garbage_imbalance", "Max/mean of per-rank garbage bytes (1.0 = even).")
-	fmt.Fprintf(w, "dedupcr_cluster_store_garbage_imbalance %.6f\n", cs.GarbageImbalance)
-	gauge("dedupcr_cluster_store_compactions", "Compaction sweeps summed over ranks.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_compactions %d\n", cs.Total.Compactions)
-	gauge("dedupcr_cluster_store_reclaimed_bytes", "Tombstoned bytes physically reclaimed, summed over ranks.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_reclaimed_bytes %d\n", cs.Total.ReclaimedBytes)
-	gauge("dedupcr_cluster_store_rank_garbage_bytes", "Tombstoned payload bytes awaiting compaction on one rank.")
-	for _, s := range cs.PerRank {
-		fmt.Fprintf(w, "dedupcr_cluster_store_rank_garbage_bytes{rank=\"%d\"} %d\n", s.Rank, s.GarbageBytes)
-	}
+	const p = "dedupcr_cluster_store_"
+	gauge(w, p+"ranks", "Number of ranks aggregated into the cluster store view.", cs.Ranks)
+	gauge(w, p+"segments", "Segments across all local stores (sealed plus active).", cs.Total.Segments)
+	gauge(w, p+"live_bytes", "Live payload bytes across all local stores.", cs.Total.LiveBytes)
+	gauge(w, p+"data_bytes", "On-disk payload bytes across all local stores, garbage included.", cs.Total.DataBytes)
+	gauge(w, p+"garbage_bytes", "Tombstoned payload bytes awaiting compaction, cluster-wide.", cs.Total.GarbageBytes)
+	gauge(w, p+"garbage_ratio", "Cluster-wide tombstoned fraction of on-disk payload.", cs.GarbageRatio)
+	gauge(w, p+"max_garbage_ratio", "Worst single rank's garbage fraction.", cs.MaxGarbageRatio)
+	gauge(w, p+"reclaim_ratio", "Reclaimed fraction of all tombstoned bytes, cluster-wide.", cs.ReclaimRatio)
+	gauge(w, p+"garbage_imbalance", "Max/mean of per-rank garbage bytes (1.0 = even).", cs.GarbageImbalance)
+	gauge(w, p+"compactions", "Compaction sweeps summed over ranks.", cs.Total.Compactions)
+	gauge(w, p+"reclaimed_bytes", "Tombstoned bytes physically reclaimed, summed over ranks.", cs.Total.ReclaimedBytes)
+	rankGauge(w, p+"rank_garbage_bytes", "Tombstoned payload bytes awaiting compaction on one rank.",
+		len(cs.PerRank), func(r int) any { return cs.PerRank[r].GarbageBytes })
 }
 
 // WriteText renders the cluster store view as a compact report.

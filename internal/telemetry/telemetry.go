@@ -1,10 +1,14 @@
 // Package telemetry is the cluster-wide observability plane of the
-// collective dump pipeline: it gathers every rank's metrics.Dump to rank
-// 0 over the group's own collectives (in-band, no side channel), reduces
-// them into a ClusterDump — per-phase spread statistics, traffic totals,
-// load-imbalance coefficients and straggler flags — merges per-rank
-// traces onto one clock-aligned timeline, and exposes the result as a
-// Prometheus exposition, a text table and Chrome trace JSON.
+// collective dump and restore pipelines: it gathers every rank's
+// metrics.Dump, metrics.Restore or metrics.StoreStats to rank 0 over the
+// group's own collectives (in-band, no side channel), reduces them into
+// a ClusterDump, ClusterRestore or ClusterStore — per-phase spread
+// statistics, traffic totals, load-imbalance coefficients and straggler
+// flags — merges per-rank traces onto one clock-aligned timeline, and
+// exposes the result as a Prometheus exposition, a text table and Chrome
+// trace JSON. The three records share one codec mechanism (codec.go) and
+// one gather and reducer (gather.go); each contributes only its layout
+// and its own totals.
 //
 // Clock model: every rank stamps the wall-clock instant it leaves the
 // dump's completion barrier (metrics.Dump.BarrierExit). A dissemination
@@ -24,36 +28,14 @@ import (
 	"dedupcr/internal/metrics"
 )
 
-// Options tunes cluster aggregation.
-type Options struct {
-	// StragglerFactor flags a rank for a phase when its phase time
-	// exceeds this multiple of the cluster median. 0 selects
-	// DefaultStragglerFactor; negative disables straggler detection.
-	StragglerFactor float64
-	// MinExcess suppresses straggler flags whose absolute excess over
-	// the median is below this floor, so microsecond phases cannot tip a
-	// rank into "straggler" on scheduling noise. 0 selects
-	// DefaultMinExcess.
-	MinExcess time.Duration
-}
-
-// Defaults for Options. The factor-2 threshold with a millisecond floor
-// keeps ordinary in-process scheduling jitter out of the straggler list;
-// deployments chasing tail latency can tighten both.
+// Straggler thresholds: a rank is flagged for a phase when its phase
+// time exceeds DefaultStragglerFactor x the cluster median by at least
+// DefaultMinExcess. The millisecond floor keeps microsecond phases from
+// tipping a rank into "straggler" on ordinary scheduling jitter.
 const (
 	DefaultStragglerFactor = 2.0
 	DefaultMinExcess       = time.Millisecond
 )
-
-func (o Options) normalized() Options {
-	if o.StragglerFactor == 0 {
-		o.StragglerFactor = DefaultStragglerFactor
-	}
-	if o.MinExcess == 0 {
-		o.MinExcess = DefaultMinExcess
-	}
-	return o
-}
 
 // PhaseStat is the cross-rank spread of one pipeline phase.
 type PhaseStat struct {
@@ -88,8 +70,8 @@ type RankSummary struct {
 }
 
 // Straggler records one flagged (rank, phase) pair: the rank's phase
-// time exceeded StragglerFactor x the cluster median by at least
-// MinExcess.
+// time exceeded DefaultStragglerFactor x the cluster median by at least
+// DefaultMinExcess.
 type Straggler struct {
 	Rank     int
 	Phase    string
@@ -132,8 +114,6 @@ type ClusterDump struct {
 	// upper bound on the pairwise clock offset error. Zero when fewer
 	// than two ranks carried stamps.
 	ClockSpread time.Duration
-	// Options echoes the straggler thresholds the dump was reduced with.
-	Options Options
 }
 
 // imbalance returns max/mean of v, or 0 when the mean is 0.
@@ -150,164 +130,58 @@ func imbalance(v []int64) float64 {
 // experiment harness both call it, so simulated and live clusters report
 // through identical code. The dumps slice may be in any rank order;
 // every rank must appear exactly once.
-func Aggregate(dumps []metrics.Dump, opts Options) (*ClusterDump, error) {
-	if len(dumps) == 0 {
-		return nil, fmt.Errorf("telemetry: no dumps to aggregate")
+func Aggregate(dumps []metrics.Dump) (*ClusterDump, error) {
+	dumps, err := inRankOrder(dumps, dumpCodec)
+	if err != nil {
+		return nil, err
 	}
-	opts = opts.normalized()
-	byRank := make([]*metrics.Dump, len(dumps))
-	for i := range dumps {
-		d := &dumps[i]
-		if d.Rank < 0 || d.Rank >= len(dumps) {
-			return nil, fmt.Errorf("telemetry: dump rank %d out of range [0,%d)", d.Rank, len(dumps))
-		}
-		if byRank[d.Rank] != nil {
-			return nil, fmt.Errorf("telemetry: duplicate dump for rank %d", d.Rank)
-		}
-		byRank[d.Rank] = d
-	}
-
-	cd := &ClusterDump{Ranks: len(dumps), Options: opts}
-
-	// Clock offsets: latest barrier-exit stamp is the reference; each
-	// rank's offset is how far its stamp lags it.
-	var ref time.Time
-	for _, d := range byRank {
-		if d.BarrierExit.After(ref) {
-			ref = d.BarrierExit
-		}
-	}
-	var earliest time.Time
-	cd.PerRank = make([]RankSummary, len(byRank))
-	for r, d := range byRank {
-		rs := RankSummary{
+	n := len(dumps)
+	cd := &ClusterDump{Ranks: n, PerRank: make([]RankSummary, n)}
+	offsets, spread := clockOffsets(n, func(r int) time.Time { return dumps[r].BarrierExit })
+	cd.ClockSpread = spread
+	sent, stored := make([]int64, n), make([]int64, n)
+	for r, d := range dumps {
+		cd.PerRank[r] = RankSummary{
 			Rank: r, SentBytes: d.SentBytes, RecvBytes: d.RecvBytes,
-			StoredBytes: d.StoredBytes, Total: d.Phases.Total,
+			StoredBytes: d.StoredBytes, Total: d.Phases.Total, ClockOffset: offsets[r],
 		}
-		if !d.BarrierExit.IsZero() {
-			rs.ClockOffset = ref.Sub(d.BarrierExit)
-			if earliest.IsZero() || d.BarrierExit.Before(earliest) {
-				earliest = d.BarrierExit
-			}
-		}
-		cd.PerRank[r] = rs
 		cd.TotalSentBytes += d.SentBytes
 		cd.TotalRecvBytes += d.RecvBytes
 		cd.TotalStoredBytes += d.StoredBytes
 		cd.TotalPutRetries += d.PutRetries
+		sent[r], stored[r] = d.SentBytes, d.StoredBytes
 	}
-	if !earliest.IsZero() {
-		cd.ClockSpread = ref.Sub(earliest)
-	}
-
-	cd.DesignationImbalance = imbalance(collectInts(byRank, func(d *metrics.Dump) int64 { return d.StoredBytes }))
-	cd.SendImbalance = imbalance(collectInts(byRank, func(d *metrics.Dump) int64 { return d.SentBytes }))
-
-	names := append(append([]string(nil), metrics.PhaseNames...), "total")
-	for _, name := range names {
-		durs := make([]int64, len(byRank))
-		for r, d := range byRank {
-			if name == "total" {
-				durs[r] = int64(d.Phases.Total)
-			} else {
-				durs[r] = int64(d.Phases.ByName(name))
-			}
+	cd.DesignationImbalance = imbalance(stored)
+	cd.SendImbalance = imbalance(sent)
+	cd.Phases, cd.Stragglers = phaseSpread(metrics.PhaseNames, "", n, func(r int, phase string) time.Duration {
+		if phase == "total" {
+			return dumps[r].Phases.Total
 		}
-		ps := PhaseStat{
-			Name:   name,
-			Min:    time.Duration(metrics.Quantile(durs, 0)),
-			Median: time.Duration(metrics.Quantile(durs, 0.5)),
-			P95:    time.Duration(metrics.Quantile(durs, 0.95)),
-			Max:    time.Duration(metrics.Max(durs)),
-			Mean:   time.Duration(metrics.Avg(durs)),
-		}
-		for r, v := range durs {
-			if time.Duration(v) == ps.Max {
-				ps.SlowestRank = r
-				break
-			}
-		}
-		cd.Phases = append(cd.Phases, ps)
-
-		// Straggler rule: duration > factor x median AND excess >= floor.
-		if name == "total" || opts.StragglerFactor < 0 {
-			continue
-		}
-		median := time.Duration(metrics.Quantile(durs, 0.5))
-		for r, v := range durs {
-			d := time.Duration(v)
-			if float64(d) > opts.StragglerFactor*float64(median) && d-median >= opts.MinExcess {
-				cd.Stragglers = append(cd.Stragglers, Straggler{
-					Rank: r, Phase: name, Duration: d, Median: median,
-				})
-			}
-		}
-	}
+		return dumps[r].Phases.ByName(phase)
+	})
 	return cd, nil
-}
-
-func collectInts(byRank []*metrics.Dump, sel func(*metrics.Dump) int64) []int64 {
-	out := make([]int64, len(byRank))
-	for r, d := range byRank {
-		out[r] = sel(d)
-	}
-	return out
 }
 
 // StragglersFor returns the flagged stragglers of one rank, in phase
 // order.
-func (cd *ClusterDump) StragglersFor(rank int) []Straggler {
-	var out []Straggler
-	for _, s := range cd.Stragglers {
-		if s.Rank == rank {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+func (cd *ClusterDump) StragglersFor(rank int) []Straggler { return stragglersOf(cd.Stragglers, rank) }
 
 // Phase returns the spread entry for the named phase, or a zero
 // PhaseStat when absent.
-func (cd *ClusterDump) Phase(name string) PhaseStat {
-	for _, ps := range cd.Phases {
-		if ps.Name == name {
-			return ps
-		}
-	}
-	return PhaseStat{}
-}
+func (cd *ClusterDump) Phase(name string) PhaseStat { return phaseNamed(cd.Phases, name) }
+
+func (cd *ClusterDump) flagged() []Straggler { return cd.Stragglers }
 
 // WriteText renders the cluster dump as the fixed-width table dedupstat
 // and the experiment harness print: the phase-spread table, traffic and
 // imbalance lines, clock spread and the straggler list.
 func (cd *ClusterDump) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "cluster dump: %d ranks\n\n", cd.Ranks)
-	fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %8s\n",
-		"phase", "min", "median", "p95", "max", "slowest")
-	for _, ps := range cd.Phases {
-		if ps.Max == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %8d\n",
-			ps.Name, metrics.Duration(ps.Min), metrics.Duration(ps.Median),
-			metrics.Duration(ps.P95), metrics.Duration(ps.Max), ps.SlowestRank)
-	}
+	writePhaseTable(w, 14, cd.Phases)
 	fmt.Fprintf(w, "\ntraffic: sent %s, recv %s, stored %s\n",
 		metrics.Bytes(cd.TotalSentBytes), metrics.Bytes(cd.TotalRecvBytes),
 		metrics.Bytes(cd.TotalStoredBytes))
 	fmt.Fprintf(w, "imbalance (max/mean): designation %.3f, send %.3f\n",
 		cd.DesignationImbalance, cd.SendImbalance)
-	fmt.Fprintf(w, "clock spread: %s\n", metrics.Duration(cd.ClockSpread))
-	if len(cd.Stragglers) == 0 {
-		fmt.Fprintf(w, "stragglers: none (factor %.2f, floor %s)\n",
-			cd.Options.StragglerFactor, metrics.Duration(cd.Options.MinExcess))
-		return
-	}
-	fmt.Fprintf(w, "stragglers (> %.2fx median, excess >= %s):\n",
-		cd.Options.StragglerFactor, metrics.Duration(cd.Options.MinExcess))
-	for _, s := range cd.Stragglers {
-		fmt.Fprintf(w, "  rank %d %-14s %10s vs median %s (+%s)\n",
-			s.Rank, s.Phase, metrics.Duration(s.Duration),
-			metrics.Duration(s.Median), metrics.Duration(s.Excess()))
-	}
+	writeStragglerList(w, 14, cd.ClockSpread, cd.Stragglers)
 }

@@ -34,7 +34,7 @@ func clusterDumps(n int) []metrics.Dump {
 
 func TestAggregateSpreadAndImbalance(t *testing.T) {
 	const n = 8
-	cd, err := Aggregate(clusterDumps(n), Options{})
+	cd, err := Aggregate(clusterDumps(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAggregateFlagsInjectedStraggler(t *testing.T) {
 	dumps[5].Phases.Put = 50 * time.Millisecond
 	dumps[5].Phases.Total = 55 * time.Millisecond
 
-	cd, err := Aggregate(dumps, Options{})
+	cd, err := Aggregate(dumps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,35 +136,25 @@ func TestAggregateFlagsInjectedStraggler(t *testing.T) {
 		dumps[r].Phases.Put = 10 * time.Microsecond
 	}
 	dumps[5].Phases.Put = 50 * time.Microsecond // 5x median but only 40µs over
-	cd, err = Aggregate(dumps, Options{})
+	cd, err = Aggregate(dumps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cd.Stragglers) != 0 {
 		t.Errorf("sub-floor excess still flagged: %+v", cd.Stragglers)
 	}
-
-	// Negative factor disables detection outright.
-	dumps[5].Phases.Put = 50 * time.Millisecond
-	cd, err = Aggregate(dumps, Options{StragglerFactor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cd.Stragglers) != 0 {
-		t.Errorf("disabled detection still flagged: %+v", cd.Stragglers)
-	}
 }
 
 func TestAggregateRejectsBadRankSets(t *testing.T) {
-	if _, err := Aggregate(nil, Options{}); err == nil {
+	if _, err := Aggregate(nil); err == nil {
 		t.Error("empty dump set accepted")
 	}
 	dup := []metrics.Dump{{Rank: 0}, {Rank: 0}}
-	if _, err := Aggregate(dup, Options{}); err == nil {
+	if _, err := Aggregate(dup); err == nil {
 		t.Error("duplicate rank accepted")
 	}
 	oor := []metrics.Dump{{Rank: 0}, {Rank: 7}}
-	if _, err := Aggregate(oor, Options{}); err == nil {
+	if _, err := Aggregate(oor); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
 }
@@ -172,7 +162,7 @@ func TestAggregateRejectsBadRankSets(t *testing.T) {
 func TestWriteTextRendersAllSections(t *testing.T) {
 	dumps := clusterDumps(4)
 	dumps[3].Phases.Put = 400 * time.Millisecond // force a straggler
-	cd, err := Aggregate(dumps, Options{})
+	cd, err := Aggregate(dumps)
 	if err != nil {
 		t.Fatal(err)
 	}
