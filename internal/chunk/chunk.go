@@ -42,37 +42,21 @@ type CutChunker interface {
 	Cuts(buf []byte) []int
 }
 
-// fpBatchSize is how many consecutive chunks are fingerprinted per
-// fingerprint.BatchOf call: large enough to amortize the batch setup,
-// small enough that the spans are still cache-resident from the
-// boundary scan. It matches hashShardChunks so a parallel shard is
-// exactly one batch.
-const fpBatchSize = 64
-
 // FromCuts fingerprints the chunks delimited by the given end offsets
-// (as returned by Cuts) into Chunk values aliasing buf. Hashing runs in
-// cache-friendly batches through fingerprint.BatchOf; the result is
-// identical to fingerprinting each chunk individually.
+// (as returned by Cuts) into Chunk values aliasing buf.
 func FromCuts(buf []byte, cuts []int) []Chunk {
 	out := make([]Chunk, len(cuts))
-	var fps [fpBatchSize]fingerprint.FP
-	var spans [fpBatchSize][]byte
-	prev := 0
-	for base := 0; base < len(cuts); base += fpBatchSize {
-		n := len(cuts) - base
-		if n > fpBatchSize {
-			n = fpBatchSize
-		}
-		for j := 0; j < n; j++ {
-			spans[j] = buf[prev:cuts[base+j]]
-			prev = cuts[base+j]
-		}
-		fingerprint.BatchOf(fps[:n], spans[:n]...)
-		for j := 0; j < n; j++ {
-			out[base+j] = Chunk{FP: fps[j], Data: spans[j]}
-		}
-	}
+	fill(out, buf, 0, cuts)
 	return out
+}
+
+// fill fingerprints the chunks of buf that start at prev and end at cuts
+// into out[i].
+func fill(out []Chunk, buf []byte, prev int, cuts []int) {
+	for i, end := range cuts {
+		out[i] = Chunk{FP: fingerprint.Of(buf[prev:end]), Data: buf[prev:end]}
+		prev = end
+	}
 }
 
 // Fixed is a fixed-size chunker. A trailing partial chunk is kept as-is

@@ -68,7 +68,7 @@ func FuzzCDCChunker(f *testing.F) {
 
 		// The parallel hash pool must agree with the serial reference.
 		want := FromCuts(data, cuts)
-		got := FromCutsParallel(data, cuts, 4)
+		got, _ := FromCutsStream(data, cuts, 4, nil)
 		if len(got) != len(want) {
 			t.Fatalf("parallel produced %d chunks, want %d", len(got), len(want))
 		}

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dedupcr/internal/fingerprint"
 )
 
 // hashShardChunks is how many consecutive chunks one worker hashes per
@@ -23,16 +21,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// FromCutsParallel is FromCuts with the hashing fanned out over up to
-// `workers` goroutines. The result is byte-identical to FromCuts: chunk
-// boundaries come from cuts unchanged and every output index is computed
-// from the same input span, so the slice is deterministic regardless of
-// worker interleaving. workers <= 1 falls back to the serial FromCuts.
-func FromCutsParallel(buf []byte, cuts []int, workers int) []Chunk {
-	out, _ := FromCutsStream(buf, cuts, workers, nil)
-	return out
 }
 
 // FromCutsStream hashes the chunks delimited by cuts with up to `workers`
@@ -69,33 +57,18 @@ func FromCutsStream(buf []byte, cuts []int, workers int, emit func(span []Chunk)
 		go func(w int) {
 			defer wg.Done()
 			start := time.Now()
-			// Per-worker batch scratch: one shard is at most one
-			// fingerprint batch, hashed with a single reused digest
-			// while the spans are cache-resident from the claim.
-			var fps [hashShardChunks]fingerprint.FP
-			var spans [hashShardChunks][]byte
 			for {
 				s := int(next.Add(1) - 1)
 				if s >= nShards {
 					break
 				}
 				lo := s * hashShardChunks
-				hi := lo + hashShardChunks
-				if hi > len(cuts) {
-					hi = len(cuts)
-				}
+				hi := min(lo+hashShardChunks, len(cuts))
 				prev := 0
 				if lo > 0 {
 					prev = cuts[lo-1]
 				}
-				for i := lo; i < hi; i++ {
-					spans[i-lo] = buf[prev:cuts[i]]
-					prev = cuts[i]
-				}
-				fingerprint.BatchOf(fps[:hi-lo], spans[:hi-lo]...)
-				for i := lo; i < hi; i++ {
-					out[i] = Chunk{FP: fps[i-lo], Data: spans[i-lo]}
-				}
+				fill(out[lo:hi], buf, prev, cuts[lo:hi])
 				completed <- s
 			}
 			busy[w] = time.Since(start)
@@ -110,13 +83,9 @@ func FromCutsStream(buf []byte, cuts []int, workers int, emit func(span []Chunk)
 		s := <-completed
 		ready[s] = true
 		for nextEmit < nShards && ready[nextEmit] {
-			lo := nextEmit * hashShardChunks
-			hi := lo + hashShardChunks
-			if hi > len(cuts) {
-				hi = len(cuts)
-			}
 			if emit != nil {
-				emit(out[lo:hi])
+				lo := nextEmit * hashShardChunks
+				emit(out[lo:min(lo+hashShardChunks, len(cuts))])
 			}
 			nextEmit++
 		}

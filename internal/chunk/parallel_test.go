@@ -18,8 +18,8 @@ func randBuf(seed int64, n int) []byte {
 	return buf
 }
 
-// TestFromCutsParallelMatchesSerial verifies the tentpole determinism
-// guarantee: for both chunkers and any worker count, the parallel hash
+// TestFromCutsParallelMatchesSerial verifies the hash pool's determinism
+// guarantee: for both chunkers and any worker count, FromCutsStream
 // produces exactly the chunks FromCuts produces, in the same order.
 func TestFromCutsParallelMatchesSerial(t *testing.T) {
 	for _, size := range []int{0, 1, 100, 4096, 1 << 16, 1<<17 + 333} {
@@ -28,7 +28,7 @@ func TestFromCutsParallelMatchesSerial(t *testing.T) {
 			cuts := chunker.Cuts(buf)
 			want := FromCuts(buf, cuts)
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-				got := FromCutsParallel(buf, cuts, workers)
+				got, _ := FromCutsStream(buf, cuts, workers, nil)
 				if len(got) != len(want) {
 					t.Fatalf("size=%d workers=%d: %d chunks, want %d", size, workers, len(got), len(want))
 				}

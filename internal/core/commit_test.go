@@ -22,11 +22,11 @@ func commitReceived(store storage.Store, recvBuf []byte, m *metrics.Dump) ([]fin
 	return c.refs, err
 }
 
-// commitReceivedPerRecord is commitReceived as it was before received
-// records were fingerprinted in batches — one fingerprint.Of and one
-// PutChunk per record, failing at the first malformed one. It stays here
-// as the reference the batched walk must reproduce: same references in
-// the same order, same counters, same error, on whole and broken windows.
+// commitReceivedPerRecord walks a window held in one buffer by offset —
+// one fingerprint.Of and one PutChunk per record, failing at the first
+// malformed one. It is the reference the committer's frame-by-frame
+// walk must reproduce: same references in the same order, same counters,
+// same error, on whole and broken windows.
 func commitReceivedPerRecord(store storage.Store, recvBuf []byte, m *metrics.Dump) ([]fingerprint.FP, error) {
 	var refs []fingerprint.FP
 	for cur := 0; cur < len(recvBuf); {
@@ -52,11 +52,10 @@ func commitReceivedPerRecord(store storage.Store, recvBuf []byte, m *metrics.Dum
 }
 
 // TestCommitReceivedMatchesPerRecord feeds whole windows (empty, one
-// record, exactly one batch, one past it, several batches) and windows
-// broken in the middle of a batch — a header cut short, a record
-// overrunning the window — to the batched walk and to the per-record
-// reference: both must store the same chunks, return exactly the
-// references stored so far and report the same error.
+// record, 63, 64, 65 and 3×64+7 records) and broken windows — a header
+// cut short, a record overrunning the window — to the committer and to
+// the per-record reference: both must store the same chunks, return
+// exactly the references stored so far and report the same error.
 func TestCommitReceivedMatchesPerRecord(t *testing.T) {
 	for name, w := range receivedWindows() {
 		checkCommitted(t, name, commitWith(commitReceived, w), commitWith(commitReceivedPerRecord, w))
@@ -64,8 +63,8 @@ func TestCommitReceivedMatchesPerRecord(t *testing.T) {
 }
 
 // receivedWindows are the whole and broken windows the commit tests
-// feed: empty, one record, exactly one batch, one past it, several
-// batches, and windows broken in the middle of a batch.
+// feed: empty, one record, 63, 64, 65 and 3×64+7 records, and windows
+// broken after 64 or 74 whole records.
 func receivedWindows() map[string][]byte {
 	rng := rand.New(rand.NewSource(22))
 	window := func(records int) []byte {
@@ -78,14 +77,14 @@ func receivedWindows() map[string][]byte {
 		return w
 	}
 	cases := map[string][]byte{}
-	for _, n := range []int{0, 1, recvBatch - 1, recvBatch, recvBatch + 1, 3*recvBatch + 7} {
+	for _, n := range []int{0, 1, 63, 64, 65, 3*64 + 7} {
 		cases[fmt.Sprintf("%d records", n)] = window(n)
 	}
-	cut := window(recvBatch + 10)
-	cases["header truncated mid-batch"] = append(cut, 0, 0)
-	cases["header truncated at a batch boundary"] = append(window(recvBatch), 0)
-	overrun := append(window(recvBatch+10), encodeRecord(make([]byte, 30))...)
-	cases["record overruns mid-batch"] = overrun[:len(overrun)-1]
+	cut := window(74)
+	cases["header truncated after 74 records"] = append(cut, 0, 0)
+	cases["header truncated after 64 records"] = append(window(64), 0)
+	overrun := append(window(74), encodeRecord(make([]byte, 30))...)
+	cases["record 75 overruns"] = overrun[:len(overrun)-1]
 	cases["first record overruns"] = []byte{0, 0, 1, 0, 7}
 	return cases
 }
@@ -173,18 +172,18 @@ func (f *failingPuts) PutChunk(fp fingerprint.FP, data []byte) error {
 	return f.Store.PutChunk(fp, data)
 }
 
-// TestCommitReceivedStoreErrorMidBatch: a store that fails in the middle
-// of a fingerprinted batch gets nothing after the failing put, and the
-// references returned are exactly the puts that succeeded.
+// TestCommitReceivedStoreErrorMidBatch: a store that fails at its 70th
+// put gets nothing after the failing put, and the references returned
+// are exactly the puts that succeeded.
 func TestCommitReceivedStoreErrorMidBatch(t *testing.T) {
 	var w []byte
-	for i := 0; i < 2*recvBatch; i++ {
+	for i := 0; i < 128; i++ {
 		w = append(w, encodeRecord([]byte{byte(i), 1, 2})...)
 	}
-	store := &failingPuts{Store: storage.NewMem(), left: recvBatch + 5}
+	store := &failingPuts{Store: storage.NewMem(), left: 69}
 	var m metrics.Dump
 	refs, err := commitReceived(store, w, &m)
-	if err != storage.ErrFailed || len(refs) != recvBatch+5 || m.RecvChunks != len(refs) {
+	if err != storage.ErrFailed || len(refs) != 69 || m.RecvChunks != len(refs) {
 		t.Fatalf("got %d references, %d counted, error %v", len(refs), m.RecvChunks, err)
 	}
 	if _, chunks := store.Usage(); chunks != len(refs) {

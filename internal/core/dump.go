@@ -185,18 +185,17 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	}
 
 	// Phase 1 — chunking and fingerprinting (every byte is hashed once).
-	// Every registered chunker (fixed, Rabin CDC, gear) exposes its
-	// boundary scan separately from hashing (chunk.CutChunker), so the two
-	// costs are attributed to their own phases regardless of which spec
-	// Options.Chunker selected. Hashing runs in cache-friendly batches
-	// (fingerprint.BatchOf). With Parallelism > 1 it fans out over a bounded
-	// worker pool and phase 2 (plus the reduction's leaf-table build, for
-	// coll-dedup) overlaps it: finished chunks stream to the dedup filter
-	// in dataset order while later chunks are still being hashed, so the
-	// combined cost collapses into the fingerprint wall time. Both paths
-	// produce identical chunks, identical uniq order and an identical leaf
-	// table — the serial path is the reference the parallel one must match
-	// byte for byte.
+	// Every registered chunker (fixed, Rabin CDC, gear) exposes its boundary
+	// scan separately from hashing (chunk.CutChunker), so the two costs are
+	// attributed to their own phases regardless of which spec
+	// Options.Chunker selected. With Parallelism > 1 hashing fans out over a
+	// bounded worker pool and phase 2 (plus the reduction's leaf-table
+	// build, for coll-dedup) overlaps it: finished chunks stream to the
+	// dedup filter in dataset order while later chunks are still being
+	// hashed, so the combined cost collapses into the fingerprint wall time.
+	// Both paths produce identical chunks, identical uniq order and an
+	// identical leaf table — the serial path is the reference the parallel
+	// one must match byte for byte.
 	cc, err := chunk.New(o.Chunker)
 	if err != nil {
 		// Unreachable after normalization validated the spec; fail loudly
@@ -830,17 +829,12 @@ func sendLoads(items []item, k int) []int64 {
 	return load
 }
 
-// recvBatch is how many received records the committer fingerprints per
-// fingerprint.BatchOf call: the hash pool's shard size, enough to amortise
-// the digest set-up that dominates SHA-1 over small chunks.
-const recvBatch = 64
-
 // committer stores the record stream of a dump's window, frame by frame
 // as the frames land in window-offset order, and keeps every reference
-// stored so a failure rolls back exactly those (rollbackDump). Records
-// are fingerprinted on arrival (the receiver indexes partner chunks by
-// content, exactly like its own), a batch at a time, every byte hashed
-// before it reaches the store.
+// stored so a failure rolls back exactly those (rollbackDump). Each
+// record is fingerprinted as it is parsed (the receiver indexes partner
+// chunks by content, exactly like its own) and stored before the next is
+// read.
 type committer struct {
 	store storage.Store
 	m     *metrics.Dump
@@ -848,20 +842,10 @@ type committer struct {
 	size  int64                  // window bytes
 	next  func() ([]byte, error) // the next frame; io.EOF after the last
 	p     []byte                 // the unread rest of the current frame
-
-	n     int // queued records
-	spans [recvBatch][]byte
-	fps   [recvBatch]fingerprint.FP
 }
 
-// commit stores every record of the stream; queued records are stored
-// before it returns, whatever the error.
-func (c *committer) commit() (err error) {
-	defer func() {
-		if ferr := c.flush(); ferr != nil {
-			err = ferr
-		}
-	}()
+// commit stores every record of the stream.
+func (c *committer) commit() error {
 	for pos := int64(0); ; {
 		hdr, err := c.read(4)
 		if err == io.EOF && len(hdr) == 0 {
@@ -880,18 +864,19 @@ func (c *committer) commit() (err error) {
 			return err
 		}
 		pos += size
-		if c.spans[c.n], c.n = data, c.n+1; c.n == recvBatch {
-			if err := c.flush(); err != nil {
-				return err
-			}
+		fp := fingerprint.Of(data)
+		if err := c.store.PutChunk(fp, data); err != nil {
+			return err
 		}
+		c.refs = append(c.refs, fp)
+		c.m.RecvChunks++
+		c.m.RecvBytes += size
 	}
 }
 
 // read returns the next n bytes of the stream: in place when the current
 // frame holds them, else assembled from the frames they span (a record
-// cut by a frame boundary). Queued records are stored before it waits for
-// a frame, so each frame is committed as it lands.
+// cut by a frame boundary).
 func (c *committer) read(n int) ([]byte, error) {
 	if n <= len(c.p) {
 		b := c.p[:n]
@@ -905,30 +890,11 @@ func (c *committer) read(n int) ([]byte, error) {
 		if len(b) == n {
 			return b, nil
 		}
-		if err := c.flush(); err != nil {
-			return nil, err
-		}
 		var err error
 		if c.p, err = c.next(); err != nil {
 			return b, err
 		}
 	}
-}
-
-// flush fingerprints and stores the queued records.
-func (c *committer) flush() error {
-	spans := c.spans[:c.n]
-	c.n = 0
-	fingerprint.BatchOf(c.fps[:len(spans)], spans...)
-	for i, data := range spans {
-		if err := c.store.PutChunk(c.fps[i], data); err != nil {
-			return err
-		}
-		c.refs = append(c.refs, c.fps[i])
-		c.m.RecvChunks++
-		c.m.RecvBytes += int64(len(data))
-	}
-	return nil
 }
 
 // persistMeta stores this rank's RestoreMeta locally and exchanges

@@ -1,16 +1,21 @@
 package fingerprint
 
 import (
+	"crypto/sha1"
 	"math/rand"
 	"testing"
 )
 
-// TestBatchOfMatchesOf pins the batch contract: BatchOf must be
-// bit-identical to per-span Of calls, for spans of every shape —
-// empty, nil, tiny, block-sized and odd-tailed — in shuffled order.
+// TestBatchOfMatchesOf pins the batch contract: BatchOf and Of must both
+// give crypto/sha1's digest, for spans of every shape — empty, nil, tiny,
+// on either side of a padding edge, block-sized and odd-tailed — in
+// shuffled order.
 func TestBatchOfMatchesOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	spans := [][]byte{nil, {}, []byte("x")}
+	for _, n := range paddingEdges {
+		spans = append(spans, make([]byte, n))
+	}
 	for i := 0; i < 61; i++ {
 		s := make([]byte, rng.Intn(5000))
 		rng.Read(s)
@@ -21,14 +26,15 @@ func TestBatchOfMatchesOf(t *testing.T) {
 	dst := make([]FP, len(spans))
 	BatchOf(dst, spans...)
 	for i, s := range spans {
-		if want := Of(s); dst[i] != want {
-			t.Fatalf("span %d (%d bytes): batch %s, want %s", i, len(s), dst[i].Short(), want.Short())
+		want := FP(sha1.Sum(s))
+		if dst[i] != want || Of(s) != want {
+			t.Fatalf("span %d (%d bytes): batch %s, Of %s, crypto/sha1 %s", i, len(s), dst[i].Short(), Of(s).Short(), want.Short())
 		}
 	}
 
 	// A second batch into the same dst must overwrite cleanly.
 	BatchOf(dst[:1], []byte("other"))
-	if dst[0] != Of([]byte("other")) {
+	if dst[0] != FP(sha1.Sum([]byte("other"))) {
 		t.Fatal("reused dst entry not overwritten")
 	}
 	// Oversized dst is fine; the tail stays untouched.

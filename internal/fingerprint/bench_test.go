@@ -83,12 +83,27 @@ func BenchmarkLocalLeaf(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures SHA-1 over one 4 KiB page, the per-chunk
-// hashing cost every approach except no-dedup pays.
+// fpSink keeps the benchmarked hash from being optimised away.
+var fpSink FP
+
+// BenchmarkFingerprint measures one-shot SHA-1 over a 256 B chunk (the
+// metadata-heavy regime) and a 4 KiB page, the per-chunk hashing cost
+// every approach except no-dedup pays, on the SHA-NI kernel and on the
+// crypto/sha1 fallback called directly.
 func BenchmarkFingerprint(b *testing.B) {
-	page := make([]byte, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		Of(page)
+	for _, size := range []int{256, 4096} {
+		for _, p := range sha1Paths {
+			b.Run(fmt.Sprintf("size=%d/path=%s", size, p.name), func(b *testing.B) {
+				if p.kernel && sumPath != "SHA-NI" {
+					b.Skipf("Of runs %s here: no SHA-NI kernel path", sumPath)
+				}
+				data := make([]byte, size)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					fpSink = p.sum(data)
+				}
+			})
+		}
 	}
 }

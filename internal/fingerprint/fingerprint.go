@@ -23,29 +23,23 @@ const Size = sha1.Size
 type FP [Size]byte
 
 // Of computes the fingerprint of data.
-func Of(data []byte) FP {
-	return FP(sha1.Sum(data))
-}
+func Of(data []byte) FP { return sum(data) }
 
-// BatchOf fingerprints every span into dst (dst[i] = Of(spans[i])),
-// reusing one digest state across the whole batch and writing each
-// result in place. Hashing a cache-resident batch this way — no
-// per-chunk digest construction, no result copy through the stack —
-// is what the chunk package's hash pool calls per shard, so the
-// fingerprint phase gets faster at Parallelism=1, not just wider.
-// Results are bit-identical to per-span Of calls (the batch tests and
-// fuzzer pin this); dst must hold at least len(spans) entries.
+// sum is the SHA-1 Of runs and sumPath names it: crypto/sha1 (on arm64,
+// the ARMv8 SHA-1 instructions), unless init finds the CPU's SHA
+// extensions on amd64 and selects the SHA-NI kernel (sha1_amd64.go).
+var sum, sumPath = sha1Sum, "crypto/sha1"
+
+func sha1Sum(data []byte) FP { return FP(sha1.Sum(data)) }
+
+// BatchOf fingerprints every span into dst (dst[i] = Of(spans[i])); dst
+// must hold at least len(spans) entries.
 func BatchOf(dst []FP, spans ...[]byte) {
 	if len(dst) < len(spans) {
 		panic(fmt.Sprintf("fingerprint: BatchOf dst %d shorter than spans %d", len(dst), len(spans)))
 	}
-	h := sha1.New()
 	for i, s := range spans {
-		h.Reset()
-		h.Write(s)
-		// Sum appends into dst[i]'s backing array (cap Size, len 0):
-		// the digest lands directly in the destination fingerprint.
-		h.Sum(dst[i][:0])
+		dst[i] = Of(s)
 	}
 }
 
@@ -82,14 +76,4 @@ func UnmarshalFP(src []byte) (FP, []byte, error) {
 	}
 	copy(f[:], src[:Size])
 	return f, src[Size:], nil
-}
-
-// Bucket maps a fingerprint to one of n buckets using its leading bytes.
-// Used to shard fingerprint tables.
-func (f FP) Bucket(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(f[:8])
-	return int(v % uint64(n))
 }

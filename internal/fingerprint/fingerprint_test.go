@@ -76,17 +76,3 @@ func TestUnmarshalShortBuffer(t *testing.T) {
 		t.Fatal("expected error on short buffer")
 	}
 }
-
-func TestBucketRange(t *testing.T) {
-	check := func(a [Size]byte, n uint8) bool {
-		buckets := int(n%16) + 1
-		b := FP(a).Bucket(buckets)
-		return b >= 0 && b < buckets
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-	if (FP{}).Bucket(0) != 0 || (FP{}).Bucket(1) != 0 {
-		t.Error("degenerate bucket counts must map to 0")
-	}
-}

@@ -2,18 +2,26 @@ package fingerprint
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"encoding/binary"
 	"testing"
 )
 
+// paddingEdges are the message lengths around SHA-1's padding edges: the
+// length field fits the last block up to 55 bytes and spills into
+// another one from 56.
+var paddingEdges = []int{55, 56, 63, 64, 119, 120}
+
 // FuzzBatchOf splits arbitrary bytes into spans at input-derived
-// boundaries and checks that batch fingerprinting is bit-identical to
-// per-span Of calls — the digest-reuse optimization must never leak
-// state between spans.
+// boundaries and checks that BatchOf and Of both give crypto/sha1's
+// digest for every span.
 func FuzzBatchOf(f *testing.F) {
 	f.Add([]byte("collective dedup"), uint8(3))
 	f.Add(make([]byte, 1024), uint8(0))
 	f.Add([]byte{}, uint8(7))
+	for _, n := range paddingEdges {
+		f.Add(bytes.Repeat([]byte{0xa5}, n), uint8(n)) // one span: the whole input
+	}
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
 		var spans [][]byte
 		stride := int(step) + 1
@@ -29,8 +37,8 @@ func FuzzBatchOf(f *testing.F) {
 		dst := make([]FP, len(spans))
 		BatchOf(dst, spans...)
 		for i, s := range spans {
-			if want := Of(s); dst[i] != want {
-				t.Fatalf("span %d (%d bytes): batch digest differs from Of", i, len(s))
+			if want := FP(sha1.Sum(s)); dst[i] != want || Of(s) != want {
+				t.Fatalf("span %d (%d bytes): BatchOf or Of differs from crypto/sha1", i, len(s))
 			}
 		}
 	})
