@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dedupstat [-chunk 4096] [-chunker fixed|cdc|gear] file...
+//	dedupstat [-chunk 4096] [-chunker fixed|gear] file...
 //	dedupstat -cluster cluster.json
 //	dedupstat -bundle DIR
 //
@@ -37,21 +37,18 @@ import (
 
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/fingerprint"
-
-	// Register the gear chunker so -chunker gear resolves.
-	_ "dedupcr/internal/chunk/gear"
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/obs"
 	"dedupcr/internal/telemetry"
 )
 
 func main() {
-	chunkSize := flag.Int("chunk", chunk.DefaultSize, "chunk size in bytes (target average for cdc/gear)")
-	chunkerName := flag.String("chunker", "", "chunking algorithm: fixed, cdc or gear (default fixed)")
+	chunkSize := flag.Int("chunk", chunk.DefaultSize, "chunk size in bytes (target average for gear)")
+	chunkerName := flag.String("chunker", "", "chunking algorithm: fixed or gear (default fixed)")
 	clusterIn := flag.String("cluster", "", "render this cluster telemetry JSON file (dump and/or restore reports) as tables and exit")
 	bundleIn := flag.String("bundle", "", "render this post-mortem failure bundle directory (or every bundle-* under it) as a timeline and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dedupstat [-chunk N] [-chunker fixed|cdc|gear] file...\n")
+		fmt.Fprintf(os.Stderr, "usage: dedupstat [-chunk N] [-chunker fixed|gear] file...\n")
 		fmt.Fprintf(os.Stderr, "       dedupstat -cluster cluster.json\n")
 		fmt.Fprintf(os.Stderr, "       dedupstat -bundle DIR\n")
 		flag.PrintDefaults()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,9 +41,15 @@ func TestDedupstatSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	// Content-defined mode must also work.
-	if out, err := exec.Command(bin, "-chunker", "cdc", "-chunk", "512", fa).CombinedOutput(); err != nil {
-		t.Fatalf("cdc run: %v\n%s", err, out)
+	// Content-defined (gear) mode must also work.
+	if out, err := exec.Command(bin, "-chunker", "gear", "-chunk", "512", fa).CombinedOutput(); err != nil {
+		t.Fatalf("gear run: %v\n%s", err, out)
+	}
+	// The deleted Rabin chunker's name is a usage error.
+	err = exec.Command(bin, "-chunker", "cdc", "-chunk", "512", fa).Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("-chunker cdc: got %v, want exit status 2", err)
 	}
 	// Missing file is an error.
 	if _, err := exec.Command(bin, filepath.Join(dir, "absent")).CombinedOutput(); err == nil {

@@ -22,9 +22,6 @@ import (
 	"dedupcr/internal/experiments"
 	"dedupcr/internal/telemetry"
 	"dedupcr/internal/trace"
-
-	// Register the gear chunker so -chunker gear resolves.
-	_ "dedupcr/internal/chunk/gear"
 )
 
 func main() {
@@ -36,10 +33,10 @@ func main() {
 	clusterTrace := flag.String("cluster-trace", "", "write a merged cross-rank Chrome trace (one pid per rank) of the last telemetry-aggregating scenario to this file")
 	restoreStats := flag.Bool("restore-stats", false, "print the cluster restore telemetry report of every restore-aggregating scenario (read amplification, locality, stragglers)")
 	parallelism := flag.Int("parallelism", 0, "per-rank worker budget for the dump hot path (0 = GOMAXPROCS, 1 = serial reference)")
-	chunker := flag.String("chunker", "fixed", "chunking algorithm for every dump: fixed, cdc or gear")
+	chunker := flag.String("chunker", "fixed", "chunking algorithm for every dump: fixed or gear")
 	timeout := flag.Duration("timeout", 0, "abort each collective scenario after this long (0 = no deadline)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dumpbench [-quick] [-v] [-parallelism n] [-chunker fixed|cdc|gear] [-trace out.json] [-cluster out.json] [-cluster-trace out.json] [-restore-stats] <experiment-id>... | all\n")
+		fmt.Fprintf(os.Stderr, "usage: dumpbench [-quick] [-v] [-parallelism n] [-chunker fixed|gear] [-trace out.json] [-cluster out.json] [-cluster-trace out.json] [-restore-stats] <experiment-id>... | all\n")
 		fmt.Fprintf(os.Stderr, "       dumpbench -list\n")
 		flag.PrintDefaults()
 	}

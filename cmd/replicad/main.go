@@ -172,8 +172,8 @@ func run() error {
 	k := flag.Int("k", 3, "replication factor")
 	approach := flag.String("approach", "coll", "no | local | coll")
 	name := flag.String("name", "ckpt", "dataset name")
-	chunkSize := flag.Int("chunk", 4096, "chunk size in bytes (target average for cdc/gear; all ranks must agree)")
-	chunker := flag.String("chunker", "fixed", "chunking algorithm: fixed, cdc or gear (all ranks must agree)")
+	chunkSize := flag.Int("chunk", 4096, "chunk size in bytes (target average for gear; all ranks must agree)")
+	chunker := flag.String("chunker", "fixed", "chunking algorithm: fixed or gear (all ranks must agree)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof plus the /cluster and /restore telemetry endpoints (JSON and /metrics) on this address (e.g. localhost:6060)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of this rank's run to this file")
 	wireTrace := flag.Bool("wire-trace", false, "with -trace: stamp outgoing frames with trace context and draw causal send->recv flow arrows (all ranks must agree)")

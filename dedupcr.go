@@ -87,13 +87,11 @@ type (
 	Approach = core.Approach
 	// Result is the outcome of one collective dump on one rank.
 	Result = core.Result
-	// Topology describes rack placement for rack-aware partner selection.
-	Topology = core.Topology
 	// RetryPolicy bounds retries of transient transport failures during
 	// the window-put exchange (Options.Retry).
 	RetryPolicy = core.RetryPolicy
 	// ChunkerSpec selects the chunking algorithm and size
-	// (Options.Chunker): fixed-size, Rabin CDC, or gear-hash CDC. The
+	// (Options.Chunker): fixed-size or gear-hash content-defined. The
 	// zero value is fixed/4 KiB.
 	ChunkerSpec = chunk.Spec
 	// ChunkerAlgo names a chunking algorithm (ChunkerSpec.Algo).
@@ -105,15 +103,13 @@ const (
 	// ChunkerFixed is fixed-size chunking, the paper's page model (the
 	// zero value, so the default for Options that never set a chunker).
 	ChunkerFixed = chunk.AlgoFixed
-	// ChunkerCDC is the rolling Rabin-style content-defined chunker.
-	ChunkerCDC = chunk.AlgoRabin
-	// ChunkerGear is the gear-hash content-defined chunker: boundary-
-	// compatible bounds discipline with ChunkerCDC at a fraction of the
-	// per-byte cost (one table lookup + shift-add in an unrolled scan).
+	// ChunkerGear is the gear-hash content-defined chunker: shift-
+	// resistant boundaries at one table lookup + shift-add per byte in
+	// an unrolled scan.
 	ChunkerGear = chunk.AlgoGear
 )
 
-// ParseChunker parses a CLI chunker name: fixed | cdc | gear.
+// ParseChunker parses a CLI chunker name: fixed | gear.
 func ParseChunker(s string) (ChunkerAlgo, error) { return chunk.ParseAlgo(s) }
 
 // Failure model: typed errors, collective abort, fault injection.
@@ -225,9 +221,6 @@ func Forget(store Store, name string, rank int) error {
 
 // Bool is a convenience for filling Options.Shuffle.
 func Bool(v bool) *bool { return core.Bool(v) }
-
-// NewUniformTopology spreads n ranks over racks in contiguous blocks.
-func NewUniformTopology(n, racks int) Topology { return core.NewUniformTopology(n, racks) }
 
 // Checkpoint-restart runtime (the AC-FTE role).
 type (

@@ -36,12 +36,12 @@ var (
 	_ func(*dedupcr.Runtime, context.Context) (int, error)             = (*dedupcr.Runtime).RestartCtx
 
 	// Chunker-spec API: Options selects chunking through a first-class
-	// spec (algo + size); the three algorithm constants and the CLI
+	// spec (algo + size); the two algorithm constants and the CLI
 	// parser are part of the locked surface.
 	_ dedupcr.ChunkerSpec                       = dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear, Size: 4096}
-	_ []dedupcr.ChunkerAlgo                     = []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerCDC, dedupcr.ChunkerGear}
+	_ []dedupcr.ChunkerAlgo                     = []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerGear}
 	_ func(string) (dedupcr.ChunkerAlgo, error) = dedupcr.ParseChunker
-	_ dedupcr.Options                           = dedupcr.Options{Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerCDC}}
+	_ dedupcr.Options                           = dedupcr.Options{Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear}}
 )
 
 // TestCollectiveErrorTaxonomy pins the errors.Is/As contract of the
@@ -121,7 +121,7 @@ func TestRestoreAbortsGroupOnStoreError(t *testing.T) {
 	err := dedupcr.Run(n, func(c dedupcr.Comm) error {
 		buf := bytes.Repeat([]byte(fmt.Sprintf("rank%d ", c.Rank())), 4096)
 		_, err := dedupcr.DumpOutput(c, cluster.Node(c.Rank()), buf, dedupcr.Options{
-			K: 2, Approach: dedupcr.CollDedup, ChunkSize: 256, Name: "abort",
+			K: 2, Approach: dedupcr.CollDedup, Chunker: dedupcr.ChunkerSpec{Size: 256}, Name: "abort",
 		})
 		return err
 	})
@@ -218,7 +218,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 // algorithm the spec API can name, exactly as a downstream user would.
 func TestPublicAPIChunkerSpec(t *testing.T) {
 	const n, k = 4, 2
-	for _, algo := range []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerCDC, dedupcr.ChunkerGear} {
+	for _, algo := range []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerGear} {
 		cluster := dedupcr.NewCluster(n)
 		err := dedupcr.Run(n, func(c dedupcr.Comm) error {
 			buf := bytes.Repeat([]byte(fmt.Sprintf("rank%d chunker %s ", c.Rank()%2, algo)), 2048)
@@ -252,7 +252,7 @@ func TestPublicAPIRuntime(t *testing.T) {
 	cluster := dedupcr.NewCluster(n)
 	err := dedupcr.Run(n, func(c dedupcr.Comm) error {
 		rt := dedupcr.NewRuntime(c, cluster.Node(c.Rank()), dedupcr.Options{
-			K: 2, Approach: dedupcr.CollDedup, ChunkSize: 256,
+			K: 2, Approach: dedupcr.CollDedup, Chunker: dedupcr.ChunkerSpec{Size: 256},
 		})
 		state := rt.Register("state", 1024)
 		for i := range state {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dedupcr/internal/apps/hpccg"
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
 	"dedupcr/internal/ftrun"
@@ -30,7 +31,7 @@ const (
 )
 
 func opts() core.Options {
-	return core.Options{K: k, Approach: core.CollDedup, ChunkSize: 256, Name: "hpccg"}
+	return core.Options{K: k, Approach: core.CollDedup, Chunker: chunk.Spec{Size: 256}, Name: "hpccg"}
 }
 
 func main() {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dedupcr/internal/apps/cm1"
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
 	"dedupcr/internal/metrics"
@@ -93,10 +94,10 @@ func runRank(ctx context.Context, c collectives.Comm, dir string) (err error) {
 	buf := app.CheckpointImage()
 
 	res, err := core.DumpOutputCtx(ctx, c, store, buf, core.Options{
-		K:         3,
-		Approach:  core.CollDedup,
-		ChunkSize: 256,
-		Name:      "cm1-demo",
+		K:        3,
+		Approach: core.CollDedup,
+		Chunker:  chunk.Spec{Size: 256},
+		Name:     "cm1-demo",
 	})
 	if err != nil {
 		return err

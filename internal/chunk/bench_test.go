@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dedupcr/internal/chunk/gear"
 	"dedupcr/internal/fingerprint"
 )
 
@@ -35,28 +36,15 @@ func BenchmarkFixedSplit256(b *testing.B) {
 	}
 }
 
-// BenchmarkContentDefinedSplit measures the Rabin-style chunker, the
-// related-work alternative (slower per byte, shift resistant).
-func BenchmarkContentDefinedSplit(b *testing.B) {
+// BenchmarkGearSplit measures the gear boundary scan + fingerprinting,
+// the full serial hot path a Parallelism=1 gear dump runs per rank.
+func BenchmarkGearSplit(b *testing.B) {
 	buf := benchBuf(1 << 22)
-	c := NewContentDefined(4096)
+	c := gear.New(4096)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Split(buf)
-	}
-}
-
-// BenchmarkContentDefinedCuts isolates the Rabin boundary scan (no
-// fingerprinting) — the number the gear chunker's scan is measured
-// against.
-func BenchmarkContentDefinedCuts(b *testing.B) {
-	buf := benchBuf(1 << 22)
-	c := NewContentDefined(4096)
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Cuts(buf)
+		FromCuts(buf, c.Cuts(buf))
 	}
 }
 

@@ -3,9 +3,10 @@
 // reassembled byte-exactly.
 //
 // The paper matches chunks with memory pages, so the default chunker is
-// fixed-size with a 4 KiB chunk (the system page size). A content-defined
-// (Rabin) chunker is provided as the related-work alternative and for
-// ablation experiments.
+// fixed-size with a 4 KiB chunk (the system page size). The gear-hash
+// content-defined chunker (internal/chunk/gear) is the shift-resistant
+// alternative for the chunking ablation and arbitrary file data; Spec and
+// New select between the two.
 package chunk
 
 import (
@@ -23,20 +24,11 @@ type Chunk struct {
 	Data []byte
 }
 
-// Chunker splits a buffer into chunks.
-type Chunker interface {
-	// Split cuts buf into consecutive chunks covering it entirely.
-	// The returned chunks alias buf; callers must not mutate buf while
-	// the chunks are in use.
-	Split(buf []byte) []Chunk
-}
-
-// CutChunker is a Chunker whose boundary scan is separable from
-// fingerprinting, letting instrumented callers time the two phases
-// independently (the paper's evaluation attributes them separately).
-// Both chunkers in this package implement it.
+// CutChunker is a chunk boundary scan, separate from fingerprinting so
+// instrumented callers can time the two phases independently (the
+// paper's evaluation attributes them separately). FromCuts turns its
+// cuts into chunks. Fixed and *gear.Chunker implement it.
 type CutChunker interface {
-	Chunker
 	// Cuts returns the end offset of every chunk of buf, ascending, the
 	// last one len(buf). An empty buf yields no cuts.
 	Cuts(buf []byte) []int
@@ -73,7 +65,9 @@ func NewFixed(size int) Fixed {
 	return Fixed{Size: size}
 }
 
-// Split implements Chunker.
+// Split cuts buf into consecutive chunks covering it entirely. The
+// returned chunks alias buf; callers must not mutate buf while the
+// chunks are in use.
 func (c Fixed) Split(buf []byte) []Chunk {
 	return FromCuts(buf, c.Cuts(buf))
 }

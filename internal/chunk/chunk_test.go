@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"dedupcr/internal/chunk/gear"
 	"dedupcr/internal/fingerprint"
 )
 
@@ -162,131 +164,76 @@ func TestDecodeRecipeRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestContentDefinedCoversBuffer(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		buf := make([]byte, 10000+rng.Intn(10000))
-		rng.Read(buf)
-		c := NewContentDefined(512)
-		var joined []byte
-		for _, ch := range c.Split(buf) {
-			if len(ch.Data) > c.Max {
-				return false
-			}
-			joined = append(joined, ch.Data...)
-		}
-		return bytes.Equal(joined, buf)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestContentDefinedShiftResistance(t *testing.T) {
-	// Insert bytes at the front; most chunk boundaries (hence
-	// fingerprints) must survive — the property fixed-size chunking
-	// lacks and CDC exists to provide.
-	rng := rand.New(rand.NewSource(99))
-	base := make([]byte, 64*1024)
-	rng.Read(base)
-	shifted := append([]byte("INSERTED PREFIX!"), base...)
-
-	c := NewContentDefined(1024)
-	fps := make(map[fingerprint.FP]bool)
-	for _, ch := range c.Split(base) {
-		fps[ch.FP] = true
-	}
-	var common, total int
-	for _, ch := range c.Split(shifted) {
-		total++
-		if fps[ch.FP] {
-			common++
-		}
-	}
-	if common*2 < total {
-		t.Fatalf("only %d/%d chunks survived a prefix shift; CDC is not shift resistant", common, total)
-	}
-}
-
-// TestContentDefinedBoundsFromRoundedAvg is the regression test for the
-// Min/Max derivation bug: a non-power-of-two request must derive Min and
-// Max from the ROUNDED average, not the raw one, so the 1:4:16 ratio
-// always holds and Max is never less than 4× the effective average.
-func TestContentDefinedBoundsFromRoundedAvg(t *testing.T) {
-	cases := []struct {
-		avg, wantMin, wantAvg, wantMax int
-	}{
-		{512, 128, 512, 2048},
-		{500, 128, 512, 2048}, // rounds up to 512; bounds follow the rounded value
-		{4097, 2048, 8192, 32768},
-		{100, 48, 128, 512}, // Min clamped to the 48-byte window
-		{0, 1024, 4096, 16384},
-	}
-	for _, tc := range cases {
-		c := NewContentDefined(tc.avg)
-		if c.Min != tc.wantMin || c.Avg != tc.wantAvg || c.Max != tc.wantMax {
-			t.Errorf("NewContentDefined(%d) = min/avg/max %d/%d/%d, want %d/%d/%d",
-				tc.avg, c.Min, c.Avg, c.Max, tc.wantMin, tc.wantAvg, tc.wantMax)
-		}
-		if c.Max < 4*c.Avg {
-			t.Errorf("NewContentDefined(%d): Max %d < 4×Avg %d", tc.avg, c.Max, c.Avg)
-		}
-	}
-	if cuts := NewContentDefined(512).Cuts(nil); cuts != nil {
-		t.Errorf("empty buffer produced cuts %v", cuts)
-	}
-}
-
-func TestContentDefinedDeterministic(t *testing.T) {
-	buf := make([]byte, 32*1024)
-	rand.New(rand.NewSource(5)).Read(buf)
-	a := NewContentDefined(512).Split(buf)
-	b := NewContentDefined(512).Split(buf)
-	if len(a) != len(b) {
-		t.Fatalf("chunk counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].FP != b[i].FP {
-			t.Fatalf("chunk %d differs between runs", i)
-		}
-	}
-}
-
-// TestCutsMatchSplit pins the CutChunker contract: Cuts + FromCuts must
-// produce exactly what Split produces, for both chunkers, so the
-// instrumented dump path (which times the two halves separately) cannot
-// drift from the plain one.
+// TestCutsMatchSplit pins the CutChunker contract for both chunkers a
+// Spec can name: the cuts tile buf in ascending order, and FromCuts turns
+// them into chunks that reassemble buf with correct fingerprints — the
+// same chunks Fixed.Split returns — so the instrumented dump path (which
+// times the two halves separately) cannot drift from the plain one.
 func TestCutsMatchSplit(t *testing.T) {
 	buf := make([]byte, 40*1024+123)
 	rand.New(rand.NewSource(7)).Read(buf)
-	chunkers := map[string]CutChunker{
-		"fixed": NewFixed(4096),
-		"cdc":   NewContentDefined(1024),
-	}
-	for name, c := range chunkers {
+	for _, spec := range []Spec{{Algo: AlgoFixed, Size: 4096}, {Algo: AlgoGear, Size: 1024}} {
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cuts := c.Cuts(buf)
 		if len(cuts) == 0 || cuts[len(cuts)-1] != len(buf) {
-			t.Fatalf("%s: cuts do not cover buf: %v", name, cuts)
+			t.Fatalf("%s: cuts do not cover buf: %v", spec, cuts)
 		}
 		prev := 0
 		for i, end := range cuts {
 			if end <= prev {
-				t.Fatalf("%s: cut %d (%d) not ascending from %d", name, i, end, prev)
+				t.Fatalf("%s: cut %d (%d) not ascending from %d", spec, i, end, prev)
 			}
 			prev = end
 		}
 		got := FromCuts(buf, cuts)
-		want := c.Split(buf)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d chunks via cuts, %d via Split", name, len(got), len(want))
+		var joined []byte
+		for i, ch := range got {
+			if fingerprint.Of(ch.Data) != ch.FP {
+				t.Fatalf("%s: chunk %d fingerprint does not match its data", spec, i)
+			}
+			joined = append(joined, ch.Data...)
 		}
-		for i := range got {
-			if got[i].FP != want[i].FP || len(got[i].Data) != len(want[i].Data) {
-				t.Fatalf("%s: chunk %d differs", name, i)
+		if !bytes.Equal(joined, buf) {
+			t.Fatalf("%s: chunks do not reassemble buf", spec)
+		}
+		if f, ok := c.(Fixed); ok {
+			want := f.Split(buf)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d chunks via cuts, %d via Split", spec, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].FP != want[i].FP || len(got[i].Data) != len(want[i].Data) {
+					t.Fatalf("%s: chunk %d differs", spec, i)
+				}
 			}
 		}
 	}
 	if cuts := NewFixed(512).Cuts(nil); len(cuts) != 0 {
 		t.Errorf("empty buf produced cuts %v", cuts)
+	}
+}
+
+// TestRegisteredWithSpec pins the spec constructor: a gear spec builds a
+// *gear.Chunker of the requested size, and the deleted Rabin chunker's
+// spellings no longer parse.
+func TestRegisteredWithSpec(t *testing.T) {
+	cc, err := New(Spec{Algo: AlgoGear, Size: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := cc.(*gear.Chunker)
+	if !ok {
+		t.Fatalf("spec constructor returned %T, want *gear.Chunker", cc)
+	}
+	if g.Avg != 256 {
+		t.Fatalf("spec size not honored: Avg = %d", g.Avg)
+	}
+	for _, name := range []string{"cdc", "rabin"} {
+		if _, err := ParseAlgo(name); err == nil || !strings.Contains(err.Error(), "fixed or gear") {
+			t.Errorf("ParseAlgo(%q) = %v, want an error naming fixed or gear", name, err)
+		}
 	}
 }

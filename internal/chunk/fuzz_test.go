@@ -3,11 +3,13 @@ package chunk
 import (
 	"bytes"
 	"testing"
+
+	"dedupcr/internal/chunk/gear"
 )
 
-// FuzzCDCChunker fuzzes the content-defined chunker's structural
-// invariants and its split-stability: because the rolling-hash scan
-// restarts at every cut point, chunking the stream suffix after any cut
+// FuzzCDCChunker fuzzes the content-defined (gear) chunker, built
+// through New as the dump builds it, for its structural invariants and
+// its split-stability: because the gear scan restarts at every cut point, chunking the stream suffix after any cut
 // must reproduce the remaining cuts exactly — the property that makes
 // all ranks agree on boundaries without sharing state, and the property
 // the parallel hash pool relies on when it hands shard boundaries out by
@@ -19,7 +21,11 @@ func FuzzCDCChunker(f *testing.F) {
 	f.Add([]byte{}, byte(3))
 	f.Fuzz(func(t *testing.T, data []byte, avgSel byte) {
 		avgs := []int{64, 128, 256, 1024}
-		c := NewContentDefined(avgs[int(avgSel)%len(avgs)])
+		cc, err := New(Spec{Algo: AlgoGear, Size: avgs[int(avgSel)%len(avgs)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cc.(*gear.Chunker)
 		cuts := c.Cuts(data)
 
 		if len(data) == 0 {

@@ -1,14 +1,9 @@
 package gear
 
-import (
-	"testing"
-
-	"dedupcr/internal/chunk"
-)
+import "testing"
 
 // BenchmarkGearCuts measures the boundary scan — compare against
-// BenchmarkGenericCuts and internal/chunk's BenchmarkContentDefinedSplit
-// to see the unrolled loop's margin.
+// BenchmarkGenericCuts to see the unrolled loop's margin.
 func BenchmarkGearCuts(b *testing.B) {
 	buf := testBuf(1, 1<<22)
 	c := New(4096)
@@ -27,17 +22,5 @@ func BenchmarkGenericCuts(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cutsWith(cutGeneric, c, buf)
-	}
-}
-
-// BenchmarkGearSplit measures boundary scan + batched fingerprinting,
-// the full serial hot path a Parallelism=1 dump runs per rank.
-func BenchmarkGearSplit(b *testing.B) {
-	buf := testBuf(1, 1<<22)
-	c := New(4096)
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunk.FromCuts(buf, c.Cuts(buf))
 	}
 }

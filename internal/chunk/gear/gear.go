@@ -2,9 +2,8 @@
 // CDC variant of the dedup literature ("Accelerating Data Chunking in
 // Deduplication Systems using Vector Instructions"; Ddelta/FastCDC).
 //
-// Unlike the Rabin-style chunker in internal/chunk, the gear hash keeps
-// no explicit sliding window: each step is one shift-add plus a single
-// 256-entry table lookup,
+// The gear hash keeps no explicit sliding window: each step is one
+// shift-add plus a single 256-entry table lookup,
 //
 //	h = h<<1 + table[b]
 //
@@ -14,9 +13,9 @@
 // ≥64 is exactly 0 mod 2^64). That gives the two properties the hot path
 // wants:
 //
-//   - half the per-byte work of the Rabin loop (no second lookup, no
-//     outgoing-byte subtraction), in a dependency chain short enough for
-//     wide out-of-order cores to sustain ~1 byte/cycle;
+//   - half the per-byte work of a Rabin rolling hash (no second lookup,
+//     no outgoing-byte subtraction), in a dependency chain short enough
+//     for wide out-of-order cores to sustain ~1 byte/cycle;
 //   - skip-scanning: the hash at any position depends only on the last
 //     64 bytes, so the scan can jump straight to Min-64 instead of
 //     hashing the whole minimum-size prefix.
@@ -24,10 +23,9 @@
 // The cut condition tests the accumulator's HIGH bits (h & mask == 0
 // with mask occupying the top log2(avg) bits): high bits mix the full
 // 64-byte window, while low bits would depend on only the last few
-// bytes. Min/Avg/Max bounds follow the normalized discipline of the
-// Rabin chunker (chunk.ContentDefined) — Avg rounds up to a power of
-// two, Min = Avg/4 (clamped to the 64-byte window), Max = Avg*4, all
-// derived from the rounded value.
+// bytes. Min/Avg/Max bounds follow the normalized CDC discipline — Avg
+// rounds up to a power of two, Min = Avg/4 (clamped to the 64-byte
+// window), Max = Avg*4, all derived from the rounded value.
 //
 // The boundary scan is an 8-way unrolled loop (cutUnrolled) that the
 // compiler keeps free of bounds checks; it is pure Go and runs on every
@@ -35,11 +33,10 @@
 // under internal/chunk/testdata pin it to the plain reference loop the
 // tests keep (cutGeneric), and the 100-run determinism test pins it to
 // itself.
+//
+// The package is a leaf: it imports nothing from the module, and
+// internal/chunk imports it to build the chunker a chunk.Spec names.
 package gear
-
-import (
-	"dedupcr/internal/chunk"
-)
 
 // Window is the gear hash's effective window: the number of trailing
 // bytes that can still influence the accumulator (the width of uint64).
@@ -51,8 +48,7 @@ const Window = 64
 // because chunk boundaries are collective decision state.
 var table [256]uint64
 
-// initTable fills the gear table deterministically. The seed differs
-// from the Rabin chunker's so the two algorithms cut independently.
+// initTable fills the gear table deterministically.
 func initTable() {
 	x := uint64(0xA5A3_5730_0596_9F8B)
 	for i := range table {
@@ -63,12 +59,13 @@ func initTable() {
 	}
 }
 
-func init() {
-	initTable()
-	chunk.Register(chunk.AlgoGear, func(size int) chunk.CutChunker { return New(size) })
-}
+func init() { initTable() }
 
-// Chunker is a gear-hash content-defined chunker. It implements
+// defaultAvg is the expected chunk size New picks for avg <= 0: one
+// memory page, the same default as chunk.DefaultSize.
+const defaultAvg = 4096
+
+// Chunker is a gear-hash content-defined chunker. It satisfies
 // chunk.CutChunker: the boundary scan (Cuts) is separable from
 // fingerprinting so the dump pipeline attributes the two phases
 // independently.
@@ -83,10 +80,10 @@ type Chunker struct {
 // New builds a gear chunker with an expected chunk size of avg bytes
 // (rounded up to a power of two), Min = Avg/4 (clamped to the 64-byte
 // gear window) and Max = Avg*4, all derived from the rounded value.
-// avg <= 0 selects chunk.DefaultSize.
+// avg <= 0 selects a 4 KiB page.
 func New(avg int) *Chunker {
 	if avg <= 0 {
-		avg = chunk.DefaultSize
+		avg = defaultAvg
 	}
 	bits := 1
 	for 1<<bits < avg {
@@ -107,12 +104,8 @@ func New(avg int) *Chunker {
 	return c
 }
 
-// Split implements chunk.Chunker.
-func (c *Chunker) Split(buf []byte) []chunk.Chunk {
-	return chunk.FromCuts(buf, c.Cuts(buf))
-}
-
-// Cuts implements chunk.CutChunker.
+// Cuts returns the end offset of every chunk of buf, ascending, the last
+// one len(buf). An empty buf yields no cuts.
 func (c *Chunker) Cuts(buf []byte) []int {
 	if len(buf) == 0 {
 		return nil

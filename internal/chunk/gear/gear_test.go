@@ -1,14 +1,10 @@
 package gear
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
 	"testing"
-
-	"dedupcr/internal/chunk"
-	"dedupcr/internal/fingerprint"
 )
 
 // update regenerates the golden cut-point vectors:
@@ -147,72 +143,51 @@ func TestUnrolledMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestDeterminism re-runs the full chunk+fingerprint pipeline 100 times:
-// boundaries and fingerprints are collective decision state and must be
-// bit-identical on every run.
+// TestDeterminism re-runs the boundary scan 100 times: boundaries are
+// collective decision state and must be bit-identical on every run.
 func TestDeterminism(t *testing.T) {
-	c := New(512)
 	buf := testBuf(42, 48*1024)
-	ref := c.Split(buf)
+	ref := New(512).Cuts(buf)
 	for run := 0; run < 100; run++ {
-		got := New(512).Split(buf)
+		got := New(512).Cuts(buf)
 		if len(got) != len(ref) {
-			t.Fatalf("run %d: %d chunks, want %d", run, len(got), len(ref))
+			t.Fatalf("run %d: %d cuts, want %d", run, len(got), len(ref))
 		}
 		for i := range ref {
-			if got[i].FP != ref[i].FP || !bytes.Equal(got[i].Data, ref[i].Data) {
-				t.Fatalf("run %d: chunk %d differs", run, i)
+			if got[i] != ref[i] {
+				t.Fatalf("run %d: cut %d differs", run, i)
 			}
 		}
 	}
 }
 
-func TestSplitMatchesCutsPlusFromCuts(t *testing.T) {
-	c := New(256)
-	buf := testBuf(7, 20*1024)
-	want := chunk.FromCuts(buf, c.Cuts(buf))
-	got := c.Split(buf)
-	if len(got) != len(want) {
-		t.Fatalf("%d chunks via Split, %d via Cuts+FromCuts", len(got), len(want))
+// chunkSet returns the contents of the chunks the cuts delimit.
+func chunkSet(buf []byte, cuts []int) map[string]bool {
+	set := make(map[string]bool, len(cuts))
+	prev := 0
+	for _, end := range cuts {
+		set[string(buf[prev:end])] = true
+		prev = end
 	}
-	for i := range want {
-		if got[i].FP != want[i].FP {
-			t.Fatalf("chunk %d differs", i)
-		}
-	}
+	return set
 }
 
 func TestShiftResistance(t *testing.T) {
 	base := testBuf(99, 64*1024)
 	shifted := append([]byte("INSERTED PREFIX!"), base...)
 	c := New(1024)
-	fps := make(map[fingerprint.FP]bool)
-	for _, ch := range c.Split(base) {
-		fps[ch.FP] = true
-	}
-	var common, total int
-	for _, ch := range c.Split(shifted) {
-		total++
-		if fps[ch.FP] {
+	before := chunkSet(base, c.Cuts(base))
+	cuts := c.Cuts(shifted)
+	var common int
+	prev := 0
+	for _, end := range cuts {
+		if before[string(shifted[prev:end])] {
 			common++
 		}
+		prev = end
 	}
-	if common*2 < total {
-		t.Fatalf("only %d/%d chunks survived a prefix shift; gear CDC is not shift resistant", common, total)
-	}
-}
-
-func TestRegisteredWithSpec(t *testing.T) {
-	cc, err := chunk.New(chunk.Spec{Algo: chunk.AlgoGear, Size: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := cc.(*Chunker)
-	if !ok {
-		t.Fatalf("spec constructor returned %T, want *gear.Chunker", cc)
-	}
-	if g.Avg != 256 {
-		t.Fatalf("spec size not honored: Avg = %d", g.Avg)
+	if common*2 < len(cuts) {
+		t.Fatalf("only %d/%d chunks survived a prefix shift; gear CDC is not shift resistant", common, len(cuts))
 	}
 }
 

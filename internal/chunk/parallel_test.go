@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"dedupcr/internal/chunk/gear"
 )
 
 // randBuf builds a deterministic pseudo-random buffer with some repeated
@@ -24,7 +26,7 @@ func randBuf(seed int64, n int) []byte {
 func TestFromCutsParallelMatchesSerial(t *testing.T) {
 	for _, size := range []int{0, 1, 100, 4096, 1 << 16, 1<<17 + 333} {
 		buf := randBuf(int64(size)+7, size)
-		for _, chunker := range []CutChunker{NewFixed(256), NewContentDefined(256)} {
+		for _, chunker := range []CutChunker{NewFixed(256), gear.New(256)} {
 			cuts := chunker.Cuts(buf)
 			want := FromCuts(buf, cuts)
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/storage"
 )
@@ -40,7 +41,7 @@ func BenchmarkDumpOutput(b *testing.B) {
 	const n, k = 32, 3
 	for _, ap := range []Approach{NoDedup, LocalDedup, CollDedup} {
 		b.Run(ap.String(), func(b *testing.B) {
-			o := Options{K: k, Approach: ap, ChunkSize: testPage, Name: "bench"}
+			o := Options{K: k, Approach: ap, Chunker: chunk.Spec{Size: testPage}, Name: "bench"}
 			benchDump(b, n, o, benchWorkload)
 		})
 	}
@@ -52,7 +53,7 @@ func BenchmarkDumpShuffleAblation(b *testing.B) {
 	const n, k = 32, 4
 	for _, shuffle := range []bool{false, true} {
 		b.Run(fmt.Sprintf("shuffle=%t", shuffle), func(b *testing.B) {
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage,
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage},
 				Shuffle: Bool(shuffle), Name: "bench"}
 			benchDump(b, n, o, benchWorkload)
 		})
@@ -65,7 +66,7 @@ func BenchmarkDumpFThreshold(b *testing.B) {
 	const n, k = 32, 3
 	for _, f := range []int{64, 512, 1 << 20} {
 		b.Run(fmt.Sprintf("F=%d", f), func(b *testing.B) {
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage,
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage},
 				F: f, Name: "bench"}
 			benchDump(b, n, o, benchWorkload)
 		})
@@ -78,21 +79,7 @@ func BenchmarkDumpChunkSize(b *testing.B) {
 	const n, k = 16, 3
 	for _, cs := range []int{128, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("chunk=%d", cs), func(b *testing.B) {
-			o := Options{K: k, Approach: CollDedup, ChunkSize: cs, Name: "bench"}
-			benchDump(b, n, o, benchWorkload)
-		})
-	}
-}
-
-// BenchmarkDumpTopology compares plain and rack-aware partner selection.
-func BenchmarkDumpTopology(b *testing.B) {
-	const n, k = 32, 3
-	topo := NewUniformTopology(n, 4)
-	cases := map[string]*Topology{"flat": nil, "rack-aware": &topo}
-	for name, tp := range cases {
-		b.Run(name, func(b *testing.B) {
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage,
-				Name: "bench", Topology: tp}
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: cs}, Name: "bench"}
 			benchDump(b, n, o, benchWorkload)
 		})
 	}
@@ -107,7 +94,7 @@ func BenchmarkRestore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cluster := storage.NewCluster(n)
-				o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "bench"}
+				o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "bench"}
 				err := collectives.Run(n, func(c collectives.Comm) error {
 					_, err := DumpOutput(c, cluster.Node(c.Rank()), benchWorkload(c.Rank()), o)
 					return err

@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"dedupcr/internal/chunk"
-	// Register the gear chunker so Options.Chunker can name it.
-	_ "dedupcr/internal/chunk/gear"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/metrics"
@@ -185,10 +183,9 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	}
 
 	// Phase 1 — chunking and fingerprinting (every byte is hashed once).
-	// Every registered chunker (fixed, Rabin CDC, gear) exposes its boundary
-	// scan separately from hashing (chunk.CutChunker), so the two costs are
-	// attributed to their own phases regardless of which spec
-	// Options.Chunker selected. With Parallelism > 1 hashing fans out over a
+	// Both chunkers (fixed and gear) expose their boundary scan separately
+	// from hashing (chunk.CutChunker), so the two costs are attributed to
+	// their own phases regardless of which spec Options.Chunker selected. With Parallelism > 1 hashing fans out over a
 	// bounded worker pool and phase 2 (plus the reduction's leaf-table
 	// build, for coll-dedup) overlaps it: finished chunks stream to the
 	// dedup filter in dataset order while later chunks are still being

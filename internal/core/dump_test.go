@@ -91,7 +91,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 			approach, k := approach, k
 			t.Run(fmt.Sprintf("%v/K=%d", approach, k), func(t *testing.T) {
 				const n = 8
-				o := Options{K: k, Approach: approach, ChunkSize: testPage, Name: "ck"}
+				o := Options{K: k, Approach: approach, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 				cluster, _, buffers := runDump(t, n, o)
 				err := collectives.Run(n, func(c collectives.Comm) error {
 					got, err := Restore(c, cluster.Node(c.Rank()), "ck")
@@ -158,7 +158,7 @@ func TestReplicationFactorMaintained(t *testing.T) {
 	for _, approach := range []Approach{NoDedup, LocalDedup, CollDedup} {
 		approach := approach
 		t.Run(approach.String(), func(t *testing.T) {
-			o := Options{K: k, Approach: approach, ChunkSize: testPage, Name: "ck"}
+			o := Options{K: k, Approach: approach, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 			cluster, _, buffers := runDump(t, n, o)
 			for fp, h := range holderCount(t, cluster, buffers) {
 				switch approach {
@@ -188,7 +188,7 @@ func TestCollDedupStoresLess(t *testing.T) {
 	uniqueC := make(map[Approach]int64) // identified unique content (Fig 3a)
 	rawTotal := int64(0)
 	for _, approach := range []Approach{NoDedup, LocalDedup, CollDedup} {
-		o := Options{K: k, Approach: approach, ChunkSize: testPage, Name: "ck"}
+		o := Options{K: k, Approach: approach, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 		cluster, results, buffers := runDump(t, n, o)
 		bytes, _ := cluster.TotalUsage()
 		usage[approach] = bytes
@@ -220,7 +220,7 @@ func TestCollDedupStoresLess(t *testing.T) {
 
 func TestDumpMetricsConservation(t *testing.T) {
 	const n, k = 9, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	_, results, buffers := runDump(t, n, o)
 
 	var sent, recv, sentChunks, recvChunks int64
@@ -255,7 +255,7 @@ func TestDumpMetricsConservation(t *testing.T) {
 
 func TestPlanIdenticalOnAllRanks(t *testing.T) {
 	const n, k = 7, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	_, results, _ := runDump(t, n, o)
 	ref := results[0].Plan
 	for r := 1; r < n; r++ {
@@ -277,7 +277,7 @@ func TestPlanIdenticalOnAllRanks(t *testing.T) {
 
 func TestHintsPointToActualHolders(t *testing.T) {
 	const n, k = 10, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	cluster, _, _ := runDump(t, n, o)
 	for r := 0; r < n; r++ {
 		blob, err := cluster.Node(r).GetBlob(metaName("ck", r))
@@ -304,7 +304,7 @@ func TestHintsPointToActualHolders(t *testing.T) {
 
 func TestRestoreAfterNodeFailure(t *testing.T) {
 	const n, k = 10, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	cluster, _, buffers := runDump(t, n, o)
 
 	// Lose one node (K=3 tolerates up to 2 in theory; see DESIGN.md on
@@ -340,7 +340,7 @@ func TestRestoreAfterFailureAllApproaches(t *testing.T) {
 		approach := approach
 		t.Run(approach.String(), func(t *testing.T) {
 			const n, k = 8, 3
-			o := Options{K: k, Approach: approach, ChunkSize: testPage, Name: "ck"}
+			o := Options{K: k, Approach: approach, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 			cluster, _, buffers := runDump(t, n, o)
 			cluster.FailNodes(2)
 			cluster.Replace(2)
@@ -370,7 +370,7 @@ func TestConsecutiveDumps(t *testing.T) {
 		for step := 0; step < 3; step++ {
 			name := fmt.Sprintf("ck-%d", step)
 			buf := testBuffer(c.Rank()+step*100, 4, 2, 1, 2)
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: name}
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: name}
 			if _, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o); err != nil {
 				return err
 			}
@@ -412,7 +412,7 @@ func TestDumpUnevenBufferSizes(t *testing.T) {
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		buf := make([]byte, sizes[c.Rank()])
 		rand.New(rand.NewSource(int64(c.Rank()))).Read(buf)
-		o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+		o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 		if _, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o); err != nil {
 			return err
 		}
@@ -450,8 +450,8 @@ func TestDumpContentDefinedChunking(t *testing.T) {
 		// at all; CDC must.
 		prefix := bytes.Repeat([]byte{byte(c.Rank())}, 37*(c.Rank()+1))
 		buf := append(prefix, testBuffer(0, 12, 0, 0, 0)...)
-		o := Options{K: k, Approach: CollDedup, ChunkSize: 128,
-			Chunker: chunk.Spec{Algo: chunk.AlgoRabin}, Name: "cdc"}
+		o := Options{K: k, Approach: CollDedup,
+			Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: 128}, Name: "cdc"}
 		res, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o)
 		if err != nil {
 			return err
@@ -503,7 +503,7 @@ func TestShuffleReducesMaxReceive(t *testing.T) {
 		var mu sync.Mutex
 		var plan *Plan
 		err := collectives.Run(n, func(c collectives.Comm) error {
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage,
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage},
 				Shuffle: Bool(shuffleOn), Name: "ck"}
 			res, err := DumpOutput(c, cluster.Node(c.Rank()), imbalancedBuffer(c.Rank()), o)
 			if err != nil {

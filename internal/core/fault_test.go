@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/storage"
@@ -18,7 +19,7 @@ import (
 // single node loss stays recoverable, coll-dedup so every pipeline phase
 // (reduction included) actually runs.
 func faultOpts(name string) Options {
-	return Options{K: 2, Approach: CollDedup, ChunkSize: testPage, Name: name}
+	return Options{K: 2, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: name}
 }
 
 // runRanks drives body once per rank over a fresh in-proc group and
@@ -188,7 +189,7 @@ func TestDumpKillInDrainRollsBack(t *testing.T) {
 		// Rank-private data spanning several slabs: with K=2 each window
 		// arrives as slabs frames from one partner.
 		o := faultOpts("ckpt-1")
-		o.ChunkSize = slabChunk
+		o.Chunker.Size = slabChunk
 		stores[c.Rank()] = &countingPuts{Store: cluster.Node(c.Rank())}
 		_, err := DumpOutputCtx(context.Background(), collectives.InjectFaults(c, plan), stores[c.Rank()], slabStreamBuffer(c.Rank(), slabs), o)
 		return err

@@ -33,7 +33,7 @@ func TestFigure1Nutshell(t *testing.T) {
 		buf := concat(shared, pair, pairPrev, private)
 
 		res, err := DumpOutput(c, cluster.Node(c.Rank()), buf, Options{
-			K: k, Approach: CollDedup, ChunkSize: testPage, Name: "fig1", F: 0,
+			K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "fig1", F: 0,
 		})
 		if err != nil {
 			return err

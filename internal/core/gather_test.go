@@ -358,7 +358,7 @@ func TestOversizeChunkDumpRestore(t *testing.T) {
 				buffers[r] = make([]byte, chunkSize+1000)
 				rand.New(rand.NewSource(int64(100 + r))).Read(buffers[r])
 			}
-			o := Options{K: k, Approach: CollDedup, ChunkSize: chunkSize, Name: "big"}
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: chunkSize}, Name: "big"}
 			runComms(t, comms, func(c collectives.Comm) error {
 				res, err := DumpOutput(c, cluster.Node(c.Rank()), buffers[c.Rank()], o)
 				if err != nil {
@@ -413,7 +413,7 @@ func TestSlabRetryMidStream(t *testing.T) {
 	errs := runRanks(t, n, 20*time.Second, func(c collectives.Comm) error {
 		me := c.Rank()
 		buffers[me] = slabStreamBuffer(me, slabs)
-		o := Options{K: 2, Approach: LocalDedup, ChunkSize: slabChunk, Name: "slab",
+		o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: slabChunk}, Name: "slab",
 			Retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond}}
 		var err error
 		results[me], err = DumpOutputCtx(context.Background(), collectives.InjectFaults(c, plan), cluster.Node(me), buffers[me], o)
@@ -475,7 +475,7 @@ func TestSlabFinalFailureAbortsInPut(t *testing.T) {
 			}}
 			errs := runRanks(t, n, 20*time.Second, func(c collectives.Comm) error {
 				me := c.Rank()
-				o := Options{K: 2, Approach: LocalDedup, ChunkSize: slabChunk, Name: "slab-fail",
+				o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: slabChunk}, Name: "slab-fail",
 					Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}
 				_, err := DumpOutputCtx(context.Background(), collectives.InjectFaults(c, plan), cluster.Node(me), slabStreamBuffer(me, slabs), o)
 				return err

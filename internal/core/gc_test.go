@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/storage"
 )
@@ -23,7 +24,7 @@ func TestForgetReclaimsStorage(t *testing.T) {
 			// epochs while the shared/structural pages stay identical —
 			// the overlap profile of consecutive real checkpoints.
 			buf := testBuffer(c.Rank()+100*epoch, 6, 4, 3, 2)
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: name}
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: name}
 			if _, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o); err != nil {
 				return err
 			}
@@ -82,7 +83,7 @@ func TestForgetAllCheckpointsEmptiesStores(t *testing.T) {
 	cluster := storage.NewCluster(n)
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		buf := testBuffer(c.Rank(), 4, 2, 1, 1)
-		o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "only"}
+		o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "only"}
 		_, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o)
 		return err
 	})

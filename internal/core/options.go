@@ -80,11 +80,9 @@ func (rp RetryPolicy) normalized() RetryPolicy {
 //	K              required; must be 1 <= K <= group size
 //	Approach       NoDedup (the baselines stay explicit at call sites)
 //	F              0 = DefaultF (2^17); negative = unbounded
-//	Chunker        zero = fixed-size chunking at ChunkSize
-//	ChunkSize      0 = 4 KiB (chunk.DefaultSize); fills Chunker.Size
+//	Chunker        zero = fixed-size chunking at 4 KiB (chunk.DefaultSize)
 //	Shuffle        nil = on for CollDedup, off for the baselines
 //	Name           "" = "dataset"
-//	Topology       nil = no rack awareness; non-nil requires Shuffle on
 //	Trace          nil = no span recording
 //	Parallelism    0 = GOMAXPROCS; 1 = serial reference path
 //	Retry          zero = single attempt, no backoff, unbounded puts
@@ -98,18 +96,12 @@ type Options struct {
 	// F bounds the global fingerprint table of coll-dedup (paper: 2^17).
 	// 0 selects DefaultF; negative means unbounded (exact solution).
 	F int
-	// Chunker selects the chunking algorithm and size as a first-class
-	// spec: fixed-size (the paper's page model, the zero value), the
-	// Rabin-style content-defined chunker, or the gear-hash chunker
-	// (chunk.AlgoGear). All ranks must agree — boundaries are collective
-	// decision state. A zero Chunker.Size is filled from ChunkSize;
-	// setting both to different values is an error.
+	// Chunker selects the chunking algorithm and size: fixed-size (the
+	// paper's page model, the zero value) or the gear-hash content-
+	// defined chunker (chunk.AlgoGear). A zero Size selects 4 KiB, the
+	// memory page size the paper matches chunks with. All ranks must
+	// agree — boundaries are collective decision state.
 	Chunker chunk.Spec
-	// ChunkSize is the chunk size in bytes; 0 selects 4 KiB, the memory
-	// page size the paper matches chunks with. It remains the size knob
-	// for callers that never set Chunker; normalization keeps the two in
-	// sync.
-	ChunkSize int
 	// Shuffle enables the load-aware partner selection of Algorithm 2.
 	// Only meaningful for CollDedup (the baselines use naive partners,
 	// as in the paper). Default true for CollDedup via normalization.
@@ -117,11 +109,6 @@ type Options struct {
 	// Name identifies the dataset (e.g. "ckpt-000123"); recipes are
 	// persisted under it. Empty defaults to "dataset".
 	Name string
-	// Topology, when set, enables rack-aware partner selection (the
-	// paper's future-work extension): the shuffle additionally spreads
-	// each rank's partners across racks. Requires Shuffle: leaving
-	// Shuffle nil turns it on implicitly, setting it false is rejected.
-	Topology *Topology
 	// Trace, when set, records one span per pipeline phase into this
 	// rank's recorder (see internal/trace). Nil disables tracing; the
 	// recorder methods are nil-safe, so the dump path carries no
@@ -158,32 +145,11 @@ func (o Options) normalized(groupSize int) (Options, error) {
 	if o.F < 0 {
 		o.F = 0 // Table semantics: F <= 0 means unbounded
 	}
-	// Resolve the chunker spec: ChunkSize fills a zero Spec.Size, and
-	// conflicting sizes are rejected instead of silently picking one.
-	if o.Chunker.Size > 0 && o.ChunkSize > 0 && o.Chunker.Size != o.ChunkSize {
-		return o, fmt.Errorf("core: Options.Chunker.Size=%d conflicts with Options.ChunkSize=%d: set only one", o.Chunker.Size, o.ChunkSize)
-	}
-	if o.Chunker.Size <= 0 {
-		o.Chunker.Size = o.ChunkSize
-	}
 	if o.Chunker.Size <= 0 {
 		o.Chunker.Size = chunk.DefaultSize
 	}
-	o.ChunkSize = o.Chunker.Size
 	if err := o.Chunker.Validate(); err != nil {
 		return o, fmt.Errorf("core: %w", err)
-	}
-	if o.Topology != nil {
-		// The docs promise Topology requires Shuffle: enforce it instead
-		// of silently computing a rack-unaware plan.
-		if o.Shuffle == nil {
-			o.Shuffle = Bool(true)
-		} else if !*o.Shuffle {
-			return o, fmt.Errorf("core: Options.Topology requires Shuffle")
-		}
-		if err := o.Topology.Validate(groupSize); err != nil {
-			return o, err
-		}
 	}
 	if o.Shuffle == nil {
 		on := o.Approach == CollDedup

@@ -29,8 +29,8 @@ func TestOptionsNormalization(t *testing.T) {
 	if o.F != DefaultF {
 		t.Errorf("F default = %d, want %d", o.F, DefaultF)
 	}
-	if o.ChunkSize != chunk.DefaultSize {
-		t.Errorf("ChunkSize default = %d", o.ChunkSize)
+	if o.Chunker.Size != chunk.DefaultSize {
+		t.Errorf("chunk size default = %d", o.Chunker.Size)
 	}
 	if o.Shuffle == nil || !*o.Shuffle {
 		t.Error("coll-dedup must default to shuffling on")
@@ -62,43 +62,26 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 }
 
-// TestOptionsChunkerNormalization pins the chunker-spec rules: zero
-// values keep fixed/4KiB, the spec and ChunkSize agree or error, and
-// contradictory combinations fail loudly.
+// TestOptionsChunkerNormalization pins the chunker-spec rules: the zero
+// value keeps fixed/4KiB, and invalid specs fail loudly.
 func TestOptionsChunkerNormalization(t *testing.T) {
-	// Zero value: fixed at DefaultSize, mirrored both ways.
 	o, err := Options{K: 1}.normalized(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Chunker.Algo != chunk.AlgoFixed || o.Chunker.Size != chunk.DefaultSize || o.ChunkSize != chunk.DefaultSize {
-		t.Errorf("zero-value chunker = %+v ChunkSize=%d", o.Chunker, o.ChunkSize)
+	if o.Chunker.Algo != chunk.AlgoFixed || o.Chunker.Size != chunk.DefaultSize {
+		t.Errorf("zero-value chunker = %+v", o.Chunker)
 	}
-
-	// ChunkSize fills the spec size.
-	o, err = Options{K: 1, ChunkSize: 256, Chunker: chunk.Spec{Algo: chunk.AlgoGear}}.normalized(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Chunker.Size != 256 || o.ChunkSize != 256 {
-		t.Errorf("ChunkSize not threaded into the spec: %+v", o.Chunker)
-	}
-
-	// Disagreeing sizes conflict.
-	if _, err := (Options{K: 1, ChunkSize: 512, Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: 256}}).normalized(4); err == nil {
-		t.Error("disagreeing ChunkSize and Chunker.Size accepted")
-	}
-	// Matching sizes are fine.
-	if _, err := (Options{K: 1, ChunkSize: 256, Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: 256}}).normalized(4); err != nil {
-		t.Errorf("matching ChunkSize and Chunker.Size rejected: %v", err)
-	}
-	// Spec validation surfaces: CDC algos reject sub-window sizes.
+	// Spec validation surfaces: gear rejects sub-window sizes.
 	if _, err := (Options{K: 1, Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: 16}}).normalized(4); err == nil {
 		t.Error("gear with 16-byte chunks accepted")
 	}
-	// Unknown algo fails.
-	if _, err := (Options{K: 1, Chunker: chunk.Spec{Algo: chunk.Algo(9)}}).normalized(4); err == nil {
-		t.Error("unknown chunker algo accepted")
+	// Unknown algos fail, including Algo(1), the deleted Rabin chunker's
+	// value: it must not silently mean another algorithm.
+	for _, a := range []chunk.Algo{1, 9} {
+		if _, err := (Options{K: 1, Chunker: chunk.Spec{Algo: a}}).normalized(4); err == nil {
+			t.Errorf("unknown chunker algo %d accepted", a)
+		}
 	}
 }
 

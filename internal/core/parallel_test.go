@@ -63,7 +63,7 @@ func TestParallelDumpDeterminism(t *testing.T) {
 	for _, approach := range []Approach{NoDedup, LocalDedup, CollDedup} {
 		approach := approach
 		t.Run(approach.String(), func(t *testing.T) {
-			base := Options{K: 3, Approach: approach, ChunkSize: testPage, Name: "par", F: 1 << 10}
+			base := Options{K: 3, Approach: approach, Chunker: chunk.Spec{Size: testPage}, Name: "par", F: 1 << 10}
 			serialOpts := base
 			serialOpts.Parallelism = 1
 			parOpts := base
@@ -143,7 +143,7 @@ func TestParallelDumpDeterminism(t *testing.T) {
 // traffic but never change it.
 func TestConcurrentPutsRace(t *testing.T) {
 	const n, k = 8, 4
-	base := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "race", F: 1 << 10}
+	base := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "race", F: 1 << 10}
 	serialOpts := base
 	serialOpts.Parallelism = 1
 	parOpts := base
@@ -218,13 +218,13 @@ func TestParallelismDefault(t *testing.T) {
 	}
 }
 
-// TestParallelDumpContentDefined covers the CDC chunker under the
+// TestParallelDumpContentDefined covers the gear CDC chunker under the
 // parallel pipeline: boundaries come from the serial scan, hashing is
 // parallel, and the restore must still round-trip.
 func TestParallelDumpContentDefined(t *testing.T) {
 	const n = 4
-	o := Options{K: 2, Approach: CollDedup, ChunkSize: testPage,
-		Chunker: chunk.Spec{Algo: chunk.AlgoRabin},
+	o := Options{K: 2, Approach: CollDedup,
+		Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: testPage},
 		Name:    "cdc-par", F: 1 << 10, Parallelism: 4}
 	run := runDumpWithStats(t, n, o)
 	restored := make([][]byte, n)

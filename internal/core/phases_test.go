@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/storage"
@@ -48,7 +49,7 @@ func TestDumpPhases(t *testing.T) {
 	for _, approach := range []Approach{NoDedup, LocalDedup, CollDedup} {
 		approach := approach
 		t.Run(approach.String(), func(t *testing.T) {
-			o := Options{K: 3, Approach: approach, ChunkSize: testPage, Name: "ph"}
+			o := Options{K: 3, Approach: approach, Chunker: chunk.Spec{Size: testPage}, Name: "ph"}
 			results, _ := tracedDump(t, n, o)
 			for r, res := range results {
 				p := res.Metrics.Phases
@@ -96,7 +97,7 @@ func TestDumpPhases(t *testing.T) {
 // top-level dump span brackets everything, so coverage must be complete.
 func TestDumpTraceCoverage(t *testing.T) {
 	const n = 4
-	o := Options{K: 2, Approach: CollDedup, ChunkSize: testPage, Name: "cov"}
+	o := Options{K: 2, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "cov"}
 	_, tr := tracedDump(t, n, o)
 	if cov := tr.Coverage(); cov < 0.95 {
 		t.Errorf("trace coverage %.3f, want >= 0.95", cov)
@@ -124,7 +125,7 @@ func TestDumpTraceCoverage(t *testing.T) {
 // TestRestoreTraceSpans verifies the restore path emits its spans.
 func TestRestoreTraceSpans(t *testing.T) {
 	const n = 4
-	o := Options{K: 2, Approach: LocalDedup, ChunkSize: testPage, Name: "rt"}
+	o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: testPage}, Name: "rt"}
 	cluster, _, buffers := runDump(t, n, o)
 	tr := trace.New()
 	err := collectives.Run(n, func(c collectives.Comm) error {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/storage"
 )
@@ -44,7 +45,7 @@ func runRestoreOutput(t *testing.T, cluster *storage.Cluster, n int, name string
 // holders — the accounting must hold on both sides of that split.)
 func TestRestoreMetricsAccounting(t *testing.T) {
 	const n, k = 8, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	cluster, _, buffers := runDump(t, n, o)
 
 	for r, res := range runRestoreOutput(t, cluster, n, "ck", buffers) {
@@ -109,7 +110,7 @@ func TestRestoreMetricsAccounting(t *testing.T) {
 // its read amplification reaches 1.0.
 func TestRestoreMetricsAfterNodeFailure(t *testing.T) {
 	const n, k = 10, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	cluster, _, buffers := runDump(t, n, o)
 	failed := 4
 	cluster.FailNodes(failed)
@@ -190,7 +191,7 @@ func (s *blobWrites) PutBlob(name string, data []byte) error {
 // its metadata from a neighbour and persists it once.
 func TestRestoreRewritesOnlyFetchedMeta(t *testing.T) {
 	const n, wiped = 4, 1
-	cluster, _, buffers := runDump(t, n, Options{K: 2, Approach: CollDedup, ChunkSize: testPage, Name: "ck"})
+	cluster, _, buffers := runDump(t, n, Options{K: 2, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"})
 	cluster.FailNodes(wiped)
 	cluster.Replace(wiped)
 	stores := make([]*blobWrites, n)

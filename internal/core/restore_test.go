@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fetch"
 	"dedupcr/internal/fingerprint"
@@ -251,7 +252,7 @@ func TestBatchedRestoreEveryWipeSet(t *testing.T) {
 		buffers := dupHeavyBuffers(rng, n)
 		t.Run(fmt.Sprintf("%d-%s-n%d-k%d-shuffle=%v", i, transport, n, k, shuffle), func(t *testing.T) {
 			comms := startComms(t, transport, n)
-			o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Shuffle: &shuffle, Name: "ck"}
+			o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Shuffle: &shuffle, Name: "ck"}
 			for _, wiped := range subsets(n, k-1) {
 				cluster := dumpBuffers(t, comms, buffers, o)
 				wipe(cluster, wiped...)
@@ -365,7 +366,7 @@ func TestBatchedFetchCountsMatchReference(t *testing.T) {
 		k := 2 + rng.Intn(min(n, 3)-1)
 		shuffle := rng.Intn(2) == 0
 		buffers := dupHeavyBuffers(rng, n)
-		o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Shuffle: &shuffle, Name: "ck"}
+		o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Shuffle: &shuffle, Name: "ck"}
 		cluster := dumpBuffers(t, startComms(t, "inproc", n), buffers, o)
 		r := rng.Intn(n)
 		meta := loadMetaOf(t, clusterStores(cluster), r, "ck")
@@ -439,7 +440,7 @@ func (s *recordingStore) badPuts() []fingerprint.FP {
 // corrupt bytes under the good fingerprint.
 func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 	const n, k, r = 6, 3, 2
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	private := page("uniq-2-0") // only rank r's recipe has it
 	bad := fingerprint.Of(private)
 
@@ -554,7 +555,7 @@ func (s *failingStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 // read turns the rest of the recipe into holes, which the peers fill.
 func TestRestoreStoreFailsMidWalk(t *testing.T) {
 	const n, k, r = 6, 3, 3
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	cluster, _, buffers := runDump(t, n, o)
 	stores := clusterStores(cluster)
 	stores[r] = &failingStore{Store: stores[r]}
@@ -640,7 +641,7 @@ func TestFetchDepthBound(t *testing.T) {
 		rand.New(rand.NewSource(int64(300 + r))).Read(buffers[r])
 	}
 	comms := startComms(t, "inproc", n)
-	o := Options{K: k, Approach: CollDedup, ChunkSize: chunkSize, Name: "deep"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: chunkSize}, Name: "deep"}
 	cluster := dumpBuffers(t, comms, buffers, o)
 	wipe(cluster, 0, 1)
 

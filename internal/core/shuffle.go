@@ -4,7 +4,10 @@
 // evaluated against (no-dedup and local-dedup) and the restore path.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // RankShuffle computes the load-aware rank permutation of Algorithm 2's
 // goal: interleave heavy senders with light ones so the per-node receive
@@ -65,18 +68,30 @@ func RankShuffleHeadTail(totals []int64, k int) []int {
 }
 
 // SelectShuffle picks the rank permutation a dump uses, from normalized
-// options: rack-aware when a topology is given, the load-aware tier
-// interleave of Algorithm 2 when shuffling is on, identity otherwise.
-// totals[r] is rank r's total send load in bytes.
+// options: the load-aware tier interleave of Algorithm 2 when shuffling
+// is on, identity otherwise. totals[r] is rank r's total send load in
+// bytes.
 func SelectShuffle(totals []int64, o Options) []int {
-	switch {
-	case *o.Shuffle && o.Topology != nil:
-		return RackAwareShuffle(totals, o.K, *o.Topology)
-	case *o.Shuffle:
+	if *o.Shuffle {
 		return RankShuffle(totals, o.K)
-	default:
-		return IdentityShuffle(len(totals))
 	}
+	return IdentityShuffle(len(totals))
+}
+
+// sortRanksByLoad returns rank ids ordered by descending load with rank
+// id as the deterministic tie-breaker (shared helper for shuffles).
+func sortRanksByLoad(totals []int64) []int {
+	idx := make([]int, len(totals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if totals[idx[a]] != totals[idx[b]] {
+			return totals[idx[a]] > totals[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
 }
 
 // IdentityShuffle returns the identity permutation, used when load-aware

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/storage"
 )
@@ -56,7 +57,7 @@ func TestDumpRestoreOverTCP(t *testing.T) {
 	var mu sync.Mutex
 	run(func(c collectives.Comm) error {
 		buf := testBuffer(c.Rank(), 6, 4, 3, 2)
-		o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "tcp-ck"}
+		o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "tcp-ck"}
 		if _, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o); err != nil {
 			return err
 		}

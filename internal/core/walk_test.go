@@ -263,7 +263,7 @@ func TestWalkChecksEveryPosition(t *testing.T) {
 // rank before any image is returned.
 func TestRestoreReadsEachLocalChunkOnce(t *testing.T) {
 	const n, k, r = 6, 3, 2
-	o := Options{K: k, Approach: CollDedup, ChunkSize: testPage, Name: "ck"}
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
 	private := page(fmt.Sprintf("uniq-%d-0", r)) // rank r's own, not asked of it by anyone else
 	bad := fingerprint.Of(private)
 	for _, engine := range []string{"mem", "seg"} {

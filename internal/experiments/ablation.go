@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
 	"dedupcr/internal/metrics"
@@ -92,7 +93,8 @@ func AblationRestore(cfg Config) (*Table, error) {
 			}
 			buf := app.CheckpointImage()
 			o := core.Options{K: k, Approach: core.CollDedup, F: w.F,
-				ChunkSize: w.ChunkSize, Name: "abl"}
+				Chunker: chunk.Spec{Algo: cfg.Chunker, Size: w.ChunkSize},
+				Name:    "abl", Parallelism: cfg.Parallelism}
 			if _, err := core.DumpOutput(c, cluster.Node(c.Rank()), buf, o); err != nil {
 				return err
 			}

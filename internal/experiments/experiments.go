@@ -96,7 +96,7 @@ type Config struct {
 	// each workload's scaled page size. The zero value keeps the paper's
 	// fixed-size chunking. Scenarios are cached per algorithm, so the
 	// parallel and fragmentation experiments can sweep chunkers across
-	// dumpbench invocations (-chunker fixed|cdc|gear).
+	// dumpbench invocations (-chunker fixed|gear).
 	Chunker chunk.Algo
 	// Timeout bounds each collective scenario run: when it expires the
 	// group aborts and the experiment fails with a collective error

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/core"
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/telemetry"
@@ -343,6 +344,25 @@ func TestImbalanceExperiment(t *testing.T) {
 	// be perfectly balanced while coll-dedup's designation may skew.
 	if tab.Rows[0][2] != "1.000" {
 		t.Errorf("no-dedup send imbalance %q, want 1.000", tab.Rows[0][2])
+	}
+}
+
+// TestAblationRestoreHonorsChunker pins that -chunker reaches the
+// restore ablation's dumps: its failure-free row (deterministic, unlike
+// the failure rows) must move when gear replaces fixed-size chunking.
+func TestAblationRestoreHonorsChunker(t *testing.T) {
+	rows := make(map[chunk.Algo][]string)
+	for _, algo := range []chunk.Algo{chunk.AlgoFixed, chunk.AlgoGear} {
+		cfg := quickCfg()
+		cfg.Chunker = algo
+		tab, err := AblationRestore(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		rows[algo] = tab.Rows[0]
+	}
+	if strings.Join(rows[chunk.AlgoFixed], "|") == strings.Join(rows[chunk.AlgoGear], "|") {
+		t.Errorf("ablation-restore row 0 is %v under both fixed and gear chunking", rows[chunk.AlgoFixed])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
 	"dedupcr/internal/metrics"
@@ -93,8 +94,9 @@ func runClusterScenario(cfg Config, w Workload, n, k int, approach core.Approach
 		}
 		sp.End()
 		o := core.Options{
-			K: k, Approach: approach, F: w.F, ChunkSize: w.ChunkSize,
-			Name: fmt.Sprintf("%s-imb", w.Name), Trace: rec,
+			K: k, Approach: approach, F: w.F,
+			Chunker: chunk.Spec{Algo: cfg.Chunker, Size: w.ChunkSize},
+			Name:    fmt.Sprintf("%s-imb", w.Name), Trace: rec,
 			Parallelism: cfg.Parallelism,
 		}
 		res, err := core.DumpOutput(c, cluster.Node(rank), app.CheckpointImage(), o)

@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"dedupcr/internal/apps/hpccg"
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
 	"dedupcr/internal/storage"
 )
 
 func testOpts() core.Options {
-	return core.Options{K: 3, Approach: core.CollDedup, ChunkSize: 256}
+	return core.Options{K: 3, Approach: core.CollDedup, Chunker: chunk.Spec{Size: 256}}
 }
 
 func TestTransparentModeRoundTrip(t *testing.T) {
@@ -223,13 +224,13 @@ func TestImageRegionMismatchRejected(t *testing.T) {
 	const n = 2
 	cluster := storage.NewCluster(n)
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		rt := New(c, cluster.Node(c.Rank()), core.Options{K: 1, Approach: core.LocalDedup, ChunkSize: 256})
+		rt := New(c, cluster.Node(c.Rank()), core.Options{K: 1, Approach: core.LocalDedup, Chunker: chunk.Spec{Size: 256}})
 		rt.Register("a", 128)
 		if _, err := rt.Checkpoint(); err != nil {
 			return err
 		}
 		// A differently shaped runtime must refuse the image.
-		rt2 := New(c, cluster.Node(c.Rank()), core.Options{K: 1, Approach: core.LocalDedup, ChunkSize: 256})
+		rt2 := New(c, cluster.Node(c.Rank()), core.Options{K: 1, Approach: core.LocalDedup, Chunker: chunk.Spec{Size: 256}})
 		rt2.Register("b", 128)
 		if _, err := rt2.Restart(); err == nil {
 			return fmt.Errorf("mismatched region layout accepted")
@@ -278,7 +279,7 @@ func TestCheckpointCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		rt := New(c, cluster.Node(c.Rank()), core.Options{K: 2, Approach: core.CollDedup, ChunkSize: 256})
+		rt := New(c, cluster.Node(c.Rank()), core.Options{K: 2, Approach: core.CollDedup, Chunker: chunk.Spec{Size: 256}})
 		rt.Register("state", 1024)
 		if _, err := rt.CheckpointCtx(ctx); !errors.Is(err, cause) {
 			return fmt.Errorf("rank %d: %v, want the cancellation cause", c.Rank(), err)

@@ -45,7 +45,13 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("ftrun: pfs flush of epoch %d: %w", epoch, err)
 	}
-	chunks := chunk.NewFixed(rt.opts.ChunkSize).Split(img)
+	// Drain with the dump's own chunker spec, so the PFS copy is cut
+	// exactly like the node-local one.
+	cc, err := chunk.New(rt.opts.Chunker)
+	if err != nil {
+		return -1, fmt.Errorf("ftrun: pfs flush of epoch %d: %w", epoch, err)
+	}
+	chunks := chunk.FromCuts(img, cc.Cuts(img))
 	recipe := chunk.BuildRecipe(chunks)
 	for _, ch := range chunks {
 		if err := pfs.PutChunk(ch.FP, ch.Data); err != nil {

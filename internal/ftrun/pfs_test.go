@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"dedupcr/internal/apps/hpccg"
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
+	"dedupcr/internal/core"
 	"dedupcr/internal/storage"
 )
 
@@ -144,5 +146,83 @@ func TestTransparentModePFSRoundTrip(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlushPFSUsesDumpChunker pins that the PFS drain cuts the image with
+// the runtime's own chunker spec, not a fixed default: a {Fixed, 256}
+// runtime drains 256-byte chunks, a {Gear, 512} runtime drains exactly
+// gear's cuts, and both restart from the PFS byte-exactly.
+func TestFlushPFSUsesDumpChunker(t *testing.T) {
+	const n = 4
+	for _, spec := range []chunk.Spec{{Algo: chunk.AlgoFixed, Size: 256}, {Algo: chunk.AlgoGear, Size: 512}} {
+		cluster := storage.NewCluster(n)
+		pfs := storage.NewMem()
+		opts := core.Options{K: 2, Approach: core.CollDedup, Chunker: spec}
+		images := make([][]byte, n)
+		err := collectives.Run(n, func(c collectives.Comm) error {
+			rt := New(c, cluster.Node(c.Rank()), opts)
+			app := hpccg.New(c.Rank(), n, hpccg.Config{NX: 6, NY: 6, NZ: 6})
+			app.Step()
+			img := app.CheckpointImage()
+			if len(img) <= 2*chunk.DefaultSize {
+				return fmt.Errorf("image of %d bytes too small to tell chunk sizes apart", len(img))
+			}
+			images[c.Rank()] = img
+			if _, err := rt.CheckpointApp(app); err != nil {
+				return err
+			}
+			if _, err := rt.FlushPFS(pfs); err != nil {
+				return err
+			}
+			blob, err := pfs.GetBlob(pfsRecipeName(rt.opts.Name, 0, c.Rank()))
+			if err != nil {
+				return err
+			}
+			var recipe chunk.Recipe
+			if err := recipe.UnmarshalBinary(blob); err != nil {
+				return err
+			}
+			cc, err := chunk.New(spec)
+			if err != nil {
+				return err
+			}
+			cuts := cc.Cuts(img)
+			if recipe.Len() != len(cuts) {
+				return fmt.Errorf("%s: PFS recipe has %d chunks, the spec cuts %d", spec, recipe.Len(), len(cuts))
+			}
+			prev := 0
+			for i, end := range cuts {
+				if int(recipe.Sizes[i]) != end-prev {
+					return fmt.Errorf("%s: PFS chunk %d is %d bytes, the spec cuts %d", spec, i, recipe.Sizes[i], end-prev)
+				}
+				if spec.Algo == chunk.AlgoFixed && i < len(cuts)-1 && recipe.Sizes[i] != 256 {
+					return fmt.Errorf("%s: PFS chunk %d is %d bytes, want 256", spec, i, recipe.Sizes[i])
+				}
+				prev = end
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			cluster.FailNodes(r)
+			cluster.Replace(r)
+		}
+		err = collectives.Run(n, func(c collectives.Comm) error {
+			rt := New(c, cluster.Node(c.Rank()), opts)
+			app := hpccg.New(c.Rank(), n, hpccg.Config{NX: 6, NY: 6, NZ: 6})
+			if _, err := rt.RestartAppFromPFS(pfs, app); err != nil {
+				return err
+			}
+			if !bytes.Equal(app.CheckpointImage(), images[c.Rank()]) {
+				return fmt.Errorf("%s: rank %d PFS restart produced wrong state", spec, c.Rank())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/core"
 	"dedupcr/internal/obs"
@@ -101,7 +102,7 @@ func TestClusterAcceptance(t *testing.T) {
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		rank := c.Rank()
 		opts := core.Options{
-			K: 2, Approach: core.CollDedup, ChunkSize: 1024, Name: "telem",
+			K: 2, Approach: core.CollDedup, Chunker: chunk.Spec{Size: 1024}, Name: "telem",
 			Trace: tr.Recorder(1, rank, fmt.Sprintf("rank %d", rank)),
 		}
 		res, err := core.DumpOutput(c, cluster.Node(rank), telemetryWorkload(rank, 64, 1024), opts)
