@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dedupcr/internal/obs"
-	"dedupcr/internal/trace"
 )
 
 // TCPComm is a communicator over TCP sockets: the "fake MPI over sockets"
@@ -287,9 +286,9 @@ func (c *TCPComm) readLoop(conn net.Conn) {
 		}
 		if tc != nil {
 			// Receive-side flow anchor: links this rank's timeline back
-			// to the sending rank's FlowStart with the same span id.
+			// to the sending rank's flow start with the same span id.
 			if wt := c.wtrace.Load(); wt != nil {
-				wt.tracer.FlowInstant("wire-recv", tc.SpanID, trace.FlowFinish, map[string]string{
+				wt.tracer.Flow("wire-recv", obs.KindFlowEnd, tc.SpanID, map[string]string{
 					"from":  fmt.Sprintf("%d", tc.Sender),
 					"round": fmt.Sprintf("%d", tc.Round),
 					"job":   fmt.Sprintf("%d/%d", tc.JobID, tc.DumpSeq),
@@ -402,7 +401,7 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 			Sender:  uint32(c.rank),
 			SpanID:  c.nextSpanID(),
 		}
-		wt.tracer.FlowInstant("wire-send", tc.SpanID, trace.FlowStart, map[string]string{
+		wt.tracer.Flow("wire-send", obs.KindFlowStart, tc.SpanID, map[string]string{
 			"to":    fmt.Sprintf("%d", to),
 			"round": fmt.Sprintf("%d", tc.Round),
 		})

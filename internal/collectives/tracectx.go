@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"dedupcr/internal/trace"
+	"dedupcr/internal/obs"
 )
 
 // Causal wire tracing: an optional trace-context header piggybacked on
@@ -82,18 +82,18 @@ func decodeTraceContext(data []byte) (*TraceContext, error) {
 type wireTraceState struct {
 	jobID   uint64
 	dumpSeq uint32
-	tracer  *trace.Recorder
+	tracer  *obs.Track
 }
 
 // EnableWireTrace turns on causal wire tracing for this communicator:
-// every outgoing data frame carries a trace-context header, a FlowStart
-// instant is recorded into tracer on send and a FlowFinish with the
+// every outgoing data frame carries a trace-context header, a flow-start
+// instant is recorded into tracer on send and a flow-end with the
 // sender's span id on receive, so MergeTraces draws an arrow from the
 // sending rank's timeline to the receiving rank's. jobID and dumpSeq
 // identify the job in the receiver's flow annotations. A nil tracer
 // disables tracing again. All ranks of a group must agree (see the
 // compatibility note above).
-func (c *TCPComm) EnableWireTrace(jobID uint64, dumpSeq uint32, tracer *trace.Recorder) {
+func (c *TCPComm) EnableWireTrace(jobID uint64, dumpSeq uint32, tracer *obs.Track) {
 	if tracer == nil {
 		c.wtrace.Store(nil)
 		return

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"dedupcr/internal/trace"
+	"dedupcr/internal/obs"
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -76,7 +76,7 @@ func TestFrameTraceContextEmptyPayload(t *testing.T) {
 
 // TestWireTraceEndToEnd sends over a live TCP pair with wire tracing
 // enabled and asserts both flow anchors land in the tracers: a FlowStart
-// on the sender and a FlowFinish with the same span id on the receiver.
+// on the sender and a flow end with the same span id on the receiver.
 func TestWireTraceEndToEnd(t *testing.T) {
 	comms, err := StartLocalTCP(2)
 	if err != nil {
@@ -87,10 +87,10 @@ func TestWireTraceEndToEnd(t *testing.T) {
 			c.Close()
 		}
 	}()
-	tr := trace.New()
-	recs := []*trace.Recorder{
-		tr.Recorder(0, 0, "rank 0"),
-		tr.Recorder(0, 1, "rank 1"),
+	tr := obs.New(64)
+	recs := []*obs.Track{
+		tr.Track(0, 0, "rank 0"),
+		tr.Track(0, 1, "rank 1"),
 	}
 	comms[0].EnableWireTrace(77, 3, recs[0])
 	comms[1].EnableWireTrace(77, 3, recs[1])
@@ -105,24 +105,24 @@ func TestWireTraceEndToEnd(t *testing.T) {
 
 	// The receive-side flow anchor is recorded before the frame reaches
 	// the mailbox, so once Recv returned both anchors are committed.
-	var sendEv, recvEv *trace.Event
+	var sendEv, recvEv *obs.Event
 	for _, e := range tr.Events() {
 		e := e
-		switch e.FlowOp {
-		case trace.FlowStart:
+		switch e.Kind {
+		case obs.KindFlowStart:
 			sendEv = &e
-		case trace.FlowFinish:
+		case obs.KindFlowEnd:
 			recvEv = &e
 		}
 	}
 	if sendEv == nil || recvEv == nil {
 		t.Fatalf("flow anchors missing: send %+v recv %+v", sendEv, recvEv)
 	}
-	if sendEv.FlowID != recvEv.FlowID {
-		t.Fatalf("flow ids differ: send %x recv %x", sendEv.FlowID, recvEv.FlowID)
+	if sendEv.Flow != recvEv.Flow {
+		t.Fatalf("flow ids differ: send %x recv %x", sendEv.Flow, recvEv.Flow)
 	}
-	if sendEv.Tid != 0 || recvEv.Tid != 1 {
-		t.Fatalf("flow anchors on wrong tracks: send tid %d, recv tid %d", sendEv.Tid, recvEv.Tid)
+	if sendEv.Rank != 0 || recvEv.Rank != 1 {
+		t.Fatalf("flow anchors on wrong tracks: send tid %d, recv tid %d", sendEv.Rank, recvEv.Rank)
 	}
 	if recvEv.Args["from"] != "0" || recvEv.Args["job"] != "77/3" {
 		t.Fatalf("receive annotations wrong: %v", recvEv.Args)

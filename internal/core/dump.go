@@ -17,7 +17,6 @@ import (
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
-	"dedupcr/internal/trace"
 )
 
 // tagMeta carries the RestoreMeta replicas between naive neighbours.
@@ -68,7 +67,7 @@ func prefixes(k int) [][]int {
 // wall-clock measurement accumulated into dst when the returned function
 // is called. Both sides are nil-safe, so uninstrumented runs pay only two
 // clock reads per phase.
-func beginPhase(rec *trace.Recorder, name string, dst *time.Duration) func() {
+func beginPhase(rec *obs.Track, name string, dst *time.Duration) func() {
 	sp := rec.Begin(name)
 	start := time.Now()
 	return func() {

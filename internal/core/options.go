@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"dedupcr/internal/chunk"
-	"dedupcr/internal/trace"
+	"dedupcr/internal/obs"
 )
 
 // Approach selects the replication strategy, matching the three settings
@@ -109,12 +109,12 @@ type Options struct {
 	// Name identifies the dataset (e.g. "ckpt-000123"); recipes are
 	// persisted under it. Empty defaults to "dataset".
 	Name string
-	// Trace, when set, records one span per pipeline phase into this
-	// rank's recorder (see internal/trace). Nil disables tracing; the
-	// recorder methods are nil-safe, so the dump path carries no
+	// Trace, when set, records one span per pipeline phase onto this
+	// rank's track of a trace ring (see obs.Track). Nil disables tracing;
+	// the track methods are nil-safe, so the dump path carries no
 	// conditionals. Unlike the other options, Trace may differ per rank
-	// (each rank owns its recorder).
-	Trace *trace.Recorder
+	// (each rank owns its track).
+	Trace *obs.Track
 	// Parallelism bounds the worker goroutines of the per-rank hot path:
 	// the chunk-hashing pool (with the local-dedup and reduction-leaf
 	// table builds overlapped into it) and the concurrent partner puts of

@@ -10,21 +10,21 @@ import (
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/metrics"
+	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
-	"dedupcr/internal/trace"
 )
 
 // tracedDump runs one traced collective dump of the standard workload
 // and returns the per-rank results plus the shared trace.
-func tracedDump(t *testing.T, n int, o Options) ([]*Result, *trace.Trace) {
+func tracedDump(t *testing.T, n int, o Options) ([]*Result, *obs.Recorder) {
 	t.Helper()
 	cluster := storage.NewCluster(n)
-	tr := trace.New()
+	tr := obs.New(1 << 14)
 	results := make([]*Result, n)
 	var mu sync.Mutex
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		opts := o
-		opts.Trace = tr.Recorder(1, c.Rank(), fmt.Sprintf("rank %d", c.Rank()))
+		opts.Trace = tr.Track(1, c.Rank(), fmt.Sprintf("rank %d", c.Rank()))
 		buf := testBuffer(c.Rank(), 6, 4, 3, 2+c.Rank()%3)
 		res, err := DumpOutput(c, cluster.Node(c.Rank()), buf, opts)
 		if err != nil {
@@ -105,7 +105,7 @@ func TestDumpTraceCoverage(t *testing.T) {
 	// Every pipeline phase must appear as a span at least once.
 	seen := make(map[string]bool)
 	for _, e := range tr.Events() {
-		seen[e.Name] = true
+		seen[e.Msg] = true
 	}
 	for _, name := range metrics.PhaseNames {
 		if !seen[name] {
@@ -114,7 +114,7 @@ func TestDumpTraceCoverage(t *testing.T) {
 	}
 	// Chrome export of a real dump trace must be valid JSON.
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 || buf.Bytes()[0] != '{' {
@@ -127,9 +127,9 @@ func TestRestoreTraceSpans(t *testing.T) {
 	const n = 4
 	o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: testPage}, Name: "rt"}
 	cluster, _, buffers := runDump(t, n, o)
-	tr := trace.New()
+	tr := obs.New(1 << 12)
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		rec := tr.Recorder(1, c.Rank(), fmt.Sprintf("rank %d", c.Rank()))
+		rec := tr.Track(1, c.Rank(), fmt.Sprintf("rank %d", c.Rank()))
 		res, err := RestoreOutputCtx(context.Background(), c, cluster.Node(c.Rank()), "rt", rec)
 		if err != nil {
 			return err
@@ -144,7 +144,7 @@ func TestRestoreTraceSpans(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, e := range tr.Events() {
-		seen[e.Name] = true
+		seen[e.Msg] = true
 	}
 	for _, want := range []string{"restore", "load-meta", "assemble", "barrier"} {
 		if !seen[want] {

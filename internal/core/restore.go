@@ -13,7 +13,6 @@ import (
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
-	"dedupcr/internal/trace"
 )
 
 // fetchClass is the fetch-service protocol class of plain restores.
@@ -69,8 +68,8 @@ func RestoreCtx(ctx context.Context, c collectives.Comm, store storage.Store, na
 // together with the rank's metrics.Restore — per-phase wall times, read
 // amplification, fragmentation and locality statistics, per-peer fetch
 // traffic and read-latency histograms — and records per-phase spans
-// into rec (a nil recorder records nothing).
-func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
+// onto rec (a nil track records nothing).
+func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *obs.Track) (*RestoreResult, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
@@ -84,7 +83,7 @@ func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Sto
 }
 
 // restoreOutput runs the restore pipeline.
-func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
+func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *obs.Track) (*RestoreResult, error) {
 	me, n := c.Rank(), c.Size()
 	restoreStart := time.Now()
 	m := metrics.Restore{Rank: me, RunLengths: metrics.NewHistogram()}

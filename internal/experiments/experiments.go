@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"dedupcr/internal/chunk"
+	"dedupcr/internal/obs"
 	"dedupcr/internal/telemetry"
-	"dedupcr/internal/trace"
 )
 
 // Table is a rendered experiment result: the same rows/series the paper
@@ -80,10 +80,10 @@ type Config struct {
 	// Verbose prints progress to stderr.
 	Verbose bool
 	// Trace, when set, collects per-phase spans of every scenario the
-	// experiment runs: one trace process per scenario, one thread per
-	// rank. Tracing bypasses the scenario cache so the spans always
-	// reflect a live run.
-	Trace *trace.Trace
+	// experiment runs into one trace ring: one trace process per
+	// scenario, one thread per rank. Tracing bypasses the scenario cache
+	// so the spans always reflect a live run.
+	Trace *obs.Recorder
 	// Parallelism sets core.Options.Parallelism for every dump the
 	// experiments run: the per-rank worker budget of the hot path. 0
 	// keeps the default (GOMAXPROCS); 1 forces the serial reference

@@ -53,28 +53,22 @@ func (s StoreStats) ReclaimRatio() float64 {
 // WritePrometheus emits the dedupcr_store_* families labelled with the
 // rank, mirroring Dump.WritePrometheus.
 func (s StoreStats) WritePrometheus(w io.Writer) {
-	rank := fmt.Sprintf(`rank="%d"`, s.Rank)
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s{%s} %d\n", name, help, name, name, rank, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s{%s} %d\n", name, help, name, name, rank, v)
-	}
-	gauge("dedupcr_store_segments", "Segments in the local store (sealed plus active).", s.Segments)
-	gauge("dedupcr_store_sealed_segments", "Sealed, immutable segments in the local store.", s.SealedSegments)
-	gauge("dedupcr_store_live_chunks", "Live chunks in the local store.", s.LiveChunks)
-	gauge("dedupcr_store_live_bytes", "Payload bytes reachable through live references.", s.LiveBytes)
-	gauge("dedupcr_store_data_bytes", "Payload bytes occupied on disk, garbage included.", s.DataBytes)
-	gauge("dedupcr_store_garbage_bytes", "Tombstoned payload bytes awaiting compaction.", s.GarbageBytes)
-	gauge("dedupcr_store_manifest_generation", "Committed manifest generation.", s.Gen)
-	counter("dedupcr_store_seals_total", "Segments sealed.", s.Seals)
-	counter("dedupcr_store_commits_total", "Durable checkpoint commits.", s.Commits)
-	counter("dedupcr_store_compactions_total", "Compaction sweeps that rewrote at least one segment.", s.Compactions)
-	counter("dedupcr_store_segments_compacted_total", "Victim segments rewritten away by compaction.", s.SegmentsCompacted)
-	counter("dedupcr_store_tombstoned_bytes_total", "Payload bytes whose reference count reached zero.", s.TombstonedBytes)
-	counter("dedupcr_store_reclaimed_bytes_total", "Tombstoned bytes physically reclaimed by compaction.", s.ReclaimedBytes)
-	counter("dedupcr_store_compaction_copied_bytes_total", "Live payload bytes rewritten during compaction.", s.CopiedBytes)
-	counter("dedupcr_store_compaction_copied_chunks_total", "Live chunks rewritten during compaction.", s.CopiedChunks)
+	p := RankWriter(w, s.Rank)
+	p.Gauge("dedupcr_store_segments", "Segments in the local store (sealed plus active).", s.Segments)
+	p.Gauge("dedupcr_store_sealed_segments", "Sealed, immutable segments in the local store.", s.SealedSegments)
+	p.Gauge("dedupcr_store_live_chunks", "Live chunks in the local store.", s.LiveChunks)
+	p.Gauge("dedupcr_store_live_bytes", "Payload bytes reachable through live references.", s.LiveBytes)
+	p.Gauge("dedupcr_store_data_bytes", "Payload bytes occupied on disk, garbage included.", s.DataBytes)
+	p.Gauge("dedupcr_store_garbage_bytes", "Tombstoned payload bytes awaiting compaction.", s.GarbageBytes)
+	p.Gauge("dedupcr_store_manifest_generation", "Committed manifest generation.", s.Gen)
+	p.Counter("dedupcr_store_seals_total", "Segments sealed.", s.Seals)
+	p.Counter("dedupcr_store_commits_total", "Durable checkpoint commits.", s.Commits)
+	p.Counter("dedupcr_store_compactions_total", "Compaction sweeps that rewrote at least one segment.", s.Compactions)
+	p.Counter("dedupcr_store_segments_compacted_total", "Victim segments rewritten away by compaction.", s.SegmentsCompacted)
+	p.Counter("dedupcr_store_tombstoned_bytes_total", "Payload bytes whose reference count reached zero.", s.TombstonedBytes)
+	p.Counter("dedupcr_store_reclaimed_bytes_total", "Tombstoned bytes physically reclaimed by compaction.", s.ReclaimedBytes)
+	p.Counter("dedupcr_store_compaction_copied_bytes_total", "Live payload bytes rewritten during compaction.", s.CopiedBytes)
+	p.Counter("dedupcr_store_compaction_copied_chunks_total", "Live chunks rewritten during compaction.", s.CopiedChunks)
 }
 
 // WriteText renders a compact human-readable summary.

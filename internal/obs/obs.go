@@ -1,19 +1,24 @@
-// Package obs is the always-on flight recorder: a bounded, lock-free ring
-// of structured events that every layer of the pipeline records into
-// unconditionally. It is the black box the post-mortem bundle (bundle.go)
+// Package obs is the tree's one event recorder: a bounded, lock-free ring
+// of structured events. The process-wide default ring is the always-on
+// flight recorder every layer of the pipeline records into
+// unconditionally; it is the black box the post-mortem bundle (bundle.go)
 // snapshots when a collective fails, a rank is killed, or crash recovery
-// discards uncommitted state.
+// discards uncommitted state. A trace is another ring, sized by its owner
+// and written through per-rank track handles (trace.go): spans, instants
+// and wire-flow anchors, viewed as a Chrome trace or a wall-time coverage
+// figure.
 //
 // The recorder is deliberately tiny: one atomic sequence counter and a
 // power-of-two slice of atomic event pointers. Writers never block and
 // never contend on a lock; when the ring wraps, the oldest events are
 // overwritten and counted as dropped (exposed as
-// dedupcr_obs_dropped_total). Readers snapshot the committed window
-// without stopping writers.
+// dedupcr_obs_dropped_total and, for traces, dedupcr_trace_dropped_total).
+// Readers snapshot the committed window without stopping writers.
 package obs
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,24 +26,28 @@ import (
 // Event kinds. Every event names its origin layer so a bundle timeline
 // reads as a cross-layer narrative.
 const (
-	KindPhase     = "phase"     // pipeline phase transition (NotePhase)
-	KindColl      = "coll"      // collective operation completed
-	KindRetry     = "retry"     // transient put retried
-	KindAbort     = "abort"     // abort noted (local failure or gossip receipt)
-	KindKill      = "kill"      // comm killed (fault injection or fatal error)
-	KindFault     = "fault"     // injected fault fired
-	KindRollback  = "rollback"  // dump rolled back after failure
-	KindSeal      = "seal"      // segment sealed
-	KindCommit    = "commit"    // manifest checkpoint committed
-	KindCompact   = "compact"   // segment compaction pass
-	KindRecover   = "recover"   // crash recovery pass over the store
-	KindStraggler = "straggler" // rank flagged as straggler by telemetry
-	KindLog       = "log"       // leveled log line from the slog front-end
-	KindError     = "error"     // failure taxonomy record
+	KindPhase     = "phase"      // pipeline phase transition (NotePhase)
+	KindColl      = "coll"       // collective operation completed
+	KindRetry     = "retry"      // transient put retried
+	KindAbort     = "abort"      // abort noted (local failure or gossip receipt)
+	KindKill      = "kill"       // comm killed (fault injection or fatal error)
+	KindFault     = "fault"      // injected fault fired
+	KindRollback  = "rollback"   // dump rolled back after failure
+	KindSeal      = "seal"       // segment sealed
+	KindCommit    = "commit"     // manifest checkpoint committed
+	KindCompact   = "compact"    // segment compaction pass
+	KindRecover   = "recover"    // crash recovery pass over the store
+	KindStraggler = "straggler"  // rank flagged as straggler by telemetry
+	KindLog       = "log"        // leveled log line from the slog front-end
+	KindError     = "error"      // failure taxonomy record
+	KindSpan      = "span"       // trace span, or instant when Dur is 0 (Track)
+	KindFlowStart = "flow-start" // sending side of a traced wire frame
+	KindFlowEnd   = "flow-end"   // receiving side of a traced wire frame
 )
 
-// Event is one flight-recorder entry. Field order is the JSONL column
-// order in post-mortem bundles; keep it stable.
+// Event is one recorder entry. Field order is the JSONL column order in
+// post-mortem bundles; keep it stable. Trace events (see Track) start at
+// TNs, name their span in Msg and place it on track (Pid, Rank).
 type Event struct {
 	Seq   uint64 `json:"seq"`
 	TNs   int64  `json:"t_ns"`
@@ -47,7 +56,22 @@ type Event struct {
 	Phase string `json:"phase,omitempty"`
 	Round int64  `json:"round,omitempty"`
 	Msg   string `json:"msg,omitempty"`
+	// Dur is a span's duration; 0 marks an instant.
+	Dur time.Duration `json:"dur_ns,omitempty"`
+	// Pid is the trace track group (one per scenario or process).
+	Pid int `json:"pid,omitempty"`
+	// Flow links a KindFlowStart event to the KindFlowEnd event with the
+	// same id on another track: a wire frame's send and receive.
+	Flow uint64 `json:"flow,omitempty"`
+	// Args annotate a trace event in the viewer.
+	Args map[string]string `json:"args,omitempty"`
 }
+
+// Start is the event's time relative to the recorder origin.
+func (e Event) Start() time.Duration { return time.Duration(e.TNs) }
+
+// End is the end of a span (Start for instants).
+func (e Event) End() time.Duration { return e.Start() + e.Dur }
 
 // DefaultRingSize is the capacity of the process-wide default recorder.
 // Events are low-rate (phase transitions, collectives, failures), so 4096
@@ -56,13 +80,19 @@ const DefaultRingSize = 4096
 
 // Recorder is a bounded lock-free ring of events. The zero value is not
 // usable; construct with New or NewWithClock. A nil *Recorder is safe to
-// record into (the event is discarded), mirroring internal/trace.
+// record into (the event is discarded).
 type Recorder struct {
 	clock func() time.Duration
 	start time.Time
 	seq   atomic.Uint64
 	mask  uint64
 	slots []atomic.Pointer[Event]
+
+	// Trace track names, for the Chrome view (trace.go).
+	mu       sync.Mutex
+	pidNames map[int]string     // guarded by mu
+	threads  map[TrackID]string // guarded by mu
+	nextPid  int                // guarded by mu
 }
 
 // New returns a recorder holding the last `size` events (rounded up to a
@@ -89,8 +119,10 @@ func newRing(size int) *Recorder {
 		n <<= 1
 	}
 	return &Recorder{
-		mask:  uint64(n - 1),
-		slots: make([]atomic.Pointer[Event], n),
+		mask:     uint64(n - 1),
+		slots:    make([]atomic.Pointer[Event], n),
+		pidNames: make(map[int]string),
+		threads:  make(map[TrackID]string),
 	}
 }
 
@@ -101,9 +133,14 @@ func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
+	e.TNs = int64(r.clock())
+	r.put(e)
+}
+
+// put stores e, already timestamped, under the next sequence number.
+func (r *Recorder) put(e Event) {
 	s := r.seq.Add(1)
 	e.Seq = s
-	e.TNs = int64(r.clock())
 	r.slots[(s-1)&r.mask].Store(&e)
 }
 
@@ -126,14 +163,6 @@ func (r *Recorder) Dropped() uint64 {
 		return 0
 	}
 	return total - size
-}
-
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
 }
 
 // Events snapshots the committed window, oldest first. Slots still being

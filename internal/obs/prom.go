@@ -1,18 +1,15 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+
+	"dedupcr/internal/metrics"
 )
 
 // WritePrometheus emits the flight-recorder counters for rank in
-// Prometheus text exposition format (validated by metrics.CheckExposition
-// in tests).
+// Prometheus text exposition format.
 func (r *Recorder) WritePrometheus(w io.Writer, rank int) {
-	fmt.Fprintf(w, "# HELP dedupcr_obs_events_total Flight-recorder events recorded since process start.\n")
-	fmt.Fprintf(w, "# TYPE dedupcr_obs_events_total counter\n")
-	fmt.Fprintf(w, "dedupcr_obs_events_total{rank=\"%d\"} %d\n", rank, r.Total())
-	fmt.Fprintf(w, "# HELP dedupcr_obs_dropped_total Flight-recorder events overwritten by ring wrap.\n")
-	fmt.Fprintf(w, "# TYPE dedupcr_obs_dropped_total counter\n")
-	fmt.Fprintf(w, "dedupcr_obs_dropped_total{rank=\"%d\"} %d\n", rank, r.Dropped())
+	p := metrics.RankWriter(w, rank)
+	p.Counter("dedupcr_obs_events_total", "Flight-recorder events recorded since process start.", r.Total())
+	p.Counter("dedupcr_obs_dropped_total", "Flight-recorder events overwritten by ring wrap.", r.Dropped())
 }

@@ -15,7 +15,6 @@ import (
 	"dedupcr/internal/core"
 	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
-	"dedupcr/internal/trace"
 )
 
 // telemetryWorkload builds one rank's buffer: pages drawn from a small
@@ -95,7 +94,7 @@ func TestGatherClusterPhase(t *testing.T) {
 func TestClusterAcceptance(t *testing.T) {
 	const n = 4
 	cluster := storage.NewCluster(n)
-	tr := trace.New()
+	tr := obs.New(1 << 12)
 	results := make([]*core.Result, n)
 	var cd *ClusterDump
 	var mu sync.Mutex
@@ -103,7 +102,7 @@ func TestClusterAcceptance(t *testing.T) {
 		rank := c.Rank()
 		opts := core.Options{
 			K: 2, Approach: core.CollDedup, Chunker: chunk.Spec{Size: 1024}, Name: "telem",
-			Trace: tr.Recorder(1, rank, fmt.Sprintf("rank %d", rank)),
+			Trace: tr.Track(1, rank, fmt.Sprintf("rank %d", rank)),
 		}
 		res, err := core.DumpOutput(c, cluster.Node(rank), telemetryWorkload(rank, 64, 1024), opts)
 		if err != nil {
@@ -168,7 +167,7 @@ func TestClusterAcceptance(t *testing.T) {
 
 	// --- merged trace ---
 	var buf bytes.Buffer
-	if err := MergeTraces(&buf, SplitByTid(tr.Events()), cd); err != nil {
+	if err := MergeTraces(&buf, SplitByTid(tr.Timeline()), cd); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc

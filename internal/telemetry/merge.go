@@ -3,10 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
-	"dedupcr/internal/trace"
+	"dedupcr/internal/obs"
 )
 
 // RankTrace is one rank's slice of a dump timeline, destined for the
@@ -18,7 +17,7 @@ type RankTrace struct {
 	Label string
 	// Events are the rank's recorded spans, on the rank's own monotonic
 	// clock. Each rank may carry several tid tracks (worker pools).
-	Events []trace.Event
+	Events []obs.Event
 }
 
 // anchorName is the span the alignment keys on: the dump's completion
@@ -28,14 +27,14 @@ const anchorName = "barrier"
 // anchor returns the alignment instant of one rank's event set: the end
 // of its last completion-barrier span, falling back to the last span end
 // when no barrier was recorded. ok is false for an empty event set.
-func anchor(evs []trace.Event) (time.Duration, bool) {
+func anchor(evs []obs.Event) (time.Duration, bool) {
 	var barrier, last time.Duration
 	haveBarrier := false
 	for _, e := range evs {
 		if e.End() > last {
 			last = e.End()
 		}
-		if e.Name == anchorName && e.End() > barrier {
+		if e.Msg == anchorName && e.End() > barrier {
 			barrier, haveBarrier = e.End(), true
 		}
 	}
@@ -74,9 +73,9 @@ func Align(ranks []RankTrace) ([]RankTrace, []time.Duration) {
 			continue
 		}
 		offsets[i] = ref - anchors[i]
-		evs := make([]trace.Event, len(rt.Events))
+		evs := make([]obs.Event, len(rt.Events))
 		for j, e := range rt.Events {
-			e.Start += offsets[i]
+			e.TNs += int64(offsets[i])
 			e.Pid = rt.Rank
 			evs[j] = e
 		}
@@ -95,8 +94,8 @@ func MergeTraces(w io.Writer, ranks []RankTrace, cd *ClusterDump) error {
 	aligned, _ := Align(ranks)
 
 	pidNames := make(map[int]string, len(aligned))
-	threadNames := make(map[trace.Track]string)
-	var merged []trace.Event
+	threadNames := make(map[obs.TrackID]string)
+	var merged []obs.Event
 	for _, rt := range aligned {
 		label := rt.Label
 		if label == "" {
@@ -105,14 +104,14 @@ func MergeTraces(w io.Writer, ranks []RankTrace, cd *ClusterDump) error {
 		pidNames[rt.Rank] = label
 		tids := make(map[int]bool)
 		for _, e := range rt.Events {
-			tids[e.Tid] = true
+			tids[e.Rank] = true
 		}
 		for tid := range tids {
 			name := label
 			if len(tids) > 1 {
 				name = fmt.Sprintf("%s tid %d", label, tid)
 			}
-			threadNames[trace.Track{Pid: rt.Rank, Tid: tid}] = name
+			threadNames[obs.TrackID{Pid: rt.Rank, Tid: tid}] = name
 		}
 		merged = append(merged, rt.Events...)
 
@@ -121,9 +120,9 @@ func MergeTraces(w io.Writer, ranks []RankTrace, cd *ClusterDump) error {
 		}
 		for _, s := range cd.StragglersFor(rt.Rank) {
 			if ev, ok := slowestSpan(rt.Events, s.Phase); ok {
-				merged = append(merged, trace.Event{
-					Name: "straggler " + s.Phase, Pid: rt.Rank, Tid: ev.Tid,
-					Start: ev.End(),
+				merged = append(merged, obs.Event{
+					Kind: obs.KindSpan, Msg: "straggler " + s.Phase, Pid: rt.Rank, Rank: ev.Rank,
+					TNs: int64(ev.End()),
 					Args: map[string]string{
 						"phase":  s.Phase,
 						"dur":    s.Duration.String(),
@@ -136,48 +135,40 @@ func MergeTraces(w io.Writer, ranks []RankTrace, cd *ClusterDump) error {
 	}
 
 	pruneUnmatchedFlows(merged)
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Start != merged[j].Start {
-			return merged[i].Start < merged[j].Start
-		}
-		return merged[i].Dur > merged[j].Dur
-	})
-	return trace.WriteChrome(w, merged, pidNames, threadNames)
+	obs.SortTimeline(merged)
+	return obs.WriteChrome(w, merged, pidNames, threadNames)
 }
 
 // pruneUnmatchedFlows strips the flow linkage from wire events whose
 // counterpart did not make it into the merged set (the peer's trace was
 // dropped, truncated, or the rank died mid-frame): the causal arrows the
 // merged trace draws must connect a send to its receive, never dangle.
-// The events themselves stay — only their FlowID/FlowOp are cleared.
-func pruneUnmatchedFlows(evs []trace.Event) {
+// The events themselves stay, as plain instants.
+func pruneUnmatchedFlows(evs []obs.Event) {
 	starts := make(map[uint64]int)
 	finishes := make(map[uint64]int)
 	for _, e := range evs {
-		switch e.FlowOp {
-		case trace.FlowStart:
-			starts[e.FlowID]++
-		case trace.FlowFinish:
-			finishes[e.FlowID]++
+		switch e.Kind {
+		case obs.KindFlowStart:
+			starts[e.Flow]++
+		case obs.KindFlowEnd:
+			finishes[e.Flow]++
 		}
 	}
 	for i := range evs {
-		if evs[i].FlowOp == trace.FlowNone {
-			continue
-		}
-		if starts[evs[i].FlowID] == 0 || finishes[evs[i].FlowID] == 0 {
-			evs[i].FlowID = 0
-			evs[i].FlowOp = trace.FlowNone
+		e := &evs[i]
+		if (e.Kind == obs.KindFlowStart || e.Kind == obs.KindFlowEnd) && (starts[e.Flow] == 0 || finishes[e.Flow] == 0) {
+			e.Kind, e.Flow = obs.KindSpan, 0
 		}
 	}
 }
 
 // slowestSpan finds the longest span with the given name.
-func slowestSpan(evs []trace.Event, name string) (trace.Event, bool) {
-	var best trace.Event
+func slowestSpan(evs []obs.Event, name string) (obs.Event, bool) {
+	var best obs.Event
 	found := false
 	for _, e := range evs {
-		if e.Name == name && (!found || e.Dur > best.Dur) {
+		if e.Msg == name && (!found || e.Dur > best.Dur) {
 			best, found = e, true
 		}
 	}
@@ -186,15 +177,15 @@ func slowestSpan(evs []trace.Event, name string) (trace.Event, bool) {
 
 // SplitByTid partitions one shared-trace event set into per-rank traces,
 // treating the tid of each event as the rank — the layout in-process
-// simulations record (one Trace, tid = rank). It is the bridge from
+// simulations record (one trace ring, tid = rank). It is the bridge from
 // experiments.RunScenario's shared trace to MergeTraces.
-func SplitByTid(evs []trace.Event) []RankTrace {
-	byTid := make(map[int][]trace.Event)
+func SplitByTid(evs []obs.Event) []RankTrace {
+	byTid := make(map[int][]obs.Event)
 	maxTid := -1
 	for _, e := range evs {
-		byTid[e.Tid] = append(byTid[e.Tid], e)
-		if e.Tid > maxTid {
-			maxTid = e.Tid
+		byTid[e.Rank] = append(byTid[e.Rank], e)
+		if e.Rank > maxTid {
+			maxTid = e.Rank
 		}
 	}
 	out := make([]RankTrace, maxTid+1)

@@ -63,18 +63,19 @@ func (cs *ClusterStore) flagged() []Straggler { return nil }
 // exposition format, the dedupcr_cluster_store_* families.
 func (cs *ClusterStore) WritePrometheus(w io.Writer) {
 	const p = "dedupcr_cluster_store_"
-	gauge(w, p+"ranks", "Number of ranks aggregated into the cluster store view.", cs.Ranks)
-	gauge(w, p+"segments", "Segments across all local stores (sealed plus active).", cs.Total.Segments)
-	gauge(w, p+"live_bytes", "Live payload bytes across all local stores.", cs.Total.LiveBytes)
-	gauge(w, p+"data_bytes", "On-disk payload bytes across all local stores, garbage included.", cs.Total.DataBytes)
-	gauge(w, p+"garbage_bytes", "Tombstoned payload bytes awaiting compaction, cluster-wide.", cs.Total.GarbageBytes)
-	gauge(w, p+"garbage_ratio", "Cluster-wide tombstoned fraction of on-disk payload.", cs.GarbageRatio)
-	gauge(w, p+"max_garbage_ratio", "Worst single rank's garbage fraction.", cs.MaxGarbageRatio)
-	gauge(w, p+"reclaim_ratio", "Reclaimed fraction of all tombstoned bytes, cluster-wide.", cs.ReclaimRatio)
-	gauge(w, p+"garbage_imbalance", "Max/mean of per-rank garbage bytes (1.0 = even).", cs.GarbageImbalance)
-	gauge(w, p+"compactions", "Compaction sweeps summed over ranks.", cs.Total.Compactions)
-	gauge(w, p+"reclaimed_bytes", "Tombstoned bytes physically reclaimed, summed over ranks.", cs.Total.ReclaimedBytes)
-	rankGauge(w, p+"rank_garbage_bytes", "Tombstoned payload bytes awaiting compaction on one rank.",
+	m := metrics.NewWriter(w, "")
+	m.Gauge(p+"ranks", "Number of ranks aggregated into the cluster store view.", cs.Ranks)
+	m.Gauge(p+"segments", "Segments across all local stores (sealed plus active).", cs.Total.Segments)
+	m.Gauge(p+"live_bytes", "Live payload bytes across all local stores.", cs.Total.LiveBytes)
+	m.Gauge(p+"data_bytes", "On-disk payload bytes across all local stores, garbage included.", cs.Total.DataBytes)
+	m.Gauge(p+"garbage_bytes", "Tombstoned payload bytes awaiting compaction, cluster-wide.", cs.Total.GarbageBytes)
+	m.Gauge(p+"garbage_ratio", "Cluster-wide tombstoned fraction of on-disk payload.", cs.GarbageRatio)
+	m.Gauge(p+"max_garbage_ratio", "Worst single rank's garbage fraction.", cs.MaxGarbageRatio)
+	m.Gauge(p+"reclaim_ratio", "Reclaimed fraction of all tombstoned bytes, cluster-wide.", cs.ReclaimRatio)
+	m.Gauge(p+"garbage_imbalance", "Max/mean of per-rank garbage bytes (1.0 = even).", cs.GarbageImbalance)
+	m.Gauge(p+"compactions", "Compaction sweeps summed over ranks.", cs.Total.Compactions)
+	m.Gauge(p+"reclaimed_bytes", "Tombstoned bytes physically reclaimed, summed over ranks.", cs.Total.ReclaimedBytes)
+	rankGauge(m, p+"rank_garbage_bytes", "Tombstoned payload bytes awaiting compaction on one rank.",
 		len(cs.PerRank), func(r int) any { return cs.PerRank[r].GarbageBytes })
 }
 
