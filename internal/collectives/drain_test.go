@@ -11,16 +11,19 @@ import (
 )
 
 // drainAll collects every payload Next hands out until io.EOF or an
-// error.
+// error, checking each against its checksum.
 func drainAll(win *Window) ([][]byte, error) {
 	var out [][]byte
 	for {
-		p, err := win.Next()
+		p, sum, err := win.Next()
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
+		}
+		if Checksum(0, p) != sum {
+			return out, fmt.Errorf("payload %q does not match its checksum", p)
 		}
 		out = append(out, p)
 	}
@@ -97,6 +100,7 @@ func TestWindowDrainRejects(t *testing.T) {
 				if c.Rank() == 1 {
 					for _, p := range tc.puts {
 						frame := binary.BigEndian.AppendUint64(nil, uint64(p.off))
+						frame = binary.BigEndian.AppendUint32(frame, Checksum(0, []byte(p.data)))
 						if p.off == -2 {
 							frame = frame[:3]
 						}
@@ -122,13 +126,33 @@ func TestWindowDrainRejects(t *testing.T) {
 	}
 }
 
+// TestWindowWaitChecksSums: Next hands out a frame's checksum as its
+// sender stamped it, and Wait fails with ErrChecksum on a payload that
+// changed after the sum was taken.
+func TestWindowWaitChecksSums(t *testing.T) {
+	err := Run(2, func(c Comm) error {
+		if c.Rank() == 1 {
+			frame := binary.BigEndian.AppendUint64(nil, 0)
+			frame = binary.BigEndian.AppendUint32(frame, Checksum(0, []byte("abcd")))
+			return c.Send(0, windowTag(1), append(frame, "abce"...))
+		}
+		if _, err := OpenWindow(c, 4, 1).Wait(); !errors.Is(err, ErrChecksum) {
+			return fmt.Errorf("Wait over a changed payload: %v, want ErrChecksum", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWindowDrainEmpty: an empty window is complete before anything
 // arrives, for every call.
 func TestWindowDrainEmpty(t *testing.T) {
 	err := Run(1, func(c Comm) error {
 		win := OpenWindow(c, 0, 1)
 		for i := 0; i < 2; i++ {
-			if p, err := win.Next(); err != io.EOF || p != nil {
+			if p, _, err := win.Next(); err != io.EOF || p != nil {
 				return fmt.Errorf("call %d: %q, %v; want io.EOF", i, p, err)
 			}
 		}
@@ -165,7 +189,7 @@ func TestWindowHandoverOwnership(t *testing.T) {
 				if c.Rank() == 1 {
 					for i := 0; i < puts; i++ {
 						frame := append(NewFrame(16), bytes.Repeat([]byte{byte(i)}, 16)...)
-						sent <- &frame[putOffsetHeader]
+						sent <- &frame[putHeader]
 						err := win.PutFrame(0, int64(i*16), frame)
 						if i == 0 && faulty {
 							if !errors.Is(err, ErrInjected) {
@@ -180,7 +204,7 @@ func TestWindowHandoverOwnership(t *testing.T) {
 					return nil
 				}
 				for i := 0; i < puts; i++ {
-					p, err := win.Next()
+					p, _, err := win.Next()
 					if err != nil {
 						return err
 					}
@@ -194,7 +218,7 @@ func TestWindowHandoverOwnership(t *testing.T) {
 						p[j] = 0xff
 					}
 				}
-				if _, err := win.Next(); err != io.EOF {
+				if _, _, err := win.Next(); err != io.EOF {
 					return fmt.Errorf("complete window: %v, want io.EOF", err)
 				}
 				return nil

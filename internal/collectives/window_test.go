@@ -173,8 +173,8 @@ func TestWildcardTagDisjointFromWindowEpochs(t *testing.T) {
 // Under the race detector only the length and capacity checks run: its
 // instrumentation adds allocations of its own, now and then.
 func TestMaxPutFrameReadInOneAllocation(t *testing.T) {
-	if MaxPutBytes+putOffsetHeader != frameAllocChunk {
-		t.Fatalf("MaxPutBytes %d + %d-byte offset header != frame allocation step %d", MaxPutBytes, putOffsetHeader, frameAllocChunk)
+	if MaxPutBytes+putHeader != frameAllocChunk {
+		t.Fatalf("MaxPutBytes %d + %d-byte put header != frame allocation step %d", MaxPutBytes, putHeader, frameAllocChunk)
 	}
 	allocs := func(payloadLen int) float64 {
 		var wire bytes.Buffer
@@ -190,7 +190,7 @@ func TestMaxPutFrameReadInOneAllocation(t *testing.T) {
 			}
 		})
 	}
-	tiny, maxPut, over := allocs(16), allocs(putOffsetHeader+MaxPutBytes), allocs(putOffsetHeader+MaxPutBytes+1)
+	tiny, maxPut, over := allocs(16), allocs(putHeader+MaxPutBytes), allocs(putHeader+MaxPutBytes+1)
 	if raceEnabled {
 		return
 	}

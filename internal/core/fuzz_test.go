@@ -2,10 +2,18 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dedupcr/internal/chunk"
+	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
+	"dedupcr/internal/metrics"
+	"dedupcr/internal/storage"
 )
 
 // fuzzMetaSeed builds one well-formed RestoreMeta encoding.
@@ -52,6 +60,101 @@ func FuzzRestoreMetaUnmarshal(f *testing.F) {
 		m2 := new(RestoreMeta)
 		if err := m2.UnmarshalBinary(enc); err != nil {
 			t.Fatalf("re-decode of re-encoded meta failed: %v", err)
+		}
+	})
+}
+
+// FuzzCommitRecords feeds the committer random windows: shape decides the
+// regions — each a sender recipe of random sizes, its metadata blob
+// possibly cut short, and a region length — the frame cuts and whether one
+// byte flips in flight; records holds the window bytes, padded or cut to
+// the regions' total. The committer must never panic, and must store
+// exactly what the per-record reference stores — which takes only records
+// whose position is in range, above the region's previous one, and that
+// fit their region — with the same error; with a flipped byte it must
+// fail, having stored a prefix of it.
+func FuzzCommitRecords(f *testing.F) {
+	rec := newSenderRegion(rand.New(rand.NewSource(1)), 5)
+	f.Add([]byte{1, 11, 3, 9, 0, 4, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 2, 200, 5, 7, 0}, rec.records)
+	f.Add([]byte{3, 2, 5, 5, 1, 20, 0, 9, 4, 1, 2, 3, 4, 17, 0, 0, 8, 1, 3, 3, 3}, []byte{0, 0, 0, 1, 9, 9, 9, 9, 9, 0, 0, 0, 0})
+	f.Add([]byte{2, 4, 1, 2, 3, 4, 1, 12, 2, 8, 8, 1, 30, 6, 6, 6}, []byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, shape, records []byte) {
+		next := func() int {
+			if len(shape) == 0 {
+				return 0
+			}
+			b := shape[0]
+			shape = shape[1:]
+			return int(b)
+		}
+		var w testWindow
+		var total int64
+		for i, n := 0, next()%4; i < n; i++ {
+			var r chunk.Recipe
+			for j, l := 0, next()%12; j < l; j++ {
+				r.FPs = append(r.FPs, fingerprint.Of([]byte{byte(i), byte(j)}))
+				r.Sizes = append(r.Sizes, int32(next()%24))
+			}
+			meta, err := (&RestoreMeta{Recipe: r}).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cut := next(); cut%3 == 0 {
+				meta = meta[:cut%(len(meta)+1)]
+			}
+			size := int64(next() % 96)
+			w.regions = append(w.regions, region{size: size, meta: meta})
+			total += size
+		}
+		w.bytes = append(records[:min(int64(len(records)), total):min(int64(len(records)), total)], make([]byte, max(0, total-int64(len(records))))...)
+		var pieces [][]byte
+		for b := w.bytes; len(b) > 0; {
+			k := min(1+next()%40, len(b))
+			if len(shape) == 0 {
+				k = len(b)
+			}
+			pieces, b = append(pieces, b[:k]), b[k:]
+		}
+		sums := make([]uint32, len(pieces))
+		for i, p := range pieces {
+			sums[i] = collectives.Checksum(0, p)
+		}
+		flip := next()
+		if flip%4 == 1 && len(w.bytes) > 0 {
+			at := (flip / 4) % len(w.bytes)
+			w.bytes = slices.Clone(w.bytes)
+			w.bytes[at] ^= 0x80
+			for i, off := 0, 0; i < len(pieces); off, i = off+len(pieces[i]), i+1 {
+				pieces[i] = w.bytes[off : off+len(pieces[i])]
+			}
+		}
+		want := commitWith(commitReceivedPerRecord, w)
+		got := commitWith(func(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
+			i := 0
+			c := committer{store: store, m: m, regions: w.regions, next: func() ([]byte, uint32, error) {
+				if i == len(pieces) {
+					return nil, 0, io.EOF
+				}
+				i++
+				return pieces[i-1], sums[i-1], nil
+			}}
+			err := c.commit()
+			return c.refs, err
+		}, w)
+		if flip%4 == 1 && len(w.bytes) > 0 {
+			if got.err == nil {
+				t.Fatal("a flipped byte went unnoticed")
+			}
+			if len(got.refs) > len(want.refs) || !slices.Equal(got.refs, want.refs[:len(got.refs)]) {
+				t.Fatalf("stored %d records, not a prefix of the reference's %d", len(got.refs), len(want.refs))
+			}
+			if !errors.Is(got.err, collectives.ErrChecksum) && fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+				t.Fatalf("error %v, reference %v", got.err, want.err)
+			}
+			return
+		}
+		if fmt.Sprint(got.err) != fmt.Sprint(want.err) || !slices.Equal(got.refs, want.refs) || got.m.RecvBytes != want.m.RecvBytes {
+			t.Fatalf("stored %d records (%v), reference %d (%v)", len(got.refs), got.err, len(want.refs), want.err)
 		}
 	})
 }

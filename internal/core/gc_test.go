@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
+	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/storage"
 )
 
@@ -101,15 +103,17 @@ func TestForgetAllCheckpointsEmptiesStores(t *testing.T) {
 }
 
 func TestGCListRoundTrip(t *testing.T) {
-	list := marshalFPs(nil)
-	got, err := unmarshalFPs(list)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty list round trip: %v %v", got, err)
+	got, err := unmarshalGC(gcList{}.marshal())
+	if err != nil || len(got.refs) != 0 || len(got.held) != 0 {
+		t.Fatalf("empty list round trip: %+v %v", got, err)
 	}
-	if _, err := unmarshalFPs([]byte{1, 2}); err == nil {
-		t.Fatal("truncated header accepted")
+	want := gcList{refs: []fingerprint.FP{fingerprint.Of([]byte("a")), fingerprint.Of(nil)}, held: []int{3, 0, 7}}
+	if got, err = unmarshalGC(want.marshal()); err != nil || !slices.Equal(got.refs, want.refs) || !slices.Equal(got.held, want.held) {
+		t.Fatalf("round trip: %+v %v, want %+v", got, err, want)
 	}
-	if _, err := unmarshalFPs(append(marshalFPs(nil), 0xFF)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	for _, bad := range [][]byte{{1, 2}, gcList{}.marshal()[:6], append(gcList{}.marshal(), 0xFF), want.marshal()[:50]} {
+		if _, err := unmarshalGC(bad); err == nil {
+			t.Fatalf("malformed list % x accepted", bad)
+		}
 	}
 }

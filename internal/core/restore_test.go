@@ -324,7 +324,7 @@ func referenceCounts(stores []storage.Store, meta *RestoreMeta, r int, name stri
 	if _, err := stores[r].GetBlob(metaName(name, r)); err != nil {
 		for d := 1; d < n; d++ {
 			requests++
-			if _, err := stores[(r+d)%n].GetBlob(metaName(name, r)); err == nil {
+			if blob, err := stores[(r+d)%n].GetBlob(metaName(name, r)); err == nil && len(blob) > 0 {
 				break
 			}
 			misses++

@@ -155,6 +155,14 @@ func (p *Plan) Partner(r, d int) int {
 	return p.Shuffle[(p.Pos[r]+d)%n]
 }
 
+// Sender returns the rank whose d-th partner is r (1 <= d <= K-1): the
+// rank d positions before r in the shuffled order. Its region is the d-th
+// of r's window (see Offsets).
+func (p *Plan) Sender(r, d int) int {
+	n := len(p.Shuffle)
+	return p.Shuffle[(p.Pos[r]-d+n)%n]
+}
+
 // Partners returns all K-1 partner ranks of r in order.
 func (p *Plan) Partners(r int) []int {
 	out := make([]int, 0, p.K-1)
@@ -190,11 +198,9 @@ func (p *Plan) Offsets(r int) []int64 {
 // WindowSize returns the number of bytes rank r will receive: the sum of
 // the loads its K-1 senders direct at it.
 func (p *Plan) WindowSize(r int) int64 {
-	n := len(p.Shuffle)
 	var size int64
 	for m := 1; m < p.K; m++ {
-		sender := p.Shuffle[(p.Pos[r]-m+n)%n]
-		size += p.SendLoad[sender][m]
+		size += p.SendLoad[p.Sender(r, m)][m]
 	}
 	return size
 }

@@ -47,16 +47,17 @@ type Phases struct {
 	// WindowOpen is setting up the receive window (nothing is allocated:
 	// the bytes arrive in the senders' frames).
 	WindowOpen time.Duration
-	// Put is the cumulative time spent pushing chunks into partner
-	// windows.
+	// Put is the cumulative time spent sending the restore metadata to
+	// the partners and pushing chunks into their windows.
 	Put time.Duration
 	// WindowWait is the time the drain of the own window spent blocked
 	// on the next frame in offset order. The drain interleaves with
 	// Commit, frame by frame; each moment of it accrues to exactly one of
 	// the two, so Sum still accounts for Total.
 	WindowWait time.Duration
-	// Commit covers local chunk stores, each received frame's commit as
-	// it lands, the GC list and restore-metadata persistence.
+	// Commit covers receiving the senders' restore metadata, local chunk
+	// stores, each received frame's commit as it lands, the GC list and
+	// restore-metadata persistence.
 	Commit time.Duration
 	// Barrier is the final completion barrier.
 	Barrier time.Duration
