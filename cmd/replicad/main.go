@@ -480,7 +480,7 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 	}
 	fmt.Printf(" total=%s\n", metrics.Duration(m.Phases.Total))
 	if m.PutRetries > 0 {
-		fmt.Printf("rank %d: %d window puts retried after transient faults\n", comm.Rank(), m.PutRetries)
+		fmt.Printf("rank %d: %d put-phase sends retried after transient faults\n", comm.Rank(), m.PutRetries)
 	}
 	if out.stats {
 		m.WritePrometheus(os.Stderr)

@@ -95,8 +95,9 @@ type ClusterDump struct {
 	TotalSentBytes, TotalRecvBytes int64
 	// TotalStoredBytes sums storage load over ranks.
 	TotalStoredBytes int64
-	// TotalPutRetries sums window-put retries over ranks: nonzero means
-	// the dump survived transient transport faults via its RetryPolicy.
+	// TotalPutRetries sums put-phase send retries (window puts and
+	// metadata) over ranks: nonzero means the dump survived transient
+	// transport faults via its RetryPolicy.
 	TotalPutRetries int64
 	// PerRank has one summary per rank, indexed by rank.
 	PerRank []RankSummary
