@@ -164,6 +164,38 @@ func TestDecodeRecipeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestRecipeEntryReadsInPlace: RecipeEntry reads every position of an
+// encoding as the decoder does, and RecipeCount counts the entries that
+// are whole — all of them, fewer on a cut encoding, none without a
+// header — and reads a count the bytes cannot hold as what fits.
+func TestRecipeEntryReadsInPlace(t *testing.T) {
+	buf := make([]byte, 3000)
+	rand.New(rand.NewSource(3)).Read(buf)
+	r := BuildRecipe(NewFixed(128).Split(buf))
+	blob, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RecipeCount(blob); got != r.Len() {
+		t.Fatalf("RecipeCount = %d, want %d", got, r.Len())
+	}
+	for i := range r.FPs {
+		if fp, size := RecipeEntry(blob, i); fp != r.FPs[i] || int32(size) != r.Sizes[i] {
+			t.Fatalf("entry %d = %s/%d, want %s/%d", i, fp.Short(), size, r.FPs[i].Short(), r.Sizes[i])
+		}
+	}
+	const entry = 24 // fingerprint and u32 size
+	for cut, want := range map[int]int{0: 0, 3: 0, 4: 0, 4 + entry - 1: 0, 4 + 5*entry + 7: 5, len(blob) - 1: r.Len() - 1} {
+		if got := RecipeCount(blob[:cut]); got != want {
+			t.Errorf("RecipeCount of the first %d bytes = %d, want %d", cut, got, want)
+		}
+	}
+	huge := append([]byte{0xff, 0xff, 0xff, 0xff}, blob[4:]...)
+	if got := RecipeCount(huge); got != r.Len() {
+		t.Errorf("RecipeCount with a count of 2^32-1 = %d, want the %d entries present", got, r.Len())
+	}
+}
+
 // TestCutsMatchSplit pins the CutChunker contract for both chunkers a
 // Spec can name: the cuts tile buf in ascending order, and FromCuts turns
 // them into chunks that reassemble buf with correct fingerprints — the
