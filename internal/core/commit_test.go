@@ -17,10 +17,20 @@ import (
 )
 
 // testWindow is a window as its owner sees it: the senders' regions — each
-// with the sender's RestoreMeta blob — and their records back to back.
+// with the sender's RestoreMeta blob — and their records back to back,
+// arriving as pieces (nil: as one frame).
 type testWindow struct {
 	regions []region
 	bytes   []byte
+	pieces  [][]byte
+}
+
+// frames returns the frames the window's bytes arrive in.
+func (w testWindow) frames() [][]byte {
+	if w.pieces == nil {
+		return [][]byte{w.bytes}
+	}
+	return w.pieces
 }
 
 // frames hands out pieces as window frames, each with its checksum; like
@@ -39,61 +49,90 @@ func frames(pieces ...[]byte) func() ([]byte, uint32, error) {
 	}
 }
 
-// commitReceived commits a whole window held in one buffer, as one frame,
-// and returns the references stored (on error, those stored before it).
+// commitReceived commits a window frame by frame and returns the
+// references stored (on error, those stored before it).
 func commitReceived(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
-	c := committer{store: store, m: m, regions: w.regions, next: frames(w.bytes)}
+	c := committer{store: store, m: m, regions: w.regions, next: frames(w.frames()...)}
 	err := c.commit()
 	return c.refs, err
 }
 
 // commitReceivedPerRecord walks a window held in one buffer by offset,
-// region by region, with each sender's recipe decoded — one lookup and
-// one PutChunk per record, failing at the first malformed one. It is the
-// reference the committer's frame-by-frame walk over the undecoded
-// metadata must reproduce: same references in the same order, same
-// counters, same error, on whole and broken windows. Every record it
-// stores names a position in its sender's recipe above the region's
+// region by region, with each sender's recipe decoded — one lookup per
+// record, failing at the first malformed one — and then stores, one
+// PutChunk each, the records that lie wholly in frames that passed their
+// checksum: every frame when the walk reached the end, else those the
+// walk needed a byte past before it failed. It is the reference the
+// committer's frame-by-frame walk over the undecoded metadata must
+// reproduce: same references in the same order, same counters, same
+// error, on whole and broken windows, in one frame or many. Every record
+// it stores names a position in its sender's recipe above the region's
 // previous one, and fits its region.
 func commitReceivedPerRecord(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
+	type parsed struct {
+		fp        fingerprint.FP
+		size, end int
+	}
+	var recs []parsed
+	buf, off, read := w.bytes, 0, 0 // read: one past the last byte the walk needed
+	walkErr := func() error {
+		for _, r := range w.regions {
+			var fps []fingerprint.FP
+			var sizes []int
+			enc := metaRecipe(r.meta)
+			for i := 0; i < chunk.RecipeCount(enc); i++ {
+				fp, size := chunk.RecipeEntry(enc, i)
+				fps, sizes = append(fps, fp), append(sizes, int(size))
+			}
+			next := 0
+			for end := off + int(r.size); off < end; {
+				if end-off < 4 {
+					return fmt.Errorf("window record header truncated at offset %d", off)
+				}
+				read = off + 4
+				pos := int(binary.BigEndian.Uint32(buf[off:]))
+				if pos < next || pos >= len(fps) {
+					return fmt.Errorf("window record at offset %d names recipe position %d, want one in [%d, %d)", off, pos, next, len(fps))
+				}
+				next = pos + 1
+				size := sizes[pos]
+				if off += 4; size > end-off {
+					return fmt.Errorf("window record of %d bytes overruns its region at offset %d", size, off)
+				}
+				read = off + size
+				off += size
+				recs = append(recs, parsed{fps[pos], size, off})
+			}
+		}
+		read = off + 1 // is there a byte beyond the regions?
+		if off < len(buf) {
+			return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
+		}
+		return nil
+	}()
+	checked := len(buf) // every frame, after a whole walk
+	if walkErr != nil {
+		checked = 0
+		for _, p := range w.frames() {
+			if checked+len(p) >= read {
+				break
+			}
+			checked += len(p)
+		}
+	}
 	var refs []fingerprint.FP
-	buf, off := w.bytes, 0
-	for _, r := range w.regions {
-		var fps []fingerprint.FP
-		var sizes []int
-		enc := metaRecipe(r.meta)
-		for i := 0; i < chunk.RecipeCount(enc); i++ {
-			fp, size := chunk.RecipeEntry(enc, i)
-			fps, sizes = append(fps, fp), append(sizes, int(size))
+	for _, r := range recs {
+		if r.end > checked {
+			break
 		}
-		next := 0
-		for end := off + int(r.size); off < end; {
-			if end-off < 4 {
-				return refs, fmt.Errorf("window record header truncated at offset %d", off)
-			}
-			pos := int(binary.BigEndian.Uint32(buf[off:]))
-			if pos < next || pos >= len(fps) {
-				return refs, fmt.Errorf("window record at offset %d names recipe position %d, want one in [%d, %d)", off, pos, next, len(fps))
-			}
-			next = pos + 1
-			size := sizes[pos]
-			if off += 4; size > end-off {
-				return refs, fmt.Errorf("window record of %d bytes overruns its region at offset %d", size, off)
-			}
-			data := buf[off : off+size]
-			off += size
-			if err := store.PutChunk(fps[pos], data); err != nil {
-				return refs, err
-			}
-			refs = append(refs, fps[pos])
-			m.RecvChunks++
-			m.RecvBytes += int64(size)
+		if err := store.PutChunk(r.fp, buf[r.end-r.size:r.end]); err != nil {
+			return refs, err
 		}
+		refs = append(refs, r.fp)
+		m.RecvChunks++
+		m.RecvBytes += int64(r.size)
 	}
-	if off < len(buf) {
-		return refs, fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
-	}
-	return refs, nil
+	return refs, walkErr
 }
 
 // TestCommitReceivedMatchesPerRecord feeds whole windows (empty, one
@@ -242,20 +281,25 @@ func cutInto(rng *rand.Rand, b []byte, maxPiece int) [][]byte {
 
 // TestCommitterCutFramesMatchWholeWindow: a window that arrives as many
 // frames — cut at random points, inside headers and payloads alike, in
-// pieces down to one byte — commits exactly as the whole window does:
-// records cut by a frame boundary are carried across, and a broken
-// window fails with the same error after the same records.
+// pieces down to one byte — commits exactly as the per-record reference
+// does with the same cuts: records cut by a frame boundary are carried
+// across, a broken window fails with the same error after storing the
+// records of the frames checked before it, and a whole one stores what
+// it stores in one frame.
 func TestCommitterCutFramesMatchWholeWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for name, w := range receivedWindows() {
+		whole := commitWith(commitReceived, w)
 		for trial := 0; trial < 8; trial++ {
 			maxPiece := 1 + rng.Intn(1+len(w.bytes)/(1+trial))
-			cuts := func(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
-				c := committer{store: store, m: m, regions: w.regions, next: frames(cutInto(rng, w.bytes, maxPiece)...)}
-				err := c.commit()
-				return c.refs, err
+			cut := w
+			cut.pieces = cutInto(rng, w.bytes, maxPiece)
+			name := fmt.Sprintf("%s, pieces of at most %d bytes", name, maxPiece)
+			got := commitWith(commitReceived, cut)
+			checkCommitted(t, name, got, commitWith(commitReceivedPerRecord, cut))
+			if whole.err == nil {
+				checkCommitted(t, name+" against one frame", got, whole)
 			}
-			checkCommitted(t, fmt.Sprintf("%s, pieces of at most %d bytes", name, maxPiece), commitWith(cuts, w), commitWith(commitReceived, w))
 		}
 	}
 }
@@ -315,8 +359,10 @@ func (f *failingPuts) PutChunk(fp fingerprint.FP, data []byte) error {
 }
 
 // TestCommitReceivedStoreErrorMidBatch: a store that fails at its 70th
-// put gets nothing after the failing put, and the references returned
-// are exactly the puts that succeeded.
+// put — inside the fifth of eight 16-record frames — gets nothing after
+// the failing put, the references returned are exactly the puts that
+// succeeded, and rolling them back leaves Usage as it was before the
+// commit, chunks the store held before included.
 func TestCommitReceivedStoreErrorMidBatch(t *testing.T) {
 	var data [][]byte
 	var rec chunk.Recipe
@@ -331,13 +377,171 @@ func TestCommitReceivedStoreErrorMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := testWindow{regions: []region{{size: int64(len(records)), meta: meta}}, bytes: records}
+	for f := 0; f < 8; f++ {
+		w.pieces = append(w.pieces, records[f*16*7:(f+1)*16*7])
+	}
 	store := &failingPuts{Store: storage.NewMem(), left: 69}
+	for _, d := range append(data[60:75:75], []byte("held before")) {
+		if err := store.Store.PutChunk(fingerprint.Of(d), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bytesBefore, chunksBefore := store.Usage()
 	var m metrics.Dump
-	refs, err := commitReceived(store, testWindow{regions: []region{{size: int64(len(records)), meta: meta}}, bytes: records}, &m)
-	if err != storage.ErrFailed || len(refs) != 69 || m.RecvChunks != len(refs) {
+	refs, err := commitReceived(store, w, &m)
+	if err != storage.ErrFailed || len(refs) != 69 || m.RecvChunks != len(refs) || !slices.Equal(refs, rec.FPs[:69]) {
 		t.Fatalf("got %d references, %d counted, error %v", len(refs), m.RecvChunks, err)
 	}
-	if _, chunks := store.Usage(); chunks != len(refs) {
-		t.Fatalf("store holds %d chunks, %d references returned", chunks, len(refs))
+	if _, chunks := store.Usage(); chunks != 69+1+(75-69) {
+		t.Fatalf("store holds %d chunks, want the 69 stored, the 6 held before beyond them and one more", chunks)
 	}
+	rollbackDump(store, "ckpt", 0, nil, refs)
+	if b, c := store.Usage(); b != bytesBefore || c != chunksBefore {
+		t.Fatalf("after the rollback the store holds %d bytes in %d chunks, %d in %d before", b, c, bytesBefore, chunksBefore)
+	}
+}
+
+// putLog is a store without a batch put that logs its puts: through
+// storage.PutRecords it gets one PutChunk per record.
+type putLog struct {
+	storage.Store
+	puts []fingerprint.FP
+}
+
+func (p *putLog) PutChunk(fp fingerprint.FP, data []byte) error {
+	p.puts = append(p.puts, fp)
+	return p.Store.PutChunk(fp, data)
+}
+
+// recordFrames packs a sender's records into frames of per records, each
+// frame an allocation of its own, exactly sized, as a sender puts them;
+// sent[i] are the positions frame i carries.
+func recordFrames(s senderRegion, per int) (pieces [][]byte, sent [][]int) {
+	for i := 0; i < len(s.sent); i += per {
+		ps := s.sent[i:min(i+per, len(s.sent))]
+		var b []byte
+		for _, pos := range ps {
+			b = append(b, encodeRecord(int32(pos), s.data[pos])...)
+		}
+		frame := make([]byte, len(b))
+		copy(frame, b)
+		pieces, sent = append(pieces, frame), append(sent, ps)
+	}
+	return pieces, sent
+}
+
+// TestBatchlessStoreGetsOnePutPerRecord: a store without a batch put gets
+// exactly one PutChunk per record stored, in window order, whether the
+// window lands as one frame or cut anywhere.
+func TestBatchlessStoreGetsOnePutPerRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	windows := receivedWindows()
+	for _, name := range []string{fmt.Sprintf("%d records", 3*64+7), "three regions, the middle one empty"} {
+		w := windows[name]
+		want := commitWith(commitReceivedPerRecord, w)
+		for _, maxPiece := range []int{0, 1, 13, 500} {
+			cut := w
+			if maxPiece > 0 {
+				cut.pieces = cutInto(rng, w.bytes, maxPiece)
+			}
+			log := &putLog{Store: storage.NewMem()}
+			var m metrics.Dump
+			refs, err := commitReceived(log, cut, &m)
+			if err != nil || !slices.Equal(log.puts, want.refs) || !slices.Equal(refs, want.refs) {
+				t.Errorf("%s in pieces of at most %d bytes: %d puts, %d references, %d records (%v)", name, maxPiece, len(log.puts), len(refs), len(want.refs), err)
+			}
+		}
+	}
+}
+
+// TestCorruptFrameStoresNothingOfIt: of a sender's frames of whole
+// records, a middle one has a payload byte flipped in flight. The commit
+// fails with collectives.ErrChecksum; a store without a batch put has
+// seen one put per record of the frames before it, in window order, and
+// none of that frame or after; and the references are exactly those
+// puts.
+func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
+	s := newSenderRegion(rand.New(rand.NewSource(41)), 90)
+	pieces, sent := recordFrames(s, 10)
+	w := s.window()
+	for bad := 1; bad < len(pieces)-1; bad++ {
+		var want []fingerprint.FP
+		for _, ps := range sent[:bad] {
+			for _, pos := range ps {
+				want = append(want, fingerprint.Of(s.data[pos]))
+			}
+		}
+		flipped := slices.Clone(pieces[bad])
+		at := 0
+		for _, pos := range sent[bad] {
+			if at += 4; len(s.data[pos]) > 0 {
+				break
+			}
+		}
+		flipped[at] ^= 0x10
+		i := 0
+		log := &putLog{Store: storage.NewMem()}
+		var m metrics.Dump
+		c := committer{store: log, m: &m, regions: w.regions, next: func() ([]byte, uint32, error) {
+			if i == len(pieces) {
+				return nil, 0, io.EOF
+			}
+			i++
+			if i-1 == bad {
+				return flipped, collectives.Checksum(0, pieces[bad]), nil
+			}
+			return pieces[i-1], collectives.Checksum(0, pieces[i-1]), nil
+		}}
+		err := c.commit()
+		if !errors.Is(err, collectives.ErrChecksum) {
+			t.Fatalf("frame %d flipped: %v, want the checksum mismatch", bad, err)
+		}
+		if !slices.Equal(log.puts, want) || !slices.Equal(c.refs, want) || m.RecvChunks != len(want) {
+			t.Errorf("frame %d flipped: %d puts, %d references, %d counted; want the %d records of the frames before it", bad, len(log.puts), len(c.refs), m.RecvChunks, len(want))
+		}
+	}
+}
+
+// TestTimedMemStoreKeepsLandedFrames: behind a Timed wrapper the in-memory
+// store still keeps each landed frame as an arena — every received
+// chunk's GetChunk bytes lie in the frame it arrived in — and takes each
+// frame's records as one write.
+func TestTimedMemStoreKeepsLandedFrames(t *testing.T) {
+	s := newSenderRegion(rand.New(rand.NewSource(42)), 60)
+	pieces, sent := recordFrames(s, 12)
+	w := s.window()
+	w.pieces = pieces
+	store := storage.NewTimed(storage.NewMem())
+	var m metrics.Dump
+	if refs, err := commitReceived(store, w, &m); err != nil || len(refs) != len(s.sent) {
+		t.Fatalf("%d references, %v", len(refs), err)
+	}
+	if n := store.WriteLatency().Count(); n != int64(len(pieces)) {
+		t.Errorf("%d write samples for %d frames", n, len(pieces))
+	}
+	seen := map[fingerprint.FP]bool{}
+	for f, ps := range sent {
+		for _, pos := range ps {
+			fp := fingerprint.Of(s.data[pos])
+			if seen[fp] || len(s.data[pos]) == 0 {
+				continue // stored by an earlier record, or no bytes to keep
+			}
+			seen[fp] = true
+			b, err := store.GetChunk(fp)
+			if err != nil || !inside(b, pieces[f]) {
+				t.Errorf("position %d: its bytes are not in frame %d (%v)", pos, f, err)
+			}
+		}
+	}
+}
+
+// inside reports whether b starts within f's bytes.
+func inside(b, f []byte) bool {
+	for i := range f {
+		if &f[i] == &b[0] {
+			return true
+		}
+	}
+	return false
 }

@@ -187,11 +187,12 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// Phase 1 — chunking and fingerprinting (every byte is hashed once).
 	// Both chunkers (fixed and gear) expose their boundary scan separately
 	// from hashing (chunk.CutChunker), so the two costs are attributed to
-	// their own phases regardless of which spec Options.Chunker selected. With Parallelism > 1 hashing fans out over a
-	// bounded worker pool and phase 2 (plus the reduction's leaf-table
-	// build, for coll-dedup) overlaps it: finished chunks stream to the
-	// dedup filter in dataset order while later chunks are still being
-	// hashed, so the combined cost collapses into the fingerprint wall time.
+	// their own phases regardless of which spec Options.Chunker selected.
+	// With Parallelism > 1 hashing fans out over a bounded worker pool and
+	// phase 2 (plus the reduction's leaf-table build, for coll-dedup)
+	// overlaps it: finished chunks stream to the dedup filter in dataset
+	// order while later chunks are still being hashed, so the combined
+	// cost collapses into the fingerprint wall time.
 	// Both paths produce identical chunks, identical uniq order and an
 	// identical leaf table — the serial path is the reference the parallel
 	// one must match byte for byte.
@@ -361,14 +362,15 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		return nil, fmt.Errorf("rank %d %w", me, err)
 	}
 
-	// Phase 7 — commit: own chunks, then each window frame's records as
-	// the frame lands (time blocked on the window is WindowWait), read by
-	// the senders' RestoreMeta, the reference list that lets Forget reclaim
-	// this dataset, and the metadata: own and the senders' replicas. Every
-	// stored reference and metadata replica — the senders', and those an
-	// earlier dump of the name left here (prev) — is tracked so a failure
-	// anywhere from here on rolls the local store back to its pre-dump
-	// state (see rollbackDump): the consistency half of the abort protocol.
+	// Phase 7 — commit: own chunks, then each window frame's records once
+	// the frame has landed and passed its checksum (time blocked on the
+	// window is WindowWait), read by the senders' RestoreMeta, the
+	// reference list that lets Forget reclaim this dataset, and the
+	// metadata: own and the senders' replicas. Every stored reference and
+	// metadata replica — the senders', and those an earlier dump of the
+	// name left here (prev) — is tracked so a failure anywhere from here on
+	// rolls the local store back to its pre-dump state (see rollbackDump):
+	// the consistency half of the abort protocol.
 	done = begin("commit", &m.Phases.Commit)
 	switchTo := func(name string, dst *time.Duration) {
 		done()
@@ -880,16 +882,22 @@ type region struct {
 // that position of the sender's recipe in place: nothing is hashed.
 // Positions must rise strictly within a region, stay in the recipe and
 // not overrun the region. Each frame's CRC-32C is folded over its bytes
-// as they are parsed and checked where the frame ends, so a corrupt frame
-// fails the dump before storage.Commit.
+// as they are parsed and checked where the frame ends; only then are the
+// records that end in it stored, those wholly inside it as one batch
+// (storage.PutRecords) that hands the frame over. No record of a frame
+// that fails its sum, or that the parse fails in, reaches the store.
 type committer struct {
 	store     storage.Store
 	m         *metrics.Dump
 	refs      []fingerprint.FP
 	regions   []region
 	next      func() ([]byte, uint32, error) // the next frame and its sum; io.EOF after the last
-	p         []byte                         // the unread rest of the current frame
+	frame     []byte                         // the current frame
+	p         []byte                         // the unread rest of it
 	sum, want uint32                         // the current frame's sum so far, and its sender's
+	batch     []storage.Record               // the records wholly inside the current frame
+	cut       []byte                         // the record that ends in the current frame and began before it, assembled
+	cutFP     fingerprint.FP
 }
 
 // commit stores every record of the stream.
@@ -922,12 +930,13 @@ func (c *committer) commit() error {
 				return err
 			}
 			off += size
-			if err := c.store.PutChunk(fp, data); err != nil {
-				return err
+			// File the record with the frame it ends in: as a batch entry
+			// when that frame holds all of it, else as its cut record.
+			if at := len(c.frame) - len(c.p) - len(data); at >= 0 {
+				c.batch = append(c.batch, storage.Record{FP: fp, Off: int32(at), Len: int32(size)})
+			} else {
+				c.cut, c.cutFP = data, fp
 			}
-			c.refs = append(c.refs, fp)
-			c.m.RecvChunks++
-			c.m.RecvBytes += size
 		}
 	}
 	// The last frame must be spent and checked, and no frame may follow.
@@ -967,18 +976,43 @@ func (c *committer) read(n int) ([]byte, error) {
 	}
 }
 
-// advance checks the exhausted frame against its sender's checksum and
-// moves on to the next frame.
+// advance checks the exhausted frame against its sender's checksum,
+// stores the records that end in it, and moves on to the next frame.
 func (c *committer) advance() error {
 	if c.sum != c.want {
 		return collectives.ErrChecksum
 	}
+	if c.cut != nil {
+		if err := c.put(c.cut, []storage.Record{{FP: c.cutFP, Len: int32(len(c.cut))}}); err != nil {
+			return err
+		}
+		c.cut = nil
+	}
+	if err := c.put(c.frame, c.batch); err != nil {
+		return err
+	}
+	c.batch = c.batch[:0]
 	p, want, err := c.next()
 	if err != nil {
 		return err
 	}
-	c.p, c.sum, c.want = p, 0, want
+	c.frame, c.p, c.sum, c.want = p, p, 0, want
 	return nil
+}
+
+// put stores a batch of records of payload, referencing and counting the
+// ones stored.
+func (c *committer) put(payload []byte, recs []storage.Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	n, err := storage.PutRecords(c.store, payload, recs)
+	for _, r := range recs[:n] {
+		c.refs = append(c.refs, r.FP)
+		c.m.RecvChunks++
+		c.m.RecvBytes += int64(r.Len)
+	}
+	return err
 }
 
 // persistMeta tombstones the metadata replicas an earlier dump of the

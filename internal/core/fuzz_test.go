@@ -69,10 +69,11 @@ func FuzzRestoreMetaUnmarshal(f *testing.F) {
 // possibly cut short, and a region length — the frame cuts and whether one
 // byte flips in flight; records holds the window bytes, padded or cut to
 // the regions' total. The committer must never panic, and must store
-// exactly what the per-record reference stores — which takes only records
-// whose position is in range, above the region's previous one, and that
-// fit their region — with the same error; with a flipped byte it must
-// fail, having stored a prefix of it.
+// exactly what the per-record reference stores with the same cuts — which
+// takes only records whose position is in range, above the region's
+// previous one, and that fit their region, and only once every frame they
+// span has passed its checksum — with the same error; with a flipped byte
+// it must fail, having stored a prefix of it.
 func FuzzCommitRecords(f *testing.F) {
 	rec := newSenderRegion(rand.New(rand.NewSource(1)), 5)
 	f.Add([]byte{1, 11, 3, 9, 0, 4, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 2, 200, 5, 7, 0}, rec.records)
@@ -128,6 +129,7 @@ func FuzzCommitRecords(f *testing.F) {
 				pieces[i] = w.bytes[off : off+len(pieces[i])]
 			}
 		}
+		w.pieces = pieces
 		want := commitWith(commitReceivedPerRecord, w)
 		got := commitWith(func(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
 			i := 0

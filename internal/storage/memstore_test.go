@@ -107,17 +107,15 @@ func sameError(got, want error) error {
 }
 
 // checkArenas asserts the arena store's accounting: dead is exactly what
-// the arenas hold beyond the live chunks and their sums, every arena's
-// live count matches the chunks indexed into it, no arena without live
-// bytes is kept, and the arenas hold at most 2 × live bytes, plus the live
-// chunks' sums, plus one arena.
+// the arenas hold beyond the live chunks — an adopted payload counting
+// its full capacity — every arena's live count matches the chunks indexed
+// into it, no arena without live bytes is kept, and the arenas hold at
+// most 2 × live bytes plus one arena.
 func checkArenas(s *memStore) error {
 	live := make([]int64, len(s.arenas))
-	sums := int64(0)
 	for _, sl := range s.index {
 		if sl.arena >= 0 {
-			live[sl.arena] += int64(sl.length + sumSize)
-			sums += sumSize
+			live[sl.arena] += int64(sl.length)
 		}
 	}
 	var held, dead int64
@@ -137,10 +135,46 @@ func checkArenas(s *memStore) error {
 	if dead != s.dead {
 		return fmt.Errorf("store counts %d dead bytes, arenas hold %d", s.dead, dead)
 	}
-	if held > 2*s.bytes+sums+arenaSize {
-		return fmt.Errorf("arenas hold %d bytes for %d live and %d of sums", held, s.bytes, sums)
+	if held > 2*s.bytes+arenaSize {
+		return fmt.Errorf("arenas hold %d bytes for %d live", held, s.bytes)
 	}
 	return nil
+}
+
+// drawBatch draws a landed put frame of one to six chunks from pool (fps
+// are their fingerprints): mostly chunks the reference does not hold yet
+// (fresh-heavy: the store keeps the payload) or mostly chunks it holds
+// (mostly duplicates: the store copies the few new ones), with a repeat
+// inside the batch now and then. Each record sits behind a 4-byte header,
+// the payload exactly sized or with spare capacity.
+func drawBatch(rng *rand.Rand, pool [][]byte, fps []fingerprint.FP, want *refStore) ([]byte, []Record) {
+	freshHeavy := rng.Intn(2) == 0
+	var picks []int
+	for n := 1 + rng.Intn(6); len(picks) < n; {
+		i := rng.Intn(len(pool))
+		_, held := want.chunks[fps[i]]
+		switch {
+		case len(picks) > 0 && rng.Intn(10) == 0:
+			picks = append(picks, picks[rng.Intn(len(picks))])
+		case held != freshHeavy || rng.Intn(8) == 0:
+			picks = append(picks, i)
+		}
+	}
+	size, spare := 0, 0
+	for _, i := range picks {
+		size += 4 + len(pool[i])
+	}
+	if rng.Intn(3) == 0 {
+		spare = rng.Intn(size + 1)
+	}
+	payload := make([]byte, 0, size+spare)
+	recs := make([]Record, len(picks))
+	for k, i := range picks {
+		payload = append(payload, 0, 0, 0, byte(k))
+		recs[k] = Record{FP: fps[i], Off: int32(len(payload)), Len: int32(len(pool[i]))}
+		payload = append(payload, pool[i]...)
+	}
+	return payload, recs
 }
 
 // handedOut is a slice GetChunk returned and the bytes it had then.
@@ -149,17 +183,21 @@ type handedOut struct {
 }
 
 // TestMemStoreMatchesReference drives the arena store and the reference
-// with the same seeded random sequences of puts, gets, has-checks,
-// releases and failures, over chunk sizes from empty to larger than an
-// arena. Every result, error text, errors.Is answer and Usage must
-// agree; every slice GetChunk returned must keep its bytes through later
-// puts, releases and repacks and have cap == len; and after every
-// release the arenas hold at most 2 × live bytes plus one arena.
+// with the same seeded random sequences of puts, landed batches
+// (PutRecords; one PutChunk per record for the reference), gets,
+// has-checks, releases and failures, over chunk sizes from empty to
+// larger than an arena. Every result, error text, errors.Is answer and
+// Usage must agree; every slice GetChunk returned must keep its bytes
+// through later puts, releases and repacks and have cap == len; and after
+// every batch and release the arenas hold at most 2 × live bytes plus one
+// arena, an adopted payload counting its full capacity. Both fresh-heavy
+// batches (adopted) and batches of mostly duplicates (copied) occur.
 func TestMemStoreMatchesReference(t *testing.T) {
-	repacks, drops := 0, 0
+	repacks, drops, adopted, copied := 0, 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := make([][]byte, 24+rng.Intn(40))
+		poolFPs := make([]fingerprint.FP, len(pool))
 		for i := range pool {
 			var size int
 			switch k := rng.Intn(20); {
@@ -174,6 +212,7 @@ func TestMemStoreMatchesReference(t *testing.T) {
 			}
 			pool[i] = make([]byte, size)
 			rng.Read(pool[i])
+			poolFPs[i] = fingerprint.Of(pool[i])
 		}
 		got, want := NewMem().(*memStore), newRefStore()
 		var out []handedOut
@@ -186,12 +225,49 @@ func TestMemStoreMatchesReference(t *testing.T) {
 		}
 		steps := 1500 + rng.Intn(1500)
 		for step := 0; step < steps; step++ {
-			data := pool[rng.Intn(len(pool))]
-			fp := fingerprint.Of(data)
+			pick := rng.Intn(len(pool))
+			data, fp := pool[pick], poolFPs[pick]
 			var err error
 			switch op := rng.Intn(100); {
-			case op < 40:
+			case op < 30:
 				err = sameError(got.PutChunk(fp, data), want.PutChunk(fp, data))
+			case op < 40:
+				payload, recs := drawBatch(rng, pool, poolFPs, want)
+				newBytes, seen := 0, map[fingerprint.FP]bool{}
+				for _, r := range recs {
+					if _, ok := want.chunks[r.FP]; !ok && !seen[r.FP] {
+						newBytes += int(r.Len)
+					}
+					seen[r.FP] = true
+				}
+				wn := 0
+				var werr error
+				for _, r := range recs {
+					if werr = want.PutChunk(r.FP, payload[r.Off:r.Off+r.Len]); werr != nil {
+						break
+					}
+					wn++
+				}
+				gn, gerr := PutRecords(got, payload, recs)
+				if err = sameError(gerr, werr); err == nil && gn != wn {
+					err = fmt.Errorf("PutRecords stored %d records, reference %d", gn, wn)
+				}
+				if err == nil && !got.failed {
+					err = checkArenas(got)
+				}
+				kept := false
+				for _, ar := range got.arenas {
+					kept = kept || cap(payload) > 0 && cap(ar.buf) == cap(payload) && &ar.buf[:1][0] == &payload[:1][0]
+				}
+				switch adopt := newBytes > 0 && 2*newBytes >= cap(payload); {
+				case got.failed:
+				case kept != adopt:
+					err = fmt.Errorf("batch of %d new bytes in a payload of capacity %d: kept %v", newBytes, cap(payload), kept)
+				case kept:
+					adopted++
+				case newBytes > 0:
+					copied++
+				}
 			case op < 55:
 				g, gerr := got.GetChunk(fp)
 				w, werr := want.GetChunk(fp)
@@ -277,10 +353,10 @@ func TestMemStoreMatchesReference(t *testing.T) {
 		}
 		verifyOut(steps)
 	}
-	if repacks == 0 || drops == 0 {
-		t.Fatalf("test premise: %d repacks and %d arena drops over all seeds, want both", repacks, drops)
+	if repacks == 0 || drops == 0 || adopted == 0 || copied == 0 {
+		t.Fatalf("test premise: %d repacks, %d arena drops, %d adopted and %d copied batches over all seeds, want all", repacks, drops, adopted, copied)
 	}
-	t.Logf("%d repacks, %d arena drops", repacks, drops)
+	t.Logf("%d repacks, %d arena drops, %d adopted and %d copied batches", repacks, drops, adopted, copied)
 }
 
 // TestMemStoreRepack walks the two reclamation rules by hand: emptying a
@@ -288,7 +364,7 @@ func TestMemStoreMatchesReference(t *testing.T) {
 // chunks into fresh arenas, while every slice handed out before keeps its
 // bytes.
 func TestMemStoreRepack(t *testing.T) {
-	const size, perArena = 16 << 10, arenaSize / (16<<10 + sumSize)
+	const size, perArena = 16 << 10, arenaSize / (16 << 10)
 	s := NewMem().(*memStore)
 	var fps []fingerprint.FP
 	var out []handedOut

@@ -10,25 +10,26 @@
 // daemon and the examples that want real files on a real local device.
 //
 // Who verifies what: every chunk enters a store already bound to its
-// SHA-1 fingerprint — its owner hashed it, or the receiver or a restore
-// checked it before PutChunk — so the store does not hash it again.
-// Instead PutChunk takes a CRC-32C over fingerprint ‖ bytes, and GetChunk
-// checks it on every read and returns ErrCorrupt on a mismatch: SHA-1 at
-// ingest binds the bytes to their fingerprint, the CRC at rest catches
-// any change since (a flipped byte, or an index row pointing at another
-// chunk's bytes).
+// SHA-1 fingerprint — its owner hashed it; a partner read it from the
+// owner's recipe and the put frame's CRC-32C vouched for its transit; a
+// restore SHA-1-checked what a peer sent — so the store does not hash it
+// again. Instead PutChunk takes a CRC-32C over fingerprint ‖ bytes, and
+// GetChunk checks it on every read and returns ErrCorrupt on a mismatch:
+// SHA-1 at ingest binds the bytes to their fingerprint, the CRC at rest
+// catches any change since (a flipped byte, or an index row pointing at
+// another chunk's bytes).
 //
 // The in-memory store packs chunk bytes into append-only 256 KiB arenas
 // behind a pointer-free fingerprint index: one heap object per arena, not
-// per chunk. Each chunk's 4-byte sum sits in the arena right behind its
-// bytes. An arena whose chunks are all released is dropped; when the
-// dead bytes exceed both the live bytes and one arena, the live chunks
-// and their sums are repacked into fresh arenas. Arenas are never written
-// in place, so bytes GetChunk returned stay valid.
+// per chunk. Each chunk's 4-byte sum sits in its index slot. A landed put
+// frame handed over through PutRecords becomes an arena itself when at
+// least half of it is new chunk bytes. An arena whose chunks are all
+// released is dropped; when the dead bytes exceed both the live bytes and
+// one arena, the live chunks are repacked into fresh arenas. Arenas are
+// never written in place, so bytes GetChunk returned stay valid.
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -59,7 +60,7 @@ func (e chunkNotFound) Unwrap() error { return ErrNotFound }
 // the checksum taken when they were stored.
 var ErrCorrupt = errors.New("storage: chunk corrupt")
 
-// sumSize is the size of a chunk's at-rest checksum.
+// sumSize is the size of a chunk's at-rest checksum in a segment index.
 const sumSize = 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -141,20 +142,51 @@ func Commit(s Store) error {
 	}
 }
 
+// Record is one chunk of a landed payload: Len bytes at Off, stored
+// under FP.
+type Record struct {
+	FP       fingerprint.FP
+	Off, Len int32
+}
+
+// recordPutter is implemented by stores that take a payload's records in
+// one call: the in-memory store, and Timed.
+type recordPutter interface {
+	putRecords(payload []byte, recs []Record) (int, error)
+}
+
+// PutRecords stores each record of payload as PutChunk would, in order,
+// and returns how many it stored: all of them, or those before the one
+// that failed. payload is handed over: the store may keep it, so the
+// caller must not write to it again. A store without a batch put gets one
+// PutChunk per record.
+func PutRecords(s Store, payload []byte, recs []Record) (int, error) {
+	if b, ok := s.(recordPutter); ok {
+		return b.putRecords(payload, recs)
+	}
+	for i, r := range recs {
+		if err := s.PutChunk(r.FP, payload[r.Off:r.Off+r.Len]); err != nil {
+			return i, err
+		}
+	}
+	return len(recs), nil
+}
+
 // arenaSize is the capacity of one in-memory arena. A chunk that does not
-// fit an empty arena with its sum gets an arena of its own, sized to it.
+// fit an empty arena gets an arena of its own, sized to it.
 const arenaSize = 256 << 10
 
-// memStore is the in-memory Store. Chunk bytes, each followed by its
-// sum, are appended to append-only arenas, and the index maps each
-// fingerprint to a pointer-free slot, so the garbage collector has
-// nothing to mark per chunk however many the store holds.
+// memStore is the in-memory Store. Chunk bytes are appended to
+// append-only arenas, or a landed payload is kept as one, and the index
+// maps each fingerprint to a pointer-free slot, so the garbage collector
+// has nothing to mark per chunk however many the store holds.
 //
 // Space comes back two ways. An arena whose chunks are all released is
-// dropped. Once the dead bytes — released chunks in arenas still held —
-// exceed both the live bytes and one arena, every live chunk is repacked
-// into fresh arenas. No arena is ever written in place, so a slice
-// GetChunk handed out keeps its bytes.
+// dropped. Once the dead bytes — released chunks in arenas still held,
+// and an adopted payload's bytes that were never a new chunk — exceed
+// both the live bytes and one arena, every live chunk is repacked into
+// fresh arenas. No arena is ever written in place, so a slice GetChunk
+// handed out keeps its bytes.
 type memStore struct {
 	mu     sync.Mutex
 	index  map[fingerprint.FP]slot // guarded by mu
@@ -163,19 +195,22 @@ type memStore struct {
 	cur    int32                   // guarded by mu: the arena puts append to, or -1
 	blobs  map[string][]byte       // guarded by mu
 	bytes  int64                   // guarded by mu: live chunk bytes
-	dead   int64                   // guarded by mu: arena bytes of released chunks and their sums
+	dead   int64                   // guarded by mu: arena bytes not live
+	placed []int32                 // guarded by mu: putRecords' new records
 	failed bool                    // guarded by mu
 }
 
-// slot locates one chunk: length bytes at off in arenas[arena], its sum
-// in the sumSize bytes after them. A zero-length chunk has no arena (-1)
-// and no sum: there are no bytes to change.
+// slot locates one chunk: length bytes at off in arenas[arena], and their
+// sum. A zero-length chunk has no arena (-1) and no sum: there are no
+// bytes to change.
 type slot struct {
 	arena, off, length, refs int32
+	sum                      uint32
 }
 
-// arena is one append-only run of chunks and their sums; live counts the
-// bytes of its chunks still referenced, sums included.
+// arena is one append-only run of chunk bytes, or an adopted payload with
+// its length set to its capacity; live counts the bytes of its chunks
+// still referenced.
 type arena struct {
 	buf  []byte
 	live int64
@@ -206,41 +241,86 @@ func (s *memStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	return nil
 }
 
-// placeLocked copies data and its sum into an arena and returns its slot.
+// putRecords indexes every new record as if payload were adopted as an
+// arena, and keeps it so when the new records fill at least half its
+// capacity. Otherwise it copies them into arenas as PutChunk does: a
+// frame of mostly duplicates would hold its capacity for a few live
+// bytes.
+func (s *memStore) putRecords(payload []byte, recs []Record) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed {
+		return 0, ErrFailed
+	}
+	a := s.arenaLocked(nil) // reserved: no put lands in it meanwhile
+	var fresh int64
+	s.placed = s.placed[:0]
+	for i, r := range recs {
+		if sl, ok := s.index[r.FP]; ok {
+			sl.refs++
+			s.index[r.FP] = sl
+			continue
+		}
+		sl := slot{arena: -1, refs: 1}
+		if r.Len > 0 {
+			sl = slot{arena: a, off: r.Off, length: r.Len, refs: 1, sum: chunkSum(r.FP, payload[r.Off:r.Off+r.Len])}
+			s.placed = append(s.placed, int32(i))
+		}
+		s.index[r.FP] = sl
+		fresh += int64(r.Len)
+	}
+	s.bytes += fresh
+	if fresh > 0 && 2*fresh >= int64(cap(payload)) {
+		s.arenas[a] = arena{buf: payload[:cap(payload)], live: fresh}
+		s.dead += int64(cap(payload)) - fresh
+		return len(recs), nil
+	}
+	for _, i := range s.placed {
+		r := recs[i]
+		sl := s.index[r.FP]
+		s.index[r.FP] = s.placeLocked(payload[r.Off:r.Off+r.Len], sl.sum, sl.refs)
+	}
+	s.free = append(s.free, a)
+	return len(recs), nil
+}
+
+// placeLocked copies data into an arena and returns its slot.
 func (s *memStore) placeLocked(data []byte, sum uint32, refs int32) slot {
 	n := len(data)
 	if n == 0 {
 		return slot{arena: -1, refs: refs}
 	}
 	a := s.cur
-	if n+sumSize > arenaSize {
-		a = s.newArenaLocked(n + sumSize)
-	} else if a < 0 || cap(s.arenas[a].buf)-len(s.arenas[a].buf) < n+sumSize {
-		a = s.newArenaLocked(arenaSize)
+	if n > arenaSize {
+		a = s.arenaLocked(make([]byte, 0, n))
+	} else if a < 0 || cap(s.arenas[a].buf)-len(s.arenas[a].buf) < n {
+		a = s.arenaLocked(make([]byte, 0, arenaSize))
 		s.cur = a
 	}
 	ar := &s.arenas[a]
 	off := len(ar.buf)
-	ar.buf = binary.LittleEndian.AppendUint32(append(ar.buf, data...), sum)
-	ar.live += int64(n + sumSize)
-	return slot{arena: a, off: int32(off), length: int32(n), refs: refs}
+	ar.buf = append(ar.buf, data...)
+	ar.live += int64(n)
+	return slot{arena: a, off: int32(off), length: int32(n), refs: refs, sum: sum}
 }
 
-func (s *memStore) newArenaLocked(size int) int32 {
+// arenaLocked installs buf as an arena, in a dropped arena's index if
+// there is one.
+func (s *memStore) arenaLocked(buf []byte) int32 {
 	a := int32(len(s.arenas))
 	if k := len(s.free); k > 0 {
 		a, s.free = s.free[k-1], s.free[:k-1]
 	} else {
 		s.arenas = append(s.arenas, arena{})
 	}
-	s.arenas[a] = arena{buf: make([]byte, 0, size)}
+	s.arenas[a] = arena{buf: buf}
 	return a
 }
 
 // GetChunk returns the chunk's bytes in place, capacity clipped to length,
 // once they match their sum. The check runs outside the mutex: the bytes
-// and the sum behind them were written before the slot was published and
-// are never written again.
+// were written before the slot was published and are never written
+// again.
 func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	s.mu.Lock()
 	if s.failed {
@@ -260,7 +340,7 @@ func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 		return []byte{}, nil
 	}
 	end := sl.off + sl.length
-	return checkSum(fp, buf[sl.off:end:end], binary.LittleEndian.Uint32(buf[end:]))
+	return checkSum(fp, buf[sl.off:end:end], sl.sum)
 }
 
 func (s *memStore) HasChunk(fp fingerprint.FP) (bool, error) {
@@ -293,8 +373,8 @@ func (s *memStore) ReleaseChunk(fp fingerprint.FP) error {
 		return nil
 	}
 	ar := &s.arenas[sl.arena]
-	ar.live -= int64(sl.length + sumSize)
-	s.dead += int64(sl.length + sumSize)
+	ar.live -= int64(sl.length)
+	s.dead += int64(sl.length)
 	if ar.live == 0 { // drop it: none of its bytes are held any more
 		s.dead -= int64(len(ar.buf))
 		*ar = arena{}
@@ -318,8 +398,7 @@ func (s *memStore) repackLocked() {
 	s.arenas, s.free, s.cur, s.dead = nil, nil, -1, 0
 	for fp, sl := range s.index {
 		if sl.arena >= 0 {
-			buf, end := old[sl.arena].buf, sl.off+sl.length
-			s.index[fp] = s.placeLocked(buf[sl.off:end], binary.LittleEndian.Uint32(buf[end:]), sl.refs)
+			s.index[fp] = s.placeLocked(old[sl.arena].buf[sl.off:sl.off+sl.length], sl.sum, sl.refs)
 		}
 	}
 }

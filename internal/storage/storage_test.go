@@ -484,12 +484,12 @@ func TestSegSumAtEveryStage(t *testing.T) {
 	}
 }
 
-// TestEntrySizes pins the per-chunk index footprint the sums must not
-// grow: memStore keeps its sum in the arena, not the slot, and segEntry's
-// field order packs the sum into what was padding.
+// TestEntrySizes pins the per-chunk index footprint: memStore keeps its
+// sum in the slot (an adopted frame has no room for it behind the
+// bytes), and segEntry's field order packs the sum into what was padding.
 func TestEntrySizes(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 16 {
-		t.Errorf("memStore slot is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(slot{}); got != 20 {
+		t.Errorf("memStore slot is %d bytes, want 20", got)
 	}
 	if got := unsafe.Sizeof(segEntry{}); got != 40 {
 		t.Errorf("segEntry is %d bytes, want 40", got)

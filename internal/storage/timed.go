@@ -50,8 +50,8 @@ func (t *Timed) ChunkReadLatency() *metrics.Histogram { return t.chunkRead }
 // BlobReadLatency returns the histogram of GetBlob latencies only.
 func (t *Timed) BlobReadLatency() *metrics.Histogram { return t.blobRead }
 
-// WriteLatency returns the histogram of PutChunk/ReleaseChunk/PutBlob
-// latencies in nanoseconds.
+// WriteLatency returns the histogram of PutChunk/PutRecords/ReleaseChunk/
+// PutBlob latencies in nanoseconds, one sample per call.
 func (t *Timed) WriteLatency() *metrics.Histogram { return t.write }
 
 // Inner returns the wrapped store.
@@ -73,6 +73,12 @@ func record(h *metrics.Histogram, start time.Duration) { h.Record(int64(now() - 
 func (t *Timed) PutChunk(fp fingerprint.FP, data []byte) error {
 	defer record(t.write, now())
 	return t.inner.PutChunk(fp, data)
+}
+
+// putRecords forwards a batch put, timed as one write.
+func (t *Timed) putRecords(payload []byte, recs []Record) (int, error) {
+	defer record(t.write, now())
+	return PutRecords(t.inner, payload, recs)
 }
 
 func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
