@@ -230,6 +230,9 @@ func (rt *Runtime) checkpointImage(ctx context.Context, img []byte) (*core.Resul
 	if err := rt.store.PutBlob(latestBlob, rec[:]); err != nil && !errors.Is(err, storage.ErrFailed) {
 		return nil, err
 	}
+	if err := storage.Commit(rt.store); err != nil && !errors.Is(err, storage.ErrFailed) {
+		return nil, fmt.Errorf("ftrun: checkpoint %d: %w", epoch, err)
+	}
 	rt.epoch = epoch
 	rt.LastDump = &res.Metrics
 	return res, nil

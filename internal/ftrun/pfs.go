@@ -31,7 +31,10 @@ func pfsRecipeName(prefix string, epoch, rank int) string {
 // file system store. Collective: every rank reassembles its dataset
 // (pulling chunks from peers where its local store does not hold them)
 // and writes recipe + chunks to pfs; the shared content addressing
-// deduplicates across ranks on the PFS too. Returns the drained epoch.
+// deduplicates across ranks on the PFS too. Each rank commits its recipe
+// and chunks before rank 0 writes and commits the newest-epoch record, so
+// on a store with a commit point the record never names an epoch whose
+// data could be lost. Returns the drained epoch.
 func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 	epoch, err := rt.newestEpoch()
 	if err != nil {
@@ -65,6 +68,9 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 	if err := pfs.PutBlob(pfsRecipeName(rt.opts.Name, epoch, rt.comm.Rank()), blob); err != nil {
 		return -1, err
 	}
+	if err := storage.Commit(pfs); err != nil {
+		return -1, fmt.Errorf("ftrun: pfs commit: %w", err)
+	}
 	// Rank 0 records the newest drained epoch once everyone is done.
 	if err := collectives.Barrier(rt.comm); err != nil {
 		return -1, err
@@ -74,6 +80,9 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 		binary.BigEndian.PutUint64(rec[:], uint64(epoch))
 		if err := pfs.PutBlob(pfsLatest, rec[:]); err != nil {
 			return -1, err
+		}
+		if err := storage.Commit(pfs); err != nil {
+			return -1, fmt.Errorf("ftrun: pfs commit: %w", err)
 		}
 	}
 	if err := collectives.Barrier(rt.comm); err != nil {

@@ -226,3 +226,79 @@ func TestFlushPFSUsesDumpChunker(t *testing.T) {
 		}
 	}
 }
+
+// TestSegStoresCommitWhatFtrunWrites pins that ftrun commits the blobs it
+// writes on stores with a commit point: the node stores and the PFS are
+// segment stores, and after a checkpoint and again after a PFS flush
+// their directories are reopened without Close (a kill after the calls
+// returned). The local newest-epoch record and the PFS checkpoint must
+// each survive.
+func TestSegStoresCommitWhatFtrunWrites(t *testing.T) {
+	const n = 3
+	dirs := make([]string, n+1) // n node stores, then the PFS
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	// reopen simulates the kill: the previous stores are abandoned, not
+	// closed (Close would commit).
+	var stores []*storage.SegStore
+	reopen := func() {
+		stores = make([]*storage.SegStore, len(dirs))
+		for i := range dirs {
+			s, err := storage.NewSegStore(dirs[i], storage.SegConfig{SegmentTarget: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = s
+		}
+	}
+	fill := func(state []byte, rank int) {
+		for i := range state {
+			state[i] = byte(i*7 ^ rank)
+		}
+	}
+	restored := func(label string, state []byte, rank int, epoch int, err error) error {
+		if err != nil || epoch != 0 {
+			return fmt.Errorf("rank %d: restart %s after reopen = %d, %v; want epoch 0", rank, label, epoch, err)
+		}
+		want := make([]byte, len(state))
+		fill(want, rank)
+		if !bytes.Equal(state, want) {
+			return fmt.Errorf("rank %d: state not restored %s", rank, label)
+		}
+		return nil
+	}
+	phase := func(body func(rt *Runtime, state []byte, rank int) error) {
+		t.Helper()
+		reopen()
+		err := collectives.Run(n, func(c collectives.Comm) error {
+			rt := New(c, stores[c.Rank()], testOpts())
+			return body(rt, rt.Register("state", 8192), c.Rank())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	phase(func(rt *Runtime, state []byte, rank int) error {
+		fill(state, rank)
+		_, err := rt.Checkpoint()
+		return err
+	})
+	phase(func(rt *Runtime, state []byte, rank int) error {
+		epoch, err := rt.Restart()
+		if err := restored("locally", state, rank, epoch, err); err != nil {
+			return err
+		}
+		_, err = rt.FlushPFS(stores[n])
+		return err
+	})
+	phase(func(rt *Runtime, state []byte, rank int) error {
+		epoch, err := rt.RestartFromPFS(stores[n])
+		return restored("from the PFS", state, rank, epoch, err)
+	})
+	for _, s := range stores {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"time"
@@ -67,7 +66,10 @@ func (s *SegStore) compactLocked() (int, error) {
 		reclaimed += int64(v.garbage)
 	}
 	s.crash("compact")
-	if err := s.writeManifestLocked("compact-manifest-rename"); err != nil {
+	if err := s.syncLocked(); err != nil {
+		return 0, err
+	}
+	if err := s.writeManifestLocked("compact-manifest-rename", s.blobs); err != nil {
 		return 0, err
 	}
 	s.crash("compact-cleanup")
@@ -87,12 +89,12 @@ func (s *SegStore) compactLocked() (int, error) {
 	return len(victims), nil
 }
 
-// rewriteLocked copies a victim's live chunks into a fresh sealed
-// segment and repoints the in-memory index at it. A victim with no live
-// chunks needs no replacement. The new segment is invisible until the
-// caller commits the manifest. Bytes are copied unchecked and each row
-// keeps the sum taken at put, so a chunk that changed on disk before the
-// compaction still fails its check after it.
+// rewriteLocked copies a victim's live chunks into a fresh segment and
+// seals it like any other. A victim with no live chunks needs no
+// replacement. The new segment is invisible until the caller commits the
+// manifest. Bytes are copied unchecked and each row keeps the sum taken
+// at put, so a chunk that changed on disk before the compaction still
+// fails its check after it.
 func (s *SegStore) rewriteLocked(v *segFile, copied *int64) error {
 	live := make([]segEntry, 0, len(v.entries))
 	for _, e := range v.entries {
@@ -131,21 +133,11 @@ func (s *SegStore) rewriteLocked(v *segFile, copied *int64) error {
 		e.Offset = cursor
 		cursor += uint64(e.Length)
 	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("storage: sync compaction segment: %w", err))
-	}
-	idxBytes := encodeSegIndex(live)
-	if err := atomicWriteFile(s.idxPath(id), idxBytes, 0o644, s.crash, "compact-idx-rename"); err != nil {
+	sf, err := s.sealFileLocked(id, f, cursor, live, "compact-idx-write")
+	if err != nil {
 		return fail(err)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].FP.Less(live[j].FP) })
-	for slot, e := range live {
-		s.index[e.FP] = chunkLoc{seg: id, slot: slot}
-	}
-	s.sealed[id] = &segFile{
-		id: id, f: f, dataLen: cursor, idxSum: crc32.ChecksumIEEE(idxBytes),
-		entries: live, committed: true,
-	}
+	sf.committed = true
 	*copied += int64(cursor)
 	s.counters.CopiedChunks += int64(len(live))
 	return nil

@@ -18,9 +18,10 @@ import (
 // parent asserts the reopened store's chunks are byte-identical to the
 // last committed checkpoint — never a torn mix of chunk sets.
 //
-// Blobs are not checkpoint-grained: each is atomic per object and
-// durable as soon as PutBlob returns, whether or not a Commit follows.
-// Every row pins whether the phase-2 blob survived the kill.
+// Blobs share the commit point: PutBlob only stages a version file, and
+// the manifest a Commit writes publishes it with the chunks. Every row
+// pins whether the phase-2 blob survived the kill, and at every point it
+// is present exactly when the phase-2 chunks are.
 //
 // The helper runs two phases over the same directory:
 //
@@ -52,7 +53,7 @@ func ck2Data(i int) []byte { return segChunk(1000+i, crashChunk) }
 // ck1Dropped reports whether phase 2 releases ck1 chunk i. Every fourth
 // chunk in the retired window survives so each compaction victim keeps
 // a live row — that forces the copy-and-reindex path (and its
-// compact-idx-rename injection point) instead of whole-segment deletes.
+// compact-idx-write injection point) instead of whole-segment deletes.
 func ck1Dropped(i int) bool { return i < ck1Released && i%4 != 3 }
 
 // TestCrashHelper is the subprocess body; a no-op unless re-executed by
@@ -129,7 +130,7 @@ func TestCrashMatrix(t *testing.T) {
 	// expect: the chunk state the reopened store must show. "ck1" =
 	// checkpoint 1 exactly (phase 2's chunks and releases lost); "ck2" =
 	// the committed phase-2 state (releases applied, ck2 chunks live).
-	// blob2: whether the phase-2 blob, written before the kill and never
+	// blob2: whether the phase-2 blob, staged before the kill and never
 	// committed on the ck1 rows, is there after reopen.
 	cases := []struct {
 		point  string
@@ -140,12 +141,16 @@ func TestCrashMatrix(t *testing.T) {
 		{point: "torn-append", expect: "ck1"},
 		{point: "append", expect: "ck1"},
 		{point: "seal", expect: "ck1"},
-		{point: "idx-rename", expect: "ck1"},
-		{point: "blob-rename", expect: "ck1"},
-		{point: "commit", expect: "ck1", blob2: true},
-		{point: "manifest-rename", expect: "ck1", blob2: true},
-		{point: "close-commit", op: "close", expect: "ck1", blob2: true},
-		{point: "compact-idx-rename", expect: "ck2", blob2: true},
+		{point: "idx-write", expect: "ck1"},
+		// Killed while a seal's background data fsync is in flight.
+		{point: "seal-sync", expect: "ck1"},
+		{point: "blob-stage", expect: "ck1"},
+		{point: "commit", expect: "ck1"},
+		// Every sync of the commit done, the manifest not yet written.
+		{point: "commit-sync", expect: "ck1"},
+		{point: "manifest-rename", expect: "ck1"},
+		{point: "close-commit", op: "close", expect: "ck1"},
+		{point: "compact-idx-write", expect: "ck2", blob2: true},
 		{point: "compact", expect: "ck2", blob2: true},
 		{point: "compact-manifest-rename", expect: "ck2", blob2: true},
 		{point: "compact-cleanup", expect: "ck2", blob2: true},
@@ -274,12 +279,17 @@ func verifyAfterCrash(t *testing.T, dir, expect string, blob2 bool) {
 	default:
 		t.Fatalf("unknown expectation %q", expect)
 	}
+	// The phase-2 blob is committed with the phase-2 chunks or not at
+	// all.
 	b, err := s.GetBlob("ck2/meta")
+	if ck2, _ := s.HasChunk(fingerprint.Of(ck2Data(0))); ck2 != (err == nil) {
+		t.Fatalf("phase-2 chunks present: %v, phase-2 blob: %q, %v; they share one commit point", ck2, b, err)
+	}
 	switch {
 	case blob2 && (err != nil || string(b) != "ck2"):
-		t.Fatalf("phase-2 blob after recovery: %q, %v; want it durable since PutBlob", b, err)
+		t.Fatalf("phase-2 blob after recovery: %q, %v; want it committed with the ck2 chunks", b, err)
 	case !blob2 && !errors.Is(err, ErrNotFound):
-		t.Fatalf("phase-2 blob after recovery: %q, %v; the kill came before PutBlob finished", b, err)
+		t.Fatalf("phase-2 blob after recovery: %q, %v; want it lost with the ck2 chunks", b, err)
 	}
 
 	// The recovered store must stay fully operational: another

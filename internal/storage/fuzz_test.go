@@ -60,6 +60,9 @@ func FuzzManifestDecode(f *testing.F) {
 	valid := (&manifest{Gen: 3, NextSeg: 9, Segs: []manifestSeg{
 		{ID: 2, DataLen: 4096, IdxSum: 0x1234},
 		{ID: 8, DataLen: 64, IdxSum: 0x5678, Refs: []uint32{1, 0, 3}},
+	}, Blobs: []manifestBlob{
+		{Name: "ds-000001/gc-rank000000", Version: 3, Sum: 0x9abc},
+		{Name: "ftrun/latest", Version: 11},
 	}}).encode()
 	f.Add(valid)
 	f.Add((&manifest{NextSeg: 1}).encode())

@@ -143,6 +143,11 @@ func TestManifestRoundTrip(t *testing.T) {
 		}},
 		// An override column that is present but empty is not "absent".
 		{Gen: 1, NextSeg: 2, Segs: []manifestSeg{{ID: 1, Refs: []uint32{}}}},
+		{Gen: 3, NextSeg: 2, Segs: []manifestSeg{{ID: 1, DataLen: 9, IdxSum: 5}}, Blobs: []manifestBlob{
+			{Name: "", Version: 4, Sum: 1},
+			{Name: "ds-000001/gc-rank000003", Version: 1 << 40, Sum: 0xffffffff},
+			{Name: "ftrun/latest", Version: 7},
+		}},
 	}
 	for i, m := range cases {
 		enc := m.encode()
@@ -153,7 +158,10 @@ func TestManifestRoundTrip(t *testing.T) {
 		if len(dec.Segs) > 0 && !reflect.DeepEqual(m.Segs, dec.Segs) {
 			t.Fatalf("case %d: segment round trip mismatch:\n  in  %+v\n  out %+v", i, m.Segs, dec.Segs)
 		}
-		if dec.Gen != m.Gen || dec.NextSeg != m.NextSeg || len(dec.Segs) != len(m.Segs) {
+		if len(dec.Blobs) > 0 && !reflect.DeepEqual(m.Blobs, dec.Blobs) {
+			t.Fatalf("case %d: blob round trip mismatch:\n  in  %+v\n  out %+v", i, m.Blobs, dec.Blobs)
+		}
+		if dec.Gen != m.Gen || dec.NextSeg != m.NextSeg || len(dec.Segs) != len(m.Segs) || len(dec.Blobs) != len(m.Blobs) {
 			t.Fatalf("case %d: header round trip mismatch: %+v vs %+v", i, m, dec)
 		}
 		if !bytes.Equal(dec.encode(), enc) {
@@ -166,7 +174,7 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 	m := &manifest{Gen: 2, NextSeg: 4, Segs: []manifestSeg{
 		{ID: 1, DataLen: 100, IdxSum: 42},
 		{ID: 3, DataLen: 200, IdxSum: 43, Refs: []uint32{1, 0}},
-	}}
+	}, Blobs: []manifestBlob{{Name: "a/b", Version: 2, Sum: 9}}}
 	enc := m.encode()
 	cases := map[string][]byte{
 		"empty":     {},
@@ -186,6 +194,21 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 	bad := &manifest{Gen: 1, NextSeg: 3, Segs: []manifestSeg{{ID: 3, DataLen: 1, IdxSum: 1}}}
 	if _, err := decodeManifest(bad.encode()); err == nil {
 		t.Error("nextseg <= last segment ID decoded without error")
+	}
+	// So are blob names out of order or repeated.
+	for _, names := range [][2]string{{"b", "a"}, {"a", "a"}} {
+		dup := &manifest{NextSeg: 1, Blobs: []manifestBlob{{Name: names[0]}, {Name: names[1]}}}
+		if _, err := decodeManifest(dup.encode()); err == nil {
+			t.Errorf("blob names %q decoded without error", names)
+		}
+	}
+	// A version 1 manifest — sound, but without the blob list — is
+	// refused with the version error, not migrated.
+	v1 := (&manifest{Gen: 1, NextSeg: 1}).encode()
+	v1 = v1[:len(v1)-4-1] // drop the crc and the empty blob list
+	v1[len(manifestMagic)] = 1
+	if _, err := decodeManifest(appendCRC(v1)); err == nil || err.Error() != "storage: manifest version 1, want 2" {
+		t.Errorf("v1 manifest: %v, want the version error", err)
 	}
 }
 

@@ -3,8 +3,10 @@ package storage
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,14 +19,15 @@ import (
 )
 
 // The segment engine: a log-structured, content-addressed Store. Chunks
-// are appended to an active segment data file and the segment is sealed
-// — data fsynced, columnar fingerprint index written — once it reaches a
-// size threshold. Durability is checkpoint-grained: Commit seals the
-// active segment and atomically replaces the manifest, the single file
-// naming the store's committed state. A process killed at any instant
-// reopens to the last committed checkpoint: recovery replays the
-// manifest and discards every unsealed tail (see manifest.go for the
-// commit protocol and the case analysis).
+// are appended to an active segment data file, sealed at a size
+// threshold; a blob is staged as a new version file. No put waits for the
+// disk. Durability is checkpoint-grained: Commit seals the active
+// segment, syncs every file written since, and only then atomically
+// replaces the manifest, the single file naming the store's committed
+// segments and blob versions. A process killed at any instant reopens to
+// the last committed checkpoint: recovery replays the manifest and
+// discards every file it does not name (see manifest.go for the commit
+// protocol and the case analysis).
 //
 // Every row carries its chunk's CRC-32C (see chunkSum), taken at put,
 // persisted in the segment index and checked on every read, whether the
@@ -41,7 +44,9 @@ import (
 // SegConfig tunes a segment store. The zero value selects defaults.
 type SegConfig struct {
 	// SegmentTarget is the payload size at which the active segment is
-	// sealed mid-dump (Commit always seals). Default 4 MiB.
+	// sealed mid-dump (Commit always seals). A seal starts the data
+	// file's fsync in the background, so writeback overlaps later puts.
+	// Default 4 MiB.
 	SegmentTarget int64
 	// GarbageRatio is the tombstoned fraction of a sealed segment's
 	// payload above which the compactor rewrites it. Default 0.5.
@@ -122,13 +127,14 @@ const segTailBytes = 128 << 10
 // SegStore is the log-structured segment Store. Create with NewSeg or
 // NewSegStore; the extra methods beyond the Store interface are Commit
 // (durable checkpoint), Compact (synchronous garbage rewrite), Stats
-// (segment/compaction counters) and Close (graceful shutdown: commits
-// and stops the background compactor).
+// (segment/compaction counters) and Close (graceful shutdown: commits,
+// stops the background compactor and waits for in-flight syncs).
 type SegStore struct {
-	mu   sync.Mutex
-	dir  string
-	cfg  SegConfig
-	blob fileBlobs
+	mu       sync.Mutex
+	dir      string
+	cfg      SegConfig
+	syncData func(*os.File) error // a seal's data fsync; tests inject failures
+	syncs    syncGroup            // fsyncs in flight, and the first that failed
 
 	gen        uint64                      // guarded by mu: last committed generation
 	nextSeg    uint64                      // guarded by mu: next segment ID to allocate
@@ -141,6 +147,9 @@ type SegStore struct {
 	failed     bool                        // guarded by mu
 	counters   metrics.StoreStats          // guarded by mu: monotonic counters only
 	closed     bool                        // guarded by mu
+	blobs      map[string]manifestBlob     // guarded by mu: committed blob versions
+	staged     map[string]manifestBlob     // guarded by mu: blobs put since the last Commit
+	unsynced   map[string]bool             // guarded by mu: files and directories written since the last sync
 
 	stop chan struct{} // closes to stop the background compactor
 	done chan struct{} // compactor exited
@@ -156,8 +165,8 @@ func NewSeg(dir string) (Store, error) { return NewSegStore(dir, SegConfig{}) }
 // NewSegStore opens a segment store with explicit configuration,
 // running crash recovery against whatever a previous process left in
 // dir: the manifest is replayed, sealed segments are re-indexed, and
-// unsealed tails, orphaned segment files and stale temp files are
-// discarded.
+// unsealed tails, orphaned segment files, staged blobs and stale temp
+// files are discarded.
 func NewSegStore(dir string, cfg SegConfig) (*SegStore, error) {
 	cfg = cfg.withDefaults()
 	for _, sub := range []string{"segments", "blobs"} {
@@ -166,15 +175,19 @@ func NewSegStore(dir string, cfg SegConfig) (*SegStore, error) {
 		}
 	}
 	s := &SegStore{
-		dir:    dir,
-		cfg:    cfg,
-		sealed: make(map[uint64]*segFile),
-		index:  make(map[fingerprint.FP]chunkLoc),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		kick:   make(chan struct{}, 1),
+		dir:      dir,
+		cfg:      cfg,
+		syncData: (*os.File).Sync,
+		syncs:    syncGroup{slots: make(chan struct{}, 16)},
+		sealed:   make(map[uint64]*segFile),
+		index:    make(map[fingerprint.FP]chunkLoc),
+		blobs:    make(map[string]manifestBlob),
+		staged:   make(map[string]manifestBlob),
+		unsynced: make(map[string]bool),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+		kick:     make(chan struct{}, 1),
 	}
-	s.blob = fileBlobs{dir: filepath.Join(dir, "blobs"), crash: s.crash}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -204,6 +217,12 @@ func (s *SegStore) idxPath(id uint64) string {
 	return filepath.Join(s.dir, "segments", fmt.Sprintf("%016x.idx", id))
 }
 
+// blobPath is the file holding version ver of blob name. Names may
+// contain '/' separators; they map to subdirectories.
+func (s *SegStore) blobPath(name string, ver uint64) string {
+	return filepath.Join(s.dir, "blobs", filepath.FromSlash(name)+"."+strconv.FormatUint(ver, 16))
+}
+
 func (s *SegStore) manifestPath() string {
 	return filepath.Join(s.dir, manifestName)
 }
@@ -223,6 +242,7 @@ func (s *SegStore) recover() error {
 	if s.nextSeg == 0 {
 		s.nextSeg = 1
 	}
+	keep := make(map[string]bool) // the files the manifest names
 	for i := range m.Segs {
 		ms := &m.Segs[i]
 		idxBytes, err := os.ReadFile(s.idxPath(ms.ID))
@@ -278,30 +298,28 @@ func (s *SegStore) recover() error {
 		}
 		sf.garbage = ms.DataLen - live
 		s.sealed[ms.ID] = sf
+		keep[s.segPath(ms.ID)], keep[s.idxPath(ms.ID)] = true, true
 		if ms.ID >= s.nextSeg {
 			s.nextSeg = ms.ID + 1
 		}
 	}
-	// Everything in segments/ the manifest did not name is an unsealed
-	// tail, an uncommitted compaction product or a stale temp file.
-	entries, err := os.ReadDir(filepath.Join(s.dir, "segments"))
-	if err != nil {
-		return err
+	for _, b := range m.Blobs {
+		s.blobs[b.Name] = b
+		keep[s.blobPath(b.Name, b.Version)] = true
 	}
+	// Everything the manifest did not name is an unsealed tail, an
+	// uncommitted compaction product, a staged or superseded blob, or a
+	// stale temp file.
 	discarded := 0
-	for _, e := range entries {
-		name := e.Name()
-		base, _, _ := strings.Cut(name, ".")
-		id, perr := strconv.ParseUint(base, 16, 64)
-		if perr == nil {
-			if _, ok := s.sealed[id]; ok && !strings.HasSuffix(name, ".tmp") {
-				continue
+	for _, sub := range []string{"segments", "blobs"} {
+		filepath.WalkDir(filepath.Join(s.dir, sub), func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && !keep[path] {
+				os.Remove(path)
+				discarded++
 			}
-		}
-		os.Remove(filepath.Join(s.dir, "segments", name))
-		discarded++
+			return nil
+		})
 	}
-	sweepTmp(s.blob.dir)
 	os.Remove(s.manifestPath() + ".tmp")
 	obs.Logf(obs.KindRecover, -1, "", 0, "recovered %q: %d segments, %d chunks, %d files discarded",
 		s.dir, len(s.sealed), s.liveChunks, discarded)
@@ -338,7 +356,6 @@ func (s *SegStore) flushTailLocked() error {
 	}
 	if s.cfg.CrashPoint == "torn-append" {
 		a.f.WriteAt(s.tail[:len(s.tail)/2], int64(a.flushed))
-		a.f.Sync()
 		s.crash("torn-append")
 	}
 	if _, err := a.f.WriteAt(s.tail, int64(a.flushed)); err != nil {
@@ -407,63 +424,120 @@ func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	return nil
 }
 
-// sealLocked makes the active segment immutable: data fsynced, dead rows
-// dropped, the columnar index written atomically. An active segment with
-// no live rows is simply discarded.
+// sealLocked flushes the active segment's tail and seals it. An active
+// segment with no live rows is simply discarded.
 func (s *SegStore) sealLocked() error {
 	a := s.active
-	if a == nil || len(a.entries) == 0 {
-		if a != nil {
-			a.f.Close()
-			os.Remove(s.segPath(a.id))
-			s.active = nil
-		}
+	if a == nil {
 		return nil
 	}
 	if err := s.flushTailLocked(); err != nil {
 		return err
 	}
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("storage: sync segment %016x: %w", a.id, err)
-	}
 	s.crash("seal")
-	live := make([]segEntry, 0, len(a.entries))
-	for _, e := range a.entries {
+	sf, err := s.sealFileLocked(a.id, a.f, a.len, a.entries, "idx-write")
+	if err != nil {
+		return err
+	}
+	s.active = nil
+	if sf != nil {
+		s.counters.Seals++
+		obs.Logf(obs.KindSeal, -1, "", 0, "sealed segment %016x (%d bytes, %d live)", a.id, a.len, a.len-sf.garbage)
+	}
+	return nil
+}
+
+// sealFileLocked seals a written segment file, for the active segment
+// and for compaction alike: dead rows dropped, the columnar index written
+// beside the data, the rows repointed at the sealed segment, and the data
+// file's fsync started in the background, so writeback overlaps the puts
+// that follow. A segment with no live rows is deleted, and nil returned.
+func (s *SegStore) sealFileLocked(id uint64, f *os.File, dataLen uint64, entries []segEntry, point string) (*segFile, error) {
+	live := make([]segEntry, 0, len(entries))
+	for _, e := range entries {
 		if e.Refs > 0 {
 			live = append(live, e)
 		}
 	}
 	if len(live) == 0 {
-		a.f.Close()
-		os.Remove(s.segPath(a.id))
-		s.active = nil
-		return nil
+		f.Close()
+		os.Remove(s.segPath(id))
+		return nil, nil
 	}
 	idxBytes := encodeSegIndex(live)
-	if err := atomicWriteFile(s.idxPath(a.id), idxBytes, 0o644, s.crash, "idx-rename"); err != nil {
-		return err
+	if err := os.WriteFile(s.idxPath(id), idxBytes, 0o644); err != nil {
+		return nil, fmt.Errorf("storage: write segment %016x index: %w", id, err)
 	}
+	s.crash(point)
 	sort.Slice(live, func(i, j int) bool { return live[i].FP.Less(live[j].FP) })
 	liveBytes := uint64(0)
 	for slot, e := range live {
-		s.index[e.FP] = chunkLoc{seg: a.id, slot: slot}
+		s.index[e.FP] = chunkLoc{seg: id, slot: slot}
 		liveBytes += uint64(e.Length)
 	}
-	s.sealed[a.id] = &segFile{
-		id: a.id, f: a.f, dataLen: a.len, idxSum: crc32.ChecksumIEEE(idxBytes),
-		garbage: a.len - liveBytes, entries: live,
+	sf := &segFile{
+		id: id, f: f, dataLen: dataLen, idxSum: crc32.ChecksumIEEE(idxBytes),
+		garbage: dataLen - liveBytes, entries: live,
 	}
-	s.active = nil
-	s.counters.Seals++
-	obs.Logf(obs.KindSeal, -1, "", 0, "sealed segment %016x (%d bytes, %d live)", a.id, a.len, liveBytes)
-	return nil
+	s.sealed[id] = sf
+	s.unsynced[s.idxPath(id)] = true
+	s.unsynced[filepath.Join(s.dir, "segments")] = true
+	syncData := s.syncData
+	s.syncs.do(func() error {
+		s.crash("seal-sync")
+		if err := syncData(f); err != nil {
+			return fmt.Errorf("storage: sync segment %016x: %w", id, err)
+		}
+		return nil
+	})
+	return sf, nil
 }
 
-// Commit seals the active segment and atomically publishes the manifest,
-// making every chunk, refcount change and tombstone since the previous
-// Commit durable. This is the checkpoint commit point the collective
-// dump pipeline calls after persisting its metadata blobs and before
-// entering the completion barrier.
+// syncLocked fsyncs every file and directory written since the last sync,
+// concurrently with each other and with the seals' data syncs in flight,
+// and returns when all are done.
+func (s *SegStore) syncLocked() error {
+	for p := range s.unsynced {
+		s.syncs.do(func() error { return syncPath(p) })
+	}
+	clear(s.unsynced)
+	return s.syncs.wait()
+}
+
+// syncGroup runs fsyncs on their own goroutines, at most cap(slots) at
+// once, and keeps the first error for good: the page cache may have
+// dropped what a failed fsync covered. Callers hold the store's mutex.
+type syncGroup struct {
+	wg    sync.WaitGroup
+	slots chan struct{} // a semaphore: fsyncs each block an OS thread
+	once  sync.Once
+	err   error // set by the first failed fsync, read after wg.Wait
+}
+
+func (g *syncGroup) do(fsync func() error) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		g.slots <- struct{}{}
+		err := fsync()
+		<-g.slots
+		if err != nil {
+			g.once.Do(func() { g.err = err })
+		}
+	}()
+}
+
+// wait returns once every fsync started so far is done.
+func (g *syncGroup) wait() error {
+	g.wg.Wait()
+	return g.err
+}
+
+// Commit seals the active segment, syncs it and atomically publishes the
+// manifest, making every chunk, refcount change, tombstone and blob since
+// the previous Commit durable as one unit. This is the checkpoint commit
+// point the collective dump pipeline calls after persisting its metadata
+// blobs and before entering the completion barrier.
 func (s *SegStore) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -485,19 +559,32 @@ func (s *SegStore) commitLocked(prePoint, renamePoint string) error {
 		sf.committed = true
 	}
 	s.crash(prePoint)
-	if err := s.writeManifestLocked(renamePoint); err != nil {
+	if err := s.syncLocked(); err != nil {
 		return err
 	}
+	s.crash("commit-sync")
+	blobs := maps.Clone(s.blobs)
+	maps.Copy(blobs, s.staged)
+	if err := s.writeManifestLocked(renamePoint, blobs); err != nil {
+		return err
+	}
+	// The versions the staged ones supersede are garbage whether or not
+	// these deletes land (recovery sweeps strays).
+	for name, b := range s.staged {
+		os.Remove(s.blobPath(name, b.Version-1))
+	}
+	s.blobs = blobs
+	clear(s.staged)
 	s.counters.Commits++
 	obs.Logf(obs.KindCommit, -1, "", 0, "manifest committed (%d segments, %d chunks)", len(s.sealed), s.liveChunks)
 	return nil
 }
 
 // writeManifestLocked atomically publishes the manifest naming every
-// committed sealed segment. Segments sealed mid-dump but not yet
-// covered by an explicit Commit are excluded — a compaction-triggered
+// committed sealed segment and the blobs given. Segments sealed mid-dump
+// are excluded, and a compaction passes only committed blobs — its
 // manifest must never make half a checkpoint durable.
-func (s *SegStore) writeManifestLocked(renamePoint string) error {
+func (s *SegStore) writeManifestLocked(renamePoint string, blobs map[string]manifestBlob) error {
 	m := &manifest{Gen: s.gen + 1, NextSeg: s.nextSeg}
 	ids := make([]uint64, 0, len(s.sealed))
 	for id, sf := range s.sealed {
@@ -520,7 +607,11 @@ func (s *SegStore) writeManifestLocked(renamePoint string) error {
 		}
 		m.Segs = append(m.Segs, ms)
 	}
-	if err := atomicWriteFile(s.manifestPath(), m.encode(), 0o644, s.crash, renamePoint); err != nil {
+	for _, b := range blobs {
+		m.Blobs = append(m.Blobs, b)
+	}
+	slices.SortFunc(m.Blobs, func(a, b manifestBlob) int { return strings.Compare(a.Name, b.Name) })
+	if err := atomicWriteFile(s.manifestPath(), m.encode(), s.crash, renamePoint); err != nil {
 		return err
 	}
 	s.gen = m.Gen
@@ -600,22 +691,53 @@ func (s *SegStore) ReleaseChunk(fp fingerprint.FP) error {
 	return nil
 }
 
+// PutBlob stages the blob as the version after its committed one, in a
+// file of its own, unsynced and named by no manifest: the next Commit
+// syncs it and its manifest publishes it.
 func (s *SegStore) PutBlob(name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
 		return ErrFailed
 	}
-	return s.blob.put(name, data)
+	ref := manifestBlob{Name: name, Version: s.blobs[name].Version + 1, Sum: crc32.ChecksumIEEE(data)}
+	path := s.blobPath(name, ref.Version)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("storage: blob dir for %q: %w", name, err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("storage: stage blob %q: %w", name, err)
+	}
+	for p, blobDir := path, filepath.Join(s.dir, "blobs"); len(p) >= len(blobDir); p = filepath.Dir(p) {
+		s.unsynced[p] = true
+	}
+	s.crash("blob-stage")
+	s.staged[name] = ref
+	return nil
 }
 
+// GetBlob reads the blob's staged version if it was put since the last
+// Commit, else its committed one, and checks the sum taken at put.
 func (s *SegStore) GetBlob(name string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
 		return nil, ErrFailed
 	}
-	return s.blob.get(name)
+	ref, ok := s.staged[name]
+	if !ok {
+		if ref, ok = s.blobs[name]; !ok {
+			return nil, fmt.Errorf("blob %q: %w", name, ErrNotFound)
+		}
+	}
+	buf, err := os.ReadFile(s.blobPath(name, ref.Version))
+	if err != nil {
+		return nil, fmt.Errorf("storage: read blob %q: %w", name, err)
+	}
+	if got := crc32.ChecksumIEEE(buf); got != ref.Sum {
+		return nil, fmt.Errorf("storage: blob %q checksum %08x, want %08x", name, got, ref.Sum)
+	}
+	return buf, nil
 }
 
 func (s *SegStore) Usage() (int64, int) {
@@ -641,9 +763,10 @@ func (s *SegStore) Fail() {
 		s.active.f.Close()
 	}
 	os.RemoveAll(filepath.Join(s.dir, "segments"))
-	os.RemoveAll(s.blob.dir)
+	os.RemoveAll(filepath.Join(s.dir, "blobs"))
 	os.Remove(s.manifestPath())
 	s.sealed = map[uint64]*segFile{}
+	s.blobs, s.staged = map[string]manifestBlob{}, map[string]manifestBlob{}
 	s.active = nil
 	s.tail = nil
 	s.index = map[fingerprint.FP]chunkLoc{}
@@ -657,9 +780,10 @@ func (s *SegStore) Failed() bool {
 	return s.failed
 }
 
-// Close commits pending state, stops the background compactor and
-// closes every file handle. The graceful counterpart of a crash; a
-// store that is never Closed only loses what was never committed.
+// Close commits pending state, stops the background compactor, waits for
+// in-flight syncs and closes every file handle. The graceful counterpart
+// of a crash; a store that is never Closed only loses what was never
+// committed.
 func (s *SegStore) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -674,10 +798,11 @@ func (s *SegStore) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failed {
-		return nil
+	var err error
+	if !s.failed {
+		err = s.commitLocked("close-commit", "manifest-rename")
 	}
-	err := s.commitLocked("close-commit", "manifest-rename")
+	s.syncs.wait() // a failed commit or Fail can leave seals' syncs running
 	for _, sf := range s.sealed {
 		sf.f.Close()
 	}

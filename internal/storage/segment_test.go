@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -532,4 +533,162 @@ func TestSegTailBuffersAppends(t *testing.T) {
 	}
 	mustGet(r, "oversize chunk after reopen", big)
 	mustGet(r, "last chunk after reopen", after)
+}
+
+// TestSegSealSyncFailureFailsCommit injects a failing data fsync into the
+// seals of an uncommitted checkpoint: the next Commit must fail without
+// writing a manifest, so does every later one (the failure is sticky),
+// and the directory reopens to the previous checkpoint.
+func TestSegSealSyncFailureFailsCommit(t *testing.T) {
+	dir := t.TempDir()
+	s := openSeg(t, dir)
+	base := segChunk(0, 1024)
+	if err := s.PutChunk(fingerprint.Of(base), base); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBlob("ck/meta", []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	injected := errors.New("injected fsync failure")
+	s.syncData = func(*os.File) error { return injected }
+	for i := 1; i <= 12; i++ {
+		data := segChunk(i, 1024)
+		if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+			t.Fatalf("put %d: %v; a seal's sync must not fail the put", i, err)
+		}
+	}
+	if got := s.Stats().Seals; got < 3 {
+		t.Fatalf("%d seals, want the puts to seal at least twice after the commit", got)
+	}
+	if err := s.PutBlob("ck/meta", []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 2; try++ {
+		if err := s.Commit(); !errors.Is(err, injected) {
+			t.Fatalf("commit %d after a failed seal sync = %v, want the injected error", try, err)
+		}
+	}
+	if err := s.Close(); !errors.Is(err, injected) {
+		t.Fatalf("close after a failed seal sync = %v, want the injected error", err)
+	}
+	if now, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(now, manifest) {
+		t.Fatalf("manifest changed after failed commits (err %v)", err)
+	}
+
+	r := openSeg(t, dir)
+	defer r.Close()
+	if _, chunks := r.Usage(); chunks != 1 {
+		t.Fatalf("reopened store has %d chunks, want the previous checkpoint's 1", chunks)
+	}
+	if got, err := r.GetBlob("ck/meta"); err != nil || string(got) != "one" {
+		t.Fatalf("blob after reopen = %q, %v; want the previous checkpoint's", got, err)
+	}
+}
+
+// TestSegCloseWaitsForSyncs holds every seal's data fsync until released:
+// puts must not wait for them, and Close — after Fail or on a healthy
+// store — must not return while one is in flight, nor leave a goroutine
+// behind.
+func TestSegCloseWaitsForSyncs(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			s := openSeg(t, t.TempDir())
+			release := make(chan struct{})
+			s.syncData = func(f *os.File) error {
+				<-release
+				return f.Sync()
+			}
+			for i := 0; i < 12; i++ {
+				data := segChunk(i, 1024)
+				if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fail {
+				s.Fail()
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- s.Close() }()
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned (%v) while seal syncs were held", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the store opened", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestSegCompactionPublishesOnlyCommittedBlobs compacts while a blob
+// version is staged: the compaction manifest must keep naming the
+// committed version, and a reopen without Close must read that version
+// back and delete the staged file. A commit deletes the version it
+// supersedes.
+func TestSegCompactionPublishesOnlyCommittedBlobs(t *testing.T) {
+	dir := t.TempDir()
+	s := openSeg(t, dir)
+	var fps []fingerprint.FP
+	for i := 0; i < 8; i++ {
+		data := segChunk(i, 1024)
+		fps = append(fps, fingerprint.Of(data))
+		if err := s.PutChunk(fps[i], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blobFiles := func(want int) {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, "blobs", "ds", "*"))
+		if err != nil || len(files) != want {
+			t.Fatalf("blob files: %v, %v; want %d", files, err, want)
+		}
+	}
+	for _, v := range []string{"superseded", "committed"} {
+		if err := s.PutBlob("ds/meta", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blobFiles(1)
+	if err := s.PutBlob("ds/meta", []byte("staged")); err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range fps[:6] {
+		if err := s.ReleaseChunk(fp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s.Compact(); err != nil || n == 0 {
+		t.Fatalf("compact = %d, %v; want victims rewritten", n, err)
+	}
+	if got, err := s.GetBlob("ds/meta"); err != nil || string(got) != "staged" {
+		t.Fatalf("own staged blob = %q, %v", got, err)
+	}
+
+	r := openSeg(t, dir)
+	defer r.Close()
+	if got, err := r.GetBlob("ds/meta"); err != nil || string(got) != "committed" {
+		t.Fatalf("blob after reopen = %q, %v; want the committed version", got, err)
+	}
+	blobFiles(1)
 }

@@ -102,7 +102,8 @@ type Store interface {
 	// when it drops to zero.
 	ReleaseChunk(fp fingerprint.FP) error
 	// PutBlob persists a small named metadata blob (dataset recipes,
-	// restore hints). The store keeps its own copy of data.
+	// restore hints). The store keeps its own copy of data. A Committer
+	// makes it durable at its next Commit, not before.
 	PutBlob(name string, data []byte) error
 	// GetBlob loads a persisted blob, or ErrNotFound.
 	GetBlob(name string) ([]byte, error)
@@ -116,11 +117,10 @@ type Store interface {
 }
 
 // Committer is implemented by stores with an explicit durability point:
-// Commit makes every chunk put and release since the previous Commit
-// survive a crash, atomically — after a kill, the store's chunks reopen
-// to the last committed state, never a prefix of an uncommitted one.
-// Blobs are not part of it: each is atomic on its own and durable as
-// soon as PutBlob returns.
+// Commit makes every chunk put and release and every blob put since the
+// previous Commit survive a crash, atomically — after a kill, the store's
+// chunks and blobs reopen to the last committed state together, never a
+// prefix of an uncommitted one.
 type Committer interface {
 	Commit() error
 }
