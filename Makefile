@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStore -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzSegmentIndexDecode -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 30s ./internal/storage
+	$(GO) test -run '^$$' -fuzz FuzzReadRecords -fuzztime 30s ./internal/storage
 
 # The wall-clock benchmark (see bench/README.md); compare two result
 # files with: go run ./bench -compare a.json b.json

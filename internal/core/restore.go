@@ -270,6 +270,10 @@ func loadMeta(c collectives.Comm, store storage.Store, fs *fetch.Stats, name str
 	return meta, fetched, nil
 }
 
+// readBatch bounds a batch of the walk's reads to this many records, and
+// to collectives.MaxPutBytes of the image (a larger chunk is read alone).
+const readBatch = 256
+
 // fetchDepth is how many batched requests a rank keeps outstanding per
 // peer: one being served while the previous reply is consumed. It also
 // bounds what a requester buffers — fetchDepth × collectives.MaxPutBytes
@@ -298,6 +302,13 @@ type assembly struct {
 	// once every hole is filled.
 	repeats []repeat
 	peers   []peerQueue
+	// The batch being read: its records, their outcomes, and the image
+	// offset their Off counts from; pending are its positions in recipe
+	// order, first positions and later ones of fingerprints it may hold.
+	recs    []storage.Record
+	errs    []error
+	batchAt int64
+	pending []pending
 	// cached lists the fetched (hence re-provisioned) fingerprints.
 	cached []fingerprint.FP
 	// refilled counts fetched fingerprints that filled more than one hole.
@@ -311,6 +322,14 @@ type assembly struct {
 type span struct {
 	off        int64
 	size, hole int32
+}
+
+// pending is a position of the batch: recipe index i at image offset off,
+// and the index of its record, or -1 for a later position.
+type pending struct {
+	i   int
+	off int64
+	rec int
 }
 
 // repeat copies size bytes at src to dst in the image.
@@ -360,15 +379,17 @@ func (h *hole) nextPeer(me, n int) (int, bool) {
 	return 0, false
 }
 
-// walk reads each distinct fingerprint the local store serves once —
-// checking its length against the recipe — straight into place, and
-// copies the bytes of that first position into every later one. It does
-// not SHA-1 them: every byte entered the store bound to its fingerprint,
-// and the store's checksum vouches they have not changed since, so a
-// storage.ErrCorrupt fails the walk. A fingerprint the store cannot serve
-// otherwise (not found, read error, failed store) becomes a hole, queued
-// at the first peer to ask; its later positions wait in repeats until the
-// hole is filled.
+// walk reads each distinct fingerprint the local store serves once,
+// straight into place, and copies the bytes of that first position into
+// every later one. First positions are read in batches, one
+// storage.ReadRecords each, and settled in recipe order: a first position
+// is checked against its recipe length, a later one against the first.
+// The walk does not SHA-1 them: every byte entered the store bound to its
+// fingerprint, and the store's checksum vouches they have not changed
+// since, so a storage.ErrCorrupt fails the walk. A fingerprint the store
+// cannot serve otherwise (not found, read error, failed store) becomes a
+// hole, queued at the first peer to ask; its later positions wait in
+// repeats until the hole is filled.
 func (a *assembly) walk() error {
 	r := a.meta.Recipe
 	total := r.TotalBytes()
@@ -383,41 +404,94 @@ func (a *assembly) walk() error {
 	for i, fp := range r.FPs {
 		size := int64(r.Sizes[i])
 		if size < 0 || off+size > total {
-			return fmt.Errorf("chunk %d (%s): recipe size %d", i, fp.Short(), size)
+			return a.settle(fmt.Errorf("chunk %d (%s): recipe size %d", i, fp.Short(), size))
 		}
 		sp, seen := a.seen[fp]
 		switch {
-		case seen && sp.hole < 0 && sp.size != r.Sizes[i]:
-			return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), sp.size, size)
-		case seen && sp.size != r.Sizes[i]:
-			return fmt.Errorf("chunk %d (%s): recipe says %d bytes here and %d earlier", i, fp.Short(), size, sp.size)
-		case seen && sp.hole < 0:
-			copy(a.buf[off:off+size], a.buf[sp.off:])
+		case seen && len(a.recs) > 0 && sp.off >= a.batchAt:
+			// The first position may still be in the batch.
+			a.pending = append(a.pending, pending{i: i, off: off, rec: -1})
 		case seen:
-			a.holes[sp.hole].later = true
-			a.repeats = append(a.repeats, repeat{dst: off, src: sp.off, size: size})
+			if err := a.settleLater(i, off, sp); err != nil {
+				return a.settle(err)
+			}
 		default:
-			sp = span{off: off, size: r.Sizes[i], hole: -1}
-			data, err := a.store.GetChunk(fp)
-			switch {
-			case errors.Is(err, storage.ErrCorrupt):
-				return fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
-			case err != nil:
-				sp.hole = int32(len(a.holes))
-				a.holes = append(a.holes, hole{fp: fp, size: r.Sizes[i], first: i, off: off, hints: a.meta.Hints[fp]})
-				if err := a.enqueue(sp.hole); err != nil {
+			if len(a.recs) == readBatch || len(a.recs) > 0 && off+size-a.batchAt > collectives.MaxPutBytes {
+				if err := a.settle(nil); err != nil {
 					return err
 				}
-			case int64(len(data)) != size:
-				return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), len(data), size)
-			default:
-				copy(a.buf[off:], data)
 			}
-			a.seen[fp] = sp
+			if len(a.recs) == 0 {
+				a.batchAt = off
+			}
+			a.pending = append(a.pending, pending{i: i, off: off, rec: len(a.recs)})
+			a.recs = append(a.recs, storage.Record{FP: fp, Off: int32(off - a.batchAt), Len: r.Sizes[i]})
+			a.seen[fp] = span{off: off, size: r.Sizes[i], hole: -1}
 		}
 		off += size
 	}
+	if err := a.settle(nil); err != nil {
+		return err
+	}
 	a.m.UniqueChunks = len(a.seen)
+	return nil
+}
+
+// settle reads the batch into the image and settles its positions in
+// recipe order: a first position is placed, fails the walk or becomes a
+// hole; a later one is settled against it. It returns the first error, or
+// else next, the error of the position after the batch.
+func (a *assembly) settle(next error) error {
+	if len(a.recs) == 0 {
+		return next
+	}
+	a.errs = slices.Grow(a.errs[:0], len(a.recs))[:len(a.recs)]
+	storage.ReadRecords(a.store, a.buf[a.batchAt:], a.recs, a.errs)
+	r := a.meta.Recipe
+	for _, p := range a.pending {
+		fp, size := r.FPs[p.i], r.Sizes[p.i]
+		if p.rec < 0 {
+			if err := a.settleLater(p.i, p.off, a.seen[fp]); err != nil {
+				return err
+			}
+			continue
+		}
+		var wrong storage.LengthError
+		switch rerr := a.errs[p.rec]; {
+		case rerr == nil:
+		case errors.Is(rerr, storage.ErrCorrupt):
+			return fmt.Errorf("chunk %d: content does not match fingerprint %s", p.i, fp.Short())
+		case errors.As(rerr, &wrong):
+			return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", p.i, fp.Short(), wrong.Got, size)
+		default:
+			hi := int32(len(a.holes))
+			a.seen[fp] = span{off: p.off, size: size, hole: hi}
+			a.holes = append(a.holes, hole{fp: fp, size: size, first: p.i, off: p.off, hints: a.meta.Hints[fp]})
+			if err := a.enqueue(hi); err != nil {
+				return err
+			}
+		}
+	}
+	a.recs, a.pending = a.recs[:0], a.pending[:0]
+	return next
+}
+
+// settleLater settles a later position i, at off in the image, of the
+// fingerprint whose first position sp describes: the sizes must agree; a
+// placed chunk is copied at once, a hole's repeat waits for the hole.
+func (a *assembly) settleLater(i int, off int64, sp span) error {
+	fp, size := a.meta.Recipe.FPs[i], a.meta.Recipe.Sizes[i]
+	switch {
+	case sp.hole < 0 && sp.size != size:
+		return fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d", i, fp.Short(), sp.size, size)
+	case sp.size != size:
+		return fmt.Errorf("chunk %d (%s): recipe says %d bytes here and %d earlier", i, fp.Short(), size, sp.size)
+	case sp.hole < 0:
+		copy(a.buf[off:off+int64(size)], a.buf[sp.off:])
+	default:
+		a.holes[sp.hole].later = true
+		a.repeats = append(a.repeats, repeat{dst: off, src: sp.off, size: int64(size)})
+	}
 	return nil
 }
 

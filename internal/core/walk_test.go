@@ -438,3 +438,68 @@ func TestRepliesFillTheirOwnHoles(t *testing.T) {
 		})
 	}
 }
+
+// oneByOne hides a store's batch read: the walk then reads one GetChunk
+// per distinct fingerprint, as it did before it batched.
+type oneByOne struct{ storage.Store }
+
+// TestWalkBatchesMatchOneByOne: over recipes long enough to fill many
+// batches — by record count and by image span — with repeats near and far
+// and a store missing some chunks, the batched walk on a segment store
+// places the same image and files the same holes and repeats as a walk
+// reading one chunk at a time.
+func TestWalkBatchesMatchOneByOne(t *testing.T) {
+	comm := startComms(t, "inproc", 4)[2]
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 4; trial++ {
+		pool := make([][]byte, 400+rng.Intn(400))
+		for i := range pool {
+			pool[i] = make([]byte, rng.Intn(3000))
+			rng.Read(pool[i])
+		}
+		seg := openSeg(t, t.TempDir())
+		for _, data := range pool {
+			if rng.Intn(5) > 0 {
+				if err := seg.PutChunk(fingerprint.Of(data), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if trial%2 == 0 {
+			if err := seg.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		meta := &RestoreMeta{Hints: map[fingerprint.FP][]int32{}}
+		for i := 0; i < 2500; i++ {
+			k := rng.Intn(len(pool))
+			if rng.Intn(2) == 0 { // mostly forward, so repeats land near their first position
+				k = min(len(pool)-1, i*len(pool)/2500+rng.Intn(8))
+			}
+			meta.Recipe.FPs = append(meta.Recipe.FPs, fingerprint.Of(pool[k]))
+			meta.Recipe.Sizes = append(meta.Recipe.Sizes, int32(len(pool[k])))
+		}
+		batched, err := walkWith(comm, storage.NewTimed(seg), meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := walkWith(comm, oneByOne{seg}, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(batched.buf, single.buf) {
+			t.Fatalf("trial %d: the batched walk placed another image", trial)
+		}
+		if fmt.Sprint(batched.holes) != fmt.Sprint(single.holes) || batched.m.UniqueChunks != single.m.UniqueChunks {
+			t.Fatalf("trial %d: batched walk filed %d holes of %d distinct, one by one %d of %d",
+				trial, len(batched.holes), batched.m.UniqueChunks, len(single.holes), single.m.UniqueChunks)
+		}
+		byDst := func(a, b repeat) int { return int(a.dst - b.dst) }
+		slices.SortFunc(batched.repeats, byDst)
+		slices.SortFunc(single.repeats, byDst)
+		if !slices.Equal(batched.repeats, single.repeats) || len(batched.holes) == 0 || len(single.repeats) == 0 {
+			t.Fatalf("trial %d: %d repeats batched, %d one by one, %d holes; want the same repeats, and some",
+				trial, len(batched.repeats), len(single.repeats), len(batched.holes))
+		}
+	}
+}

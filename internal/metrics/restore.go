@@ -70,7 +70,9 @@ type Restore struct {
 	// Nil when nothing was fetched.
 	FetchLatency *Histogram
 	// StoreReadLatency is the local store read latency histogram
-	// (nanoseconds) recorded through the read-side storage.Timed path.
+	// (nanoseconds) recorded through the read-side storage.Timed path:
+	// one sample per blob read and per batch of the walk's chunk reads
+	// (one storage.ReadRecords call), not per chunk.
 	StoreReadLatency *Histogram
 }
 

@@ -3,6 +3,8 @@ package storage
 import (
 	"reflect"
 	"testing"
+
+	"dedupcr/internal/fingerprint"
 )
 
 // FuzzSegmentIndexDecode drives the columnar index decoder with
@@ -89,5 +91,69 @@ func FuzzManifestDecode(f *testing.F) {
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatal("manifest changed across a re-encode cycle")
 		}
+	})
+}
+
+// FuzzReadRecords drives a segment store through puts, releases, commits,
+// compactions and on-disk corruption, then reads a batch of records drawn
+// from the input: every record must come out of ReadRecords as GetChunk
+// and a length compare have it. ops holds one op per byte — the low two
+// bits pick put, release or commit-and-compact, the rest a chunk — and
+// batch two bytes per record: a chunk, and flags for a wrong length, a
+// corruption of that chunk on disk and a gap in dst.
+func FuzzReadRecords(f *testing.F) {
+	f.Add([]byte{4, 8, 12, 16, 20, 3}, []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0})
+	f.Add([]byte{4, 5, 8, 9, 12, 3, 4, 6, 3, 7}, []byte{1, 0, 2, 1, 2, 4, 1, 0x10, 3, 0})
+	f.Add([]byte{0, 4, 8, 3, 4, 10, 8, 3}, []byte{0, 0, 1, 0, 1, 0, 2, 0x12, 9, 0})
+	f.Fuzz(func(t *testing.T, ops, batch []byte) {
+		if len(ops) > 256 || len(batch) > 512 {
+			return
+		}
+		s, err := NewSegStore(t.TempDir(), SegConfig{SegmentTarget: 2 << 10, GarbageRatio: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		chunk := func(b byte) []byte {
+			if id := int(b >> 2); id > 0 {
+				return segChunk(id, 2+id*97%1500)
+			}
+			return nil
+		}
+		for _, op := range ops {
+			fp := fingerprint.Of(chunk(op))
+			switch op & 3 {
+			case 0, 1:
+				err = s.PutChunk(fp, chunk(op))
+			case 2:
+				if has, _ := s.HasChunk(fp); has {
+					err = s.ReleaseChunk(fp)
+				}
+			case 3:
+				if err = s.Commit(); err == nil {
+					_, err = s.Compact()
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var recs []Record
+		off := int32(0)
+		for i := 0; i+1 < len(batch); i += 2 {
+			data, flags := chunk(batch[i]<<2), batch[i+1]
+			fp := fingerprint.Of(data)
+			if flags&2 != 0 {
+				corruptOnDisk(t, s, fp)
+			}
+			n := int32(len(data))
+			if flags&1 != 0 {
+				n++
+			}
+			off += int32(flags >> 4)
+			recs = append(recs, Record{FP: fp, Off: off, Len: n})
+			off += n
+		}
+		checkBatch(t, "fuzz", s, recs)
 	})
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"dedupcr/internal/fingerprint"
 )
@@ -55,15 +55,21 @@ type segEntry struct {
 	Sum    uint32
 }
 
+// bySegFP orders rows by fingerprint, the order of a sealed index.
+func bySegFP(a, b segEntry) int { return a.FP.Compare(b.FP) }
+
 // encodeSegIndex marshals entries into the columnar index format. The
 // input is not mutated; output bytes depend only on the set of entries,
-// not their order.
+// not their order. Rows already in fingerprint order, as a seal passes
+// them, are encoded as they are; others from a sorted copy.
 //
 //dedupvet:deterministic
 func encodeSegIndex(entries []segEntry) []byte {
-	sorted := make([]segEntry, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].FP.Less(sorted[j].FP) })
+	sorted := entries
+	if !slices.IsSortedFunc(sorted, bySegFP) {
+		sorted = slices.Clone(entries)
+		slices.SortFunc(sorted, bySegFP)
+	}
 
 	buf := make([]byte, 0, len(segIndexMagic)+1+binary.MaxVarintLen64+len(sorted)*(fingerprint.Size+12+sumSize)+4)
 	buf = append(buf, segIndexMagic...)

@@ -133,8 +133,9 @@ type SegStore struct {
 	mu       sync.Mutex
 	dir      string
 	cfg      SegConfig
-	syncData func(*os.File) error // a seal's data fsync; tests inject failures
-	syncs    syncGroup            // fsyncs in flight, and the first that failed
+	syncData func(*os.File) error                       // a seal's data fsync; tests inject failures
+	readAt   func(*os.File, []byte, int64) (int, error) // a chunk read; tests count them
+	syncs    syncGroup                                  // fsyncs in flight, and the first that failed
 
 	gen        uint64                      // guarded by mu: last committed generation
 	nextSeg    uint64                      // guarded by mu: next segment ID to allocate
@@ -178,6 +179,7 @@ func NewSegStore(dir string, cfg SegConfig) (*SegStore, error) {
 		dir:      dir,
 		cfg:      cfg,
 		syncData: (*os.File).Sync,
+		readAt:   (*os.File).ReadAt,
 		syncs:    syncGroup{slots: make(chan struct{}, 16)},
 		sealed:   make(map[uint64]*segFile),
 		index:    make(map[fingerprint.FP]chunkLoc),
@@ -464,12 +466,12 @@ func (s *SegStore) sealFileLocked(id uint64, f *os.File, dataLen uint64, entries
 		os.Remove(s.segPath(id))
 		return nil, nil
 	}
+	slices.SortFunc(live, bySegFP)
 	idxBytes := encodeSegIndex(live)
 	if err := os.WriteFile(s.idxPath(id), idxBytes, 0o644); err != nil {
 		return nil, fmt.Errorf("storage: write segment %016x index: %w", id, err)
 	}
 	s.crash(point)
-	sort.Slice(live, func(i, j int) bool { return live[i].FP.Less(live[j].FP) })
 	liveBytes := uint64(0)
 	for slot, e := range live {
 		s.index[e.FP] = chunkLoc{seg: id, slot: slot}
@@ -618,38 +620,93 @@ func (s *SegStore) writeManifestLocked(renamePoint string, blobs map[string]mani
 	return nil
 }
 
-// GetChunk reads the chunk from the tail buffer or its segment file and
-// checks it against the sum its row carries, outside the mutex.
+// GetChunk reads the chunk into a fresh buffer: a batch of one record as
+// long as its row says.
 func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	buf, sum, err := s.readChunk(fp)
-	if err != nil {
-		return nil, err
+	var buf []byte
+	rec, errs, sums := []Record{{FP: fp}}, []error{nil}, []uint32{0}
+	s.mu.Lock()
+	if loc, ok := s.index[fp]; ok {
+		e, _ := s.entryAtLocked(loc)
+		buf, rec[0].Len = make([]byte, e.Length), int32(e.Length)
 	}
-	return checkSum(fp, buf, sum)
+	s.readLocked(buf, rec, errs, sums)
+	s.mu.Unlock()
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	return checkSum(fp, buf, sums[0])
 }
 
-// readChunk copies out a chunk's stored bytes and returns them with its
-// sum, unchecked.
-func (s *SegStore) readChunk(fp fingerprint.FP) ([]byte, uint32, error) {
+// readRecords reads a batch under one hold of the mutex and checks every
+// sum in place outside it. Only GetChunk tells a corrupt chunk from one
+// stored at another length, so such a record is read again through it.
+func (s *SegStore) readRecords(dst []byte, recs []Record, errs []error) {
+	sums := make([]uint32, len(recs))
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.readLocked(dst, recs, errs, sums)
+	s.mu.Unlock()
+	for i, r := range recs {
+		switch errs[i].(type) {
+		case nil:
+			_, errs[i] = checkSum(r.FP, dst[r.Off:r.Off+r.Len], sums[i])
+		case LengthError:
+			errs[i] = readRecord(s, dst, r)
+		}
+	}
+}
+
+// readLocked copies the stored bytes of every record stored at its
+// record's length into dst, unchecked, and their sums into sums: one
+// readAt per run of records that sit back to back both in one file and in
+// dst, one copy per record still in the tail buffer.
+func (s *SegStore) readLocked(dst []byte, recs []Record, errs []error, sums []uint32) {
 	if s.failed {
-		return nil, 0, ErrFailed
+		for i := range errs {
+			errs[i] = ErrFailed
+		}
+		return
 	}
-	loc, ok := s.index[fp]
-	if !ok {
-		return nil, 0, chunkNotFound(fp)
+	var (
+		f        *os.File // the open run's file, or nil
+		lo       int      // the run is recs[lo:i]
+		at       int64    // where it starts in f
+		from, to int32    // and where it lands in dst
+	)
+	read := func(hi int) {
+		if f != nil && to > from {
+			if _, err := s.readAt(f, dst[from:to], at); err != nil {
+				for j := lo; j < hi; j++ {
+					errs[j] = fmt.Errorf("storage: read chunk %s: %w", recs[j].FP.Short(), err)
+				}
+			}
+		}
+		f = nil
 	}
-	e, f := s.entryAtLocked(loc)
-	buf := make([]byte, e.Length)
-	if a := s.active; a != nil && loc.seg == a.id && e.Offset >= a.flushed {
-		copy(buf, s.tail[e.Offset-a.flushed:])
-		return buf, e.Sum, nil
+	for i, r := range recs {
+		loc, ok := s.index[r.FP]
+		if !ok {
+			read(i)
+			errs[i] = chunkNotFound(r.FP)
+			continue
+		}
+		e, ef := s.entryAtLocked(loc)
+		errs[i], sums[i] = nil, e.Sum
+		switch a := s.active; {
+		case e.Length != uint32(r.Len):
+			read(i)
+			errs[i] = LengthError{Got: int(e.Length), Want: int(r.Len)}
+		case a != nil && loc.seg == a.id && e.Offset >= a.flushed:
+			read(i)
+			copy(dst[r.Off:r.Off+r.Len], s.tail[e.Offset-a.flushed:])
+		case ef == f && int64(e.Offset) == at+int64(to-from) && r.Off == to:
+			to += r.Len
+		default:
+			read(i)
+			f, lo, at, from, to = ef, i, int64(e.Offset), r.Off, r.Off+r.Len
+		}
 	}
-	if _, err := f.ReadAt(buf, int64(e.Offset)); err != nil {
-		return nil, 0, fmt.Errorf("storage: read chunk %s: %w", fp.Short(), err)
-	}
-	return buf, e.Sum, nil
+	read(len(recs))
 }
 
 func (s *SegStore) HasChunk(fp fingerprint.FP) (bool, error) {

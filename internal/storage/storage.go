@@ -14,10 +14,10 @@
 // owner's recipe and the put frame's CRC-32C vouched for its transit; a
 // restore SHA-1-checked what a peer sent — so the store does not hash it
 // again. Instead PutChunk takes a CRC-32C over fingerprint ‖ bytes, and
-// GetChunk checks it on every read and returns ErrCorrupt on a mismatch:
-// SHA-1 at ingest binds the bytes to their fingerprint, the CRC at rest
-// catches any change since (a flipped byte, or an index row pointing at
-// another chunk's bytes).
+// every read — GetChunk, or ReadRecords where it placed each chunk —
+// checks it and returns ErrCorrupt on a mismatch: SHA-1 at ingest binds
+// the bytes to their fingerprint, the CRC at rest catches any change since
+// (a flipped byte, or an index row pointing at another chunk's bytes).
 //
 // The in-memory store packs chunk bytes into append-only 256 KiB arenas
 // behind a pointer-free fingerprint index: one heap object per arena, not
@@ -170,6 +170,45 @@ func PutRecords(s Store, payload []byte, recs []Record) (int, error) {
 		}
 	}
 	return len(recs), nil
+}
+
+// LengthError is ReadRecords' outcome for a chunk stored at another length
+// than its record's.
+type LengthError struct{ Got, Want int }
+
+func (e LengthError) Error() string {
+	return fmt.Sprintf("storage: chunk is %d bytes, not %d", e.Got, e.Want)
+}
+
+// recordReader is implemented by stores that read a batch of records in
+// one call: the segment store, and Timed.
+type recordReader interface {
+	readRecords(dst []byte, recs []Record, errs []error)
+}
+
+// ReadRecords reads each record's chunk into dst[Off:Off+Len] and sets
+// errs[i], which must exist for every record, to what GetChunk and a length
+// compare give: nil once the bytes are placed, the store's error
+// (ErrNotFound, ErrCorrupt, ErrFailed, a read error), or a LengthError. A
+// store without a batch read gets one GetChunk and one copy per record.
+func ReadRecords(s Store, dst []byte, recs []Record, errs []error) {
+	if b, ok := s.(recordReader); ok {
+		b.readRecords(dst, recs, errs)
+		return
+	}
+	for i, r := range recs {
+		errs[i] = readRecord(s, dst, r)
+	}
+}
+
+// readRecord reads one record through GetChunk.
+func readRecord(s Store, dst []byte, r Record) error {
+	data, err := s.GetChunk(r.FP)
+	if err == nil && len(data) != int(r.Len) {
+		return LengthError{Got: len(data), Want: int(r.Len)}
+	}
+	copy(dst[r.Off:r.Off+r.Len], data) // nothing, on an error
+	return err
 }
 
 // arenaSize is the capacity of one in-memory arena. A chunk that does not

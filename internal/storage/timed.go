@@ -42,9 +42,10 @@ func (t *Timed) ReadLatency() *metrics.Histogram {
 	return h
 }
 
-// ChunkReadLatency returns the histogram of GetChunk/HasChunk latencies
-// only — the restore assembly path, without the metadata-blob reads that
-// would otherwise skew the distribution.
+// ChunkReadLatency returns the histogram of GetChunk/HasChunk/ReadRecords
+// latencies only — the restore assembly path, without the metadata-blob
+// reads that would otherwise skew the distribution. A ReadRecords batch is
+// one sample, however many records it reads.
 func (t *Timed) ChunkReadLatency() *metrics.Histogram { return t.chunkRead }
 
 // BlobReadLatency returns the histogram of GetBlob latencies only.
@@ -79,6 +80,12 @@ func (t *Timed) PutChunk(fp fingerprint.FP, data []byte) error {
 func (t *Timed) putRecords(payload []byte, recs []Record) (int, error) {
 	defer record(t.write, now())
 	return PutRecords(t.inner, payload, recs)
+}
+
+// readRecords forwards a batch read, timed as one chunk read.
+func (t *Timed) readRecords(dst []byte, recs []Record, errs []error) {
+	defer record(t.chunkRead, now())
+	ReadRecords(t.inner, dst, recs, errs)
 }
 
 func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
