@@ -20,10 +20,11 @@ race:
 vet: dedupvet
 	$(GO) vet ./...
 
-# Run the full suite, or a subset: make dedupvet ANALYZERS=lockorder,gorolife
-ANALYZERS ?=
+# The invariant analyzers (internal/analysis) run the one way cmd/dedupvet
+# supports: as a go vet tool. The binary is left in .bin/ (git-ignored).
 dedupvet:
-	$(GO) run ./cmd/dedupvet $(if $(ANALYZERS),-analyzers $(ANALYZERS)) ./...
+	$(GO) build -o .bin/dedupvet ./cmd/dedupvet
+	$(GO) vet -vettool=$(CURDIR)/.bin/dedupvet ./...
 
 fmt:
 	gofmt -l -w .

@@ -37,7 +37,6 @@ type fixtureImporter struct {
 	srcDir string
 	fset   *token.FileSet
 	pkgs   map[string]*types.Package
-	loaded map[string]*load.Package
 	std    *load.Importer
 }
 
@@ -80,7 +79,6 @@ func (im *fixtureImporter) load(path, dir string) (*load.Package, error) {
 		return nil, err
 	}
 	im.pkgs[path] = pkg.Types
-	im.loaded[path] = pkg
 	return pkg, nil
 }
 
@@ -151,7 +149,6 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 		srcDir: srcDir,
 		fset:   fset,
 		pkgs:   make(map[string]*types.Package),
-		loaded: make(map[string]*load.Package),
 		std:    load.NewImporter(fset, wd),
 	}
 	for _, path := range pkgPaths {

@@ -1,10 +1,11 @@
 // Package load type-checks Go packages for the dedupvet analyzers without
-// depending on golang.org/x/tools. It drives the go command the same way
-// go vet does: `go list -export -deps -json` yields every package's source
-// files plus build-cache export data for its dependencies, and the
-// standard gc importer (go/importer with a lookup function) consumes that
-// export data. Everything works offline — the go toolchain and its build
-// cache are the only requirements.
+// depending on golang.org/x/tools. Check parses and type-checks one
+// package through any importer: under `go vet -vettool` cmd/go hands the
+// tool every dependency's export data, and the analyzers' golden tests
+// resolve their standard-library imports through Importer, which asks
+// `go list -export` for the build cache's export data. Everything works
+// offline — the go toolchain and its build cache are the only
+// requirements.
 package load
 
 import (
@@ -21,16 +22,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	// Path is the canonical import path.
 	Path string
-	// Dir is the directory holding the source files.
-	Dir string
-	// Fset maps positions (shared across all packages of one Load call).
+	// Fset maps positions of Files.
 	Fset *token.FileSet
 	// Files are the parsed source files, comments included.
 	Files []*ast.File
@@ -40,26 +38,24 @@ type Package struct {
 	Info *types.Info
 }
 
-// listPackage is the slice of `go list -json` output the loader consumes.
+// listPackage is the slice of `go list -json` output the importer consumes.
 type listPackage struct {
 	ImportPath string
-	Dir        string
 	Export     string
-	GoFiles    []string
-	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// goList runs `go list` with the given arguments in dir and decodes the
+// goList runs `go list -e -export -deps` for path in dir and decodes the
 // JSON package stream.
-func goList(dir string, args ...string) ([]listPackage, error) {
-	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+func goList(dir, path string) ([]listPackage, error) {
+	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error", path}
+	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("load: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		return nil, fmt.Errorf("load: go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	var pkgs []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -75,16 +71,12 @@ func goList(dir string, args ...string) ([]listPackage, error) {
 	return pkgs, nil
 }
 
-// listFields is the -json field selection shared by every go list call.
-const listFields = "-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error"
-
 // Importer resolves import paths to type information using gc export data
 // from the build cache, shelling out to `go list -export` lazily for
 // paths it has not seen (e.g. standard-library imports of analysistest
 // fixtures). It is safe for sequential use only.
 type Importer struct {
 	dir     string // working directory for lazy go list calls
-	mu      sync.Mutex
 	exports map[string]string
 	gc      types.Importer
 }
@@ -99,8 +91,6 @@ func NewImporter(fset *token.FileSet, dir string) *Importer {
 
 // add registers export data for one import path.
 func (im *Importer) add(path, exportFile string) {
-	im.mu.Lock()
-	defer im.mu.Unlock()
 	if exportFile != "" {
 		im.exports[path] = exportFile
 	}
@@ -109,11 +99,9 @@ func (im *Importer) add(path, exportFile string) {
 // lookup feeds export data to the gc importer, resolving unknown paths
 // through `go list -export` on demand.
 func (im *Importer) lookup(path string) (io.ReadCloser, error) {
-	im.mu.Lock()
 	file, ok := im.exports[path]
-	im.mu.Unlock()
 	if !ok {
-		pkgs, err := goList(im.dir, "-e", "-export", "-deps", listFields, path)
+		pkgs, err := goList(im.dir, path)
 		if err != nil {
 			return nil, err
 		}
@@ -124,10 +112,7 @@ func (im *Importer) lookup(path string) (io.ReadCloser, error) {
 				listErr = p.Error.Err
 			}
 		}
-		im.mu.Lock()
-		file, ok = im.exports[path]
-		im.mu.Unlock()
-		if !ok {
+		if file, ok = im.exports[path]; !ok {
 			if listErr != "" {
 				return nil, fmt.Errorf("load: no export data for %q: %s", path, listErr)
 			}
@@ -144,37 +129,12 @@ func (im *Importer) lookup(path string) (io.ReadCloser, error) {
 	return rc, nil
 }
 
-// NewLookupImporter returns a plain gc export-data importer whose lookup
-// resolves import paths to export files through resolve (the vet.cfg
-// driver mode, where cmd/go precomputed the file map).
-func NewLookupImporter(fset *token.FileSet, resolve func(path string) (string, error)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, err := resolve(path)
-		if err != nil {
-			return nil, err
-		}
-		return os.Open(file)
-	})
-}
-
 // Import implements types.Importer.
 func (im *Importer) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	return im.gc.Import(path)
-}
-
-// NewInfo returns a types.Info with every fact table the analyzers use.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
 }
 
 // Check parses and type-checks one package's files with the given
@@ -192,51 +152,16 @@ func Check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("load: typecheck %s: %v", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// Packages loads, parses and type-checks the packages matching patterns,
-// with dir as the working directory of the go command. Test files are not
-// included (matching `go vet`'s per-package GoFiles view; _test.go files
-// are exercised by the analyzers' own test suites instead).
-func Packages(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"-e", "-export", "-deps", listFields}, patterns...)
-	listed, err := goList(dir, args...)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	imp := NewImporter(fset, dir)
-	var targets []listPackage
-	for _, p := range listed {
-		imp.add(p.ImportPath, p.Export)
-		if p.DepOnly {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		targets = append(targets, p)
-	}
-	var out []*Package
-	for _, p := range targets {
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := Check(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

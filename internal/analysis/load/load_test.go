@@ -27,95 +27,6 @@ func writeTree(t *testing.T, files map[string]string) string {
 
 const modHeader = "module example.com/m\n\ngo 1.24\n"
 
-// TestPackagesStdlibDeps loads a module whose only dependency is the
-// standard library: export data for fmt et al. must come out of the
-// build cache through the -deps listing.
-func TestPackagesStdlibDeps(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod": modHeader,
-		"a/a.go": "package a\n\nimport \"fmt\"\n\nfunc Hello() string { return fmt.Sprintf(\"hi %d\", 1) }\n",
-	})
-	pkgs, err := Packages(dir, "./a")
-	if err != nil {
-		t.Fatalf("Packages: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	p := pkgs[0]
-	if p.Path != "example.com/m/a" {
-		t.Errorf("Path = %q, want example.com/m/a", p.Path)
-	}
-	if p.Types == nil || p.Info == nil || len(p.Files) != 1 {
-		t.Errorf("package not fully populated: Types=%v Info=%v files=%d", p.Types != nil, p.Info != nil, len(p.Files))
-	}
-	if len(p.Info.Defs) == 0 {
-		t.Error("Info.Defs is empty: type-checking facts missing")
-	}
-}
-
-// TestPackagesVendoredDeps loads a module with a vendored dependency:
-// go automatically switches to -mod=vendor when vendor/modules.txt is
-// present, and the dep's export data must still resolve (it is built
-// from the vendored source, not downloaded).
-func TestPackagesVendoredDeps(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod": modHeader + "\nrequire example.com/dep v1.0.0\n",
-		"vendor/modules.txt": "# example.com/dep v1.0.0\n" +
-			"## explicit; go 1.24\n" +
-			"example.com/dep\n",
-		"vendor/example.com/dep/dep.go": "package dep\n\nfunc Answer() int { return 42 }\n",
-		"a/a.go":                        "package a\n\nimport \"example.com/dep\"\n\nvar X = dep.Answer()\n",
-	})
-	pkgs, err := Packages(dir, "./a")
-	if err != nil {
-		t.Fatalf("Packages with vendored dep: %v", err)
-	}
-	if len(pkgs) != 1 || pkgs[0].Path != "example.com/m/a" {
-		t.Fatalf("unexpected result: %+v", pkgs)
-	}
-}
-
-// TestPackagesInconsistentVendor: a vendor directory whose modules.txt
-// is missing a required module makes the go command refuse to build.
-// The loader must surface go's own diagnosis, not swallow it.
-func TestPackagesInconsistentVendor(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod": modHeader + "\nrequire example.com/dep v1.0.0\n",
-		// modules.txt exists (so vendor mode activates) but lists nothing.
-		"vendor/modules.txt":            "",
-		"vendor/example.com/dep/dep.go": "package dep\n",
-		"a/a.go":                        "package a\n\nimport \"example.com/dep\"\n\nvar X = 1\n",
-	})
-	_, err := Packages(dir, "./a")
-	if err == nil {
-		t.Fatal("Packages succeeded; want inconsistent-vendoring error")
-	}
-	msg := err.Error()
-	if !strings.HasPrefix(msg, "load: go list") {
-		t.Errorf("error does not identify the failing go list call: %v", err)
-	}
-	if !strings.Contains(msg, "vendor") {
-		t.Errorf("error does not carry go's vendoring diagnosis: %v", err)
-	}
-}
-
-// TestPackagesBrokenTarget: a target package that does not compile is
-// reported through go list's per-package Error with its import path.
-func TestPackagesBrokenTarget(t *testing.T) {
-	dir := writeTree(t, map[string]string{
-		"go.mod": modHeader,
-		"a/a.go": "package a\n\nfunc broken() { return undefinedName }\n",
-	})
-	_, err := Packages(dir, "./a")
-	if err == nil {
-		t.Fatal("Packages succeeded; want compile error")
-	}
-	if !strings.Contains(err.Error(), "example.com/m/a") {
-		t.Errorf("error does not name the broken package: %v", err)
-	}
-}
-
 // TestCheckParseError: Check reports the offending file on syntax
 // errors.
 func TestCheckParseError(t *testing.T) {

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/token"
-	"io"
 
 	"dedupcr/internal/analysis/load"
 )
@@ -26,32 +24,4 @@ func RunPackage(pkg *load.Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		}
 	}
 	return diags, nil
-}
-
-// Run applies every analyzer to every package and returns the findings
-// sorted by position. The shared fileset of the packages is returned for
-// rendering.
-func Run(pkgs []*load.Package, analyzers []*Analyzer) (*token.FileSet, []Diagnostic, error) {
-	var all []Diagnostic
-	var fset *token.FileSet
-	for _, pkg := range pkgs {
-		fset = pkg.Fset
-		diags, err := RunPackage(pkg, analyzers)
-		if err != nil {
-			return fset, all, err
-		}
-		all = append(all, diags...)
-	}
-	if fset != nil {
-		SortDiagnostics(fset, all)
-	}
-	return fset, all, nil
-}
-
-// Print renders diagnostics in the canonical file:line:col form.
-func Print(w io.Writer, fset *token.FileSet, diags []Diagnostic) {
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(w, "%s: %s (%s)\n", pos, d.Message, d.Analyzer)
-	}
 }

@@ -164,8 +164,6 @@ func (c *InprocComm) Close() error { return c.group.Close() }
 // Run executes body once per rank on a fresh in-process group of n ranks,
 // one goroutine per rank, and waits for all of them. It returns the first
 // non-nil error (by rank order). The group is closed before Run returns.
-//
-//dedupvet:compat context-less convenience wrapper over RunCtx
 func Run(n int, body func(Comm) error) error {
 	return RunCtx(context.Background(), n, func(_ context.Context, c Comm) error {
 		return body(c)

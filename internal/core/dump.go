@@ -89,8 +89,6 @@ func beginPhase(rec *obs.Track, name string, dst *time.Duration) func() {
 // DumpOutput is collective and synchronizing: all ranks must call it with
 // the same Options (except buf, whose size may differ per rank). It is
 // equivalent to DumpOutputCtx with a background context.
-//
-//dedupvet:compat context-less convenience wrapper over DumpOutputCtx
 func DumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options) (*Result, error) {
 	return DumpOutputCtx(context.Background(), c, store, buf, o)
 }

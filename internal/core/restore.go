@@ -43,8 +43,6 @@ type RestoreResult struct {
 //
 // Restore succeeds as long as at most K-1 nodes were lost, the guarantee
 // the replication factor buys.
-//
-//dedupvet:compat context-less convenience wrapper over RestoreCtx
 func Restore(c collectives.Comm, store storage.Store, name string) ([]byte, error) {
 	return RestoreCtx(context.Background(), c, store, name)
 }

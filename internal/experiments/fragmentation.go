@@ -111,7 +111,6 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 	)
 	// The scenario runner is the root of the call tree, so the
 	// background context originates here by design.
-	//dedupvet:compat
 	err := collectives.RunCtx(context.Background(), n, func(ctx context.Context, c collectives.Comm) error {
 		rank := c.Rank()
 		rec := tr.Track(pid, rank, fmt.Sprintf("rank %d", rank))

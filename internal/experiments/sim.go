@@ -220,7 +220,6 @@ func runScenarioUncached(cfg Config, w Workload, n, k int, approach core.Approac
 	// A configured timeout turns a wedged scenario into a prompt
 	// collective abort on every rank. The scenario runner is the root of
 	// the call tree, so the background context originates here by design.
-	//dedupvet:compat
 	ctx := context.Background()
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc

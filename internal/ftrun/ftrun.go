@@ -186,8 +186,6 @@ func (rt *Runtime) loadImage(buf []byte) error {
 
 // Checkpoint takes a collective checkpoint of all registered regions.
 // All ranks must call it together.
-//
-//dedupvet:compat context-less convenience wrapper over CheckpointCtx
 func (rt *Runtime) Checkpoint() (*core.Result, error) {
 	return rt.CheckpointCtx(context.Background())
 }
@@ -203,8 +201,6 @@ func (rt *Runtime) CheckpointCtx(ctx context.Context) (*core.Result, error) {
 }
 
 // CheckpointApp takes a collective checkpoint of an application-mode app.
-//
-//dedupvet:compat context-less convenience wrapper over CheckpointAppCtx
 func (rt *Runtime) CheckpointApp(app Checkpointable) (*core.Result, error) {
 	return rt.CheckpointAppCtx(context.Background(), app)
 }
@@ -291,8 +287,6 @@ func (rt *Runtime) Truncate(keepLast int) error {
 
 // Restart restores the newest surviving checkpoint into the registered
 // regions (transparent mode). Collective.
-//
-//dedupvet:compat context-less convenience wrapper over RestartCtx
 func (rt *Runtime) Restart() (int, error) {
 	return rt.RestartCtx(context.Background())
 }
@@ -312,8 +306,6 @@ func (rt *Runtime) RestartCtx(ctx context.Context) (int, error) {
 
 // RestartApp restores the newest surviving checkpoint into an
 // application-mode app. Collective.
-//
-//dedupvet:compat context-less convenience wrapper over RestartAppCtx
 func (rt *Runtime) RestartApp(app Checkpointable) (int, error) {
 	return rt.RestartAppCtx(context.Background(), app)
 }

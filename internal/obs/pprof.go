@@ -12,15 +12,11 @@ import (
 // pprof labels are carried on a context, but the label set here is
 // process-observability state, not a cancellation scope — a root context
 // is the documented carrier, so this is a sanctioned Background() site.
-//
-//dedupvet:compat
 func PhaseLabel(phase string) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("phase", phase)))
 }
 
 // ClearPhaseLabel removes the calling goroutine's pprof labels.
-//
-//dedupvet:compat
 func ClearPhaseLabel() {
 	pprof.SetGoroutineLabels(context.Background())
 }

@@ -62,8 +62,6 @@ func bySegFP(a, b segEntry) int { return a.FP.Compare(b.FP) }
 // input is not mutated; output bytes depend only on the set of entries,
 // not their order. Rows already in fingerprint order, as a seal passes
 // them, are encoded as they are; others from a sorted copy.
-//
-//dedupvet:deterministic
 func encodeSegIndex(entries []segEntry) []byte {
 	sorted := entries
 	if !slices.IsSortedFunc(sorted, bySegFP) {
