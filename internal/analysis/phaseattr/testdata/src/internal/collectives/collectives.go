@@ -18,15 +18,6 @@ func Barrier(c Comm) error { return nil }
 // Gather collects every rank's payload at root.
 func Gather(c Comm, root int, data []byte) ([][]byte, error) { return nil, nil }
 
-// CollectiveError is the stub failure taxonomy.
-type CollectiveError struct {
-	Ranks []int
-	Phase string
-	Cause error
-}
-
-func (e *CollectiveError) Error() string { return e.Phase }
-
 // Window is the stub one-sided window.
 type Window struct{}
 

@@ -37,22 +37,6 @@ func nextUnphased(w *collectives.Window) ([]byte, error) {
 	return w.Next() // want "blocking collective Window.Next without a preceding NotePhase"
 }
 
-// newError drops the phase the taxonomy exists to carry.
-func newError(ranks []int) error {
-	return &collectives.CollectiveError{Ranks: ranks} // want "CollectiveError constructed without Phase attribution"
-}
-
-// newAttributed sets Phase: clean.
-func newAttributed(ranks []int) error {
-	return &collectives.CollectiveError{Ranks: ranks, Phase: "reduce"}
-}
-
-// newAudited is the line-suppressed pre-pipeline construction.
-func newAudited(ranks []int) error {
-	//dedupvet:phased
-	return &collectives.CollectiveError{Ranks: ranks}
-}
-
 // restoreUnphased mirrors the restore pipeline's completion barrier:
 // blocking without publishing any restore phase first.
 func restoreUnphased(c collectives.Comm) error {

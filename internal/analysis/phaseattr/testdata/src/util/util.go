@@ -1,5 +1,5 @@
 // Package util is outside the pipeline scope: blocking collectives here
-// need no NotePhase, but CollectiveError attribution still applies.
+// need no NotePhase.
 package util
 
 import "internal/collectives"
@@ -8,14 +8,4 @@ import "internal/collectives"
 // internal/telemetry.
 func Sync(c collectives.Comm) error {
 	return collectives.Barrier(c)
-}
-
-// Fail still owes the taxonomy a phase.
-func Fail(c collectives.Comm) error {
-	return &collectives.CollectiveError{Ranks: []int{c.Rank()}} // want "CollectiveError constructed without Phase attribution"
-}
-
-// FailAttributed sets it: clean.
-func FailAttributed(c collectives.Comm) error {
-	return &collectives.CollectiveError{Ranks: []int{c.Rank()}, Phase: "util"}
 }
