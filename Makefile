@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet dedupvet lint fmt fuzz-smoke bench bench-pairs figures crash-consistency
+.PHONY: all build test race vet lint fmt fuzz-smoke bench bench-pairs figures crash-consistency
 
 all: build vet test
 
@@ -16,15 +16,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet = stock go vet + the repo's own invariant analyzers.
-vet: dedupvet
+vet:
 	$(GO) vet ./...
-
-# The invariant analyzers (internal/analysis) run the one way cmd/dedupvet
-# supports: as a go vet tool. The binary is left in .bin/ (git-ignored).
-dedupvet:
-	$(GO) build -o .bin/dedupvet ./cmd/dedupvet
-	$(GO) vet -vettool=$(CURDIR)/.bin/dedupvet ./...
 
 fmt:
 	gofmt -l -w .

@@ -3,9 +3,11 @@ package collectives
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // runTCP executes body once per rank over a local TCP group, mirroring
@@ -228,4 +230,51 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 		t.Fatal("Recv returned without error after Close")
 	}
 	comms[1].Close()
+}
+
+// TestTCPTimedOutSendsDropConcurrently: sends whose deadline has passed
+// fail and drop their connection (dropSender) while other goroutines keep
+// sending to the same peer through it or through a redialed one. Run
+// under -race, it checks that the connection table is only touched under
+// the communicator's lock.
+func TestTCPTimedOutSendsDropConcurrently(t *testing.T) {
+	comms, err := StartLocalTCP(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, c := range comms {
+			c.Close()
+		}
+	}()
+	const senders, rounds = 4, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, senders*rounds)
+	for g := 0; g < senders; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if comms[0].SendDeadline(1, 3, []byte("late"), time.Now().Add(-time.Second)) == nil {
+					errs <- errors.New("a send past its deadline succeeded")
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// May fail when a timed-out send closes the connection
+				// under it; the next one redials.
+				comms[0].Send(1, 4, []byte("on time"))
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := comms[0].Send(1, 5, []byte("after")); err != nil {
+		t.Fatalf("send after the dropped connections: %v", err)
+	}
 }

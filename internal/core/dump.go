@@ -819,8 +819,6 @@ func roundRobinShare(k, d, idx int) int {
 //
 // The caller (classify, under dumpOutput's begin helper) has already
 // published the reduction phase before this helper blocks.
-//
-//dedupvet:phased
 func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Table, o Options, m *metrics.Dump) (*fingerprint.Table, error) {
 	if leaf == nil {
 		leaf = fingerprint.NewTable(o.F, o.K)

@@ -12,6 +12,7 @@ import (
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
+	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
 )
 
@@ -254,6 +255,63 @@ func TestDumpKillThenNodeLossRestore(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreKillPerPhase is the restore's failure matrix: the victim's
+// node is wiped, so it fetches its metadata and chunks from the others,
+// and it is killed in each restore phase in which it makes a collective
+// call. Every phase-keyed fault fires only if the restore published that
+// phase (NotePhase), every survivor fails blaming the victim, and the
+// injected fault is recorded under the phase it was keyed to.
+func TestRestoreKillPerPhase(t *testing.T) {
+	const n, victim = 4, 2
+	for _, phase := range []string{"restore-meta", "assemble", "restore-barrier"} {
+		t.Run(phase, func(t *testing.T) {
+			cluster := storage.NewCluster(n)
+			cleanDump(t, n, cluster, "ckpt-0")
+			cluster.FailNodes(victim)
+			cluster.Replace(victim)
+
+			rec := obs.New(obs.DefaultRingSize)
+			defer obs.SetDefault(obs.SetDefault(rec))
+			plan := collectives.FaultPlan{Faults: []collectives.Fault{
+				{Kind: collectives.FaultKill, Rank: victim, Phase: phase, Peer: collectives.AnyRank},
+			}}
+			errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
+				fc := collectives.InjectFaults(c, plan)
+				_, err := RestoreOutputCtx(context.Background(), fc, cluster.Node(c.Rank()), "ckpt-0", nil)
+				return err
+			})
+			for r := 0; r < n; r++ {
+				if errs[r] == nil {
+					t.Fatalf("rank %d restored with rank %d killed in %q", r, victim, phase)
+				}
+				var ce *collectives.CollectiveError
+				if !errors.As(errs[r], &ce) {
+					t.Fatalf("rank %d returned untyped error: %v", r, errs[r])
+				}
+				if ranks := collectives.FailedRanks(errs[r]); len(ranks) != 1 || ranks[0] != victim {
+					t.Errorf("rank %d blames ranks %v, want [%d]", r, ranks, victim)
+				}
+				if !errors.Is(errs[r], collectives.ErrInjected) {
+					t.Errorf("rank %d lost the injected root cause: %v", r, errs[r])
+				}
+			}
+			fired := 0
+			for _, e := range rec.Events() {
+				if e.Kind != obs.KindFault {
+					continue
+				}
+				fired++
+				if e.Rank != victim || e.Phase != phase {
+					t.Errorf("injected fault recorded on rank %d in phase %q, want rank %d in %q", e.Rank, e.Phase, victim, phase)
+				}
+			}
+			if fired == 0 {
+				t.Errorf("no injected fault recorded")
+			}
+		})
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 	"dedupcr/internal/storage"
 )
 
-// fuzzMetaSeed builds one well-formed RestoreMeta encoding.
-func fuzzMetaSeed(f *testing.F) []byte {
+// fuzzMetaSeed builds one well-formed RestoreMeta encoding with one
+// hint, and returns the offset of its u32 hint count: past the u32 rank
+// | u32 K header and the encoded recipe.
+func fuzzMetaSeed(tb testing.TB) (blob []byte, hintsAt int) {
 	var fp1, fp2 fingerprint.FP
 	fp1[0], fp2[0] = 1, 2
 	m := &RestoreMeta{
@@ -28,25 +30,53 @@ func fuzzMetaSeed(f *testing.F) []byte {
 	}
 	blob, err := m.MarshalBinary()
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	return blob
+	recipe, err := m.Recipe.AppendBinary(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob, 8 + len(recipe)
+}
+
+// TestRestoreMetaRejectsOverCounts: a blob replicated by a peer claims
+// more hints, or more ranks in a hint, than its bytes hold. The decoder
+// refuses each at the count, before the count sizes an allocation.
+func TestRestoreMetaRejectsOverCounts(t *testing.T) {
+	valid, hintsAt := fuzzMetaSeed(t)
+	hints := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(hints[hintsAt:], 1000)
+	ranks := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint16(ranks[hintsAt+4+fingerprint.Size:], 3) // two are encoded
+	for _, c := range []struct {
+		data []byte
+		want string
+	}{
+		{hints, "core: restore meta claims 1000 hints in 30 bytes"},
+		{ranks, "core: hint 0 rank list truncated"},
+	} {
+		if err := new(RestoreMeta).UnmarshalBinary(c.data); err == nil || err.Error() != c.want {
+			t.Errorf("over-count restore meta: %v, want %q", err, c.want)
+		}
+	}
 }
 
 // FuzzRestoreMetaUnmarshal drives the restore-metadata decoder with
 // arbitrary bytes: hint counts are peer-controlled and must be bounded
 // before they size the hint map.
 func FuzzRestoreMetaUnmarshal(f *testing.F) {
-	valid := fuzzMetaSeed(f)
+	valid, hintsAt := fuzzMetaSeed(f)
 	f.Add(valid)
 	f.Add(valid[:6])
 	f.Add(append(valid, 1, 2, 3))
-	// Corrupt the trailing hint count upward.
+	// Corrupt the hint count upward.
 	hostile := append([]byte(nil), valid...)
-	if len(hostile) > 4 {
-		binary.BigEndian.PutUint32(hostile[len(hostile)-4:], 0x0FFFFFFF)
-	}
+	binary.BigEndian.PutUint32(hostile[hintsAt:], 1<<16)
 	f.Add(hostile)
+	// Corrupt the last hint's last rank id.
+	lastRank := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(lastRank[len(lastRank)-4:], 0x0FFFFFFF)
+	f.Add(lastRank)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := new(RestoreMeta)

@@ -96,8 +96,8 @@ func FuzzTableUnmarshal(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:8])
 	f.Add(append(valid, 0xFF))
-	// A header claiming far more entries than the payload holds: the
-	// bound check the boundedmake analyzer demanded.
+	// A header claiming far more entries than the payload holds, which
+	// must be rejected before it sizes an allocation.
 	hostile := append([]byte(nil), valid[:12]...)
 	binary.BigEndian.PutUint32(hostile[8:], 0x0FFFFFFF)
 	f.Add(hostile)

@@ -3,6 +3,7 @@ package ftrun
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -239,6 +240,26 @@ func TestImageRegionMismatchRejected(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadImageRejectsRegionCount: an image whose region count differs
+// from the registered regions is refused at the count, before the count
+// sizes the header table.
+func TestLoadImageRejectsRegionCount(t *testing.T) {
+	rt := &Runtime{}
+	rt.Register("a", 16)
+	img, err := rt.image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint32{0, 2, 1 << 20} {
+		bad := append([]byte(nil), img...)
+		binary.BigEndian.PutUint32(bad, n)
+		want := fmt.Sprintf("ftrun: image has %d regions, runtime tracks 1", n)
+		if err := rt.loadImage(bad); err == nil || err.Error() != want {
+			t.Errorf("count %d: %v, want %q", n, err, want)
+		}
 	}
 }
 

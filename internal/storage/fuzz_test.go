@@ -9,11 +9,11 @@ import (
 
 // FuzzSegmentIndexDecode drives the columnar index decoder with
 // arbitrary bytes: the count prefix and every varint column must never
-// panic or size an unbounded allocation (the boundedmake contract), and
-// any input that decodes must survive a re-encode/re-decode cycle with
-// the same entries. (Byte-identity of the canonical encoding is locked
-// separately by TestSegIndexEncodingByteIdentical; arbitrary accepted
-// inputs may carry non-minimal varints, which re-encode minimally.)
+// panic or size an unbounded allocation, and any input that decodes must
+// survive a re-encode/re-decode cycle with the same entries.
+// (Byte-identity of the canonical encoding is locked separately by
+// TestSegIndexEncodingByteIdentical; arbitrary accepted inputs may carry
+// non-minimal varints, which re-encode minimally.)
 func FuzzSegmentIndexDecode(f *testing.F) {
 	entries := make([]segEntry, 9)
 	for i := range entries {
@@ -77,6 +77,11 @@ func FuzzManifestDecode(f *testing.F) {
 	hostile = appendUvarintForTest(hostile, 1) // nextseg
 	hostile = appendUvarintForTest(hostile, 1<<40)
 	f.Add(appendCRC(hostile))
+	// Checksummed bodies claiming more refcounts and more blobs than the
+	// rest of the input holds.
+	refs, blobs := overCountManifests()
+	f.Add(refs)
+	f.Add(blobs)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)

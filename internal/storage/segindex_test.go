@@ -210,6 +210,40 @@ func TestManifestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeManifest(appendCRC(v1)); err == nil || err.Error() != "storage: manifest version 1, want 2" {
 		t.Errorf("v1 manifest: %v, want the version error", err)
 	}
+	// Counts that claim more entries than the bytes left can hold are
+	// refused at the count, before they size a slice.
+	refs, blobs := overCountManifests()
+	for _, c := range []struct {
+		data []byte
+		want string
+	}{
+		{refs, "storage: manifest claims 1000 refcounts for 3 bytes"},
+		{blobs, "storage: manifest claims 1000 blobs for 7 bytes"},
+	} {
+		if _, err := decodeManifest(c.data); err == nil || err.Error() != c.want {
+			t.Errorf("over-count manifest: %v, want %q", err, c.want)
+		}
+	}
+}
+
+// overCountManifests returns two checksummed manifests: one whose
+// segment's override flag claims 1000 refcounts with 3 bytes left, and
+// one that claims 1000 blobs with one blob's 7 bytes left.
+func overCountManifests() (refs, blobs []byte) {
+	head := func(segs uint64) []byte {
+		b := append([]byte(manifestMagic), manifestVersion)
+		b = appendUvarintForTest(b, 1) // gen
+		b = appendUvarintForTest(b, 2) // nextseg
+		return appendUvarintForTest(b, segs)
+	}
+	refs = appendUvarintForTest(head(1), 1)       // segment id
+	refs = appendUvarintForTest(refs, 1)          // datalen
+	refs = binary.BigEndian.AppendUint32(refs, 0) // idxsum
+	refs = appendUvarintForTest(refs, 1+1000)     // override flag
+	refs = append(refs, 1, 1, 1)
+	blobs = appendUvarintForTest(head(0), 1000)
+	blobs = append(blobs, 1, 'a', 1, 0, 0, 0, 0) // name, version, sum
+	return appendCRC(refs), appendCRC(blobs)
 }
 
 // appendUvarintForTest and appendCRC keep hostile-input construction

@@ -232,8 +232,6 @@ func (s *SegStore) manifestPath() string {
 // recover replays the manifest into memory and deletes everything the
 // manifest does not vouch for. Runs before the store is published, so
 // fields are accessed without the lock.
-//
-//dedupvet:locked
 func (s *SegStore) recover() error {
 	m, err := readManifest(s.manifestPath())
 	if err != nil {

@@ -692,3 +692,48 @@ func TestSegCompactionPublishesOnlyCommittedBlobs(t *testing.T) {
 	}
 	blobFiles(1)
 }
+
+// TestSegUsageDuringPuts reads Usage in a loop while another goroutine
+// puts, seals and commits. Every reading is a consistent pair that never
+// shrinks, and under -race the counters are only touched under the lock.
+func TestSegUsageDuringPuts(t *testing.T) {
+	s := openSeg(t, t.TempDir())
+	defer s.Close()
+	const n, size = 256, 1024
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			data := segChunk(i, size)
+			if err := s.PutChunk(fingerprint.Of(data), data); err != nil {
+				done <- err
+				return
+			}
+			if i%32 == 31 {
+				if err := s.Commit(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+	}()
+	var last int64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		b, c := s.Usage()
+		if b != int64(c)*size || b < last {
+			t.Fatalf("Usage = %d bytes / %d chunks after %d bytes", b, c, last)
+		}
+		last = b
+	}
+	if last != n*size {
+		t.Fatalf("final Usage = %d bytes, want %d", last, n*size)
+	}
+}
