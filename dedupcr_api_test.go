@@ -114,7 +114,8 @@ func (s rejectingStore) PutChunk(fingerprint.FP, []byte) error   { return s.err 
 // TestRestoreAbortsGroupOnStoreError checks that the context-less
 // Restore aborts the group when one rank fails: every peer, blocked in
 // the fetch service or the completion barrier, returns a typed
-// *CollectiveError naming the restore instead of waiting forever.
+// *CollectiveError naming the restore phase it was in instead of waiting
+// forever; the failed rank's names assemble, where its store failed.
 func TestRestoreAbortsGroupOnStoreError(t *testing.T) {
 	const n, broken = 4, 1
 	cluster := dedupcr.NewCluster(n)
@@ -160,8 +161,11 @@ func TestRestoreAbortsGroupOnStoreError(t *testing.T) {
 			t.Errorf("rank %d: %v, want a *CollectiveError", r, err)
 			continue
 		}
-		if ce.Phase != "restore" {
-			t.Errorf("rank %d: phase %q, want \"restore\"", r, ce.Phase)
+		switch {
+		case r == broken && ce.Phase != "assemble":
+			t.Errorf("rank %d: phase %q, want \"assemble\", where its store failed", r, ce.Phase)
+		case !slices.Contains([]string{"restore-meta", "assemble", "restore-commit", "restore-barrier"}, ce.Phase):
+			t.Errorf("rank %d: phase %q, want a restore phase", r, ce.Phase)
 		}
 		if ranks := dedupcr.FailedRanks(err); !slices.Equal(ranks, []int{broken}) {
 			t.Errorf("rank %d: failed ranks %v, want [%d]", r, ranks, broken)

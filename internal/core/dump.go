@@ -66,17 +66,65 @@ func prefixes(k int) [][]int {
 	return out
 }
 
-// beginPhase opens one pipeline phase: a trace span named after it plus a
-// wall-clock measurement accumulated into dst when the returned function
-// is called. Both sides are nil-safe, so uninstrumented runs pay only two
-// clock reads per phase.
-func beginPhase(rec *obs.Track, name string, dst *time.Duration) func() {
-	sp := rec.Begin(name)
-	start := time.Now()
-	return func() {
-		*dst += time.Since(start)
-		sp.End()
+// tracker keeps a collective pipeline's phase bookkeeping. At most one
+// phase is open at a time, and its one name is the error-attribution
+// label (failCollective), the phase the transport sees (NotePhase, which
+// phase-scoped fault injection keys on), the trace span on rec and the
+// phase-table row of the metrics its wall time accrues to. A nil rec
+// records no spans, so uninstrumented runs pay two clock reads per phase.
+type tracker struct {
+	c     collectives.Comm
+	rec   *obs.Track
+	slot  func(phase string) *time.Duration // the pipeline's phase record
+	phase string                            // the phase last begun
+
+	span  *obs.Span
+	dst   *time.Duration // the open phase's slot, nil when none is open
+	start time.Time
+}
+
+// begin ends the open phase, if any, and opens the named one.
+func (t *tracker) begin(name string) {
+	t.end()
+	t.phase = name
+	collectives.NotePhase(t.c, name)
+	t.span = t.rec.Begin(name)
+	t.dst = t.slot(name)
+	t.start = time.Now()
+}
+
+// end accrues the open phase's wall time into its slot and ends its span.
+// The phase stays the attribution label until the next begin.
+func (t *tracker) end() {
+	if t.dst == nil {
+		return
 	}
+	*t.dst += time.Since(t.start)
+	t.span.End()
+	t.dst = nil
+}
+
+// collective runs one collective pipeline on this rank under ctx, the
+// scaffold the dump and the restore share: a ctx already done fails before
+// anything runs; cancelling ctx mid-way aborts the group; and a failure
+// aborts the group and comes back as a *collectives.CollectiveError naming
+// the phase the pipeline was in.
+func collective[T any](ctx context.Context, c collectives.Comm, rec *obs.Track, run func(*tracker) (T, error)) (T, error) {
+	var zero T
+	if ctx != nil && ctx.Err() != nil {
+		return zero, context.Cause(ctx)
+	}
+	stop := collectives.WatchContext(ctx, c)
+	defer stop()
+	// NotePhase labels the goroutine per phase for CPU profiles; drop the
+	// last label once the pipeline is done.
+	defer obs.ClearPhaseLabel()
+	t := &tracker{c: c, rec: rec}
+	res, err := run(t)
+	if err != nil {
+		return zero, failCollective(c, err, t.phase)
+	}
+	return res, nil
 }
 
 // DumpOutput is the paper's collective write primitive: every rank of c
@@ -112,17 +160,9 @@ func DumpOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store,
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, context.Cause(ctx)
-	}
-	stop := collectives.WatchContext(ctx, c)
-	defer stop()
-	var phase string
-	res, err := dumpOutput(c, store, buf, o, &phase)
-	if err != nil {
-		return nil, failCollective(c, err, phase)
-	}
-	return res, nil
+	return collective(ctx, c, o.Trace, func(t *tracker) (*Result, error) {
+		return dumpOutput(t, store, buf, o)
+	})
 }
 
 // failCollective terminates a collective operation that failed on this
@@ -158,29 +198,19 @@ func failCollective(c collectives.Comm, err error, phase string) error {
 	return out
 }
 
-// dumpOutput runs the dump pipeline with already-normalized options,
-// recording the currently running phase into curPhase for error
-// attribution.
-func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, curPhase *string) (*Result, error) {
+// dumpOutput runs the dump pipeline with already-normalized options, its
+// phases timed and attributed by t.
+func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result, error) {
+	c := t.c
 	me, n := c.Rank(), c.Size()
 	m := metrics.Dump{Rank: me, DatasetBytes: int64(len(buf))}
+	t.slot = m.Phases.Slot
 	dumpStart := time.Now()
 	dumpSpan := o.Trace.Begin("dump").
 		Arg("approach", o.Approach.String()).
 		Arg("bytes", fmt.Sprint(len(buf)))
 	defer dumpSpan.End()
-	// NotePhase labels the goroutine per phase for CPU profiles; drop the
-	// last label once the pipeline is done.
-	defer obs.ClearPhaseLabel()
-
-	// begin opens a pipeline phase and additionally publishes its name to
-	// the error-attribution slot and to the transport (NotePhase), which
-	// phase-scoped fault injection keys on.
-	begin := func(name string, dst *time.Duration) func() {
-		*curPhase = name
-		collectives.NotePhase(c, name)
-		return beginPhase(o.Trace, name, dst)
-	}
+	defer t.end() // a failed phase's span ends inside the dump's
 
 	// Phase 1 — chunking and fingerprinting (every byte is hashed once).
 	// Both chunkers (fixed and gear) expose their boundary scan separately
@@ -205,13 +235,11 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// leaf is the prebuilt reduction input (parallel coll-dedup only);
 	// reduceGlobal builds its own when nil.
 	var leaf *fingerprint.Table
-	var done func()
 	switch {
 	case o.Parallelism > 1:
-		done = begin("chunking", &m.Phases.Chunking)
+		t.begin("chunking")
 		cuts := cc.Cuts(buf)
-		done()
-		done = begin("fingerprint", &m.Phases.Fingerprint)
+		t.begin("fingerprint")
 		if o.Approach == CollDedup {
 			leaf = fingerprint.NewTable(o.F, o.K)
 		}
@@ -233,26 +261,22 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 				}
 			}
 		})
-		done()
 		m.Phases.FingerprintWorkers = busy
 		// The dedup filter ran inside the fingerprint wall time; only the
 		// leaf table's top-F trim remains.
-		done = begin("local-dedup", &m.Phases.LocalDedup)
+		t.begin("local-dedup")
 		if leaf != nil {
 			leaf.Trim()
 		}
-		done()
 	default:
-		done = begin("chunking", &m.Phases.Chunking)
+		t.begin("chunking")
 		cuts := cc.Cuts(buf)
-		done()
-		done = begin("fingerprint", &m.Phases.Fingerprint)
+		t.begin("fingerprint")
 		chunks = chunk.FromCuts(buf, cuts)
-		done()
-		done = begin("local-dedup", &m.Phases.LocalDedup)
+		t.begin("local-dedup")
 		uniq, first = localDedup(chunks)
-		done()
 	}
+	t.end()
 	m.TotalChunks = len(chunks)
 	m.HashedBytes = int64(len(buf))
 	m.LocalUniqueChunks = len(uniq)
@@ -264,13 +288,13 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// partner identities are known (phase 5). Its cost files under the
 	// reduction phase for coll-dedup (the global view drives it) and
 	// under planning for the baselines (plain partner assignment).
-	classifyDst, classifyName := &m.Phases.Planning, "planning"
 	if o.Approach == CollDedup {
-		classifyDst, classifyName = &m.Phases.Reduction, "reduction"
+		t.begin("reduction")
+	} else {
+		t.begin("planning")
 	}
-	done = begin(classifyName, classifyDst)
 	items, hints, global, err := classify(c, chunks, uniq, first, leaf, o, &m)
-	done()
+	t.end()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d classify: %w", me, err)
 	}
@@ -280,9 +304,9 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// still shift in phase 5, totals cannot.
 	load := sendLoads(items, o.K)
 	pre := c.Stats()
-	done = begin("load-exchange", &m.Phases.LoadExchange)
+	t.begin("load-exchange")
 	sendLoad, err := collectives.AllgatherInt64(c, load)
-	done()
+	t.end()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d load allgather: %w", me, err)
 	}
@@ -300,26 +324,23 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 			totals[r] += row[d]
 		}
 	}
-	done = begin("planning", &m.Phases.Planning)
+	t.begin("planning")
 	shuffle := SelectShuffle(totals, o)
 	if o.Approach == CollDedup {
 		refineTargets(items, shuffle, o.K, me)
 		load = sendLoads(items, o.K)
-	}
-	done()
-	if o.Approach == CollDedup {
 		pre = c.Stats()
-		done = begin("load-exchange", &m.Phases.LoadExchange)
+		t.begin("load-exchange")
 		sendLoad, err = collectives.AllgatherInt64(c, load)
-		done()
+		t.end()
 		if err != nil {
 			return nil, fmt.Errorf("rank %d refined load allgather: %w", me, err)
 		}
 		m.LoadExchangeBytes += c.Stats().BytesSent - pre.BytesSent
 	}
-	done = begin("planning", &m.Phases.Planning)
+	t.begin("planning")
 	plan, err := NewPlan(shuffle, sendLoad, o.K)
-	done()
+	t.end()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d plan: %w", me, err)
 	}
@@ -331,9 +352,9 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// phase 7.
 	winSize := plan.WindowSize(me)
 	m.WindowBytes = winSize
-	done = begin("window-open", &m.Phases.WindowOpen)
+	t.begin("window-open")
 	win := collectives.OpenWindow(c, winSize, c.NextSeq())
-	done()
+	t.end()
 	m.PutLatency = metrics.NewHistogram()
 	win.OnPut = func(bytes int, d time.Duration) {
 		m.PutLatency.Record(d.Nanoseconds())
@@ -341,7 +362,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	win.PutTimeout = o.Retry.PutTimeout
 	var putRetries atomic.Int64
 	offs := plan.Offsets(me)
-	done = begin("put", &m.Phases.Put)
+	t.begin("put")
 	metaBlob, err := (&RestoreMeta{Rank: int32(me), K: int32(o.K), Recipe: chunk.BuildRecipe(chunks), Hints: hints}).MarshalBinary()
 	for d := 1; err == nil && d < o.K; d++ {
 		to := plan.Partner(me, d)
@@ -354,7 +375,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	default:
 		err = putSerial(win, plan, items, offs, o, me, &m, &putRetries)
 	}
-	done()
+	t.end()
 	m.PutRetries = putRetries.Load()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d %w", me, err)
@@ -369,11 +390,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// name left here (prev) — is tracked so a failure anywhere from here on
 	// rolls the local store back to its pre-dump state (see rollbackDump):
 	// the consistency half of the abort protocol.
-	done = begin("commit", &m.Phases.Commit)
-	switchTo := func(name string, dst *time.Duration) {
-		done()
-		done = begin(name, dst)
-	}
+	t.begin("commit")
 	senders := make([]int, o.K-1)
 	regions := make([]region, o.K-1)
 	for d := 1; d < o.K; d++ {
@@ -385,19 +402,18 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	if blob, err := store.GetBlob(gcName(o.Name, me)); err == nil && len(blob) > 0 {
 		g, err := unmarshalGC(blob)
 		if err != nil {
-			done()
 			return nil, fmt.Errorf("rank %d earlier dump of %q: %w", me, o.Name, err)
 		}
 		prev = g.held
 	}
 	cm := &committer{store: store, m: &m, regions: regions, refs: make([]fingerprint.FP, 0, len(items)),
 		next: func() ([]byte, uint32, error) {
-			switchTo("window-wait", &m.Phases.WindowWait)
+			t.begin("window-wait")
 			frame, sum, err := win.Next()
 			if err != nil && err != io.EOF {
 				err = fmt.Errorf("window: %w", err)
 			}
-			switchTo("commit", &m.Phases.Commit)
+			t.begin("commit")
 			return frame, sum, err
 		}}
 	commitErr := func() error {
@@ -434,7 +450,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		}
 		return nil
 	}()
-	done()
+	t.end()
 	if commitErr != nil {
 		rollbackDump(store, o.Name, me, append(prev, senders...), cm.refs)
 		return nil, commitErr
@@ -446,9 +462,9 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// it, i.e. before every rank has committed. So if the barrier fails,
 	// no rank can have completed the dump — every survivor rolls back and
 	// the dataset is globally absent, as if the dump never ran.
-	done = begin("barrier", &m.Phases.Barrier)
+	t.begin("barrier")
 	err = collectives.Barrier(c)
-	done()
+	t.end()
 	if err != nil {
 		rollbackDump(store, o.Name, me, append(prev, senders...), cm.refs)
 		return nil, fmt.Errorf("rank %d final barrier: %w", me, err)
@@ -817,8 +833,8 @@ func roundRobinShare(k, d, idx int) int {
 // the parallel pipeline) enters the tree directly; otherwise the leaf is
 // built here from the unique chunks — both constructions are identical.
 //
-// The caller (classify, under dumpOutput's begin helper) has already
-// published the reduction phase before this helper blocks.
+// The caller (classify, under dumpOutput's tracker) has already published
+// the reduction phase before this helper blocks.
 func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Table, o Options, m *metrics.Dump) (*fingerprint.Table, error) {
 	if leaf == nil {
 		leaf = fingerprint.NewTable(o.F, o.K)

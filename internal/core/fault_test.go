@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
+	"dedupcr/internal/metrics"
 	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
 )
@@ -79,7 +81,8 @@ func cleanDump(t *testing.T, n int, cluster *storage.Cluster, name string) [][]b
 
 // TestDumpKillPerPhase is the failure matrix of the abort protocol: a
 // 4-rank dump with one rank killed in each collective phase must (1)
-// surface a typed CollectiveError on every survivor within the deadline,
+// surface a typed CollectiveError on every rank within the deadline, the
+// victim's naming the phase it was killed in or a later one,
 // (2) leave every store rolled back to its pre-dump state, and (3) keep
 // the previous committed checkpoint fully restorable.
 func TestDumpKillPerPhase(t *testing.T) {
@@ -110,12 +113,19 @@ func TestDumpKillPerPhase(t *testing.T) {
 				if errs[r] == nil {
 					t.Fatalf("rank %d reported success with rank %d killed in %q", r, victim, phase)
 				}
-				if r == victim {
-					continue
-				}
 				var ce *collectives.CollectiveError
 				if !errors.As(errs[r], &ce) {
 					t.Fatalf("rank %d returned untyped error: %v", r, errs[r])
+				}
+				if r == victim {
+					// The killed rank fails at its next send or blocking
+					// receive; messages already queued stay deliverable
+					// (drain-first), so a kill in commit or window-wait can
+					// surface as late as the barrier.
+					if slices.Index(metrics.PhaseNames, ce.Phase) < slices.Index(metrics.PhaseNames, phase) {
+						t.Errorf("victim's error names phase %q, want %q or a later one", ce.Phase, phase)
+					}
+					continue
 				}
 				if !errors.Is(errs[r], collectives.ErrAborted) {
 					t.Errorf("rank %d error does not match ErrAborted: %v", r, errs[r])
@@ -262,8 +272,9 @@ func TestDumpKillThenNodeLossRestore(t *testing.T) {
 // node is wiped, so it fetches its metadata and chunks from the others,
 // and it is killed in each restore phase in which it makes a collective
 // call. Every phase-keyed fault fires only if the restore published that
-// phase (NotePhase), every survivor fails blaming the victim, and the
-// injected fault is recorded under the phase it was keyed to.
+// phase (NotePhase), every survivor fails blaming the victim, every
+// rank's error names a restore phase — the victim's the keyed one — and
+// the injected fault is recorded under the phase it was keyed to.
 func TestRestoreKillPerPhase(t *testing.T) {
 	const n, victim = 4, 2
 	for _, phase := range []string{"restore-meta", "assemble", "restore-barrier"} {
@@ -290,6 +301,12 @@ func TestRestoreKillPerPhase(t *testing.T) {
 				var ce *collectives.CollectiveError
 				if !errors.As(errs[r], &ce) {
 					t.Fatalf("rank %d returned untyped error: %v", r, errs[r])
+				}
+				switch {
+				case r == victim && ce.Phase != phase:
+					t.Errorf("victim's error names phase %q, want %q", ce.Phase, phase)
+				case !slices.Contains(metrics.RestorePhaseNames, ce.Phase):
+					t.Errorf("rank %d error names phase %q, want a restore phase", r, ce.Phase)
 				}
 				if ranks := collectives.FailedRanks(errs[r]); len(ranks) != 1 || ranks[0] != victim {
 					t.Errorf("rank %d blames ranks %v, want [%d]", r, ranks, victim)

@@ -103,10 +103,7 @@ func TestDumpTraceCoverage(t *testing.T) {
 		t.Errorf("trace coverage %.3f, want >= 0.95", cov)
 	}
 	// Every pipeline phase must appear as a span at least once.
-	seen := make(map[string]bool)
-	for _, e := range tr.Events() {
-		seen[e.Msg] = true
-	}
+	seen := spanNames(tr)
 	for _, name := range metrics.PhaseNames {
 		if !seen[name] {
 			t.Errorf("phase %q has no span", name)
@@ -122,11 +119,17 @@ func TestDumpTraceCoverage(t *testing.T) {
 	}
 }
 
-// TestRestoreTraceSpans verifies the restore path emits its spans.
-func TestRestoreTraceSpans(t *testing.T) {
-	const n = 4
+// tracedRestore dumps the standard workload under local dedup, wipes the
+// stores of the ranks in wiped, and runs one traced restore, checking
+// every rank's image; it returns the trace.
+func tracedRestore(t *testing.T, n int, wiped ...int) *obs.Recorder {
+	t.Helper()
 	o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: testPage}, Name: "rt"}
 	cluster, _, buffers := runDump(t, n, o)
+	cluster.FailNodes(wiped...)
+	for _, r := range wiped {
+		cluster.Replace(r)
+	}
 	tr := obs.New(1 << 12)
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		rec := tr.Track(1, c.Rank(), fmt.Sprintf("rank %d", c.Rank()))
@@ -142,13 +145,41 @@ func TestRestoreTraceSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// spanNames is the set of span names in tr.
+func spanNames(tr *obs.Recorder) map[string]bool {
 	seen := make(map[string]bool)
 	for _, e := range tr.Events() {
 		seen[e.Msg] = true
 	}
-	for _, want := range []string{"restore", "load-meta", "assemble", "barrier"} {
+	return seen
+}
+
+// TestRestoreTraceSpans verifies a local restore emits its top-level span
+// and one span per phase it runs, each named like the phase it times.
+func TestRestoreTraceSpans(t *testing.T) {
+	seen := spanNames(tracedRestore(t, 4))
+	for _, want := range []string{"restore", "restore-meta", "assemble", "restore-commit", "restore-barrier"} {
 		if !seen[want] {
 			t.Errorf("restore span %q missing", want)
+		}
+	}
+}
+
+// TestRestoreTraceCoverage is TestDumpTraceCoverage's twin: a restore
+// with one node wiped, so the fetch stage runs too, is covered by its
+// spans, and every restore phase appears as a span under its phase name.
+func TestRestoreTraceCoverage(t *testing.T) {
+	tr := tracedRestore(t, 4, 1)
+	if cov := tr.Coverage(); cov < 0.95 {
+		t.Errorf("trace coverage %.3f, want >= 0.95", cov)
+	}
+	seen := spanNames(tr)
+	for _, name := range metrics.RestorePhaseNames {
+		if !seen[name] {
+			t.Errorf("restore phase %q has no span", name)
 		}
 	}
 }

@@ -68,28 +68,22 @@ func RestoreCtx(ctx context.Context, c collectives.Comm, store storage.Store, na
 // traffic and read-latency histograms — and records per-phase spans
 // onto rec (a nil track records nothing).
 func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *obs.Track) (*RestoreResult, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return nil, context.Cause(ctx)
-	}
-	stop := collectives.WatchContext(ctx, c)
-	defer stop()
-	res, err := restoreOutput(c, store, name, rec)
-	if err != nil {
-		return nil, failCollective(c, err, "restore")
-	}
-	return res, nil
+	return collective(ctx, c, rec, func(t *tracker) (*RestoreResult, error) {
+		return restoreOutput(t, store, name)
+	})
 }
 
-// restoreOutput runs the restore pipeline.
-func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *obs.Track) (*RestoreResult, error) {
+// restoreOutput runs the restore pipeline, its phases timed and
+// attributed by t.
+func restoreOutput(t *tracker, store storage.Store, name string) (*RestoreResult, error) {
+	c := t.c
 	me, n := c.Rank(), c.Size()
 	restoreStart := time.Now()
 	m := metrics.Restore{Rank: me, RunLengths: metrics.NewHistogram()}
-	restoreSpan := rec.Begin("restore").Arg("dataset", name)
+	t.slot = m.Phases.Slot
+	restoreSpan := t.rec.Begin("restore").Arg("dataset", name)
 	defer restoreSpan.End()
-	// NotePhase labels the goroutine per phase for CPU profiles; drop the
-	// last label once the pipeline is done.
-	defer obs.ClearPhaseLabel()
+	defer t.end() // a failed phase's span ends inside the restore's
 
 	// Local reads go through a fresh Timed wrapper so the restore's
 	// read-latency histogram covers exactly this restore. The fetch
@@ -98,18 +92,11 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *ob
 	timed := storage.NewTimed(store)
 	fs := fetch.NewStats(n)
 	srv := fetch.Serve(c, store, fetchClass)
+	defer srv.Stop()
 
-	// Publish each restore phase to the transport, mirroring the dump
-	// pipeline: failures get attributed to the phase they surfaced in and
-	// phase-scoped fault injection can target restores too.
-	collectives.NotePhase(c, "restore-meta")
-	metaSpan := rec.Begin("load-meta")
-	phaseStart := time.Now()
+	t.begin("restore-meta")
 	meta, metaFetched, err := loadMeta(c, timed, fs, name)
-	m.Phases.Meta = time.Since(phaseStart)
-	metaSpan.End()
 	if err != nil {
-		srv.Stop()
 		return nil, fmt.Errorf("rank %d: %w", me, err)
 	}
 	localBlobReads := 0 // successful local blob reads (meta, gc list)
@@ -123,24 +110,22 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *ob
 	}
 	m.TotalChunks = meta.Recipe.Len()
 
-	collectives.NotePhase(c, "assemble")
-	assembleSpan := rec.Begin("assemble")
-	phaseStart = time.Now()
+	t.begin("assemble")
 	a := &assembly{comm: c, store: timed, fs: fs, meta: meta, m: &m}
 	err = a.walk()
 	if err == nil && len(a.holes) > 0 {
 		// Exchanges overlap, so the fetch stage is charged as wall time:
-		// first ask sent to last reply placed, inside Assemble.
-		fetchSpan := rec.Begin("fetch").Arg("fingerprints", fmt.Sprint(len(a.holes)))
+		// first ask sent to last reply placed, inside Assemble. It is no
+		// phase of its own on the transport: a fault keyed to assemble
+		// fires here too.
+		fetchSpan := t.rec.Begin("fetch").Arg("fingerprints", fmt.Sprint(len(a.holes)))
 		fetchStart := time.Now()
 		err = a.fetchHoles()
 		m.Phases.Fetch += time.Since(fetchStart)
 		fetchSpan.End()
 	}
-	m.Phases.Assemble = time.Since(phaseStart)
-	assembleSpan.Arg("fetched-chunks", fmt.Sprint(len(a.cached))).End()
+	t.span.Arg("fetched-chunks", fmt.Sprint(len(a.cached)))
 	if err != nil {
-		srv.Stop()
 		return nil, fmt.Errorf("rank %d assemble %q: %w", me, name, err)
 	}
 	a.noteRuns()
@@ -150,9 +135,7 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *ob
 	m.LogicalBytes = int64(len(buf))
 	m.LocalChunks, m.LocalBytes = m.TotalChunks-m.FetchedChunks, m.LogicalBytes-m.FetchedBytes
 
-	collectives.NotePhase(c, "restore-commit")
-	commitSpan := rec.Begin("commit")
-	phaseStart = time.Now()
+	t.begin("restore-commit")
 	// The re-provisioned references belong to this dataset: fold them
 	// into its reclamation list, keeping the metadata replicas it names,
 	// so a later Forget releases them too. A list that does not decode is
@@ -164,12 +147,10 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *ob
 			if prev, perr := unmarshalGC(blob); perr == nil {
 				gc = gcList{refs: append(prev.refs, cached...), held: prev.held}
 			} else if len(blob) > 0 {
-				srv.Stop()
 				return nil, fmt.Errorf("rank %d gc list of %q: %w", me, name, perr)
 			}
 		}
 		if err := timed.PutBlob(gcName(name, me), gc.marshal()); err != nil && !errors.Is(err, storage.ErrFailed) {
-			srv.Stop()
 			return nil, err
 		}
 	}
@@ -178,7 +159,6 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *ob
 	if metaFetched {
 		if blob, merr := meta.MarshalBinary(); merr == nil {
 			if err := timed.PutBlob(metaName(name, me), blob); err != nil && !errors.Is(err, storage.ErrFailed) {
-				srv.Stop()
 				return nil, err
 			}
 		}
@@ -187,21 +167,14 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *ob
 	// on commit-aware engines: losing them to a crash only costs a
 	// re-fetch on the next restore, so errors don't fail the restore.
 	_ = storage.Commit(timed)
-	m.Phases.Commit = time.Since(phaseStart)
-	commitSpan.End()
 
 	// All ranks keep serving until everyone has finished assembling.
-	collectives.NotePhase(c, "restore-barrier")
-	barrierSpan := rec.Begin("barrier")
-	phaseStart = time.Now()
+	t.begin("restore-barrier")
 	err = collectives.Barrier(c)
-	m.Phases.Barrier = time.Since(phaseStart)
-	barrierSpan.End()
+	t.end()
 	if err != nil {
-		srv.Stop()
 		return nil, fmt.Errorf("rank %d restore barrier: %w", me, err)
 	}
-	srv.Stop()
 
 	// The completion barrier's exit stamp doubles as this rank's wall-clock
 	// anchor for cross-rank clock-offset estimation (telemetry plane).

@@ -65,13 +65,86 @@ type Phases struct {
 	Total time.Duration
 }
 
+// phase is one row of a pipeline's phase table: the phase's label — its
+// span, its NotePhase name and its row in tables and expositions — and
+// its duration field.
+type phase[P any] struct {
+	name  string
+	field func(*P) *time.Duration
+}
+
+// phaseTable lists one pipeline's phases once, in pipeline order, which
+// is also their order on the telemetry wire. Every per-phase operation
+// walks it.
+type phaseTable[P any] []phase[P]
+
+func (t phaseTable[P]) names() []string {
+	out := make([]string, len(t))
+	for i, ph := range t {
+		out[i] = ph.name
+	}
+	return out
+}
+
+func (t phaseTable[P]) slot(p *P, name string) *time.Duration {
+	for _, ph := range t {
+		if ph.name == name {
+			return ph.field(p)
+		}
+	}
+	return nil
+}
+
+func (t phaseTable[P]) sum(p *P) time.Duration {
+	var s time.Duration
+	for _, ph := range t {
+		s += *ph.field(p)
+	}
+	return s
+}
+
+func (t phaseTable[P]) add(p, q *P) {
+	for _, ph := range t {
+		*ph.field(p) += *ph.field(q)
+	}
+}
+
+func (t phaseTable[P]) byName(p *P, name string) time.Duration {
+	if d := t.slot(p, name); d != nil {
+		return *d
+	}
+	return 0
+}
+
+// dumpPhases is the dump pipeline's phase table.
+var dumpPhases = phaseTable[Phases]{
+	{"chunking", func(p *Phases) *time.Duration { return &p.Chunking }},
+	{"fingerprint", func(p *Phases) *time.Duration { return &p.Fingerprint }},
+	{"local-dedup", func(p *Phases) *time.Duration { return &p.LocalDedup }},
+	{"reduction", func(p *Phases) *time.Duration { return &p.Reduction }},
+	{"load-exchange", func(p *Phases) *time.Duration { return &p.LoadExchange }},
+	{"planning", func(p *Phases) *time.Duration { return &p.Planning }},
+	{"window-open", func(p *Phases) *time.Duration { return &p.WindowOpen }},
+	{"put", func(p *Phases) *time.Duration { return &p.Put }},
+	{"window-wait", func(p *Phases) *time.Duration { return &p.WindowWait }},
+	{"commit", func(p *Phases) *time.Duration { return &p.Commit }},
+	{"barrier", func(p *Phases) *time.Duration { return &p.Barrier }},
+}
+
+// PhaseNames lists the dump's phase labels in pipeline order: the span
+// names recorded by internal/core and the rows of the phase tables.
+var PhaseNames = dumpPhases.names()
+
+// Slot returns the duration field of the named phase (one of
+// PhaseNames), nil for any other name.
+func (p *Phases) Slot(name string) *time.Duration { return dumpPhases.slot(p, name) }
+
+// ByName returns the duration of the named phase, 0 for an unknown name.
+func (p Phases) ByName(name string) time.Duration { return dumpPhases.byName(&p, name) }
+
 // Sum adds up the per-phase fields (excluding Total). For a correctly
 // instrumented dump, Sum is within a few percent of Total.
-func (p Phases) Sum() time.Duration {
-	return p.Chunking + p.Fingerprint + p.LocalDedup + p.Reduction +
-		p.LoadExchange + p.Planning + p.WindowOpen + p.Put +
-		p.WindowWait + p.Commit + p.Barrier
-}
+func (p Phases) Sum() time.Duration { return dumpPhases.sum(&p) }
 
 // Other returns the unattributed remainder Total - Sum (clamped at 0).
 func (p Phases) Other() time.Duration {
@@ -84,20 +157,10 @@ func (p Phases) Other() time.Duration {
 // Add accumulates q's durations into p field-wise (round times append),
 // for aggregating several dumps of one run.
 func (p *Phases) Add(q Phases) {
-	p.Chunking += q.Chunking
-	p.Fingerprint += q.Fingerprint
-	p.LocalDedup += q.LocalDedup
-	p.Reduction += q.Reduction
+	dumpPhases.add(p, &q)
 	p.ReductionRoundTimes = append(p.ReductionRoundTimes, q.ReductionRoundTimes...)
 	p.FingerprintWorkers = append(p.FingerprintWorkers, q.FingerprintWorkers...)
 	p.PutWorkers = append(p.PutWorkers, q.PutWorkers...)
-	p.LoadExchange += q.LoadExchange
-	p.Planning += q.Planning
-	p.WindowOpen += q.WindowOpen
-	p.Put += q.Put
-	p.WindowWait += q.WindowWait
-	p.Commit += q.Commit
-	p.Barrier += q.Barrier
 	p.Total += q.Total
 }
 
@@ -107,58 +170,11 @@ func (p Phases) Scale(f float64) Phases {
 	s := func(d time.Duration) time.Duration {
 		return time.Duration(float64(d) * f)
 	}
-	return Phases{
-		Chunking:     s(p.Chunking),
-		Fingerprint:  s(p.Fingerprint),
-		LocalDedup:   s(p.LocalDedup),
-		Reduction:    s(p.Reduction),
-		LoadExchange: s(p.LoadExchange),
-		Planning:     s(p.Planning),
-		WindowOpen:   s(p.WindowOpen),
-		Put:          s(p.Put),
-		WindowWait:   s(p.WindowWait),
-		Commit:       s(p.Commit),
-		Barrier:      s(p.Barrier),
-		Total:        s(p.Total),
+	out := Phases{Total: s(p.Total)}
+	for _, ph := range dumpPhases {
+		*ph.field(&out) = s(*ph.field(&p))
 	}
-}
-
-// PhaseNames lists the phase labels in pipeline order, matching the span
-// names recorded by internal/core and the rows of the phase tables.
-var PhaseNames = []string{
-	"chunking", "fingerprint", "local-dedup", "reduction",
-	"load-exchange", "planning", "window-open", "put", "window-wait",
-	"commit", "barrier",
-}
-
-// ByName returns the duration of the named phase (one of PhaseNames).
-func (p Phases) ByName(name string) time.Duration {
-	switch name {
-	case "chunking":
-		return p.Chunking
-	case "fingerprint":
-		return p.Fingerprint
-	case "local-dedup":
-		return p.LocalDedup
-	case "reduction":
-		return p.Reduction
-	case "load-exchange":
-		return p.LoadExchange
-	case "planning":
-		return p.Planning
-	case "window-open":
-		return p.WindowOpen
-	case "put":
-		return p.Put
-	case "window-wait":
-		return p.WindowWait
-	case "commit":
-		return p.Commit
-	case "barrier":
-		return p.Barrier
-	default:
-		return 0
-	}
+	return out
 }
 
 // Duration renders d for tables: sub-millisecond values keep microsecond

@@ -127,11 +127,30 @@ type RestorePhases struct {
 	Total time.Duration
 }
 
-// Sum adds the disjoint phases (excluding Fetch, which Assemble already
-// contains, and Total).
-func (p RestorePhases) Sum() time.Duration {
-	return p.Meta + p.Assemble + p.Commit + p.Barrier
+// restorePhases is the restore pipeline's phase table. Fetch is no phase
+// of its own on the transport: it lies inside restore-meta and assemble.
+var restorePhases = phaseTable[RestorePhases]{
+	{"restore-meta", func(p *RestorePhases) *time.Duration { return &p.Meta }},
+	{"assemble", func(p *RestorePhases) *time.Duration { return &p.Assemble }},
+	{"fetch", func(p *RestorePhases) *time.Duration { return &p.Fetch }},
+	{"restore-commit", func(p *RestorePhases) *time.Duration { return &p.Commit }},
+	{"restore-barrier", func(p *RestorePhases) *time.Duration { return &p.Barrier }},
 }
+
+// RestorePhaseNames lists the restore phase labels in pipeline order,
+// matching the span names recorded by internal/core.
+var RestorePhaseNames = restorePhases.names()
+
+// Slot returns the duration field of the named phase (one of
+// RestorePhaseNames), nil for any other name.
+func (p *RestorePhases) Slot(name string) *time.Duration { return restorePhases.slot(p, name) }
+
+// ByName returns the duration of the named phase, 0 for an unknown name.
+func (p RestorePhases) ByName(name string) time.Duration { return restorePhases.byName(&p, name) }
+
+// Sum adds the disjoint phases (excluding Fetch, which Meta and Assemble
+// already contain, and Total).
+func (p RestorePhases) Sum() time.Duration { return restorePhases.sum(&p) - p.Fetch }
 
 // Other returns the unattributed remainder Total - Sum (clamped at 0).
 func (p RestorePhases) Other() time.Duration {
@@ -143,37 +162,8 @@ func (p RestorePhases) Other() time.Duration {
 
 // Add accumulates q's durations into p field-wise.
 func (p *RestorePhases) Add(q RestorePhases) {
-	p.Meta += q.Meta
-	p.Assemble += q.Assemble
-	p.Fetch += q.Fetch
-	p.Commit += q.Commit
-	p.Barrier += q.Barrier
+	restorePhases.add(p, &q)
 	p.Total += q.Total
-}
-
-// RestorePhaseNames lists the restore phase labels in pipeline order,
-// matching the span names recorded by internal/core.
-var RestorePhaseNames = []string{
-	"restore-meta", "assemble", "fetch", "restore-commit", "restore-barrier",
-}
-
-// ByName returns the duration of the named phase (one of
-// RestorePhaseNames).
-func (p RestorePhases) ByName(name string) time.Duration {
-	switch name {
-	case "restore-meta":
-		return p.Meta
-	case "assemble":
-		return p.Assemble
-	case "fetch":
-		return p.Fetch
-	case "restore-commit":
-		return p.Commit
-	case "restore-barrier":
-		return p.Barrier
-	default:
-		return 0
-	}
 }
 
 // RunLengthBuckets is the explicit bucket ladder (run length in chunks)

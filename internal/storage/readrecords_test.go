@@ -39,11 +39,11 @@ func checkBatch(t *testing.T, name string, s Store, recs []Record) {
 	timed, _ := s.(*Timed)
 	var before int64
 	if timed != nil {
-		before = timed.ChunkReadLatency().Count()
+		before = timed.ReadLatency().Count()
 	}
 	ReadRecords(s, dst, recs, errs)
-	if timed != nil && timed.ChunkReadLatency().Count() != before+1 {
-		t.Fatalf("%s: a batch of %d records recorded %d read samples, want 1", name, len(recs), timed.ChunkReadLatency().Count()-before)
+	if timed != nil && timed.ReadLatency().Count() != before+1 {
+		t.Fatalf("%s: a batch of %d records recorded %d read samples, want 1", name, len(recs), timed.ReadLatency().Count()-before)
 	}
 	for i, r := range recs {
 		want, werr := wantRecord(s, r)

@@ -14,42 +14,21 @@ import (
 // writes points at the transport, a slow one with slow writes at the
 // disk.
 type Timed struct {
-	inner     Store
-	write     *metrics.Histogram
-	chunkRead *metrics.Histogram
-	blobRead  *metrics.Histogram
+	inner       Store
+	read, write *metrics.Histogram
 }
 
 var _ Store = (*Timed)(nil)
 
 // NewTimed wraps store with latency instrumentation.
 func NewTimed(store Store) *Timed {
-	return &Timed{
-		inner:     store,
-		write:     metrics.NewHistogram(),
-		chunkRead: metrics.NewHistogram(),
-		blobRead:  metrics.NewHistogram(),
-	}
+	return &Timed{inner: store, read: metrics.NewHistogram(), write: metrics.NewHistogram()}
 }
 
-// ReadLatency returns the histogram of GetChunk/HasChunk/GetBlob
-// latencies in nanoseconds: a snapshot merging the per-object-kind
-// splits below.
-func (t *Timed) ReadLatency() *metrics.Histogram {
-	h := metrics.NewHistogram()
-	h.Merge(t.chunkRead)
-	h.Merge(t.blobRead)
-	return h
-}
-
-// ChunkReadLatency returns the histogram of GetChunk/HasChunk/ReadRecords
-// latencies only — the restore assembly path, without the metadata-blob
-// reads that would otherwise skew the distribution. A ReadRecords batch is
-// one sample, however many records it reads.
-func (t *Timed) ChunkReadLatency() *metrics.Histogram { return t.chunkRead }
-
-// BlobReadLatency returns the histogram of GetBlob latencies only.
-func (t *Timed) BlobReadLatency() *metrics.Histogram { return t.blobRead }
+// ReadLatency returns the histogram of GetChunk/HasChunk/ReadRecords/
+// GetBlob latencies in nanoseconds, one sample per call: a ReadRecords
+// batch is one sample, however many records it reads.
+func (t *Timed) ReadLatency() *metrics.Histogram { return t.read }
 
 // WriteLatency returns the histogram of PutChunk/PutRecords/ReleaseChunk/
 // PutBlob latencies in nanoseconds, one sample per call.
@@ -82,19 +61,19 @@ func (t *Timed) putRecords(payload []byte, recs []Record) (int, error) {
 	return PutRecords(t.inner, payload, recs)
 }
 
-// readRecords forwards a batch read, timed as one chunk read.
+// readRecords forwards a batch read, timed as one read.
 func (t *Timed) readRecords(dst []byte, recs []Record, errs []error) {
-	defer record(t.chunkRead, now())
+	defer record(t.read, now())
 	ReadRecords(t.inner, dst, recs, errs)
 }
 
 func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	defer record(t.chunkRead, now())
+	defer record(t.read, now())
 	return t.inner.GetChunk(fp)
 }
 
 func (t *Timed) HasChunk(fp fingerprint.FP) (bool, error) {
-	defer record(t.chunkRead, now())
+	defer record(t.read, now())
 	return t.inner.HasChunk(fp)
 }
 
@@ -109,7 +88,7 @@ func (t *Timed) PutBlob(name string, data []byte) error {
 }
 
 func (t *Timed) GetBlob(name string) ([]byte, error) {
-	defer record(t.blobRead, now())
+	defer record(t.read, now())
 	return t.inner.GetBlob(name)
 }
 

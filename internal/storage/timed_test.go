@@ -2,11 +2,9 @@ package storage
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"dedupcr/internal/fingerprint"
-	"dedupcr/internal/metrics"
 )
 
 func TestTimedStoreRecordsLatencies(t *testing.T) {
@@ -43,63 +41,6 @@ func TestTimedStoreRecordsLatencies(t *testing.T) {
 	}
 	if ts.WriteLatency().Max() < 0 || ts.ReadLatency().Max() < 0 {
 		t.Error("negative latency recorded")
-	}
-}
-
-// TestTimedReadLatencyMerges: each read lands in its own kind's
-// histogram only, and ReadLatency is their merge — the count is the sum
-// of the two kinds', and count, sum, max and every quantile equal those
-// of one histogram fed all the samples.
-func TestTimedReadLatencyMerges(t *testing.T) {
-	ts := NewTimed(NewMem())
-	fp := fingerprint.Of([]byte("c"))
-	if err := ts.PutChunk(fp, []byte("c")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.PutBlob("b", []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		ts.GetChunk(fp)
-		ts.HasChunk(fp)
-	}
-	for i := 0; i < 3; i++ {
-		ts.GetBlob("b")
-	}
-	ts.GetBlob("absent")
-	chunks, blobs := ts.ChunkReadLatency().Count(), ts.BlobReadLatency().Count()
-	if chunks != 10 || blobs != 4 {
-		t.Fatalf("chunk reads %d, blob reads %d; want 10, 4", chunks, blobs)
-	}
-	if got := ts.ReadLatency().Count(); got != chunks+blobs {
-		t.Fatalf("ReadLatency count %d, want %d + %d", got, chunks, blobs)
-	}
-	if got := ts.WriteLatency().Count(); got != 2 {
-		t.Fatalf("write count %d, want 2", got)
-	}
-
-	// The merge against known samples, spread over many buckets.
-	ts = NewTimed(NewMem())
-	want := metrics.NewHistogram()
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 4000; i++ {
-		v := rng.Int63n(1 << uint(1+rng.Intn(40)))
-		want.Record(v)
-		if i%3 == 0 {
-			ts.blobRead.Record(v)
-		} else {
-			ts.chunkRead.Record(v)
-		}
-	}
-	got := ts.ReadLatency()
-	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Max() != want.Max() {
-		t.Fatalf("merged count/sum/max %d/%d/%d, want %d/%d/%d",
-			got.Count(), got.Sum(), got.Max(), want.Count(), want.Sum(), want.Max())
-	}
-	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
-		if g, w := got.Quantile(q), want.Quantile(q); g != w {
-			t.Errorf("quantile %g = %d, want %d", q, g, w)
-		}
 	}
 }
 

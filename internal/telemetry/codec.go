@@ -4,22 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"dedupcr/internal/metrics"
 )
 
 // Wire versions tag each encoded record so a mixed-version group fails
-// loudly instead of mis-decoding. Dump version 2 appended PutRetries to
-// the fixed counter block; version 3 introduced the restore record
-// without changing the dump layout, so v2 dump encodings still decode.
-// Restore frames of any version but 4, v3 included, are refused, not
-// migrated.
+// loudly instead of mis-decoding. Each codec reads and writes its one
+// version; frames of any other version are refused, not migrated.
 const (
-	dumpWireVersionV2  = 2
 	dumpWireVersion    = 3
 	restoreWireVersion = 4
 	storeWireVersion   = 1
@@ -29,25 +22,23 @@ const (
 // the fields its layout walks. The one layout function serves both
 // directions, so the encoder and the decoder cannot drift apart.
 type codec[T any] struct {
-	kind string
-	// versions lists the decodable versions, ascending; the last one is
-	// the version written.
-	versions []byte
-	layout   func(*wire, *T)
-	rank     func(*T) int
+	kind    string
+	version byte
+	layout  func(*wire, *T)
+	rank    func(*T) int
 }
 
 var (
-	dumpCodec = codec[metrics.Dump]{"dump", []byte{dumpWireVersionV2, dumpWireVersion},
+	dumpCodec = codec[metrics.Dump]{"dump", dumpWireVersion,
 		dumpLayout, func(d *metrics.Dump) int { return d.Rank }}
-	restoreCodec = codec[metrics.Restore]{"restore", []byte{restoreWireVersion},
+	restoreCodec = codec[metrics.Restore]{"restore", restoreWireVersion,
 		restoreLayout, func(r *metrics.Restore) int { return r.Rank }}
-	storeCodec = codec[metrics.StoreStats]{"store", []byte{storeWireVersion},
+	storeCodec = codec[metrics.StoreStats]{"store", storeWireVersion,
 		storeLayout, func(s *metrics.StoreStats) int { return s.Rank }}
 )
 
-// dumpLayout: the fixed counters and phase durations as big-endian
-// int64s, the per-round and per-worker duration slices, the barrier-exit
+// dumpLayout: the fixed counters and phase durations (in
+// metrics.PhaseNames order, then Total) as big-endian int64s, the per-round and per-worker duration slices, the barrier-exit
 // wall stamp and the put-latency histogram.
 func dumpLayout(w *wire, d *metrics.Dump) {
 	w.ints(&d.Rank, &d.DatasetBytes, &d.TotalChunks, &d.LocalUniqueChunks, &d.HashedBytes,
@@ -55,8 +46,10 @@ func dumpLayout(w *wire, d *metrics.Dump) {
 		&d.ReductionBytes, &d.ReductionRounds, &d.LoadExchangeBytes, &d.WindowBytes,
 		&d.UniqueContentBytes, &d.PutRetries)
 	p := &d.Phases
-	w.ints(&p.Chunking, &p.Fingerprint, &p.LocalDedup, &p.Reduction, &p.LoadExchange,
-		&p.Planning, &p.WindowOpen, &p.Put, &p.WindowWait, &p.Commit, &p.Barrier, &p.Total)
+	for _, name := range metrics.PhaseNames {
+		num(w, p.Slot(name))
+	}
+	num(w, &p.Total)
 	list(w, &p.ReductionRoundTimes)
 	list(w, &p.FingerprintWorkers)
 	list(w, &p.PutWorkers)
@@ -64,7 +57,8 @@ func dumpLayout(w *wire, d *metrics.Dump) {
 	w.hist(&d.PutLatency)
 }
 
-// restoreLayout: the fixed counters and phase durations, the per-peer
+// restoreLayout: the fixed counters and phase durations (in
+// metrics.RestorePhaseNames order, then Total), the per-peer
 // rows of the fetch traffic matrix, the barrier-exit wall stamp and the
 // run-length, fetch-latency and store-read-latency histograms.
 func restoreLayout(w *wire, r *metrics.Restore) {
@@ -72,7 +66,10 @@ func restoreLayout(w *wire, r *metrics.Restore) {
 		&r.LocalBytes, &r.FetchedChunks, &r.FetchedBytes, &r.FetchRequests, &r.FetchMisses,
 		&r.MetaFetches, &r.SourceRanks, &r.ObjectsTouched, &r.LargestRun)
 	p := &r.Phases
-	w.ints(&p.Meta, &p.Assemble, &p.Fetch, &p.Commit, &p.Barrier, &p.Total)
+	for _, name := range metrics.RestorePhaseNames {
+		num(w, p.Slot(name))
+	}
+	num(w, &p.Total)
 	list(w, &r.PeerFetchChunks)
 	list(w, &r.PeerFetchBytes)
 	w.stamp(&r.BarrierExit)
@@ -91,7 +88,7 @@ func storeLayout(w *wire, s *metrics.StoreStats) {
 // EncodeDump serializes one rank's dump metrics for the in-band gather.
 func EncodeDump(d metrics.Dump) ([]byte, error) { return dumpCodec.encode(d) }
 
-// DecodeDump reverses EncodeDump; it also reads v2 frames.
+// DecodeDump reverses EncodeDump.
 func DecodeDump(data []byte) (metrics.Dump, error) { return dumpCodec.decode(data) }
 
 // EncodeRestore serializes one rank's restore metrics for the in-band
@@ -109,7 +106,7 @@ func EncodeStoreStats(s metrics.StoreStats) ([]byte, error) { return storeCodec.
 func DecodeStoreStats(data []byte) (metrics.StoreStats, error) { return storeCodec.decode(data) }
 
 func (c codec[T]) encode(v T) ([]byte, error) {
-	w := wire{buf: []byte{c.versions[len(c.versions)-1]}}
+	w := wire{buf: []byte{c.version}}
 	c.layout(&w, &v)
 	if w.err != nil {
 		return nil, fmt.Errorf("telemetry: encode %s: %w", c.kind, w.err)
@@ -124,13 +121,8 @@ func (c codec[T]) decode(data []byte) (T, error) {
 	if len(data) == 0 {
 		return zero, fmt.Errorf("telemetry: empty %s encoding", c.kind)
 	}
-	if !slices.Contains(c.versions, data[0]) {
-		want := make([]string, len(c.versions))
-		for i, ver := range c.versions {
-			want[i] = strconv.Itoa(int(ver))
-		}
-		return zero, fmt.Errorf("telemetry: %s wire version %d, want %s",
-			c.kind, data[0], strings.Join(want, " or "))
+	if data[0] != c.version {
+		return zero, fmt.Errorf("telemetry: %s wire version %d, want %d", c.kind, data[0], c.version)
 	}
 	w := wire{buf: data[1:], dec: true}
 	c.layout(&w, &v)
@@ -187,15 +179,13 @@ func num[T ~int | ~int64](w *wire, v *T) {
 	}
 }
 
-// ints moves a run of int, int64 and time.Duration fields.
+// ints moves a run of int and int64 fields.
 func (w *wire) ints(fields ...any) {
 	for _, f := range fields {
 		switch f := f.(type) {
 		case *int:
 			num(w, f)
 		case *int64:
-			num(w, f)
-		case *time.Duration:
 			num(w, f)
 		default:
 			panic(fmt.Sprintf("telemetry: no wire form for %T", f))
