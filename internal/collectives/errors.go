@@ -246,15 +246,17 @@ func Abort(c Comm, cause error) {
 // immediately, no notification is sent, and peers detect the death the
 // way they would a real one (connection loss on TCP, failure marks in
 // process). Used by the fault-injection layer; transports without kill
-// support ignore it.
-func Kill(c Comm, cause error) {
+// support ignore it. It returns the CollectiveError local operations now
+// fail with, or nil for a nil c.
+func Kill(c Comm, cause error) error {
 	if c == nil {
-		return
+		return nil
 	}
 	ce := &CollectiveError{Ranks: []int{c.Rank()}, Cause: cause}
 	if k, ok := unwrapComm(c).(killer); ok {
 		k.killComm(ce)
 	}
+	return ce
 }
 
 // NotePhase informs the communicator (when it cares — currently the

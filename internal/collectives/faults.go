@@ -204,10 +204,11 @@ func (f *FaultyComm) apply(ft *Fault, op opClass, peer int) (error, bool) {
 			Phase: phase,
 			Cause: fmt.Sprintf("injected kill of rank %d (peer %d)", f.base.Rank(), peer),
 		})
-		Kill(f.base, fmt.Errorf("%w: rank %d killed", ErrInjected, f.base.Rank()))
-		// Fall through to the base operation, which now fails with the
-		// kill's CollectiveError — the rank dies mid-operation.
-		return nil, false
+		// The operation the kill fires on fails with the kill's
+		// CollectiveError and never reaches the base transport: a message
+		// already queued for a receive stays undelivered, as it would for
+		// a crashed process.
+		return Kill(f.base, fmt.Errorf("%w: rank %d killed", ErrInjected, f.base.Rank())), true
 	case FaultDrop:
 		return nil, true // swallowed: sender sees success
 	case FaultError:

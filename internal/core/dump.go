@@ -411,7 +411,7 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 			t.begin("window-wait")
 			frame, sum, err := win.Next()
 			if err != nil && err != io.EOF {
-				err = fmt.Errorf("window: %w", err)
+				return frame, sum, fmt.Errorf("window: %w", err) // a failed wait is window-wait's
 			}
 			t.begin("commit")
 			return frame, sum, err

@@ -82,7 +82,7 @@ func cleanDump(t *testing.T, n int, cluster *storage.Cluster, name string) [][]b
 // TestDumpKillPerPhase is the failure matrix of the abort protocol: a
 // 4-rank dump with one rank killed in each collective phase must (1)
 // surface a typed CollectiveError on every rank within the deadline, the
-// victim's naming the phase it was killed in or a later one,
+// victim's naming the phase it was killed in,
 // (2) leave every store rolled back to its pre-dump state, and (3) keep
 // the previous committed checkpoint fully restorable.
 func TestDumpKillPerPhase(t *testing.T) {
@@ -118,12 +118,10 @@ func TestDumpKillPerPhase(t *testing.T) {
 					t.Fatalf("rank %d returned untyped error: %v", r, errs[r])
 				}
 				if r == victim {
-					// The killed rank fails at its next send or blocking
-					// receive; messages already queued stay deliverable
-					// (drain-first), so a kill in commit or window-wait can
-					// surface as late as the barrier.
-					if slices.Index(metrics.PhaseNames, ce.Phase) < slices.Index(metrics.PhaseNames, phase) {
-						t.Errorf("victim's error names phase %q, want %q or a later one", ce.Phase, phase)
+					// The operation the kill fires on fails at once, so the
+					// victim's error names the phase it was killed in.
+					if ce.Phase != phase {
+						t.Errorf("victim's error names phase %q, want %q", ce.Phase, phase)
 					}
 					continue
 				}

@@ -35,9 +35,10 @@ type RestoreResult struct {
 // exchanges — many fingerprints per request, two requests outstanding
 // per peer, all peers at once — asking first the designated ranks
 // recorded in the restore hints, then every other rank in turn. A
-// fetched chunk is verified against its fingerprint before anything else
-// happens to it; a replica that fails is a miss, and the next holder is
-// asked. Verified chunks are re-stored locally, so a restore also
+// fetched chunk is verified before anything else happens to it, against
+// the at-rest sum its holder's store read it under, taken over the
+// fingerprint asked for; a replica that fails is a miss, and the next
+// holder is asked. Verified chunks are re-stored locally, so a restore also
 // re-provisions a replaced node. Missing metadata comes from its
 // replicas, which the dump left on the rank's K-1 partners.
 //
@@ -504,12 +505,14 @@ func (q *peerQueue) cut(holes []hole) ([]fingerprint.FP, []int32) {
 // fingerprints topped up to fetchDepth requests and consumes replies in
 // whatever order they arrive, record i of a reply answering hole i of the
 // request with the reply's exchange id. A record is accepted when its
-// length matches the recipe and its SHA-1 the fingerprint — bytes from a
-// peer are the one thing the restore still hashes; only then is it stored
-// (re-provisioning this node) and placed. Anything else — not
-// found, wrong length, corrupt — is a miss, and the hole moves on to its
-// next candidate's queue. Once every hole is filled, the repeated
-// positions are copied from the first.
+// length matches the recipe and its bytes the sum the peer's store checked
+// them against, taken over the fingerprint asked for (storage.CheckSum):
+// the sum guards the bytes from that store to this rank, and another
+// chunk's bytes under their own true sum fail it. Nothing fetched is
+// hashed. Only an accepted record is stored (re-provisioning this node)
+// and placed. Anything else — not found, wrong length, corrupt — is a
+// miss, and the hole moves on to its next candidate's queue. Once every
+// hole is filled, the repeated positions are copied from the first.
 func (a *assembly) fetchHoles() error {
 	pipe := fetch.NewPipeline(a.comm, fetchClass)
 	var asked [][]int32 // the holes of every request, by exchange id
@@ -536,7 +539,7 @@ func (a *assembly) fetchHoles() error {
 		served, servedBytes := 0, int64(0)
 		for i, hi := range asked[ex.ID] {
 			h, r := &a.holes[hi], ex.Records[i]
-			if !r.Found || len(r.Data) != int(h.size) || fingerprint.Of(r.Data) != h.fp {
+			if !r.Found || len(r.Data) != int(h.size) || storage.CheckSum(h.fp, r.Data, r.Sum) != nil {
 				if err := a.enqueue(hi); err != nil {
 					return err
 				}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,9 +278,19 @@ func TestBatchedRestoreEveryWipeSet(t *testing.T) {
 // function of the stores' contents alone.
 func restoreAlone(t *testing.T, stores []storage.Store, r int, name string) *RestoreResult {
 	t.Helper()
+	return restoreAloneVia(t, stores, r, name, nil)
+}
+
+// restoreAloneVia is restoreAlone with r's communicator passed through
+// wrap first, unless wrap is nil.
+func restoreAloneVia(t *testing.T, stores []storage.Store, r int, name string, wrap func(collectives.Comm) collectives.Comm) *RestoreResult {
+	t.Helper()
 	var res *RestoreResult
 	err := collectives.Run(len(stores), func(c collectives.Comm) error {
 		if c.Rank() == r {
+			if wrap != nil {
+				c = wrap(c)
+			}
 			var err error
 			res, err = RestoreOutputCtx(context.Background(), c, stores[r], name, nil)
 			return err
@@ -392,9 +403,11 @@ func TestBatchedFetchCountsMatchReference(t *testing.T) {
 }
 
 // corruptStore serves one fingerprint with a flipped byte. It flips above
-// the store, past its at-rest check, so it models a peer that serves bad
-// bytes — what the restore's SHA-1 of fetched records is for. A chunk that
-// changed inside a store is scribble's or flipOnDisk's job (walk_test.go).
+// the store, past its at-rest check, so it models a store the fetch
+// server does not know: storage.GetChunkSum SHA-1-checks its bytes and
+// the server answers not-found. A chunk that changed inside a store is
+// scribble's or flipOnDisk's job (walk_test.go); bytes changed after the
+// server's read are tamperComm's (TestRestoreChecksFetchedSums).
 type corruptStore struct {
 	storage.Store
 	fp fingerprint.FP
@@ -465,10 +478,10 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 	}
 
 	// The first holder's replica is corrupt in one of two places: above
-	// its store, so its peer serves bad bytes that the requester's SHA-1
-	// rejects; or inside its store, so its fetch server's GetChunk fails
-	// the at-rest check and answers not-found. Either way its answer is one
-	// more miss, the next holder serves, and the requester stores only
+	// its store, so the fetch server's SHA-1 check of a store it does not
+	// know rejects it; or inside its store, so its fetch server's read
+	// fails the at-rest check. Either way it answers not-found, which is
+	// one more miss, the next holder serves, and the requester stores only
 	// verified bytes.
 	for _, tc := range []struct {
 		name    string
@@ -532,6 +545,169 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 		}
 		if has, _ := rec.HasChunk(bad); has {
 			t.Error("requester's store has an entry for the chunk nobody could serve intact")
+		}
+	})
+}
+
+// tamperComm hands every batched fetch reply its rank receives from a
+// peer in from to tamper, as a copy, before the restore decodes it: a
+// reply changed after the serving store checked it, as a bad link or a
+// bad peer would change it. It reads the fetch protocol off the wire as
+// depthComm does.
+type tamperComm struct {
+	collectives.Comm
+	from   []int
+	tamper func(frame []byte)
+	mu     sync.Mutex
+	peerOf map[uint32]int // exchange id → peer asked
+}
+
+// Base lets the abort protocol reach the transport.
+func (c *tamperComm) Base() collectives.Comm { return c.Comm }
+
+func (c *tamperComm) Send(to int, tag collectives.Tag, data []byte) error {
+	if tag == collectives.WildcardTag(0) && len(data) >= 9 && data[0] == 3 {
+		c.mu.Lock()
+		c.peerOf[binary.BigEndian.Uint32(data[5:])] = to
+		c.mu.Unlock()
+	}
+	return c.Comm.Send(to, tag, data)
+}
+
+func (c *tamperComm) Recv(from int, tag collectives.Tag) ([]byte, error) {
+	data, err := c.Comm.Recv(from, tag)
+	if err == nil && tag == collectives.WildcardTag(1+uint32(c.Rank())) && len(data) >= 5 && data[0] == 2 {
+		c.mu.Lock()
+		peer := c.peerOf[binary.BigEndian.Uint32(data[1:])]
+		c.mu.Unlock()
+		if slices.Contains(c.from, peer) {
+			data = slices.Clone(data)
+			c.tamper(data)
+		}
+	}
+	return data, err
+}
+
+// TestRestoreChecksFetchedSums: the restoring rank checks each fetched
+// record against the sum the serving store read it under, taken over the
+// fingerprint it asked for. A holder whose reply changes after that read
+// (one payload byte flipped), or that answers with another chunk's bytes
+// under that chunk's true sum, is a miss like any other: the next holder
+// serves, and the requester's store never sees the bad bytes. When every
+// holder does so, the chunk is lost and the restore fails on every rank.
+func TestRestoreChecksFetchedSums(t *testing.T) {
+	const n, k, r = 6, 3, 2
+	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "ck"}
+	private := page("uniq-2-0") // only rank r's recipe has it
+	bad := fingerprint.Of(private)
+	other := page("another chunk")
+	otherStore := storage.NewMem()
+	if err := otherStore.PutChunk(fingerprint.Of(other), other); err != nil {
+		t.Fatal(err)
+	}
+	_, otherSum, err := storage.GetChunkSum(otherStore, fingerprint.Of(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(frame []byte) {
+		if i := bytes.Index(frame, private); i >= 0 {
+			frame[i+testPage/2] ^= 1
+		}
+	}
+	// A found record is 1 | len | sum | payload: the sum is the four
+	// bytes before the payload.
+	swap := func(frame []byte) {
+		if i := bytes.Index(frame, private); i >= 0 {
+			binary.BigEndian.PutUint32(frame[i-4:], otherSum)
+			copy(frame[i:], other)
+		}
+	}
+
+	// setup dumps, wipes r and returns the stores with r's recording, and
+	// the holders of the private page in the order r asks them.
+	setup := func(t *testing.T) ([]storage.Store, *recordingStore, [][]byte, []int) {
+		cluster, _, buffers := runDump(t, n, o)
+		wipe(cluster, r)
+		stores := clusterStores(cluster)
+		rec := &recordingStore{Store: stores[r]}
+		stores[r] = rec
+		meta := loadMetaOf(t, stores, r, "ck")
+		var holders []int
+		fetchChunk(r, n, meta.Hints[bad], func(peer int) bool {
+			if has, _ := stores[peer].HasChunk(bad); has {
+				holders = append(holders, peer)
+			}
+			return false
+		})
+		if len(holders) != k-1 {
+			t.Fatalf("private page held by %v, want %d partners of rank %d", holders, k-1, r)
+		}
+		return stores, rec, buffers, holders
+	}
+	wrap := func(from []int, tamper func([]byte)) func(collectives.Comm) collectives.Comm {
+		return func(c collectives.Comm) collectives.Comm {
+			return &tamperComm{Comm: c, from: from, tamper: tamper, peerOf: make(map[uint32]int)}
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		tamper func([]byte)
+	}{
+		{"payload byte flipped after the store's check", flip},
+		{"another chunk under its true sum", swap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stores, rec, buffers, holders := setup(t)
+			meta := loadMetaOf(t, stores, r, "ck")
+			// The reference asks as if the first holder lacked the page.
+			_, cleanMisses := referenceCounts(stores, meta, r, "ck")
+			lacking := slices.Clone(stores)
+			lacking[holders[0]] = corruptStore{stores[holders[0]], bad}
+			requests, misses := referenceCounts(lacking, meta, r, "ck")
+			if misses <= cleanMisses {
+				t.Fatalf("test premise: the first holder's refusal adds no miss (%d, clean %d)", misses, cleanMisses)
+			}
+			res := restoreAloneVia(t, stores, r, "ck", wrap(holders[:1], tc.tamper))
+			if !bytes.Equal(res.Data, buffers[r]) {
+				t.Fatal("restored bytes differ")
+			}
+			if m := res.Metrics; m.FetchRequests != requests || m.FetchMisses != misses {
+				t.Errorf("%d asks / %d misses, want %d / %d: the tampered reply is one more miss",
+					m.FetchRequests, m.FetchMisses, requests, misses)
+			}
+			if got := rec.badPuts(); len(got) != 0 {
+				t.Errorf("requester's store was handed unverified bytes for %v", got)
+			}
+			if data, err := rec.GetChunk(bad); err != nil || !bytes.Equal(data, private) {
+				t.Errorf("requester not re-provisioned with the good replica: %v", err)
+			}
+		})
+	}
+
+	t.Run("every holder tampers", func(t *testing.T) {
+		stores, rec, _, holders := setup(t)
+		errs := runRanks(t, n, 30*time.Second, func(c collectives.Comm) error {
+			if c.Rank() == r {
+				c = wrap(holders, swap)(c)
+			}
+			_, err := RestoreOutputCtx(context.Background(), c, stores[c.Rank()], "ck", nil)
+			return err
+		})
+		for rank, err := range errs {
+			var ce *collectives.CollectiveError
+			if !errors.As(err, &ce) {
+				t.Errorf("rank %d: %v, want a *CollectiveError", rank, err)
+			}
+		}
+		if err := errs[r]; err == nil || !strings.Contains(err.Error(), "lost on all surviving nodes") {
+			t.Errorf("rank %d: %v, want the chunk lost on all surviving nodes", r, err)
+		}
+		if got := rec.badPuts(); len(got) != 0 {
+			t.Errorf("requester's store was handed unverified bytes for %v", got)
+		}
+		if has, _ := rec.HasChunk(bad); has {
+			t.Error("requester's store has an entry for the chunk nobody served intact")
 		}
 	})
 }

@@ -14,20 +14,28 @@ import (
 // carries every answer in request order.
 //
 //	request payload: u32 id | n × FP
-//	reply frame:     u8 replyChunks | u32 id | n × (u8 found | u32 len | payload)
+//	reply frame:     u8 replyChunks | u32 id | n × record
+//	found record:    u8 1 | u32 len | u32 sum | payload
+//	not-found:       u8 0 | u32 0
 //
 // The reply travels on the same per-requester tag as the single-call
-// replies; its first byte tells the two apart. A not-found record is
-// 0 | 0; a found one may be empty (1 | 0), which is not a miss.
+// replies; its first byte tells the two apart. A found record may be
+// empty (1 | 0 | sum), which is not a miss. Its sum is the at-rest sum the
+// serving store checked the bytes against (storage.GetChunkSum), so the
+// requester verifies them with storage.CheckSum instead of hashing them.
 const (
 	replyChunks = 2
 	replyHeader = 5 // u8 kind | u32 id
 	recHeader   = 5 // u8 found | u32 len
+	recSum      = 4 // a found record's u32 sum
 )
 
-// Record is one answer of a batched reply. Data aliases the reply frame.
+// Record is one answer of a batched reply: whether the peer had the
+// chunk, the sum it vouched for the bytes with, and the bytes, which
+// alias the reply frame.
 type Record struct {
 	Found bool
+	Sum   uint32
 	Data  []byte
 }
 
@@ -51,15 +59,15 @@ func serveChunks(store storage.Store, payload []byte) []byte {
 		for i := range recs {
 			var fp fingerprint.FP
 			copy(fp[:], payload[4+i*fingerprint.Size:])
-			data, err := store.GetChunk(fp)
+			data, sum, err := storage.GetChunkSum(store, fp)
 			if err != nil {
 				continue
 			}
-			if i > 0 && size+len(data) > collectives.MaxPutBytes {
+			if i > 0 && size+recSum+len(data) > collectives.MaxPutBytes {
 				break
 			}
-			recs[i] = Record{Found: true, Data: data}
-			size += len(data)
+			recs[i] = Record{Found: true, Sum: sum, Data: data}
+			size += recSum + len(data)
 		}
 	}
 	return encodeChunksReply(id, recs)
@@ -69,7 +77,10 @@ func serveChunks(store storage.Store, payload []byte) []byte {
 func encodeChunksReply(id uint32, recs []Record) []byte {
 	size := replyHeader
 	for _, r := range recs {
-		size += recHeader + len(r.Data)
+		size += recHeader
+		if r.Found {
+			size += recSum + len(r.Data)
+		}
 	}
 	dst := make([]byte, 0, size)
 	dst = append(dst, replyChunks)
@@ -81,6 +92,7 @@ func encodeChunksReply(id uint32, recs []Record) []byte {
 		}
 		dst = append(dst, 1)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Data)))
+		dst = binary.BigEndian.AppendUint32(dst, r.Sum)
 		dst = append(dst, r.Data...)
 	}
 	return dst
@@ -98,10 +110,10 @@ func chunksReplyID(frame []byte) (uint32, error) {
 }
 
 // decodeChunksReply decodes the n records of a batched reply frame,
-// strictly: a record cut short, a length running past the frame, a
-// found byte other than 0/1, a not-found record with a length, or bytes
-// after the n-th record are all errors. Record data aliases frame, so
-// nothing beyond the n-entry slice is allocated.
+// strictly: a record cut short (in its header or its sum), a length
+// running past the frame, a found byte other than 0/1, a not-found record
+// with a length, or bytes after the n-th record are all errors. Record
+// data aliases frame, so nothing beyond the n-entry slice is allocated.
 func decodeChunksReply(frame []byte, n int) ([]Record, error) {
 	if _, err := chunksReplyID(frame); err != nil {
 		return nil, err
@@ -122,13 +134,18 @@ func decodeChunksReply(frame []byte, n int) ([]Record, error) {
 			return nil, fmt.Errorf("fetch: record %d: found byte %d", i, found)
 		case found == 0 && size != 0:
 			return nil, fmt.Errorf("fetch: record %d: not-found with %d bytes", i, size)
-		case size > int64(len(rest)):
+		case found == 0:
+			continue
+		case len(rest) < recSum:
+			return nil, fmt.Errorf("fetch: record %d: cut inside its sum (%d bytes left)", i, len(rest))
+		}
+		sum := binary.BigEndian.Uint32(rest)
+		rest = rest[recSum:]
+		if size > int64(len(rest)) {
 			return nil, fmt.Errorf("fetch: record %d: %d bytes overrun the reply (%d left)", i, size, len(rest))
 		}
-		if found == 1 {
-			recs[i] = Record{Found: true, Data: rest[:size:size]}
-			rest = rest[size:]
-		}
+		recs[i] = Record{Found: true, Sum: sum, Data: rest[:size:size]}
+		rest = rest[size:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("fetch: %d trailing bytes after %d records", len(rest), n)
@@ -137,10 +154,10 @@ func decodeChunksReply(frame []byte, n int) ([]Record, error) {
 }
 
 // ReplyBytes is the size of the batched reply that serves chunks of the
-// given total payload size in n records. Requesters keep it within
+// given total payload size in n found records. Requesters keep it within
 // collectives.MaxPutBytes per ask (a larger chunk travels alone).
 func ReplyBytes(n int, payload int64) int64 {
-	return replyHeader + recHeader*int64(n) + payload
+	return replyHeader + (recHeader+recSum)*int64(n) + payload
 }
 
 // Exchange is one completed batched request: its id (a pipeline numbers

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -93,12 +94,17 @@ func TestBatchedRoundTrip(t *testing.T) {
 		if ex.Peer != 1 || len(ex.Records) != len(asked) || &ex.FPs[0] != &asked[0] {
 			return fmt.Errorf("exchange %+v does not echo the ask", ex)
 		}
-		want := []Record{{true, a}, {false, nil}, {true, nil}, {true, c}}
+		want := []Record{{Found: true, Data: a}, {}, {Found: true}, {Found: true, Data: c}}
 		for i, w := range want {
 			got := ex.Records[i]
 			// A found, empty chunk is not a miss.
 			if got.Found != w.Found || !bytes.Equal(got.Data, w.Data) {
 				return fmt.Errorf("record %d = {%v %q}, want {%v %q}", i, got.Found, got.Data, w.Found, w.Data)
+			}
+			// A found record carries the sum its bytes pass under the
+			// fingerprint asked for.
+			if got.Found && storage.CheckSum(asked[i], got.Data, got.Sum) != nil {
+				return fmt.Errorf("record %d: sum %08x does not vouch for its bytes", i, got.Sum)
 			}
 		}
 		// Asking for nothing is answered with nothing.
@@ -232,10 +238,57 @@ func TestBatchedRepliesOutOfOrder(t *testing.T) {
 	})
 }
 
+// sampleRecords is a reply's worth of answers: found with bytes, not
+// found, found and empty, each found one under its own sum.
+func sampleRecords() []Record {
+	return []Record{{Found: true, Sum: 0xA1B2C3D4, Data: []byte("abc")}, {}, {Found: true, Sum: 0x01020304}}
+}
+
+// TestChunksReplyRoundTrip: any mix of found and not-found records
+// decodes to what was encoded, sums included, and the frame is exactly
+// ReplyBytes of the found records plus a bare header per miss.
+func TestChunksReplyRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 200; trial++ {
+		recs := make([]Record, rng.Intn(12))
+		found, payload := 0, int64(0)
+		for i := range recs {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			data := make([]byte, rng.Intn(40))
+			rng.Read(data)
+			recs[i] = Record{Found: true, Sum: rng.Uint32(), Data: data}
+			found++
+			payload += int64(len(data))
+		}
+		id := rng.Uint32()
+		frame := encodeChunksReply(id, recs)
+		if want := ReplyBytes(found, payload) + recHeader*int64(len(recs)-found); int64(len(frame)) != want {
+			t.Fatalf("trial %d: %d-byte frame, want %d", trial, len(frame), want)
+		}
+		if found == len(recs) && int64(len(frame)) != ReplyBytes(found, payload) {
+			t.Fatalf("trial %d: all found, %d-byte frame, ReplyBytes %d", trial, len(frame), ReplyBytes(found, payload))
+		}
+		got, err := decodeChunksReply(frame, len(recs))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if gotID, _ := chunksReplyID(frame); gotID != id {
+			t.Fatalf("trial %d: id %d, want %d", trial, gotID, id)
+		}
+		for i, w := range recs {
+			if g := got[i]; g.Found != w.Found || g.Sum != w.Sum || !bytes.Equal(g.Data, w.Data) {
+				t.Fatalf("trial %d record %d: %+v, want %+v", trial, i, g, w)
+			}
+		}
+	}
+}
+
 // TestChunksReplyStrictDecode feeds the decoder each way a frame can lie.
 func TestChunksReplyStrictDecode(t *testing.T) {
-	good := encodeChunksReply(3, []Record{{true, []byte("abc")}, {}, {true, nil}})
-	if recs, err := decodeChunksReply(good, 3); err != nil || len(recs) != 3 || string(recs[0].Data) != "abc" {
+	good := encodeChunksReply(3, sampleRecords())
+	if recs, err := decodeChunksReply(good, 3); err != nil || len(recs) != 3 || string(recs[0].Data) != "abc" || recs[2].Sum != 0x01020304 {
 		t.Fatalf("well-formed frame: %v %v", recs, err)
 	}
 	patch := func(at int, b byte) []byte {
@@ -243,22 +296,25 @@ func TestChunksReplyStrictDecode(t *testing.T) {
 		f[at] = b
 		return f
 	}
+	// The last record is found and empty: 1 | 0 | sum, 9 bytes.
 	for name, tc := range map[string]struct {
 		frame []byte
 		n     int
+		want  string
 	}{
-		"no header":            {good[:4], 0},
-		"single-call reply":    {patch(0, 1), 3},
-		"fewer records":        {good, 4},
-		"trailing bytes":       {good, 2},
-		"record header cut":    {good[:len(good)-2], 3},
-		"payload overrun":      {patch(9, 200), 3},
-		"found byte 2":         {patch(5, 2), 3},
-		"not-found with bytes": {patch(5, 0), 3},
-		"negative count":       {good, -1},
+		"no header":            {good[:4], 0, "no header"},
+		"single-call reply":    {patch(0, 1), 3, "reply kind"},
+		"fewer records":        {good, 4, "truncated"},
+		"trailing bytes":       {good, 2, "trailing"},
+		"record header cut":    {good[:len(good)-6], 3, "truncated at record 2"},
+		"cut inside its sum":   {good[:len(good)-2], 3, "record 2: cut inside its sum"},
+		"payload overrun":      {patch(9, 200), 3, "overrun"},
+		"found byte 2":         {patch(5, 2), 3, "found byte"},
+		"not-found with bytes": {patch(5, 0), 3, "record 0: not-found with 3 bytes"},
+		"negative count":       {good, -1, "cannot hold"},
 	} {
-		if _, err := decodeChunksReply(tc.frame, tc.n); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := decodeChunksReply(tc.frame, tc.n); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, tc.want)
 		}
 	}
 	// A count the frame cannot hold is refused before it sizes anything.
@@ -278,10 +334,13 @@ func TestChunksReplyStrictDecode(t *testing.T) {
 // alias it, and their number is bounded by its length), and whatever it
 // accepts must re-encode to exactly the bytes it was given.
 func FuzzChunksReply(f *testing.F) {
-	good := encodeChunksReply(3, []Record{{true, []byte("abc")}, {}, {true, nil}})
+	good := encodeChunksReply(3, sampleRecords())
 	f.Add(good, uint16(3))
 	f.Add(good, uint16(2))
 	f.Add(good[:7], uint16(1))
+	f.Add(good[:12], uint16(1))          // cut inside the first record's sum
+	f.Add(good[:len(good)-2], uint16(3)) // cut inside the last one's
+	f.Add(encodeChunksReply(9, []Record{{Found: true, Sum: ^uint32(0), Data: []byte{0}}}), uint16(1))
 	f.Add([]byte{replyChunks, 0, 0, 0, 1}, uint16(0))
 	f.Add([]byte{replyChunks, 0, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(1))
 	f.Fuzz(func(t *testing.T, frame []byte, n uint16) {

@@ -19,7 +19,8 @@ import (
 // Reply frame:    u8 found | payload
 //
 // opChunks is the batched form (see batch.go): its payload is
-// u32 id | n × FP and its reply u8 replyChunks | u32 id | n × record.
+// u32 id | n × FP and its reply u8 replyChunks | u32 id | n × record, a
+// found record carrying the serving store's at-rest sum of its bytes.
 const (
 	opStop   = 0
 	opBlob   = 1

@@ -618,9 +618,15 @@ func (s *SegStore) writeManifestLocked(renamePoint string, blobs map[string]mani
 	return nil
 }
 
-// GetChunk reads the chunk into a fresh buffer: a batch of one record as
-// long as its row says.
 func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+	data, _, err := s.getChunkSum(fp)
+	return data, err
+}
+
+// getChunkSum reads the chunk into a fresh buffer — a batch of one record
+// as long as its row says — and returns it with the row's sum once the two
+// match.
+func (s *SegStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	var buf []byte
 	rec, errs, sums := []Record{{FP: fp}}, []error{nil}, []uint32{0}
 	s.mu.Lock()
@@ -630,10 +636,13 @@ func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	}
 	s.readLocked(buf, rec, errs, sums)
 	s.mu.Unlock()
-	if errs[0] != nil {
-		return nil, errs[0]
+	if errs[0] == nil {
+		errs[0] = CheckSum(fp, buf, sums[0])
 	}
-	return checkSum(fp, buf, sums[0])
+	if errs[0] != nil {
+		return nil, 0, errs[0]
+	}
+	return buf, sums[0], nil
 }
 
 // readRecords reads a batch under one hold of the mutex and checks every
@@ -647,7 +656,7 @@ func (s *SegStore) readRecords(dst []byte, recs []Record, errs []error) {
 	for i, r := range recs {
 		switch errs[i].(type) {
 		case nil:
-			_, errs[i] = checkSum(r.FP, dst[r.Off:r.Off+r.Len], sums[i])
+			errs[i] = CheckSum(r.FP, dst[r.Off:r.Off+r.Len], sums[i])
 		case LengthError:
 			errs[i] = readRecord(s, dst, r)
 		}

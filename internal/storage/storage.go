@@ -12,12 +12,15 @@
 // Who verifies what: every chunk enters a store already bound to its
 // SHA-1 fingerprint — its owner hashed it; a partner read it from the
 // owner's recipe and the put frame's CRC-32C vouched for its transit; a
-// restore SHA-1-checked what a peer sent — so the store does not hash it
-// again. Instead PutChunk takes a CRC-32C over fingerprint ‖ bytes, and
-// every read — GetChunk, or ReadRecords where it placed each chunk —
+// restoring rank checked what a peer sent against the sum the peer's
+// store read it under — so the store does not hash it again. Instead
+// PutChunk takes a CRC-32C over fingerprint ‖ bytes, and every read —
+// GetChunk, GetChunkSum, or ReadRecords where it placed each chunk —
 // checks it and returns ErrCorrupt on a mismatch: SHA-1 at ingest binds
 // the bytes to their fingerprint, the CRC at rest catches any change since
 // (a flipped byte, or an index row pointing at another chunk's bytes).
+// GetChunkSum hands that sum on with the bytes, so a fetch reply carries
+// it and CheckSum at the requester covers the hop from store to store.
 //
 // The in-memory store packs chunk bytes into append-only 256 KiB arenas
 // behind a pointer-free fingerprint index: one heap object per arena, not
@@ -77,12 +80,14 @@ func chunkSum(fp fingerprint.FP, data []byte) uint32 {
 	return crc32.Update(^crc, castagnoli, data)
 }
 
-// checkSum returns data if it still matches sum, else ErrCorrupt.
-func checkSum(fp fingerprint.FP, data []byte, sum uint32) ([]byte, error) {
+// CheckSum returns ErrCorrupt unless sum is the at-rest sum of data stored
+// under fp. A sum from GetChunkSum vouches for bytes bound to fp, so bytes
+// that pass against it are fp's, wherever they travelled since.
+func CheckSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	if chunkSum(fp, data) != sum {
-		return nil, fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
+		return fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
 	}
-	return data, nil
+	return nil
 }
 
 // Store is a node-local chunk store.
@@ -170,6 +175,31 @@ func PutRecords(s Store, payload []byte, recs []Record) (int, error) {
 		}
 	}
 	return len(recs), nil
+}
+
+// sumGetter is implemented by stores that return a chunk together with the
+// at-rest sum its read was checked against: both engines, and Timed.
+type sumGetter interface {
+	getChunkSum(fp fingerprint.FP) ([]byte, uint32, error)
+}
+
+// GetChunkSum returns fp's bytes as GetChunk does, with a sum CheckSum
+// accepts them under. Both engines return the stored sum the read was
+// checked against, so nothing is hashed twice. Any other store's bytes are
+// SHA-1-checked against fp (a mismatch is ErrCorrupt) before they are
+// summed: every sum it returns vouches for bytes bound to fp.
+func GetChunkSum(s Store, fp fingerprint.FP) ([]byte, uint32, error) {
+	if g, ok := s.(sumGetter); ok {
+		return g.getChunkSum(fp)
+	}
+	data, err := s.GetChunk(fp)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case fingerprint.Of(data) != fp:
+		return nil, 0, fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
+	}
+	return data, chunkSum(fp, data), nil
 }
 
 // LengthError is ReadRecords' outcome for a chunk stored at another length
@@ -356,15 +386,21 @@ func (s *memStore) arenaLocked(buf []byte) int32 {
 	return a
 }
 
-// GetChunk returns the chunk's bytes in place, capacity clipped to length,
-// once they match their sum. The check runs outside the mutex: the bytes
-// were written before the slot was published and are never written
-// again.
 func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+	data, _, err := s.getChunkSum(fp)
+	return data, err
+}
+
+// getChunkSum returns the chunk's bytes in place, capacity clipped to
+// length, once they match their slot's sum, and that sum. The check runs
+// outside the mutex: the bytes were written before the slot was published
+// and are never written again. An empty chunk keeps no sum; its sum is
+// taken here.
+func (s *memStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	s.mu.Lock()
 	if s.failed {
 		s.mu.Unlock()
-		return nil, ErrFailed
+		return nil, 0, ErrFailed
 	}
 	sl, ok := s.index[fp]
 	var buf []byte
@@ -374,12 +410,16 @@ func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	s.mu.Unlock()
 	switch {
 	case !ok:
-		return nil, chunkNotFound(fp)
+		return nil, 0, chunkNotFound(fp)
 	case sl.arena < 0:
-		return []byte{}, nil
+		return []byte{}, chunkSum(fp, nil), nil
 	}
 	end := sl.off + sl.length
-	return checkSum(fp, buf[sl.off:end:end], sl.sum)
+	data := buf[sl.off:end:end]
+	if err := CheckSum(fp, data, sl.sum); err != nil {
+		return nil, 0, err
+	}
+	return data, sl.sum, nil
 }
 
 func (s *memStore) HasChunk(fp fingerprint.FP) (bool, error) {

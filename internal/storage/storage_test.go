@@ -228,7 +228,8 @@ func flipStored(t *testing.T, s Store, fp fingerprint.FP) {
 
 // checkCorrupt asserts what a store holding a corrupt chunk looks like:
 // GetChunk on fp returns ErrCorrupt, printed "chunk <fp>: storage: chunk
-// corrupt", and no bytes; every chunk in intact reads back; HasChunk,
+// corrupt", and no bytes, and so does GetChunkSum; every chunk in intact
+// reads back, GetChunkSum handing on the sum stored beside it; HasChunk,
 // Usage and ReleaseChunk behave as for a sound chunk, and once released
 // fp is an ordinary miss.
 func checkCorrupt(t *testing.T, s Store, fp fingerprint.FP, intact ...[]byte) {
@@ -238,12 +239,19 @@ func checkCorrupt(t *testing.T, s Store, fp fingerprint.FP, intact ...[]byte) {
 	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) || data != nil {
 		t.Fatalf("corrupt chunk: %d bytes, %v; want ErrCorrupt alone", len(data), err)
 	}
+	if data, _, err := GetChunkSum(s, fp); !errors.Is(err, ErrCorrupt) || data != nil {
+		t.Fatalf("corrupt chunk: GetChunkSum gives %d bytes, %v; want ErrCorrupt", len(data), err)
+	}
 	if want := fmt.Sprintf("chunk %s: %v", fp.Short(), ErrCorrupt); err.Error() != want {
 		t.Fatalf("corrupt chunk prints %q, want %q", err, want)
 	}
 	for i, want := range intact {
-		if got, err := s.GetChunk(fingerprint.Of(want)); err != nil || !bytes.Equal(got, want) {
+		fp := fingerprint.Of(want)
+		if got, err := s.GetChunk(fp); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("intact chunk %d: %v", i, err)
+		}
+		if got, sum, err := GetChunkSum(s, fp); err != nil || !bytes.Equal(got, want) || sum != storedSum(t, s, fp) {
+			t.Fatalf("intact chunk %d: GetChunkSum gives %d bytes under %08x, %v; want its stored sum", i, len(got), sum, err)
 		}
 	}
 	if has, err := s.HasChunk(fp); !has || err != nil {
@@ -509,5 +517,71 @@ func TestChunkSum(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { chunkSum(fp, data) }); allocs != 0 {
 			t.Errorf("%d bytes: chunkSum allocates %.0f times", size, allocs)
 		}
+	}
+}
+
+// storedSum is the sum fp's slot or row holds.
+func storedSum(t *testing.T, s Store, fp fingerprint.FP) uint32 {
+	t.Helper()
+	switch s := s.(type) {
+	case *memStore:
+		return s.index[fp].sum
+	case *SegStore:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e, _ := s.entryAtLocked(s.index[fp])
+		return e.Sum
+	}
+	t.Fatalf("storedSum: no engine behind %T", s)
+	return 0
+}
+
+// foreign hides an engine's summed read, so GetChunkSum takes the path of
+// a store it does not know.
+type foreign struct{ Store }
+
+// TestGetChunkSum: an engine does not hash what it is given, so a chunk
+// put under a fingerprint its bytes do not hash to reads back with its
+// stored sum, and Timed forwards that read to the engine as one timed
+// read. A store GetChunkSum does not know gets no such trust: its bytes
+// are SHA-1-checked against the fingerprint, and the mismatch is
+// ErrCorrupt. An empty chunk, which the memory engine keeps no sum for,
+// gets the sum CheckSum accepts. (checkCorrupt covers the stored sum of
+// intact chunks, and ErrCorrupt for changed ones, wherever each engine
+// keeps them.)
+func TestGetChunkSum(t *testing.T) {
+	data := []byte("bytes that do not hash to the fingerprint")
+	fp := fingerprint.Of([]byte("some other chunk"))
+	empty := fingerprint.Of(nil)
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, c := range []struct {
+				fp   fingerprint.FP
+				data []byte
+			}{{fp, data}, {empty, nil}} {
+				if err := s.PutChunk(c.fp, c.data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			timed := NewTimed(s)
+			for _, via := range []Store{s, timed} {
+				got, sum, err := GetChunkSum(via, fp)
+				if err != nil || !bytes.Equal(got, data) || sum != storedSum(t, s, fp) {
+					t.Fatalf("%T: %q under %08x, %v; want the stored chunk and sum", via, got, sum, err)
+				}
+			}
+			if n := timed.ReadLatency().Count(); n != 1 {
+				t.Fatalf("Timed recorded %d reads for one summed read", n)
+			}
+			if got, _, err := GetChunkSum(foreign{s}, fp); !errors.Is(err, ErrCorrupt) || got != nil {
+				t.Fatalf("foreign store: %q, %v; want ErrCorrupt", got, err)
+			}
+			for _, via := range []Store{s, NewTimed(s), foreign{s}} {
+				got, sum, err := GetChunkSum(via, empty)
+				if err != nil || len(got) != 0 || CheckSum(empty, got, sum) != nil {
+					t.Fatalf("%T: empty chunk is %d bytes under %08x, %v", via, len(got), sum, err)
+				}
+			}
+		})
 	}
 }

@@ -25,9 +25,9 @@ func NewTimed(store Store) *Timed {
 	return &Timed{inner: store, read: metrics.NewHistogram(), write: metrics.NewHistogram()}
 }
 
-// ReadLatency returns the histogram of GetChunk/HasChunk/ReadRecords/
-// GetBlob latencies in nanoseconds, one sample per call: a ReadRecords
-// batch is one sample, however many records it reads.
+// ReadLatency returns the histogram of GetChunk/GetChunkSum/HasChunk/
+// ReadRecords/GetBlob latencies in nanoseconds, one sample per call: a
+// ReadRecords batch is one sample, however many records it reads.
 func (t *Timed) ReadLatency() *metrics.Histogram { return t.read }
 
 // WriteLatency returns the histogram of PutChunk/PutRecords/ReleaseChunk/
@@ -70,6 +70,12 @@ func (t *Timed) readRecords(dst []byte, recs []Record, errs []error) {
 func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	defer record(t.read, now())
 	return t.inner.GetChunk(fp)
+}
+
+// getChunkSum forwards a summed read, timed as one read.
+func (t *Timed) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
+	defer record(t.read, now())
+	return GetChunkSum(t.inner, fp)
 }
 
 func (t *Timed) HasChunk(fp fingerprint.FP) (bool, error) {
