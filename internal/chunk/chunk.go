@@ -18,9 +18,12 @@ import (
 // DefaultSize is the default chunk size: one memory page.
 const DefaultSize = 4096
 
-// Chunk is one piece of a dataset: its content and fingerprint.
+// Chunk is one piece of a dataset: its content, its fingerprint and its
+// integrity sum (fingerprint.ChunkSum), which travels with it to every
+// replica and store.
 type Chunk struct {
 	FP   fingerprint.FP
+	Sum  uint32
 	Data []byte
 }
 
@@ -34,19 +37,22 @@ type CutChunker interface {
 	Cuts(buf []byte) []int
 }
 
-// FromCuts fingerprints the chunks delimited by the given end offsets
-// (as returned by Cuts) into Chunk values aliasing buf.
+// FromCuts fingerprints and sums the chunks delimited by the given end
+// offsets (as returned by Cuts) into Chunk values aliasing buf.
 func FromCuts(buf []byte, cuts []int) []Chunk {
 	out := make([]Chunk, len(cuts))
 	fill(out, buf, 0, cuts)
 	return out
 }
 
-// fill fingerprints the chunks of buf that start at prev and end at cuts
-// into out[i].
+// fill fingerprints and sums the chunks of buf that start at prev and end
+// at cuts into out[i]: the sum pass follows the SHA-1 pass over each chunk
+// while its bytes are still in cache.
 func fill(out []Chunk, buf []byte, prev int, cuts []int) {
 	for i, end := range cuts {
-		out[i] = Chunk{FP: fingerprint.Of(buf[prev:end]), Data: buf[prev:end]}
+		c := &out[i]
+		c.FP, c.Data = fingerprint.Of(buf[prev:end]), buf[prev:end]
+		c.Sum = fingerprint.ChunkSum(&c.FP, c.Data)
 		prev = end
 	}
 }

@@ -165,7 +165,8 @@ func TestDecodeRecipeRejectsTruncation(t *testing.T) {
 }
 
 // TestRecipeEntryReadsInPlace: RecipeEntry reads every position of an
-// encoding as the decoder does, and RecipeCount counts the entries that
+// encoding as the decoder does, its fingerprint where it lies in the
+// encoding, and RecipeCount counts the entries that
 // are whole — all of them, fewer on a cut encoding, none without a
 // header — and reads a count the bytes cannot hold as what fits.
 func TestRecipeEntryReadsInPlace(t *testing.T) {
@@ -180,8 +181,11 @@ func TestRecipeEntryReadsInPlace(t *testing.T) {
 		t.Fatalf("RecipeCount = %d, want %d", got, r.Len())
 	}
 	for i := range r.FPs {
-		if fp, size := RecipeEntry(blob, i); fp != r.FPs[i] || int32(size) != r.Sizes[i] {
+		if fp, size := RecipeEntry(blob, i); *fp != r.FPs[i] || int32(size) != r.Sizes[i] {
 			t.Fatalf("entry %d = %s/%d, want %s/%d", i, fp.Short(), size, r.FPs[i].Short(), r.Sizes[i])
+		}
+		if fp, _ := RecipeEntry(blob, i); &fp[0] != &blob[4+i*(fingerprint.Size+4)] {
+			t.Fatalf("entry %d: fingerprint copied out of the encoding", i)
 		}
 	}
 	const entry = 24 // fingerprint and u32 size

@@ -41,12 +41,12 @@ func RecipeCount(enc []byte) int {
 }
 
 // RecipeEntry returns position i of the recipe encoded at the front of
-// enc, read in place: fingerprint and size as encoded (unsigned, so a
-// corrupt size reads as large, never negative); i must be below
-// RecipeCount(enc).
-func RecipeEntry(enc []byte, i int) (fingerprint.FP, uint32) {
+// enc, read in place: the fingerprint where it lies in enc, and the size
+// as encoded (unsigned, so a corrupt size reads as large, never negative);
+// i must be below RecipeCount(enc).
+func RecipeEntry(enc []byte, i int) (*fingerprint.FP, uint32) {
 	e := enc[4+i*(fingerprint.Size+4):]
-	return fingerprint.FP(e[:fingerprint.Size]), binary.BigEndian.Uint32(e[fingerprint.Size:])
+	return (*fingerprint.FP)(e[:fingerprint.Size]), binary.BigEndian.Uint32(e[fingerprint.Size:])
 }
 
 // UnmarshalBinary decodes a recipe encoded by MarshalBinary. It also

@@ -169,7 +169,8 @@ func TestWindowDrainEmpty(t *testing.T) {
 // race detector checks that the sender never touches a handed-over
 // frame). Through the fault-injection wrapper the put falls back to the
 // copying Send: an injected failure leaves the frame with the sender, the
-// retry puts the same frame, and the owner gets a copy.
+// retry puts the same frame, and the owner gets a copy. Either way the
+// owner gets the checksum the sender stamped, as given.
 func TestWindowHandoverOwnership(t *testing.T) {
 	const puts = 64
 	for _, faulty := range []bool{false, true} {
@@ -190,12 +191,12 @@ func TestWindowHandoverOwnership(t *testing.T) {
 					for i := 0; i < puts; i++ {
 						frame := append(NewFrame(16), bytes.Repeat([]byte{byte(i)}, 16)...)
 						sent <- &frame[putHeader]
-						err := win.PutFrame(0, int64(i*16), frame)
+						err := win.PutFrame(0, int64(i*16), frame, uint32(1000+i))
 						if i == 0 && faulty {
 							if !errors.Is(err, ErrInjected) {
 								return fmt.Errorf("first put: %v, want the injected failure", err)
 							}
-							err = win.PutFrame(0, 0, frame)
+							err = win.PutFrame(0, 0, frame, 1000)
 						}
 						if err != nil {
 							return err
@@ -204,12 +205,12 @@ func TestWindowHandoverOwnership(t *testing.T) {
 					return nil
 				}
 				for i := 0; i < puts; i++ {
-					p, _, err := win.Next()
+					p, sum, err := win.Next()
 					if err != nil {
 						return err
 					}
-					if !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, 16)) {
-						return fmt.Errorf("put %d drained as %v", i, p)
+					if !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, 16)) || sum != uint32(1000+i) {
+						return fmt.Errorf("put %d drained as %v with sum %d", i, p, sum)
 					}
 					if aliased := &p[0] == <-sent; aliased == faulty {
 						return fmt.Errorf("put %d: payload aliases the sender's frame: %v, want %v", i, aliased, !faulty)

@@ -143,8 +143,10 @@ const (
 	opRecv
 )
 
-// match returns the first fault firing on this operation, or nil.
-func (f *FaultyComm) match(op opClass, peer int) *Fault {
+// match returns the first fault firing on this operation, or nil, and the
+// phase it matched in: apply logs and reports the fault under that phase,
+// not under one the pipeline entered since.
+func (f *FaultyComm) match(op opClass, peer int) (*Fault, string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range f.plan.Faults {
@@ -179,20 +181,17 @@ func (f *FaultyComm) match(op opClass, peer int) *Fault {
 			continue
 		}
 		f.fired[i]++
-		return ft
+		return ft, f.phase
 	}
-	return nil
+	return nil, f.phase
 }
 
-// apply runs a matched fault's effect. It returns (err, done): done means
+// apply runs a fault matched in phase. It returns (err, done): done means
 // the operation must not reach the base transport.
-func (f *FaultyComm) apply(ft *Fault, op opClass, peer int) (error, bool) {
+func (f *FaultyComm) apply(ft *Fault, phase string, peer int) (error, bool) {
 	if ft == nil {
 		return nil, false
 	}
-	f.mu.Lock()
-	phase := f.phase
-	f.mu.Unlock()
 	obs.Logf(obs.KindFault, f.base.Rank(), phase, 0, "injected %s (peer %d)", ft.Kind, peer)
 	switch ft.Kind {
 	case FaultKill:
@@ -236,7 +235,8 @@ func (f *FaultyComm) Close() error { return f.base.Close() }
 
 // Send implements Comm, applying matching send faults first.
 func (f *FaultyComm) Send(to int, tag Tag, data []byte) error {
-	if err, done := f.apply(f.match(opSend, to), opSend, to); done {
+	ft, phase := f.match(opSend, to)
+	if err, done := f.apply(ft, phase, to); done {
 		return err
 	}
 	return f.base.Send(to, tag, data)
@@ -245,7 +245,8 @@ func (f *FaultyComm) Send(to int, tag Tag, data []byte) error {
 // SendDeadline implements DeadlineSender when the base transport does;
 // otherwise the deadline is ignored and it behaves like Send.
 func (f *FaultyComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time) error {
-	if err, done := f.apply(f.match(opSend, to), opSend, to); done {
+	ft, phase := f.match(opSend, to)
+	if err, done := f.apply(ft, phase, to); done {
 		return err
 	}
 	if ds, ok := f.base.(DeadlineSender); ok {
@@ -256,7 +257,8 @@ func (f *FaultyComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Ti
 
 // Recv implements Comm, applying matching receive faults first.
 func (f *FaultyComm) Recv(from int, tag Tag) ([]byte, error) {
-	if err, done := f.apply(f.match(opRecv, from), opRecv, from); done {
+	ft, phase := f.match(opRecv, from)
+	if err, done := f.apply(ft, phase, from); done {
 		return nil, err
 	}
 	return f.base.Recv(from, tag)

@@ -22,22 +22,25 @@ import (
 //
 // Frames are handed over, not copied: a sender appends its payload to a
 // NewFrame (which leaves room for the offset and checksum header) and
-// PutFrame gives the frame to the transport (see Handover). The owner
-// holds no window-sized buffer: Next hands out the landed payloads and
-// their checksums in window-offset order, holding frames that arrive
-// ahead of the cursor, so the caller can commit each frame as it lands.
+// PutFrame gives the frame to the transport (see Handover) with the
+// checksum the sender took of it. The owner holds no window-sized buffer:
+// Next hands out the landed payloads and their checksums in window-offset
+// order, holding frames that arrive ahead of the cursor, so the caller can
+// commit each frame as it lands and check it its own way.
 //
 // Usage (all ranks):
 //
 //	win := OpenWindow(comm, expectedBytes, epoch)
-//	... win.PutFrame(target, offset, frame) for each partner ...
+//	... win.PutFrame(target, offset, frame, sum) for each partner ...
 //	for { payload, sum, err := win.Next(); ... } // io.EOF once complete
 //
-// Put and Wait are the copying forms of the same two operations: Put
-// copies data into a fresh frame, Wait drains the whole window into one
-// buffer, checking every checksum. PutFrame is safe for concurrent use by
-// the owning rank's goroutines (the parallel dump drives one put stream
-// per partner); Next and Wait must be called from a single goroutine.
+// Put and Wait are the copying forms of the same two operations, with
+// the payload's CRC-32C as the checksum: Put copies data into a fresh
+// frame and sums it, Wait drains the whole window into one buffer,
+// checking every payload against its sum. PutFrame is safe for
+// concurrent use by the owning rank's goroutines (the parallel dump drives
+// one put stream per partner); Next and Wait must be called from a single
+// goroutine.
 type Window struct {
 	comm Comm
 	tag  Tag
@@ -103,16 +106,21 @@ func OpenWindow(c Comm, size int64, epoch uint32) *Window {
 }
 
 // putHeader is what every put frame starts with: u64 destination offset
-// | u32 CRC-32C (Castagnoli) of the payload.
+// | u32 checksum. The window carries the checksum and does not take it:
+// what it covers is the sender's and the receiver's to agree on. Put and
+// Wait use the CRC-32C (Castagnoli) of the payload; the dump's frames
+// carry the CRC-32C over the sums of the records they end (see the
+// committer in internal/core).
 const putHeader = 12
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrChecksum reports a put payload that changed on the way.
+// ErrChecksum reports a put payload that does not match its checksum.
 var ErrChecksum = errors.New("collectives: window frame checksum mismatch")
 
-// Checksum folds b into a running put checksum: a frame's payload, fed
-// through it piece by piece from 0, ends at the sum Next hands out.
+// Checksum folds b into a running CRC-32C (Castagnoli): a payload fed
+// through it piece by piece from 0 ends at the sum Put stamps. The dump
+// feeds its frames' record sums through it instead.
 func Checksum(sum uint32, b []byte) uint32 { return crc32.Update(sum, castagnoli, b) }
 
 // MaxPutBytes is the largest put payload that, with its header,
@@ -136,19 +144,21 @@ func NewFrame(n int) []byte {
 }
 
 // Put writes data into the window of rank target at the given byte
-// offset, through a fresh frame: data stays the caller's.
+// offset, through a fresh frame whose checksum is the payload's CRC-32C:
+// data stays the caller's.
 func (w *Window) Put(target int, offset int64, data []byte) error {
-	return w.PutFrame(target, offset, append(NewFrame(len(data)), data...))
+	return w.PutFrame(target, offset, append(NewFrame(len(data)), data...), Checksum(0, data))
 }
 
 // PutFrame writes the payload of frame — a NewFrame with the payload
 // appended — into the window of rank target at the given byte offset,
-// stamping the offset and the payload's checksum into its header, and
-// hands the frame over: after a nil return the caller must not touch it;
-// after an error it may put it again. The caller must have planned
-// offsets so that puts never overlap and the target window is exactly
-// filled; violations are detected by the target.
-func (w *Window) PutFrame(target int, offset int64, frame []byte) error {
+// stamping the offset and the caller's checksum of the frame into its
+// header, and hands the frame over: after a nil return the caller must
+// not touch it; after an error it may put it again. The window does not
+// read the payload. The caller must have planned offsets so that puts
+// never overlap and the target window is exactly filled; violations are
+// detected by the target.
+func (w *Window) PutFrame(target int, offset int64, frame []byte, sum uint32) error {
 	if err := checkPeer(w.comm, target); err != nil {
 		return err
 	}
@@ -157,7 +167,7 @@ func (w *Window) PutFrame(target int, offset int64, frame []byte) error {
 		return fmt.Errorf("collectives: put of %d bytes at offset %d exceeds window of %d bytes", n, offset, w.size)
 	}
 	binary.BigEndian.PutUint64(frame, uint64(offset))
-	binary.BigEndian.PutUint32(frame[8:], Checksum(0, frame[putHeader:]))
+	binary.BigEndian.PutUint32(frame[8:], sum)
 	start := time.Now()
 	var deadline time.Time
 	if w.PutTimeout > 0 {
@@ -177,11 +187,12 @@ func (w *Window) PutFrame(target int, offset int64, frame []byte) error {
 // Next returns the next put's payload in window-offset order, which the
 // caller now owns, and its sender's checksum, or io.EOF once the whole
 // window has been handed out. Checking the payload against the sum is the
-// caller's, folded into its own pass over the bytes. A frame is placed as
-// it lands: outside the window, on bytes already handed out, or
-// overlapping a held put is an error. Puts are therefore disjoint and in
-// bounds, so the window cannot overfill, and it is complete exactly when
-// the cursor reaches its size.
+// caller's, folded into its own pass over the bytes: Wait checks the
+// payload's CRC-32C, the dump's committer the CRC-32C over the sums it
+// takes of the frame's records. A frame is placed as it lands: outside the
+// window, on bytes already handed out, or overlapping a held put is an
+// error. Puts are therefore disjoint and in bounds, so the window cannot
+// overfill, and it is complete exactly when the cursor reaches its size.
 func (w *Window) Next() ([]byte, uint32, error) {
 	start := time.Now()
 	defer func() { w.waitTime += time.Since(start) }()
@@ -220,7 +231,8 @@ func (w *Window) Next() ([]byte, uint32, error) {
 }
 
 // Wait drains the window through Next into one buffer and returns it,
-// failing on the first frame whose payload does not match its checksum.
+// failing on the first frame whose payload's CRC-32C is not its checksum:
+// the checksum Put takes.
 func (w *Window) Wait() ([]byte, error) {
 	buf := make([]byte, 0, w.size)
 	for {

@@ -35,81 +35,89 @@ func (w testWindow) frames() [][]byte {
 
 // frames hands out pieces as window frames, each with its checksum; like
 // a Window, it skips empty ones.
-func frames(pieces ...[]byte) func() ([]byte, uint32, error) {
+func frames(pieces [][]byte, sums []uint32) func() ([]byte, uint32, error) {
+	i := 0
 	return func() ([]byte, uint32, error) {
-		for len(pieces) > 0 && len(pieces[0]) == 0 {
-			pieces = pieces[1:]
+		for i < len(pieces) && len(pieces[i]) == 0 {
+			i++
 		}
-		if len(pieces) == 0 {
+		if i == len(pieces) {
 			return nil, 0, io.EOF
 		}
-		p := pieces[0]
-		pieces = pieces[1:]
-		return p, collectives.Checksum(0, p), nil
+		i++
+		return pieces[i-1], sums[i-1], nil
 	}
 }
 
-// commitReceived commits a window frame by frame and returns the
-// references stored (on error, those stored before it).
+// commitReceived commits a window frame by frame, each frame with the
+// checksum an honest sender stamps on it, and returns the references
+// stored (on error, those stored before it).
 func commitReceived(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
-	c := committer{store: store, m: m, regions: w.regions, next: frames(w.frames()...)}
+	c := committer{store: store, m: m, regions: w.regions, next: frames(w.frames(), frameSums(w))}
 	err := c.commit()
 	return c.refs, err
 }
 
-// commitReceivedPerRecord walks a window held in one buffer by offset,
-// region by region, with each sender's recipe decoded — one lookup per
-// record, failing at the first malformed one — and then stores, one
-// PutChunk each, the records that lie wholly in frames that passed their
-// checksum: every frame when the walk reached the end, else those the
-// walk needed a byte past before it failed. It is the reference the
-// committer's frame-by-frame walk over the undecoded metadata must
-// reproduce: same references in the same order, same counters, same
-// error, on whole and broken windows, in one frame or many. Every record
-// it stores names a position in its sender's recipe above the region's
-// previous one, and fits its region.
-func commitReceivedPerRecord(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
-	type parsed struct {
-		fp        fingerprint.FP
-		size, end int
+// walked is one record of a window as walkWindow parses it: the
+// fingerprint and size its sender's recipe gives its position, and the
+// window offset one past its last byte.
+type walked struct {
+	fp        fingerprint.FP
+	pos       uint32
+	size, end int
+}
+
+// sentRecord is one record of a window as its sender sums it: the window
+// offset one past its last byte, its recipe position and its chunk's sum.
+type sentRecord struct {
+	end      int
+	pos, sum uint32
+}
+
+// frameSumsOf returns the checksum an honest sender stamps on each frame
+// of pieces — a window's bytes in order, holding the records recs in
+// ascending order: the CRC-32C over u32 position ‖ u32 sum of every
+// record that ends in the frame.
+func frameSumsOf(pieces [][]byte, recs []sentRecord) []uint32 {
+	sums := make([]uint32, len(pieces))
+	var b []byte
+	start := 0
+	for i, p := range pieces {
+		b = b[:0]
+		for len(recs) > 0 && recs[0].end <= start+len(p) {
+			b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(b, recs[0].pos), recs[0].sum)
+			recs = recs[1:]
+		}
+		sums[i] = collectives.Checksum(0, b)
+		start += len(p)
 	}
-	var recs []parsed
-	buf, off, read := w.bytes, 0, 0 // read: one past the last byte the walk needed
-	walkErr := func() error {
-		for _, r := range w.regions {
-			var fps []fingerprint.FP
-			var sizes []int
-			enc := metaRecipe(r.meta)
-			for i := 0; i < chunk.RecipeCount(enc); i++ {
-				fp, size := chunk.RecipeEntry(enc, i)
-				fps, sizes = append(fps, fp), append(sizes, int(size))
-			}
-			next := 0
-			for end := off + int(r.size); off < end; {
-				if end-off < 4 {
-					return fmt.Errorf("window record header truncated at offset %d", off)
-				}
-				read = off + 4
-				pos := int(binary.BigEndian.Uint32(buf[off:]))
-				if pos < next || pos >= len(fps) {
-					return fmt.Errorf("window record at offset %d names recipe position %d, want one in [%d, %d)", off, pos, next, len(fps))
-				}
-				next = pos + 1
-				size := sizes[pos]
-				if off += 4; size > end-off {
-					return fmt.Errorf("window record of %d bytes overruns its region at offset %d", size, off)
-				}
-				read = off + size
-				off += size
-				recs = append(recs, parsed{fps[pos], size, off})
-			}
-		}
-		read = off + 1 // is there a byte beyond the regions?
-		if off < len(buf) {
-			return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
-		}
-		return nil
-	}()
+	return sums
+}
+
+// frameSums returns the checksum an honest sender stamps on each frame
+// window w arrives in, every record summed as w holds its bytes under the
+// fingerprint its sender's recipe names. Records past the first malformed
+// one count in no frame.
+func frameSums(w testWindow) []uint32 {
+	walk, _, _ := walkWindow(w)
+	recs := make([]sentRecord, len(walk))
+	for i, r := range walk {
+		recs[i] = sentRecord{r.end, r.pos, fingerprint.ChunkSum(&walk[i].fp, w.bytes[r.end-r.size:r.end])}
+	}
+	return frameSumsOf(w.frames(), recs)
+}
+
+// commitReceivedPerRecord walks a window held in one buffer (walkWindow)
+// and then stores, one PutChunk each, the records that lie wholly in
+// frames that passed their checksum: every frame when the walk reached
+// the end, else those the walk needed a byte past before it failed. It is
+// the reference the committer's frame-by-frame walk over the undecoded
+// metadata must reproduce: same references in the same order, same
+// counters, same error, on whole and broken windows, in one frame or
+// many.
+func commitReceivedPerRecord(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
+	buf := w.bytes
+	recs, read, walkErr := walkWindow(w)
 	checked := len(buf) // every frame, after a whole walk
 	if walkErr != nil {
 		checked = 0
@@ -133,6 +141,52 @@ func commitReceivedPerRecord(store storage.Store, w testWindow, m *metrics.Dump)
 		m.RecvBytes += int64(r.size)
 	}
 	return refs, walkErr
+}
+
+// walkWindow walks a window held in one buffer by offset, region by
+// region, with each sender's recipe decoded — one lookup per record — and
+// returns its records up to the first malformed one, one past the last
+// byte the walk needed, and the error it stopped at. Every record it
+// returns names a position in its sender's recipe above the region's
+// previous one, and fits its region.
+func walkWindow(w testWindow) (recs []walked, read int, err error) {
+	buf, off := w.bytes, 0
+	err = func() error {
+		for _, r := range w.regions {
+			var fps []fingerprint.FP
+			var sizes []int
+			enc := metaRecipe(r.meta)
+			for i := 0; i < chunk.RecipeCount(enc); i++ {
+				fp, size := chunk.RecipeEntry(enc, i)
+				fps, sizes = append(fps, *fp), append(sizes, int(size))
+			}
+			next := 0
+			for end := off + int(r.size); off < end; {
+				if end-off < 4 {
+					return fmt.Errorf("window record header truncated at offset %d", off)
+				}
+				read = off + 4
+				pos := int(binary.BigEndian.Uint32(buf[off:]))
+				if pos < next || pos >= len(fps) {
+					return fmt.Errorf("window record at offset %d names recipe position %d, want one in [%d, %d)", off, pos, next, len(fps))
+				}
+				next = pos + 1
+				size := sizes[pos]
+				if off += 4; size > end-off {
+					return fmt.Errorf("window record of %d bytes overruns its region at offset %d", size, off)
+				}
+				read = off + size
+				off += size
+				recs = append(recs, walked{fps[pos], uint32(pos), size, off})
+			}
+		}
+		read = off + 1 // is there a byte beyond the regions?
+		if off < len(buf) {
+			return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
+		}
+		return nil
+	}()
+	return recs, read, err
 }
 
 // TestCommitReceivedMatchesPerRecord feeds whole windows (empty, one
@@ -307,20 +361,37 @@ func TestCommitterCutFramesMatchWholeWindow(t *testing.T) {
 // TestCommitterChecksFrameSums: one byte flipped after its frame was
 // summed — in a header or a payload, of the first, a middle or the last
 // frame — fails the commit with collectives.ErrChecksum, the records of
-// the frames before it stored, and nothing of the frames after it.
+// the frames before it stored, and nothing of the frames after it. A
+// frame's sum covers the records that end in it, so a flipped payload
+// byte is caught at the frame where its record ends, which for a record
+// cut across frames is a later one than the flip's. A flipped header byte
+// can misparse the record's size and end it earlier, so it is caught no
+// earlier than the flip's frame and no later than that one.
 func TestCommitterChecksFrameSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	w := newSenderRegion(rng, 120).window()
+	recs, _, _ := walkWindow(w)
 	for trial := 0; trial < 40; trial++ {
 		pieces := cutInto(rng, w.bytes, 1+rng.Intn(len(w.bytes)/3))
 		bad := rng.Intn(len(pieces))
-		sums := make([]uint32, len(pieces))
-		for i, p := range pieces {
-			sums[i] = collectives.Checksum(0, p)
-		}
+		w.pieces = pieces
+		sums := frameSums(w)
 		flipped := slices.Clone(pieces[bad])
-		flipped[rng.Intn(len(flipped))] ^= 1 << rng.Intn(8)
+		at := rng.Intn(len(flipped))
+		flipped[at] ^= 1 << rng.Intn(8)
 		pieces[bad] = flipped
+		// The flipped byte's window offset, the record it is in, whether
+		// it is in that record's header, and the frame that record ends in.
+		for _, p := range pieces[:bad] {
+			at += len(p)
+		}
+		r := recs[slices.IndexFunc(recs, func(r walked) bool { return at < r.end })]
+		inHeader := at < r.end-r.size
+		ends, end := 0, len(pieces[0])
+		for end < r.end {
+			ends++
+			end += len(pieces[ends])
+		}
 		i := 0
 		var m metrics.Dump
 		c := committer{store: storage.NewMem(), m: &m, regions: w.regions, next: func() ([]byte, uint32, error) {
@@ -339,8 +410,8 @@ func TestCommitterChecksFrameSums(t *testing.T) {
 			}
 			continue
 		}
-		if i != bad+1 {
-			t.Errorf("trial %d: frame %d corrupted, caught after %d frames", trial, bad, i)
+		if caught := i - 1; caught != ends && (!inHeader || caught < bad || caught > ends) {
+			t.Errorf("trial %d: frame %d corrupted (header %v) in a record ending in frame %d, caught at frame %d", trial, bad, inHeader, ends, caught)
 		}
 	}
 }
@@ -465,6 +536,8 @@ func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
 	s := newSenderRegion(rand.New(rand.NewSource(41)), 90)
 	pieces, sent := recordFrames(s, 10)
 	w := s.window()
+	w.pieces = pieces
+	sums := frameSums(w)
 	for bad := 1; bad < len(pieces)-1; bad++ {
 		var want []fingerprint.FP
 		for _, ps := range sent[:bad] {
@@ -489,9 +562,9 @@ func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
 			}
 			i++
 			if i-1 == bad {
-				return flipped, collectives.Checksum(0, pieces[bad]), nil
+				return flipped, sums[bad], nil
 			}
-			return pieces[i-1], collectives.Checksum(0, pieces[i-1]), nil
+			return pieces[i-1], sums[i-1], nil
 		}}
 		err := c.commit()
 		if !errors.Is(err, collectives.ErrChecksum) {
@@ -499,6 +572,61 @@ func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
 		}
 		if !slices.Equal(log.puts, want) || !slices.Equal(c.refs, want) || m.RecvChunks != len(want) {
 			t.Errorf("frame %d flipped: %d puts, %d references, %d counted; want the %d records of the frames before it", bad, len(log.puts), len(c.refs), m.RecvChunks, len(want))
+		}
+	}
+}
+
+// TestCommitterRejectsWrongChunk: a sender puts another chunk's bytes, of
+// the same size, at a valid position and stamps each frame's checksum
+// honestly over what it sent: every record's sum taken under the
+// fingerprint of the bytes it carries. The committer sums each record
+// under the fingerprint the recipe names for its position, so the frame
+// holding the wrong chunk fails with collectives.ErrChecksum; the records
+// of the frames before it are stored, one put each in window order, and
+// nothing of it or after. Without the swap, the same sums commit every
+// record.
+func TestCommitterRejectsWrongChunk(t *testing.T) {
+	const chunks, per, size = 12, 3, 64
+	rng := rand.New(rand.NewSource(43))
+	s := senderRegion{data: make([][]byte, chunks)}
+	var rec chunk.Recipe
+	for i := range s.data {
+		s.data[i] = make([]byte, size)
+		rng.Read(s.data[i])
+		rec.FPs, rec.Sizes = append(rec.FPs, fingerprint.Of(s.data[i])), append(rec.Sizes, size)
+		s.sent = append(s.sent, i)
+	}
+	s.meta, _ = (&RestoreMeta{Rank: 1, K: 2, Recipe: rec}).MarshalBinary()
+	for bad := -1; bad < chunks/per; bad++ {
+		sent := s
+		if bad >= 0 { // the middle record of frame bad carries another chunk
+			sent.data = slices.Clone(s.data)
+			sent.data[bad*per+1] = s.data[(bad*per+5)%chunks]
+		}
+		pieces, _ := recordFrames(sent, per)
+		var recs []sentRecord
+		end := 0
+		for _, pos := range sent.sent {
+			data := sent.data[pos]
+			end += 4 + len(data)
+			fp := fingerprint.Of(data)
+			recs = append(recs, sentRecord{end, uint32(pos), fingerprint.ChunkSum(&fp, data)})
+		}
+		log := &putLog{Store: storage.NewMem()}
+		var m metrics.Dump
+		c := committer{store: log, m: &m, regions: []region{{size: int64(end), meta: s.meta}}, next: frames(pieces, frameSumsOf(pieces, recs))}
+		err := c.commit()
+		want := rec.FPs
+		if bad >= 0 {
+			want = rec.FPs[:bad*per]
+			if !errors.Is(err, collectives.ErrChecksum) {
+				t.Errorf("wrong chunk in frame %d: %v, want the checksum mismatch", bad, err)
+			}
+		} else if err != nil {
+			t.Errorf("no chunk swapped: %v", err)
+		}
+		if !slices.Equal(log.puts, want) || !slices.Equal(c.refs, want) || m.RecvChunks != len(want) {
+			t.Errorf("wrong chunk in frame %d: %d puts, %d references, %d counted; want %d", bad, len(log.puts), len(c.refs), m.RecvChunks, len(want))
 		}
 	}
 }

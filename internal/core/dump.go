@@ -406,7 +406,12 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		}
 		prev = g.held
 	}
+	// A frame of this window holds about min(MaxPutBytes, window) / (4 +
+	// chunk size) records: the batch is sized for that once rather than
+	// grown on every dump.
+	perFrame := min(collectives.MaxPutBytes, winSize) / int64(4+o.Chunker.Size)
 	cm := &committer{store: store, m: &m, regions: regions, refs: make([]fingerprint.FP, 0, len(items)),
+		batch: make([]storage.Record, 0, perFrame),
 		next: func() ([]byte, uint32, error) {
 			t.begin("window-wait")
 			frame, sum, err := win.Next()
@@ -424,7 +429,7 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 			}
 		}
 		for _, it := range items {
-			if err := store.PutChunk(it.ch.FP, it.ch.Data); err != nil {
+			if err := storage.PutChunkSum(store, it.ch.FP, it.ch.Data, it.ch.Sum); err != nil {
 				return fmt.Errorf("rank %d store chunk: %w", me, err)
 			}
 			cm.refs = append(cm.refs, it.ch.FP)
@@ -509,24 +514,27 @@ func sendRetry(me, target int, rp RetryPolicy, retries *atomic.Int64, send func(
 // records — u32 recipe position | payload each, positions ascending (the
 // receiver reads size and fingerprint from this rank's RestoreMeta) — go
 // straight into a put frame, handed to the window once per MaxPutBytes
-// of region; a record larger than that travels alone. A handed-over frame is
-// never touched again: the next records go into a new one. The
-// per-partner regions are disjoint by construction, so putPartner calls
-// for different d never touch the same window bytes — which is what makes
-// them safe to run concurrently. Returns the chunks and payload bytes
-// gathered, which is what was sent unless an error is returned too.
+// of region; a record larger than that travels alone. Each frame's
+// checksum folds the sums its chunks carry from ingest (recordSums): the
+// payload is not read again. A handed-over frame is never touched again:
+// the next records go into a new one. The per-partner regions are
+// disjoint by construction, so putPartner calls for different d never
+// touch the same window bytes — which is what makes them safe to run
+// concurrently. Returns the chunks and payload bytes gathered, which is
+// what was sent unless an error is returned too.
 func putPartner(win *collectives.Window, me, target int, off, region int64, items []item, d int, rp RetryPolicy, retries *atomic.Int64) (int, int64, error) {
 	var chunks int
 	var bytes int64
 	var frame []byte
+	var sums recordSums
 	used := 0 // record bytes in frame
 	flush := func() error {
-		if err := sendRetry(me, target, rp, retries, func() error { return win.PutFrame(target, off, frame) }); err != nil {
+		if err := sendRetry(me, target, rp, retries, func() error { return win.PutFrame(target, off, frame, sums.crc) }); err != nil {
 			return fmt.Errorf("put to %d: %w", target, err)
 		}
 		off += int64(used)
 		region -= int64(used)
-		frame, used = nil, 0
+		frame, used, sums.crc = nil, 0, 0
 		return nil
 	}
 	for _, it := range items {
@@ -544,6 +552,7 @@ func putPartner(win *collectives.Window, me, target int, off, region int64, item
 		}
 		frame = binary.BigEndian.AppendUint32(frame, uint32(it.pos))
 		frame = append(frame, data...)
+		sums.add(uint32(it.pos), it.ch.Sum)
 		used += 4 + len(data)
 		chunks++
 		bytes += int64(len(data))
@@ -886,6 +895,22 @@ type region struct {
 	meta []byte
 }
 
+// recordSums is a put frame's checksum as it is built: the CRC-32C over
+// u32 recipe position ‖ u32 sum (fingerprint.ChunkSum) of each record
+// that ends in the frame, in order. The sender folds the sums its chunks
+// carry from ingest; the receiver folds the sums it takes of the bytes it
+// parsed, under the fingerprints of the sender's recipe.
+type recordSums struct {
+	crc uint32
+	rec [8]byte
+}
+
+func (f *recordSums) add(pos, sum uint32) {
+	binary.BigEndian.PutUint32(f.rec[:4], pos)
+	binary.BigEndian.PutUint32(f.rec[4:], sum)
+	f.crc = collectives.Checksum(f.crc, f.rec[:])
+}
+
 // committer stores the record stream of a dump's window, frame by frame
 // as the frames land in window-offset order, and keeps every reference
 // stored so a failure rolls back exactly those (rollbackDump). The window
@@ -893,23 +918,28 @@ type region struct {
 // position | payload, and the committer reads the size and fingerprint at
 // that position of the sender's recipe in place: nothing is hashed.
 // Positions must rise strictly within a region, stay in the recipe and
-// not overrun the region. Each frame's CRC-32C is folded over its bytes
-// as they are parsed and checked where the frame ends; only then are the
-// records that end in it stored, those wholly inside it as one batch
-// (storage.PutRecords) that hands the frame over. No record of a frame
-// that fails its sum, or that the parse fails in, reaches the store.
+// not overrun the region. Each record is summed once, under that
+// fingerprint, and the sum folded into the checksum of the frame it ends
+// in (recordSums), which is checked where the frame ends: the check
+// covers the bytes and binds them to the recipe's fingerprint, so another
+// chunk's bytes at a position fail it. Only then are the records that end
+// in the frame stored with their sums, those wholly inside it as one
+// batch (storage.PutRecords) that hands the frame over. No record of a
+// frame that fails its sum, or that the parse fails in, reaches the
+// store.
 type committer struct {
-	store     storage.Store
-	m         *metrics.Dump
-	refs      []fingerprint.FP
-	regions   []region
-	next      func() ([]byte, uint32, error) // the next frame and its sum; io.EOF after the last
-	frame     []byte                         // the current frame
-	p         []byte                         // the unread rest of it
-	sum, want uint32                         // the current frame's sum so far, and its sender's
-	batch     []storage.Record               // the records wholly inside the current frame
-	cut       []byte                         // the record that ends in the current frame and began before it, assembled
-	cutFP     fingerprint.FP
+	store   storage.Store
+	m       *metrics.Dump
+	refs    []fingerprint.FP
+	regions []region
+	next    func() ([]byte, uint32, error) // the next frame and its sum; io.EOF after the last
+	frame   []byte                         // the current frame
+	p       []byte                         // the unread rest of it
+	sums    recordSums                     // the current frame's records so far
+	want    uint32                         // the current frame's sum, its sender's
+	batch   []storage.Record               // the records wholly inside the current frame
+	cut     []byte                         // the record that ends in the current frame and began before it, assembled
+	cutRec  storage.Record                 // its fingerprint and sum
 }
 
 // commit stores every record of the stream.
@@ -942,12 +972,16 @@ func (c *committer) commit() error {
 				return err
 			}
 			off += size
-			// File the record with the frame it ends in: as a batch entry
-			// when that frame holds all of it, else as its cut record.
+			// File the record with the frame it ends in: its sum in the
+			// frame's checksum, and itself as a batch entry when that frame
+			// holds all of it, else as its cut record.
+			r := storage.Record{FP: *fp, Len: int32(size), Sum: fingerprint.ChunkSum(fp, data)}
+			c.sums.add(uint32(pos), r.Sum)
 			if at := len(c.frame) - len(c.p) - len(data); at >= 0 {
-				c.batch = append(c.batch, storage.Record{FP: fp, Off: int32(at), Len: int32(size)})
+				r.Off = int32(at)
+				c.batch = append(c.batch, r)
 			} else {
-				c.cut, c.cutFP = data, fp
+				c.cut, c.cutRec = data, r
 			}
 		}
 	}
@@ -962,20 +996,18 @@ func (c *committer) commit() error {
 	return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
 }
 
-// read returns the next n bytes of the stream, folded into the frame
-// checksum: in place when the current frame holds them, else assembled
-// from the frames they span (a record cut by a frame boundary).
+// read returns the next n bytes of the stream: in place when the current
+// frame holds them, else assembled from the frames they span (a record cut
+// by a frame boundary).
 func (c *committer) read(n int) ([]byte, error) {
 	if n <= len(c.p) {
 		b := c.p[:n]
 		c.p = c.p[n:]
-		c.sum = collectives.Checksum(c.sum, b)
 		return b, nil
 	}
 	b := make([]byte, 0, n)
 	for {
 		k := min(n-len(b), len(c.p))
-		c.sum = collectives.Checksum(c.sum, c.p[:k])
 		b, c.p = append(b, c.p[:k]...), c.p[k:]
 		if len(b) == n {
 			return b, nil
@@ -991,11 +1023,11 @@ func (c *committer) read(n int) ([]byte, error) {
 // advance checks the exhausted frame against its sender's checksum,
 // stores the records that end in it, and moves on to the next frame.
 func (c *committer) advance() error {
-	if c.sum != c.want {
+	if c.sums.crc != c.want {
 		return collectives.ErrChecksum
 	}
 	if c.cut != nil {
-		if err := c.put(c.cut, []storage.Record{{FP: c.cutFP, Len: int32(len(c.cut))}}); err != nil {
+		if err := c.put(c.cut, []storage.Record{c.cutRec}); err != nil {
 			return err
 		}
 		c.cut = nil
@@ -1008,7 +1040,7 @@ func (c *committer) advance() error {
 	if err != nil {
 		return err
 	}
-	c.frame, c.p, c.sum, c.want = p, p, 0, want
+	c.frame, c.p, c.sums.crc, c.want = p, p, 0, want
 	return nil
 }
 

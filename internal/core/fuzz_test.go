@@ -109,6 +109,13 @@ func FuzzCommitRecords(f *testing.F) {
 	f.Add([]byte{1, 11, 3, 9, 0, 4, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 2, 200, 5, 7, 0}, rec.records)
 	f.Add([]byte{3, 2, 5, 5, 1, 20, 0, 9, 4, 1, 2, 3, 4, 17, 0, 0, 8, 1, 3, 3, 3}, []byte{0, 0, 0, 1, 9, 9, 9, 9, 9, 0, 0, 0, 0})
 	f.Add([]byte{2, 4, 1, 2, 3, 4, 1, 12, 2, 8, 8, 1, 30, 6, 6, 6}, []byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 3})
+	// One region of three records (10, 5 and 7 bytes) in frames of 10, 13
+	// and 11 bytes, the first record cut across the first two: committed
+	// whole; then the same with a byte of the first record's payload
+	// flipped in the first frame, caught where the record ends.
+	three := []byte{0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 0, 1, 11, 12, 13, 14, 15, 0, 0, 0, 2, 16, 17, 18, 19, 20, 21, 22}
+	f.Add([]byte{1, 3, 10, 5, 7, 1, 34, 9, 12, 0}, three)
+	f.Add([]byte{1, 3, 10, 5, 7, 1, 34, 9, 12, 39, 6*4 + 1}, three)
 	f.Fuzz(func(t *testing.T, shape, records []byte) {
 		next := func() int {
 			if len(shape) == 0 {
@@ -146,10 +153,8 @@ func FuzzCommitRecords(f *testing.F) {
 			}
 			pieces, b = append(pieces, b[:k]), b[k:]
 		}
-		sums := make([]uint32, len(pieces))
-		for i, p := range pieces {
-			sums[i] = collectives.Checksum(0, p)
-		}
+		w.pieces = pieces
+		sums := frameSums(w)
 		flip := next()
 		if flip%4 == 1 && len(w.bytes) > 0 {
 			at := (flip / 4) % len(w.bytes)

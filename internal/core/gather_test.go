@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,33 +41,44 @@ func numberItems(items [][]item) {
 	}
 }
 
+// testChunk is data as one chunk, fingerprinted and summed as at ingest.
+func testChunk(data []byte) chunk.Chunk {
+	return chunk.FromCuts(data, []int{len(data)})[0]
+}
+
 // referenceWindows lays out, for every rank, the window a per-record put
 // path fills: each sender's records, one encodeRecord at a time, from its
-// planned offset on.
-func referenceWindows(plan *Plan, items [][]item) [][]byte {
+// planned offset on. It lists every window's records too, in window order.
+func referenceWindows(plan *Plan, items [][]item) ([][]byte, [][]sentRecord) {
 	n := len(items)
 	wins := make([][]byte, n)
+	recs := make([][]sentRecord, n)
 	for r := range wins {
 		wins[r] = make([]byte, plan.WindowSize(r))
 	}
 	for s := 0; s < n; s++ {
 		offs := plan.Offsets(s)
 		for d := 1; d < plan.K; d++ {
-			off := offs[d]
+			off, to := offs[d], plan.Partner(s, d)
 			for _, it := range items[s] {
 				if sendsTo(it, d) {
-					off += int64(copy(wins[plan.Partner(s, d)][off:], encodeRecord(it.pos, it.ch.Data)))
+					off += int64(copy(wins[to][off:], encodeRecord(it.pos, it.ch.Data)))
+					recs[to] = append(recs[to], sentRecord{int(off), uint32(it.pos), it.ch.Sum})
 				}
 			}
 		}
 	}
-	return wins
+	for r := range recs {
+		slices.SortFunc(recs[r], func(a, b sentRecord) int { return a.end - b.end })
+	}
+	return wins, recs
 }
 
 // putAndDrain runs the put phase of every rank over a fresh in-proc group
 // — serial or one goroutine per partner — and returns the bytes each
-// rank's Window.Wait delivered plus its window and dump counters.
-func putAndDrain(t *testing.T, plan *Plan, items [][]item, parallel bool) ([][]byte, []collectives.WindowStats, []metrics.Dump) {
+// rank's window delivered plus its window and dump counters. Every
+// frame's checksum must be the one an honest sender of recs stamps.
+func putAndDrain(t *testing.T, plan *Plan, items [][]item, recs [][]sentRecord, parallel bool) ([][]byte, []collectives.WindowStats, []metrics.Dump) {
 	t.Helper()
 	n := len(items)
 	got := make([][]byte, n)
@@ -84,9 +96,24 @@ func putAndDrain(t *testing.T, plan *Plan, items [][]item, parallel bool) ([][]b
 		if err := put(win, plan, items[me], plan.Offsets(me), o, me, &dumps[me], &retries); err != nil {
 			return err
 		}
-		buf, err := win.Wait()
-		got[me], stats[me] = buf, win.Stats()
-		return err
+		var pieces [][]byte
+		var sums []uint32
+		for {
+			p, sum, err := win.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			got[me] = append(got[me], p...)
+			pieces, sums = append(pieces, p), append(sums, sum)
+		}
+		stats[me] = win.Stats()
+		if !slices.Equal(sums, frameSumsOf(pieces, recs[me])) {
+			return fmt.Errorf("rank %d: a frame's checksum is not the one its records' sums give", me)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +129,10 @@ func checkGathered(t *testing.T, k int, shuffle []int, items [][]item) []collect
 	n := len(items)
 	numberItems(items)
 	plan := planFor(t, k, shuffle, items)
-	want := referenceWindows(plan, items)
+	want, recs := referenceWindows(plan, items)
 	var serial []collectives.WindowStats
 	for _, parallel := range []bool{false, true} {
-		got, stats, dumps := putAndDrain(t, plan, items, parallel)
+		got, stats, dumps := putAndDrain(t, plan, items, recs, parallel)
 		if !parallel {
 			serial = stats
 		}
@@ -143,7 +170,7 @@ func randomItem(rng *rand.Rand, size, k int) item {
 			partners = append(partners, d)
 		}
 	}
-	return item{ch: chunk.Chunk{Data: data}, partners: partners}
+	return item{ch: testChunk(data), partners: partners}
 }
 
 // TestGatheredWindowsMatchPerRecord is the window-equivalence property:
@@ -186,7 +213,7 @@ func TestGatheredWindowEdges(t *testing.T) {
 	mk := func(size int, partners ...int) item {
 		data := make([]byte, size)
 		rng.Read(data)
-		return item{ch: chunk.Chunk{Data: data}, partners: partners}
+		return item{ch: testChunk(data), partners: partners}
 	}
 
 	t.Run("oversize-record", func(t *testing.T) {
@@ -271,7 +298,7 @@ func TestPutHandsFramesOver(t *testing.T) {
 	}
 	numberItems(items)
 	plan := planFor(t, k, rng.Perm(n), items)
-	want := referenceWindows(plan, items)
+	want, recs := referenceWindows(plan, items)
 	for _, put := range []func(*collectives.Window, *Plan, []item, []int64, Options, int, *metrics.Dump, *atomic.Int64) error{putSerial, putParallel} {
 		err := collectives.Run(n, func(c collectives.Comm) error {
 			me := c.Rank()
@@ -281,6 +308,8 @@ func TestPutHandsFramesOver(t *testing.T) {
 				return err
 			}
 			off := 0
+			var pieces [][]byte
+			var sums []uint32
 			for {
 				p, sum, err := win.Next()
 				if err == io.EOF {
@@ -289,13 +318,17 @@ func TestPutHandsFramesOver(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if !bytes.Equal(p, want[me][off:off+len(p)]) || collectives.Checksum(0, p) != sum {
+				if !bytes.Equal(p, want[me][off:off+len(p)]) {
 					return fmt.Errorf("rank %d: frame at window offset %d differs from the per-record layout", me, off)
 				}
 				off += len(p)
+				pieces, sums = append(pieces, p), append(sums, sum)
 				for i := range p {
 					p[i] = 0xff
 				}
+			}
+			if !slices.Equal(sums, frameSumsOf(pieces, recs[me])) { // the sums cover records' sums, not the bytes scribbled over
+				return fmt.Errorf("rank %d: a frame's checksum is not the one its records' sums give", me)
 			}
 			return collectives.Barrier(c)
 		})
@@ -308,8 +341,9 @@ func TestPutHandsFramesOver(t *testing.T) {
 // TestDrainCommitsCutRecords: a hand-built sender cuts its record stream
 // — a lone record above collectives.MaxPutBytes among small ones — inside
 // headers, inside payloads and on record boundaries, and puts the pieces
-// last first. The owner commits its window frame by frame as it drains,
-// exactly as commitReceived commits the whole stream at once.
+// last first, each with the checksum of the records that end in it. The
+// owner commits its window frame by frame as it drains, exactly as
+// commitReceived commits the whole stream at once.
 func TestDrainCommitsCutRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var stream []byte
@@ -328,6 +362,11 @@ func TestDrainCommitsCutRecords(t *testing.T) {
 	big := 4 + 10 + 4 // where the big record starts
 	cuts := []int{2, 4 + 10 + 1, big + 2, big + 1000, big + 4 + collectives.MaxPutBytes + 100, len(stream) - 3}
 	want := commitWith(commitReceived, w)
+	cutW, bounds := w, slices.Concat([]int{0}, cuts, []int{len(stream)})
+	for i := 1; i < len(bounds); i++ {
+		cutW.pieces = append(cutW.pieces, stream[bounds[i-1]:bounds[i]])
+	}
+	sums := frameSums(cutW)
 	got := commitRun{store: storage.NewMem()}
 	err = collectives.Run(2, func(c collectives.Comm) error {
 		size := int64(len(stream))
@@ -342,7 +381,8 @@ func TestDrainCommitsCutRecords(t *testing.T) {
 				if i >= 0 {
 					start = cuts[i]
 				}
-				if err := win.Put(0, int64(start), stream[start:end]); err != nil {
+				frame := append(collectives.NewFrame(end-start), stream[start:end]...)
+				if err := win.PutFrame(0, int64(start), frame, sums[i+1]); err != nil {
 					return err
 				}
 				end = start

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"slices"
 	"strings"
@@ -128,6 +130,45 @@ func (c *corruptingComm) Send(to int, tag collectives.Tag, data []byte) error {
 	return c.Comm.Send(to, tag, data)
 }
 
+// chunkSwappingComm puts one chunk's bytes at another chunk's position:
+// in the first window frame its rank sends that holds two records — each
+// u32 position | one testPage chunk — the first record's payload becomes
+// the second's, and the checksum is restamped as a sender that believed in
+// the bytes it sent would stamp it. That is the payload's CRC-32C when the
+// frame carried one, else the CRC-32C over u32 position ‖ u32 sum of each
+// record, every sum a CRC-32C over fingerprint ‖ bytes, taken under the
+// fingerprint of the bytes the record carries.
+type chunkSwappingComm struct {
+	collectives.Comm
+	swapped bool
+}
+
+func (c *chunkSwappingComm) Base() collectives.Comm { return c.Comm }
+
+func (c *chunkSwappingComm) Send(to int, tag collectives.Tag, data []byte) error {
+	const header, rec = 12, 4 + testPage // window put header: offset, checksum
+	if c.swapped || tag < collectives.TagUserLimit<<1 || len(data) < header+2*rec {
+		return c.Comm.Send(to, tag, data)
+	}
+	c.swapped = true
+	data = slices.Clone(data)
+	payload := data[header:]
+	payloadSum := binary.BigEndian.Uint32(data[8:]) == collectives.Checksum(0, payload)
+	copy(payload[4:rec], payload[rec+4:2*rec])
+	sum := collectives.Checksum(0, payload)
+	if !payloadSum {
+		castagnoli := crc32.MakeTable(crc32.Castagnoli)
+		var sums []byte
+		for r := payload; len(r) >= rec; r = r[rec:] {
+			fp := fingerprint.Of(r[4:rec])
+			sums = binary.BigEndian.AppendUint32(append(sums, r[:4]...), crc32.Checksum(append(fp[:], r[4:rec]...), castagnoli))
+		}
+		sum = collectives.Checksum(0, sums)
+	}
+	binary.BigEndian.PutUint32(data[8:], sum)
+	return c.Comm.Send(to, tag, data)
+}
+
 // blobState is what a store holds under every blob name of the given
 // datasets on n ranks; an absent blob and a tombstone both read as nil.
 func blobState(s storage.Store, n int, names ...string) map[string][]byte {
@@ -149,6 +190,27 @@ func blobState(s storage.Store, n int, names ...string) map[string][]byte {
 // commits. Every store's usage and blobs are what they were before the
 // dump, and the earlier checkpoint still restores byte-identically.
 func TestCorruptFrameFailsDump(t *testing.T) {
+	checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &corruptingComm{Comm: c} })
+}
+
+// TestWrongChunkFailsDump: a sender that puts another chunk's bytes at a
+// valid position and stamps an honest checksum over what it sent fails
+// the dump as a flipped byte does. The receiver sums each record under the
+// fingerprint the sender's recipe names for its position, so the frame's
+// checksum binds the bytes to that fingerprint; a CRC-32C over the payload
+// alone would let the wrong chunk be stored under it.
+func TestWrongChunkFailsDump(t *testing.T) {
+	checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &chunkSwappingComm{Comm: c} })
+}
+
+// checkFrameFailsDump dumps a second checkpoint on four ranks, rank 1's
+// communicator wrapped by wrap, and asserts that the dump fails on every
+// rank with a *CollectiveError, one of them collectives.ErrChecksum,
+// before anything commits: every store's usage and blobs are what they
+// were before the dump, and the first checkpoint still restores
+// byte-identically.
+func checkFrameFailsDump(t *testing.T, wrap func(collectives.Comm) collectives.Comm) {
+	t.Helper()
 	const n, corrupter = 4, 1
 	cluster := storage.NewCluster(n)
 	buffers := cleanDump(t, n, cluster, "ckpt-0")
@@ -165,7 +227,7 @@ func TestCorruptFrameFailsDump(t *testing.T) {
 	}
 	errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
 		if c.Rank() == corrupter {
-			c = &corruptingComm{Comm: c}
+			c = wrap(c)
 		}
 		buf := append(testBuffer(c.Rank(), 6, 4, 3, 5), page(fmt.Sprintf("corrupt-%d", c.Rank()))...)
 		_, err := DumpOutputCtx(context.Background(), c, cluster.Node(c.Rank()), buf, faultOpts("ckpt-1"))

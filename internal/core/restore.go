@@ -509,8 +509,8 @@ func (q *peerQueue) cut(holes []hole) ([]fingerprint.FP, []int32) {
 // them against, taken over the fingerprint asked for (storage.CheckSum):
 // the sum guards the bytes from that store to this rank, and another
 // chunk's bytes under their own true sum fail it. Nothing fetched is
-// hashed. Only an accepted record is stored (re-provisioning this node)
-// and placed. Anything else — not found, wrong length, corrupt — is a
+// hashed. Only an accepted record is stored (re-provisioning this node,
+// under the sum just checked) and placed. Anything else — not found, wrong length, corrupt — is a
 // miss, and the hole moves on to its next candidate's queue. Once every
 // hole is filled, the repeated positions are copied from the first.
 func (a *assembly) fetchHoles() error {
@@ -539,13 +539,13 @@ func (a *assembly) fetchHoles() error {
 		served, servedBytes := 0, int64(0)
 		for i, hi := range asked[ex.ID] {
 			h, r := &a.holes[hi], ex.Records[i]
-			if !r.Found || len(r.Data) != int(h.size) || storage.CheckSum(h.fp, r.Data, r.Sum) != nil {
+			if !r.Found || len(r.Data) != int(h.size) || storage.CheckSum(&h.fp, r.Data, r.Sum) != nil {
 				if err := a.enqueue(hi); err != nil {
 					return err
 				}
 				continue
 			}
-			if err := a.accept(h, ex.Peer, r.Data); err != nil {
+			if err := a.accept(h, ex.Peer, r.Data, r.Sum); err != nil {
 				return err
 			}
 			served++
@@ -559,13 +559,13 @@ func (a *assembly) fetchHoles() error {
 	return nil
 }
 
-// accept places verified bytes: into the local store (ErrFailed is
-// tolerated — a failed store just stays un-provisioned) and at the hole's
-// first position, which counts as fetched from peer. Later positions
-// count as local, which is where a position-by-position walk would have
-// found the re-provisioned copy.
-func (a *assembly) accept(h *hole, peer int, data []byte) error {
-	if err := a.store.PutChunk(h.fp, data); err != nil && !errors.Is(err, storage.ErrFailed) {
+// accept places verified bytes: into the local store with the sum they
+// were checked against (ErrFailed is tolerated — a failed store just stays
+// un-provisioned) and at the hole's first position, which counts as
+// fetched from peer. Later positions count as local, which is where a
+// position-by-position walk would have found the re-provisioned copy.
+func (a *assembly) accept(h *hole, peer int, data []byte, sum uint32) error {
+	if err := storage.PutChunkSum(a.store, h.fp, data, sum); err != nil && !errors.Is(err, storage.ErrFailed) {
 		return err
 	}
 	a.cached = append(a.cached, h.fp)

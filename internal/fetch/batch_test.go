@@ -103,7 +103,7 @@ func TestBatchedRoundTrip(t *testing.T) {
 			}
 			// A found record carries the sum its bytes pass under the
 			// fingerprint asked for.
-			if got.Found && storage.CheckSum(asked[i], got.Data, got.Sum) != nil {
+			if got.Found && storage.CheckSum(&asked[i], got.Data, got.Sum) != nil {
 				return fmt.Errorf("record %d: sum %08x does not vouch for its bytes", i, got.Sum)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 )
 
 // Size is the byte length of a fingerprint (SHA-1 digest).
@@ -31,6 +32,22 @@ func Of(data []byte) FP { return sum(data) }
 var sum, sumPath = sha1Sum, "crypto/sha1"
 
 func sha1Sum(data []byte) FP { return FP(sha1.Sum(data)) }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ChunkSum is a chunk's integrity sum: CRC-32C over *fp ‖ data. It is
+// taken once, where the chunk is hashed at ingest or parsed off a put
+// frame, and travels with the chunk from there: put frames are summed
+// over their records' sums, and a store keeps it as the chunk's at-rest
+// sum. Covering the fingerprint binds the bytes to it, so another chunk's
+// bytes under this fingerprint fail the check too.
+//
+// fp is a pointer so that crc32 folds the fingerprint where it already
+// lives: handing crc32 a slice of a fingerprint held by value moves that
+// value to the heap on every call.
+func ChunkSum(fp *FP, data []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, fp[:]), castagnoli, data)
+}
 
 // BatchOf fingerprints every span into dst (dst[i] = Of(spans[i])); dst
 // must hold at least len(spans) entries.

@@ -3,6 +3,8 @@ package fingerprint
 import (
 	"bytes"
 	"crypto/sha1"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,32 @@ func TestOfMatchesSHA1(t *testing.T) {
 func TestOfEmpty(t *testing.T) {
 	if Of(nil) != Of([]byte{}) {
 		t.Fatal("Of(nil) and Of(empty) differ")
+	}
+}
+
+// TestChunkSumMatchesByteFold: ChunkSum, which hands crc32 the
+// fingerprint in place, equals folding the fingerprint into the CRC-32C
+// table one byte at a time and then the data, over random fingerprints
+// and every length from 0 to 8 KiB.
+func TestChunkSumMatchesByteFold(t *testing.T) {
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	byteFold := func(fp FP, data []byte) uint32 {
+		crc := ^uint32(0)
+		for _, b := range fp {
+			crc = tab[byte(crc)^b] ^ crc>>8
+		}
+		return crc32.Update(^crc, tab, data)
+	}
+	rng := rand.New(rand.NewSource(5))
+	buf := make([]byte, 8<<10)
+	rng.Read(buf)
+	fps := make([]FP, 1)
+	for n := 0; n <= len(buf); n++ {
+		rng.Read(fps[0][:])
+		data := buf[rng.Intn(len(buf)-n+1):][:n]
+		if got, want := ChunkSum(&fps[0], data), byteFold(fps[0], data); got != want {
+			t.Fatalf("%d bytes under %s: ChunkSum %08x, byte-at-a-time fold %08x", n, fps[0].Short(), got, want)
+		}
 	}
 }
 

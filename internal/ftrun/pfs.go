@@ -57,7 +57,7 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 	chunks := chunk.FromCuts(img, cc.Cuts(img))
 	recipe := chunk.BuildRecipe(chunks)
 	for _, ch := range chunks {
-		if err := pfs.PutChunk(ch.FP, ch.Data); err != nil {
+		if err := storage.PutChunkSum(pfs, ch.FP, ch.Data, ch.Sum); err != nil {
 			return -1, fmt.Errorf("ftrun: pfs chunk write: %w", err)
 		}
 	}

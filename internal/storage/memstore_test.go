@@ -171,7 +171,7 @@ func drawBatch(rng *rand.Rand, pool [][]byte, fps []fingerprint.FP, want *refSto
 	recs := make([]Record, len(picks))
 	for k, i := range picks {
 		payload = append(payload, 0, 0, 0, byte(k))
-		recs[k] = Record{FP: fps[i], Off: int32(len(payload)), Len: int32(len(pool[i]))}
+		recs[k] = Record{FP: fps[i], Off: int32(len(payload)), Len: int32(len(pool[i])), Sum: fingerprint.ChunkSum(&fps[i], pool[i])}
 		payload = append(payload, pool[i]...)
 	}
 	return payload, recs

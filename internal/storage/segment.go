@@ -29,9 +29,10 @@ import (
 // discards every file it does not name (see manifest.go for the commit
 // protocol and the case analysis).
 //
-// Every row carries its chunk's CRC-32C (see chunkSum), taken at put,
-// persisted in the segment index and checked on every read, whether the
-// bytes come from the tail buffer or the file.
+// Every row carries its chunk's CRC-32C (fingerprint.ChunkSum), handed in
+// with the put (PutChunkSum, PutRecords) or taken by PutChunk, persisted
+// in the segment index and checked on every read, whether the bytes come
+// from the tail buffer or the file.
 //
 // Tombstones accumulate in place — ReleaseChunk only drops the in-memory
 // reference, leaving the payload as garbage inside its sealed segment —
@@ -367,6 +368,16 @@ func (s *SegStore) flushTailLocked() error {
 }
 
 func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
+	return s.put(fp, data, nil)
+}
+
+func (s *SegStore) putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+	return s.put(fp, data, &sum)
+}
+
+// put stores a chunk under the sum given, or under one it takes if that
+// is nil and the chunk is new.
+func (s *SegStore) put(fp fingerprint.FP, data []byte, sum *uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -409,8 +420,12 @@ func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
 		s.tail = append(s.tail, data...)
 	}
 	s.crash("append")
+	if sum == nil {
+		own := chunkSum(fp, data)
+		sum = &own
+	}
 	s.active.entries = append(s.active.entries, segEntry{
-		FP: fp, Offset: s.active.len, Length: uint32(len(data)), Refs: 1, Sum: chunkSum(fp, data),
+		FP: fp, Offset: s.active.len, Length: uint32(len(data)), Refs: 1, Sum: *sum,
 	})
 	s.index[fp] = chunkLoc{seg: s.active.id, slot: len(s.active.entries) - 1}
 	s.active.len += uint64(len(data))
@@ -636,8 +651,8 @@ func (s *SegStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	}
 	s.readLocked(buf, rec, errs, sums)
 	s.mu.Unlock()
-	if errs[0] == nil {
-		errs[0] = CheckSum(fp, buf, sums[0])
+	if errs[0] == nil && chunkSum(fp, buf) != sums[0] {
+		errs[0] = chunkCorrupt(fp)
 	}
 	if errs[0] != nil {
 		return nil, 0, errs[0]
@@ -656,7 +671,7 @@ func (s *SegStore) readRecords(dst []byte, recs []Record, errs []error) {
 	for i, r := range recs {
 		switch errs[i].(type) {
 		case nil:
-			errs[i] = CheckSum(r.FP, dst[r.Off:r.Off+r.Len], sums[i])
+			errs[i] = CheckSum(&recs[i].FP, dst[r.Off:r.Off+r.Len], sums[i])
 		case LengthError:
 			errs[i] = readRecord(s, dst, r)
 		}

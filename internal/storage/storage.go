@@ -9,16 +9,21 @@
 // background compaction — the durable engine of the socket-transport
 // daemon and the examples that want real files on a real local device.
 //
-// Who verifies what: every chunk enters a store already bound to its
-// SHA-1 fingerprint — its owner hashed it; a partner read it from the
-// owner's recipe and the put frame's CRC-32C vouched for its transit; a
-// restoring rank checked what a peer sent against the sum the peer's
-// store read it under — so the store does not hash it again. Instead
-// PutChunk takes a CRC-32C over fingerprint ‖ bytes, and every read —
-// GetChunk, GetChunkSum, or ReadRecords where it placed each chunk —
-// checks it and returns ErrCorrupt on a mismatch: SHA-1 at ingest binds
-// the bytes to their fingerprint, the CRC at rest catches any change since
-// (a flipped byte, or an index row pointing at another chunk's bytes).
+// Who verifies what: a chunk's sum (fingerprint.ChunkSum, a CRC-32C over
+// fingerprint ‖ bytes) is taken once per hop and travels with it. Its
+// owner hashes the chunk at ingest and sums it in the same pass, and hands
+// that sum to its own store (PutChunkSum). A partner reads the fingerprint
+// from the owner's recipe and sums each received record under it; the put
+// frame's CRC-32C covers those record sums, so a frame that passes vouches
+// for bytes bound to the recipe's fingerprints, and the partner hands each
+// sum to its store with the record (Record.Sum). A restoring rank checks
+// what a peer sent against the sum the peer's store read it under, and
+// hands that sum to its own store. So no store hashes or sums a chunk on
+// the way in: the caller vouches for the sum, and a store without the sum
+// forms (PutChunk) sums the bytes itself. Every read — GetChunk,
+// GetChunkSum, or ReadRecords where it placed each chunk — checks the
+// stored sum and returns ErrCorrupt on a mismatch: a flipped byte, a
+// wrong sum handed in, or an index row pointing at another chunk's bytes.
 // GetChunkSum hands that sum on with the bytes, so a fetch reply carries
 // it and CheckSum at the requester covers the hop from store to store.
 //
@@ -68,10 +73,11 @@ const sumSize = 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// chunkSum is a chunk's at-rest checksum: CRC-32C over fp ‖ data. Covering
-// the fingerprint makes a row that points at another chunk's bytes fail
-// the check too. The fingerprint is folded in a byte at a time: handing
-// crc32 a slice of it would move fp to the heap on every call.
+// chunkSum is fingerprint.ChunkSum of a fingerprint held by value, such as
+// a Store method's argument. It folds fp in a byte at a time: handing
+// crc32 a slice of it would move fp to the heap on every call. A caller
+// whose fingerprint is already addressable calls fingerprint.ChunkSum,
+// which is faster.
 func chunkSum(fp fingerprint.FP, data []byte) uint32 {
 	crc := ^uint32(0)
 	for _, b := range fp {
@@ -80,22 +86,28 @@ func chunkSum(fp fingerprint.FP, data []byte) uint32 {
 	return crc32.Update(^crc, castagnoli, data)
 }
 
-// CheckSum returns ErrCorrupt unless sum is the at-rest sum of data stored
-// under fp. A sum from GetChunkSum vouches for bytes bound to fp, so bytes
-// that pass against it are fp's, wherever they travelled since.
-func CheckSum(fp fingerprint.FP, data []byte, sum uint32) error {
-	if chunkSum(fp, data) != sum {
-		return fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
+// CheckSum returns ErrCorrupt unless sum is fingerprint.ChunkSum(fp, data),
+// the at-rest sum of data stored under *fp. A sum from GetChunkSum vouches
+// for bytes bound to *fp, so bytes that pass against it are *fp's,
+// wherever they travelled since.
+func CheckSum(fp *fingerprint.FP, data []byte, sum uint32) error {
+	if fingerprint.ChunkSum(fp, data) != sum {
+		return chunkCorrupt(*fp)
 	}
 	return nil
+}
+
+func chunkCorrupt(fp fingerprint.FP) error {
+	return fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
 }
 
 // Store is a node-local chunk store.
 type Store interface {
 	// PutChunk stores data under fp, incrementing its reference count if
-	// already present. The store keeps its own copy of data, and a
-	// checksum of it. The caller vouches that data hashes to fp: the store
-	// does not SHA-1 it.
+	// already present. The store keeps its own copy of data, and sums it
+	// (fingerprint.ChunkSum). The caller vouches that data hashes to fp:
+	// the store does not SHA-1 it. A caller that holds the sum already
+	// hands it over with PutChunkSum instead.
 	PutChunk(fp fingerprint.FP, data []byte) error
 	// GetChunk returns the content of fp, ErrNotFound, or ErrCorrupt if
 	// the stored bytes no longer match the checksum PutChunk took. Bytes
@@ -148,10 +160,30 @@ func Commit(s Store) error {
 }
 
 // Record is one chunk of a landed payload: Len bytes at Off, stored
-// under FP.
+// under FP. On a put, Sum is the chunk's sum, fingerprint.ChunkSum(FP,
+// bytes), which the caller vouches for; reads ignore it.
 type Record struct {
 	FP       fingerprint.FP
 	Off, Len int32
+	Sum      uint32
+}
+
+// sumPutter is implemented by stores that take a chunk with its sum: both
+// engines, and Timed.
+type sumPutter interface {
+	putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error
+}
+
+// PutChunkSum stores data under fp as PutChunk does, keeping sum as its
+// at-rest sum: the caller vouches that sum is fingerprint.ChunkSum(fp,
+// data), and a wrong one makes every read of the chunk ErrCorrupt. Both
+// engines take the sum as given; any other store gets PutChunk, which
+// sums the bytes itself.
+func PutChunkSum(s Store, fp fingerprint.FP, data []byte, sum uint32) error {
+	if p, ok := s.(sumPutter); ok {
+		return p.putChunkSum(fp, data, sum)
+	}
+	return s.PutChunk(fp, data)
 }
 
 // recordPutter is implemented by stores that take a payload's records in
@@ -160,17 +192,17 @@ type recordPutter interface {
 	putRecords(payload []byte, recs []Record) (int, error)
 }
 
-// PutRecords stores each record of payload as PutChunk would, in order,
-// and returns how many it stored: all of them, or those before the one
-// that failed. payload is handed over: the store may keep it, so the
-// caller must not write to it again. A store without a batch put gets one
-// PutChunk per record.
+// PutRecords stores each record of payload as PutChunkSum would with its
+// Sum, in order, and returns how many it stored: all of them, or those
+// before the one that failed. payload is handed over: the store may keep
+// it, so the caller must not write to it again. A store without a batch
+// put gets one PutChunkSum per record.
 func PutRecords(s Store, payload []byte, recs []Record) (int, error) {
 	if b, ok := s.(recordPutter); ok {
 		return b.putRecords(payload, recs)
 	}
 	for i, r := range recs {
-		if err := s.PutChunk(r.FP, payload[r.Off:r.Off+r.Len]); err != nil {
+		if err := PutChunkSum(s, r.FP, payload[r.Off:r.Off+r.Len], r.Sum); err != nil {
 			return i, err
 		}
 	}
@@ -197,7 +229,7 @@ func GetChunkSum(s Store, fp fingerprint.FP) ([]byte, uint32, error) {
 	case err != nil:
 		return nil, 0, err
 	case fingerprint.Of(data) != fp:
-		return nil, 0, fmt.Errorf("chunk %s: %w", fp.Short(), ErrCorrupt)
+		return nil, 0, chunkCorrupt(fp)
 	}
 	return data, chunkSum(fp, data), nil
 }
@@ -295,6 +327,16 @@ func NewMem() Store {
 }
 
 func (s *memStore) PutChunk(fp fingerprint.FP, data []byte) error {
+	return s.put(fp, data, nil)
+}
+
+func (s *memStore) putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+	return s.put(fp, data, &sum)
+}
+
+// put stores a chunk under the sum given, or under one it takes if that
+// is nil and the chunk is new.
+func (s *memStore) put(fp fingerprint.FP, data []byte, sum *uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -305,16 +347,20 @@ func (s *memStore) PutChunk(fp fingerprint.FP, data []byte) error {
 		s.index[fp] = sl
 		return nil
 	}
-	s.index[fp] = s.placeLocked(data, chunkSum(fp, data), 1)
+	if sum == nil {
+		own := chunkSum(fp, data)
+		sum = &own
+	}
+	s.index[fp] = s.placeLocked(data, *sum, 1)
 	s.bytes += int64(len(data))
 	return nil
 }
 
-// putRecords indexes every new record as if payload were adopted as an
-// arena, and keeps it so when the new records fill at least half its
-// capacity. Otherwise it copies them into arenas as PutChunk does: a
-// frame of mostly duplicates would hold its capacity for a few live
-// bytes.
+// putRecords indexes every new record, with its Sum, as if payload were
+// adopted as an arena, and keeps it so when the new records fill at least
+// half its capacity. Otherwise it copies them into arenas as PutChunk
+// does: a frame of mostly duplicates would hold its capacity for a few
+// live bytes.
 func (s *memStore) putRecords(payload []byte, recs []Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,7 +378,7 @@ func (s *memStore) putRecords(payload []byte, recs []Record) (int, error) {
 		}
 		sl := slot{arena: -1, refs: 1}
 		if r.Len > 0 {
-			sl = slot{arena: a, off: r.Off, length: r.Len, refs: 1, sum: chunkSum(r.FP, payload[r.Off:r.Off+r.Len])}
+			sl = slot{arena: a, off: r.Off, length: r.Len, refs: 1, sum: r.Sum}
 			s.placed = append(s.placed, int32(i))
 		}
 		s.index[r.FP] = sl
@@ -416,8 +462,8 @@ func (s *memStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	}
 	end := sl.off + sl.length
 	data := buf[sl.off:end:end]
-	if err := CheckSum(fp, data, sl.sum); err != nil {
-		return nil, 0, err
+	if chunkSum(fp, data) != sl.sum {
+		return nil, 0, chunkCorrupt(fp)
 	}
 	return data, sl.sum, nil
 }

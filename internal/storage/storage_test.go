@@ -505,7 +505,9 @@ func TestEntrySizes(t *testing.T) {
 }
 
 // TestChunkSum: the at-rest sum is exactly CRC-32C over fp ‖ data, for
-// empty and non-empty chunks, and taking it allocates nothing.
+// empty and non-empty chunks, taken by value (chunkSum) or over a
+// fingerprint that already lives on the heap (fingerprint.ChunkSum), and
+// taking it allocates nothing either way.
 func TestChunkSum(t *testing.T) {
 	for _, size := range []int{0, 1, 255, 4096} {
 		data := segChunk(size, 4096)[:size]
@@ -517,7 +519,72 @@ func TestChunkSum(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { chunkSum(fp, data) }); allocs != 0 {
 			t.Errorf("%d bytes: chunkSum allocates %.0f times", size, allocs)
 		}
+		fps := []fingerprint.FP{fp}
+		if got := fingerprint.ChunkSum(&fps[0], data); got != want {
+			t.Errorf("%d bytes: fingerprint.ChunkSum %08x, CRC-32C of fp ‖ data is %08x", size, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { fingerprint.ChunkSum(&fps[0], data) }); allocs != 0 {
+			t.Errorf("%d bytes: fingerprint.ChunkSum allocates %.0f times", size, allocs)
+		}
 	}
+}
+
+// TestCheckedReadsAllocate: checking a chunk's sum on a read moves no
+// fingerprint to the heap. memStore's GetChunk and GetChunkSum allocate
+// nothing; SegStore's allocate only the buffer they return, whether the
+// chunk is in the tail buffer or in a sealed segment. A put of a chunk
+// already stored allocates nothing in either engine.
+func TestCheckedReadsAllocate(t *testing.T) {
+	data := segChunk(1, 256)
+	fp := fingerprint.Of(data)
+	reads := func(t *testing.T, s Store, want float64) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.GetChunk(fp); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != want {
+			t.Errorf("GetChunk allocates %.0f times, want %.0f", allocs, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := GetChunkSum(s, fp); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != want {
+			t.Errorf("GetChunkSum allocates %.0f times, want %.0f", allocs, want)
+		}
+	}
+	repeat := func(t *testing.T, s Store) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := s.PutChunk(fp, data); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("PutChunk of a stored chunk allocates %.0f times", allocs)
+		}
+	}
+	t.Run("mem", func(t *testing.T) {
+		s := NewMem()
+		if err := s.PutChunk(fp, data); err != nil {
+			t.Fatal(err)
+		}
+		reads(t, s, 0)
+		repeat(t, s)
+	})
+	t.Run("seg", func(t *testing.T) {
+		s := openSeg(t, t.TempDir())
+		defer s.Close()
+		if err := s.PutChunk(fp, data); err != nil {
+			t.Fatal(err)
+		}
+		reads(t, s, 1)
+		repeat(t, s)
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		reads(t, s, 1)
+	})
 }
 
 // storedSum is the sum fp's slot or row holds.
@@ -578,10 +645,105 @@ func TestGetChunkSum(t *testing.T) {
 			}
 			for _, via := range []Store{s, NewTimed(s), foreign{s}} {
 				got, sum, err := GetChunkSum(via, empty)
-				if err != nil || len(got) != 0 || CheckSum(empty, got, sum) != nil {
+				if err != nil || len(got) != 0 || CheckSum(&empty, got, sum) != nil {
 					t.Fatalf("%T: empty chunk is %d bytes under %08x, %v", via, len(got), sum, err)
 				}
 			}
 		})
+	}
+}
+
+// TestPutKeepsCallerSum: both engines keep the sum a put is handed — by
+// PutChunkSum or as Record.Sum through PutRecords, directly or behind
+// Timed — as given, without summing the bytes. A wrong one makes every
+// read of its chunk ErrCorrupt (GetChunk, GetChunkSum, ReadRecords), in
+// the segment store's tail buffer, after a seal and after a reopen, while
+// the chunk put with the right one reads back under it. A store neither
+// put form knows (foreign) gets PutChunk, which sums the bytes itself, so
+// the wrong sum is not kept and both chunks read back.
+func TestPutKeepsCallerSum(t *testing.T) {
+	good, bad := segChunk(1, 1024), segChunk(2, 1024)
+	fps := []fingerprint.FP{fingerprint.Of(good), fingerprint.Of(bad)}
+	right, wrong := fingerprint.ChunkSum(&fps[0], good), fingerprint.ChunkSum(&fps[1], bad)^1
+	puts := map[string]func(Store) error{
+		"PutChunkSum": func(s Store) error {
+			if err := PutChunkSum(s, fps[0], good, right); err != nil {
+				return err
+			}
+			return PutChunkSum(s, fps[1], bad, wrong)
+		},
+		"PutRecords": func(s Store) error {
+			recs := []Record{{FP: fps[0], Len: 1024, Sum: right}, {FP: fps[1], Off: 1024, Len: 1024, Sum: wrong}}
+			if n, err := PutRecords(s, append(append(make([]byte, 0, 2048), good...), bad...), recs); err != nil || n != 2 {
+				return fmt.Errorf("PutRecords stored %d of 2: %v", n, err)
+			}
+			return nil
+		},
+	}
+	seg := func(t *testing.T, dir string) *SegStore {
+		s, err := NewSegStore(dir, SegConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	wraps := map[string]func(Store) Store{
+		"engine":  func(s Store) Store { return s },
+		"Timed":   func(s Store) Store { return NewTimed(s) },
+		"foreign": func(s Store) Store { return foreign{s} },
+	}
+	for putName, put := range puts {
+		for _, stage := range []string{"mem", "seg tail buffer", "seg sealed", "seg reopened"} {
+			for wrapName, wrap := range wraps {
+				t.Run(putName+"/"+stage+"/"+wrapName, func(t *testing.T) {
+					dir := t.TempDir()
+					s := NewMem()
+					if stage != "mem" {
+						s = seg(t, dir)
+					}
+					if err := put(wrap(s)); err != nil {
+						t.Fatal(err)
+					}
+					switch stage {
+					case "seg tail buffer":
+						if a := s.(*SegStore).active; a == nil || a.flushed != 0 {
+							t.Fatal("test premise: the chunks left the tail buffer")
+						}
+					case "seg sealed", "seg reopened":
+						if err := s.(*SegStore).Commit(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if stage == "seg reopened" {
+						if err := s.(*SegStore).Close(); err != nil {
+							t.Fatal(err)
+						}
+						s = seg(t, dir)
+					}
+					dst, errs := make([]byte, 2048), make([]error, 2)
+					ReadRecords(NewTimed(s), dst, []Record{{FP: fps[0], Len: 1024}, {FP: fps[1], Off: 1024, Len: 1024}}, errs)
+					if errs[0] != nil || !bytes.Equal(dst[:1024], good) {
+						t.Fatalf("ReadRecords of the chunk put with its sum: %v", errs[0])
+					}
+					if wrapName == "foreign" {
+						if errs[1] != nil || !bytes.Equal(dst[1024:], bad) {
+							t.Fatalf("ReadRecords of the chunk a foreign store summed: %v", errs[1])
+						}
+						if _, sum, err := GetChunkSum(s, fps[1]); err != nil || sum != wrong^1 {
+							t.Fatalf("foreign store kept %08x (%v), want the sum of the bytes", sum, err)
+						}
+						return
+					}
+					if !errors.Is(errs[1], ErrCorrupt) {
+						t.Fatalf("ReadRecords of the chunk put with a wrong sum: %v, want ErrCorrupt", errs[1])
+					}
+					if _, sum, err := GetChunkSum(s, fps[0]); err != nil || sum != right {
+						t.Fatalf("chunk put with its sum reads back under %08x (%v), want %08x", sum, err, right)
+					}
+					checkCorrupt(t, s, fps[1], good)
+				})
+			}
+		}
 	}
 }

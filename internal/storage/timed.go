@@ -55,6 +55,12 @@ func (t *Timed) PutChunk(fp fingerprint.FP, data []byte) error {
 	return t.inner.PutChunk(fp, data)
 }
 
+// putChunkSum forwards a summed put, timed as one write.
+func (t *Timed) putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+	defer record(t.write, now())
+	return PutChunkSum(t.inner, fp, data, sum)
+}
+
 // putRecords forwards a batch put, timed as one write.
 func (t *Timed) putRecords(payload []byte, recs []Record) (int, error) {
 	defer record(t.write, now())
