@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTableUnmarshal -fuzztime 30s ./internal/fingerprint
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetaUnmarshal -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCommitRecords -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzHoldingsUnmarshal -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzChunksReply -fuzztime 30s ./internal/fetch
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDump -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetricsDecode -fuzztime 30s ./internal/telemetry

@@ -55,7 +55,18 @@ func frames(pieces [][]byte, sums []uint32) func() ([]byte, uint32, error) {
 func commitReceived(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
 	c := committer{store: store, m: m, regions: w.regions, next: frames(w.frames(), frameSums(w))}
 	err := c.commit()
-	return c.refs, err
+	return stored(&c), err
+}
+
+// stored is the references c stored, read from its holdings bitmaps
+// against its regions' recipes: in region and then position order, which
+// is the order it stored them in.
+func stored(c *committer) []fingerprint.FP {
+	refs, err := holdings(c.held).refs(func(i int) ([]byte, error) { return c.regions[i].meta, nil })
+	if err != nil {
+		panic(err)
+	}
+	return refs
 }
 
 // walked is one record of a window as walkWindow parses it: the
@@ -570,8 +581,8 @@ func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
 		if !errors.Is(err, collectives.ErrChecksum) {
 			t.Fatalf("frame %d flipped: %v, want the checksum mismatch", bad, err)
 		}
-		if !slices.Equal(log.puts, want) || !slices.Equal(c.refs, want) || m.RecvChunks != len(want) {
-			t.Errorf("frame %d flipped: %d puts, %d references, %d counted; want the %d records of the frames before it", bad, len(log.puts), len(c.refs), m.RecvChunks, len(want))
+		if !slices.Equal(log.puts, want) || !slices.Equal(stored(&c), want) || m.RecvChunks != len(want) {
+			t.Errorf("frame %d flipped: %d puts, %d references, %d counted; want the %d records of the frames before it", bad, len(log.puts), len(stored(&c)), m.RecvChunks, len(want))
 		}
 	}
 }
@@ -625,8 +636,8 @@ func TestCommitterRejectsWrongChunk(t *testing.T) {
 		} else if err != nil {
 			t.Errorf("no chunk swapped: %v", err)
 		}
-		if !slices.Equal(log.puts, want) || !slices.Equal(c.refs, want) || m.RecvChunks != len(want) {
-			t.Errorf("wrong chunk in frame %d: %d puts, %d references, %d counted; want %d", bad, len(log.puts), len(c.refs), m.RecvChunks, len(want))
+		if !slices.Equal(log.puts, want) || !slices.Equal(stored(&c), want) || m.RecvChunks != len(want) {
+			t.Errorf("wrong chunk in frame %d: %d puts, %d references, %d counted; want %d", bad, len(log.puts), len(stored(&c)), m.RecvChunks, len(want))
 		}
 	}
 }

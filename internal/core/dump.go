@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,28 +79,29 @@ type tracker struct {
 	slot  func(phase string) *time.Duration // the pipeline's phase record
 	phase string                            // the phase last begun
 
-	span  *obs.Span
-	dst   *time.Duration // the open phase's slot, nil when none is open
-	start time.Time
+	span        *obs.Span
+	dst         *time.Duration // the open phase's slot, nil when none is open
+	start, last time.Time      // when the open phase began, when end last ran
 }
 
-// begin ends the open phase, if any, and opens the named one.
+// begin ends the open phase, if any, and opens the named one at that same
+// instant: the phases tile the pipeline, bookkeeping included.
 func (t *tracker) begin(name string) {
 	t.end()
 	t.phase = name
 	collectives.NotePhase(t.c, name)
 	t.span = t.rec.Begin(name)
 	t.dst = t.slot(name)
-	t.start = time.Now()
+	t.start = t.last
 }
 
 // end accrues the open phase's wall time into its slot and ends its span.
 // The phase stays the attribution label until the next begin.
 func (t *tracker) end() {
-	if t.dst == nil {
+	if t.last = time.Now(); t.dst == nil {
 		return
 	}
-	*t.dst += time.Since(t.start)
+	*t.dst += t.last.Sub(t.start)
 	t.span.End()
 	t.dst = nil
 }
@@ -173,11 +175,10 @@ func DumpOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store,
 // one instance across all ranks, so decorating it in place would race.
 func failCollective(c collectives.Comm, err error, phase string) error {
 	collectives.Abort(c, err)
-	var out error
+	out := err
 	var ce *collectives.CollectiveError
 	switch {
 	case errors.As(err, &ce) && ce.Phase != "":
-		out = err
 		phase = ce.Phase
 	case ce != nil:
 		ce = &collectives.CollectiveError{Ranks: ce.Ranks, Phase: phase, Cause: err}
@@ -276,7 +277,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		t.begin("local-dedup")
 		uniq, first = localDedup(chunks)
 	}
-	t.end()
 	m.TotalChunks = len(chunks)
 	m.HashedBytes = int64(len(buf))
 	m.LocalUniqueChunks = len(uniq)
@@ -294,7 +294,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		t.begin("planning")
 	}
 	items, hints, global, err := classify(c, chunks, uniq, first, leaf, o, &m)
-	t.end()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d classify: %w", me, err)
 	}
@@ -306,7 +305,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	pre := c.Stats()
 	t.begin("load-exchange")
 	sendLoad, err := collectives.AllgatherInt64(c, load)
-	t.end()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d load allgather: %w", me, err)
 	}
@@ -332,7 +330,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		pre = c.Stats()
 		t.begin("load-exchange")
 		sendLoad, err = collectives.AllgatherInt64(c, load)
-		t.end()
 		if err != nil {
 			return nil, fmt.Errorf("rank %d refined load allgather: %w", me, err)
 		}
@@ -340,7 +337,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	}
 	t.begin("planning")
 	plan, err := NewPlan(shuffle, sendLoad, o.K)
-	t.end()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d plan: %w", me, err)
 	}
@@ -354,7 +350,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	m.WindowBytes = winSize
 	t.begin("window-open")
 	win := collectives.OpenWindow(c, winSize, c.NextSeq())
-	t.end()
 	m.PutLatency = metrics.NewHistogram()
 	win.OnPut = func(bytes int, d time.Duration) {
 		m.PutLatency.Record(d.Nanoseconds())
@@ -375,7 +370,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	default:
 		err = putSerial(win, plan, items, offs, o, me, &m, &putRetries)
 	}
-	t.end()
 	m.PutRetries = putRetries.Load()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d %w", me, err)
@@ -383,35 +377,35 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 
 	// Phase 7 — commit: own chunks, then each window frame's records once
 	// the frame has landed and passed its checksum (time blocked on the
-	// window is WindowWait), read by the senders' RestoreMeta, the
-	// reference list that lets Forget reclaim this dataset, and the
-	// metadata: own and the senders' replicas. Every stored reference and
-	// metadata replica — the senders', and those an earlier dump of the
+	// window is WindowWait), read by the senders' RestoreMeta, the holdings
+	// record that lets Forget reclaim this dataset, and the metadata: own
+	// and the senders' replicas. Every stored reference (a bit of cm.held)
+	// and metadata replica — the senders', and those an earlier dump of the
 	// name left here (prev) — is tracked so a failure anywhere from here on
 	// rolls the local store back to its pre-dump state (see rollbackDump):
 	// the consistency half of the abort protocol.
 	t.begin("commit")
-	senders := make([]int, o.K-1)
 	regions := make([]region, o.K-1)
 	for d := 1; d < o.K; d++ {
-		senders[d-1] = plan.Sender(me, d)
-		regions[d-1].size = plan.SendLoad[senders[d-1]][d]
+		s := plan.Sender(me, d)
+		regions[d-1] = region{rank: s, size: plan.SendLoad[s][d]}
 	}
-	// An undecodable list may name replicas to tombstone: fail, storing nothing.
-	var prev []int
+	// An earlier dump of the name is replaced: its references are derived
+	// before this dump overwrites the metadata they are read from. A record
+	// that does not decode or match its metadata: fail, storing nothing.
+	var prev holdings
+	var prevRefs []fingerprint.FP
 	if blob, err := store.GetBlob(gcName(o.Name, me)); err == nil && len(blob) > 0 {
-		g, err := unmarshalGC(blob)
-		if err != nil {
+		if prev, prevRefs, err = storedRefs(store, o.Name, blob); err != nil {
 			return nil, fmt.Errorf("rank %d earlier dump of %q: %w", me, o.Name, err)
 		}
-		prev = g.held
 	}
 	// A frame of this window holds about min(MaxPutBytes, window) / (4 +
 	// chunk size) records: the batch is sized for that once rather than
 	// grown on every dump.
 	perFrame := min(collectives.MaxPutBytes, winSize) / int64(4+o.Chunker.Size)
-	cm := &committer{store: store, m: &m, regions: regions, refs: make([]fingerprint.FP, 0, len(items)),
-		batch: make([]storage.Record, 0, perFrame),
+	cm := &committer{store: store, m: &m, regions: regions, held: holdings{newHolding(me, len(chunks))},
+		batch: make([]storage.Record, 0, perFrame), at: make([]mark, 0, perFrame),
 		next: func() ([]byte, uint32, error) {
 			t.begin("window-wait")
 			frame, sum, err := win.Next()
@@ -421,28 +415,43 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 			t.begin("commit")
 			return frame, sum, err
 		}}
-	commitErr := func() error {
-		for d, r := range senders {
+	// metas[i] is the RestoreMeta bitmap i of cm.held is read against.
+	metas := [][]byte{metaBlob}
+	rollback := func() {
+		refs, _ := cm.held.refs(func(i int) ([]byte, error) { return metas[i], nil })
+		rollbackDump(store, o.Name, me, append(prev.ranks(), cm.held.ranks()...), append(refs, prevRefs...))
+	}
+	err = func() error {
+		for d, r := range regions {
 			var err error
-			if regions[d].meta, err = c.Recv(r, tagMeta); err != nil {
-				return fmt.Errorf("rank %d metadata from %d: %w", me, r, err)
+			if regions[d].meta, err = c.Recv(r.rank, tagMeta); err != nil {
+				return fmt.Errorf("rank %d metadata from %d: %w", me, r.rank, err)
 			}
+			metas = append(metas, regions[d].meta)
 		}
 		for _, it := range items {
 			if err := storage.PutChunkSum(store, it.ch.FP, it.ch.Data, it.ch.Sum); err != nil {
 				return fmt.Errorf("rank %d store chunk: %w", me, err)
 			}
-			cm.refs = append(cm.refs, it.ch.FP)
+			cm.held[0].set(int(it.pos))
 			m.StoredChunks++
 			m.StoredBytes += int64(len(it.ch.Data))
 		}
 		if err := cm.commit(); err != nil {
 			return fmt.Errorf("rank %d receive: %w", me, err)
 		}
-		if err := store.PutBlob(gcName(o.Name, me), gcList{refs: cm.refs, held: senders}.marshal()); err != nil {
-			return fmt.Errorf("rank %d gc list: %w", me, err)
+		if err := store.PutBlob(gcName(o.Name, me), cm.held.marshal()); err != nil {
+			return fmt.Errorf("rank %d holdings record: %w", me, err)
 		}
-		if err := persistMeta(store, o.Name, me, metaBlob, senders, regions, prev); err != nil {
+		// The replicas an earlier dump of the name left here are tombstoned,
+		// so none survives a change of ring; then own and senders' metadata.
+		err := tombstoneMeta(store, o.Name, prev.ranks())
+		for i, r := range cm.held.ranks() {
+			if err == nil {
+				err = store.PutBlob(metaName(o.Name, r), metas[i])
+			}
+		}
+		if err != nil {
 			return fmt.Errorf("rank %d persist meta: %w", me, err)
 		}
 		// Checkpoint-grained durability point: on commit-aware engines
@@ -455,10 +464,9 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		}
 		return nil
 	}()
-	t.end()
-	if commitErr != nil {
-		rollbackDump(store, o.Name, me, append(prev, senders...), cm.refs)
-		return nil, commitErr
+	if err != nil {
+		rollback()
+		return nil, err
 	}
 
 	// The dump completes collectively once everyone has committed. The
@@ -468,12 +476,19 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	// no rank can have completed the dump — every survivor rolls back and
 	// the dataset is globally absent, as if the dump never ran.
 	t.begin("barrier")
-	err = collectives.Barrier(c)
-	t.end()
-	if err != nil {
-		rollbackDump(store, o.Name, me, append(prev, senders...), cm.refs)
+	if err := collectives.Barrier(c); err != nil {
+		rollback()
 		return nil, fmt.Errorf("rank %d final barrier: %w", me, err)
 	}
+	// Only now is the earlier dump gone for good: release what it stored.
+	// Best-effort like a rollback: a missed release only leaks a refcount.
+	if len(prevRefs) > 0 {
+		for _, fp := range prevRefs {
+			_ = store.ReleaseChunk(fp)
+		}
+		_ = storage.Commit(store)
+	}
+	t.end()
 	// The completion barrier's exit stamp doubles as this rank's wall-clock
 	// anchor for cross-rank clock-offset estimation (telemetry plane).
 	if st := c.Stats(); !st.LastBarrierExit.IsZero() {
@@ -538,7 +553,7 @@ func putPartner(win *collectives.Window, me, target int, off, region int64, item
 		return nil
 	}
 	for _, it := range items {
-		if !sendsTo(it, d) {
+		if !slices.Contains(it.partners, d) {
 			continue
 		}
 		data := it.ch.Data
@@ -720,16 +735,6 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, first []int32, leaf *
 	}
 }
 
-// sendsTo reports whether the item is sent to partner index d.
-func sendsTo(it item, d int) bool {
-	for _, p := range it.partners {
-		if p == d {
-			return true
-		}
-	}
-	return false
-}
-
 // refineTargets re-aims the extra replicas of designated chunks once
 // partner identities are fixed by the shuffle. The paper sends the K-D
 // missing copies to the designated ranks' first partners, which can land
@@ -763,7 +768,7 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 		for _, r := range e.Ranks {
 			taken[int(r)] = true
 		}
-		used := make(map[int32]map[int]bool, d) // sender -> used partner idx
+		used := make(map[[2]int]bool, k) // (sender, partner index) pairs used
 		// Rotate the partner-index search start per fingerprint so
 		// copies spread evenly over partner slots group-wide; a fixed
 		// start would funnel every first copy at partner 1, breaking
@@ -772,19 +777,13 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 		var mine []int
 		for j := 0; j < missing; j++ {
 			sender := e.Ranks[j%d]
-			if used[sender] == nil {
-				used[sender] = make(map[int]bool, k)
-			}
 			chosen := -1
 			// First choice: first unused partner index (scanning from
 			// the rotated start) whose rank is not already a holder or
 			// target.
 			for o := 0; o < k-1; o++ {
 				di := 1 + (start-1+o)%(k-1)
-				if used[sender][di] {
-					continue
-				}
-				if !taken[partnerOf(int(sender), di)] {
+				if !used[[2]int{int(sender), di}] && !taken[partnerOf(int(sender), di)] {
 					chosen = di
 					break
 				}
@@ -793,7 +792,7 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 				// Fallback (paper behaviour): first unused index.
 				for o := 0; o < k-1; o++ {
 					di := 1 + (start-1+o)%(k-1)
-					if !used[sender][di] {
+					if !used[[2]int{int(sender), di}] {
 						chosen = di
 						break
 					}
@@ -802,22 +801,14 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 			if chosen < 0 {
 				continue // sender exhausted all partners
 			}
-			used[sender][chosen] = true
+			used[[2]int{int(sender), chosen}] = true
 			taken[partnerOf(int(sender), chosen)] = true
 			if int(sender) == me {
 				mine = append(mine, chosen)
 			}
 		}
-		sortInts(mine)
+		slices.Sort(mine)
 		items[i].partners = mine
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }
 
@@ -825,15 +816,10 @@ func sortInts(v []int) {
 // the designated rank with index idx among d designated ranks: the count
 // of slots j in [0, k-d) with j mod d == idx.
 func roundRobinShare(k, d, idx int) int {
-	missing := k - d
-	if missing <= 0 || idx >= d {
-		return 0
+	if missing := k - d; idx < min(d, missing) {
+		return (missing - idx + d - 1) / d // slots idx, idx+d, ... below missing
 	}
-	// Slots idx, idx+d, idx+2d, ... below missing.
-	if idx >= missing {
-		return 0
-	}
-	return (missing - idx + d - 1) / d
+	return 0
 }
 
 // reduceGlobal runs the collective fingerprint reduction: local leaf
@@ -862,7 +848,7 @@ func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Tabl
 		return nil, fmt.Errorf("fingerprint allreduce: %w", err)
 	}
 	m.ReductionBytes = c.Stats().BytesSent - pre.BytesSent
-	m.ReductionRounds = ceilLog2(c.Size())
+	m.ReductionRounds = bits.Len(uint(c.Size() - 1)) // ⌈log2 n⌉
 	// The transport timed each level of the HMERGE tree this rank took
 	// part in; surface them so the reduction cost can be read round by
 	// round (the paper's hierarchic-merge analysis).
@@ -891,6 +877,7 @@ func sendLoads(items []item, k int) []int64 {
 
 // region is a sender's run of records in the window, and its RestoreMeta.
 type region struct {
+	rank int
 	size int64
 	meta []byte
 }
@@ -912,35 +899,40 @@ func (f *recordSums) add(pos, sum uint32) {
 }
 
 // committer stores the record stream of a dump's window, frame by frame
-// as the frames land in window-offset order, and keeps every reference
-// stored so a failure rolls back exactly those (rollbackDump). The window
-// is the senders' regions back to back, in Plan order; a record is u32
-// position | payload, and the committer reads the size and fingerprint at
-// that position of the sender's recipe in place: nothing is hashed.
-// Positions must rise strictly within a region, stay in the recipe and
-// not overrun the region. Each record is summed once, under that
-// fingerprint, and the sum folded into the checksum of the frame it ends
-// in (recordSums), which is checked where the frame ends: the check
-// covers the bytes and binds them to the recipe's fingerprint, so another
-// chunk's bytes at a position fail it. Only then are the records that end
-// in the frame stored with their sums, those wholly inside it as one
-// batch (storage.PutRecords) that hands the frame over. No record of a
-// frame that fails its sum, or that the parse fails in, reaches the
-// store.
+// as the frames land in window-offset order, and sets a bit of its
+// sender's holdings bitmap for every record stored, so a failure rolls
+// back exactly those (rollbackDump). The window is the senders' regions
+// back to back, in Plan order; a record is u32 position | payload, and the
+// committer reads the size and fingerprint at that position of the
+// sender's recipe in place: nothing is hashed. Positions must rise
+// strictly within a region, stay in the recipe and not overrun the
+// region. Each record is summed once, under that fingerprint, and the sum
+// folded into the checksum of the frame it ends in (recordSums), which is
+// checked where the frame ends: the check covers the bytes and binds them
+// to the recipe's fingerprint, so another chunk's bytes at a position fail
+// it. Only then are the records that end in the frame stored with their
+// sums, those wholly inside it as one batch (storage.PutRecords) that
+// hands the frame over. No record of a frame that fails its sum, or that
+// the parse fails in, reaches the store.
 type committer struct {
 	store   storage.Store
 	m       *metrics.Dump
-	refs    []fingerprint.FP
 	regions []region
+	held    holdings                       // a bitmap per region begun, over its sender's recipe, after any the caller set
 	next    func() ([]byte, uint32, error) // the next frame and its sum; io.EOF after the last
 	frame   []byte                         // the current frame
 	p       []byte                         // the unread rest of it
 	sums    recordSums                     // the current frame's records so far
 	want    uint32                         // the current frame's sum, its sender's
 	batch   []storage.Record               // the records wholly inside the current frame
+	at      []mark                         // where each of them sits in the holdings
 	cut     []byte                         // the record that ends in the current frame and began before it, assembled
 	cutRec  storage.Record                 // its fingerprint and sum
+	cutAt   mark                           // and where it sits in the holdings
 }
+
+// mark is a record's bit: its recipe position in held[h].
+type mark struct{ h, pos int32 }
 
 // commit stores every record of the stream.
 func (c *committer) commit() error {
@@ -949,6 +941,8 @@ func (c *committer) commit() error {
 		// The next record may name a position in [next, count).
 		rec := metaRecipe(r.meta)
 		end, count, next := off+r.size, int64(chunk.RecipeCount(rec)), int64(0)
+		c.held = append(c.held, newHolding(r.rank, int(count)))
+		h := int32(len(c.held) - 1)
 		for off < end {
 			if end-off < 4 {
 				return fmt.Errorf("window record header truncated at offset %d", off)
@@ -979,9 +973,9 @@ func (c *committer) commit() error {
 			c.sums.add(uint32(pos), r.Sum)
 			if at := len(c.frame) - len(c.p) - len(data); at >= 0 {
 				r.Off = int32(at)
-				c.batch = append(c.batch, r)
+				c.batch, c.at = append(c.batch, r), append(c.at, mark{h, int32(pos)})
 			} else {
-				c.cut, c.cutRec = data, r
+				c.cut, c.cutRec, c.cutAt = data, r, mark{h, int32(pos)}
 			}
 		}
 	}
@@ -1027,15 +1021,15 @@ func (c *committer) advance() error {
 		return collectives.ErrChecksum
 	}
 	if c.cut != nil {
-		if err := c.put(c.cut, []storage.Record{c.cutRec}); err != nil {
+		if err := c.put(c.cut, []storage.Record{c.cutRec}, []mark{c.cutAt}); err != nil {
 			return err
 		}
 		c.cut = nil
 	}
-	if err := c.put(c.frame, c.batch); err != nil {
+	if err := c.put(c.frame, c.batch, c.at); err != nil {
 		return err
 	}
-	c.batch = c.batch[:0]
+	c.batch, c.at = c.batch[:0], c.at[:0]
 	p, want, err := c.next()
 	if err != nil {
 		return err
@@ -1044,44 +1038,17 @@ func (c *committer) advance() error {
 	return nil
 }
 
-// put stores a batch of records of payload, referencing and counting the
-// ones stored.
-func (c *committer) put(payload []byte, recs []storage.Record) error {
+// put stores a batch of records of payload, setting the bits at of the
+// ones stored and counting them.
+func (c *committer) put(payload []byte, recs []storage.Record, at []mark) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	n, err := storage.PutRecords(c.store, payload, recs)
-	for _, r := range recs[:n] {
-		c.refs = append(c.refs, r.FP)
+	for i, r := range recs[:n] {
+		c.held[at[i].h].set(int(at[i].pos))
 		c.m.RecvChunks++
 		c.m.RecvBytes += int64(r.Len)
 	}
 	return err
-}
-
-// persistMeta tombstones the metadata replicas an earlier dump of the
-// name left here (prev), so none survives a change of ring, then stores
-// this rank's RestoreMeta blob and, verbatim, its senders': it holds one
-// of the K-1 replicas of each.
-func persistMeta(store storage.Store, name string, me int, blob []byte, senders []int, regions []region, prev []int) error {
-	if err := tombstoneMeta(store, name, prev); err != nil {
-		return err
-	}
-	if err := store.PutBlob(metaName(name, me), blob); err != nil {
-		return err
-	}
-	for d, r := range senders {
-		if err := store.PutBlob(metaName(name, r), regions[d].meta); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ceilLog2 returns ceil(log2 n) for n >= 1.
-func ceilLog2(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -176,7 +178,7 @@ func FuzzCommitRecords(f *testing.F) {
 				return pieces[i-1], sums[i-1], nil
 			}}
 			err := c.commit()
-			return c.refs, err
+			return stored(&c), err
 		}, w)
 		if flip%4 == 1 && len(w.bytes) > 0 {
 			if got.err == nil {
@@ -192,6 +194,44 @@ func FuzzCommitRecords(f *testing.F) {
 		}
 		if fmt.Sprint(got.err) != fmt.Sprint(want.err) || !slices.Equal(got.refs, want.refs) || got.m.RecvBytes != want.m.RecvBytes {
 			t.Fatalf("stored %d records (%v), reference %d (%v)", len(got.refs), got.err, len(want.refs), want.err)
+		}
+	})
+}
+
+// FuzzHoldingsUnmarshal: the holdings decoder never panics, sizes nothing
+// beyond its input — a hostile bitmap count or position count is refused
+// before it sizes an allocation — and a record it accepts re-encodes to
+// the same bytes.
+func FuzzHoldingsUnmarshal(f *testing.F) {
+	h := holdings{newHolding(3, 13), newHolding(0, 8), newHolding(7, 0)}
+	h[0].set(12)
+	h[1].set(0)
+	valid := h.marshal()
+	f.Add(valid)
+	f.Add(holdings{}.marshal())
+	header := func(words ...uint32) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.BigEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	f.Add(header(holdingsMagic, 0xFFFFFFFF))                           // bitmap count beyond the input
+	f.Add(append(header(holdingsMagic, 1, 0, 0xFFFFFFFF), 0xFF, 0xFF)) // position count beyond it
+	f.Add(append(header(holdingsMagic, 0x10000000), valid[8:]...))
+	f.Add(header(holdingsMagic, 100000))                                 // small enough that an unbounded decode only over-allocates
+	f.Add(gcList{refs: []fingerprint.FP{{1}}, held: []int{2}}.marshal()) // the earlier formats
+	f.Add(gcList{}.marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, err := unmarshalHoldings(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+32*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err == nil && !bytes.Equal(h.marshal(), data) {
+			t.Fatalf("% x re-encodes as % x", data, h.marshal())
 		}
 	})
 }

@@ -61,7 +61,7 @@ func referenceWindows(plan *Plan, items [][]item) ([][]byte, [][]sentRecord) {
 		for d := 1; d < plan.K; d++ {
 			off, to := offs[d], plan.Partner(s, d)
 			for _, it := range items[s] {
-				if sendsTo(it, d) {
+				if slices.Contains(it.partners, d) {
 					off += int64(copy(wins[to][off:], encodeRecord(it.pos, it.ch.Data)))
 					recs[to] = append(recs[to], sentRecord{int(off), uint32(it.pos), it.ch.Sum})
 				}
@@ -391,7 +391,7 @@ func TestDrainCommitsCutRecords(t *testing.T) {
 		}
 		cm := committer{store: got.store, m: &got.m, regions: w.regions, next: win.Next}
 		got.err = cm.commit()
-		got.refs = cm.refs
+		got.refs = stored(&cm)
 		return nil
 	})
 	if err != nil {

@@ -101,8 +101,7 @@ func (m *RestoreMeta) UnmarshalBinary(data []byte) error {
 		if len(rest) < fingerprint.Size+2 {
 			return fmt.Errorf("core: hint %d truncated", i)
 		}
-		var fp fingerprint.FP
-		copy(fp[:], rest[:fingerprint.Size])
+		fp := fingerprint.FP(rest)
 		nr := int(binary.BigEndian.Uint16(rest[fingerprint.Size:]))
 		rest = rest[fingerprint.Size+2:]
 		if len(rest) < 4*nr {

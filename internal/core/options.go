@@ -28,16 +28,10 @@ const (
 
 // String implements fmt.Stringer using the paper's setting names.
 func (a Approach) String() string {
-	switch a {
-	case NoDedup:
-		return "no-dedup"
-	case LocalDedup:
-		return "local-dedup"
-	case CollDedup:
-		return "coll-dedup"
-	default:
-		return fmt.Sprintf("Approach(%d)", int(a))
+	if names := [...]string{"no-dedup", "local-dedup", "coll-dedup"}; a >= 0 && int(a) < len(names) {
+		return names[a]
 	}
+	return fmt.Sprintf("Approach(%d)", int(a))
 }
 
 // DefaultF is the fingerprint-count threshold used throughout the paper's
@@ -61,14 +55,6 @@ type RetryPolicy struct {
 	// PutTimeout bounds each put attempt on deadline-capable transports
 	// (TCP); a timed-out attempt counts as transient and is retried.
 	PutTimeout time.Duration
-}
-
-// normalized resolves the policy's defaults.
-func (rp RetryPolicy) normalized() RetryPolicy {
-	if rp.Attempts < 1 {
-		rp.Attempts = 1
-	}
-	return rp
 }
 
 // Options configures a collective dump.
@@ -161,7 +147,7 @@ func (o Options) normalized(groupSize int) (Options, error) {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	o.Retry = o.Retry.normalized()
+	o.Retry.Attempts = max(o.Retry.Attempts, 1)
 	return o, nil
 }
 

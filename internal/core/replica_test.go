@@ -424,12 +424,19 @@ func TestForgetTombstonesEveryReplica(t *testing.T) {
 	}
 }
 
-// TestEarlierFormatGCListFailsStop: a gc list in the earlier format — u32
-// count | fingerprints, no held ranks — cannot say which metadata
-// replicas its node holds, so it must not pass for a list naming none. A
-// re-dump of the name fails on every rank before storing anything, and a
-// restore that re-fetched chunks fails rather than overwrite the list.
+// TestEarlierFormatGCListFailsStop: a reclamation record in either earlier
+// format — u32 count | fingerprints, or that followed by u32 count | held
+// ranks — is not a holdings record, so it must not pass for one naming
+// nothing. A re-dump of the name fails on every rank before storing
+// anything, and a restore that re-fetched chunks fails rather than
+// overwrite the record.
 func TestEarlierFormatGCListFailsStop(t *testing.T) {
+	for _, format := range []string{"refs", "refs-held"} {
+		t.Run(format, func(t *testing.T) { checkEarlierFormatFailsStop(t, format == "refs-held") })
+	}
+}
+
+func checkEarlierFormatFailsStop(t *testing.T, withHeld bool) {
 	const n, k = 6, 3
 	o := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Shuffle: Bool(true), Name: "X"}
 	cluster := storage.NewCluster(n)
@@ -443,12 +450,15 @@ func TestEarlierFormatGCListFailsStop(t *testing.T) {
 	for r := range before {
 		s := cluster.Node(r)
 		blob, _ := s.GetBlob(gcName("X", r))
-		g, err := unmarshalGC(blob)
+		h, refs, err := storedRefs(s, "X", blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		earlier := gcList{refs: g.refs}.marshal()
-		if err := s.PutBlob(gcName("X", r), earlier[:len(earlier)-4]); err != nil {
+		earlier := gcList{refs: refs}.marshal()
+		if earlier = earlier[:len(earlier)-4]; withHeld {
+			earlier = gcList{refs: refs, held: h.ranks()[1:]}.marshal()
+		}
+		if err := s.PutBlob(gcName("X", r), earlier); err != nil {
 			t.Fatal(err)
 		}
 		before[r].bytes, before[r].chunks = s.Usage()
@@ -472,6 +482,9 @@ func TestEarlierFormatGCListFailsStop(t *testing.T) {
 			t.Errorf("rank %d blobs changed by the failed re-dump", r)
 		}
 	}
+	if err := Forget(cluster.Node(0), "X", 0); err == nil {
+		t.Error("Forget released an earlier-format record")
+	}
 
 	cluster.FailNodes(1, 4)
 	cluster.Replace(1)
@@ -480,12 +493,12 @@ func TestEarlierFormatGCListFailsStop(t *testing.T) {
 		_, err := RestoreOutputCtx(context.Background(), c, cluster.Node(c.Rank()), "X", nil)
 		return err
 	})
-	if !slices.ContainsFunc(errs, func(err error) bool { return err != nil && strings.Contains(err.Error(), "gc list of") }) {
-		t.Fatalf("no restore refused the earlier-format gc list: %v", errs)
+	if !slices.ContainsFunc(errs, func(err error) bool { return err != nil && strings.Contains(err.Error(), "holdings record of") }) {
+		t.Fatalf("no restore refused the earlier-format record: %v", errs)
 	}
 	for _, r := range []int{0, 2, 3, 5} {
 		if blob, _ := cluster.Node(r).GetBlob(gcName("X", r)); !bytes.Equal(blob, before[r].blobs[gcName("X", r)]) {
-			t.Errorf("rank %d's gc list was rewritten", r)
+			t.Errorf("rank %d's record was rewritten", r)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -100,7 +101,7 @@ func restoreOutput(t *tracker, store storage.Store, name string) (*RestoreResult
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: %w", me, err)
 	}
-	localBlobReads := 0 // successful local blob reads (meta, gc list)
+	localBlobReads := 0 // successful local blob reads (meta, holdings record)
 	if metaFetched {
 		m.MetaFetches = 1
 		// The metadata sweep asks one peer at a time, so its share of the
@@ -125,33 +126,40 @@ func restoreOutput(t *tracker, store storage.Store, name string) (*RestoreResult
 		m.Phases.Fetch += time.Since(fetchStart)
 		fetchSpan.End()
 	}
-	t.span.Arg("fetched-chunks", fmt.Sprint(len(a.cached)))
+	t.span.Arg("fetched-chunks", fmt.Sprint(m.FetchedChunks))
 	if err != nil {
 		return nil, fmt.Errorf("rank %d assemble %q: %w", me, name, err)
 	}
 	a.noteRuns()
-	buf, cached := a.buf, a.cached
 	// Every position not fetched was local: read, or copied from the
 	// first position of its fingerprint.
-	m.LogicalBytes = int64(len(buf))
+	m.LogicalBytes = int64(len(a.buf))
 	m.LocalChunks, m.LocalBytes = m.TotalChunks-m.FetchedChunks, m.LogicalBytes-m.FetchedBytes
 
 	t.begin("restore-commit")
-	// The re-provisioned references belong to this dataset: fold them
-	// into its reclamation list, keeping the metadata replicas it names,
-	// so a later Forget releases them too. A list that does not decode is
-	// not overwritten: the replicas it names would leak.
-	if len(cached) > 0 {
-		gc := gcList{refs: cached}
-		if blob, gerr := timed.GetBlob(gcName(name, me)); gerr == nil {
+	// The re-provisioned references belong to this dataset: set their first
+	// positions in its holdings record, so a later Forget releases them too.
+	// A record that does not decode is not overwritten: it would leak.
+	if len(a.fetched) > 0 {
+		var h holdings
+		blob, gerr := timed.GetBlob(gcName(name, me))
+		if gerr == nil {
 			localBlobReads++
-			if prev, perr := unmarshalGC(blob); perr == nil {
-				gc = gcList{refs: append(prev.refs, cached...), held: prev.held}
-			} else if len(blob) > 0 {
-				return nil, fmt.Errorf("rank %d gc list of %q: %w", me, name, perr)
-			}
 		}
-		if err := timed.PutBlob(gcName(name, me), gc.marshal()); err != nil && !errors.Is(err, storage.ErrFailed) {
+		if len(blob) > 0 {
+			h, err = unmarshalHoldings(blob)
+		}
+		i := slices.IndexFunc(h, func(e holding) bool { return e.rank == me })
+		if i < 0 {
+			i, h = len(h), append(h, newHolding(me, meta.Recipe.Len()))
+		}
+		if err != nil || h[i].n != meta.Recipe.Len() {
+			return nil, fmt.Errorf("rank %d holdings record of %q: %w", me, name, cmp.Or(err, fmt.Errorf("%d positions, its recipe %d", h[i].n, meta.Recipe.Len())))
+		}
+		for _, p := range a.fetched {
+			h[i].set(int(p))
+		}
+		if err := timed.PutBlob(gcName(name, me), h.marshal()); err != nil && !errors.Is(err, storage.ErrFailed) {
 			return nil, err
 		}
 	}
@@ -185,27 +193,17 @@ func restoreOutput(t *tracker, store storage.Store, name string) (*RestoreResult
 		m.BarrierExit = time.Now()
 	}
 	m.Phases.Total = time.Since(restoreStart)
-	finishRestoreMetrics(&m, fs, timed, a.localObjects()+localBlobReads)
-	restoreSpan.Arg("read-amp-bytes", fmt.Sprintf("%.3f", m.ReadAmplificationBytes()))
-	return &RestoreResult{Data: buf, Metrics: m}, nil
-}
-
-// finishRestoreMetrics folds the fetch-client and timed-store
-// instrumentation into m: per-peer traffic, request/miss counts, the
-// per-exchange fetch latency, the local read-latency histogram and the
-// distinct-objects count. (Phases.Fetch is stamped where the fetches
-// happen: exchanges overlap, so it is wall time, not a latency sum.)
-func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Timed, objectsTouched int) {
-	m.ObjectsTouched = objectsTouched
-	m.FetchRequests = fs.Requests()
-	m.FetchMisses = fs.Misses()
-	m.PeerFetchChunks = fs.PeerChunks()
-	m.PeerFetchBytes = fs.PeerBytes()
-	m.SourceRanks = fs.SourceRanks()
-	m.FetchLatency = fs.Latency()
+	// The fetch client's and timed store's instrumentation. (Phases.Fetch
+	// is stamped where the fetches happen, as wall time.)
+	m.ObjectsTouched = a.localObjects() + localBlobReads
+	m.FetchRequests, m.FetchMisses = fs.Requests(), fs.Misses()
+	m.PeerFetchChunks, m.PeerFetchBytes = fs.PeerChunks(), fs.PeerBytes()
+	m.SourceRanks, m.FetchLatency = fs.SourceRanks(), fs.Latency()
 	if reads := timed.ReadLatency(); reads.Count() > 0 {
 		m.StoreReadLatency = reads
 	}
+	restoreSpan.Arg("read-amp-bytes", fmt.Sprintf("%.3f", m.ReadAmplificationBytes()))
+	return &RestoreResult{Data: a.buf, Metrics: m}, nil
 }
 
 // loadMeta retrieves this rank's RestoreMeta: locally if possible,
@@ -281,8 +279,9 @@ type assembly struct {
 	errs    []error
 	batchAt int64
 	pending []pending
-	// cached lists the fetched (hence re-provisioned) fingerprints.
-	cached []fingerprint.FP
+	// fetched lists the first recipe positions of the fetched chunks the
+	// local store took (re-provisioned).
+	fetched []int32
 	// refilled counts fetched fingerprints that filled more than one hole.
 	refilled int
 }
@@ -565,10 +564,12 @@ func (a *assembly) fetchHoles() error {
 // fetched from peer. Later positions count as local, which is where a
 // position-by-position walk would have found the re-provisioned copy.
 func (a *assembly) accept(h *hole, peer int, data []byte, sum uint32) error {
-	if err := storage.PutChunkSum(a.store, h.fp, data, sum); err != nil && !errors.Is(err, storage.ErrFailed) {
+	switch err := storage.PutChunkSum(a.store, h.fp, data, sum); {
+	case err == nil:
+		a.fetched = append(a.fetched, int32(h.first))
+	case !errors.Is(err, storage.ErrFailed):
 		return err
 	}
-	a.cached = append(a.cached, h.fp)
 	copy(a.buf[h.off:], data)
 	a.source[h.first] = int32(peer) + 1
 	a.m.FetchedChunks++

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -849,5 +850,50 @@ func TestFetchDepthBound(t *testing.T) {
 	}
 	if d := counted[0]; d.deepest != fetchDepth || d.exchanges < 5 {
 		t.Errorf("test premise: the wiped rank reached depth %d over %d exchanges, want the bound to bite", d.deepest, d.exchanges)
+	}
+}
+
+// sumlessPuts counts the chunks put into a store without a sum. It embeds
+// a Timed, whose summed put it keeps: a put that carries its sum goes past
+// PutChunk here to the store underneath.
+type sumlessPuts struct {
+	*storage.Timed
+	n atomic.Int64
+}
+
+func (s *sumlessPuts) PutChunk(fp fingerprint.FP, data []byte) error {
+	s.n.Add(1)
+	return s.Timed.PutChunk(fp, data)
+}
+
+// TestRestoreReprovisionsWithSums: a wiped rank's restore re-stores every
+// chunk it fetched with the sum it checked it against, so its store takes
+// no sumless put and sums nothing again.
+func TestRestoreReprovisionsWithSums(t *testing.T) {
+	const n, wiped = 4, 1
+	o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: testPage}, Name: "rp"}
+	cluster, _, buffers := runDump(t, n, o)
+	cluster.FailNodes(wiped)
+	cluster.Replace(wiped)
+	counted := &sumlessPuts{Timed: storage.NewTimed(cluster.Node(wiped))}
+	err := collectives.Run(n, func(c collectives.Comm) error {
+		store := cluster.Node(c.Rank())
+		if c.Rank() == wiped {
+			store = counted
+		}
+		got, err := Restore(c, store, "rp")
+		if err == nil && !bytes.Equal(got, buffers[c.Rank()]) {
+			err = fmt.Errorf("rank %d restored other bytes", c.Rank())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, chunks := cluster.Node(wiped).Usage(); chunks == 0 {
+		t.Fatal("the wiped rank re-provisioned nothing")
+	}
+	if got := counted.n.Load(); got != 0 {
+		t.Fatalf("the wiped rank's store took %d chunks without their sum", got)
 	}
 }

@@ -5,8 +5,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RankShuffle computes the load-aware rank permutation of Algorithm 2's
@@ -81,16 +82,8 @@ func SelectShuffle(totals []int64, o Options) []int {
 // sortRanksByLoad returns rank ids ordered by descending load with rank
 // id as the deterministic tie-breaker (shared helper for shuffles).
 func sortRanksByLoad(totals []int64) []int {
-	idx := make([]int, len(totals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if totals[idx[a]] != totals[idx[b]] {
-			return totals[idx[a]] > totals[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
+	idx := IdentityShuffle(len(totals))
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(totals[b], totals[a]) })
 	return idx
 }
 
@@ -161,15 +154,6 @@ func (p *Plan) Partner(r, d int) int {
 func (p *Plan) Sender(r, d int) int {
 	n := len(p.Shuffle)
 	return p.Shuffle[(p.Pos[r]-d+n)%n]
-}
-
-// Partners returns all K-1 partner ranks of r in order.
-func (p *Plan) Partners(r int) []int {
-	out := make([]int, 0, p.K-1)
-	for d := 1; d < p.K; d++ {
-		out = append(out, p.Partner(r, d))
-	}
-	return out
 }
 
 // Offsets implements Algorithm 3 generalized to any K: the byte offset of

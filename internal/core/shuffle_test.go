@@ -292,3 +292,12 @@ func TestRoundRobinShare(t *testing.T) {
 		}
 	}
 }
+
+// Partners returns all K-1 partner ranks of r in order.
+func (p *Plan) Partners(r int) []int {
+	out := make([]int, 0, p.K-1)
+	for d := 1; d < p.K; d++ {
+		out = append(out, p.Partner(r, d))
+	}
+	return out
+}
