@@ -277,7 +277,7 @@ func TestStoreStatsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.GetChunk(fp)
-	ts.HasChunk(fp)
+	ts.GetChunkSum(fp)
 	ts.GetBlob("meta")
 	var buf bytes.Buffer
 	writeStoreStats(&buf, 1, ts)

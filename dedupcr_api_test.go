@@ -12,6 +12,7 @@ import (
 
 	"dedupcr"
 	"dedupcr/internal/fingerprint"
+	"dedupcr/internal/storage"
 )
 
 // Compile-time lock on the public API surface: the legacy
@@ -100,16 +101,22 @@ func TestPublicAPICancellation(t *testing.T) {
 	}
 }
 
-// rejectingStore misses every chunk read, so a restore fetches the
-// chunks from peers, and then fails the write that re-provisions them: a
-// store error in the middle of the restore, after peers started serving.
+// rejectingStore misses every chunk the restore walk reads, so a restore
+// fetches the chunks from peers, and then fails the write that
+// re-provisions them: a store error in the middle of the restore, after
+// peers started serving.
 type rejectingStore struct {
 	dedupcr.Store
 	err error
 }
 
-func (s rejectingStore) GetChunk(fingerprint.FP) ([]byte, error) { return nil, s.err }
-func (s rejectingStore) PutChunk(fingerprint.FP, []byte) error   { return s.err }
+func (s rejectingStore) ReadRecords(_ []byte, recs []storage.Record, errs []error) {
+	for i := range recs {
+		errs[i] = s.err
+	}
+}
+
+func (s rejectingStore) PutChunkSum(fingerprint.FP, []byte, uint32) error { return s.err }
 
 // TestRestoreAbortsGroupOnStoreError checks that the context-less
 // Restore aborts the group when one rank fails: every peer, blocked in

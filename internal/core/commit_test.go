@@ -427,17 +427,19 @@ func TestCommitterChecksFrameSums(t *testing.T) {
 	}
 }
 
-// failingPuts is a store whose PutChunk fails from the given call on.
+// failingPuts is a store that stores the first left records it is handed
+// and fails on the next.
 type failingPuts struct {
 	storage.Store
 	left int
 }
 
-func (f *failingPuts) PutChunk(fp fingerprint.FP, data []byte) error {
-	if f.left--; f.left < 0 {
-		return storage.ErrFailed
+func (f *failingPuts) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+	n, err := f.Store.PutRecords(payload, recs[:min(len(recs), f.left)])
+	if f.left -= n; err == nil && n < len(recs) {
+		err = storage.ErrFailed
 	}
-	return f.Store.PutChunk(fp, data)
+	return n, err
 }
 
 // TestCommitReceivedStoreErrorMidBatch: a store that fails at its 70th
@@ -484,16 +486,19 @@ func TestCommitReceivedStoreErrorMidBatch(t *testing.T) {
 	}
 }
 
-// putLog is a store without a batch put that logs its puts: through
-// storage.PutRecords it gets one PutChunk per record.
+// putLog logs the fingerprint of every record its batch puts store, in
+// order.
 type putLog struct {
 	storage.Store
 	puts []fingerprint.FP
 }
 
-func (p *putLog) PutChunk(fp fingerprint.FP, data []byte) error {
-	p.puts = append(p.puts, fp)
-	return p.Store.PutChunk(fp, data)
+func (p *putLog) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+	n, err := p.Store.PutRecords(payload, recs)
+	for _, r := range recs[:n] {
+		p.puts = append(p.puts, r.FP)
+	}
+	return n, err
 }
 
 // recordFrames packs a sender's records into frames of per records, each
@@ -513,36 +518,11 @@ func recordFrames(s senderRegion, per int) (pieces [][]byte, sent [][]int) {
 	return pieces, sent
 }
 
-// TestBatchlessStoreGetsOnePutPerRecord: a store without a batch put gets
-// exactly one PutChunk per record stored, in window order, whether the
-// window lands as one frame or cut anywhere.
-func TestBatchlessStoreGetsOnePutPerRecord(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	windows := receivedWindows()
-	for _, name := range []string{fmt.Sprintf("%d records", 3*64+7), "three regions, the middle one empty"} {
-		w := windows[name]
-		want := commitWith(commitReceivedPerRecord, w)
-		for _, maxPiece := range []int{0, 1, 13, 500} {
-			cut := w
-			if maxPiece > 0 {
-				cut.pieces = cutInto(rng, w.bytes, maxPiece)
-			}
-			log := &putLog{Store: storage.NewMem()}
-			var m metrics.Dump
-			refs, err := commitReceived(log, cut, &m)
-			if err != nil || !slices.Equal(log.puts, want.refs) || !slices.Equal(refs, want.refs) {
-				t.Errorf("%s in pieces of at most %d bytes: %d puts, %d references, %d records (%v)", name, maxPiece, len(log.puts), len(refs), len(want.refs), err)
-			}
-		}
-	}
-}
-
 // TestCorruptFrameStoresNothingOfIt: of a sender's frames of whole
 // records, a middle one has a payload byte flipped in flight. The commit
-// fails with collectives.ErrChecksum; a store without a batch put has
-// seen one put per record of the frames before it, in window order, and
-// none of that frame or after; and the references are exactly those
-// puts.
+// fails with collectives.ErrChecksum; the store has stored the records
+// of the frames before it, in window order, and none of that frame or
+// after; and the references are exactly those records.
 func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
 	s := newSenderRegion(rand.New(rand.NewSource(41)), 90)
 	pieces, sent := recordFrames(s, 10)
@@ -593,9 +573,8 @@ func TestCorruptFrameStoresNothingOfIt(t *testing.T) {
 // fingerprint of the bytes it carries. The committer sums each record
 // under the fingerprint the recipe names for its position, so the frame
 // holding the wrong chunk fails with collectives.ErrChecksum; the records
-// of the frames before it are stored, one put each in window order, and
-// nothing of it or after. Without the swap, the same sums commit every
-// record.
+// of the frames before it are stored, in window order, and nothing of it
+// or after. Without the swap, the same sums commit every record.
 func TestCommitterRejectsWrongChunk(t *testing.T) {
 	const chunks, per, size = 12, 3, 64
 	rng := rand.New(rand.NewSource(43))

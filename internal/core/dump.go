@@ -430,7 +430,7 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 			metas = append(metas, regions[d].meta)
 		}
 		for _, it := range items {
-			if err := storage.PutChunkSum(store, it.ch.FP, it.ch.Data, it.ch.Sum); err != nil {
+			if err := store.PutChunkSum(it.ch.FP, it.ch.Data, it.ch.Sum); err != nil {
 				return fmt.Errorf("rank %d store chunk: %w", me, err)
 			}
 			cm.held[0].set(int(it.pos))
@@ -459,7 +459,7 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		// the manifest atomically, so the whole dump becomes durable as
 		// one unit — a crash after this line reopens to this checkpoint, a
 		// crash before it to the previous one, never to a torn mix.
-		if err := storage.Commit(store); err != nil {
+		if err := store.Commit(); err != nil {
 			return fmt.Errorf("rank %d store commit: %w", me, err)
 		}
 		return nil
@@ -486,7 +486,7 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		for _, fp := range prevRefs {
 			_ = store.ReleaseChunk(fp)
 		}
-		_ = storage.Commit(store)
+		_ = store.Commit()
 	}
 	t.end()
 	// The completion barrier's exit stamp doubles as this rank's wall-clock
@@ -911,7 +911,7 @@ func (f *recordSums) add(pos, sum uint32) {
 // checked where the frame ends: the check covers the bytes and binds them
 // to the recipe's fingerprint, so another chunk's bytes at a position fail
 // it. Only then are the records that end in the frame stored with their
-// sums, those wholly inside it as one batch (storage.PutRecords) that
+// sums, those wholly inside it as one batch (Store.PutRecords) that
 // hands the frame over. No record of a frame that fails its sum, or that
 // the parse fails in, reaches the store.
 type committer struct {
@@ -1044,7 +1044,7 @@ func (c *committer) put(payload []byte, recs []storage.Record, at []mark) error 
 	if len(recs) == 0 {
 		return nil
 	}
-	n, err := storage.PutRecords(c.store, payload, recs)
+	n, err := c.store.PutRecords(payload, recs)
 	for i, r := range recs[:n] {
 		c.held[at[i].h].set(int(at[i].pos))
 		c.m.RecvChunks++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -129,6 +130,13 @@ func TestDumpRejectsBadK(t *testing.T) {
 	}
 }
 
+// held reports whether s holds fp, intact or not: GetChunk misses only a
+// chunk s does not hold.
+func held(s storage.Store, fp fingerprint.FP) bool {
+	_, err := s.GetChunk(fp)
+	return !errors.Is(err, storage.ErrNotFound)
+}
+
 // holderCount maps every fingerprint of every dataset to the number of
 // distinct surviving nodes storing it.
 func holderCount(t *testing.T, cluster *storage.Cluster, buffers [][]byte) map[fingerprint.FP]int {
@@ -145,7 +153,7 @@ func holderCount(t *testing.T, cluster *storage.Cluster, buffers [][]byte) map[f
 			if cluster.Node(r).Failed() {
 				continue
 			}
-			if ok, err := cluster.Node(r).HasChunk(fp); err == nil && ok {
+			if held(cluster.Node(r), fp) {
 				holders[fp]++
 			}
 		}
@@ -293,8 +301,7 @@ func TestHintsPointToActualHolders(t *testing.T) {
 				t.Errorf("rank %d: empty hint for %s", r, fp.Short())
 			}
 			for _, hr := range ranks {
-				ok, err := cluster.Node(int(hr)).HasChunk(fp)
-				if err != nil || !ok {
+				if !held(cluster.Node(int(hr)), fp) {
 					t.Errorf("rank %d: hint says rank %d holds %s, but it does not", r, hr, fp.Short())
 				}
 			}

@@ -169,15 +169,21 @@ func TestDumpKillPerPhase(t *testing.T) {
 	}
 }
 
-// countingPuts counts a store's PutChunk calls.
+// countingPuts counts the chunks a store is asked to put: own chunks one
+// by one, received records a batch at a time.
 type countingPuts struct {
 	storage.Store
 	puts int
 }
 
-func (s *countingPuts) PutChunk(fp fingerprint.FP, data []byte) error {
+func (s *countingPuts) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	s.puts++
-	return s.Store.PutChunk(fp, data)
+	return s.Store.PutChunkSum(fp, data, sum)
+}
+
+func (s *countingPuts) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+	s.puts += len(recs)
+	return s.Store.PutRecords(payload, recs)
 }
 
 // TestDumpKillInDrainRollsBack: a rank killed inside the drain — its own

@@ -165,7 +165,7 @@ func rollbackDump(store storage.Store, name string, rank int, held []int, refs [
 	_ = tombstoneMeta(store, name, append([]int{rank}, held...))
 	// Make the rollback itself durable on commit-aware engines, so a
 	// crash right after an aborted dump does not resurrect its refs.
-	_ = storage.Commit(store)
+	_ = store.Commit()
 }
 
 // Forget releases this node's storage for a dataset dumped earlier under
@@ -208,5 +208,5 @@ func Forget(store storage.Store, name string, rank int) error {
 	// Persist the releases and tombstones as one durable step on
 	// commit-aware engines; this is also what turns the released chunks
 	// into compactable garbage in the segment store.
-	return storage.Commit(store)
+	return store.Commit()
 }

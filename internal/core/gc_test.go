@@ -223,9 +223,8 @@ func TestFailedRedumpThenForgetEmptiesStores(t *testing.T) {
 }
 
 // refLog is a store that keeps count of the chunk references it holds:
-// each put adds one, each release takes one away. It embeds only the Store
-// interface, so every put — window records and re-provisioned chunks
-// included — reaches it as a PutChunk.
+// each chunk stored adds one — own chunks and re-provisioned ones put
+// alone, window records in batches — and each release takes one away.
 type refLog struct {
 	storage.Store
 	mu   sync.Mutex
@@ -236,14 +235,24 @@ func newRefLog(s storage.Store) *refLog {
 	return &refLog{Store: s, held: make(map[fingerprint.FP]int)}
 }
 
-func (s *refLog) PutChunk(fp fingerprint.FP, data []byte) error {
-	err := s.Store.PutChunk(fp, data)
+func (s *refLog) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+	err := s.Store.PutChunkSum(fp, data, sum)
 	if err == nil {
 		s.mu.Lock()
 		s.held[fp]++
 		s.mu.Unlock()
 	}
 	return err
+}
+
+func (s *refLog) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+	n, err := s.Store.PutRecords(payload, recs)
+	s.mu.Lock()
+	for _, r := range recs[:n] {
+		s.held[r.FP]++
+	}
+	s.mu.Unlock()
+	return n, err
 }
 
 func (s *refLog) ReleaseChunk(fp fingerprint.FP) error {

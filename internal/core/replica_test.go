@@ -31,18 +31,29 @@ type keyedStore struct {
 	fps []fingerprint.FP
 }
 
-func (s *keyedStore) PutChunk(fp fingerprint.FP, data []byte) error {
+func (s *keyedStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	s.mu.Lock()
 	s.fps = append(s.fps, fp)
 	s.mu.Unlock()
-	return s.Store.PutChunk(fp, data)
+	return s.Store.PutChunkSum(fp, data, sum)
 }
 
-// checkKeys fails unless every chunk the store still holds SHA-1s to the
-// fingerprint it is stored under.
+func (s *keyedStore) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+	s.mu.Lock()
+	for _, r := range recs {
+		s.fps = append(s.fps, r.FP)
+	}
+	s.mu.Unlock()
+	return s.Store.PutRecords(payload, recs)
+}
+
+// checkKeys fails unless every chunk the store still holds was put
+// through it and SHA-1s to the fingerprint it is stored under.
 func (s *keyedStore) checkKeys(t *testing.T, label string) {
 	t.Helper()
+	put := make(map[fingerprint.FP]bool)
 	for _, fp := range s.fps {
+		put[fp] = true
 		data, err := s.GetChunk(fp)
 		if errors.Is(err, storage.ErrNotFound) {
 			continue
@@ -50,6 +61,9 @@ func (s *keyedStore) checkKeys(t *testing.T, label string) {
 		if err != nil || fingerprint.Of(data) != fp {
 			t.Fatalf("%s: chunk %s does not hash to its key (%v)", label, fp.Short(), err)
 		}
+	}
+	if _, chunks := s.Usage(); chunks > len(put) {
+		t.Fatalf("%s: the store holds %d chunks, %d were put through it", label, chunks, len(put))
 	}
 }
 
@@ -112,18 +126,18 @@ func TestStoredChunksHashToTheirKeys(t *testing.T) {
 // corruptingComm flips one payload byte of the first window frame its
 // rank sends; everything else passes through. As a wrapper it gets the
 // copying Send for its puts (see collectives.Handover), so the flip lands
-// in the bytes on the wire, after the sender summed them.
+// in the bytes on the wire, after the sender summed them. Partner puts
+// may send concurrently: one of them wins the flip.
 type corruptingComm struct {
 	collectives.Comm
-	flipped bool
+	flipped atomic.Bool
 }
 
 func (c *corruptingComm) Base() collectives.Comm { return c.Comm }
 
 func (c *corruptingComm) Send(to int, tag collectives.Tag, data []byte) error {
 	const header = 12 // window put header: offset, checksum
-	if !c.flipped && tag >= collectives.TagUserLimit<<1 && len(data) > header {
-		c.flipped = true
+	if tag >= collectives.TagUserLimit<<1 && len(data) > header && c.flipped.CompareAndSwap(false, true) {
 		data = slices.Clone(data)
 		data[header+(len(data)-header)/2] ^= 0x10
 	}
@@ -137,20 +151,20 @@ func (c *corruptingComm) Send(to int, tag collectives.Tag, data []byte) error {
 // the bytes it sent would stamp it. That is the payload's CRC-32C when the
 // frame carried one, else the CRC-32C over u32 position ‖ u32 sum of each
 // record, every sum a CRC-32C over fingerprint ‖ bytes, taken under the
-// fingerprint of the bytes the record carries.
+// fingerprint of the bytes the record carries. Partner puts may send
+// concurrently: one of them wins the swap.
 type chunkSwappingComm struct {
 	collectives.Comm
-	swapped bool
+	swapped atomic.Bool
 }
 
 func (c *chunkSwappingComm) Base() collectives.Comm { return c.Comm }
 
 func (c *chunkSwappingComm) Send(to int, tag collectives.Tag, data []byte) error {
 	const header, rec = 12, 4 + testPage // window put header: offset, checksum
-	if c.swapped || tag < collectives.TagUserLimit<<1 || len(data) < header+2*rec {
+	if tag < collectives.TagUserLimit<<1 || len(data) < header+2*rec || !c.swapped.CompareAndSwap(false, true) {
 		return c.Comm.Send(to, tag, data)
 	}
-	c.swapped = true
 	data = slices.Clone(data)
 	payload := data[header:]
 	payloadSum := binary.BigEndian.Uint32(data[8:]) == collectives.Checksum(0, payload)
@@ -208,8 +222,16 @@ func TestWrongChunkFailsDump(t *testing.T) {
 // rank with a *CollectiveError, one of them collectives.ErrChecksum,
 // before anything commits: every store's usage and blobs are what they
 // were before the dump, and the first checkpoint still restores
-// byte-identically.
+// byte-identically. It does so at K = 2, where a rank puts to its one
+// partner, and at K = 3 with default parallelism, where a rank's puts to
+// its two partners run concurrently.
 func checkFrameFailsDump(t *testing.T, wrap func(collectives.Comm) collectives.Comm) {
+	for _, k := range []int{2, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { frameFailsDump(t, k, wrap) })
+	}
+}
+
+func frameFailsDump(t *testing.T, k int, wrap func(collectives.Comm) collectives.Comm) {
 	t.Helper()
 	const n, corrupter = 4, 1
 	cluster := storage.NewCluster(n)
@@ -230,7 +252,9 @@ func checkFrameFailsDump(t *testing.T, wrap func(collectives.Comm) collectives.C
 			c = wrap(c)
 		}
 		buf := append(testBuffer(c.Rank(), 6, 4, 3, 5), page(fmt.Sprintf("corrupt-%d", c.Rank()))...)
-		_, err := DumpOutputCtx(context.Background(), c, cluster.Node(c.Rank()), buf, faultOpts("ckpt-1"))
+		o := faultOpts("ckpt-1")
+		o.K = k
+		_, err := DumpOutputCtx(context.Background(), c, cluster.Node(c.Rank()), buf, o)
 		return err
 	})
 	for r, err := range errs {

@@ -175,7 +175,7 @@ func restoreOutput(t *tracker, store storage.Store, name string) (*RestoreResult
 	// Best-effort durability for the re-provisioned chunks and metadata
 	// on commit-aware engines: losing them to a crash only costs a
 	// re-fetch on the next restore, so errors don't fail the restore.
-	_ = storage.Commit(timed)
+	_ = timed.Commit()
 
 	// All ranks keep serving until everyone has finished assembling.
 	t.begin("restore-barrier")
@@ -353,7 +353,7 @@ func (h *hole) nextPeer(me, n int) (int, bool) {
 // walk reads each distinct fingerprint the local store serves once,
 // straight into place, and copies the bytes of that first position into
 // every later one. First positions are read in batches, one
-// storage.ReadRecords each, and settled in recipe order: a first position
+// Store.ReadRecords each, and settled in recipe order: a first position
 // is checked against its recipe length, a later one against the first.
 // The walk does not SHA-1 them: every byte entered the store bound to its
 // fingerprint, and the store's checksum vouches they have not changed
@@ -417,7 +417,7 @@ func (a *assembly) settle(next error) error {
 		return next
 	}
 	a.errs = slices.Grow(a.errs[:0], len(a.recs))[:len(a.recs)]
-	storage.ReadRecords(a.store, a.buf[a.batchAt:], a.recs, a.errs)
+	a.store.ReadRecords(a.buf[a.batchAt:], a.recs, a.errs)
 	r := a.meta.Recipe
 	for _, p := range a.pending {
 		fp, size := r.FPs[p.i], r.Sizes[p.i]
@@ -564,7 +564,7 @@ func (a *assembly) fetchHoles() error {
 // fetched from peer. Later positions count as local, which is where a
 // position-by-position walk would have found the re-provisioned copy.
 func (a *assembly) accept(h *hole, peer int, data []byte, sum uint32) error {
-	switch err := storage.PutChunkSum(a.store, h.fp, data, sum); {
+	switch err := a.store.PutChunkSum(h.fp, data, sum); {
 	case err == nil:
 		a.fetched = append(a.fetched, int32(h.first))
 	case !errors.Is(err, storage.ErrFailed):

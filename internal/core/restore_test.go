@@ -325,13 +325,14 @@ func loadMetaOf(t *testing.T, stores []storage.Store, r int, name string) *Resto
 // referenceCounts replays rank r's restore the old way against the
 // stores as they stand — the metadata sweep, then fetchChunk once per
 // distinct fingerprint the local store lacks — and returns how many asks
-// and misses that takes. A replica counts as held only if its bytes
-// verify, which is how both paths end up treating it.
+// and misses that takes. A replica counts as held only if its bytes pass
+// the sum its store read them under, which is how both paths end up
+// treating it.
 func referenceCounts(stores []storage.Store, meta *RestoreMeta, r int, name string) (requests, misses int64) {
 	n := len(stores)
 	holds := func(peer int, fp fingerprint.FP) bool {
-		data, err := stores[peer].GetChunk(fp)
-		return err == nil && fingerprint.Of(data) == fp
+		data, sum, err := stores[peer].GetChunkSum(fp)
+		return err == nil && storage.CheckSum(&fp, data, sum) == nil
 	}
 	if _, err := stores[r].GetBlob(metaName(name, r)); err != nil {
 		for d := 1; d < n; d++ {
@@ -403,10 +404,10 @@ func TestBatchedFetchCountsMatchReference(t *testing.T) {
 	}
 }
 
-// corruptStore serves one fingerprint with a flipped byte. It flips above
-// the store, past its at-rest check, so it models a store the fetch
-// server does not know: storage.GetChunkSum SHA-1-checks its bytes and
-// the server answers not-found. A chunk that changed inside a store is
+// corruptStore serves one fingerprint with a flipped byte under the sum
+// its store read it under. It flips above the store, past its at-rest
+// check, so the fetch server sends bytes the reply's sum rejects at the
+// requester: one more miss. A chunk that changed inside a store is
 // scribble's or flipOnDisk's job (walk_test.go); bytes changed after the
 // server's read are tamperComm's (TestRestoreChecksFetchedSums).
 type corruptStore struct {
@@ -414,36 +415,47 @@ type corruptStore struct {
 	fp fingerprint.FP
 }
 
-func (s corruptStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	data, err := s.Store.GetChunk(fp)
+func (s corruptStore) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
+	data, sum, err := s.Store.GetChunkSum(fp)
 	if err == nil && fp == s.fp {
 		data = slices.Clone(data)
 		data[0] ^= 1
 	}
-	return data, err
+	return data, sum, err
 }
 
-// recordingStore remembers every PutChunk whose bytes do not hash to the
-// fingerprint they were stored under.
+// recordingStore counts the puts into a store that starts empty and
+// remembers every one whose bytes do not hash to the fingerprint they
+// were stored under.
 type recordingStore struct {
 	storage.Store
-	mu  sync.Mutex
-	bad []fingerprint.FP
+	mu   sync.Mutex
+	puts int
+	bad  []fingerprint.FP
 }
 
-func (s *recordingStore) PutChunk(fp fingerprint.FP, data []byte) error {
+func (s *recordingStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+	s.mu.Lock()
+	s.puts++
 	if fingerprint.Of(data) != fp {
-		s.mu.Lock()
 		s.bad = append(s.bad, fp)
-		s.mu.Unlock()
 	}
-	return s.Store.PutChunk(fp, data)
+	s.mu.Unlock()
+	return s.Store.PutChunkSum(fp, data, sum)
 }
 
-func (s *recordingStore) badPuts() []fingerprint.FP {
+// checkPuts fails the test if the store was handed bytes that do not hash
+// to their fingerprint, or holds a chunk no put through it stored.
+func (s *recordingStore) checkPuts(t *testing.T) {
+	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.bad)
+	if len(s.bad) != 0 {
+		t.Errorf("requester's store was handed unverified bytes for %v", s.bad)
+	}
+	if _, chunks := s.Usage(); chunks > s.puts {
+		t.Errorf("requester's store holds %d chunks, %d were put through it", chunks, s.puts)
+	}
 }
 
 // TestRestoreVerifiesBeforeStoring: a replica whose bytes do not match
@@ -468,7 +480,7 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 		stores[r] = rec
 		var holders []int
 		for p, s := range stores {
-			if has, _ := s.HasChunk(bad); has {
+			if held(s, bad) {
 				holders = append(holders, p)
 			}
 		}
@@ -479,11 +491,10 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 	}
 
 	// The first holder's replica is corrupt in one of two places: above
-	// its store, so the fetch server's SHA-1 check of a store it does not
-	// know rejects it; or inside its store, so its fetch server's read
-	// fails the at-rest check. Either way it answers not-found, which is
-	// one more miss, the next holder serves, and the requester stores only
-	// verified bytes.
+	// its store, so the reply's sum rejects the bytes at the requester; or
+	// inside its store, so its fetch server's read fails the at-rest check
+	// and it answers not-found. Either way that is one more miss, the next
+	// holder serves, and the requester stores only verified bytes.
 	for _, tc := range []struct {
 		name    string
 		corrupt func(t *testing.T, stores []storage.Store, first int)
@@ -500,8 +511,7 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 			meta := loadMetaOf(t, stores, r, "ck")
 			_, cleanMisses := referenceCounts(stores, meta, r, "ck")
 			first, _ := fetchChunk(r, n, meta.Hints[bad], func(peer int) bool {
-				has, _ := stores[peer].HasChunk(bad)
-				return has
+				return held(stores[peer], bad)
 			})
 			tc.corrupt(t, stores, first)
 			requests, misses := referenceCounts(stores, meta, r, "ck")
@@ -517,9 +527,7 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 				t.Errorf("%d asks / %d misses, want %d / %d: the rejected replica is one more miss",
 					m.FetchRequests, m.FetchMisses, requests, misses)
 			}
-			if got := rec.badPuts(); len(got) != 0 {
-				t.Errorf("requester's store was handed unverified bytes for %v", got)
-			}
+			rec.checkPuts(t)
 			if data, err := rec.GetChunk(bad); err != nil || !bytes.Equal(data, private) {
 				t.Errorf("requester not re-provisioned with the good replica: %v", err)
 			}
@@ -541,10 +549,8 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 				t.Errorf("rank %d: %v, want a *CollectiveError", rank, err)
 			}
 		}
-		if got := rec.badPuts(); len(got) != 0 {
-			t.Errorf("requester's store was handed unverified bytes for %v", got)
-		}
-		if has, _ := rec.HasChunk(bad); has {
+		rec.checkPuts(t)
+		if held(rec, bad) {
 			t.Error("requester's store has an entry for the chunk nobody could serve intact")
 		}
 	})
@@ -606,7 +612,7 @@ func TestRestoreChecksFetchedSums(t *testing.T) {
 	if err := otherStore.PutChunk(fingerprint.Of(other), other); err != nil {
 		t.Fatal(err)
 	}
-	_, otherSum, err := storage.GetChunkSum(otherStore, fingerprint.Of(other))
+	_, otherSum, err := otherStore.GetChunkSum(fingerprint.Of(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +641,7 @@ func TestRestoreChecksFetchedSums(t *testing.T) {
 		meta := loadMetaOf(t, stores, r, "ck")
 		var holders []int
 		fetchChunk(r, n, meta.Hints[bad], func(peer int) bool {
-			if has, _ := stores[peer].HasChunk(bad); has {
+			if held(stores[peer], bad) {
 				holders = append(holders, peer)
 			}
 			return false
@@ -677,9 +683,7 @@ func TestRestoreChecksFetchedSums(t *testing.T) {
 				t.Errorf("%d asks / %d misses, want %d / %d: the tampered reply is one more miss",
 					m.FetchRequests, m.FetchMisses, requests, misses)
 			}
-			if got := rec.badPuts(); len(got) != 0 {
-				t.Errorf("requester's store was handed unverified bytes for %v", got)
-			}
+			rec.checkPuts(t)
 			if data, err := rec.GetChunk(bad); err != nil || !bytes.Equal(data, private) {
 				t.Errorf("requester not re-provisioned with the good replica: %v", err)
 			}
@@ -704,28 +708,30 @@ func TestRestoreChecksFetchedSums(t *testing.T) {
 		if err := errs[r]; err == nil || !strings.Contains(err.Error(), "lost on all surviving nodes") {
 			t.Errorf("rank %d: %v, want the chunk lost on all surviving nodes", r, err)
 		}
-		if got := rec.badPuts(); len(got) != 0 {
-			t.Errorf("requester's store was handed unverified bytes for %v", got)
-		}
-		if has, _ := rec.HasChunk(bad); has {
+		rec.checkPuts(t)
+		if held(rec, bad) {
 			t.Error("requester's store has an entry for the chunk nobody served intact")
 		}
 	})
 }
 
-// failingStore fails its node right after the first successful chunk
-// read: the rest of the walk, and everything after it, sees ErrFailed.
+// failingStore fails its node right after the first chunk a batch read
+// places: the rest of that batch, the rest of the walk, and everything
+// after it see ErrFailed.
 type failingStore struct {
 	storage.Store
-	once sync.Once
 }
 
-func (s *failingStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	data, err := s.Store.GetChunk(fp)
-	if err == nil {
-		s.once.Do(s.Store.Fail)
+func (s *failingStore) ReadRecords(dst []byte, recs []storage.Record, errs []error) {
+	s.Store.ReadRecords(dst, recs, errs)
+	for i := range recs {
+		switch {
+		case s.Store.Failed():
+			errs[i] = storage.ErrFailed
+		case errs[i] == nil:
+			s.Store.Fail()
+		}
 	}
-	return data, err
 }
 
 // TestRestoreStoreFailsMidWalk: a store that dies after the walk's first

@@ -23,7 +23,8 @@ import (
 	"dedupcr/internal/storage"
 )
 
-// countingStore counts GetChunk calls per fingerprint.
+// countingStore counts the records its batch reads ask for, per
+// fingerprint.
 type countingStore struct {
 	storage.Store
 	mu    sync.Mutex
@@ -34,11 +35,13 @@ func newCountingStore(s storage.Store) *countingStore {
 	return &countingStore{Store: s, reads: make(map[fingerprint.FP]int)}
 }
 
-func (s *countingStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+func (s *countingStore) ReadRecords(dst []byte, recs []storage.Record, errs []error) {
 	s.mu.Lock()
-	s.reads[fp]++
+	for _, r := range recs {
+		s.reads[r.FP]++
+	}
 	s.mu.Unlock()
-	return s.Store.GetChunk(fp)
+	s.Store.ReadRecords(dst, recs, errs)
 }
 
 // readTwice lists the fingerprints read more than once.
@@ -294,7 +297,7 @@ func TestRestoreReadsEachLocalChunkOnce(t *testing.T) {
 					len(counted.reads), m.UniqueChunks, m.TotalChunks, m.FetchedChunks)
 			}
 
-			if has, _ := engineStore.HasChunk(bad); !has {
+			if !held(engineStore, bad) {
 				t.Fatal("test premise: rank r does not hold its own unique page")
 			}
 			if engine == "mem" {
@@ -322,15 +325,15 @@ func TestRestoreReadsEachLocalChunkOnce(t *testing.T) {
 	}
 }
 
-// slowStore sleeps before every chunk read.
+// slowStore sleeps before every chunk its fetch server reads.
 type slowStore struct {
 	storage.Store
 	delay time.Duration
 }
 
-func (s slowStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+func (s slowStore) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	time.Sleep(s.delay)
-	return s.Store.GetChunk(fp)
+	return s.Store.GetChunkSum(fp)
 }
 
 // orderComm records, off the fetch protocol on the wire (see depthComm),
@@ -439,9 +442,15 @@ func TestRepliesFillTheirOwnHoles(t *testing.T) {
 	}
 }
 
-// oneByOne hides a store's batch read: the walk then reads one GetChunk
-// per distinct fingerprint, as it did before it batched.
+// oneByOne reads a batch one record at a time, as the walk did before it
+// batched: the engine's batch read never sees two records at once.
 type oneByOne struct{ storage.Store }
+
+func (s oneByOne) ReadRecords(dst []byte, recs []storage.Record, errs []error) {
+	for i := range recs {
+		s.Store.ReadRecords(dst, recs[i:i+1], errs[i:i+1])
+	}
+}
 
 // TestWalkBatchesMatchOneByOne: over recipes long enough to fill many
 // batches — by record count and by image span — with repeats near and far
@@ -479,13 +488,18 @@ func TestWalkBatchesMatchOneByOne(t *testing.T) {
 			meta.Recipe.FPs = append(meta.Recipe.FPs, fingerprint.Of(pool[k]))
 			meta.Recipe.Sizes = append(meta.Recipe.Sizes, int32(len(pool[k])))
 		}
-		batched, err := walkWith(comm, storage.NewTimed(seg), meta)
+		timed, one := storage.NewTimed(seg), storage.NewTimed(seg)
+		batched, err := walkWith(comm, timed, meta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := walkWith(comm, oneByOne{seg}, meta)
+		single, err := walkWith(comm, oneByOne{one}, meta)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := one.ReadLatency().Count(); n != int64(single.m.UniqueChunks) || timed.ReadLatency().Count() >= n {
+			t.Fatalf("trial %d: test premise: %d reads one by one for %d distinct, %d batched; want one per distinct, and fewer batched",
+				trial, n, single.m.UniqueChunks, timed.ReadLatency().Count())
 		}
 		if !bytes.Equal(batched.buf, single.buf) {
 			t.Fatalf("trial %d: the batched walk placed another image", trial)

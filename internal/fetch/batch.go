@@ -21,7 +21,7 @@ import (
 // The reply travels on the same per-requester tag as the single-call
 // replies; its first byte tells the two apart. A found record may be
 // empty (1 | 0 | sum), which is not a miss. Its sum is the at-rest sum the
-// serving store checked the bytes against (storage.GetChunkSum), so the
+// serving store checked the bytes against (Store.GetChunkSum), so the
 // requester verifies them with storage.CheckSum instead of hashing them.
 const (
 	replyChunks = 2
@@ -59,7 +59,7 @@ func serveChunks(store storage.Store, payload []byte) []byte {
 		for i := range recs {
 			var fp fingerprint.FP
 			copy(fp[:], payload[4+i*fingerprint.Size:])
-			data, sum, err := storage.GetChunkSum(store, fp)
+			data, sum, err := store.GetChunkSum(fp)
 			if err != nil {
 				continue
 			}

@@ -190,15 +190,16 @@ func TestBatchedMalformedRequest(t *testing.T) {
 	})
 }
 
-// gatedStore blocks GetChunk until released.
+// gatedStore blocks every chunk read its fetch server makes until
+// released.
 type gatedStore struct {
 	storage.Store
 	gate chan struct{}
 }
 
-func (g gatedStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+func (g gatedStore) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	<-g.gate
-	return g.Store.GetChunk(fp)
+	return g.Store.GetChunkSum(fp)
 }
 
 // TestBatchedRepliesOutOfOrder: replies are matched to asks by id, not by

@@ -226,7 +226,7 @@ func (rt *Runtime) checkpointImage(ctx context.Context, img []byte) (*core.Resul
 	if err := rt.store.PutBlob(latestBlob, rec[:]); err != nil && !errors.Is(err, storage.ErrFailed) {
 		return nil, err
 	}
-	if err := storage.Commit(rt.store); err != nil && !errors.Is(err, storage.ErrFailed) {
+	if err := rt.store.Commit(); err != nil && !errors.Is(err, storage.ErrFailed) {
 		return nil, fmt.Errorf("ftrun: checkpoint %d: %w", epoch, err)
 	}
 	rt.epoch = epoch

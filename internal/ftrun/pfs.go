@@ -57,7 +57,7 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 	chunks := chunk.FromCuts(img, cc.Cuts(img))
 	recipe := chunk.BuildRecipe(chunks)
 	for _, ch := range chunks {
-		if err := storage.PutChunkSum(pfs, ch.FP, ch.Data, ch.Sum); err != nil {
+		if err := pfs.PutChunkSum(ch.FP, ch.Data, ch.Sum); err != nil {
 			return -1, fmt.Errorf("ftrun: pfs chunk write: %w", err)
 		}
 	}
@@ -68,7 +68,7 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 	if err := pfs.PutBlob(pfsRecipeName(rt.opts.Name, epoch, rt.comm.Rank()), blob); err != nil {
 		return -1, err
 	}
-	if err := storage.Commit(pfs); err != nil {
+	if err := pfs.Commit(); err != nil {
 		return -1, fmt.Errorf("ftrun: pfs commit: %w", err)
 	}
 	// Rank 0 records the newest drained epoch once everyone is done.
@@ -81,7 +81,7 @@ func (rt *Runtime) FlushPFS(pfs storage.Store) (int, error) {
 		if err := pfs.PutBlob(pfsLatest, rec[:]); err != nil {
 			return -1, err
 		}
-		if err := storage.Commit(pfs); err != nil {
+		if err := pfs.Commit(); err != nil {
 			return -1, fmt.Errorf("ftrun: pfs commit: %w", err)
 		}
 	}

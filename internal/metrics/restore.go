@@ -72,7 +72,7 @@ type Restore struct {
 	// StoreReadLatency is the local store read latency histogram
 	// (nanoseconds) recorded through the read-side storage.Timed path:
 	// one sample per blob read and per batch of the walk's chunk reads
-	// (one storage.ReadRecords call), not per chunk.
+	// (one Store.ReadRecords call), not per chunk.
 	StoreReadLatency *Histogram
 }
 

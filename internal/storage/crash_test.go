@@ -27,9 +27,10 @@ import (
 //
 //	phase 1 (unarmed): checkpoint 1 — chunks ck1:0..31, a metadata
 //	    blob, Commit, Close. This is the durable baseline.
-//	phase 2 (armed with the point under test): chunks ck2:0..15, a
-//	    blob, release ck1:0..19, Commit, Compact. The injected crash
-//	    fires somewhere in here.
+//	phase 2 (armed with the point under test): chunks ck2:0..15 (one
+//	    PutChunk each, or one PutRecords batch), a blob, release
+//	    ck1:0..19, Commit, Compact. The injected crash fires somewhere in
+//	    here.
 //
 // Points firing before the phase-2 manifest rename must reopen to
 // checkpoint 1 exactly; points firing during compaction (after the
@@ -92,9 +93,22 @@ func TestCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("phase 2 open: %v", err)
 	}
-	for i := 0; i < ck2Chunks; i++ {
-		if err := s2.PutChunk(fingerprint.Of(ck2Data(i)), ck2Data(i)); err != nil {
-			t.Fatalf("phase 2 put %d: %v", i, err)
+	if os.Getenv(crashEnvOp) == "batch" {
+		var payload []byte
+		recs := make([]Record, ck2Chunks)
+		for i := range recs {
+			fp := fingerprint.Of(ck2Data(i))
+			recs[i] = Record{FP: fp, Off: int32(len(payload)), Len: crashChunk, Sum: fingerprint.ChunkSum(&fp, ck2Data(i))}
+			payload = append(payload, ck2Data(i)...)
+		}
+		if n, err := s2.PutRecords(payload, recs); err != nil {
+			t.Fatalf("phase 2 batch stored %d: %v", n, err)
+		}
+	} else {
+		for i := 0; i < ck2Chunks; i++ {
+			if err := s2.PutChunk(fingerprint.Of(ck2Data(i)), ck2Data(i)); err != nil {
+				t.Fatalf("phase 2 put %d: %v", i, err)
+			}
 		}
 	}
 	if err := s2.PutBlob("ck2/meta", []byte("ck2")); err != nil {
@@ -133,13 +147,15 @@ func TestCrashMatrix(t *testing.T) {
 	// blob2: whether the phase-2 blob, staged before the kill and never
 	// committed on the ck1 rows, is there after reopen.
 	cases := []struct {
+		name   string // the point's, unless set
 		point  string
-		op     string // "" = commit+compact, "close" = Close
+		op     string // "" = commit+compact, "close" = Close, "batch" = ck2 put as one batch first
 		expect string
 		blob2  bool
 	}{
 		{point: "torn-append", expect: "ck1"},
 		{point: "append", expect: "ck1"},
+		{name: "append-in-batch", point: "append", op: "batch", expect: "ck1"},
 		{point: "seal", expect: "ck1"},
 		{point: "idx-write", expect: "ck1"},
 		// Killed while a seal's background data fsync is in flight.
@@ -155,14 +171,17 @@ func TestCrashMatrix(t *testing.T) {
 		{point: "compact-manifest-rename", expect: "ck2", blob2: true},
 		{point: "compact-cleanup", expect: "ck2", blob2: true},
 	}
-	// Appends are buffered, so the two append rows also pin what the kill
-	// left in the unsealed segment file: "append" dies with the first
-	// chunk of phase 2 buffered and nothing written, "torn-append" halfway
-	// through the first buffer flush (four chunks at the first seal, two
-	// of them written).
-	unsealed := map[string]int64{"append": 0, "torn-append": 2 * crashChunk}
+	// Appends are buffered, so the append rows also pin what the kill left
+	// in the unsealed segment file: "append" dies with the first chunk of
+	// phase 2 buffered and nothing written, a batch's first append the
+	// same, and "torn-append" halfway through the first buffer flush (four
+	// chunks at the first seal, two of them written).
+	unsealed := map[string]int64{"append": 0, "append-in-batch": 0, "torn-append": 2 * crashChunk}
 	for _, tc := range cases {
-		t.Run(tc.point, func(t *testing.T) {
+		if tc.name == "" {
+			tc.name = tc.point
+		}
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashHelper$", "-test.v")
 			cmd.Env = append(os.Environ(),
@@ -176,9 +195,9 @@ func TestCrashMatrix(t *testing.T) {
 			if !errors.As(err, &ee) || ee.ExitCode() != crashExitCode {
 				t.Fatalf("helper exited %v, want crash exit %d; output:\n%s", err, crashExitCode, out)
 			}
-			if want, ok := unsealed[tc.point]; ok {
+			if want, ok := unsealed[tc.name]; ok {
 				if got := unsealedBytes(t, dir); got != want {
-					t.Errorf("kill at %q left %d payload bytes in the unsealed segment, want %d", tc.point, got, want)
+					t.Errorf("kill at %q left %d payload bytes in the unsealed segment, want %d", tc.name, got, want)
 				}
 			}
 			verifyAfterCrash(t, dir, tc.expect, tc.blob2)
@@ -238,8 +257,8 @@ func verifyAfterCrash(t *testing.T, dir, expect string, blob2 bool) {
 	}
 	mustLack := func(label string, data []byte) {
 		t.Helper()
-		if ok, err := s.HasChunk(fingerprint.Of(data)); err != nil || ok {
-			t.Fatalf("%s present after recovery (ok=%v err=%v)", label, ok, err)
+		if held(s, fingerprint.Of(data)) {
+			t.Fatalf("%s present after recovery", label)
 		}
 	}
 
@@ -282,7 +301,7 @@ func verifyAfterCrash(t *testing.T, dir, expect string, blob2 bool) {
 	// The phase-2 blob is committed with the phase-2 chunks or not at
 	// all.
 	b, err := s.GetBlob("ck2/meta")
-	if ck2, _ := s.HasChunk(fingerprint.Of(ck2Data(0))); ck2 != (err == nil) {
+	if ck2 := held(s, fingerprint.Of(ck2Data(0))); ck2 != (err == nil) {
 		t.Fatalf("phase-2 chunks present: %v, phase-2 blob: %q, %v; they share one commit point", ck2, b, err)
 	}
 	switch {

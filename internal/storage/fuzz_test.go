@@ -99,44 +99,59 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 }
 
-// FuzzReadRecords drives a segment store through puts, releases, commits,
-// compactions and on-disk corruption, then reads a batch of records drawn
-// from the input: every record must come out of ReadRecords as GetChunk
-// and a length compare have it. ops holds one op per byte — the low two
-// bits pick put, release or commit-and-compact, the rest a chunk — and
-// batch two bytes per record: a chunk, and flags for a wrong length, a
-// corruption of that chunk on disk and a gap in dst.
+// FuzzReadRecords drives an engine — the segment store, or the memory
+// store when mem is set — through puts, releases, commits, compactions and
+// corruption of stored bytes, then reads a batch of records drawn from the
+// input: every record must come out of ReadRecords as GetChunk and a
+// length compare have it. ops holds one op per byte — the low two bits
+// pick put, release or commit-and-compact, the rest a chunk — and batch
+// two bytes per record: a chunk, and flags for a wrong length, a
+// corruption of that chunk where the engine keeps it (on disk once
+// sealed, in its arena) and a gap in dst.
 func FuzzReadRecords(f *testing.F) {
-	f.Add([]byte{4, 8, 12, 16, 20, 3}, []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0})
-	f.Add([]byte{4, 5, 8, 9, 12, 3, 4, 6, 3, 7}, []byte{1, 0, 2, 1, 2, 4, 1, 0x10, 3, 0})
-	f.Add([]byte{0, 4, 8, 3, 4, 10, 8, 3}, []byte{0, 0, 1, 0, 1, 0, 2, 0x12, 9, 0})
-	f.Fuzz(func(t *testing.T, ops, batch []byte) {
+	for _, mem := range []bool{false, true} {
+		f.Add(mem, []byte{4, 8, 12, 16, 20, 3}, []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0})
+		f.Add(mem, []byte{4, 5, 8, 9, 12, 3, 4, 6, 3, 7}, []byte{1, 0, 2, 1, 2, 4, 1, 0x10, 3, 0})
+		f.Add(mem, []byte{0, 4, 8, 3, 4, 10, 8, 3}, []byte{0, 0, 1, 0, 1, 0, 2, 0x12, 9, 0})
+	}
+	f.Fuzz(func(t *testing.T, mem bool, ops, batch []byte) {
 		if len(ops) > 256 || len(batch) > 512 {
 			return
 		}
-		s, err := NewSegStore(t.TempDir(), SegConfig{SegmentTarget: 2 << 10, GarbageRatio: 0.3})
-		if err != nil {
-			t.Fatal(err)
+		var s Store = NewMem()
+		corrupt := func(fp fingerprint.FP) {
+			if sl, ok := s.(*memStore).index[fp]; ok && sl.length > 0 {
+				flipStored(t, s, fp)
+			}
 		}
-		defer s.Close()
+		if !mem {
+			seg, err := NewSegStore(t.TempDir(), SegConfig{SegmentTarget: 2 << 10, GarbageRatio: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			s = seg
+			corrupt = func(fp fingerprint.FP) { corruptOnDisk(t, seg, fp) }
+		}
 		chunk := func(b byte) []byte {
 			if id := int(b >> 2); id > 0 {
 				return segChunk(id, 2+id*97%1500)
 			}
 			return nil
 		}
+		var err error
 		for _, op := range ops {
 			fp := fingerprint.Of(chunk(op))
 			switch op & 3 {
 			case 0, 1:
 				err = s.PutChunk(fp, chunk(op))
 			case 2:
-				if has, _ := s.HasChunk(fp); has {
+				if held(s, fp) {
 					err = s.ReleaseChunk(fp)
 				}
 			case 3:
-				if err = s.Commit(); err == nil {
-					_, err = s.Compact()
+				if err = s.Commit(); err == nil && !mem {
+					_, err = s.(*SegStore).Compact()
 				}
 			}
 			if err != nil {
@@ -149,7 +164,7 @@ func FuzzReadRecords(f *testing.F) {
 			data, flags := chunk(batch[i]<<2), batch[i+1]
 			fp := fingerprint.Of(data)
 			if flags&2 != 0 {
-				corruptOnDisk(t, s, fp)
+				corrupt(fp)
 			}
 			n := int32(len(data))
 			if flags&1 != 0 {

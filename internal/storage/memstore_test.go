@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // refStore is the in-memory store as it was before chunk bytes moved into
-// arenas — one heap object per chunk — kept as the reference the arena
-// store is checked against.
+// arenas — one heap object per chunk — kept as the reference both engines
+// are checked against. Its batch put and batch read are per-record loops:
+// the oracle an engine's one-pass batch must match.
 type refStore struct {
 	chunks map[fingerprint.FP]*refChunk
 	bytes  int64
@@ -22,6 +24,7 @@ type refStore struct {
 
 type refChunk struct {
 	data []byte
+	sum  uint32
 	refs int
 }
 
@@ -30,6 +33,10 @@ func newRefStore() *refStore {
 }
 
 func (s *refStore) PutChunk(fp fingerprint.FP, data []byte) error {
+	return s.PutChunkSum(fp, data, fingerprint.ChunkSum(&fp, data))
+}
+
+func (s *refStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	if s.failed {
 		return ErrFailed
 	}
@@ -37,28 +44,47 @@ func (s *refStore) PutChunk(fp fingerprint.FP, data []byte) error {
 		c.refs++
 		return nil
 	}
-	s.chunks[fp] = &refChunk{data: append([]byte{}, data...), refs: 1}
+	s.chunks[fp] = &refChunk{data: append([]byte{}, data...), sum: sum, refs: 1}
 	s.bytes += int64(len(data))
 	return nil
 }
 
+// PutRecords is one PutChunkSum per record.
+func (s *refStore) PutRecords(payload []byte, recs []Record) (int, error) {
+	for i, r := range recs {
+		if err := s.PutChunkSum(r.FP, payload[r.Off:r.Off+r.Len], r.Sum); err != nil {
+			return i, err
+		}
+	}
+	return len(recs), nil
+}
+
 func (s *refStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
+	data, _, err := s.GetChunkSum(fp)
+	return data, err
+}
+
+func (s *refStore) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	if s.failed {
-		return nil, ErrFailed
+		return nil, 0, ErrFailed
 	}
 	c, ok := s.chunks[fp]
 	if !ok {
-		return nil, chunkNotFound(fp)
+		return nil, 0, chunkNotFound(fp)
 	}
-	return c.data, nil
+	return c.data, c.sum, nil
 }
 
-func (s *refStore) HasChunk(fp fingerprint.FP) (bool, error) {
-	if s.failed {
-		return false, ErrFailed
+// ReadRecords is one GetChunk, a length compare and a copy per record.
+func (s *refStore) ReadRecords(dst []byte, recs []Record, errs []error) {
+	for i, r := range recs {
+		data, err := s.GetChunk(r.FP)
+		if err == nil && len(data) != int(r.Len) {
+			data, err = nil, LengthError{Got: len(data), Want: int(r.Len)}
+		}
+		copy(dst[r.Off:r.Off+r.Len], data)
+		errs[i] = err
 	}
-	_, ok := s.chunks[fp]
-	return ok, nil
 }
 
 func (s *refStore) ReleaseChunk(fp fingerprint.FP) error {
@@ -83,6 +109,29 @@ func (s *refStore) Fail() {
 	s.failed = true
 	s.chunks = nil
 	s.bytes = 0
+}
+
+// refsOf is the reference count s's engine holds for fp, 0 if none.
+func refsOf(s Store, fp fingerprint.FP) int {
+	if t, ok := s.(*Timed); ok {
+		s = t.Inner()
+	}
+	switch s := s.(type) {
+	case *memStore:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int(s.index[fp].refs)
+	case *SegStore:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		loc, ok := s.index[fp]
+		if !ok {
+			return 0
+		}
+		e, _ := s.entryAtLocked(loc)
+		return int(e.Refs)
+	}
+	panic(fmt.Sprintf("refsOf: no engine behind %T", s))
 }
 
 // sameError reports whether two results carry the same error: both nil,
@@ -182,19 +231,53 @@ type handedOut struct {
 	data, want []byte
 }
 
-// TestMemStoreMatchesReference drives the arena store and the reference
-// with the same seeded random sequences of puts, landed batches
-// (PutRecords; one PutChunk per record for the reference), gets,
-// has-checks, releases and failures, over chunk sizes from empty to
-// larger than an arena. Every result, error text, errors.Is answer and
-// Usage must agree; every slice GetChunk returned must keep its bytes
-// through later puts, releases and repacks and have cap == len; and after
-// every batch and release the arenas hold at most 2 × live bytes plus one
-// arena, an adopted payload counting its full capacity. Both fresh-heavy
-// batches (adopted) and batches of mostly duplicates (copied) occur.
+// readBatch draws up to eight records over pool, back to back in dst,
+// one in six of the wrong length.
+func readBatch(rng *rand.Rand, pool [][]byte, fps []fingerprint.FP) []Record {
+	recs := make([]Record, 1+rng.Intn(8))
+	off := int32(0)
+	for k := range recs {
+		i := rng.Intn(len(pool))
+		n := int32(len(pool[i]))
+		if rng.Intn(6) == 0 {
+			n++
+		}
+		recs[k] = Record{FP: fps[i], Off: off, Len: n}
+		off += n
+	}
+	return recs
+}
+
+// TestMemStoreMatchesReference drives each engine — the arena store over
+// twelve seeds, the same behind Timed over two, and the segment store
+// over four — and the reference with the same seeded random sequences of
+// puts, landed batches (PutRecords; one PutChunkSum per record for the
+// reference), gets, summed gets, batch reads (one GetChunk per record for
+// the reference), releases and failures, some landing while a batch is
+// under way, over chunk sizes from empty to larger than an arena. Every
+// result, error text, errors.Is answer, sum and Usage must agree, and so
+// must every reference count a batch touched; every slice GetChunk
+// returned must keep its bytes through later puts, releases and repacks
+// and have cap == len. On the arena store, after every batch and release
+// the arenas hold at most 2 × live bytes plus one arena, an adopted
+// payload counting its full capacity, and both fresh-heavy batches
+// (adopted) and batches of mostly duplicates (copied) occur. On the
+// segment store, batches cross the tail buffer, carry records larger than
+// it, and seal a segment with records still to store; and behind Timed a
+// batch is one sample.
 func TestMemStoreMatchesReference(t *testing.T) {
-	repacks, drops, adopted, copied := 0, 0, 0, 0
-	for seed := int64(1); seed <= 12; seed++ {
+	for _, e := range []struct {
+		engine string
+		seeds  int64
+	}{{"mem", 12}, {"timed", 2}, {"seg", 4}} {
+		t.Run(e.engine, func(t *testing.T) { matchReference(t, e.engine, e.seeds) })
+	}
+}
+
+func matchReference(t *testing.T, engine string, seeds int64) {
+	repacks, drops, adopted, copied, failedBatches := 0, 0, 0, 0, 0
+	crossed, oversized, sealedMid, repeated := 0, 0, 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := make([][]byte, 24+rng.Intn(40))
 		poolFPs := make([]fingerprint.FP, len(pool))
@@ -214,7 +297,28 @@ func TestMemStoreMatchesReference(t *testing.T) {
 			rng.Read(pool[i])
 			poolFPs[i] = fingerprint.Of(pool[i])
 		}
-		got, want := NewMem().(*memStore), newRefStore()
+		var got Store
+		var mem *memStore // the arena store under got, if it is one
+		var seg *SegStore
+		switch engine {
+		case "mem":
+			mem = NewMem().(*memStore)
+			got = mem
+		case "timed":
+			mem = NewMem().(*memStore)
+			got = NewTimed(mem)
+		default:
+			dir := t.TempDir()
+			var err error
+			if seg, err = NewSegStore(dir, SegConfig{SegmentTarget: 512 << 10}); err != nil {
+				t.Fatal(err)
+			}
+			got = seg
+			defer os.RemoveAll(dir)
+			defer seg.Close()
+		}
+		timed, _ := got.(*Timed)
+		want := newRefStore()
 		var out []handedOut
 		verifyOut := func(step int) {
 			for j, h := range out {
@@ -233,34 +337,61 @@ func TestMemStoreMatchesReference(t *testing.T) {
 				err = sameError(got.PutChunk(fp, data), want.PutChunk(fp, data))
 			case op < 40:
 				payload, recs := drawBatch(rng, pool, poolFPs, want)
-				newBytes, seen := 0, map[fingerprint.FP]bool{}
+				newBytes, seen, dup, big := 0, map[fingerprint.FP]bool{}, false, false
 				for _, r := range recs {
 					if _, ok := want.chunks[r.FP]; !ok && !seen[r.FP] {
 						newBytes += int(r.Len)
+						big = big || r.Len > segTailBytes
 					}
+					dup = dup || seen[r.FP]
 					seen[r.FP] = true
 				}
-				wn := 0
-				var werr error
-				for _, r := range recs {
-					if werr = want.PutChunk(r.FP, payload[r.Off:r.Off+r.Len]); werr != nil {
-						break
-					}
-					wn++
+				var tail, seals, writes int64
+				if seg != nil {
+					tail, seals = int64(len(seg.tail)), seg.Stats().Seals
 				}
-				gn, gerr := PutRecords(got, payload, recs)
+				if timed != nil {
+					writes = timed.WriteLatency().Count()
+				}
+				gn, gerr := got.PutRecords(payload, recs)
+				wn, werr := want.PutRecords(payload, recs)
 				if err = sameError(gerr, werr); err == nil && gn != wn {
 					err = fmt.Errorf("PutRecords stored %d records, reference %d", gn, wn)
 				}
-				if err == nil && !got.failed {
-					err = checkArenas(got)
+				for _, r := range recs {
+					if g, w := refsOf(got, r.FP), want.chunks[r.FP]; err == nil && w != nil && g != w.refs {
+						err = fmt.Errorf("after PutRecords %s has %d references, reference %d", r.FP.Short(), g, w.refs)
+					}
+				}
+				if timed != nil && err == nil && timed.WriteLatency().Count() != writes+1 {
+					err = fmt.Errorf("a batch of %d records recorded %d write samples, want 1", len(recs), timed.WriteLatency().Count()-writes)
+				}
+				if got.Failed() || err != nil {
+					break
+				}
+				if seg != nil {
+					switch {
+					case big:
+						oversized++
+					case tail+int64(newBytes) > segTailBytes:
+						crossed++
+					}
+					if seg.Stats().Seals > seals && seg.active != nil && len(seg.active.entries) > 0 {
+						sealedMid++
+					}
+					if dup {
+						repeated++
+					}
+					break
+				}
+				if err = checkArenas(mem); err != nil {
+					break
 				}
 				kept := false
-				for _, ar := range got.arenas {
+				for _, ar := range mem.arenas {
 					kept = kept || cap(payload) > 0 && cap(ar.buf) == cap(payload) && &ar.buf[:1][0] == &payload[:1][0]
 				}
 				switch adopt := newBytes > 0 && 2*newBytes >= cap(payload); {
-				case got.failed:
 				case kept != adopt:
 					err = fmt.Errorf("batch of %d new bytes in a payload of capacity %d: kept %v", newBytes, cap(payload), kept)
 				case kept:
@@ -268,7 +399,7 @@ func TestMemStoreMatchesReference(t *testing.T) {
 				case newBytes > 0:
 					copied++
 				}
-			case op < 55:
+			case op < 50:
 				g, gerr := got.GetChunk(fp)
 				w, werr := want.GetChunk(fp)
 				err = sameError(gerr, werr)
@@ -285,40 +416,82 @@ func TestMemStoreMatchesReference(t *testing.T) {
 						out[rng.Intn(len(out))] = handedOut{g, bytes.Clone(g)}
 					}
 				}
+			case op < 55:
+				g, gs, gerr := got.GetChunkSum(fp)
+				w, ws, werr := want.GetChunkSum(fp)
+				if err = sameError(gerr, werr); err == nil && (!bytes.Equal(g, w) || gs != ws) {
+					err = fmt.Errorf("GetChunkSum returned %d bytes under %08x, reference %d under %08x", len(g), gs, len(w), ws)
+				}
 			case op < 65:
-				g, gerr := got.HasChunk(fp)
-				w, werr := want.HasChunk(fp)
-				if err = sameError(gerr, werr); err == nil && g != w {
-					err = fmt.Errorf("HasChunk = %v, reference %v", g, w)
+				recs := readBatch(rng, pool, poolFPs)
+				end := recs[len(recs)-1].Off + recs[len(recs)-1].Len
+				gdst, gerrs := make([]byte, end), make([]error, len(recs))
+				wdst, werrs := make([]byte, end), make([]error, len(recs))
+				got.ReadRecords(gdst, recs, gerrs)
+				want.ReadRecords(wdst, recs, werrs)
+				for i := range recs {
+					if err = sameError(gerrs[i], werrs[i]); err != nil {
+						err = fmt.Errorf("ReadRecords record %d: %v", i, err)
+						break
+					}
+				}
+				if err == nil && !bytes.Equal(gdst, wdst) {
+					err = fmt.Errorf("ReadRecords placed other bytes than the reference")
 				}
 			case op < 99 || step < steps-100:
 				// A release that repacks moves every live chunk: watch one.
 				var watch fingerprint.FP
 				var before *byte
 				for wfp, c := range want.chunks {
-					if len(c.data) > 0 && wfp != fp {
+					if mem != nil && len(c.data) > 0 && wfp != fp {
 						watch = wfp
 						b, _ := got.GetChunk(wfp)
 						before = &b[0]
 						break
 					}
 				}
-				freeBefore := len(got.free)
-				err = sameError(got.ReleaseChunk(fp), want.ReleaseChunk(fp))
-				if err == nil && !got.failed {
-					err = checkArenas(got)
+				var freeBefore int
+				if mem != nil {
+					freeBefore = len(mem.free)
 				}
+				err = sameError(got.ReleaseChunk(fp), want.ReleaseChunk(fp))
+				if err != nil || mem == nil || got.Failed() {
+					break
+				}
+				err = checkArenas(mem)
 				if before != nil {
 					if b, gerr := got.GetChunk(watch); gerr == nil && &b[0] != before {
 						repacks++
 					}
 				}
-				if len(got.free) > freeBefore {
+				if len(mem.free) > freeBefore {
 					drops++
 				}
-			default:
+			case rng.Intn(2) == 0:
 				got.Fail()
 				want.Fail()
+			default:
+				// The node fails while a batch is being stored: the batch
+				// holds the store, so it lands whole, before the failure, or
+				// not at all.
+				payload, recs := drawBatch(rng, pool, poolFPs, want)
+				var gn int
+				var gerr error
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					gn, gerr = got.PutRecords(payload, recs)
+				}()
+				got.Fail()
+				<-done
+				switch {
+				case gn == len(recs) && gerr == nil:
+					_, err = want.PutRecords(payload, recs)
+				case gn != 0 || !errors.Is(gerr, ErrFailed):
+					err = fmt.Errorf("a batch of %d records racing Fail stored %d: %v", len(recs), gn, gerr)
+				}
+				want.Fail()
+				failedBatches++
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -341,11 +514,11 @@ func TestMemStoreMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if !got.failed {
-			if err := checkArenas(got); err != nil {
+		if mem != nil && !mem.failed {
+			if err := checkArenas(mem); err != nil {
 				t.Fatalf("seed %d drained: %v", seed, err)
 			}
-			for a, ar := range got.arenas {
+			for a, ar := range mem.arenas {
 				if ar.buf != nil {
 					t.Fatalf("seed %d: arena %d survives an empty store", seed, a)
 				}
@@ -353,10 +526,19 @@ func TestMemStoreMatchesReference(t *testing.T) {
 		}
 		verifyOut(steps)
 	}
-	if repacks == 0 || drops == 0 || adopted == 0 || copied == 0 {
+	switch {
+	case engine == "seg":
+		if crossed == 0 || oversized == 0 || sealedMid == 0 || repeated == 0 {
+			t.Fatalf("test premise: %d batches crossing the tail buffer, %d with a record larger than it, %d sealing a segment mid-batch, %d repeating a chunk; want all", crossed, oversized, sealedMid, repeated)
+		}
+		t.Logf("%d batches crossing the tail buffer, %d with a record larger than it, %d sealing mid-batch, %d repeating a chunk, %d racing a failure", crossed, oversized, sealedMid, repeated, failedBatches)
+		return
+	case engine == "mem" && failedBatches == 0:
+		t.Fatal("test premise: no node failed while a batch was stored")
+	case repacks == 0 || drops == 0 || adopted == 0 || copied == 0:
 		t.Fatalf("test premise: %d repacks, %d arena drops, %d adopted and %d copied batches over all seeds, want all", repacks, drops, adopted, copied)
 	}
-	t.Logf("%d repacks, %d arena drops, %d adopted and %d copied batches", repacks, drops, adopted, copied)
+	t.Logf("%d repacks, %d arena drops, %d adopted and %d copied batches, %d racing a failure", repacks, drops, adopted, copied, failedBatches)
 }
 
 // TestMemStoreRepack walks the two reclamation rules by hand: emptying a

@@ -12,10 +12,6 @@ import (
 	"dedupcr/internal/fingerprint"
 )
 
-// noBatch hides a store's batch read, so ReadRecords falls back to one
-// GetChunk per record.
-type noBatch struct{ Store }
-
 // wantRecord is ReadRecords' contract for one record: GetChunk and a
 // length compare.
 func wantRecord(s Store, r Record) ([]byte, error) {
@@ -41,7 +37,7 @@ func checkBatch(t *testing.T, name string, s Store, recs []Record) {
 	if timed != nil {
 		before = timed.ReadLatency().Count()
 	}
-	ReadRecords(s, dst, recs, errs)
+	s.ReadRecords(dst, recs, errs)
 	if timed != nil && timed.ReadLatency().Count() != before+1 {
 		t.Fatalf("%s: a batch of %d records recorded %d read samples, want 1", name, len(recs), timed.ReadLatency().Count()-before)
 	}
@@ -123,12 +119,13 @@ func corruptOnDisk(t *testing.T, s *SegStore, fp fingerprint.FP) bool {
 	return true
 }
 
-// TestReadRecordsMatchesGetChunk: on every store, and through Timed and a
-// wrapper without the batch read, every record of a random batch comes
-// out exactly as GetChunk and a length compare would have it — placed,
-// not found, corrupt, or of the wrong length — with the segment store's
-// chunks in the tail buffer, flushed to the active file, sealed,
-// compacted, reopened, corrupted on disk, and after the node failed.
+// TestReadRecordsMatchesGetChunk: on both engines, directly and through
+// Timed, every record of a random batch comes out exactly as GetChunk and
+// a length compare would have it — placed, not found, corrupt, or of the
+// wrong length — with the memory store's chunks in arenas and corrupted
+// there, the segment store's in the tail buffer, flushed to the active
+// file, sealed, compacted, reopened and corrupted on disk, and after the
+// node failed.
 func TestReadRecordsMatchesGetChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pool := make([][]byte, 200)
@@ -163,6 +160,18 @@ func TestReadRecordsMatchesGetChunk(t *testing.T) {
 	fill(mem)
 	check("mem", mem)
 	check("mem, timed", NewTimed(mem))
+	flipped := 0
+	for i, data := range pool {
+		if !released[i] && len(data) > 0 && rng.Intn(4) == 0 {
+			flipStored(t, mem, fingerprint.Of(data))
+			flipped++
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("test premise: no chunk corrupted")
+	}
+	check("mem, corrupt", mem)
+	check("mem, corrupt, timed", NewTimed(mem))
 
 	dir := t.TempDir()
 	seg, err := NewSegStore(dir, SegConfig{SegmentTarget: 256 << 10})
@@ -209,7 +218,6 @@ func TestReadRecordsMatchesGetChunk(t *testing.T) {
 	}
 	check("seg, corrupt on disk", seg)
 	check("seg, timed", NewTimed(seg))
-	check("seg, no batch read", noBatch{seg})
 
 	mem.Fail()
 	seg.Fail()
@@ -346,7 +354,7 @@ func TestSegReadRecordsConcurrent(t *testing.T) {
 					off += int32(len(data))
 				}
 				dst, errs := make([]byte, off), make([]error, len(recs))
-				ReadRecords(s, dst, recs, errs)
+				s.ReadRecords(dst, recs, errs)
 				for i, r := range recs {
 					switch {
 					case errs[i] == nil && !bytes.Equal(dst[r.Off:r.Off+r.Len], content[r.FP]):

@@ -126,10 +126,10 @@ type activeSeg struct {
 const segTailBytes = 128 << 10
 
 // SegStore is the log-structured segment Store. Create with NewSeg or
-// NewSegStore; the extra methods beyond the Store interface are Commit
-// (durable checkpoint), Compact (synchronous garbage rewrite), Stats
-// (segment/compaction counters) and Close (graceful shutdown: commits,
-// stops the background compactor and waits for in-flight syncs).
+// NewSegStore; the extra methods beyond the Store interface are Compact
+// (synchronous garbage rewrite), Stats (segment/compaction counters) and
+// Close (graceful shutdown: commits, stops the background compactor and
+// waits for in-flight syncs).
 type SegStore struct {
 	mu       sync.Mutex
 	dir      string
@@ -371,18 +371,41 @@ func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	return s.put(fp, data, nil)
 }
 
-func (s *SegStore) putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+func (s *SegStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	return s.put(fp, data, &sum)
 }
 
-// put stores a chunk under the sum given, or under one it takes if that
-// is nil and the chunk is new.
 func (s *SegStore) put(fp fingerprint.FP, data []byte, sum *uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
 		return ErrFailed
 	}
+	return s.putLocked(fp, data, sum)
+}
+
+// PutRecords stores the records under one hold of the mutex, each as
+// PutChunkSum would: a batch may fill and flush the tail buffer, write a
+// record larger than it directly, and seal the active segment, any
+// number of times.
+func (s *SegStore) PutRecords(payload []byte, recs []Record) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed {
+		return 0, ErrFailed
+	}
+	for i := range recs {
+		r := &recs[i]
+		if err := s.putLocked(r.FP, payload[r.Off:r.Off+r.Len], &r.Sum); err != nil {
+			return i, err
+		}
+	}
+	return len(recs), nil
+}
+
+// putLocked stores a chunk under the sum given, or under one it takes if
+// that is nil and the chunk is new.
+func (s *SegStore) putLocked(fp fingerprint.FP, data []byte, sum *uint32) error {
 	if loc, ok := s.index[fp]; ok {
 		e, _ := s.entryAtLocked(loc)
 		e.Refs++
@@ -634,14 +657,14 @@ func (s *SegStore) writeManifestLocked(renamePoint string, blobs map[string]mani
 }
 
 func (s *SegStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	data, _, err := s.getChunkSum(fp)
+	data, _, err := s.GetChunkSum(fp)
 	return data, err
 }
 
-// getChunkSum reads the chunk into a fresh buffer — a batch of one record
+// GetChunkSum reads the chunk into a fresh buffer — a batch of one record
 // as long as its row says — and returns it with the row's sum once the two
 // match.
-func (s *SegStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
+func (s *SegStore) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	var buf []byte
 	rec, errs, sums := []Record{{FP: fp}}, []error{nil}, []uint32{0}
 	s.mu.Lock()
@@ -660,10 +683,11 @@ func (s *SegStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	return buf, sums[0], nil
 }
 
-// readRecords reads a batch under one hold of the mutex and checks every
+// ReadRecords reads a batch under one hold of the mutex and checks every
 // sum in place outside it. Only GetChunk tells a corrupt chunk from one
-// stored at another length, so such a record is read again through it.
-func (s *SegStore) readRecords(dst []byte, recs []Record, errs []error) {
+// stored at another length, so such a record's chunk is read through it:
+// its error, if any, comes before the length's.
+func (s *SegStore) ReadRecords(dst []byte, recs []Record, errs []error) {
 	sums := make([]uint32, len(recs))
 	s.mu.Lock()
 	s.readLocked(dst, recs, errs, sums)
@@ -673,7 +697,9 @@ func (s *SegStore) readRecords(dst []byte, recs []Record, errs []error) {
 		case nil:
 			errs[i] = CheckSum(&recs[i].FP, dst[r.Off:r.Off+r.Len], sums[i])
 		case LengthError:
-			errs[i] = readRecord(s, dst, r)
+			if _, err := s.GetChunk(r.FP); err != nil {
+				errs[i] = err
+			}
 		}
 	}
 }
@@ -729,16 +755,6 @@ func (s *SegStore) readLocked(dst []byte, recs []Record, errs []error, sums []ui
 		}
 	}
 	read(len(recs))
-}
-
-func (s *SegStore) HasChunk(fp fingerprint.FP) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed {
-		return false, ErrFailed
-	}
-	_, ok := s.index[fp]
-	return ok, nil
 }
 
 func (s *SegStore) ReleaseChunk(fp fingerprint.FP) error {

@@ -105,7 +105,7 @@ func TestSegUncommittedInvisibleAfterReopen(t *testing.T) {
 		t.Fatalf("committed chunk after reopen: %q, %v", got, err)
 	}
 	for i := 1; i <= 12; i++ {
-		if ok, _ := r.HasChunk(fingerprint.Of(segChunk(i, 1024))); ok {
+		if held(r, fingerprint.Of(segChunk(i, 1024))) {
 			t.Fatalf("uncommitted chunk %d visible after reopen", i)
 		}
 	}
@@ -142,13 +142,13 @@ func TestSegRefcountsSurviveReopen(t *testing.T) {
 	if err := r.ReleaseChunk(fp); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := r.HasChunk(fp); !ok {
+	if !held(r, fp) {
 		t.Fatal("chunk deleted after releasing one of two references")
 	}
 	if err := r.ReleaseChunk(fp); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := r.HasChunk(fp); ok {
+	if held(r, fp) {
 		t.Fatal("chunk survived releasing both references")
 	}
 }
@@ -524,7 +524,7 @@ func TestSegTailBuffersAppends(t *testing.T) {
 	defer r.Close()
 	for i := 0; i < small; i++ {
 		if i == 3 {
-			if ok, _ := r.HasChunk(fingerprint.Of(dead)); ok {
+			if held(r, fingerprint.Of(dead)) {
 				t.Error("released chunk live after reopen")
 			}
 			continue

@@ -8,6 +8,11 @@
 // segment store (segment.go) with crash-safe checkpoint commit and
 // background compaction — the durable engine of the socket-transport
 // daemon and the examples that want real files on a real local device.
+// Both, and the Timed wrapper, implement every Store method with one path
+// each: the summed puts (PutChunkSum, and PutRecords for a landed batch),
+// the summed and batched reads (GetChunkSum, ReadRecords) and the
+// durability point (Commit) are methods the dump and the restore call on
+// any store, with no per-record fallback behind them.
 //
 // Who verifies what: a chunk's sum (fingerprint.ChunkSum, a CRC-32C over
 // fingerprint ‖ bytes) is taken once per hop and travels with it. Its
@@ -19,8 +24,8 @@
 // sum to its store with the record (Record.Sum). A restoring rank checks
 // what a peer sent against the sum the peer's store read it under, and
 // hands that sum to its own store. So no store hashes or sums a chunk on
-// the way in: the caller vouches for the sum, and a store without the sum
-// forms (PutChunk) sums the bytes itself. Every read — GetChunk,
+// the way in: the caller vouches for the sum, and only PutChunk, for a
+// caller that holds none, sums the bytes itself. Every read — GetChunk,
 // GetChunkSum, or ReadRecords where it placed each chunk — checks the
 // stored sum and returns ErrCorrupt on a mismatch: a flipped byte, a
 // wrong sum handed in, or an index row pointing at another chunk's bytes.
@@ -109,21 +114,43 @@ type Store interface {
 	// the store does not SHA-1 it. A caller that holds the sum already
 	// hands it over with PutChunkSum instead.
 	PutChunk(fp fingerprint.FP, data []byte) error
+	// PutChunkSum stores data under fp as PutChunk does, keeping sum as its
+	// at-rest sum: the caller vouches that sum is fingerprint.ChunkSum(fp,
+	// data), and a wrong one makes every read of the chunk ErrCorrupt.
+	PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error
+	// PutRecords stores each record of payload as PutChunkSum would with
+	// its Sum, in order, and returns how many it stored: all of them, or
+	// those before the one that failed. payload is handed over: the store
+	// may keep it, so the caller must not write to it again.
+	PutRecords(payload []byte, recs []Record) (int, error)
 	// GetChunk returns the content of fp, ErrNotFound, or ErrCorrupt if
 	// the stored bytes no longer match the checksum PutChunk took. Bytes
 	// it returns are the bytes PutChunk was given.
 	GetChunk(fp fingerprint.FP) ([]byte, error)
-	// HasChunk reports whether fp is stored.
-	HasChunk(fp fingerprint.FP) (bool, error)
+	// GetChunkSum returns fp's bytes as GetChunk does, with the stored sum
+	// they were checked against, which CheckSum accepts them under: nothing
+	// is hashed twice.
+	GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error)
+	// ReadRecords reads each record's chunk into dst[Off:Off+Len] and sets
+	// errs[i], which must exist for every record, to what GetChunk and a
+	// length compare give: nil once the bytes are placed, the store's error
+	// (ErrNotFound, ErrCorrupt, ErrFailed, a read error), or a LengthError.
+	ReadRecords(dst []byte, recs []Record, errs []error)
 	// ReleaseChunk decrements fp's reference count, deleting the chunk
 	// when it drops to zero.
 	ReleaseChunk(fp fingerprint.FP) error
 	// PutBlob persists a small named metadata blob (dataset recipes,
-	// restore hints). The store keeps its own copy of data. A Committer
-	// makes it durable at its next Commit, not before.
+	// restore hints). The store keeps its own copy of data. A store with
+	// a durability point makes it durable at its next Commit, not before.
 	PutBlob(name string, data []byte) error
 	// GetBlob loads a persisted blob, or ErrNotFound.
 	GetBlob(name string) ([]byte, error)
+	// Commit makes every chunk put and release and every blob put since
+	// the previous Commit survive a crash, atomically: after a kill, the
+	// store's chunks and blobs reopen to the last committed state
+	// together, never a prefix of an uncommitted one. The in-memory store
+	// has nothing to make durable.
+	Commit() error
 	// Usage returns the unique bytes and unique chunk count held.
 	Usage() (bytes int64, chunks int)
 	// Fail simulates the loss of the node: all content becomes
@@ -133,31 +160,8 @@ type Store interface {
 	Failed() bool
 }
 
-// Committer is implemented by stores with an explicit durability point:
-// Commit makes every chunk put and release and every blob put since the
-// previous Commit survive a crash, atomically — after a kill, the store's
-// chunks and blobs reopen to the last committed state together, never a
-// prefix of an uncommitted one.
-type Committer interface {
-	Commit() error
-}
-
-// Commit drives a store's checkpoint commit if it has one. Stores
-// without an explicit commit point (the in-memory store) are a no-op,
-// so pipeline code calls this unconditionally. Instrumentation wrappers
-// exposing Inner() Store are unwrapped.
-func Commit(s Store) error {
-	for {
-		if c, ok := s.(Committer); ok {
-			return c.Commit()
-		}
-		w, ok := s.(interface{ Inner() Store })
-		if !ok {
-			return nil
-		}
-		s = w.Inner()
-	}
-}
+// Commit is s.Commit as a function value.
+func Commit(s Store) error { return s.Commit() }
 
 // Record is one chunk of a landed payload: Len bytes at Off, stored
 // under FP. On a put, Sum is the chunk's sum, fingerprint.ChunkSum(FP,
@@ -168,109 +172,12 @@ type Record struct {
 	Sum      uint32
 }
 
-// sumPutter is implemented by stores that take a chunk with its sum: both
-// engines, and Timed.
-type sumPutter interface {
-	putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error
-}
-
-// PutChunkSum stores data under fp as PutChunk does, keeping sum as its
-// at-rest sum: the caller vouches that sum is fingerprint.ChunkSum(fp,
-// data), and a wrong one makes every read of the chunk ErrCorrupt. Both
-// engines take the sum as given; any other store gets PutChunk, which
-// sums the bytes itself.
-func PutChunkSum(s Store, fp fingerprint.FP, data []byte, sum uint32) error {
-	if p, ok := s.(sumPutter); ok {
-		return p.putChunkSum(fp, data, sum)
-	}
-	return s.PutChunk(fp, data)
-}
-
-// recordPutter is implemented by stores that take a payload's records in
-// one call: the in-memory store, and Timed.
-type recordPutter interface {
-	putRecords(payload []byte, recs []Record) (int, error)
-}
-
-// PutRecords stores each record of payload as PutChunkSum would with its
-// Sum, in order, and returns how many it stored: all of them, or those
-// before the one that failed. payload is handed over: the store may keep
-// it, so the caller must not write to it again. A store without a batch
-// put gets one PutChunkSum per record.
-func PutRecords(s Store, payload []byte, recs []Record) (int, error) {
-	if b, ok := s.(recordPutter); ok {
-		return b.putRecords(payload, recs)
-	}
-	for i, r := range recs {
-		if err := PutChunkSum(s, r.FP, payload[r.Off:r.Off+r.Len], r.Sum); err != nil {
-			return i, err
-		}
-	}
-	return len(recs), nil
-}
-
-// sumGetter is implemented by stores that return a chunk together with the
-// at-rest sum its read was checked against: both engines, and Timed.
-type sumGetter interface {
-	getChunkSum(fp fingerprint.FP) ([]byte, uint32, error)
-}
-
-// GetChunkSum returns fp's bytes as GetChunk does, with a sum CheckSum
-// accepts them under. Both engines return the stored sum the read was
-// checked against, so nothing is hashed twice. Any other store's bytes are
-// SHA-1-checked against fp (a mismatch is ErrCorrupt) before they are
-// summed: every sum it returns vouches for bytes bound to fp.
-func GetChunkSum(s Store, fp fingerprint.FP) ([]byte, uint32, error) {
-	if g, ok := s.(sumGetter); ok {
-		return g.getChunkSum(fp)
-	}
-	data, err := s.GetChunk(fp)
-	switch {
-	case err != nil:
-		return nil, 0, err
-	case fingerprint.Of(data) != fp:
-		return nil, 0, chunkCorrupt(fp)
-	}
-	return data, chunkSum(fp, data), nil
-}
-
 // LengthError is ReadRecords' outcome for a chunk stored at another length
 // than its record's.
 type LengthError struct{ Got, Want int }
 
 func (e LengthError) Error() string {
 	return fmt.Sprintf("storage: chunk is %d bytes, not %d", e.Got, e.Want)
-}
-
-// recordReader is implemented by stores that read a batch of records in
-// one call: the segment store, and Timed.
-type recordReader interface {
-	readRecords(dst []byte, recs []Record, errs []error)
-}
-
-// ReadRecords reads each record's chunk into dst[Off:Off+Len] and sets
-// errs[i], which must exist for every record, to what GetChunk and a length
-// compare give: nil once the bytes are placed, the store's error
-// (ErrNotFound, ErrCorrupt, ErrFailed, a read error), or a LengthError. A
-// store without a batch read gets one GetChunk and one copy per record.
-func ReadRecords(s Store, dst []byte, recs []Record, errs []error) {
-	if b, ok := s.(recordReader); ok {
-		b.readRecords(dst, recs, errs)
-		return
-	}
-	for i, r := range recs {
-		errs[i] = readRecord(s, dst, r)
-	}
-}
-
-// readRecord reads one record through GetChunk.
-func readRecord(s Store, dst []byte, r Record) error {
-	data, err := s.GetChunk(r.FP)
-	if err == nil && len(data) != int(r.Len) {
-		return LengthError{Got: len(data), Want: int(r.Len)}
-	}
-	copy(dst[r.Off:r.Off+r.Len], data) // nothing, on an error
-	return err
 }
 
 // arenaSize is the capacity of one in-memory arena. A chunk that does not
@@ -297,7 +204,7 @@ type memStore struct {
 	blobs  map[string][]byte       // guarded by mu
 	bytes  int64                   // guarded by mu: live chunk bytes
 	dead   int64                   // guarded by mu: arena bytes not live
-	placed []int32                 // guarded by mu: putRecords' new records
+	placed []int32                 // guarded by mu: PutRecords' new records
 	failed bool                    // guarded by mu
 }
 
@@ -330,7 +237,7 @@ func (s *memStore) PutChunk(fp fingerprint.FP, data []byte) error {
 	return s.put(fp, data, nil)
 }
 
-func (s *memStore) putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+func (s *memStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	return s.put(fp, data, &sum)
 }
 
@@ -356,12 +263,12 @@ func (s *memStore) put(fp fingerprint.FP, data []byte, sum *uint32) error {
 	return nil
 }
 
-// putRecords indexes every new record, with its Sum, as if payload were
+// PutRecords indexes every new record, with its Sum, as if payload were
 // adopted as an arena, and keeps it so when the new records fill at least
 // half its capacity. Otherwise it copies them into arenas as PutChunk
 // does: a frame of mostly duplicates would hold its capacity for a few
 // live bytes.
-func (s *memStore) putRecords(payload []byte, recs []Record) (int, error) {
+func (s *memStore) PutRecords(payload []byte, recs []Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -433,16 +340,16 @@ func (s *memStore) arenaLocked(buf []byte) int32 {
 }
 
 func (s *memStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
-	data, _, err := s.getChunkSum(fp)
+	data, _, err := s.GetChunkSum(fp)
 	return data, err
 }
 
-// getChunkSum returns the chunk's bytes in place, capacity clipped to
+// GetChunkSum returns the chunk's bytes in place, capacity clipped to
 // length, once they match their slot's sum, and that sum. The check runs
 // outside the mutex: the bytes were written before the slot was published
 // and are never written again. An empty chunk keeps no sum; its sum is
 // taken here.
-func (s *memStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
+func (s *memStore) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	s.mu.Lock()
 	if s.failed {
 		s.mu.Unlock()
@@ -468,14 +375,44 @@ func (s *memStore) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	return data, sl.sum, nil
 }
 
-func (s *memStore) HasChunk(fp fingerprint.FP) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed {
-		return false, ErrFailed
+// ReadRecords looks every record's slot up under one hold of the mutex,
+// then checks and copies the bytes outside it, as GetChunkSum does. A
+// chunk's sum is checked before its length is compared, so a corrupt
+// chunk is ErrCorrupt whatever its length, as GetChunk has it.
+func (s *memStore) ReadRecords(dst []byte, recs []Record, errs []error) {
+	type found struct {
+		buf []byte
+		sl  slot
 	}
-	_, ok := s.index[fp]
-	return ok, nil
+	at := make([]found, len(recs))
+	s.mu.Lock()
+	failed := s.failed
+	for i, r := range recs {
+		sl, ok := s.index[r.FP] // a miss is the zero slot: no held slot has zero refs
+		if ok && sl.arena >= 0 {
+			at[i].buf = s.arenas[sl.arena].buf
+		}
+		at[i].sl = sl
+	}
+	s.mu.Unlock()
+	for i, r := range recs {
+		sl := at[i].sl
+		end := sl.off + sl.length
+		data := at[i].buf[sl.off:end:end]
+		switch {
+		case failed:
+			errs[i] = ErrFailed
+		case sl.refs == 0:
+			errs[i] = chunkNotFound(r.FP)
+		case sl.arena >= 0 && fingerprint.ChunkSum(&recs[i].FP, data) != sl.sum:
+			errs[i] = chunkCorrupt(r.FP)
+		case sl.length != r.Len:
+			errs[i] = LengthError{Got: int(sl.length), Want: int(r.Len)}
+		default:
+			copy(dst[r.Off:r.Off+r.Len], data)
+			errs[i] = nil
+		}
+	}
 }
 
 func (s *memStore) ReleaseChunk(fp fingerprint.FP) error {
@@ -527,6 +464,10 @@ func (s *memStore) repackLocked() {
 		}
 	}
 }
+
+// Commit has nothing to do: the in-memory store keeps nothing across a
+// crash.
+func (s *memStore) Commit() error { return nil }
 
 func (s *memStore) PutBlob(name string, data []byte) error {
 	s.mu.Lock()

@@ -7,11 +7,19 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"dedupcr/internal/fingerprint"
 )
+
+// held reports whether s holds fp: GetChunk misses only a chunk s does
+// not hold, so a corrupt chunk is held.
+func held(s Store, fp fingerprint.FP) bool {
+	_, err := s.GetChunk(fp)
+	return !errors.Is(err, ErrNotFound)
+}
 
 // stores returns every implementation under a common label, so the
 // conformance tests below run against all engines.
@@ -38,10 +46,6 @@ func TestPutGetChunk(t *testing.T) {
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("got %q", got)
-			}
-			ok, err := s.HasChunk(fp)
-			if err != nil || !ok {
-				t.Fatalf("HasChunk = %v, %v", ok, err)
 			}
 			if _, err := s.GetChunk(fingerprint.Of([]byte("absent"))); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing chunk error = %v, want ErrNotFound", err)
@@ -87,14 +91,14 @@ func TestRefcounting(t *testing.T) {
 				if err := s.ReleaseChunk(fp); err != nil {
 					t.Fatal(err)
 				}
-				if ok, _ := s.HasChunk(fp); !ok {
+				if !held(s, fp) {
 					t.Fatalf("chunk dropped after %d releases", i+1)
 				}
 			}
 			if err := s.ReleaseChunk(fp); err != nil {
 				t.Fatal(err)
 			}
-			if ok, _ := s.HasChunk(fp); ok {
+			if held(s, fp) {
 				t.Fatal("chunk survived final release")
 			}
 			if b, n := s.Usage(); b != 0 || n != 0 {
@@ -229,8 +233,8 @@ func flipStored(t *testing.T, s Store, fp fingerprint.FP) {
 // checkCorrupt asserts what a store holding a corrupt chunk looks like:
 // GetChunk on fp returns ErrCorrupt, printed "chunk <fp>: storage: chunk
 // corrupt", and no bytes, and so does GetChunkSum; every chunk in intact
-// reads back, GetChunkSum handing on the sum stored beside it; HasChunk,
-// Usage and ReleaseChunk behave as for a sound chunk, and once released
+// reads back, GetChunkSum handing on the sum stored beside it; the store
+// still holds fp, and Usage and ReleaseChunk behave as for a sound chunk, and once released
 // fp is an ordinary miss.
 func checkCorrupt(t *testing.T, s Store, fp fingerprint.FP, intact ...[]byte) {
 	t.Helper()
@@ -239,7 +243,7 @@ func checkCorrupt(t *testing.T, s Store, fp fingerprint.FP, intact ...[]byte) {
 	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) || data != nil {
 		t.Fatalf("corrupt chunk: %d bytes, %v; want ErrCorrupt alone", len(data), err)
 	}
-	if data, _, err := GetChunkSum(s, fp); !errors.Is(err, ErrCorrupt) || data != nil {
+	if data, _, err := s.GetChunkSum(fp); !errors.Is(err, ErrCorrupt) || data != nil {
 		t.Fatalf("corrupt chunk: GetChunkSum gives %d bytes, %v; want ErrCorrupt", len(data), err)
 	}
 	if want := fmt.Sprintf("chunk %s: %v", fp.Short(), ErrCorrupt); err.Error() != want {
@@ -250,12 +254,12 @@ func checkCorrupt(t *testing.T, s Store, fp fingerprint.FP, intact ...[]byte) {
 		if got, err := s.GetChunk(fp); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("intact chunk %d: %v", i, err)
 		}
-		if got, sum, err := GetChunkSum(s, fp); err != nil || !bytes.Equal(got, want) || sum != storedSum(t, s, fp) {
+		if got, sum, err := s.GetChunkSum(fp); err != nil || !bytes.Equal(got, want) || sum != storedSum(t, s, fp) {
 			t.Fatalf("intact chunk %d: GetChunkSum gives %d bytes under %08x, %v; want its stored sum", i, len(got), sum, err)
 		}
 	}
-	if has, err := s.HasChunk(fp); !has || err != nil {
-		t.Fatalf("HasChunk on the corrupt chunk = %v, %v", has, err)
+	if !held(s, fp) {
+		t.Fatal("the corrupt chunk is not held any more")
 	}
 	if b, n := s.Usage(); b != bytesBefore || n != chunksBefore {
 		t.Fatalf("Usage moved on a corrupt read: %d/%d, was %d/%d", b, n, bytesBefore, chunksBefore)
@@ -547,7 +551,7 @@ func TestCheckedReadsAllocate(t *testing.T) {
 			t.Errorf("GetChunk allocates %.0f times, want %.0f", allocs, want)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := GetChunkSum(s, fp); err != nil {
+			if _, _, err := s.GetChunkSum(fp); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != want {
@@ -603,17 +607,11 @@ func storedSum(t *testing.T, s Store, fp fingerprint.FP) uint32 {
 	return 0
 }
 
-// foreign hides an engine's summed read, so GetChunkSum takes the path of
-// a store it does not know.
-type foreign struct{ Store }
-
 // TestGetChunkSum: an engine does not hash what it is given, so a chunk
 // put under a fingerprint its bytes do not hash to reads back with its
 // stored sum, and Timed forwards that read to the engine as one timed
-// read. A store GetChunkSum does not know gets no such trust: its bytes
-// are SHA-1-checked against the fingerprint, and the mismatch is
-// ErrCorrupt. An empty chunk, which the memory engine keeps no sum for,
-// gets the sum CheckSum accepts. (checkCorrupt covers the stored sum of
+// read. An empty chunk, which the memory engine keeps no sum for, gets the
+// sum CheckSum accepts. (checkCorrupt covers the stored sum of
 // intact chunks, and ErrCorrupt for changed ones, wherever each engine
 // keeps them.)
 func TestGetChunkSum(t *testing.T) {
@@ -632,7 +630,7 @@ func TestGetChunkSum(t *testing.T) {
 			}
 			timed := NewTimed(s)
 			for _, via := range []Store{s, timed} {
-				got, sum, err := GetChunkSum(via, fp)
+				got, sum, err := via.GetChunkSum(fp)
 				if err != nil || !bytes.Equal(got, data) || sum != storedSum(t, s, fp) {
 					t.Fatalf("%T: %q under %08x, %v; want the stored chunk and sum", via, got, sum, err)
 				}
@@ -640,11 +638,8 @@ func TestGetChunkSum(t *testing.T) {
 			if n := timed.ReadLatency().Count(); n != 1 {
 				t.Fatalf("Timed recorded %d reads for one summed read", n)
 			}
-			if got, _, err := GetChunkSum(foreign{s}, fp); !errors.Is(err, ErrCorrupt) || got != nil {
-				t.Fatalf("foreign store: %q, %v; want ErrCorrupt", got, err)
-			}
-			for _, via := range []Store{s, NewTimed(s), foreign{s}} {
-				got, sum, err := GetChunkSum(via, empty)
+			for _, via := range []Store{s, NewTimed(s)} {
+				got, sum, err := via.GetChunkSum(empty)
 				if err != nil || len(got) != 0 || CheckSum(&empty, got, sum) != nil {
 					t.Fatalf("%T: empty chunk is %d bytes under %08x, %v", via, len(got), sum, err)
 				}
@@ -658,23 +653,21 @@ func TestGetChunkSum(t *testing.T) {
 // Timed — as given, without summing the bytes. A wrong one makes every
 // read of its chunk ErrCorrupt (GetChunk, GetChunkSum, ReadRecords), in
 // the segment store's tail buffer, after a seal and after a reopen, while
-// the chunk put with the right one reads back under it. A store neither
-// put form knows (foreign) gets PutChunk, which sums the bytes itself, so
-// the wrong sum is not kept and both chunks read back.
+// the chunk put with the right one reads back under it.
 func TestPutKeepsCallerSum(t *testing.T) {
 	good, bad := segChunk(1, 1024), segChunk(2, 1024)
 	fps := []fingerprint.FP{fingerprint.Of(good), fingerprint.Of(bad)}
 	right, wrong := fingerprint.ChunkSum(&fps[0], good), fingerprint.ChunkSum(&fps[1], bad)^1
 	puts := map[string]func(Store) error{
 		"PutChunkSum": func(s Store) error {
-			if err := PutChunkSum(s, fps[0], good, right); err != nil {
+			if err := s.PutChunkSum(fps[0], good, right); err != nil {
 				return err
 			}
-			return PutChunkSum(s, fps[1], bad, wrong)
+			return s.PutChunkSum(fps[1], bad, wrong)
 		},
 		"PutRecords": func(s Store) error {
 			recs := []Record{{FP: fps[0], Len: 1024, Sum: right}, {FP: fps[1], Off: 1024, Len: 1024, Sum: wrong}}
-			if n, err := PutRecords(s, append(append(make([]byte, 0, 2048), good...), bad...), recs); err != nil || n != 2 {
+			if n, err := s.PutRecords(append(append(make([]byte, 0, 2048), good...), bad...), recs); err != nil || n != 2 {
 				return fmt.Errorf("PutRecords stored %d of 2: %v", n, err)
 			}
 			return nil
@@ -689,9 +682,8 @@ func TestPutKeepsCallerSum(t *testing.T) {
 		return s
 	}
 	wraps := map[string]func(Store) Store{
-		"engine":  func(s Store) Store { return s },
-		"Timed":   func(s Store) Store { return NewTimed(s) },
-		"foreign": func(s Store) Store { return foreign{s} },
+		"engine": func(s Store) Store { return s },
+		"Timed":  func(s Store) Store { return NewTimed(s) },
 	}
 	for putName, put := range puts {
 		for _, stage := range []string{"mem", "seg tail buffer", "seg sealed", "seg reopened"} {
@@ -722,28 +714,169 @@ func TestPutKeepsCallerSum(t *testing.T) {
 						s = seg(t, dir)
 					}
 					dst, errs := make([]byte, 2048), make([]error, 2)
-					ReadRecords(NewTimed(s), dst, []Record{{FP: fps[0], Len: 1024}, {FP: fps[1], Off: 1024, Len: 1024}}, errs)
+					NewTimed(s).ReadRecords(dst, []Record{{FP: fps[0], Len: 1024}, {FP: fps[1], Off: 1024, Len: 1024}}, errs)
 					if errs[0] != nil || !bytes.Equal(dst[:1024], good) {
 						t.Fatalf("ReadRecords of the chunk put with its sum: %v", errs[0])
-					}
-					if wrapName == "foreign" {
-						if errs[1] != nil || !bytes.Equal(dst[1024:], bad) {
-							t.Fatalf("ReadRecords of the chunk a foreign store summed: %v", errs[1])
-						}
-						if _, sum, err := GetChunkSum(s, fps[1]); err != nil || sum != wrong^1 {
-							t.Fatalf("foreign store kept %08x (%v), want the sum of the bytes", sum, err)
-						}
-						return
 					}
 					if !errors.Is(errs[1], ErrCorrupt) {
 						t.Fatalf("ReadRecords of the chunk put with a wrong sum: %v, want ErrCorrupt", errs[1])
 					}
-					if _, sum, err := GetChunkSum(s, fps[0]); err != nil || sum != right {
+					if _, sum, err := s.GetChunkSum(fps[0]); err != nil || sum != right {
 						t.Fatalf("chunk put with its sum reads back under %08x (%v), want %08x", sum, err, right)
 					}
 					checkCorrupt(t, s, fps[1], good)
 				})
 			}
 		}
+	}
+}
+
+// TestPutRecordsMatchesPerRecordPuts: on both engines, directly and behind
+// Timed, one PutRecords stores what one PutChunkSum per record stores on
+// a twin store — the same count and error, Usage, references, and bytes
+// and sums read back — and Timed records the batch as one write. The
+// batches, each on top of the ones before, cross the segment store's
+// tail buffer, carry a record larger than it, repeat chunks of their own
+// and of earlier batches, seal a segment with records still to store,
+// meet a write error midway (the segment store's active file closed
+// under it: the records before the one that failed are stored, and
+// counted), and race a Fail, which lands before the batch or after it,
+// never inside.
+func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
+	type chunk struct{ id, size int }
+	run := func(n, size, from int) []chunk {
+		out := make([]chunk, n)
+		for i := range out {
+			out[i] = chunk{from + i, size}
+		}
+		return out
+	}
+	batches := []struct {
+		name   string
+		chunks []chunk
+	}{
+		{"crosses the tail buffer", run(4, 40<<10, 1)},
+		{"record larger than the tail buffer", []chunk{{5, 1 << 10}, {6, 200 << 10}, {7, 1 << 10}}},
+		{"repeats", []chunk{{8, 3 << 10}, {8, 3 << 10}, {1, 40 << 10}, {9, 0}, {9, 0}}},
+		{"seals mid-batch", run(8, 50<<10, 10)},
+		{"write error midway", run(20, 10<<10, 20)},
+		{"Fail during the batch", run(4, 1<<10, 40)},
+	}
+	type store struct {
+		Store
+		seg   *SegStore
+		timed *Timed
+	}
+	open := func(t *testing.T, engine string) store {
+		var s store
+		s.Store = NewMem()
+		if strings.HasPrefix(engine, "seg") {
+			seg, err := NewSegStore(t.TempDir(), SegConfig{SegmentTarget: 300 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { seg.Close() })
+			s.Store, s.seg = seg, seg
+		}
+		if strings.HasSuffix(engine, "timed") {
+			s.timed = NewTimed(s.Store)
+			s.Store = s.timed
+		}
+		return s
+	}
+	// sameClass compares errors whose text names each store's own files.
+	sameClass := func(a, b error) bool {
+		return (a == nil) == (b == nil) && errors.Is(a, ErrFailed) == errors.Is(b, ErrFailed) &&
+			errors.Is(a, ErrNotFound) == errors.Is(b, ErrNotFound) && errors.Is(a, os.ErrClosed) == errors.Is(b, os.ErrClosed)
+	}
+	for _, engine := range []string{"mem", "mem, timed", "seg", "seg, timed"} {
+		t.Run(engine, func(t *testing.T) {
+			batch, single := open(t, engine), open(t, engine)
+			var fps []fingerprint.FP
+			for _, b := range batches {
+				var payload []byte
+				recs := make([]Record, len(b.chunks))
+				for i, c := range b.chunks {
+					data := segChunk(c.id, max(c.size, 2))[:c.size]
+					fp := fingerprint.Of(data)
+					recs[i] = Record{FP: fp, Off: int32(len(payload)), Len: int32(c.size), Sum: fingerprint.ChunkSum(&fp, data)}
+					payload = append(payload, data...)
+					fps = append(fps, fp)
+				}
+				perRecord := func() (n int, err error) {
+					for _, r := range recs {
+						if err = single.PutChunkSum(r.FP, payload[r.Off:r.Off+r.Len], r.Sum); err != nil {
+							return n, err
+						}
+						n++
+					}
+					return n, nil
+				}
+				var seals, writes int64
+				if batch.seg != nil {
+					seals = batch.seg.Stats().Seals
+				}
+				if batch.timed != nil {
+					writes = batch.timed.WriteLatency().Count()
+				}
+				var bn, sn int
+				var berr, serr error
+				switch b.name {
+				case "write error midway":
+					if batch.seg == nil {
+						continue
+					}
+					batch.seg.active.f.Close()
+					single.seg.active.f.Close()
+					bn, berr = batch.PutRecords(payload, recs)
+					sn, serr = perRecord()
+					if bn == 0 || bn == len(recs) {
+						t.Fatalf("test premise: the write error stopped the batch after %d of %d records", bn, len(recs))
+					}
+				case "Fail during the batch":
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						bn, berr = batch.PutRecords(payload, recs)
+					}()
+					batch.Fail()
+					<-done
+					if bn == len(recs) {
+						sn, serr = perRecord()
+						single.Fail()
+					} else {
+						single.Fail()
+						sn, serr = perRecord()
+					}
+					if bn != 0 && bn != len(recs) {
+						t.Fatalf("Fail landed inside the batch: %d of %d records stored", bn, len(recs))
+					}
+				default:
+					bn, berr = batch.PutRecords(payload, recs)
+					sn, serr = perRecord()
+				}
+				if bn != sn || !sameClass(berr, serr) {
+					t.Fatalf("%s: the batch stored %d (%v), one put per record %d (%v)", b.name, bn, berr, sn, serr)
+				}
+				if batch.timed != nil && batch.timed.WriteLatency().Count() != writes+1 {
+					t.Fatalf("%s: the batch recorded %d write samples, want 1", b.name, batch.timed.WriteLatency().Count()-writes)
+				}
+				if b.name == "seals mid-batch" && batch.seg != nil && (batch.seg.Stats().Seals == seals || len(batch.seg.active.entries) == 0) {
+					t.Fatalf("test premise: the batch sealed %d segments, %d of its records after the last", batch.seg.Stats().Seals-seals, len(batch.seg.active.entries))
+				}
+				bb, bc := batch.Usage()
+				if sb, sc := single.Usage(); bb != sb || bc != sc {
+					t.Fatalf("%s: Usage %d bytes / %d chunks after the batch, %d / %d after one put per record", b.name, bb, bc, sb, sc)
+				}
+				for _, fp := range fps {
+					bd, bs, berr := batch.GetChunkSum(fp)
+					sd, ss, serr := single.GetChunkSum(fp)
+					if refsOf(batch.Store, fp) != refsOf(single.Store, fp) || !bytes.Equal(bd, sd) || bs != ss || !sameClass(berr, serr) {
+						t.Fatalf("%s: chunk %s reads back %d bytes under %08x (%v) after the batch, %d under %08x (%v) after one put per record",
+							b.name, fp.Short(), len(bd), bs, berr, len(sd), ss, serr)
+					}
+				}
+			}
+		})
 	}
 }

@@ -25,13 +25,14 @@ func NewTimed(store Store) *Timed {
 	return &Timed{inner: store, read: metrics.NewHistogram(), write: metrics.NewHistogram()}
 }
 
-// ReadLatency returns the histogram of GetChunk/GetChunkSum/HasChunk/
-// ReadRecords/GetBlob latencies in nanoseconds, one sample per call: a
-// ReadRecords batch is one sample, however many records it reads.
+// ReadLatency returns the histogram of GetChunk/GetChunkSum/ReadRecords/
+// GetBlob latencies in nanoseconds, one sample per call: a ReadRecords
+// batch is one sample, however many records it reads.
 func (t *Timed) ReadLatency() *metrics.Histogram { return t.read }
 
-// WriteLatency returns the histogram of PutChunk/PutRecords/ReleaseChunk/
-// PutBlob latencies in nanoseconds, one sample per call.
+// WriteLatency returns the histogram of PutChunk/PutChunkSum/PutRecords/
+// ReleaseChunk/PutBlob/Commit latencies in nanoseconds, one sample per
+// call: a PutRecords batch is one sample, however many records it puts.
 func (t *Timed) WriteLatency() *metrics.Histogram { return t.write }
 
 // Inner returns the wrapped store.
@@ -55,22 +56,19 @@ func (t *Timed) PutChunk(fp fingerprint.FP, data []byte) error {
 	return t.inner.PutChunk(fp, data)
 }
 
-// putChunkSum forwards a summed put, timed as one write.
-func (t *Timed) putChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
+func (t *Timed) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	defer record(t.write, now())
-	return PutChunkSum(t.inner, fp, data, sum)
+	return t.inner.PutChunkSum(fp, data, sum)
 }
 
-// putRecords forwards a batch put, timed as one write.
-func (t *Timed) putRecords(payload []byte, recs []Record) (int, error) {
+func (t *Timed) PutRecords(payload []byte, recs []Record) (int, error) {
 	defer record(t.write, now())
-	return PutRecords(t.inner, payload, recs)
+	return t.inner.PutRecords(payload, recs)
 }
 
-// readRecords forwards a batch read, timed as one read.
-func (t *Timed) readRecords(dst []byte, recs []Record, errs []error) {
+func (t *Timed) ReadRecords(dst []byte, recs []Record, errs []error) {
 	defer record(t.read, now())
-	ReadRecords(t.inner, dst, recs, errs)
+	t.inner.ReadRecords(dst, recs, errs)
 }
 
 func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
@@ -78,15 +76,9 @@ func (t *Timed) GetChunk(fp fingerprint.FP) ([]byte, error) {
 	return t.inner.GetChunk(fp)
 }
 
-// getChunkSum forwards a summed read, timed as one read.
-func (t *Timed) getChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
+func (t *Timed) GetChunkSum(fp fingerprint.FP) ([]byte, uint32, error) {
 	defer record(t.read, now())
-	return GetChunkSum(t.inner, fp)
-}
-
-func (t *Timed) HasChunk(fp fingerprint.FP) (bool, error) {
-	defer record(t.read, now())
-	return t.inner.HasChunk(fp)
+	return t.inner.GetChunkSum(fp)
 }
 
 func (t *Timed) ReleaseChunk(fp fingerprint.FP) error {
@@ -104,12 +96,11 @@ func (t *Timed) GetBlob(name string) ([]byte, error) {
 	return t.inner.GetBlob(name)
 }
 
-// Commit forwards a checkpoint commit to the wrapped store, timing it
-// as a write — manifest fsyncs are exactly the device-side cost the
-// write histogram exists to surface.
+// Commit is timed as a write: manifest fsyncs are exactly the
+// device-side cost the write histogram exists to surface.
 func (t *Timed) Commit() error {
 	defer record(t.write, now())
-	return Commit(t.inner)
+	return t.inner.Commit()
 }
 
 func (t *Timed) Usage() (int64, int) { return t.inner.Usage() }

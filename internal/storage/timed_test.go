@@ -21,8 +21,8 @@ func TestTimedStoreRecordsLatencies(t *testing.T) {
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("GetChunk = %q, %v", data, err)
 	}
-	if ok, err := ts.HasChunk(fp); err != nil || !ok {
-		t.Fatalf("HasChunk = %v, %v", ok, err)
+	if _, _, err := ts.GetChunkSum(fp); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := ts.GetBlob("recipe"); err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestTimedStoreRecordsLatencies(t *testing.T) {
 	}
 
 	// 3 writes (PutChunk, PutBlob, ReleaseChunk), 3 reads (GetChunk,
-	// HasChunk, GetBlob).
+	// GetChunkSum, GetBlob).
 	if got := ts.WriteLatency().Count(); got != 3 {
 		t.Errorf("write latency count = %d, want 3", got)
 	}
