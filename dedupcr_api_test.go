@@ -11,9 +11,14 @@ import (
 	"time"
 
 	"dedupcr"
+	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/storage"
 )
+
+// Every frame buffer given back to a free list is overwritten (see
+// collectives.PoisonFrames).
+func init() { collectives.PoisonFrames() }
 
 // Compile-time lock on the public API surface: the legacy
 // background-context entry points and their context-first counterparts

@@ -75,16 +75,23 @@ type frameTaker interface {
 // after a nil return the caller must not touch frame again, and the
 // receiver may get that very buffer. After an error it was not retained.
 // A Comm that cannot take ownership — any wrapper, the fault-injection
-// one included — gets a copying Send. A non-zero deadline bounds the send
-// on DeadlineSender transports.
+// one included — gets a copying Send, after which frame goes back to the
+// free list beneath it. A non-zero deadline bounds the send on
+// DeadlineSender transports.
 func Handover(c Comm, to int, tag Tag, frame []byte, deadline time.Time) error {
 	if ft, ok := c.(frameTaker); ok {
 		return ft.sendOwned(to, tag, frame, deadline)
 	}
+	var err error
 	if ds, ok := c.(DeadlineSender); ok && !deadline.IsZero() {
-		return ds.SendDeadline(to, tag, frame, deadline)
+		err = ds.SendDeadline(to, tag, frame, deadline)
+	} else {
+		err = c.Send(to, tag, frame)
 	}
-	return c.Send(to, tag, frame)
+	if err == nil {
+		Release(c, frame)
+	}
+	return err
 }
 
 // Stats counts transport traffic for one rank. The experiment harness

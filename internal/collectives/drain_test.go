@@ -189,7 +189,7 @@ func TestWindowHandoverOwnership(t *testing.T) {
 				win := OpenWindow(c, size, 1)
 				if c.Rank() == 1 {
 					for i := 0; i < puts; i++ {
-						frame := append(NewFrame(16), bytes.Repeat([]byte{byte(i)}, 16)...)
+						frame := append(win.NewFrame(16), bytes.Repeat([]byte{byte(i)}, 16)...)
 						sent <- &frame[putHeader]
 						err := win.PutFrame(0, int64(i*16), frame, uint32(1000+i))
 						if i == 0 && faulty {

@@ -24,7 +24,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := writeFrame(&buf, Tag(tag)+1, []byte("next")); err != nil {
 			t.Fatalf("writeFrame second frame: %v", err)
 		}
-		gotTag, gotPayload, gotTC, err := readFrame(&buf)
+		gotTag, gotPayload, gotTC, err := readFrame(&buf, nil)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
 		}
@@ -35,7 +35,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if gotTC != nil {
 			t.Fatalf("legacy frame decoded with a trace context: %+v", gotTC)
 		}
-		gotTag, gotPayload, _, err = readFrame(&buf)
+		gotTag, gotPayload, _, err = readFrame(&buf, nil)
 		if err != nil || gotTag != Tag(tag)+1 || string(gotPayload) != "next" {
 			t.Fatalf("second frame corrupted: tag %v, %q, err %v", gotTag, gotPayload, err)
 		}
@@ -44,7 +44,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// bounded frame or an error, never a panic or an over-limit alloc.
 		r := bytes.NewReader(payload)
 		for {
-			_, p, _, err := readFrame(r)
+			_, p, _, err := readFrame(r, nil)
 			if err != nil {
 				break
 			}

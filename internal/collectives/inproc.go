@@ -17,6 +17,7 @@ import (
 type Group struct {
 	size   int
 	boxes  []*mailbox
+	free   frameList // the buffers of put and fetch frames, shared by the ranks
 	closed atomic.Bool
 }
 
@@ -48,6 +49,7 @@ func (g *Group) Close() error {
 		for _, b := range g.boxes {
 			b.close()
 		}
+		g.free.close()
 	}
 	return nil
 }
@@ -86,6 +88,7 @@ var _ Comm = (*InprocComm)(nil)
 var _ aborter = (*InprocComm)(nil)
 var _ killer = (*InprocComm)(nil)
 var _ frameTaker = (*InprocComm)(nil)
+var _ framer = (*InprocComm)(nil)
 
 // Rank implements Comm.
 func (c *InprocComm) Rank() int { return c.rank }
@@ -98,6 +101,8 @@ func (c *InprocComm) NextSeq() uint32 { return c.seq.Add(1) }
 
 // Stats implements Comm.
 func (c *InprocComm) Stats() Stats { return c.snapshot() }
+
+func (c *InprocComm) frames() *frameList { return &c.group.free }
 
 // abortComm implements the collective abort protocol for the in-process
 // transport: every rank of the group observes the failure immediately.

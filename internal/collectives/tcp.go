@@ -34,6 +34,7 @@ type TCPComm struct {
 
 	listener net.Listener
 	box      *mailbox
+	free     frameList // the buffers of window and fetch frames, read and written
 
 	mu      sync.Mutex
 	conns   map[int]*tcpSender // guarded by mu
@@ -57,6 +58,7 @@ var _ aborter = (*TCPComm)(nil)
 var _ killer = (*TCPComm)(nil)
 var _ DeadlineSender = (*TCPComm)(nil)
 var _ frameTaker = (*TCPComm)(nil)
+var _ framer = (*TCPComm)(nil)
 
 // tcpSender is one outgoing connection with its write lock.
 type tcpSender struct {
@@ -110,6 +112,8 @@ func (c *TCPComm) NextSeq() uint32 { return c.seq.Add(1) }
 
 // Stats implements Comm.
 func (c *TCPComm) Stats() Stats { return c.snapshot() }
+
+func (c *TCPComm) frames() *frameList { return &c.free }
 
 func (c *TCPComm) acceptLoop() {
 	defer c.wg.Done()
@@ -184,14 +188,25 @@ func writeFrameTC(w io.Writer, tag Tag, tc *TraceContext, payload []byte) error 
 // short stream errors out — never the full declared size.
 const frameAllocChunk = 1 << 20
 
-// readFrame reads one frame from r, returning its tag, payload and
-// optional trace context (nil on legacy frames without the bit-31 flag).
-// It rejects frames whose declared payload exceeds maxFrameSize, and
-// allocates progressively so the declared size is only ever backed by
-// bytes that really arrived.
-func readFrame(r io.Reader) (Tag, []byte, *TraceContext, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads the frames of one stream. Its header buffer lives as
+// long as the stream, so reading a frame allocates at most its payload.
+type frameReader struct {
+	r    io.Reader
+	free *frameList
+	hdr  [8]byte
+}
+
+// next reads one frame, returning its tag, payload and optional trace
+// context (nil on legacy frames without the bit-31 flag). It rejects
+// frames whose declared payload exceeds maxFrameSize, and allocates
+// progressively so the declared size is only ever backed by bytes that
+// really arrived. A window or fetch frame (a wildcard tag) of at most
+// frameAllocChunk bytes is read into a buffer from free, which its
+// receiver gives back (Release) once done with it or keeps (Keep); every
+// other frame gets a buffer of its own.
+func (fr *frameReader) next() (Tag, []byte, *TraceContext, error) {
+	r, hdr := fr.r, fr.hdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, nil, err
 	}
 	lenWord := binary.BigEndian.Uint32(hdr[:4])
@@ -202,11 +217,10 @@ func readFrame(r io.Reader) (Tag, []byte, *TraceContext, error) {
 	}
 	var tc *TraceContext
 	if lenWord&flagTraceCtx != 0 {
-		var tcLen [1]byte
-		if _, err := io.ReadFull(r, tcLen[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 			return 0, nil, nil, err
 		}
-		tcBuf := make([]byte, tcLen[0])
+		tcBuf := make([]byte, hdr[0])
 		if _, err := io.ReadFull(r, tcBuf); err != nil {
 			return 0, nil, nil, err
 		}
@@ -216,11 +230,15 @@ func readFrame(r io.Reader) (Tag, []byte, *TraceContext, error) {
 		}
 	}
 	total := int(size)
-	step := total
-	if step > frameAllocChunk {
-		step = frameAllocChunk
+	var payload []byte
+	switch {
+	case total > frameAllocChunk:
+		payload = make([]byte, frameAllocChunk)
+	case tag >= tagWinBase:
+		payload = fr.free.get(total)
+	default:
+		payload = make([]byte, total)
 	}
-	payload := make([]byte, step)
 	read := 0
 	for {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {
@@ -259,8 +277,9 @@ func (c *TCPComm) readLoop(conn net.Conn) {
 	// mark (e.g. from a previous connection it dropped and redialed after
 	// a per-put timeout).
 	c.box.unfailPeer(from)
+	fr := &frameReader{r: conn, free: &c.free}
 	for {
-		tag, payload, tc, err := readFrame(conn)
+		tag, payload, tc, err := fr.next()
 		if err != nil {
 			if c.closed.Load() || c.aborted.Load() != nil {
 				return
@@ -426,12 +445,19 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 	return nil
 }
 
-// sendOwned implements frameTaker: TCP never retains a sent buffer, so a
-// handed-over full-size frame is recycled for the next put.
+// sendOwned implements frameTaker: a frame to this rank is delivered
+// itself, and one written to a peer is given back (Release).
 func (c *TCPComm) sendOwned(to int, tag Tag, frame []byte, deadline time.Time) error {
+	if to == c.rank {
+		if e := c.aborted.Load(); e != nil {
+			return e
+		}
+		c.box.put(c.rank, tag, frame)
+		return nil
+	}
 	err := c.SendDeadline(to, tag, frame, deadline)
-	if err == nil && cap(frame) == frameAllocChunk {
-		putFrames.Put(&frame)
+	if err == nil {
+		c.free.put(frame)
 	}
 	return err
 }
@@ -544,6 +570,7 @@ func (c *TCPComm) Close() error {
 	c.mu.Unlock()
 	c.box.close()
 	c.wg.Wait()
+	c.free.close()
 	return nil
 }
 

@@ -5,10 +5,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 )
+
+// Every frame buffer given back to a free list is overwritten, so a
+// buffer given back while it is still read fails a test.
+func init() { PoisonFrames() }
+
+// readFrame reads one frame from a stream of its own, with free as its
+// list.
+func readFrame(r io.Reader, free *frameList) (Tag, []byte, *TraceContext, error) {
+	return (&frameReader{r: r, free: free}).next()
+}
 
 // runTCP executes body once per rank over a local TCP group, mirroring
 // Run for the socket transport.

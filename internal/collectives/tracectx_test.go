@@ -43,7 +43,7 @@ func TestFrameTraceContextRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, Tag(34), []byte("plain")); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, gotTC, err := readFrame(&buf)
+	tag, payload, gotTC, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFrameTraceContextRoundTrip(t *testing.T) {
 	if gotTC == nil || *gotTC != *tc {
 		t.Fatalf("trace context: got %+v, want %+v", gotTC, tc)
 	}
-	tag, payload, gotTC, err = readFrame(&buf)
+	tag, payload, gotTC, err = readFrame(&buf, nil)
 	if err != nil || tag != Tag(34) || string(payload) != "plain" || gotTC != nil {
 		t.Fatalf("legacy frame after traced: tag %v payload %q tc %+v err %v", tag, payload, gotTC, err)
 	}
@@ -65,7 +65,7 @@ func TestFrameTraceContextEmptyPayload(t *testing.T) {
 	if err := writeFrameTC(&buf, Tag(1), tc, nil); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, gotTC, err := readFrame(&buf)
+	tag, payload, gotTC, err := readFrame(&buf, nil)
 	if err != nil || tag != Tag(1) || len(payload) != 0 {
 		t.Fatalf("empty traced frame: tag %v payload %q err %v", tag, payload, err)
 	}
@@ -155,7 +155,7 @@ func FuzzFrameTraceContextDecode(f *testing.F) {
 		if err := writeFrameTC(&buf, Tag(tag), tc, payload); err != nil {
 			t.Fatalf("writeFrameTC: %v", err)
 		}
-		gotTag, gotPayload, gotTC, err := readFrame(&buf)
+		gotTag, gotPayload, gotTC, err := readFrame(&buf, nil)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
 		}
@@ -173,7 +173,7 @@ func FuzzFrameTraceContextDecode(f *testing.F) {
 		// Arbitrary bytes as a stream: bounded, clean termination.
 		r := bytes.NewReader(payload)
 		for {
-			_, p, _, err := readFrame(r)
+			_, p, _, err := readFrame(r, nil)
 			if err != nil {
 				break
 			}

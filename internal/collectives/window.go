@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -26,13 +25,14 @@ import (
 // checksum the sender took of it. The owner holds no window-sized buffer:
 // Next hands out the landed payloads and their checksums in window-offset
 // order, holding frames that arrive ahead of the cursor, so the caller can
-// commit each frame as it lands and check it its own way.
+// commit each frame as it lands and check it its own way, then give its
+// buffer back (Release) for the next receive or put, or keep it (Keep).
 //
 // Usage (all ranks):
 //
 //	win := OpenWindow(comm, expectedBytes, epoch)
 //	... win.PutFrame(target, offset, frame, sum) for each partner ...
-//	for { payload, sum, err := win.Next(); ... } // io.EOF once complete
+//	for { payload, sum, err := win.Next(); ...; win.Release(payload) } // io.EOF once complete
 //
 // Put and Wait are the copying forms of the same two operations, with
 // the payload's CRC-32C as the checksum: Put copies data into a fresh
@@ -50,6 +50,9 @@ type Window struct {
 	// the frames that landed beyond it, sorted by offset.
 	cursor int64
 	held   []heldFrame
+	// last is the frame of the payload Next handed out last, until it is
+	// released.
+	last []byte
 
 	// OnPut, when set before the first Put, observes every put's payload
 	// size and wall-clock latency (including transport blocking). The
@@ -68,13 +71,15 @@ type Window struct {
 	waitTime time.Duration
 }
 
-// heldFrame is a put payload, with its checksum, that arrived ahead of
-// the drain cursor.
+// heldFrame is a put frame, with its payload's offset and checksum, that
+// arrived ahead of the drain cursor.
 type heldFrame struct {
-	off  int64
-	sum  uint32
-	data []byte
+	off   int64
+	sum   uint32
+	frame []byte
 }
+
+func (h heldFrame) end() int64 { return h.off + int64(len(h.frame)-putHeader) }
 
 // WindowStats reports what one window epoch did: outbound puts (remote
 // and local) and the time spent draining the own window.
@@ -126,28 +131,21 @@ func Checksum(sum uint32, b []byte) uint32 { return crc32.Update(sum, castagnoli
 // MaxPutBytes is the largest put payload that, with its header,
 // fits the receiver's first frame allocation (frameAllocChunk): a put of
 // at most this many bytes is read into one buffer allocated once, never
-// through readFrame's grow-and-copy path. Senders that gather a
+// through the receiver's grow-and-copy path. Senders that gather a
 // contiguous region into several puts cut it at this size.
 const MaxPutBytes = frameAllocChunk - putHeader
 
-// putFrames recycles the full-size put frames TCP has written (frames a
-// receiver was handed are its own).
-var putFrames sync.Pool
-
-// NewFrame returns an empty put frame — its length is the header
-// headroom — with room for n payload bytes.
-func NewFrame(n int) []byte {
-	if fb, ok := putFrames.Get().(*[]byte); ok && n <= MaxPutBytes {
-		return (*fb)[:putHeader]
-	}
-	return make([]byte, putHeader, putHeader+n)
-}
+// NewFrame returns an empty put frame from the communicator's free list —
+// its length is the header headroom — with room for n payload bytes.
+func (w *Window) NewFrame(n int) []byte { return framesOf(w.comm).get(putHeader + n)[:putHeader] }
 
 // Put writes data into the window of rank target at the given byte
-// offset, through a fresh frame whose checksum is the payload's CRC-32C:
-// data stays the caller's.
+// offset, through a frame of its own whose checksum is the payload's
+// CRC-32C: data stays the caller's. The frame does not come from the free
+// list, whose lock a stream of small puts would queue on.
 func (w *Window) Put(target int, offset int64, data []byte) error {
-	return w.PutFrame(target, offset, append(NewFrame(len(data)), data...), Checksum(0, data))
+	frame := append(make([]byte, putHeader, putHeader+len(data)), data...)
+	return w.PutFrame(target, offset, frame, Checksum(0, data))
 }
 
 // PutFrame writes the payload of frame — a NewFrame with the payload
@@ -186,8 +184,10 @@ func (w *Window) PutFrame(target int, offset int64, frame []byte, sum uint32) er
 
 // Next returns the next put's payload in window-offset order, which the
 // caller now owns, and its sender's checksum, or io.EOF once the whole
-// window has been handed out. Checking the payload against the sum is the
-// caller's, folded into its own pass over the bytes: Wait checks the
+// window has been handed out. The caller gives the payload's frame back
+// with Release once nothing reads the payload, or keeps it (Keep) if it
+// gave the payload away for good. Checking the payload against the sum is
+// the caller's, folded into its own pass over the bytes: Wait checks the
 // payload's CRC-32C, the dump's committer the CRC-32C over the sums it
 // takes of the frame's records. A frame is placed as it lands: outside the
 // window, on bytes already handed out, or overlapping a held put is an
@@ -200,8 +200,8 @@ func (w *Window) Next() ([]byte, uint32, error) {
 		if len(w.held) > 0 && w.held[0].off == w.cursor {
 			h := w.held[0]
 			w.held = w.held[1:]
-			w.cursor += int64(len(h.data))
-			return h.data, h.sum, nil
+			w.cursor, w.last = h.end(), h.frame
+			return h.frame[putHeader:], h.sum, nil
 		}
 		if w.cursor == w.size {
 			return nil, 0, io.EOF
@@ -219,20 +219,49 @@ func (w *Window) Next() ([]byte, uint32, error) {
 				len(data), off, w.size)
 		}
 		if len(data) == 0 {
+			Release(w.comm, frame)
 			continue
 		}
 		i, _ := slices.BinarySearchFunc(w.held, off, func(h heldFrame, off int64) int { return cmp.Compare(h.off, off) })
-		if off < w.cursor || i > 0 && w.held[i-1].off+int64(len(w.held[i-1].data)) > off ||
+		if off < w.cursor || i > 0 && w.held[i-1].end() > off ||
 			i < len(w.held) && w.held[i].off < off+int64(len(data)) {
 			return nil, 0, fmt.Errorf("collectives: put of %d bytes at offset %d overlaps an earlier put", len(data), off)
 		}
-		w.held = slices.Insert(w.held, i, heldFrame{off, sum, data})
+		w.held = slices.Insert(w.held, i, heldFrame{off, sum, frame})
 	}
 }
 
+// Release gives the frame of payload, the payload Next returned last,
+// back to the communicator's free list. Nothing may read payload
+// afterwards. Any other payload is ignored.
+func (w *Window) Release(payload []byte) {
+	if f := w.frameOf(payload); f != nil {
+		Release(w.comm, f)
+	}
+}
+
+// Keep makes the frame of payload, the payload Next returned last, the
+// caller's for good (Keep). Any other payload is ignored.
+func (w *Window) Keep(payload []byte) {
+	if f := w.frameOf(payload); f != nil {
+		Keep(w.comm, f)
+	}
+}
+
+// frameOf returns the frame of payload if it is the payload Next returned
+// last, and forgets it.
+func (w *Window) frameOf(payload []byte) []byte {
+	f := w.last
+	if f == nil || len(payload) == 0 || &f[putHeader] != &payload[0] {
+		return nil
+	}
+	w.last = nil
+	return f
+}
+
 // Wait drains the window through Next into one buffer and returns it,
-// failing on the first frame whose payload's CRC-32C is not its checksum:
-// the checksum Put takes.
+// giving every frame back once copied, and failing on the first frame
+// whose payload's CRC-32C is not its checksum: the checksum Put takes.
 func (w *Window) Wait() ([]byte, error) {
 	buf := make([]byte, 0, w.size)
 	for {
@@ -247,6 +276,7 @@ func (w *Window) Wait() ([]byte, error) {
 			return nil, fmt.Errorf("%w: window frame at offset %d", ErrChecksum, len(buf))
 		}
 		buf = append(buf, data...)
+		w.Release(data)
 	}
 }
 

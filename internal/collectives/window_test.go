@@ -168,34 +168,46 @@ func TestWildcardTagDisjointFromWindowEpochs(t *testing.T) {
 
 // TestMaxPutFrameReadInOneAllocation pins why MaxPutBytes is what it is:
 // the frame of a maximum-size put is exactly the receiver's first frame
-// allocation, so readFrame allocates its payload once — as for a tiny
-// frame — and only a frame one byte larger takes the grow-and-copy path.
-// Under the race detector only the length and capacity checks run: its
+// allocation, so readFrame allocates its payload at most once — as for a
+// tiny frame — and not at all once the free list holds a buffer it fits;
+// only a frame one byte larger takes the grow-and-copy path. Under the
+// race detector only the length and capacity checks run: its
 // instrumentation adds allocations of its own, now and then.
 func TestMaxPutFrameReadInOneAllocation(t *testing.T) {
 	if MaxPutBytes+putHeader != frameAllocChunk {
 		t.Fatalf("MaxPutBytes %d + %d-byte put header != frame allocation step %d", MaxPutBytes, putHeader, frameAllocChunk)
 	}
-	allocs := func(payloadLen int) float64 {
+	// allocs reads a window frame of payloadLen bytes with free as the
+	// list, giving each payload back when giveBack is set.
+	allocs := func(payloadLen int, free *frameList, giveBack bool) float64 {
 		var wire bytes.Buffer
 		if err := writeFrame(&wire, windowTag(1), make([]byte, payloadLen)); err != nil {
 			t.Fatal(err)
 		}
 		r := bytes.NewReader(nil)
+		fr := &frameReader{r: r, free: free}
 		return testing.AllocsPerRun(20, func() {
 			r.Reset(wire.Bytes())
-			_, payload, _, err := readFrame(r)
+			_, payload, _, err := fr.next()
 			if err != nil || len(payload) != payloadLen || cap(payload) != payloadLen {
 				t.Fatalf("readFrame(%d bytes): len %d cap %d err %v", payloadLen, len(payload), cap(payload), err)
 			}
+			if giveBack {
+				free.put(payload)
+			}
 		})
 	}
-	tiny, maxPut, over := allocs(16), allocs(putHeader+MaxPutBytes), allocs(putHeader+MaxPutBytes+1)
+	tiny, over := allocs(16, nil, false), allocs(putHeader+MaxPutBytes+1, nil, false)
+	fresh := allocs(putHeader+MaxPutBytes, &frameList{}, false)
+	reused := allocs(putHeader+MaxPutBytes, &frameList{}, true)
 	if raceEnabled {
 		return
 	}
-	if maxPut != tiny {
-		t.Errorf("a maximum-size put frame costs %.0f allocations to read, a 16-byte frame %.0f: the payload was not allocated once", maxPut, tiny)
+	if fresh > tiny {
+		t.Errorf("a maximum-size put frame costs %.0f allocations to read, a 16-byte frame %.0f: the payload was not allocated once", fresh, tiny)
+	}
+	if reused != 0 {
+		t.Errorf("a maximum-size put frame costs %.0f allocations to read with its buffer given back each time, want 0", reused)
 	}
 	if over != tiny+1 {
 		t.Errorf("a frame one byte over the cap costs %.0f allocations, want %.0f (one regrow)", over, tiny+1)

@@ -434,12 +434,12 @@ type failingPuts struct {
 	left int
 }
 
-func (f *failingPuts) PutRecords(payload []byte, recs []storage.Record) (int, error) {
-	n, err := f.Store.PutRecords(payload, recs[:min(len(recs), f.left)])
+func (f *failingPuts) PutRecords(payload []byte, recs []storage.Record) (int, bool, error) {
+	n, kept, err := f.Store.PutRecords(payload, recs[:min(len(recs), f.left)])
 	if f.left -= n; err == nil && n < len(recs) {
 		err = storage.ErrFailed
 	}
-	return n, err
+	return n, kept, err
 }
 
 // TestCommitReceivedStoreErrorMidBatch: a store that fails at its 70th
@@ -493,12 +493,12 @@ type putLog struct {
 	puts []fingerprint.FP
 }
 
-func (p *putLog) PutRecords(payload []byte, recs []storage.Record) (int, error) {
-	n, err := p.Store.PutRecords(payload, recs)
+func (p *putLog) PutRecords(payload []byte, recs []storage.Record) (int, bool, error) {
+	n, kept, err := p.Store.PutRecords(payload, recs)
 	for _, r := range recs[:n] {
 		p.puts = append(p.puts, r.FP)
 	}
-	return n, err
+	return n, kept, err
 }
 
 // recordFrames packs a sender's records into frames of per records, each

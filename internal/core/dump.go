@@ -414,6 +414,13 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 			}
 			t.begin("commit")
 			return frame, sum, err
+		},
+		release: func(frame []byte, kept bool) {
+			if kept {
+				win.Keep(frame)
+			} else {
+				win.Release(frame)
+			}
 		}}
 	// metas[i] is the RestoreMeta bitmap i of cm.held is read against.
 	metas := [][]byte{metaBlob}
@@ -563,7 +570,7 @@ func putPartner(win *collectives.Window, me, target int, off, region int64, item
 			}
 		}
 		if frame == nil {
-			frame = collectives.NewFrame(max(4+len(data), int(min(region, collectives.MaxPutBytes))))
+			frame = win.NewFrame(max(4+len(data), int(min(region, collectives.MaxPutBytes))))
 		}
 		frame = binary.BigEndian.AppendUint32(frame, uint32(it.pos))
 		frame = append(frame, data...)
@@ -912,14 +919,17 @@ func (f *recordSums) add(pos, sum uint32) {
 // to the recipe's fingerprint, so another chunk's bytes at a position fail
 // it. Only then are the records that end in the frame stored with their
 // sums, those wholly inside it as one batch (Store.PutRecords) that
-// hands the frame over. No record of a frame that fails its sum, or that
-// the parse fails in, reaches the store.
+// hands the frame over. Once that batch is stored, a frame the store did
+// not keep goes back to the transport and one it kept is the store's
+// (release). No record of a frame that fails its sum, or that the parse
+// fails in, reaches the store.
 type committer struct {
 	store   storage.Store
 	m       *metrics.Dump
 	regions []region
 	held    holdings                       // a bitmap per region begun, over its sender's recipe, after any the caller set
 	next    func() ([]byte, uint32, error) // the next frame and its sum; io.EOF after the last
+	release func(frame []byte, kept bool)  // gives a frame back, or keeps it if the store did, if set
 	frame   []byte                         // the current frame
 	p       []byte                         // the unread rest of it
 	sums    recordSums                     // the current frame's records so far
@@ -1021,13 +1031,17 @@ func (c *committer) advance() error {
 		return collectives.ErrChecksum
 	}
 	if c.cut != nil {
-		if err := c.put(c.cut, []storage.Record{c.cutRec}, []mark{c.cutAt}); err != nil {
+		if _, err := c.put(c.cut, []storage.Record{c.cutRec}, []mark{c.cutAt}); err != nil {
 			return err
 		}
 		c.cut = nil
 	}
-	if err := c.put(c.frame, c.batch, c.at); err != nil {
+	kept, err := c.put(c.frame, c.batch, c.at)
+	if err != nil {
 		return err
+	}
+	if c.frame != nil && c.release != nil {
+		c.release(c.frame, kept)
 	}
 	c.batch, c.at = c.batch[:0], c.at[:0]
 	p, want, err := c.next()
@@ -1039,16 +1053,17 @@ func (c *committer) advance() error {
 }
 
 // put stores a batch of records of payload, setting the bits at of the
-// ones stored and counting them.
-func (c *committer) put(payload []byte, recs []storage.Record, at []mark) error {
+// ones stored and counting them, and reports whether the store kept
+// payload.
+func (c *committer) put(payload []byte, recs []storage.Record, at []mark) (bool, error) {
 	if len(recs) == 0 {
-		return nil
+		return false, nil
 	}
-	n, err := c.store.PutRecords(payload, recs)
+	n, kept, err := c.store.PutRecords(payload, recs)
 	for i, r := range recs[:n] {
 		c.held[at[i].h].set(int(at[i].pos))
 		c.m.RecvChunks++
 		c.m.RecvBytes += int64(r.Len)
 	}
-	return err
+	return kept, err
 }

@@ -17,6 +17,10 @@ import (
 
 const testPage = 256 // small chunk size keeps tests fast
 
+// Every frame buffer given back to a free list is overwritten, so a frame
+// given back while a store or a restore still reads it fails a test.
+func init() { collectives.PoisonFrames() }
+
 // page builds one deterministic page of content from a label.
 func page(label string) []byte {
 	seed := int64(0)

@@ -181,7 +181,7 @@ func (s *countingPuts) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) e
 	return s.Store.PutChunkSum(fp, data, sum)
 }
 
-func (s *countingPuts) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+func (s *countingPuts) PutRecords(payload []byte, recs []storage.Record) (int, bool, error) {
 	s.puts += len(recs)
 	return s.Store.PutRecords(payload, recs)
 }

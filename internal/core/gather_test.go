@@ -381,7 +381,7 @@ func TestDrainCommitsCutRecords(t *testing.T) {
 				if i >= 0 {
 					start = cuts[i]
 				}
-				frame := append(collectives.NewFrame(end-start), stream[start:end]...)
+				frame := append(win.NewFrame(end-start), stream[start:end]...)
 				if err := win.PutFrame(0, int64(start), frame, sums[i+1]); err != nil {
 					return err
 				}

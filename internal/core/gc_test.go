@@ -245,14 +245,14 @@ func (s *refLog) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	return err
 }
 
-func (s *refLog) PutRecords(payload []byte, recs []storage.Record) (int, error) {
-	n, err := s.Store.PutRecords(payload, recs)
+func (s *refLog) PutRecords(payload []byte, recs []storage.Record) (int, bool, error) {
+	n, kept, err := s.Store.PutRecords(payload, recs)
 	s.mu.Lock()
 	for _, r := range recs[:n] {
 		s.held[r.FP]++
 	}
 	s.mu.Unlock()
-	return n, err
+	return n, kept, err
 }
 
 func (s *refLog) ReleaseChunk(fp fingerprint.FP) error {

@@ -38,7 +38,7 @@ func (s *keyedStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) err
 	return s.Store.PutChunkSum(fp, data, sum)
 }
 
-func (s *keyedStore) PutRecords(payload []byte, recs []storage.Record) (int, error) {
+func (s *keyedStore) PutRecords(payload []byte, recs []storage.Record) (int, bool, error) {
 	s.mu.Lock()
 	for _, r := range recs {
 		s.fps = append(s.fps, r.FP)

@@ -510,8 +510,9 @@ func (q *peerQueue) cut(holes []hole) ([]fingerprint.FP, []int32) {
 // chunk's bytes under their own true sum fail it. Nothing fetched is
 // hashed. Only an accepted record is stored (re-provisioning this node,
 // under the sum just checked) and placed. Anything else — not found, wrong length, corrupt — is a
-// miss, and the hole moves on to its next candidate's queue. Once every
-// hole is filled, the repeated positions are copied from the first.
+// miss, and the hole moves on to its next candidate's queue. A reply goes
+// back to the transport once its records are copied. Once every hole is
+// filled, the repeated positions are copied from the first.
 func (a *assembly) fetchHoles() error {
 	pipe := fetch.NewPipeline(a.comm, fetchClass)
 	var asked [][]int32 // the holes of every request, by exchange id
@@ -550,6 +551,7 @@ func (a *assembly) fetchHoles() error {
 			served++
 			servedBytes += int64(h.size)
 		}
+		pipe.Release(ex)
 		a.fs.Exchange(ex.Peer, len(ex.FPs), served, servedBytes, ex.Elapsed)
 	}
 	for _, rp := range a.repeats {

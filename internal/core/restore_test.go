@@ -557,7 +557,7 @@ func TestRestoreVerifiesBeforeStoring(t *testing.T) {
 }
 
 // tamperComm hands every batched fetch reply its rank receives from a
-// peer in from to tamper, as a copy, before the restore decodes it: a
+// peer in from to tamper, in place, before the restore decodes it: a
 // reply changed after the serving store checked it, as a bad link or a
 // bad peer would change it. It reads the fetch protocol off the wire as
 // depthComm does.
@@ -588,7 +588,6 @@ func (c *tamperComm) Recv(from int, tag collectives.Tag) ([]byte, error) {
 		peer := c.peerOf[binary.BigEndian.Uint32(data[1:])]
 		c.mu.Unlock()
 		if slices.Contains(c.from, peer) {
-			data = slices.Clone(data)
 			c.tamper(data)
 		}
 	}

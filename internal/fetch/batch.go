@@ -46,8 +46,9 @@ type Record struct {
 // the first record always goes, but once collectives.MaxPutBytes of
 // reply are spoken for the rest are answered not-found without being
 // read, so no request makes this rank build an unbounded frame. A
-// requester that sizes its asks by ReplyBytes never meets the cap.
-func serveChunks(store storage.Store, payload []byte) []byte {
+// requester that sizes its asks by ReplyBytes never meets the cap. The
+// reply is built in a buffer from c's free list (collectives.NewBuffer).
+func serveChunks(c collectives.Comm, store storage.Store, payload []byte) []byte {
 	id := ^uint32(0)
 	if len(payload) >= 4 {
 		id = binary.BigEndian.Uint32(payload)
@@ -70,11 +71,12 @@ func serveChunks(store storage.Store, payload []byte) []byte {
 			size += recSum + len(data)
 		}
 	}
-	return encodeChunksReply(id, recs)
+	return encodeChunksReply(c, id, recs)
 }
 
-// encodeChunksReply builds a batched reply frame in one allocation.
-func encodeChunksReply(id uint32, recs []Record) []byte {
+// encodeChunksReply builds a batched reply frame in one buffer from c's
+// free list.
+func encodeChunksReply(c collectives.Comm, id uint32, recs []Record) []byte {
 	size := replyHeader
 	for _, r := range recs {
 		size += recHeader
@@ -82,7 +84,7 @@ func encodeChunksReply(id uint32, recs []Record) []byte {
 			size += recSum + len(r.Data)
 		}
 	}
-	dst := make([]byte, 0, size)
+	dst := collectives.NewBuffer(c, size)
 	dst = append(dst, replyChunks)
 	dst = binary.BigEndian.AppendUint32(dst, id)
 	for _, r := range recs {
@@ -163,13 +165,15 @@ func ReplyBytes(n int, payload int64) int64 {
 // Exchange is one completed batched request: its id (a pipeline numbers
 // its asks 0, 1, 2, … in the order they were made), what was asked of
 // whom, the answers in the same order, and how long the reply took to
-// arrive.
+// arrive. The records alias the reply frame, which Pipeline.Release gives
+// back.
 type Exchange struct {
 	ID      uint32
 	Peer    int
 	FPs     []fingerprint.FP
 	Records []Record
 	Elapsed time.Duration
+	frame   []byte
 }
 
 // Pipeline is the batched fetch client of one rank. Ask sends a request
@@ -201,7 +205,7 @@ func NewPipeline(c collectives.Comm, class Class) *Pipeline {
 func (p *Pipeline) Ask(peer int, fps []fingerprint.FP) error {
 	id := p.nextID
 	p.nextID++
-	req := make([]byte, 0, 9+len(fps)*fingerprint.Size)
+	req := collectives.NewBuffer(p.comm, 9+len(fps)*fingerprint.Size)
 	req = append(req, opChunks)
 	req = binary.BigEndian.AppendUint32(req, uint32(p.comm.Rank()))
 	req = binary.BigEndian.AppendUint32(req, id)
@@ -209,7 +213,7 @@ func (p *Pipeline) Ask(peer int, fps []fingerprint.FP) error {
 		req = append(req, fps[i][:]...)
 	}
 	sent := time.Now()
-	if err := p.comm.Send(peer, p.class.reqTag(), req); err != nil {
+	if err := collectives.Handover(p.comm, peer, p.class.reqTag(), req, time.Time{}); err != nil {
 		return fmt.Errorf("fetch: batched request to rank %d: %w", peer, err)
 	}
 	p.pending[id] = ask{peer: peer, fps: fps, sent: sent}
@@ -240,5 +244,9 @@ func (p *Pipeline) Next() (Exchange, error) {
 	if err != nil {
 		return Exchange{}, fmt.Errorf("%w (rank %d, exchange %d)", err, a.peer, id)
 	}
-	return Exchange{ID: id, Peer: a.peer, FPs: a.fps, Records: recs, Elapsed: time.Since(a.sent)}, nil
+	return Exchange{ID: id, Peer: a.peer, FPs: a.fps, Records: recs, Elapsed: time.Since(a.sent), frame: frame}, nil
 }
+
+// Release gives the reply frame of ex back to the communicator's free
+// list once its records have been copied: nothing may read them after.
+func (p *Pipeline) Release(ex Exchange) { collectives.Release(p.comm, ex.frame) }

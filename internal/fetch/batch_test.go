@@ -264,7 +264,7 @@ func TestChunksReplyRoundTrip(t *testing.T) {
 			payload += int64(len(data))
 		}
 		id := rng.Uint32()
-		frame := encodeChunksReply(id, recs)
+		frame := encodeChunksReply(nil, id, recs)
 		if want := ReplyBytes(found, payload) + recHeader*int64(len(recs)-found); int64(len(frame)) != want {
 			t.Fatalf("trial %d: %d-byte frame, want %d", trial, len(frame), want)
 		}
@@ -288,7 +288,7 @@ func TestChunksReplyRoundTrip(t *testing.T) {
 
 // TestChunksReplyStrictDecode feeds the decoder each way a frame can lie.
 func TestChunksReplyStrictDecode(t *testing.T) {
-	good := encodeChunksReply(3, sampleRecords())
+	good := encodeChunksReply(nil, 3, sampleRecords())
 	if recs, err := decodeChunksReply(good, 3); err != nil || len(recs) != 3 || string(recs[0].Data) != "abc" || recs[2].Sum != 0x01020304 {
 		t.Fatalf("well-formed frame: %v %v", recs, err)
 	}
@@ -335,13 +335,13 @@ func TestChunksReplyStrictDecode(t *testing.T) {
 // alias it, and their number is bounded by its length), and whatever it
 // accepts must re-encode to exactly the bytes it was given.
 func FuzzChunksReply(f *testing.F) {
-	good := encodeChunksReply(3, sampleRecords())
+	good := encodeChunksReply(nil, 3, sampleRecords())
 	f.Add(good, uint16(3))
 	f.Add(good, uint16(2))
 	f.Add(good[:7], uint16(1))
 	f.Add(good[:12], uint16(1))          // cut inside the first record's sum
 	f.Add(good[:len(good)-2], uint16(3)) // cut inside the last one's
-	f.Add(encodeChunksReply(9, []Record{{Found: true, Sum: ^uint32(0), Data: []byte{0}}}), uint16(1))
+	f.Add(encodeChunksReply(nil, 9, []Record{{Found: true, Sum: ^uint32(0), Data: []byte{0}}}), uint16(1))
 	f.Add([]byte{replyChunks, 0, 0, 0, 1}, uint16(0))
 	f.Add([]byte{replyChunks, 0, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(1))
 	f.Fuzz(func(t *testing.T, frame []byte, n uint16) {
@@ -356,7 +356,7 @@ func FuzzChunksReply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded a frame whose header is bad: %v", err)
 		}
-		if again := encodeChunksReply(id, recs); !bytes.Equal(again, frame) {
+		if again := encodeChunksReply(nil, id, recs); !bytes.Equal(again, frame) {
 			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, frame)
 		}
 	})

@@ -76,59 +76,59 @@ func (s *Server) loop(store storage.Store) {
 			return // communicator closed
 		}
 		if len(req) < 5 {
+			collectives.Release(s.comm, req)
 			continue
 		}
 		op := req[0]
 		requester := int(binary.BigEndian.Uint32(req[1:]))
 		payload := req[5:]
-		if op == opStop {
-			return
-		}
-		if op == opChunks {
-			if err := s.reply(requester, serveChunks(store, payload)); err != nil {
-				return
-			}
-			continue
-		}
-		var (
-			data  []byte
-			found bool
-		)
+		var reply []byte
 		switch op {
+		case opStop:
+			collectives.Release(s.comm, req)
+			return
+		case opChunks:
+			reply = serveChunks(s.comm, store, payload)
 		case opBlob:
-			if b, err := store.GetBlob(string(payload)); err == nil {
-				data, found = b, true
-			}
+			reply = s.syncReply(store.GetBlob(string(payload)))
 		case opChunk:
-			var fp fingerprint.FP
 			if len(payload) == fingerprint.Size {
-				copy(fp[:], payload)
-				if b, err := store.GetChunk(fp); err == nil {
-					data, found = b, true
-				}
+				reply = s.syncReply(store.GetChunk(fingerprint.FP(payload)))
+			} else {
+				reply = s.syncReply(nil, storage.ErrNotFound)
 			}
+		default:
+			reply = s.syncReply(nil, storage.ErrNotFound)
 		}
-		reply := make([]byte, 1+len(data))
-		if found {
-			reply[0] = 1
-		}
-		copy(reply[1:], data)
+		collectives.Release(s.comm, req)
 		if err := s.reply(requester, reply); err != nil {
 			return
 		}
 	}
 }
 
-// reply hands one freshly built reply frame over to the transport; a
-// requester outside the group gets none.
+// syncReply builds the reply to a synchronous request in a buffer of its
+// own: found (no error) and the data, or not.
+func (s *Server) syncReply(data []byte, err error) []byte {
+	if err != nil {
+		return []byte{0}
+	}
+	return append(append(make([]byte, 0, 1+len(data)), 1), data...)
+}
+
+// reply hands one reply frame over to the transport; a requester outside
+// the group gets none, and the frame is given back.
 func (s *Server) reply(requester int, frame []byte) error {
 	if requester < 0 || requester >= s.comm.Size() {
+		collectives.Release(s.comm, frame)
 		return nil
 	}
 	return collectives.Handover(s.comm, requester, s.class.replyTag(requester), frame, time.Time{})
 }
 
-// call performs one synchronous request to peer.
+// call performs one synchronous request to peer. Request and reply are
+// buffers of their own, sent one at a time; the caller keeps the reply,
+// which TCP read into a buffer of the free list (Keep).
 func call(c collectives.Comm, class Class, peer int, op byte, payload []byte) ([]byte, bool, error) {
 	req := make([]byte, 5+len(payload))
 	req[0] = op
@@ -141,6 +141,7 @@ func call(c collectives.Comm, class Class, peer int, op byte, payload []byte) ([
 	if err != nil {
 		return nil, false, fmt.Errorf("fetch: reply from rank %d: %w", peer, err)
 	}
+	collectives.Keep(c, reply)
 	if len(reply) < 1 {
 		return nil, false, fmt.Errorf("fetch: malformed reply from rank %d", peer)
 	}

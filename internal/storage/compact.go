@@ -127,7 +127,7 @@ func (s *SegStore) rewriteLocked(v *segFile, copied *int64) error {
 		if _, err := v.f.ReadAt(b, int64(e.Offset)); err != nil {
 			return fail(fmt.Errorf("storage: compact read %s: %w", e.FP.Short(), err))
 		}
-		if _, err := f.WriteAt(b, int64(cursor)); err != nil {
+		if _, err := s.writeLocked(f, b, cursor); err != nil {
 			return fail(fmt.Errorf("storage: compact write %s: %w", e.FP.Short(), err))
 		}
 		e.Offset = cursor

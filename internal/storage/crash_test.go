@@ -28,7 +28,9 @@ import (
 //	phase 1 (unarmed): checkpoint 1 — chunks ck1:0..31, a metadata
 //	    blob, Commit, Close. This is the durable baseline.
 //	phase 2 (armed with the point under test): chunks ck2:0..15 (one
-//	    PutChunk each, or one PutRecords batch), a blob, release
+//	    PutChunk each, or one PutRecords batch: through the tail buffer,
+//	    or with a filler chunk before each so that it is written from its
+//	    payload), a blob, release
 //	    ck1:0..19, Commit, Compact. The injected crash fires somewhere in
 //	    here.
 //
@@ -46,6 +48,10 @@ const (
 	ck2Chunks   = 16
 	ck1Released = 20
 	crashChunk  = 1024
+	// crashFiller is the size of the new chunk a span batch puts before
+	// each of its ck2 chunks: its 32 records, one after the other, span
+	// 144 KiB, more than segTailBytes.
+	crashFiller = 8 << 10
 )
 
 func ck1Data(i int) []byte { return segChunk(i, crashChunk) }
@@ -93,18 +99,29 @@ func TestCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("phase 2 open: %v", err)
 	}
-	if os.Getenv(crashEnvOp) == "batch" {
-		var payload []byte
-		recs := make([]Record, ck2Chunks)
-		for i := range recs {
-			fp := fingerprint.Of(ck2Data(i))
-			recs[i] = Record{FP: fp, Off: int32(len(payload)), Len: crashChunk, Sum: fingerprint.ChunkSum(&fp, ck2Data(i))}
-			payload = append(payload, ck2Data(i)...)
+	switch op := os.Getenv(crashEnvOp); op {
+	case "batch", "span":
+		// A span batch puts a filler chunk before each ck2 chunk, so that
+		// its new records span more than the tail buffer and go straight
+		// from the payload to the file.
+		var chunks [][]byte
+		for i := 0; i < ck2Chunks; i++ {
+			if op == "span" {
+				chunks = append(chunks, segChunk(2000+i, crashFiller))
+			}
+			chunks = append(chunks, ck2Data(i))
 		}
-		if n, err := s2.PutRecords(payload, recs); err != nil {
+		var payload []byte
+		recs := make([]Record, len(chunks))
+		for i, c := range chunks {
+			fp := fingerprint.Of(c)
+			recs[i] = Record{FP: fp, Off: int32(len(payload)), Len: int32(len(c)), Sum: fingerprint.ChunkSum(&fp, c)}
+			payload = append(payload, c...)
+		}
+		if n, _, err := s2.PutRecords(payload, recs); err != nil {
 			t.Fatalf("phase 2 batch stored %d: %v", n, err)
 		}
-	} else {
+	default:
 		for i := 0; i < ck2Chunks; i++ {
 			if err := s2.PutChunk(fingerprint.Of(ck2Data(i)), ck2Data(i)); err != nil {
 				t.Fatalf("phase 2 put %d: %v", i, err)
@@ -149,13 +166,15 @@ func TestCrashMatrix(t *testing.T) {
 	cases := []struct {
 		name   string // the point's, unless set
 		point  string
-		op     string // "" = commit+compact, "close" = Close, "batch" = ck2 put as one batch first
+		op     string // "" = commit+compact, "close" = Close, "batch" = ck2 put as one batch first, "span" = as one batch written from its payload
 		expect string
 		blob2  bool
 	}{
 		{point: "torn-append", expect: "ck1"},
 		{point: "append", expect: "ck1"},
 		{name: "append-in-batch", point: "append", op: "batch", expect: "ck1"},
+		{name: "append-in-span", point: "append", op: "span", expect: "ck1"},
+		{name: "torn-append-in-span", point: "torn-append", op: "span", expect: "ck1"},
 		{point: "seal", expect: "ck1"},
 		{point: "idx-write", expect: "ck1"},
 		// Killed while a seal's background data fsync is in flight.
@@ -175,8 +194,11 @@ func TestCrashMatrix(t *testing.T) {
 	// in the unsealed segment file: "append" dies with the first chunk of
 	// phase 2 buffered and nothing written, a batch's first append the
 	// same, and "torn-append" halfway through the first buffer flush (four
-	// chunks at the first seal, two of them written).
-	unsealed := map[string]int64{"append": 0, "append-in-batch": 0, "torn-append": 2 * crashChunk}
+	// chunks at the first seal, two of them written). A span batch is
+	// written from its payload in writes of segTailBytes: "append" dies
+	// after the first of them, "torn-append" halfway through it.
+	unsealed := map[string]int64{"append": 0, "append-in-batch": 0, "torn-append": 2 * crashChunk,
+		"append-in-span": segTailBytes, "torn-append-in-span": segTailBytes / 2}
 	for _, tc := range cases {
 		if tc.name == "" {
 			tc.name = tc.point

@@ -50,13 +50,13 @@ func (s *refStore) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error
 }
 
 // PutRecords is one PutChunkSum per record.
-func (s *refStore) PutRecords(payload []byte, recs []Record) (int, error) {
+func (s *refStore) PutRecords(payload []byte, recs []Record) (int, bool, error) {
 	for i, r := range recs {
 		if err := s.PutChunkSum(r.FP, payload[r.Off:r.Off+r.Len], r.Sum); err != nil {
-			return i, err
+			return i, false, err
 		}
 	}
-	return len(recs), nil
+	return len(recs), false, nil
 }
 
 func (s *refStore) GetChunk(fp fingerprint.FP) ([]byte, error) {
@@ -276,7 +276,7 @@ func TestMemStoreMatchesReference(t *testing.T) {
 
 func matchReference(t *testing.T, engine string, seeds int64) {
 	repacks, drops, adopted, copied, failedBatches := 0, 0, 0, 0, 0
-	crossed, oversized, sealedMid, repeated := 0, 0, 0, 0
+	crossed, oversized, sealedMid, repeated, spanned := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := make([][]byte, 24+rng.Intn(40))
@@ -338,10 +338,15 @@ func matchReference(t *testing.T, engine string, seeds int64) {
 			case op < 40:
 				payload, recs := drawBatch(rng, pool, poolFPs, want)
 				newBytes, seen, dup, big := 0, map[fingerprint.FP]bool{}, false, false
+				start, end := int32(-1), int32(0) // the span of the new records
 				for _, r := range recs {
 					if _, ok := want.chunks[r.FP]; !ok && !seen[r.FP] {
 						newBytes += int(r.Len)
 						big = big || r.Len > segTailBytes
+						if start < 0 {
+							start = r.Off
+						}
+						end = r.Off + r.Len
 					}
 					dup = dup || seen[r.FP]
 					seen[r.FP] = true
@@ -353,8 +358,8 @@ func matchReference(t *testing.T, engine string, seeds int64) {
 				if timed != nil {
 					writes = timed.WriteLatency().Count()
 				}
-				gn, gerr := got.PutRecords(payload, recs)
-				wn, werr := want.PutRecords(payload, recs)
+				gn, gkept, gerr := got.PutRecords(payload, recs)
+				wn, _, werr := want.PutRecords(payload, recs)
 				if err = sameError(gerr, werr); err == nil && gn != wn {
 					err = fmt.Errorf("PutRecords stored %d records, reference %d", gn, wn)
 				}
@@ -370,6 +375,13 @@ func matchReference(t *testing.T, engine string, seeds int64) {
 					break
 				}
 				if seg != nil {
+					if gkept {
+						err = fmt.Errorf("the segment store kept a batch's payload")
+						break
+					}
+					if start >= 0 && end-start >= segTailBytes {
+						spanned++
+					}
 					switch {
 					case big:
 						oversized++
@@ -392,8 +404,8 @@ func matchReference(t *testing.T, engine string, seeds int64) {
 					kept = kept || cap(payload) > 0 && cap(ar.buf) == cap(payload) && &ar.buf[:1][0] == &payload[:1][0]
 				}
 				switch adopt := newBytes > 0 && 2*newBytes >= cap(payload); {
-				case kept != adopt:
-					err = fmt.Errorf("batch of %d new bytes in a payload of capacity %d: kept %v", newBytes, cap(payload), kept)
+				case kept != adopt || gkept != kept:
+					err = fmt.Errorf("batch of %d new bytes in a payload of capacity %d: kept %v, reported kept %v", newBytes, cap(payload), kept, gkept)
 				case kept:
 					adopted++
 				case newBytes > 0:
@@ -480,13 +492,13 @@ func matchReference(t *testing.T, engine string, seeds int64) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					gn, gerr = got.PutRecords(payload, recs)
+					gn, _, gerr = got.PutRecords(payload, recs)
 				}()
 				got.Fail()
 				<-done
 				switch {
 				case gn == len(recs) && gerr == nil:
-					_, err = want.PutRecords(payload, recs)
+					_, _, err = want.PutRecords(payload, recs)
 				case gn != 0 || !errors.Is(gerr, ErrFailed):
 					err = fmt.Errorf("a batch of %d records racing Fail stored %d: %v", len(recs), gn, gerr)
 				}
@@ -528,10 +540,10 @@ func matchReference(t *testing.T, engine string, seeds int64) {
 	}
 	switch {
 	case engine == "seg":
-		if crossed == 0 || oversized == 0 || sealedMid == 0 || repeated == 0 {
-			t.Fatalf("test premise: %d batches crossing the tail buffer, %d with a record larger than it, %d sealing a segment mid-batch, %d repeating a chunk; want all", crossed, oversized, sealedMid, repeated)
+		if crossed == 0 || oversized == 0 || sealedMid == 0 || repeated == 0 || spanned == 0 {
+			t.Fatalf("test premise: %d batches crossing the tail buffer, %d with a record larger than it, %d sealing a segment mid-batch, %d repeating a chunk, %d written from the payload; want all", crossed, oversized, sealedMid, repeated, spanned)
 		}
-		t.Logf("%d batches crossing the tail buffer, %d with a record larger than it, %d sealing mid-batch, %d repeating a chunk, %d racing a failure", crossed, oversized, sealedMid, repeated, failedBatches)
+		t.Logf("%d batches crossing the tail buffer, %d with a record larger than it, %d sealing mid-batch, %d repeating a chunk, %d written from the payload, %d racing a failure", crossed, oversized, sealedMid, repeated, spanned, failedBatches)
 		return
 	case engine == "mem" && failedBatches == 0:
 		t.Fatal("test premise: no node failed while a batch was stored")

@@ -19,7 +19,9 @@ import (
 )
 
 // The segment engine: a log-structured, content-addressed Store. Chunks
-// are appended to an active segment data file, sealed at a size
+// are appended to an active segment data file, through a tail buffer or,
+// for a dense run of new chunks in a landed batch that spans more than it,
+// straight from the batch's payload, and the file is sealed at a size
 // threshold; a blob is staged as a new version file. No put waits for the
 // disk. Durability is checkpoint-grained: Commit seals the active
 // segment, syncs every file written since, and only then atomically
@@ -115,14 +117,16 @@ type activeSeg struct {
 	entries []segEntry // append order; offsets ascending
 }
 
-// segTailBytes is the capacity of the append buffer: appended chunks are
-// written to the active segment once per this many payload bytes, not
-// once per chunk. 128 KiB already makes the write syscalls a rounding
-// error (≈ 200 per 16 MiB-per-rank dump instead of ≈ 7k), and it stays
-// below the size at which single writes were measured to stall: on the
-// reference box (Linux 6.18, ext4) every few dumps a run of 1 MiB writes
-// took 20-40 ms each — +500 ms on that dump — 512 KiB writes a third of
-// that, and writes of 256 KiB or less never did.
+// segTailBytes is the capacity of the append buffer and the most any one
+// positional write of the active segment writes. Appended chunks are
+// written once per this many payload bytes, not once per chunk, and a
+// dense run of new records in a batch that spans more than this goes
+// straight from its payload in writes of this size (PutRecords). 128 KiB already makes the write
+// syscalls a rounding error (≈ 200 per 16 MiB-per-rank dump instead of
+// ≈ 7k), and it stays below the size at which single writes were measured
+// to stall: on the reference box (Linux 6.18, ext4) every few dumps a run
+// of 1 MiB writes took 20-40 ms each — +500 ms on that dump — 512 KiB
+// writes a third of that, and writes of 256 KiB or less never did.
 const segTailBytes = 128 << 10
 
 // SegStore is the log-structured segment Store. Create with NewSeg or
@@ -136,6 +140,7 @@ type SegStore struct {
 	cfg      SegConfig
 	syncData func(*os.File) error                       // a seal's data fsync; tests inject failures
 	readAt   func(*os.File, []byte, int64) (int, error) // a chunk read; tests count them
+	writeAt  func(*os.File, []byte, int64) (int, error) // a positional write; tests watch them
 	syncs    syncGroup                                  // fsyncs in flight, and the first that failed
 
 	gen        uint64                      // guarded by mu: last committed generation
@@ -181,6 +186,7 @@ func NewSegStore(dir string, cfg SegConfig) (*SegStore, error) {
 		cfg:      cfg,
 		syncData: (*os.File).Sync,
 		readAt:   (*os.File).ReadAt,
+		writeAt:  (*os.File).WriteAt,
 		syncs:    syncGroup{slots: make(chan struct{}, 16)},
 		sealed:   make(map[uint64]*segFile),
 		index:    make(map[fingerprint.FP]chunkLoc),
@@ -346,25 +352,43 @@ func (s *SegStore) entryAtLocked(loc chunkLoc) (*segEntry, *os.File) {
 	return &sf.entries[loc.slot], sf.f
 }
 
-// flushTailLocked writes the buffered payload of the active segment with
-// one positional write. Positional writes mean a partially applied flush
-// never desynchronizes the append cursor: on error the tail is kept and
-// the next flush rewrites the same bytes at the same offset.
+// flushTailLocked writes the buffered payload of the active segment.
+// Positional writes mean a partially applied flush never desynchronizes
+// the append cursor: on error the tail is kept and the next flush
+// rewrites the same bytes at the same offset.
 func (s *SegStore) flushTailLocked() error {
 	a := s.active
 	if len(s.tail) == 0 {
 		return nil
 	}
-	if s.cfg.CrashPoint == "torn-append" {
-		a.f.WriteAt(s.tail[:len(s.tail)/2], int64(a.flushed))
-		s.crash("torn-append")
-	}
-	if _, err := a.f.WriteAt(s.tail, int64(a.flushed)); err != nil {
+	if _, err := s.writeLocked(a.f, s.tail, a.flushed); err != nil {
 		return fmt.Errorf("storage: append to segment %016x: %w", a.id, err)
 	}
 	a.flushed += uint64(len(s.tail))
 	s.tail = s.tail[:0]
 	return nil
+}
+
+// writeLocked writes b to f at off in positional writes of at most
+// segTailBytes each, and returns how many bytes it wrote before an error.
+// The crash matrix's "torn-append" point dies halfway through the first
+// write, and "append" right after it.
+func (s *SegStore) writeLocked(f *os.File, b []byte, off uint64) (int, error) {
+	done := 0
+	for done < len(b) {
+		piece := b[done:min(len(b), done+segTailBytes)]
+		if s.cfg.CrashPoint == "torn-append" {
+			s.writeAt(f, piece[:len(piece)/2], int64(off)+int64(done))
+			s.crash("torn-append")
+		}
+		n, err := s.writeAt(f, piece, int64(off)+int64(done))
+		done += n
+		if err != nil {
+			return done, err
+		}
+		s.crash("append")
+	}
+	return done, nil
 }
 
 func (s *SegStore) PutChunk(fp fingerprint.FP, data []byte) error {
@@ -385,42 +409,143 @@ func (s *SegStore) put(fp fingerprint.FP, data []byte, sum *uint32) error {
 }
 
 // PutRecords stores the records under one hold of the mutex, each as
-// PutChunkSum would: a batch may fill and flush the tail buffer, write a
-// record larger than it directly, and seal the active segment, any
-// number of times.
-func (s *SegStore) PutRecords(payload []byte, recs []Record) (int, error) {
+// PutChunkSum would, and never keeps payload. It goes through the batch in
+// runs: a record the store holds gains a reference and writes nothing, and
+// the records that follow it, up to the next one held, one after the
+// other in payload, form a run of new records. A run whose span — from its
+// first record to the end of its last — is at least segTailBytes and at
+// most twice its records' bytes (memStore's adoption rule) is written
+// straight from payload (putSpanLocked): the tail is flushed, then the
+// span is written, the record headers inside it, and any chunk the run
+// repeats, counting as the active segment's garbage, and the segment is
+// sealed after the span if that took it past SegmentTarget, so it overruns
+// that by at most one run. A shorter or sparser run goes through the tail
+// buffer record by record, which may seal any number of times. So a batch
+// of mostly held chunks, an incremental checkpoint's, writes only its new
+// bytes.
+func (s *SegStore) PutRecords(payload []byte, recs []Record) (int, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
-		return 0, ErrFailed
+		return 0, false, ErrFailed
 	}
+	for i := 0; i < len(recs); {
+		if s.refLocked(recs[i].FP) {
+			i++
+			continue
+		}
+		j, bytes := i+1, int64(recs[i].Len)
+		for ; j < len(recs); j++ {
+			if _, held := s.index[recs[j].FP]; held || recs[j].Off < recs[j-1].Off+recs[j-1].Len {
+				break
+			}
+			bytes += int64(recs[j].Len)
+		}
+		start, end := int64(recs[i].Off), int64(recs[j-1].Off)+int64(recs[j-1].Len)
+		if end-start < segTailBytes || end-start > 2*bytes {
+			for ; i < j; i++ {
+				r := &recs[i]
+				if err := s.putLocked(r.FP, payload[r.Off:r.Off+r.Len], &r.Sum); err != nil {
+					return i, false, err
+				}
+			}
+			continue
+		}
+		n, err := s.putSpanLocked(payload[start:end], start, recs[i:j])
+		if err != nil {
+			return i + n, false, err
+		}
+		i = j
+	}
+	return len(recs), false, nil
+}
+
+// putSpanLocked appends span, the bytes of payload from offset start on
+// that hold every new record of recs, with writeLocked and stores the
+// records in order: a record whose bytes a failed write did not reach is
+// the one that failed.
+func (s *SegStore) putSpanLocked(span []byte, start int64, recs []Record) (int, error) {
+	a, err := s.activeLocked()
+	if err != nil {
+		return 0, err
+	}
+	if err := s.flushTailLocked(); err != nil {
+		return 0, err
+	}
+	written, werr := s.writeLocked(a.f, span, a.len)
+	var used, live uint64 // span bytes up to the end of the last record stored, and its records'
+	stored := len(recs)
 	for i := range recs {
 		r := &recs[i]
-		if err := s.putLocked(r.FP, payload[r.Off:r.Off+r.Len], &r.Sum); err != nil {
-			return i, err
+		if s.refLocked(r.FP) {
+			continue
 		}
+		rel := uint64(int64(r.Off) - start)
+		if rel+uint64(r.Len) > uint64(written) {
+			stored = i
+			break
+		}
+		s.addEntryLocked(r.FP, a.len+rel, r.Len, r.Sum)
+		used, live = max(used, rel+uint64(r.Len)), live+uint64(r.Len)
 	}
-	return len(recs), nil
+	a.len += used
+	a.flushed = a.len
+	a.garbage += used - live
+	if stored < len(recs) {
+		return stored, fmt.Errorf("storage: append to segment %016x: %w", a.id, werr)
+	}
+	if int64(a.len) >= s.cfg.SegmentTarget {
+		return stored, s.sealLocked()
+	}
+	return stored, nil
+}
+
+// refLocked adds a reference to fp if the store holds it.
+func (s *SegStore) refLocked(fp fingerprint.FP) bool {
+	loc, ok := s.index[fp]
+	if !ok {
+		return false
+	}
+	e, _ := s.entryAtLocked(loc)
+	e.Refs++
+	if sf, sealed := s.sealed[loc.seg]; sealed {
+		sf.dirty = true
+	}
+	return true
+}
+
+// activeLocked returns the active segment, creating it if there is none.
+func (s *SegStore) activeLocked() (*activeSeg, error) {
+	if s.active == nil {
+		f, err := os.OpenFile(s.segPath(s.nextSeg), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("storage: create segment: %w", err)
+		}
+		s.active = &activeSeg{id: s.nextSeg, f: f}
+		s.nextSeg++
+	}
+	return s.active, nil
+}
+
+// addEntryLocked indexes a new chunk of the active segment: length bytes
+// at off, with its sum.
+func (s *SegStore) addEntryLocked(fp fingerprint.FP, off uint64, length int32, sum uint32) {
+	a := s.active
+	a.entries = append(a.entries, segEntry{FP: fp, Offset: off, Length: uint32(length), Refs: 1, Sum: sum})
+	s.index[fp] = chunkLoc{seg: a.id, slot: len(a.entries) - 1}
+	s.liveBytes += int64(length)
+	s.liveChunks++
 }
 
 // putLocked stores a chunk under the sum given, or under one it takes if
 // that is nil and the chunk is new.
 func (s *SegStore) putLocked(fp fingerprint.FP, data []byte, sum *uint32) error {
-	if loc, ok := s.index[fp]; ok {
-		e, _ := s.entryAtLocked(loc)
-		e.Refs++
-		if sf, sealed := s.sealed[loc.seg]; sealed {
-			sf.dirty = true
-		}
+	if s.refLocked(fp) {
 		return nil
 	}
-	if s.active == nil {
-		f, err := os.OpenFile(s.segPath(s.nextSeg), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("storage: create segment: %w", err)
-		}
-		s.active = &activeSeg{id: s.nextSeg, f: f}
-		s.nextSeg++
+	a, err := s.activeLocked()
+	if err != nil {
+		return err
 	}
 	// The payload is buffered, not written: nothing is promised before
 	// the manifest names the sealed segment, and sealing flushes. A chunk
@@ -432,29 +557,24 @@ func (s *SegStore) putLocked(fp fingerprint.FP, data []byte, sum *uint32) error 
 		}
 	}
 	if len(data) > segTailBytes {
-		if _, err := s.active.f.WriteAt(data, int64(s.active.len)); err != nil {
+		if _, err := s.writeLocked(a.f, data, a.len); err != nil {
 			return fmt.Errorf("storage: append chunk %s: %w", fp.Short(), err)
 		}
-		s.active.flushed += uint64(len(data))
+		a.flushed += uint64(len(data))
 	} else {
 		if s.tail == nil {
 			s.tail = make([]byte, 0, segTailBytes)
 		}
 		s.tail = append(s.tail, data...)
+		s.crash("append")
 	}
-	s.crash("append")
 	if sum == nil {
 		own := chunkSum(fp, data)
 		sum = &own
 	}
-	s.active.entries = append(s.active.entries, segEntry{
-		FP: fp, Offset: s.active.len, Length: uint32(len(data)), Refs: 1, Sum: *sum,
-	})
-	s.index[fp] = chunkLoc{seg: s.active.id, slot: len(s.active.entries) - 1}
-	s.active.len += uint64(len(data))
-	s.liveBytes += int64(len(data))
-	s.liveChunks++
-	if int64(s.active.len) >= s.cfg.SegmentTarget {
+	s.addEntryLocked(fp, a.len, int32(len(data)), *sum)
+	a.len += uint64(len(data))
+	if int64(a.len) >= s.cfg.SegmentTarget {
 		if err := s.sealLocked(); err != nil {
 			return err
 		}

@@ -535,6 +535,250 @@ func TestSegTailBuffersAppends(t *testing.T) {
 	mustGet(r, "last chunk after reopen", after)
 }
 
+// frameOf lays chunks out as a landed put frame does: a 4-byte header
+// before each, so that the headers fall inside any span of them.
+func frameOf(chunks [][]byte) ([]byte, []Record) {
+	var payload []byte
+	recs := make([]Record, len(chunks))
+	for i, c := range chunks {
+		payload = append(payload, 0, 0, 0, byte(i))
+		fp := fingerprint.Of(c)
+		recs[i] = Record{FP: fp, Off: int32(len(payload)), Len: int32(len(c)), Sum: fingerprint.ChunkSum(&fp, c)}
+		payload = append(payload, c...)
+	}
+	return payload, recs
+}
+
+// TestSegSpanWrites covers a batch written straight from its payload: no
+// positional write of segment data — tail flushes, oversize chunks, spans
+// and compaction copies — exceeds segTailBytes; the headers and the
+// repeated chunk inside the span are the active segment's garbage; the
+// segment seals once the run is stored, not before; the store never
+// keeps the payload; and a write that fails inside the span stores the
+// records wholly written before it and nothing after, the next append
+// going where the last stored record ends.
+func TestSegSpanWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSegStore(dir, SegConfig{SegmentTarget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var writes []int
+	failAt := -1 // the index of the write that fails, if any
+	s.writeAt = func(f *os.File, p []byte, off int64) (int, error) {
+		writes = append(writes, len(p))
+		if len(writes)-1 == failAt {
+			return 0, errors.New("injected write failure")
+		}
+		return f.WriteAt(p, off)
+	}
+	mustGet := func(label string, data []byte) {
+		t.Helper()
+		if got, err := s.GetChunk(fingerprint.Of(data)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: %d bytes, %v", label, len(got), err)
+		}
+	}
+
+	// A frame of 40 KiB chunks, one of them twice: 10 records, 9 new.
+	var chunks [][]byte
+	for i := 0; i < 9; i++ {
+		chunks = append(chunks, segChunk(i, 40<<10))
+	}
+	chunks = append(chunks[:5], append([][]byte{chunks[2]}, chunks[5:]...)...)
+	head := segChunk(100, 1<<10)
+	if err := s.PutChunk(fingerprint.Of(head), head); err != nil {
+		t.Fatal(err)
+	}
+	payload, recs := frameOf(chunks)
+	n, kept, err := s.PutRecords(payload, recs)
+	if err != nil || n != len(recs) || kept {
+		t.Fatalf("span batch stored %d of %d, kept %v: %v", n, len(recs), kept, err)
+	}
+	span := len(payload) - 4 // from the first record to the end of the last
+	if want := 1 + (span+segTailBytes-1)/segTailBytes; len(writes) != want {
+		t.Fatalf("the tail flush and the span took %d writes (%v), want %d", len(writes), writes, want)
+	}
+	st := s.Stats()
+	if want := int64(len(recs)*4 - 4 + 40<<10); st.GarbageBytes != want {
+		t.Errorf("active garbage after the span: %d bytes, want %d (headers and the repeat)", st.GarbageBytes, want)
+	}
+	if st.DataBytes != st.LiveBytes+st.GarbageBytes || st.Seals != 0 {
+		t.Errorf("after the span: %d data bytes, %d live, %d garbage, %d seals", st.DataBytes, st.LiveBytes, st.GarbageBytes, st.Seals)
+	}
+	for i, c := range chunks {
+		mustGet(fmt.Sprintf("span chunk %d", i), c)
+	}
+	if refsOf(s, fingerprint.Of(chunks[2])) != 2 {
+		t.Errorf("the repeated chunk holds %d references, want 2", refsOf(s, fingerprint.Of(chunks[2])))
+	}
+
+	// An oversize chunk goes to the file in pieces too.
+	big := segChunk(200, 2*segTailBytes+5)
+	if err := s.PutChunk(fingerprint.Of(big), big); err != nil {
+		t.Fatal(err)
+	}
+	mustGet("oversize chunk", big)
+
+	// This span crosses SegmentTarget: the segment seals once, after it.
+	var more [][]byte
+	for i := 0; i < 16; i++ {
+		more = append(more, segChunk(300+i, 40<<10))
+	}
+	payload, recs = frameOf(more)
+	if n, _, err := s.PutRecords(payload, recs); err != nil || n != len(recs) {
+		t.Fatalf("second span stored %d of %d: %v", n, len(recs), err)
+	}
+	if st := s.Stats(); st.Seals != 1 || s.active != nil {
+		t.Fatalf("after a span crossing the target: %d seals, active segment left: %v; want 1 and none", st.Seals, s.active != nil)
+	}
+
+	// The second write of a span fails: the records wholly inside the first
+	// are stored, the rest are not, and the next put lands behind them.
+	var last [][]byte
+	for i := 0; i < 8; i++ {
+		last = append(last, segChunk(400+i, 40<<10))
+	}
+	payload, recs = frameOf(last)
+	failAt = len(writes) + 1
+	n, _, err = s.PutRecords(payload, recs)
+	failAt = -1
+	wantN := 0
+	for _, r := range recs {
+		if int(r.Off)-4+int(r.Len) <= segTailBytes {
+			wantN++
+		}
+	}
+	if err == nil || n != wantN || wantN == 0 {
+		t.Fatalf("span with its second write failing stored %d, want %d: %v", n, wantN, err)
+	}
+	for i, c := range last {
+		if i < n {
+			mustGet(fmt.Sprintf("chunk %d before the failed write", i), c)
+		} else if held(s, fingerprint.Of(c)) {
+			t.Fatalf("chunk %d, after the failed write, is held", i)
+		}
+	}
+	after := segChunk(500, 1<<10)
+	if err := s.PutChunk(fingerprint.Of(after), after); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DataBytes != st.LiveBytes+st.GarbageBytes {
+		t.Errorf("after the failed span: %d data bytes, %d live, %d garbage", st.DataBytes, st.LiveBytes, st.GarbageBytes)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks[:6] {
+		if err := s.ReleaseChunk(fingerprint.Of(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range writes {
+		if w > segTailBytes {
+			t.Fatalf("write %d of %d wrote %d bytes, more than segTailBytes (%d)", i, len(writes), w, segTailBytes)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openSeg(t, dir)
+	defer r.Close()
+	for i, c := range append(append(chunks[6:], more...), append(last[:n], big, head, after)...) {
+		if got, err := r.GetChunk(fingerprint.Of(c)); err != nil || !bytes.Equal(got, c) {
+			t.Fatalf("chunk %d after reopen: %v", i, err)
+		}
+	}
+}
+
+// TestSegRedumpWritesOnlyNewBytes: a batch landing on a store that holds
+// most of its chunks — an incremental checkpoint, re-dumped onto the
+// previous one — writes its new chunks and nothing else. One frame of 256
+// 4 KiB chunks is stored; a second frame holds the same chunks but for
+// every 20th, which is new, and writes exactly those 13 through the tail,
+// adding no garbage. A third frame holds two dense runs of new chunks
+// apart from each other by a held one: each run goes straight from the
+// payload, its record headers its only garbage.
+func TestSegRedumpWritesOnlyNewBytes(t *testing.T) {
+	s, err := NewSegStore(t.TempDir(), SegConfig{SegmentTarget: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	written := 0
+	s.writeAt = func(f *os.File, p []byte, off int64) (int, error) {
+		written += len(p)
+		return f.WriteAt(p, off)
+	}
+	const n, size = 256, 4 << 10
+	chunks := make([][]byte, n)
+	for i := range chunks {
+		chunks[i] = segChunk(i, size)
+	}
+	payload, recs := frameOf(chunks)
+	if n, _, err := s.PutRecords(payload, recs); err != nil || n != len(recs) {
+		t.Fatalf("first frame stored %d of %d: %v", n, len(recs), err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before, garbage := written, s.Stats().GarbageBytes
+
+	fresh := 0
+	for i := 0; i < n; i += 20 {
+		chunks[i] = segChunk(1000+i, size)
+		fresh++
+	}
+	payload, recs = frameOf(chunks)
+	if n, _, err := s.PutRecords(payload, recs); err != nil || n != len(recs) {
+		t.Fatalf("incremental frame stored %d of %d: %v", n, len(recs), err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := written - before; got != fresh*size {
+		t.Errorf("the incremental frame wrote %d bytes, want its %d new chunks' %d", got, fresh, fresh*size)
+	}
+	if st := s.Stats(); st.GarbageBytes != garbage {
+		t.Errorf("the incremental frame added %d bytes of garbage, want none", st.GarbageBytes-garbage)
+	}
+	for i, c := range chunks {
+		if got, err := s.GetChunk(fingerprint.Of(c)); err != nil || !bytes.Equal(got, c) {
+			t.Fatalf("chunk %d after the incremental frame: %v", i, err)
+		}
+	}
+
+	// Two runs of 64 new chunks, 256 KiB each, with a held chunk between.
+	var two [][]byte
+	for i := 0; i < 128; i++ {
+		if i == 64 {
+			two = append(two, chunks[1])
+		}
+		two = append(two, segChunk(5000+i, size))
+	}
+	before, garbage = written, s.Stats().GarbageBytes
+	payload, recs = frameOf(two)
+	if n, _, err := s.PutRecords(payload, recs); err != nil || n != len(recs) {
+		t.Fatalf("two-run frame stored %d of %d: %v", n, len(recs), err)
+	}
+	headers := 2 * 63 * 4 // between the records of each run
+	if got, want := written-before, 128*size+headers; got != want {
+		t.Errorf("the two runs wrote %d bytes, want %d: their chunks and the headers between them", got, want)
+	}
+	if got := s.Stats().GarbageBytes - garbage; got != int64(headers) {
+		t.Errorf("the two runs added %d bytes of garbage, want their %d header bytes", got, headers)
+	}
+	if refsOf(s, fingerprint.Of(chunks[1])) != 3 {
+		t.Errorf("the held chunk between the runs holds %d references, want 3", refsOf(s, fingerprint.Of(chunks[1])))
+	}
+}
+
 // TestSegSealSyncFailureFailsCommit injects a failing data fsync into the
 // seals of an uncommitted checkpoint: the next Commit must fail without
 // writing a manifest, so does every later one (the failure is sticky),

@@ -36,7 +36,9 @@
 // behind a pointer-free fingerprint index: one heap object per arena, not
 // per chunk. Each chunk's 4-byte sum sits in its index slot. A landed put
 // frame handed over through PutRecords becomes an arena itself when at
-// least half of it is new chunk bytes. An arena whose chunks are all
+// least half of it is new chunk bytes, and PutRecords says so: a frame no
+// store kept goes back to its transport for the next receive. The segment
+// store never keeps one: it writes the frame's new records from it. An arena whose chunks are all
 // released is dropped; when the dead bytes exceed both the live bytes and
 // one arena, the live chunks are repacked into fresh arenas. Arenas are
 // never written in place, so bytes GetChunk returned stay valid.
@@ -120,9 +122,10 @@ type Store interface {
 	PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error
 	// PutRecords stores each record of payload as PutChunkSum would with
 	// its Sum, in order, and returns how many it stored: all of them, or
-	// those before the one that failed. payload is handed over: the store
-	// may keep it, so the caller must not write to it again.
-	PutRecords(payload []byte, recs []Record) (int, error)
+	// those before the one that failed. It also reports whether it kept
+	// payload: if so, the caller must not write to it again; if not, the
+	// store is done with it when PutRecords returns.
+	PutRecords(payload []byte, recs []Record) (n int, kept bool, err error)
 	// GetChunk returns the content of fp, ErrNotFound, or ErrCorrupt if
 	// the stored bytes no longer match the checksum PutChunk took. Bytes
 	// it returns are the bytes PutChunk was given.
@@ -268,11 +271,11 @@ func (s *memStore) put(fp fingerprint.FP, data []byte, sum *uint32) error {
 // half its capacity. Otherwise it copies them into arenas as PutChunk
 // does: a frame of mostly duplicates would hold its capacity for a few
 // live bytes.
-func (s *memStore) PutRecords(payload []byte, recs []Record) (int, error) {
+func (s *memStore) PutRecords(payload []byte, recs []Record) (int, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
-		return 0, ErrFailed
+		return 0, false, ErrFailed
 	}
 	a := s.arenaLocked(nil) // reserved: no put lands in it meanwhile
 	var fresh int64
@@ -295,7 +298,7 @@ func (s *memStore) PutRecords(payload []byte, recs []Record) (int, error) {
 	if fresh > 0 && 2*fresh >= int64(cap(payload)) {
 		s.arenas[a] = arena{buf: payload[:cap(payload)], live: fresh}
 		s.dead += int64(cap(payload)) - fresh
-		return len(recs), nil
+		return len(recs), true, nil
 	}
 	for _, i := range s.placed {
 		r := recs[i]
@@ -303,7 +306,7 @@ func (s *memStore) PutRecords(payload []byte, recs []Record) (int, error) {
 		s.index[r.FP] = s.placeLocked(payload[r.Off:r.Off+r.Len], sl.sum, sl.refs)
 	}
 	s.free = append(s.free, a)
-	return len(recs), nil
+	return len(recs), false, nil
 }
 
 // placeLocked copies data into an arena and returns its slot.

@@ -667,7 +667,7 @@ func TestPutKeepsCallerSum(t *testing.T) {
 		},
 		"PutRecords": func(s Store) error {
 			recs := []Record{{FP: fps[0], Len: 1024, Sum: right}, {FP: fps[1], Off: 1024, Len: 1024, Sum: wrong}}
-			if n, err := s.PutRecords(append(append(make([]byte, 0, 2048), good...), bad...), recs); err != nil || n != 2 {
+			if n, _, err := s.PutRecords(append(append(make([]byte, 0, 2048), good...), bad...), recs); err != nil || n != 2 {
 				return fmt.Errorf("PutRecords stored %d of 2: %v", n, err)
 			}
 			return nil
@@ -735,11 +735,13 @@ func TestPutKeepsCallerSum(t *testing.T) {
 // Timed, one PutRecords stores what one PutChunkSum per record stores on
 // a twin store — the same count and error, Usage, references, and bytes
 // and sums read back — and Timed records the batch as one write. The
-// batches, each on top of the ones before, cross the segment store's
-// tail buffer, carry a record larger than it, repeat chunks of their own
-// and of earlier batches, seal a segment with records still to store,
-// meet a write error midway (the segment store's active file closed
-// under it: the records before the one that failed are stored, and
+// batches, each on top of the ones before, fill and cross the segment
+// store's tail buffer, carry a record larger than it, repeat chunks of
+// their own and of earlier batches, span enough new bytes to be written
+// straight from the payload and seal the segment once stored, meet a write
+// error midway (the segment store's active file closed under a batch that
+// goes through the tail buffer, after a commit left both twins with the
+// same tail: the records before the one that failed are stored, and
 // counted), and race a Fail, which lands before the batch or after it,
 // never inside.
 func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
@@ -754,13 +756,16 @@ func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
 	batches := []struct {
 		name   string
 		chunks []chunk
+		commit bool // both twins commit first
 	}{
-		{"crosses the tail buffer", run(4, 40<<10, 1)},
-		{"record larger than the tail buffer", []chunk{{5, 1 << 10}, {6, 200 << 10}, {7, 1 << 10}}},
-		{"repeats", []chunk{{8, 3 << 10}, {8, 3 << 10}, {1, 40 << 10}, {9, 0}, {9, 0}}},
-		{"seals mid-batch", run(8, 50<<10, 10)},
-		{"write error midway", run(20, 10<<10, 20)},
-		{"Fail during the batch", run(4, 1<<10, 40)},
+		{"fills the tail buffer", run(2, 40<<10, 1), false},
+		{"crosses the tail buffer", run(2, 40<<10, 3), false},
+		{"record larger than the tail buffer", []chunk{{5, 1 << 10}, {6, 200 << 10}, {7, 1 << 10}}, false},
+		{"repeats", []chunk{{8, 3 << 10}, {8, 3 << 10}, {1, 40 << 10}, {9, 0}, {9, 0}}, false},
+		{"span write seals", run(8, 50<<10, 10), false},
+		{"tail after a commit", run(1, 40<<10, 60), true},
+		{"write error midway", run(20, 6<<10, 20), false},
+		{"Fail during the batch", run(4, 1<<10, 40), false},
 	}
 	type store struct {
 		Store
@@ -812,6 +817,14 @@ func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
 					}
 					return n, nil
 				}
+				if b.commit {
+					if err := batch.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					if err := single.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				var seals, writes int64
 				if batch.seg != nil {
 					seals = batch.seg.Stats().Seals
@@ -828,7 +841,7 @@ func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
 					}
 					batch.seg.active.f.Close()
 					single.seg.active.f.Close()
-					bn, berr = batch.PutRecords(payload, recs)
+					bn, _, berr = batch.PutRecords(payload, recs)
 					sn, serr = perRecord()
 					if bn == 0 || bn == len(recs) {
 						t.Fatalf("test premise: the write error stopped the batch after %d of %d records", bn, len(recs))
@@ -837,7 +850,7 @@ func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
 					done := make(chan struct{})
 					go func() {
 						defer close(done)
-						bn, berr = batch.PutRecords(payload, recs)
+						bn, _, berr = batch.PutRecords(payload, recs)
 					}()
 					batch.Fail()
 					<-done
@@ -852,7 +865,7 @@ func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
 						t.Fatalf("Fail landed inside the batch: %d of %d records stored", bn, len(recs))
 					}
 				default:
-					bn, berr = batch.PutRecords(payload, recs)
+					bn, _, berr = batch.PutRecords(payload, recs)
 					sn, serr = perRecord()
 				}
 				if bn != sn || !sameClass(berr, serr) {
@@ -861,8 +874,8 @@ func TestPutRecordsMatchesPerRecordPuts(t *testing.T) {
 				if batch.timed != nil && batch.timed.WriteLatency().Count() != writes+1 {
 					t.Fatalf("%s: the batch recorded %d write samples, want 1", b.name, batch.timed.WriteLatency().Count()-writes)
 				}
-				if b.name == "seals mid-batch" && batch.seg != nil && (batch.seg.Stats().Seals == seals || len(batch.seg.active.entries) == 0) {
-					t.Fatalf("test premise: the batch sealed %d segments, %d of its records after the last", batch.seg.Stats().Seals-seals, len(batch.seg.active.entries))
+				if b.name == "span write seals" && batch.seg != nil && (batch.seg.Stats().Seals != seals+1 || batch.seg.active != nil) {
+					t.Fatalf("test premise: the span write sealed %d segments, leaving an active one: %v", batch.seg.Stats().Seals-seals, batch.seg.active != nil)
 				}
 				bb, bc := batch.Usage()
 				if sb, sc := single.Usage(); bb != sb || bc != sc {

@@ -61,7 +61,7 @@ func (t *Timed) PutChunkSum(fp fingerprint.FP, data []byte, sum uint32) error {
 	return t.inner.PutChunkSum(fp, data, sum)
 }
 
-func (t *Timed) PutRecords(payload []byte, recs []Record) (int, error) {
+func (t *Timed) PutRecords(payload []byte, recs []Record) (int, bool, error) {
 	defer record(t.write, now())
 	return t.inner.PutRecords(payload, recs)
 }
