@@ -32,7 +32,7 @@ func main() {
 	clusterOut := flag.String("cluster", "", "write the ClusterDump/ClusterRestore JSON of every telemetry-aggregating scenario to this file (keyed by scenario label)")
 	clusterTrace := flag.String("cluster-trace", "", "write a merged cross-rank Chrome trace (one pid per rank) of the last telemetry-aggregating scenario to this file")
 	restoreStats := flag.Bool("restore-stats", false, "print the cluster restore telemetry report of every restore-aggregating scenario (read amplification, locality, stragglers)")
-	parallelism := flag.Int("parallelism", 0, "per-rank worker budget for the dump hot path (0 = GOMAXPROCS, 1 = serial reference)")
+	parallelism := flag.Int("parallelism", 0, "per-rank worker budget for the dump hot path (0 = GOMAXPROCS, 1 = no worker goroutines)")
 	chunker := flag.String("chunker", "fixed", "chunking algorithm for every dump: fixed or gear")
 	timeout := flag.Duration("timeout", 0, "abort each collective scenario after this long (0 = no deadline)")
 	flag.Usage = func() {

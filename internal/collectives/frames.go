@@ -33,9 +33,10 @@ import (
 // There is one list per TCPComm and one per in-process Group. A buffer is
 // kept while one of the list's own is out, and one of the smallest free
 // buffers is dropped whenever none holds the size asked for and a new
-// buffer is made, so the list never holds more buffers than were ever out
-// at once. New buffers are exactly the size asked for. Close drops the
-// list.
+// buffer is made (and again once it is made, if a buffer given back
+// meanwhile tops the bound), so the list never holds more buffers than
+// were ever out at once. New buffers are exactly the size asked for.
+// Close drops the list.
 
 // frameList is a communicator's free list of frame buffers, filed by
 // capacity class (floor(log2(cap))) so that taking and giving back cost
@@ -61,7 +62,8 @@ func capClass(c int) int { return bits.Len(uint(c)) - 1 }
 // get returns a buffer of length n: the last one given back of n's class
 // if it holds n bytes, else one of the smallest class above it, else a new
 // one of exactly n bytes, for which a buffer of the smallest class held is
-// dropped.
+// dropped — before the allocation, and after it too if buffers given back
+// meanwhile would leave more held and out than were ever out at once.
 func (l *frameList) get(n int) []byte {
 	if l == nil || n == 0 {
 		return make([]byte, n)
@@ -78,7 +80,8 @@ func (l *frameList) get(n int) []byte {
 	case l.classes != 0:
 		l.takeLocked(bits.TrailingZeros64(l.classes))
 	}
-	if buf == nil {
+	made := buf == nil
+	if made {
 		// Allocate outside the lock: the other ranks of a Group take and
 		// give back meanwhile.
 		l.mu.Unlock()
@@ -91,6 +94,11 @@ func (l *frameList) get(n int) []byte {
 		}
 		l.lent[first(buf)] = struct{}{}
 		l.peakOut = max(l.peakOut, len(l.lent))
+		// A buffer given back while this one was made, or one another get
+		// made after this get dropped one, can leave one buffer too many.
+		if made && l.n > 0 && l.n+len(l.lent) > l.peakOut {
+			l.takeLocked(bits.TrailingZeros64(l.classes))
+		}
 	}
 	l.mu.Unlock()
 	return buf

@@ -38,9 +38,9 @@ import (
 // the payload's CRC-32C as the checksum: Put copies data into a fresh
 // frame and sums it, Wait drains the whole window into one buffer,
 // checking every payload against its sum. PutFrame is safe for
-// concurrent use by the owning rank's goroutines (the parallel dump drives
-// one put stream per partner); Next and Wait must be called from a single
-// goroutine.
+// concurrent use by the owning rank's goroutines (the dump may drive one
+// put stream per partner, each on its own); Next and Wait must be called
+// from a single goroutine.
 type Window struct {
 	comm Comm
 	tag  Tag
@@ -114,7 +114,7 @@ func OpenWindow(c Comm, size int64, epoch uint32) *Window {
 // | u32 checksum. The window carries the checksum and does not take it:
 // what it covers is the sender's and the receiver's to agree on. Put and
 // Wait use the CRC-32C (Castagnoli) of the payload; the dump's frames
-// carry the CRC-32C over the sums of the records they end (see the
+// carry the CRC-32C over the sums of the whole records they hold (see the
 // committer in internal/core).
 const putHeader = 12
 
@@ -131,8 +131,9 @@ func Checksum(sum uint32, b []byte) uint32 { return crc32.Update(sum, castagnoli
 // MaxPutBytes is the largest put payload that, with its header,
 // fits the receiver's first frame allocation (frameAllocChunk): a put of
 // at most this many bytes is read into one buffer allocated once, never
-// through the receiver's grow-and-copy path. Senders that gather a
-// contiguous region into several puts cut it at this size.
+// through the receiver's grow-and-copy path. The dump's senders start a
+// new put once the next record would take it past this size, so a put
+// holds whole records and one larger than this travels alone.
 const MaxPutBytes = frameAllocChunk - putHeader
 
 // NewFrame returns an empty put frame from the communicator's free list —

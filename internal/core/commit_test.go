@@ -88,7 +88,8 @@ type sentRecord struct {
 // frameSumsOf returns the checksum an honest sender stamps on each frame
 // of pieces — a window's bytes in order, holding the records recs in
 // ascending order: the CRC-32C over u32 position ‖ u32 sum of every
-// record that ends in the frame.
+// record in the frame. A record cut by a frame boundary counts in the
+// frame it ends in.
 func frameSumsOf(pieces [][]byte, recs []sentRecord) []uint32 {
 	sums := make([]uint32, len(pieces))
 	var b []byte
@@ -119,29 +120,18 @@ func frameSums(w testWindow) []uint32 {
 }
 
 // commitReceivedPerRecord walks a window held in one buffer (walkWindow)
-// and then stores, one PutChunk each, the records that lie wholly in
-// frames that passed their checksum: every frame when the walk reached
-// the end, else those the walk needed a byte past before it failed. It is
-// the reference the committer's frame-by-frame walk over the undecoded
-// metadata must reproduce: same references in the same order, same
-// counters, same error, on whole and broken windows, in one frame or
-// many.
+// and then stores, one PutChunk each, the records of the frames the walk
+// moved past: every frame when the walk reached the end, else those before
+// the frame it failed in. It is the reference the committer's
+// frame-by-frame walk over the undecoded metadata must reproduce: same
+// references in the same order, same counters, same error, on whole and
+// broken windows, in one frame or many.
 func commitReceivedPerRecord(store storage.Store, w testWindow, m *metrics.Dump) ([]fingerprint.FP, error) {
 	buf := w.bytes
-	recs, read, walkErr := walkWindow(w)
-	checked := len(buf) // every frame, after a whole walk
-	if walkErr != nil {
-		checked = 0
-		for _, p := range w.frames() {
-			if checked+len(p) >= read {
-				break
-			}
-			checked += len(p)
-		}
-	}
+	recs, passed, walkErr := walkWindow(w)
 	var refs []fingerprint.FP
 	for _, r := range recs {
-		if r.end > checked {
+		if r.end > passed {
 			break
 		}
 		if err := store.PutChunk(r.fp, buf[r.end-r.size:r.end]); err != nil {
@@ -156,12 +146,23 @@ func commitReceivedPerRecord(store storage.Store, w testWindow, m *metrics.Dump)
 
 // walkWindow walks a window held in one buffer by offset, region by
 // region, with each sender's recipe decoded — one lookup per record — and
-// returns its records up to the first malformed one, one past the last
-// byte the walk needed, and the error it stopped at. Every record it
-// returns names a position in its sender's recipe above the region's
-// previous one, and fits its region.
-func walkWindow(w testWindow) (recs []walked, read int, err error) {
-	buf, off := w.bytes, 0
+// the frames it arrives in marked off. It returns its records up to the
+// first malformed one, the window offset where the frames it moved past
+// end, and the error it stopped at. Every record it returns names a
+// position in its sender's recipe above the region's previous one, fits
+// its region and ends in the frame it begins in. The walk moves past a
+// frame when a record begins where that frame ends, and past the last one
+// once every region is walked.
+func walkWindow(w testWindow) (recs []walked, passed int, err error) {
+	var ends []int // where each non-empty frame ends
+	at := 0
+	for _, p := range w.frames() {
+		if len(p) > 0 {
+			at += len(p)
+			ends = append(ends, at)
+		}
+	}
+	buf, off, frameEnd := w.bytes, 0, 0 // frameEnd: where the current frame ends, 0 before the first
 	err = func() error {
 		for _, r := range w.regions {
 			var fps []fingerprint.FP
@@ -176,7 +177,15 @@ func walkWindow(w testWindow) (recs []walked, read int, err error) {
 				if end-off < 4 {
 					return fmt.Errorf("window record header truncated at offset %d", off)
 				}
-				read = off + 4
+				if off == frameEnd {
+					if passed = frameEnd; len(ends) == 0 {
+						return fmt.Errorf("window ends at offset %d, inside its regions", off)
+					}
+					frameEnd, ends = ends[0], ends[1:]
+				}
+				if frameEnd-off < 4 {
+					return fmt.Errorf("window record header at offset %d crosses the end of its put frame", off)
+				}
 				pos := int(binary.BigEndian.Uint32(buf[off:]))
 				if pos < next || pos >= len(fps) {
 					return fmt.Errorf("window record at offset %d names recipe position %d, want one in [%d, %d)", off, pos, next, len(fps))
@@ -186,18 +195,21 @@ func walkWindow(w testWindow) (recs []walked, read int, err error) {
 				if off += 4; size > end-off {
 					return fmt.Errorf("window record of %d bytes overruns its region at offset %d", size, off)
 				}
-				read = off + size
+				if size > frameEnd-off {
+					return fmt.Errorf("window record of %d bytes at offset %d crosses the end of its put frame", size, off)
+				}
 				off += size
 				recs = append(recs, walked{fps[pos], uint32(pos), size, off})
 			}
 		}
-		read = off + 1 // is there a byte beyond the regions?
-		if off < len(buf) {
-			return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
+		if off == frameEnd {
+			if passed = frameEnd; len(ends) == 0 {
+				return nil
+			}
 		}
-		return nil
+		return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
 	}()
-	return recs, read, err
+	return recs, passed, err
 }
 
 // TestCommitReceivedMatchesPerRecord feeds whole windows (empty, one
@@ -334,32 +346,36 @@ func checkCommitted(t *testing.T, name string, got, want commitRun) {
 	}
 }
 
-// cutInto cuts b at random points into pieces of 1 to maxPiece bytes.
-func cutInto(rng *rand.Rand, b []byte, maxPiece int) [][]byte {
+// recordCuts cuts window w's bytes into frames of whole records: a new
+// frame begins after each record of w's walk in one frame with
+// probability 1/every. Bytes past the last record walked stay in the last
+// frame.
+func recordCuts(rng *rand.Rand, w testWindow, every int) [][]byte {
+	recs, _, _ := walkWindow(testWindow{regions: w.regions, bytes: w.bytes})
 	var pieces [][]byte
-	for len(b) > 0 {
-		k := min(1+rng.Intn(maxPiece), len(b))
-		pieces, b = append(pieces, b[:k]), b[k:]
+	start := 0
+	for _, r := range recs {
+		if r.end < len(w.bytes) && rng.Intn(every) == 0 {
+			pieces, start = append(pieces, w.bytes[start:r.end]), r.end
+		}
 	}
-	return pieces
+	return append(pieces, w.bytes[start:])
 }
 
 // TestCommitterCutFramesMatchWholeWindow: a window that arrives as many
-// frames — cut at random points, inside headers and payloads alike, in
-// pieces down to one byte — commits exactly as the per-record reference
-// does with the same cuts: records cut by a frame boundary are carried
-// across, a broken window fails with the same error after storing the
-// records of the frames checked before it, and a whole one stores what
-// it stores in one frame.
+// frames of whole records — a new frame after every record, after about
+// every other one, and so on — commits exactly as the per-record reference
+// does with the same frames: a broken window fails with the same error,
+// having stored the records of the frames before the one the error is in,
+// and a whole one stores what it stores in one frame.
 func TestCommitterCutFramesMatchWholeWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for name, w := range receivedWindows() {
 		whole := commitWith(commitReceived, w)
-		for trial := 0; trial < 8; trial++ {
-			maxPiece := 1 + rng.Intn(1+len(w.bytes)/(1+trial))
+		for every := 1; every <= 8; every++ {
 			cut := w
-			cut.pieces = cutInto(rng, w.bytes, maxPiece)
-			name := fmt.Sprintf("%s, pieces of at most %d bytes", name, maxPiece)
+			cut.pieces = recordCuts(rng, w, every)
+			name := fmt.Sprintf("%s, %d frames", name, len(cut.pieces))
 			got := commitWith(commitReceived, cut)
 			checkCommitted(t, name, got, commitWith(commitReceivedPerRecord, cut))
 			if whole.err == nil {
@@ -369,42 +385,37 @@ func TestCommitterCutFramesMatchWholeWindow(t *testing.T) {
 	}
 }
 
-// TestCommitterChecksFrameSums: one byte flipped after its frame was
-// summed — in a header or a payload, of the first, a middle or the last
-// frame — fails the commit with collectives.ErrChecksum, the records of
-// the frames before it stored, and nothing of the frames after it. A
-// frame's sum covers the records that end in it, so a flipped payload
-// byte is caught at the frame where its record ends, which for a record
-// cut across frames is a later one than the flip's. A flipped header byte
-// can misparse the record's size and end it earlier, so it is caught no
-// earlier than the flip's frame and no later than that one.
+// TestCommitterChecksFrameSums: one byte flipped after its frame of whole
+// records was summed — in a header or a payload, of the first, a middle or
+// the last frame — fails the commit, having stored the records of the
+// frames before it and nothing of that frame or after. A checksum
+// mismatch is caught at the end of that frame; a flipped header byte may
+// fail the parse of the frame first.
 func TestCommitterChecksFrameSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	w := newSenderRegion(rng, 120).window()
-	recs, _, _ := walkWindow(w)
 	for trial := 0; trial < 40; trial++ {
-		pieces := cutInto(rng, w.bytes, 1+rng.Intn(len(w.bytes)/3))
+		pieces := recordCuts(rng, w, 1+rng.Intn(30))
 		bad := rng.Intn(len(pieces))
 		w.pieces = pieces
 		sums := frameSums(w)
-		flipped := slices.Clone(pieces[bad])
-		at := rng.Intn(len(flipped))
-		flipped[at] ^= 1 << rng.Intn(8)
-		pieces[bad] = flipped
-		// The flipped byte's window offset, the record it is in, whether
-		// it is in that record's header, and the frame that record ends in.
+		recs, _, _ := walkWindow(w)
+		start := 0
 		for _, p := range pieces[:bad] {
-			at += len(p)
+			start += len(p)
 		}
-		r := recs[slices.IndexFunc(recs, func(r walked) bool { return at < r.end })]
-		inHeader := at < r.end-r.size
-		ends, end := 0, len(pieces[0])
-		for end < r.end {
-			ends++
-			end += len(pieces[ends])
+		var want []fingerprint.FP
+		for _, r := range recs {
+			if r.end <= start {
+				want = append(want, r.fp)
+			}
 		}
-		i := 0
+		flipped := slices.Clone(pieces[bad])
+		flipped[rng.Intn(len(flipped))] ^= 1 << rng.Intn(8)
+		pieces = slices.Clone(pieces)
+		pieces[bad] = flipped
 		var m metrics.Dump
+		i := 0
 		c := committer{store: storage.NewMem(), m: &m, regions: w.regions, next: func() ([]byte, uint32, error) {
 			if i == len(pieces) {
 				return nil, 0, io.EOF
@@ -413,16 +424,14 @@ func TestCommitterChecksFrameSums(t *testing.T) {
 			return pieces[i-1], sums[i-1], nil
 		}}
 		err := c.commit()
-		if !errors.Is(err, collectives.ErrChecksum) {
-			// A flipped header may be caught by the parse first, but never
-			// let through.
-			if err == nil {
-				t.Fatalf("trial %d: frame %d of %d corrupted, commit succeeded", trial, bad, len(pieces))
-			}
-			continue
+		if err == nil {
+			t.Fatalf("trial %d: frame %d of %d corrupted, commit succeeded", trial, bad, len(pieces))
 		}
-		if caught := i - 1; caught != ends && (!inHeader || caught < bad || caught > ends) {
-			t.Errorf("trial %d: frame %d corrupted (header %v) in a record ending in frame %d, caught at frame %d", trial, bad, inHeader, ends, caught)
+		if errors.Is(err, collectives.ErrChecksum) && i-1 != bad {
+			t.Errorf("trial %d: frame %d corrupted, caught at frame %d", trial, bad, i-1)
+		}
+		if got := stored(&c); !slices.Equal(got, want) || m.RecvChunks != len(want) {
+			t.Errorf("trial %d: frame %d corrupted (%v): %d records stored, %d counted; want the %d of the frames before it", trial, bad, err, len(got), m.RecvChunks, len(want))
 		}
 	}
 }

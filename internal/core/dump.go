@@ -217,65 +217,47 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	// Both chunkers (fixed and gear) expose their boundary scan separately
 	// from hashing (chunk.CutChunker), so the two costs are attributed to
 	// their own phases regardless of which spec Options.Chunker selected.
-	// With Parallelism > 1 hashing fans out over a bounded worker pool and
-	// phase 2 (plus the reduction's leaf-table build, for coll-dedup)
-	// overlaps it: finished chunks stream to the dedup filter in dataset
-	// order while later chunks are still being hashed, so the combined
-	// cost collapses into the fingerprint wall time.
-	// Both paths produce identical chunks, identical uniq order and an
-	// identical leaf table — the serial path is the reference the parallel
-	// one must match byte for byte.
+	// Hashing runs on up to Parallelism workers, and phase 2 — the
+	// first-occurrence filter, plus the reduction's leaf-table build for
+	// coll-dedup — runs as finished chunks stream out in dataset order, so
+	// its cost falls into the fingerprint wall time. Every worker count
+	// produces the same chunks, the same uniq order and the same leaf
+	// table.
 	cc, err := chunk.New(o.Chunker)
 	if err != nil {
 		// Unreachable after normalization validated the spec; fail loudly
 		// rather than silently substituting a default chunker.
 		return nil, fmt.Errorf("rank %d chunker: %w", me, err)
 	}
-	var chunks, uniq []chunk.Chunk
-	var first []int32 // uniq[i]'s first position in chunks (the recipe)
-	// leaf is the prebuilt reduction input (parallel coll-dedup only);
-	// reduceGlobal builds its own when nil.
-	var leaf *fingerprint.Table
-	switch {
-	case o.Parallelism > 1:
-		t.begin("chunking")
-		cuts := cc.Cuts(buf)
-		t.begin("fingerprint")
-		if o.Approach == CollDedup {
-			leaf = fingerprint.NewTable(o.F, o.K)
-		}
-		seen := make(map[fingerprint.FP]struct{}, len(cuts))
-		uniq = make([]chunk.Chunk, 0, len(cuts))
-		first = make([]int32, 0, len(cuts))
-		var busy []time.Duration
-		var pos int32
-		chunks, busy = chunk.FromCutsStream(buf, cuts, o.Parallelism, func(span []chunk.Chunk) {
-			for _, ch := range span {
-				pos++
-				if _, ok := seen[ch.FP]; ok {
-					continue
-				}
-				seen[ch.FP] = struct{}{}
-				uniq, first = append(uniq, ch), append(first, pos-1)
-				if leaf != nil {
-					leaf.AddLocal(ch.FP, int32(me))
-				}
+	t.begin("chunking")
+	cuts := cc.Cuts(buf)
+	t.begin("fingerprint")
+	var leaf *fingerprint.Table // the reduction's leaf table (coll-dedup only)
+	if o.Approach == CollDedup {
+		leaf = fingerprint.NewTable(o.F, o.K)
+	}
+	seen := make(map[fingerprint.FP]struct{}, len(cuts))
+	uniq := make([]chunk.Chunk, 0, len(cuts))
+	first := make([]int32, 0, len(cuts)) // uniq[i]'s first position in chunks (the recipe)
+	var pos int32
+	chunks, busy := chunk.FromCutsStream(buf, cuts, o.Parallelism, func(span []chunk.Chunk) {
+		for _, ch := range span {
+			pos++
+			if _, ok := seen[ch.FP]; ok {
+				continue
 			}
-		})
-		m.Phases.FingerprintWorkers = busy
-		// The dedup filter ran inside the fingerprint wall time; only the
-		// leaf table's top-F trim remains.
-		t.begin("local-dedup")
-		if leaf != nil {
-			leaf.Trim()
+			seen[ch.FP] = struct{}{}
+			uniq, first = append(uniq, ch), append(first, pos-1)
+			if leaf != nil {
+				leaf.AddLocal(ch.FP, int32(me))
+			}
 		}
-	default:
-		t.begin("chunking")
-		cuts := cc.Cuts(buf)
-		t.begin("fingerprint")
-		chunks = chunk.FromCuts(buf, cuts)
-		t.begin("local-dedup")
-		uniq, first = localDedup(chunks)
+	})
+	m.Phases.FingerprintWorkers = busy
+	// Only the leaf table's top-F trim remains of local dedup.
+	t.begin("local-dedup")
+	if leaf != nil {
+		leaf.Trim()
 	}
 	m.TotalChunks = len(chunks)
 	m.HashedBytes = int64(len(buf))
@@ -363,12 +345,8 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 		to := plan.Partner(me, d)
 		err = sendRetry(me, to, o.Retry, &putRetries, func() error { return c.Send(to, tagMeta, metaBlob) })
 	}
-	switch {
-	case err != nil: // the metadata did not go out; put nothing
-	case o.Parallelism > 1 && o.K > 2:
-		err = putParallel(win, plan, items, offs, o, me, &m, &putRetries)
-	default:
-		err = putSerial(win, plan, items, offs, o, me, &m, &putRetries)
+	if err == nil { // else the metadata did not go out: put nothing
+		err = put(win, plan, items, offs, o, me, &m, &putRetries)
 	}
 	m.PutRetries = putRetries.Load()
 	if err != nil {
@@ -586,29 +564,19 @@ func putPartner(win *collectives.Window, me, target int, off, region int64, item
 	return chunks, bytes, err
 }
 
-// putSerial is the reference put phase: partner windows filled one after
-// the other, in partner-index order.
-func putSerial(win *collectives.Window, plan *Plan, items []item, offs []int64, o Options, me int, m *metrics.Dump, retries *atomic.Int64) error {
-	for d := 1; d < o.K; d++ {
-		chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d, o.Retry, retries)
-		m.SentChunks += chunks
-		m.SentBytes += bytes
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// putParallel drives one goroutine per partner window, bounded by
-// o.Parallelism. Each partner's record stream stays on a single goroutine
-// in item order and lands at the same planned offsets as the serial path,
-// so the windows every peer drains are byte-identical — only the
-// interleaving across partners changes. Per-partner counters are
-// accumulated in partner order after the join, keeping the metrics
-// deterministic too; each worker records its own trace span, attributed
-// via the partner arg.
-func putParallel(win *collectives.Window, plan *Plan, items []item, offs []int64, o Options, me int, m *metrics.Dump, retries *atomic.Int64) error {
+// put pushes every item into the partner windows: one record stream per
+// partner index (putPartner). min(o.Parallelism, K-1) workers claim the
+// partner indices in ascending order, the calling goroutine being worker
+// 0 and the rest goroutines of their own; once a stream fails no worker
+// claims another. With one worker every stream runs on the caller in
+// partner order, stopping at the first that fails, so a FaultPlan's send
+// schedule is deterministic. Each stream lands at its planned offsets
+// whatever the worker count, so the windows every peer drains are
+// byte-identical; only the interleaving across partners changes.
+// Per-partner counters are summed in partner order afterwards, keeping
+// the metrics deterministic too, and each stream records its own trace
+// span, attributed via the partner arg.
+func put(win *collectives.Window, plan *Plan, items []item, offs []int64, o Options, me int, m *metrics.Dump, retries *atomic.Int64) error {
 	type putResult struct {
 		chunks int
 		bytes  int64
@@ -616,31 +584,45 @@ func putParallel(win *collectives.Window, plan *Plan, items []item, offs []int64
 		err    error
 	}
 	results := make([]putResult, o.K-1)
-	sem := make(chan struct{}, o.Parallelism)
-	var wg sync.WaitGroup
-	for d := 1; d < o.K; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			sp := o.Trace.Begin("put-worker").
-				Arg("partner", fmt.Sprint(d)).
-				Arg("target", fmt.Sprint(plan.Partner(me, d)))
-			chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d, o.Retry, retries)
-			sp.End()
-			results[d-1] = putResult{chunks, bytes, time.Since(start), err}
-		}(d)
+	stream := func(d int) error {
+		start := time.Now()
+		sp := o.Trace.Begin("put-worker").
+			Arg("partner", fmt.Sprint(d)).
+			Arg("target", fmt.Sprint(plan.Partner(me, d)))
+		chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d, o.Retry, retries)
+		sp.End()
+		results[d-1] = putResult{chunks, bytes, time.Since(start), err}
+		return err
 	}
+	var next atomic.Int32
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			d := int(next.Add(1))
+			if d >= o.K {
+				return
+			}
+			if stream(d) != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(o.Parallelism, o.K-1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	m.Phases.PutWorkers = make([]time.Duration, o.K-1)
 	var firstErr error
-	for d := 1; d < o.K; d++ {
-		r := results[d-1]
+	for d, r := range results {
 		m.SentChunks += r.chunks
 		m.SentBytes += r.bytes
-		m.Phases.PutWorkers[d-1] = r.busy
+		m.Phases.PutWorkers[d] = r.busy
 		if r.err != nil && firstErr == nil {
 			firstErr = r.err
 		}
@@ -648,28 +630,11 @@ func putParallel(win *collectives.Window, plan *Plan, items []item, offs []int64
 	return firstErr
 }
 
-// localDedup keeps the first occurrence of every distinct fingerprint,
-// preserving dataset order, and returns the position of each in chunks.
-func localDedup(chunks []chunk.Chunk) ([]chunk.Chunk, []int32) {
-	seen := make(map[fingerprint.FP]struct{}, len(chunks))
-	out := make([]chunk.Chunk, 0, len(chunks))
-	first := make([]int32, 0, len(chunks))
-	for i, ch := range chunks {
-		if _, ok := seen[ch.FP]; ok {
-			continue
-		}
-		seen[ch.FP] = struct{}{}
-		out, first = append(out, ch), append(first, int32(i))
-	}
-	return out, first
-}
-
 // classify decides the fate of every chunk under the selected approach.
 // It returns the chunks to keep (with their replication depth), the
 // location hints for discarded chunks, and the global view (coll-dedup
-// only). leaf, when non-nil, is the prebuilt (and trimmed) reduction leaf
-// table of this rank's unique fingerprints, produced by the parallel
-// pipeline overlapping its construction with hashing. first[i] is
+// only). leaf is the trimmed reduction leaf table of this rank's unique
+// fingerprints (coll-dedup only), built as they were hashed. first[i] is
 // uniq[i]'s recipe position.
 func classify(c collectives.Comm, all, uniq []chunk.Chunk, first []int32, leaf *fingerprint.Table, o Options, m *metrics.Dump) ([]item, map[fingerprint.FP][]int32, *fingerprint.Table, error) {
 	rows := prefixes(o.K)
@@ -694,7 +659,7 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, first []int32, leaf *
 		return items, nil, nil, nil
 
 	case CollDedup:
-		global, err := reduceGlobal(c, uniq, leaf, o, m)
+		global, err := reduceGlobal(c, leaf, m)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -831,20 +796,11 @@ func roundRobinShare(k, d, idx int) int {
 
 // reduceGlobal runs the collective fingerprint reduction: local leaf
 // tables merged pairwise up a binomial tree (HMERGE) and the surviving
-// top-F view broadcast to everyone. A non-nil prebuilt leaf table (from
-// the parallel pipeline) enters the tree directly; otherwise the leaf is
-// built here from the unique chunks — both constructions are identical.
+// top-F view broadcast to everyone.
 //
 // The caller (classify, under dumpOutput's tracker) has already published
 // the reduction phase before this helper blocks.
-func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Table, o Options, m *metrics.Dump) (*fingerprint.Table, error) {
-	if leaf == nil {
-		leaf = fingerprint.NewTable(o.F, o.K)
-		for _, ch := range uniq {
-			leaf.AddLocal(ch.FP, int32(c.Rank()))
-		}
-		leaf.Trim()
-	}
+func reduceGlobal(c collectives.Comm, leaf *fingerprint.Table, m *metrics.Dump) (*fingerprint.Table, error) {
 	blob, err := leaf.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -890,10 +846,10 @@ type region struct {
 }
 
 // recordSums is a put frame's checksum as it is built: the CRC-32C over
-// u32 recipe position ‖ u32 sum (fingerprint.ChunkSum) of each record
-// that ends in the frame, in order. The sender folds the sums its chunks
-// carry from ingest; the receiver folds the sums it takes of the bytes it
-// parsed, under the fingerprints of the sender's recipe.
+// u32 recipe position ‖ u32 sum (fingerprint.ChunkSum) of each record in
+// the frame, in order. The sender folds the sums its chunks carry from
+// ingest; the receiver folds the sums it takes of the bytes it parsed,
+// under the fingerprints of the sender's recipe.
 type recordSums struct {
 	crc uint32
 	rec [8]byte
@@ -905,24 +861,29 @@ func (f *recordSums) add(pos, sum uint32) {
 	f.crc = collectives.Checksum(f.crc, f.rec[:])
 }
 
+// errCrossesFrame is the committer's error for a record that does not end
+// in the put frame it begins in: putPartner starts a new frame only
+// between records, so no honest sender puts one.
+var errCrossesFrame = errors.New("crosses the end of its put frame")
+
 // committer stores the record stream of a dump's window, frame by frame
 // as the frames land in window-offset order, and sets a bit of its
 // sender's holdings bitmap for every record stored, so a failure rolls
 // back exactly those (rollbackDump). The window is the senders' regions
-// back to back, in Plan order; a record is u32 position | payload, and the
-// committer reads the size and fingerprint at that position of the
-// sender's recipe in place: nothing is hashed. Positions must rise
-// strictly within a region, stay in the recipe and not overrun the
-// region. Each record is summed once, under that fingerprint, and the sum
-// folded into the checksum of the frame it ends in (recordSums), which is
-// checked where the frame ends: the check covers the bytes and binds them
-// to the recipe's fingerprint, so another chunk's bytes at a position fail
-// it. Only then are the records that end in the frame stored with their
-// sums, those wholly inside it as one batch (Store.PutRecords) that
-// hands the frame over. Once that batch is stored, a frame the store did
-// not keep goes back to the transport and one it kept is the store's
-// (release). No record of a frame that fails its sum, or that the parse
-// fails in, reaches the store.
+// back to back, in Plan order; a record is u32 position | payload, wholly
+// inside one frame, and the committer reads the size and fingerprint at
+// that position of the sender's recipe in place: nothing is hashed.
+// Positions must rise strictly within a region, stay in the recipe and
+// not overrun the region, and a record must end in the frame it begins
+// in (errCrossesFrame). Each record is summed once, under that
+// fingerprint, and the sum folded into its frame's checksum (recordSums),
+// which is checked once the frame is spent: the check covers the bytes
+// and binds them to the recipe's fingerprint, so another chunk's bytes at
+// a position fail it. Only then are the frame's records stored with their
+// sums, as one batch (Store.PutRecords) that hands the frame over. Once
+// that batch is stored, a frame the store did not keep goes back to the
+// transport and one it kept is the store's (release). No record of a
+// frame that fails its sum, or that the parse fails in, reaches the store.
 type committer struct {
 	store   storage.Store
 	m       *metrics.Dump
@@ -934,11 +895,8 @@ type committer struct {
 	p       []byte                         // the unread rest of it
 	sums    recordSums                     // the current frame's records so far
 	want    uint32                         // the current frame's sum, its sender's
-	batch   []storage.Record               // the records wholly inside the current frame
+	batch   []storage.Record               // the current frame's records
 	at      []mark                         // where each of them sits in the holdings
-	cut     []byte                         // the record that ends in the current frame and began before it, assembled
-	cutRec  storage.Record                 // its fingerprint and sum
-	cutAt   mark                           // and where it sits in the holdings
 }
 
 // mark is a record's bit: its recipe position in held[h].
@@ -957,11 +915,18 @@ func (c *committer) commit() error {
 			if end-off < 4 {
 				return fmt.Errorf("window record header truncated at offset %d", off)
 			}
-			hdr, err := c.read(4)
-			if err != nil {
-				return err
+			// A record that begins where its frame ends begins the next frame.
+			if len(c.p) == 0 {
+				if err := c.advance(); err == io.EOF {
+					return fmt.Errorf("window ends at offset %d, inside its regions", off)
+				} else if err != nil {
+					return err
+				}
 			}
-			pos := int64(binary.BigEndian.Uint32(hdr))
+			if len(c.p) < 4 {
+				return fmt.Errorf("window record header at offset %d %w", off, errCrossesFrame)
+			}
+			pos := int64(binary.BigEndian.Uint32(c.p))
 			if pos < next || pos >= count {
 				return fmt.Errorf("window record at offset %d names recipe position %d, want one in [%d, %d)", off, pos, next, count)
 			}
@@ -971,22 +936,15 @@ func (c *committer) commit() error {
 			if off += 4; size > end-off {
 				return fmt.Errorf("window record of %d bytes overruns its region at offset %d", size, off)
 			}
-			data, err := c.read(int(size))
-			if err != nil {
-				return err
+			if size > int64(len(c.p)-4) {
+				return fmt.Errorf("window record of %d bytes at offset %d %w", size, off, errCrossesFrame)
 			}
+			at, data := len(c.frame)-len(c.p)+4, c.p[4:4+size] // the payload and its offset in the frame
+			c.p = c.p[4+size:]
 			off += size
-			// File the record with the frame it ends in: its sum in the
-			// frame's checksum, and itself as a batch entry when that frame
-			// holds all of it, else as its cut record.
-			r := storage.Record{FP: *fp, Len: int32(size), Sum: fingerprint.ChunkSum(fp, data)}
+			r := storage.Record{FP: *fp, Off: int32(at), Len: int32(size), Sum: fingerprint.ChunkSum(fp, data)}
 			c.sums.add(uint32(pos), r.Sum)
-			if at := len(c.frame) - len(c.p) - len(data); at >= 0 {
-				r.Off = int32(at)
-				c.batch, c.at = append(c.batch, r), append(c.at, mark{h, int32(pos)})
-			} else {
-				c.cut, c.cutRec, c.cutAt = data, r, mark{h, int32(pos)}
-			}
+			c.batch, c.at = append(c.batch, r), append(c.at, mark{h, int32(pos)})
 		}
 	}
 	// The last frame must be spent and checked, and no frame may follow.
@@ -1000,48 +958,26 @@ func (c *committer) commit() error {
 	return fmt.Errorf("window holds bytes beyond its %d-byte regions", off)
 }
 
-// read returns the next n bytes of the stream: in place when the current
-// frame holds them, else assembled from the frames they span (a record cut
-// by a frame boundary).
-func (c *committer) read(n int) ([]byte, error) {
-	if n <= len(c.p) {
-		b := c.p[:n]
-		c.p = c.p[n:]
-		return b, nil
-	}
-	b := make([]byte, 0, n)
-	for {
-		k := min(n-len(b), len(c.p))
-		b, c.p = append(b, c.p[:k]...), c.p[k:]
-		if len(b) == n {
-			return b, nil
-		}
-		if err := c.advance(); err == io.EOF {
-			return b, fmt.Errorf("window ends %d bytes into a %d-byte read", len(b), n)
-		} else if err != nil {
-			return b, err
-		}
-	}
-}
-
-// advance checks the exhausted frame against its sender's checksum,
-// stores the records that end in it, and moves on to the next frame.
+// advance checks the spent frame against its sender's checksum, stores
+// its records, setting their bits and counting them, and moves on to the
+// next frame.
 func (c *committer) advance() error {
 	if c.sums.crc != c.want {
 		return collectives.ErrChecksum
 	}
-	if c.cut != nil {
-		if _, err := c.put(c.cut, []storage.Record{c.cutRec}, []mark{c.cutAt}); err != nil {
+	if len(c.batch) > 0 {
+		n, kept, err := c.store.PutRecords(c.frame, c.batch)
+		for i, r := range c.batch[:n] {
+			c.held[c.at[i].h].set(int(c.at[i].pos))
+			c.m.RecvChunks++
+			c.m.RecvBytes += int64(r.Len)
+		}
+		if err != nil {
 			return err
 		}
-		c.cut = nil
-	}
-	kept, err := c.put(c.frame, c.batch, c.at)
-	if err != nil {
-		return err
-	}
-	if c.frame != nil && c.release != nil {
-		c.release(c.frame, kept)
+		if c.release != nil {
+			c.release(c.frame, kept)
+		}
 	}
 	c.batch, c.at = c.batch[:0], c.at[:0]
 	p, want, err := c.next()
@@ -1050,20 +986,4 @@ func (c *committer) advance() error {
 	}
 	c.frame, c.p, c.sums.crc, c.want = p, p, 0, want
 	return nil
-}
-
-// put stores a batch of records of payload, setting the bits at of the
-// ones stored and counting them, and reports whether the store kept
-// payload.
-func (c *committer) put(payload []byte, recs []storage.Record, at []mark) (bool, error) {
-	if len(recs) == 0 {
-		return false, nil
-	}
-	n, kept, err := c.store.PutRecords(payload, recs)
-	for i, r := range recs[:n] {
-		c.held[at[i].h].set(int(at[i].pos))
-		c.m.RecvChunks++
-		c.m.RecvBytes += int64(r.Len)
-	}
-	return kept, err
 }

@@ -5,6 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -506,5 +510,91 @@ func TestDumpCtxPreCancelled(t *testing.T) {
 		if !errors.Is(err, cause) {
 			t.Errorf("rank %d: %v, want the cancellation cause", r, err)
 		}
+	}
+}
+
+// commWrappers builds each Comm wrapper of this package's tests around a
+// rank's communicator: every struct type of the test files that embeds
+// collectives.Comm, as TestCommWrappersCarryAborts checks.
+var commWrappers = map[string]func(collectives.Comm) collectives.Comm{
+	"corruptingComm":    func(c collectives.Comm) collectives.Comm { return &corruptingComm{Comm: c} },
+	"chunkSwappingComm": func(c collectives.Comm) collectives.Comm { return &chunkSwappingComm{Comm: c} },
+	"frameCuttingComm":  func(c collectives.Comm) collectives.Comm { return &frameCuttingComm{Comm: c, at: 4 + testPage + 2} },
+	"tamperComm": func(c collectives.Comm) collectives.Comm {
+		return &tamperComm{Comm: c, tamper: func([]byte) {}, peerOf: map[uint32]int{}}
+	},
+	"depthComm": func(c collectives.Comm) collectives.Comm {
+		return &depthComm{Comm: c, peerOf: map[uint32]int{}, outstanding: make([]int, c.Size())}
+	},
+	"orderComm": func(c collectives.Comm) collectives.Comm { return &orderComm{Comm: c, peerOf: map[uint32]int{}} },
+}
+
+// corruptReads is a store whose every batched read fails its records with
+// storage.ErrCorrupt, which fails a restore's walk.
+type corruptReads struct{ storage.Store }
+
+func (s corruptReads) ReadRecords(dst []byte, recs []storage.Record, errs []error) {
+	for i := range errs {
+		errs[i] = storage.ErrCorrupt
+	}
+}
+
+// TestCommWrappersCarryAborts: a failure raised behind any Comm wrapper of
+// this package's tests reaches the whole group. Four ranks, each behind
+// the wrapper, restore a checkpoint; rank 0's store fails every read with
+// storage.ErrCorrupt. Every rank returns a *CollectiveError within the
+// deadline: the abort found the transport beneath the wrapper (Base). A
+// wrapper without Base stops the abort at itself, and the other ranks
+// block in the restore barrier. Every struct type of the test files that
+// embeds collectives.Comm must be in commWrappers, so a wrapper added
+// later is checked too.
+func TestCommWrappersCarryAborts(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				if sel, ok := field.Type.(*ast.SelectorExpr); ok && len(field.Names) == 0 && sel.Sel.Name == "Comm" && commWrappers[ts.Name.Name] == nil {
+					t.Errorf("%s: %s wraps a Comm but is not in commWrappers", name, ts.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	const n = 4
+	cluster := storage.NewCluster(n)
+	cleanDump(t, n, cluster, "ckpt")
+	for name, wrap := range commWrappers {
+		t.Run(name, func(t *testing.T) {
+			errs := runRanks(t, n, 10*time.Second, func(c collectives.Comm) error {
+				var store storage.Store = cluster.Node(c.Rank())
+				if c.Rank() == 0 {
+					store = corruptReads{store}
+				}
+				_, err := Restore(wrap(c), store, "ckpt")
+				return err
+			})
+			for r, err := range errs {
+				var ce *collectives.CollectiveError
+				if !errors.As(err, &ce) {
+					t.Errorf("rank %d returned %v, want a CollectiveError", r, err)
+				}
+			}
+		})
 	}
 }

@@ -103,21 +103,27 @@ func FuzzRestoreMetaUnmarshal(f *testing.F) {
 // the regions' total. The committer must never panic, and must store
 // exactly what the per-record reference stores with the same cuts — which
 // takes only records whose position is in range, above the region's
-// previous one, and that fit their region, and only once every frame they
-// span has passed its checksum — with the same error; with a flipped byte
-// it must fail, having stored a prefix of it.
+// previous one, that fit their region and end in the frame they begin in,
+// and only once that frame has passed its checksum — with the same error;
+// with a flipped byte it must fail, having stored a prefix of it.
 func FuzzCommitRecords(f *testing.F) {
 	rec := newSenderRegion(rand.New(rand.NewSource(1)), 5)
 	f.Add([]byte{1, 11, 3, 9, 0, 4, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 2, 200, 5, 7, 0}, rec.records)
 	f.Add([]byte{3, 2, 5, 5, 1, 20, 0, 9, 4, 1, 2, 3, 4, 17, 0, 0, 8, 1, 3, 3, 3}, []byte{0, 0, 0, 1, 9, 9, 9, 9, 9, 0, 0, 0, 0})
 	f.Add([]byte{2, 4, 1, 2, 3, 4, 1, 12, 2, 8, 8, 1, 30, 6, 6, 6}, []byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 3})
 	// One region of three records (10, 5 and 7 bytes) in frames of 10, 13
-	// and 11 bytes, the first record cut across the first two: committed
-	// whole; then the same with a byte of the first record's payload
-	// flipped in the first frame, caught where the record ends.
+	// and 11 bytes, the first record cut across the first two: rejected,
+	// nothing stored; then the same with a byte of the first record's
+	// payload flipped in the first frame, rejected for the cut before its
+	// frame's sum is checked.
 	three := []byte{0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 0, 1, 11, 12, 13, 14, 15, 0, 0, 0, 2, 16, 17, 18, 19, 20, 21, 22}
 	f.Add([]byte{1, 3, 10, 5, 7, 1, 34, 9, 12, 0}, three)
 	f.Add([]byte{1, 3, 10, 5, 7, 1, 34, 9, 12, 39, 6*4 + 1}, three)
+	// The same records in frames of 14, 9 and 11 bytes, one record each:
+	// committed whole; then with the flipped byte, caught at the first
+	// frame's sum.
+	f.Add([]byte{1, 3, 10, 5, 7, 1, 34, 13, 8, 0}, three)
+	f.Add([]byte{1, 3, 10, 5, 7, 1, 34, 13, 8, 39, 6*4 + 1}, three)
 	f.Fuzz(func(t *testing.T, shape, records []byte) {
 		next := func() int {
 			if len(shape) == 0 {

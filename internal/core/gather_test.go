@@ -75,10 +75,11 @@ func referenceWindows(plan *Plan, items [][]item) ([][]byte, [][]sentRecord) {
 }
 
 // putAndDrain runs the put phase of every rank over a fresh in-proc group
-// — serial or one goroutine per partner — and returns the bytes each
+// with the given worker bound — one: the partner streams one after the
+// other; K: one goroutine per partner — and returns the bytes each
 // rank's window delivered plus its window and dump counters. Every
 // frame's checksum must be the one an honest sender of recs stamps.
-func putAndDrain(t *testing.T, plan *Plan, items [][]item, recs [][]sentRecord, parallel bool) ([][]byte, []collectives.WindowStats, []metrics.Dump) {
+func putAndDrain(t *testing.T, plan *Plan, items [][]item, recs [][]sentRecord, workers int) ([][]byte, []collectives.WindowStats, []metrics.Dump) {
 	t.Helper()
 	n := len(items)
 	got := make([][]byte, n)
@@ -87,11 +88,7 @@ func putAndDrain(t *testing.T, plan *Plan, items [][]item, recs [][]sentRecord, 
 	err := collectives.Run(n, func(c collectives.Comm) error {
 		me := c.Rank()
 		win := collectives.OpenWindow(c, plan.WindowSize(me), c.NextSeq())
-		o := Options{K: plan.K, Parallelism: plan.K}
-		put := putSerial
-		if parallel {
-			put = putParallel
-		}
+		o := Options{K: plan.K, Parallelism: workers}
 		var retries atomic.Int64
 		if err := put(win, plan, items[me], plan.Offsets(me), o, me, &dumps[me], &retries); err != nil {
 			return err
@@ -122,8 +119,8 @@ func putAndDrain(t *testing.T, plan *Plan, items [][]item, recs [][]sentRecord, 
 }
 
 // checkGathered asserts the gathered put path fills every window exactly
-// as the per-record reference does, on both put drivers, and returns the
-// window statistics of the serial run.
+// as the per-record reference does, with one worker and with one per
+// partner, and returns the window statistics of the one-worker run.
 func checkGathered(t *testing.T, k int, shuffle []int, items [][]item) []collectives.WindowStats {
 	t.Helper()
 	n := len(items)
@@ -131,15 +128,15 @@ func checkGathered(t *testing.T, k int, shuffle []int, items [][]item) []collect
 	plan := planFor(t, k, shuffle, items)
 	want, recs := referenceWindows(plan, items)
 	var serial []collectives.WindowStats
-	for _, parallel := range []bool{false, true} {
-		got, stats, dumps := putAndDrain(t, plan, items, recs, parallel)
-		if !parallel {
+	for _, workers := range []int{1, k} {
+		got, stats, dumps := putAndDrain(t, plan, items, recs, workers)
+		if workers == 1 {
 			serial = stats
 		}
 		for r := 0; r < n; r++ {
 			if !bytes.Equal(got[r], want[r]) {
-				t.Fatalf("parallel=%v rank %d: gathered window (%d bytes) differs from the per-record layout (%d bytes)",
-					parallel, r, len(got[r]), len(want[r]))
+				t.Fatalf("%d workers, rank %d: gathered window (%d bytes) differs from the per-record layout (%d bytes)",
+					workers, r, len(got[r]), len(want[r]))
 			}
 			var chunks int
 			var payload int64
@@ -148,11 +145,11 @@ func checkGathered(t *testing.T, k int, shuffle []int, items [][]item) []collect
 				payload += int64(len(it.partners)) * int64(len(it.ch.Data))
 			}
 			if dumps[r].SentChunks != chunks || dumps[r].SentBytes != payload {
-				t.Errorf("parallel=%v rank %d: sent %d chunks / %d bytes, want %d / %d",
-					parallel, r, dumps[r].SentChunks, dumps[r].SentBytes, chunks, payload)
+				t.Errorf("%d workers, rank %d: sent %d chunks / %d bytes, want %d / %d",
+					workers, r, dumps[r].SentChunks, dumps[r].SentBytes, chunks, payload)
 			}
 			if stats[r].PutBytes != plan.TotalSend(r) {
-				t.Errorf("parallel=%v rank %d: put %d bytes, plan says %d", parallel, r, stats[r].PutBytes, plan.TotalSend(r))
+				t.Errorf("%d workers, rank %d: put %d bytes, plan says %d", workers, r, stats[r].PutBytes, plan.TotalSend(r))
 			}
 		}
 	}
@@ -299,12 +296,12 @@ func TestPutHandsFramesOver(t *testing.T) {
 	numberItems(items)
 	plan := planFor(t, k, rng.Perm(n), items)
 	want, recs := referenceWindows(plan, items)
-	for _, put := range []func(*collectives.Window, *Plan, []item, []int64, Options, int, *metrics.Dump, *atomic.Int64) error{putSerial, putParallel} {
+	for _, workers := range []int{1, k} {
 		err := collectives.Run(n, func(c collectives.Comm) error {
 			me := c.Rank()
 			win := collectives.OpenWindow(c, plan.WindowSize(me), c.NextSeq())
 			var retries atomic.Int64
-			if err := put(win, plan, items[me], plan.Offsets(me), Options{K: k, Parallelism: k}, me, &metrics.Dump{}, &retries); err != nil {
+			if err := put(win, plan, items[me], plan.Offsets(me), Options{K: k, Parallelism: workers}, me, &metrics.Dump{}, &retries); err != nil {
 				return err
 			}
 			off := 0
@@ -338,12 +335,14 @@ func TestPutHandsFramesOver(t *testing.T) {
 	}
 }
 
-// TestDrainCommitsCutRecords: a hand-built sender cuts its record stream
-// — a lone record above collectives.MaxPutBytes among small ones — inside
-// headers, inside payloads and on record boundaries, and puts the pieces
-// last first, each with the checksum of the records that end in it. The
-// owner commits its window frame by frame as it drains, exactly as
-// commitReceived commits the whole stream at once.
+// TestDrainCommitsCutRecords: a hand-built sender puts its record stream
+// — a lone record above collectives.MaxPutBytes among small ones — last
+// frame first, in frames cut after the first record and then inside the
+// third, in its header or its payload. The owner, committing its window
+// frame by frame as it drains, stores the first frame's record and
+// rejects the second frame as a record crossing its end: nothing of that
+// frame is stored, not even the record wholly inside it, exactly as the
+// per-record reference does.
 func TestDrainCommitsCutRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var stream []byte
@@ -360,47 +359,42 @@ func TestDrainCommitsCutRecords(t *testing.T) {
 	}
 	w := testWindow{regions: []region{{size: int64(len(stream)), meta: meta}}, bytes: stream}
 	big := 4 + 10 + 4 // where the big record starts
-	cuts := []int{2, 4 + 10 + 1, big + 2, big + 1000, big + 4 + collectives.MaxPutBytes + 100, len(stream) - 3}
-	want := commitWith(commitReceived, w)
-	cutW, bounds := w, slices.Concat([]int{0}, cuts, []int{len(stream)})
-	for i := 1; i < len(bounds); i++ {
-		cutW.pieces = append(cutW.pieces, stream[bounds[i-1]:bounds[i]])
-	}
-	sums := frameSums(cutW)
-	got := commitRun{store: storage.NewMem()}
-	err = collectives.Run(2, func(c collectives.Comm) error {
-		size := int64(len(stream))
-		if c.Rank() == 1 {
-			size = 0
+	for name, inBig := range map[string]int{"header": 2, "payload": 1000} {
+		cuts := []int{4 + 10, big + inBig, big + 4 + collectives.MaxPutBytes + 100, len(stream) - 5}
+		cutW, bounds := w, slices.Concat([]int{0}, cuts, []int{len(stream)})
+		for i := 1; i < len(bounds); i++ {
+			cutW.pieces = append(cutW.pieces, stream[bounds[i-1]:bounds[i]])
 		}
-		win := collectives.OpenWindow(c, size, c.NextSeq())
-		if c.Rank() == 1 {
-			end := len(stream)
-			for i := len(cuts) - 1; i >= -1; i-- {
-				start := 0
-				if i >= 0 {
-					start = cuts[i]
-				}
-				frame := append(win.NewFrame(end-start), stream[start:end]...)
-				if err := win.PutFrame(0, int64(start), frame, sums[i+1]); err != nil {
-					return err
-				}
-				end = start
+		sums := frameSums(cutW)
+		got := commitRun{store: storage.NewMem()}
+		err = collectives.Run(2, func(c collectives.Comm) error {
+			size := int64(len(stream))
+			if c.Rank() == 1 {
+				size = 0
 			}
+			win := collectives.OpenWindow(c, size, c.NextSeq())
+			if c.Rank() == 1 {
+				for i := len(cutW.pieces) - 1; i >= 0; i-- {
+					frame := append(win.NewFrame(len(cutW.pieces[i])), cutW.pieces[i]...)
+					if err := win.PutFrame(0, int64(bounds[i]), frame, sums[i]); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			cm := committer{store: got.store, m: &got.m, regions: w.regions, next: win.Next}
+			got.err = cm.commit()
+			got.refs = stored(&cm)
 			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		cm := committer{store: got.store, m: &got.m, regions: w.regions, next: win.Next}
-		got.err = cm.commit()
-		got.refs = stored(&cm)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		if !errors.Is(got.err, errCrossesFrame) || !slices.Equal(got.refs, rec.FPs[:1]) {
+			t.Errorf("cut in the big record's %s: %d records stored (%v), want the first one and a record crossing its frame", name, len(got.refs), got.err)
+		}
+		checkCommitted(t, "cut in the big record's "+name, got, commitWith(commitReceivedPerRecord, cutW))
 	}
-	if want.err != nil || len(want.refs) != 6 {
-		t.Fatalf("reference commit: %d records, %v", len(want.refs), want.err)
-	}
-	checkCommitted(t, "cut stream", got, want)
 }
 
 // TestOversizeChunkDumpRestore dumps 2 MiB chunks — every record larger

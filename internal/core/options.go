@@ -70,7 +70,7 @@ type RetryPolicy struct {
 //	Shuffle        nil = on for CollDedup, off for the baselines
 //	Name           "" = "dataset"
 //	Trace          nil = no span recording
-//	Parallelism    0 = GOMAXPROCS; 1 = serial reference path
+//	Parallelism    0 = GOMAXPROCS; 1 = all work on the calling goroutine
 //	Retry          zero = single attempt, no backoff, unbounded puts
 type Options struct {
 	// K is the replication factor: the dataset survives the loss of any
@@ -104,11 +104,13 @@ type Options struct {
 	// Parallelism bounds the worker goroutines of the per-rank hot path:
 	// the chunk-hashing pool (with the local-dedup and reduction-leaf
 	// table builds overlapped into it) and the concurrent partner puts of
-	// the window exchange. 0 selects GOMAXPROCS; 1 forces the fully
-	// serial reference path. Every setting produces byte-identical
-	// results — same chunk boundaries, fingerprints and replica placement
-	// — so figures and tables reproduce regardless. Parallelism may
-	// differ per rank (it only shapes local execution).
+	// the window exchange. It sets a worker count, not a code path: 0
+	// selects GOMAXPROCS, and 1 runs the same pipeline with no worker
+	// goroutine, hashing and the partner puts on the calling goroutine in
+	// order. Every setting produces byte-identical results — same chunk
+	// boundaries, fingerprints and replica placement — so figures and
+	// tables reproduce regardless. Parallelism may differ per rank (it
+	// only shapes local execution).
 	Parallelism int
 	// Retry bounds retries of transient transport faults during the
 	// window-put exchange; the zero value disables retrying. Retry

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
@@ -53,11 +56,10 @@ func runDumpWithStats(t *testing.T, n int, o Options) dumpRun {
 	return run
 }
 
-// TestParallelDumpDeterminism is the tentpole guarantee: a dump with
-// Parallelism > 1 must be byte-identical to the serial reference — same
-// fingerprint counts, same replica placement (per-peer byte traffic),
-// same per-node storage and the same restored bytes — for every
-// approach.
+// TestParallelDumpDeterminism: a dump on 4 workers must be byte-identical
+// to one on a single worker — same fingerprint counts, same replica
+// placement (per-peer byte traffic), same per-node storage and the same
+// restored bytes — for every approach.
 func TestParallelDumpDeterminism(t *testing.T) {
 	const n = 8
 	for _, approach := range []Approach{NoDedup, LocalDedup, CollDedup} {
@@ -136,11 +138,11 @@ func TestParallelDumpDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentPutsRace is the race-focused satellite: N in-proc ranks
-// with Parallelism > 1 drive concurrent partner puts (run under -race in
-// CI), the restore must round-trip, and the per-peer byte counters must
-// sum to exactly the serial run's totals — concurrency may reorder the
-// traffic but never change it.
+// TestConcurrentPutsRace: N in-proc ranks with Parallelism > 1 drive
+// concurrent partner puts (run under -race in CI), the restore must
+// round-trip, and the per-peer byte counters must sum to exactly the
+// one-worker run's totals — concurrency may reorder the traffic but never
+// change it. Both runs record one put-worker duration per partner.
 func TestConcurrentPutsRace(t *testing.T) {
 	const n, k = 8, 4
 	base := Options{K: k, Approach: CollDedup, Chunker: chunk.Spec{Size: testPage}, Name: "race", F: 1 << 10}
@@ -172,8 +174,10 @@ func TestConcurrentPutsRace(t *testing.T) {
 		t.Errorf("per-peer MsgsSent sum: %d serial vs %d parallel", serialMsgs, parMsgs)
 	}
 	for r := 0; r < n; r++ {
-		if got := len(parallel.results[r].Metrics.Phases.PutWorkers); got != k-1 {
-			t.Errorf("rank %d: expected %d put-worker durations, got %d", r, k-1, got)
+		for _, run := range []dumpRun{serial, parallel} {
+			if got := len(run.results[r].Metrics.Phases.PutWorkers); got != k-1 {
+				t.Errorf("rank %d: expected %d put-worker durations, got %d", r, k-1, got)
+			}
 		}
 	}
 
@@ -195,6 +199,35 @@ func TestConcurrentPutsRace(t *testing.T) {
 	for r := 0; r < n; r++ {
 		if !bytes.Equal(restored[r], parallel.buffers[r]) {
 			t.Errorf("rank %d: restore after concurrent puts not byte-exact", r)
+		}
+	}
+}
+
+// TestOneWorkerPutsInPartnerOrder: at Parallelism 1 the partner streams
+// run one after another, in partner order, so a FaultPlan that fails rank
+// 0's N-th send of the put phase fails the same partner's put in each of
+// 20 runs: after the K-1 metadata sends, send K-1+d is the one frame of
+// partner d. Puts on goroutines would fail whichever partner's frame the
+// scheduler let out N-th.
+func TestOneWorkerPutsInPartnerOrder(t *testing.T) {
+	const n, k, runs = 6, 4, 20
+	o := Options{K: k, Approach: NoDedup, Chunker: chunk.Spec{Size: testPage}, Name: "order", Parallelism: 1}
+	plan := runDumpWithStats(t, n, o).results[0].Plan
+	for d := 1; d < k; d++ {
+		want := fmt.Sprintf("send to rank %d failed", plan.Partner(0, d))
+		faults := collectives.FaultPlan{Faults: []collectives.Fault{{
+			Kind: collectives.FaultError, Rank: 0, Phase: "put", Peer: collectives.AnyRank, After: k - 2 + d, Times: 1,
+		}}}
+		for run := 0; run < runs; run++ {
+			cluster := storage.NewCluster(n)
+			errs := runRanks(t, n, 10*time.Second, func(c collectives.Comm) error {
+				buf := testBuffer(c.Rank(), 6, 4, 3, 2+c.Rank()%3)
+				_, err := DumpOutput(collectives.InjectFaults(c, faults), cluster.Node(c.Rank()), buf, o)
+				return err
+			})
+			if errs[0] == nil || !strings.Contains(errs[0].Error(), want) {
+				t.Fatalf("send %d, run %d: rank 0 returned %v, want the put to partner %d failed (%s)", k-1+d, run, errs[0], d, want)
+			}
 		}
 	}
 }

@@ -183,6 +183,47 @@ func (c *chunkSwappingComm) Send(to int, tag collectives.Tag, data []byte) error
 	return c.Comm.Send(to, tag, data)
 }
 
+// frameCuttingComm cuts the first window frame its rank sends that holds
+// two records — each u32 position | one testPage chunk — in two at byte at
+// of its payload, inside the second record, and stamps each piece with
+// the checksum over the records that end in it: the CRC-32C over u32
+// position ‖ u32 sum of each, every sum taken under the fingerprint of the
+// bytes the record carries. As a wrapper it gets the copying Send for its
+// puts (see collectives.Handover). Partner puts may send concurrently: one
+// of them wins the cut.
+type frameCuttingComm struct {
+	collectives.Comm
+	at  int
+	cut atomic.Bool
+}
+
+func (c *frameCuttingComm) Base() collectives.Comm { return c.Comm }
+
+func (c *frameCuttingComm) Send(to int, tag collectives.Tag, data []byte) error {
+	const header, rec = 12, 4 + testPage // window put header: offset, checksum
+	if tag < collectives.TagUserLimit<<1 || len(data) < header+2*rec || !c.cut.CompareAndSwap(false, true) {
+		return c.Comm.Send(to, tag, data)
+	}
+	off, payload := binary.BigEndian.Uint64(data), data[header:]
+	var sums [2]recordSums
+	for r := 0; r+rec <= len(payload); r += rec {
+		fp := fingerprint.Of(payload[r+4 : r+rec])
+		piece := 0
+		if r+rec > c.at {
+			piece = 1
+		}
+		sums[piece].add(binary.BigEndian.Uint32(payload[r:]), fingerprint.ChunkSum(&fp, payload[r+4:r+rec]))
+	}
+	for i, p := range [][]byte{payload[:c.at], payload[c.at:]} {
+		start := uint64(i * c.at)
+		frame := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, off+start), sums[i].crc)
+		if err := c.Comm.Send(to, tag, append(frame, p...)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // blobState is what a store holds under every blob name of the given
 // datasets on n ranks; an absent blob and a tombstone both read as nil.
 func blobState(s storage.Store, n int, names ...string) map[string][]byte {
@@ -204,7 +245,7 @@ func blobState(s storage.Store, n int, names ...string) map[string][]byte {
 // commits. Every store's usage and blobs are what they were before the
 // dump, and the earlier checkpoint still restores byte-identically.
 func TestCorruptFrameFailsDump(t *testing.T) {
-	checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &corruptingComm{Comm: c} })
+	checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &corruptingComm{Comm: c} }, collectives.ErrChecksum)
 }
 
 // TestWrongChunkFailsDump: a sender that puts another chunk's bytes at a
@@ -214,24 +255,39 @@ func TestCorruptFrameFailsDump(t *testing.T) {
 // checksum binds the bytes to that fingerprint; a CRC-32C over the payload
 // alone would let the wrong chunk be stored under it.
 func TestWrongChunkFailsDump(t *testing.T) {
-	checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &chunkSwappingComm{Comm: c} })
+	checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &chunkSwappingComm{Comm: c} }, collectives.ErrChecksum)
+}
+
+// TestCutFrameFailsDump: a sender whose put frame ends inside a record —
+// inside its header or inside its payload — fails every rank's dump with
+// a *CollectiveError, one of them naming the record that crosses its
+// frame, even though each piece carries the checksum of the records that
+// end in it. The receiver stores nothing of that frame, and the rollback
+// leaves every store as it was before the dump.
+func TestCutFrameFailsDump(t *testing.T) {
+	const rec = 4 + testPage
+	for name, at := range map[string]int{"header": rec + 2, "payload": rec + 4 + testPage/2} {
+		t.Run(name, func(t *testing.T) {
+			checkFrameFailsDump(t, func(c collectives.Comm) collectives.Comm { return &frameCuttingComm{Comm: c, at: at} }, errCrossesFrame)
+		})
+	}
 }
 
 // checkFrameFailsDump dumps a second checkpoint on four ranks, rank 1's
 // communicator wrapped by wrap, and asserts that the dump fails on every
-// rank with a *CollectiveError, one of them collectives.ErrChecksum,
-// before anything commits: every store's usage and blobs are what they
+// rank with a *CollectiveError, one of them matching cause, before
+// anything commits: every store's usage and blobs are what they
 // were before the dump, and the first checkpoint still restores
 // byte-identically. It does so at K = 2, where a rank puts to its one
 // partner, and at K = 3 with default parallelism, where a rank's puts to
 // its two partners run concurrently.
-func checkFrameFailsDump(t *testing.T, wrap func(collectives.Comm) collectives.Comm) {
+func checkFrameFailsDump(t *testing.T, wrap func(collectives.Comm) collectives.Comm, cause error) {
 	for _, k := range []int{2, 3} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { frameFailsDump(t, k, wrap) })
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { frameFailsDump(t, k, wrap, cause) })
 	}
 }
 
-func frameFailsDump(t *testing.T, k int, wrap func(collectives.Comm) collectives.Comm) {
+func frameFailsDump(t *testing.T, k int, wrap func(collectives.Comm) collectives.Comm, cause error) {
 	t.Helper()
 	const n, corrupter = 4, 1
 	cluster := storage.NewCluster(n)
@@ -263,8 +319,8 @@ func frameFailsDump(t *testing.T, k int, wrap func(collectives.Comm) collectives
 			t.Fatalf("rank %d returned %v, want a CollectiveError", r, err)
 		}
 	}
-	if !slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, collectives.ErrChecksum) }) {
-		t.Errorf("no rank reports the checksum mismatch: %v", errs)
+	if !slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, cause) }) {
+		t.Errorf("no rank reports %v: %v", cause, errs)
 	}
 	for r := range before {
 		s := cluster.Node(r)

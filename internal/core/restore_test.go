@@ -785,6 +785,9 @@ type depthComm struct {
 	exchanges   int
 }
 
+// Base lets the abort protocol reach the transport.
+func (d *depthComm) Base() collectives.Comm { return d.Comm }
+
 func (d *depthComm) Send(to int, tag collectives.Tag, data []byte) error {
 	if tag == collectives.WildcardTag(0) && len(data) >= 9 && data[0] == 3 {
 		d.mu.Lock()

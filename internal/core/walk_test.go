@@ -346,6 +346,9 @@ type orderComm struct {
 	peerOf        map[uint32]int
 }
 
+// Base lets the abort protocol reach the transport.
+func (o *orderComm) Base() collectives.Comm { return o.Comm }
+
 func (o *orderComm) Send(to int, tag collectives.Tag, data []byte) error {
 	if tag == collectives.WildcardTag(0) && len(data) >= 9 && data[0] == 3 {
 		o.mu.Lock()

@@ -86,8 +86,8 @@ type Config struct {
 	Trace *obs.Recorder
 	// Parallelism sets core.Options.Parallelism for every dump the
 	// experiments run: the per-rank worker budget of the hot path. 0
-	// keeps the default (GOMAXPROCS); 1 forces the serial reference
-	// path. Results are byte-identical either way (only timings move),
+	// keeps the default (GOMAXPROCS); 1 runs the same pipeline with no
+	// worker goroutine. Results are byte-identical either way (only timings move),
 	// but scenarios are cached per setting so timing experiments can
 	// compare them.
 	Parallelism int

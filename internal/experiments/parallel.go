@@ -10,7 +10,7 @@ import (
 )
 
 // AblationParallel is the hot-path parallelism ablation: the same HPCCG
-// checkpoint dumped with Parallelism=1 (the serial reference) and with
+// checkpoint dumped with Parallelism=1 (no worker goroutines) and with
 // the full GOMAXPROCS worker budget, reporting the rank-mean wall time of
 // the phases the worker pools accelerate — chunk hashing (with the
 // local-dedup and leaf-table builds overlapped into it) and the partner

@@ -19,9 +19,12 @@ import (
 type Phases struct {
 	// Chunking is the boundary scan (fixed-size or content-defined).
 	Chunking time.Duration
-	// Fingerprint is hashing every chunk.
+	// Fingerprint is hashing every chunk, with the first-occurrence
+	// filter (and coll-dedup's reduction leaf-table build) run on the
+	// chunks as they come out of hashing.
 	Fingerprint time.Duration
-	// LocalDedup is the first-occurrence filter over fingerprints.
+	// LocalDedup is what remains of local dedup once hashing is done: the
+	// leaf table's top-F trim (coll-dedup).
 	LocalDedup time.Duration
 	// Reduction is the collective fingerprint reduction + broadcast
 	// (coll-dedup only), including classification of every chunk.
@@ -30,13 +33,14 @@ type Phases struct {
 	// reduction tree, when the transport recorded them.
 	ReductionRoundTimes []time.Duration
 	// FingerprintWorkers holds the per-worker busy durations of the
-	// parallel hashing pool (index = worker id); empty for serial dumps
-	// (Parallelism = 1). The wall-clock cost stays in Fingerprint; these
-	// attribute it to workers.
+	// parallel hashing pool (index = worker id); empty when hashing ran on
+	// the calling goroutine (Parallelism = 1, or too few chunks to share
+	// out). The wall-clock cost stays in Fingerprint; these attribute it
+	// to workers.
 	FingerprintWorkers []time.Duration
-	// PutWorkers holds the per-worker busy durations of the concurrent
-	// partner-put phase (index = partner index - 1); empty for serial
-	// dumps. The wall-clock cost stays in Put.
+	// PutWorkers holds the busy duration of each partner's put stream
+	// (index = partner index - 1), at every Parallelism: at 1 the streams
+	// run one after another. The wall-clock cost stays in Put.
 	PutWorkers []time.Duration
 	// LoadExchange covers the load-vector allgathers (both rounds).
 	LoadExchange time.Duration
