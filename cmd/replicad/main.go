@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"dedupcr/internal/apps/cm1"
 	"dedupcr/internal/apps/hpccg"
@@ -181,9 +180,6 @@ func run() error {
 	stats := flag.Bool("stats", false, "dump Prometheus-style counters to stderr on exit")
 	clusterOut := flag.String("cluster", "", "rank 0: write the gathered cluster telemetry JSON (ClusterDump for dump, ClusterRestore for restore) to this file")
 	timeout := flag.Duration("timeout", 0, "abort the collective operation after this long (0 = no deadline); on expiry every rank unblocks with a collective error")
-	retries := flag.Int("retries", 1, "attempts per window put; transient transport failures are retried up to this many times")
-	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "sleep before the first put retry, doubling per retry")
-	putTimeout := flag.Duration("put-timeout", 0, "deadline per window put attempt (0 = unbounded); timed-out puts count as transient")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: replicad -rank R -hosts FILE [flags] dump|restore [verb flags]\n")
 		flag.PrintDefaults()
@@ -318,7 +314,6 @@ func run() error {
 	opts := core.Options{
 		K: *k, Approach: ap, Chunker: chunk.Spec{Algo: algo, Size: *chunkSize},
 		Name: *name, Trace: rec,
-		Retry: core.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff, PutTimeout: *putTimeout},
 	}
 
 	ctx := context.Background()
@@ -479,9 +474,6 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 		}
 	}
 	fmt.Printf(" total=%s\n", metrics.Duration(m.Phases.Total))
-	if m.PutRetries > 0 {
-		fmt.Printf("rank %d: %d put-phase sends retried after transient faults\n", comm.Rank(), m.PutRetries)
-	}
 	if out.stats {
 		m.WritePrometheus(os.Stderr)
 	}

@@ -87,9 +87,6 @@ type (
 	Approach = core.Approach
 	// Result is the outcome of one collective dump on one rank.
 	Result = core.Result
-	// RetryPolicy bounds retries of transient transport failures during
-	// the window-put exchange (Options.Retry).
-	RetryPolicy = core.RetryPolicy
 	// ChunkerSpec selects the chunking algorithm and size
 	// (Options.Chunker): fixed-size or gear-hash content-defined. The
 	// zero value is fixed/4 KiB.
@@ -135,7 +132,7 @@ const (
 	FaultDrop = collectives.FaultDrop
 	// FaultDelay delays matched operations.
 	FaultDelay = collectives.FaultDelay
-	// FaultError fails matched sends with a transient, retryable error.
+	// FaultError fails matched sends with an error.
 	FaultError = collectives.FaultError
 )
 
@@ -163,7 +160,7 @@ func Abort(c Comm, cause error) { collectives.Abort(c, cause) }
 func Kill(c Comm, cause error) { collectives.Kill(c, cause) }
 
 // InjectFaults wraps a rank's communicator with a deterministic fault
-// plan (kills, drops, delays, transient errors at chosen phases).
+// plan (kills, drops, delays, send errors at chosen phases).
 func InjectFaults(c Comm, plan FaultPlan) Comm { return collectives.InjectFaults(c, plan) }
 
 // FailedRanks extracts the failed ranks recorded in err's CollectiveError

@@ -327,7 +327,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 func TestFaultKindsThroughComm(t *testing.T) {
 	_, comms := inprocComms(t, 2)
 
-	// FaultError: the first send fails transiently, the second succeeds.
+	// FaultError: the first send fails, the second succeeds.
 	c0 := InjectFaults(comms[0], FaultPlan{Faults: []Fault{
 		{Kind: FaultError, Rank: AnyRank, Peer: AnyRank, Times: 1},
 	}})
@@ -335,9 +335,7 @@ func TestFaultKindsThroughComm(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("injected error missing: %v", err)
 	}
-	if !IsTransient(err) {
-		t.Error("injected transient error classified as final")
-	}
+
 	if err := c0.Send(1, 9, []byte("b")); err != nil {
 		t.Fatalf("post-fault send: %v", err)
 	}
@@ -374,27 +372,6 @@ func TestFaultKindsThroughComm(t *testing.T) {
 	NotePhase(c2, "put")
 	if err := c2.Send(1, 11, nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("fault did not fire in its phase: %v", err)
-	}
-}
-
-// TestIsTransient pins the retryability classification.
-func TestIsTransient(t *testing.T) {
-	ce := &CollectiveError{Cause: errors.New("x")}
-	for _, tc := range []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("connection refused"), true},
-		{fmt.Errorf("wrap: %w", ErrInjected), true},
-		{ce, false},
-		{fmt.Errorf("wrap: %w", ErrClosed), false},
-		{context.Canceled, false},
-		{context.DeadlineExceeded, false},
-	} {
-		if got := IsTransient(tc.err); got != tc.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
-		}
 	}
 }
 

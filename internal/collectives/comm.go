@@ -68,7 +68,7 @@ type Comm interface {
 // frameTaker is implemented by the transports that can take a sent buffer
 // over instead of copying it (in-process, TCP).
 type frameTaker interface {
-	sendOwned(to int, tag Tag, frame []byte, deadline time.Time) error
+	sendOwned(to int, tag Tag, frame []byte) error
 }
 
 // Handover sends frame to rank `to` under tag and hands the buffer over:
@@ -76,18 +76,12 @@ type frameTaker interface {
 // receiver may get that very buffer. After an error it was not retained.
 // A Comm that cannot take ownership — any wrapper, the fault-injection
 // one included — gets a copying Send, after which frame goes back to the
-// free list beneath it. A non-zero deadline bounds the send on
-// DeadlineSender transports.
-func Handover(c Comm, to int, tag Tag, frame []byte, deadline time.Time) error {
+// free list beneath it.
+func Handover(c Comm, to int, tag Tag, frame []byte) error {
 	if ft, ok := c.(frameTaker); ok {
-		return ft.sendOwned(to, tag, frame, deadline)
+		return ft.sendOwned(to, tag, frame)
 	}
-	var err error
-	if ds, ok := c.(DeadlineSender); ok && !deadline.IsZero() {
-		err = ds.SendDeadline(to, tag, frame, deadline)
-	} else {
-		err = c.Send(to, tag, frame)
-	}
+	err := c.Send(to, tag, frame)
 	if err == nil {
 		Release(c, frame)
 	}

@@ -168,8 +168,8 @@ func TestWindowDrainEmpty(t *testing.T) {
 // the owner may write to it while the sender builds its next frame (the
 // race detector checks that the sender never touches a handed-over
 // frame). Through the fault-injection wrapper the put falls back to the
-// copying Send: an injected failure leaves the frame with the sender, the
-// retry puts the same frame, and the owner gets a copy. Either way the
+// copying Send: an injected failure gives the frame back to the free list,
+// the sender puts a fresh one, and the owner gets a copy. Either way the
 // owner gets the checksum the sender stamped, as given.
 func TestWindowHandoverOwnership(t *testing.T) {
 	const puts = 64
@@ -196,6 +196,10 @@ func TestWindowHandoverOwnership(t *testing.T) {
 							if !errors.Is(err, ErrInjected) {
 								return fmt.Errorf("first put: %v, want the injected failure", err)
 							}
+							if frame[putHeader] != poisonByte {
+								return errors.New("the failed put did not give its frame back")
+							}
+							frame = append(win.NewFrame(16), bytes.Repeat([]byte{0}, 16)...)
 							err = win.PutFrame(0, 0, frame, 1000)
 						}
 						if err != nil {

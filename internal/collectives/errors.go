@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dedupcr/internal/obs"
 )
@@ -308,31 +307,4 @@ func WatchContext(ctx context.Context, c Comm) (stop func()) {
 			close(done)
 		})
 	}
-}
-
-// IsTransient reports whether a transport error is worth retrying: plain
-// connection-level failures are, collective aborts, rank failures, closed
-// communicators and cancellations are not (the group has already given
-// up, a retry cannot succeed).
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrAborted) || errors.Is(err, ErrClosed) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
-}
-
-// DeadlineSender is implemented by transports whose sends can be bounded
-// by a wall-clock deadline (the TCP transport). Window puts use it to
-// enforce per-put timeouts from Options.Retry.
-type DeadlineSender interface {
-	// SendDeadline behaves like Comm.Send but gives up (with a transient,
-	// retryable error) once deadline passes. A zero deadline means no
-	// bound.
-	SendDeadline(to int, tag Tag, data []byte, deadline time.Time) error
 }

@@ -14,8 +14,8 @@ import (
 // storage.Cluster's node-failure injection: wrap a rank's communicator
 // with InjectFaults and the plan's faults fire deterministically (given a
 // seed and a serial schedule) at a chosen pipeline phase — killing the
-// rank, dropping or delaying its messages, or failing sends with a
-// transient error that exercises the retry machinery.
+// rank, dropping or delaying its messages, or failing sends with an
+// error.
 
 // ErrInjected is the root cause of every failure produced by the fault
 // injector; tests match it with errors.Is to tell injected faults from
@@ -37,8 +37,9 @@ const (
 	// FaultDelay sleeps for Delay before the matched operation proceeds,
 	// simulating stragglers and slow links.
 	FaultDelay
-	// FaultError fails the matched sends with a transient error without
-	// transmitting anything; a RetryPolicy recovers from it.
+	// FaultError fails the matched sends with an error without
+	// transmitting anything; the failed send fails the operation that
+	// made it (a dump aborts and rolls back).
 	FaultError
 )
 
@@ -238,19 +239,6 @@ func (f *FaultyComm) Send(to int, tag Tag, data []byte) error {
 	ft, phase := f.match(opSend, to)
 	if err, done := f.apply(ft, phase, to); done {
 		return err
-	}
-	return f.base.Send(to, tag, data)
-}
-
-// SendDeadline implements DeadlineSender when the base transport does;
-// otherwise the deadline is ignored and it behaves like Send.
-func (f *FaultyComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time) error {
-	ft, phase := f.match(opSend, to)
-	if err, done := f.apply(ft, phase, to); done {
-		return err
-	}
-	if ds, ok := f.base.(DeadlineSender); ok {
-		return ds.SendDeadline(to, tag, data, deadline)
 	}
 	return f.base.Send(to, tag, data)
 }

@@ -1,6 +1,10 @@
 package collectives
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
 
 // TestFrameListKeepsOnlyItsOwn walks the free list through each rule: it
 // keeps only buffers it has out — not a foreign one, not another list's,
@@ -64,5 +68,40 @@ func TestFrameListKeepsOnlyItsOwn(t *testing.T) {
 	l.put(small)
 	if l.n != 0 {
 		t.Fatal("a closed list kept a buffer")
+	}
+}
+
+// TestFramesComeBackOnFailure: a buffer taken from a free list for a
+// frame goes back when the frame cannot be delivered — a wildcard frame
+// whose stream breaks mid-payload, wildcard frames queued in a mailbox
+// when it aborts and those put into it after — and an abort frame is read
+// into a buffer of its own. Other messages queued at the abort stay
+// deliverable.
+func TestFramesComeBackOnFailure(t *testing.T) {
+	var l frameList
+	var stream bytes.Buffer
+	writeFrame(&stream, tagWinBase, make([]byte, 100))
+	if _, _, _, err := readFrame(bytes.NewReader(stream.Bytes()[:stream.Len()-1]), &l); err == nil {
+		t.Fatal("a frame cut short was read")
+	}
+	stream.Reset()
+	writeFrame(&stream, tagAbort, encodeAbortMsg([]int{1}, "gone"))
+	if _, _, _, err := readFrame(&stream, &l); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.lent) != 0 {
+		t.Fatalf("%d buffers out after a cut frame and an abort frame, want none", len(l.lent))
+	}
+
+	box := newMailbox(&l)
+	box.put(0, tagWinBase, l.get(64))
+	box.put(0, 5, []byte("queued"))
+	box.abort(&CollectiveError{Cause: errors.New("test abort")})
+	box.put(1, WildcardTag(0), l.get(64))
+	if len(l.lent) != 0 || l.n == 0 {
+		t.Fatalf("aborted mailbox: %d buffers out, %d free; want none out", len(l.lent), l.n)
+	}
+	if data, err := box.get(0, 5); err != nil || string(data) != "queued" {
+		t.Fatalf("message queued before the abort: %q, %v", data, err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dedupcr/internal/obs"
 )
@@ -28,7 +27,7 @@ func NewGroup(n int) (*Group, error) {
 	}
 	g := &Group{size: n, boxes: make([]*mailbox, n)}
 	for i := range g.boxes {
-		g.boxes[i] = newMailbox()
+		g.boxes[i] = newMailbox(&g.free)
 	}
 	return g, nil
 }
@@ -123,12 +122,11 @@ func (c *InprocComm) killComm(e *CollectiveError) {
 // Send implements Comm. The payload is copied, so the caller may reuse
 // data immediately (matching the TCP transport's semantics).
 func (c *InprocComm) Send(to int, tag Tag, data []byte) error {
-	return c.sendOwned(to, tag, append(make([]byte, 0, len(data)), data...), time.Time{})
+	return c.sendOwned(to, tag, append(make([]byte, 0, len(data)), data...))
 }
 
-// sendOwned implements frameTaker: the receiver gets msg itself. There is
-// nothing to time out in process.
-func (c *InprocComm) sendOwned(to int, tag Tag, msg []byte, _ time.Time) error {
+// sendOwned implements frameTaker: the receiver gets msg itself.
+func (c *InprocComm) sendOwned(to int, tag Tag, msg []byte) error {
 	if err := checkPeer(c, to); err != nil {
 		return err
 	}

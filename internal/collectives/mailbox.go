@@ -31,10 +31,14 @@ type mailbox struct {
 	// messages — and wildcard waits, which any dead peer may starve —
 	// fail with the recorded error. guarded by mu
 	failed map[int]*CollectiveError
+	// free takes back the wildcard-tagged frames (window puts, fetch
+	// requests and replies) an aborted mailbox will never hand out: those
+	// queued when it aborts and those put after.
+	free *frameList
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{queues: make(map[msgKey][][]byte)}
+func newMailbox(free *frameList) *mailbox {
+	m := &mailbox{queues: make(map[msgKey][][]byte), free: free}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -47,6 +51,11 @@ func (m *mailbox) put(from int, tag Tag, data []byte) {
 		from = AnyRank
 	}
 	m.mu.Lock()
+	if from == AnyRank && m.aborted != nil {
+		m.mu.Unlock()
+		m.free.put(data)
+		return
+	}
 	k := msgKey{from, tag}
 	m.queues[k] = append(m.queues[k], data)
 	m.mu.Unlock()
@@ -94,12 +103,22 @@ func (m *mailbox) get(from int, tag Tag) ([]byte, error) {
 // abort fails every empty-queue wait, current and future, with e. The
 // first abort wins; later ones are ignored.
 func (m *mailbox) abort(e *CollectiveError) {
+	var dropped [][]byte
 	m.mu.Lock()
 	if m.aborted == nil {
 		m.aborted = e
+		for k, q := range m.queues {
+			if k.from == AnyRank {
+				dropped = append(dropped, q...)
+				delete(m.queues, k)
+			}
+		}
 	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
+	for _, data := range dropped {
+		m.free.put(data)
+	}
 }
 
 // abortErr returns the abort error, or nil.
@@ -123,8 +142,8 @@ func (m *mailbox) failPeer(rank int, e *CollectiveError) {
 	m.cond.Broadcast()
 }
 
-// unfailPeer clears a sender's death mark: a fresh connection (redial
-// after a timed-out send) proves the peer alive again.
+// unfailPeer clears a sender's death mark: a fresh connection (a redial
+// after a failed write) proves the peer alive again.
 func (m *mailbox) unfailPeer(rank int) {
 	m.mu.Lock()
 	delete(m.failed, rank)

@@ -56,7 +56,6 @@ type TCPComm struct {
 var _ Comm = (*TCPComm)(nil)
 var _ aborter = (*TCPComm)(nil)
 var _ killer = (*TCPComm)(nil)
-var _ DeadlineSender = (*TCPComm)(nil)
 var _ frameTaker = (*TCPComm)(nil)
 var _ framer = (*TCPComm)(nil)
 
@@ -87,9 +86,9 @@ func newTCPComm(rank int, addrs []string, ln net.Listener) *TCPComm {
 		rank:     rank,
 		addrs:    append([]string(nil), addrs...),
 		listener: ln,
-		box:      newMailbox(),
 		conns:    make(map[int]*tcpSender),
 	}
+	c.box = newMailbox(&c.free)
 	c.initPeers(len(addrs))
 	// Record the actual address in case addrs[rank] used port 0.
 	c.addrs[rank] = ln.Addr().String()
@@ -202,8 +201,9 @@ type frameReader struct {
 // progressively so the declared size is only ever backed by bytes that
 // really arrived. A window or fetch frame (a wildcard tag) of at most
 // frameAllocChunk bytes is read into a buffer from free, which its
-// receiver gives back (Release) once done with it or keeps (Keep); every
-// other frame gets a buffer of its own.
+// receiver gives back (Release) once done with it or keeps (Keep), and
+// which goes back at once if the stream breaks mid-frame; every other
+// frame gets a buffer of its own.
 func (fr *frameReader) next() (Tag, []byte, *TraceContext, error) {
 	r, hdr := fr.r, fr.hdr[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -234,7 +234,7 @@ func (fr *frameReader) next() (Tag, []byte, *TraceContext, error) {
 	switch {
 	case total > frameAllocChunk:
 		payload = make([]byte, frameAllocChunk)
-	case tag >= tagWinBase:
+	case tag >= tagWinBase && tag != tagAbort:
 		payload = fr.free.get(total)
 	default:
 		payload = make([]byte, total)
@@ -242,6 +242,7 @@ func (fr *frameReader) next() (Tag, []byte, *TraceContext, error) {
 	read := 0
 	for {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			fr.free.put(payload)
 			return 0, nil, nil, err
 		}
 		read = len(payload)
@@ -274,8 +275,8 @@ func (c *TCPComm) readLoop(conn net.Conn) {
 		return
 	}
 	// A fresh connection proves the peer alive: clear any stale death
-	// mark (e.g. from a previous connection it dropped and redialed after
-	// a per-put timeout).
+	// mark (e.g. from a previous connection it dropped after a write
+	// error and redialed).
 	c.box.unfailPeer(from)
 	fr := &frameReader{r: conn, free: &c.free}
 	for {
@@ -328,9 +329,9 @@ const dialTimeout = 30 * time.Second
 // peer; a peer that cannot be reached that fast is likely dead anyway.
 const abortDialTimeout = time.Second
 
-// sender returns (dialing if needed) the outgoing connection to peer. A
-// non-zero deadline additionally bounds the dial retry loop.
-func (c *TCPComm) sender(peer int, deadline time.Time) (*tcpSender, error) {
+// sender returns (dialing if needed) the outgoing connection to peer,
+// retrying the dial for up to dialTimeout.
+func (c *TCPComm) sender(peer int) (*tcpSender, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -342,9 +343,6 @@ func (c *TCPComm) sender(peer int, deadline time.Time) (*tcpSender, error) {
 	var conn net.Conn
 	var err error
 	limit := time.Now().Add(dialTimeout)
-	if !deadline.IsZero() && deadline.Before(limit) {
-		limit = deadline
-	}
 	for {
 		if e := c.aborted.Load(); e != nil {
 			return nil, e
@@ -383,15 +381,9 @@ func (c *TCPComm) dropSender(peer int, s *tcpSender) {
 	s.conn.Close()
 }
 
-// Send implements Comm.
+// Send implements Comm. A connection whose write fails is dropped, so
+// the next send to that peer redials a clean stream.
 func (c *TCPComm) Send(to int, tag Tag, data []byte) error {
-	return c.SendDeadline(to, tag, data, time.Time{})
-}
-
-// SendDeadline implements DeadlineSender: like Send, but gives up once
-// deadline passes (zero = no bound). A timed-out connection is dropped,
-// so a retry redials a clean stream.
-func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time) error {
 	if err := checkPeer(c, to); err != nil {
 		return err
 	}
@@ -405,7 +397,7 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 		c.box.put(c.rank, tag, msg)
 		return nil
 	}
-	s, err := c.sender(to, deadline)
+	s, err := c.sender(to)
 	if err != nil {
 		return err
 	}
@@ -426,13 +418,7 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 		})
 	}
 	s.mu.Lock()
-	if !deadline.IsZero() {
-		s.conn.SetWriteDeadline(deadline)
-	}
 	werr := writeFrameTC(s.conn, tag, tc, data)
-	if werr == nil && !deadline.IsZero() {
-		s.conn.SetWriteDeadline(time.Time{})
-	}
 	s.mu.Unlock()
 	if werr != nil {
 		c.dropSender(to, s)
@@ -447,7 +433,7 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 
 // sendOwned implements frameTaker: a frame to this rank is delivered
 // itself, and one written to a peer is given back (Release).
-func (c *TCPComm) sendOwned(to int, tag Tag, frame []byte, deadline time.Time) error {
+func (c *TCPComm) sendOwned(to int, tag Tag, frame []byte) error {
 	if to == c.rank {
 		if e := c.aborted.Load(); e != nil {
 			return e
@@ -455,7 +441,7 @@ func (c *TCPComm) sendOwned(to int, tag Tag, frame []byte, deadline time.Time) e
 		c.box.put(c.rank, tag, frame)
 		return nil
 	}
-	err := c.SendDeadline(to, tag, frame, deadline)
+	err := c.Send(to, tag, frame)
 	if err == nil {
 		c.free.put(frame)
 	}

@@ -60,12 +60,6 @@ type Window struct {
 	// concurrently and must be safe for that.
 	OnPut func(bytes int, d time.Duration)
 
-	// PutTimeout, when positive, bounds each remote Put's transport time
-	// on deadline-capable transports (TCP); a timed-out put fails with a
-	// transient, retryable error. Other transports ignore it. Set it
-	// before the first Put.
-	PutTimeout time.Duration
-
 	puts     atomic.Int64
 	putBytes atomic.Int64
 	waitTime time.Duration
@@ -152,27 +146,25 @@ func (w *Window) Put(target int, offset int64, data []byte) error {
 // PutFrame writes the payload of frame — a NewFrame with the payload
 // appended — into the window of rank target at the given byte offset,
 // stamping the offset and the caller's checksum of the frame into its
-// header, and hands the frame over: after a nil return the caller must
-// not touch it; after an error it may put it again. The window does not
-// read the payload. The caller must have planned offsets so that puts
-// never overlap and the target window is exactly filled; violations are
-// detected by the target.
+// header, and hands the frame over: after it returns the caller must not
+// touch it. A put that fails gives the frame back to the free list. The
+// window does not read the payload. The caller must have planned offsets
+// so that puts never overlap and the target window is exactly filled;
+// violations are detected by the target.
 func (w *Window) PutFrame(target int, offset int64, frame []byte, sum uint32) error {
-	if err := checkPeer(w.comm, target); err != nil {
-		return err
-	}
 	n := len(frame) - putHeader
-	if offset < 0 || target == w.comm.Rank() && offset > w.size-int64(n) {
-		return fmt.Errorf("collectives: put of %d bytes at offset %d exceeds window of %d bytes", n, offset, w.size)
-	}
-	binary.BigEndian.PutUint64(frame, uint64(offset))
-	binary.BigEndian.PutUint32(frame[8:], sum)
 	start := time.Now()
-	var deadline time.Time
-	if w.PutTimeout > 0 {
-		deadline = start.Add(w.PutTimeout)
+	err := checkPeer(w.comm, target)
+	if err == nil && (offset < 0 || target == w.comm.Rank() && offset > w.size-int64(n)) {
+		err = fmt.Errorf("collectives: put of %d bytes at offset %d exceeds window of %d bytes", n, offset, w.size)
 	}
-	if err := Handover(w.comm, target, w.tag, frame, deadline); err != nil {
+	if err == nil {
+		binary.BigEndian.PutUint64(frame, uint64(offset))
+		binary.BigEndian.PutUint32(frame[8:], sum)
+		err = Handover(w.comm, target, w.tag, frame)
+	}
+	if err != nil {
+		Release(w.comm, frame)
 		return err
 	}
 	w.puts.Add(1)

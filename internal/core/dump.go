@@ -336,19 +336,16 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	win.OnPut = func(bytes int, d time.Duration) {
 		m.PutLatency.Record(d.Nanoseconds())
 	}
-	win.PutTimeout = o.Retry.PutTimeout
-	var putRetries atomic.Int64
 	offs := plan.Offsets(me)
 	t.begin("put")
 	metaBlob, err := (&RestoreMeta{Rank: int32(me), K: int32(o.K), Recipe: chunk.BuildRecipe(chunks), Hints: hints}).MarshalBinary()
 	for d := 1; err == nil && d < o.K; d++ {
 		to := plan.Partner(me, d)
-		err = sendRetry(me, to, o.Retry, &putRetries, func() error { return c.Send(to, tagMeta, metaBlob) })
+		err = c.Send(to, tagMeta, metaBlob)
 	}
 	if err == nil { // else the metadata did not go out: put nothing
-		err = put(win, plan, items, offs, o, me, &m, &putRetries)
+		err = put(win, plan, items, offs, o, me, &m)
 	}
-	m.PutRetries = putRetries.Load()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d %w", me, err)
 	}
@@ -485,29 +482,6 @@ func dumpOutput(t *tracker, store storage.Store, buf []byte, o Options) (*Result
 	return &Result{Metrics: m, Plan: plan, Global: global}, nil
 }
 
-// sendRetry drives one send of the put phase — a window put or the
-// metadata — under the dump's retry policy: transient transport failures
-// (refused dials, timed-out puts, injected faults) are retried up to
-// rp.Attempts times with doubling backoff, counting each retry; aborts,
-// rank failures and cancellations are final and returned immediately. A
-// failed send neither reached the target nor handed its buffer over, so
-// the retry sends the same bytes (a put, at the same offset).
-func sendRetry(me, target int, rp RetryPolicy, retries *atomic.Int64, send func() error) error {
-	backoff := rp.Backoff
-	for attempt := 1; ; attempt++ {
-		err := send()
-		if err == nil || attempt >= rp.Attempts || !collectives.IsTransient(err) {
-			return err
-		}
-		retries.Add(1)
-		obs.Logf(obs.KindRetry, me, "put", 0, "send to rank %d retry %d/%d: %v", target, attempt, rp.Attempts, err)
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-	}
-}
-
 // putPartner pushes every item destined for partner index d into the
 // target's window: region bytes of records starting at off. The offset
 // planning (Algorithm 3) makes that region one contiguous run, so the
@@ -522,14 +496,14 @@ func sendRetry(me, target int, rp RetryPolicy, retries *atomic.Int64, send func(
 // touch the same window bytes — which is what makes them safe to run
 // concurrently. Returns the chunks and payload bytes gathered, which is
 // what was sent unless an error is returned too.
-func putPartner(win *collectives.Window, me, target int, off, region int64, items []item, d int, rp RetryPolicy, retries *atomic.Int64) (int, int64, error) {
+func putPartner(win *collectives.Window, target int, off, region int64, items []item, d int) (int, int64, error) {
 	var chunks int
 	var bytes int64
 	var frame []byte
 	var sums recordSums
 	used := 0 // record bytes in frame
 	flush := func() error {
-		if err := sendRetry(me, target, rp, retries, func() error { return win.PutFrame(target, off, frame, sums.crc) }); err != nil {
+		if err := win.PutFrame(target, off, frame, sums.crc); err != nil {
 			return fmt.Errorf("put to %d: %w", target, err)
 		}
 		off += int64(used)
@@ -576,7 +550,7 @@ func putPartner(win *collectives.Window, me, target int, off, region int64, item
 // Per-partner counters are summed in partner order afterwards, keeping
 // the metrics deterministic too, and each stream records its own trace
 // span, attributed via the partner arg.
-func put(win *collectives.Window, plan *Plan, items []item, offs []int64, o Options, me int, m *metrics.Dump, retries *atomic.Int64) error {
+func put(win *collectives.Window, plan *Plan, items []item, offs []int64, o Options, me int, m *metrics.Dump) error {
 	type putResult struct {
 		chunks int
 		bytes  int64
@@ -589,7 +563,7 @@ func put(win *collectives.Window, plan *Plan, items []item, offs []int64, o Opti
 		sp := o.Trace.Begin("put-worker").
 			Arg("partner", fmt.Sprint(d)).
 			Arg("target", fmt.Sprint(plan.Partner(me, d)))
-		chunks, bytes, err := putPartner(win, me, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d, o.Retry, retries)
+		chunks, bytes, err := putPartner(win, plan.Partner(me, d), offs[d], plan.SendLoad[me][d], items, d)
 		sp.End()
 		results[d-1] = putResult{chunks, bytes, time.Since(start), err}
 		return err

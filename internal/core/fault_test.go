@@ -340,97 +340,6 @@ func TestRestoreKillPerPhase(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyRecoversTransientFaults injects a bounded burst of
-// transient send failures into the put phase — past its one metadata send
-// (K=2), onto the first window put and its first retry; the per-operation
-// RetryPolicy must absorb them, the dump must succeed, and the retries
-// must be visible in the metrics.
-func TestRetryPolicyRecoversTransientFaults(t *testing.T) {
-	const n, flaky = 4, 1
-	cluster := storage.NewCluster(n)
-	plan := collectives.FaultPlan{Faults: []collectives.Fault{
-		{Kind: collectives.FaultError, Rank: flaky, Phase: "put", Peer: collectives.AnyRank, After: 1, Times: 2},
-	}}
-	buffers := make([][]byte, n)
-	var retries int64
-	var mu sync.Mutex
-	var failed *failedPuts
-	errs := runRanks(t, n, 10*time.Second, func(c collectives.Comm) error {
-		fc := &failedPuts{FaultyComm: collectives.InjectFaults(c, plan)}
-		if c.Rank() == flaky {
-			failed = fc
-		}
-		// Rank-private content under local dedup: every rank has chunks
-		// to push, so the flaky rank's put path definitely runs.
-		buf := testBuffer(c.Rank(), 0, 0, 2, 8)
-		o := faultOpts("retry")
-		o.Approach = LocalDedup
-		o.Retry = RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
-		res, err := DumpOutputCtx(context.Background(), fc, cluster.Node(c.Rank()), buf, o)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		buffers[c.Rank()] = buf
-		retries += res.Metrics.PutRetries
-		mu.Unlock()
-		return nil
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: retry policy did not absorb the fault: %v", r, err)
-		}
-	}
-	if retries < 2 {
-		t.Errorf("PutRetries = %d, want >= 2 (one per injected failure)", retries)
-	}
-	if len(failed.offsets) != 2 {
-		t.Errorf("%d window puts failed, want both injected failures on puts", len(failed.offsets))
-	}
-	err := collectives.Run(n, func(c collectives.Comm) error {
-		got, err := Restore(c, cluster.Node(c.Rank()), "retry")
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, buffers[c.Rank()]) {
-			return fmt.Errorf("rank %d restore mismatch", c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRetryPolicyGivesUpOnAbort: a retry policy must not retry through a
-// collective abort — the attempts bound is irrelevant once the group has
-// given up.
-func TestRetryPolicyGivesUpOnAbort(t *testing.T) {
-	const n, victim = 4, 2
-	cluster := storage.NewCluster(n)
-	plan := collectives.FaultPlan{Faults: []collectives.Fault{
-		{Kind: collectives.FaultKill, Rank: victim, Phase: "put", Peer: collectives.AnyRank},
-	}}
-	start := time.Now()
-	errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
-		fc := collectives.InjectFaults(c, plan)
-		o := faultOpts("giveup")
-		// A pathological policy: were aborts retried, 100 attempts with
-		// doubling backoff would blow far past the deadline.
-		o.Retry = RetryPolicy{Attempts: 100, Backoff: 50 * time.Millisecond}
-		_, err := DumpOutputCtx(context.Background(), fc, cluster.Node(c.Rank()), testBuffer(c.Rank(), 6, 4, 3, 5), o)
-		return err
-	})
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("aborted dump took %v; retry policy retried a final error", elapsed)
-	}
-	for r, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d dump succeeded despite the kill", r)
-		}
-	}
-}
-
 // TestDumpCtxTimeoutTCP is the acceptance check of the cancellation
 // plumbing on the socket transport: a missing participant plus a context
 // deadline must unblock every present rank, promptly and typed.
@@ -494,6 +403,80 @@ func TestDumpCtxTimeoutTCP(t *testing.T) {
 	if !sawDeadline {
 		t.Errorf("no rank carried the structured deadline cause: %v", errs)
 	}
+}
+
+// TestTCPKillInPutRollsBack is the one recovery path of a failed put, on
+// the socket transport: four ranks with segment stores dump ckpt-0, then
+// dump ckpt-1 with rank 1 killed in the put phase. Every rank returns a
+// *CollectiveError within 10 s, the victim's naming the put phase; every
+// store's usage and blobs are what they were after ckpt-0, which still
+// restores byte-identically; and every surviving rank has all its frame
+// buffers back.
+func TestTCPKillInPutRollsBack(t *testing.T) {
+	const n, victim = 4, 1
+	comms, err := collectives.StartLocalTCP(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, c := range comms {
+			c.Close()
+		}
+	}()
+	stores := make([]storage.Store, n)
+	for r := range stores {
+		stores[r] = openSeg(t, t.TempDir())
+	}
+	o := faultOpts("ckpt-0")
+	o.K = 3
+	buffers := make([][]byte, n)
+	for r := range buffers {
+		buffers[r] = testBuffer(r, 6, 4, 3, 5)
+	}
+	runComms(t, comms, func(c collectives.Comm) error {
+		_, err := DumpOutput(c, stores[c.Rank()], buffers[c.Rank()], o)
+		return err
+	})
+	node := func(r int) storage.Store { return stores[r] }
+	before := storeStates(node, n)
+
+	plan := collectives.FaultPlan{Faults: []collectives.Fault{
+		{Kind: collectives.FaultKill, Rank: victim, Phase: "put", Peer: collectives.AnyRank},
+	}}
+	o.Name = "ckpt-1"
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r, c := range comms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := append(testBuffer(r, 6, 4, 3, 5), page(fmt.Sprintf("ckpt-1 of rank %d", r))...)
+			_, errs[r] = DumpOutputCtx(context.Background(), collectives.InjectFaults(c, plan), stores[r], buf, o)
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ranks still blocked after 10s")
+	}
+	for r, err := range errs {
+		var ce *collectives.CollectiveError
+		if !errors.As(err, &ce) {
+			t.Fatalf("rank %d returned %v, want a CollectiveError", r, err)
+		}
+		if r == victim && ce.Phase != "put" {
+			t.Errorf("rank %d blames phase %q, want \"put\": %v", r, ce.Phase, err)
+		}
+	}
+	for r, c := range comms {
+		if st := collectives.Frames(c); r != victim && st.Out != 0 {
+			t.Errorf("rank %d has %d frame buffers out after the failed dump", r, st.Out)
+		}
+	}
+	// The TCP group aborted with the dump: ckpt-0 restores over a fresh one.
+	checkRolledBack(t, node, before, buffers)
 }
 
 // TestDumpCtxPreCancelled: an already-cancelled context fails fast with

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,8 +88,7 @@ func putAndDrain(t *testing.T, plan *Plan, items [][]item, recs [][]sentRecord, 
 		me := c.Rank()
 		win := collectives.OpenWindow(c, plan.WindowSize(me), c.NextSeq())
 		o := Options{K: plan.K, Parallelism: workers}
-		var retries atomic.Int64
-		if err := put(win, plan, items[me], plan.Offsets(me), o, me, &dumps[me], &retries); err != nil {
+		if err := put(win, plan, items[me], plan.Offsets(me), o, me, &dumps[me]); err != nil {
 			return err
 		}
 		var pieces [][]byte
@@ -300,8 +298,7 @@ func TestPutHandsFramesOver(t *testing.T) {
 		err := collectives.Run(n, func(c collectives.Comm) error {
 			me := c.Rank()
 			win := collectives.OpenWindow(c, plan.WindowSize(me), c.NextSeq())
-			var retries atomic.Int64
-			if err := put(win, plan, items[me], plan.Offsets(me), Options{K: k, Parallelism: workers}, me, &metrics.Dump{}, &retries); err != nil {
+			if err := put(win, plan, items[me], plan.Offsets(me), Options{K: k, Parallelism: workers}, me, &metrics.Dump{}); err != nil {
 				return err
 			}
 			off := 0
@@ -468,77 +465,10 @@ func (f *failedPuts) Send(to int, tag collectives.Tag, data []byte) error {
 	return err
 }
 
-// TestSlabRetryMidStream injects one transient failure on the second of
-// three slab puts of a partner stream: the slab is re-put onto the same
-// window bytes, PutRetries counts it once, the window fills exactly (an
-// overfill or a gap would fail the dump) and the data restores.
-func TestSlabRetryMidStream(t *testing.T) {
-	const n, flaky, slabs = 3, 1, 3
-	cluster := storage.NewCluster(n)
-	plan := collectives.FaultPlan{Faults: []collectives.Fault{
-		{Kind: collectives.FaultError, Rank: flaky, Phase: "put", Peer: collectives.AnyRank, After: 2, Times: 1},
-	}}
-	buffers := make([][]byte, n)
-	results := make([]*Result, n)
-	var failed *failedPuts
-	errs := runRanks(t, n, 20*time.Second, func(c collectives.Comm) error {
-		me := c.Rank()
-		buffers[me] = slabStreamBuffer(me, slabs)
-		o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: slabChunk}, Name: "slab",
-			Retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond}}
-		fc := &failedPuts{FaultyComm: collectives.InjectFaults(c, plan)}
-		if me == flaky {
-			failed = fc
-		}
-		var err error
-		results[me], err = DumpOutputCtx(context.Background(), fc, cluster.Node(me), buffers[me], o)
-		return err
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	// The region starts at offset 0 of its K=2 window: the failed put
-	// was not the first of the stream.
-	if len(failed.offsets) != 1 || failed.offsets[0] == 0 {
-		t.Errorf("failed puts at window offsets %v, want one past the first slab", failed.offsets)
-	}
-	for r, res := range results {
-		wantRetries := int64(0)
-		if r == flaky {
-			wantRetries = 1
-		}
-		if res.Metrics.PutRetries != wantRetries {
-			t.Errorf("rank %d: PutRetries = %d, want %d", r, res.Metrics.PutRetries, wantRetries)
-		}
-		// Only puts that succeeded are sampled: the retried slab counts once.
-		if got := res.Metrics.PutLatency.Count(); got != slabs {
-			t.Errorf("rank %d: %d put latencies, want %d slabs", r, got, slabs)
-		}
-		if res.Metrics.RecvBytes != int64(len(buffers[r])) {
-			t.Errorf("rank %d: received %d payload bytes, want %d", r, res.Metrics.RecvBytes, len(buffers[r]))
-		}
-	}
-	err := collectives.Run(n, func(c collectives.Comm) error {
-		got, err := Restore(c, cluster.Node(c.Rank()), "slab")
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, buffers[c.Rank()]) {
-			return fmt.Errorf("rank %d restore mismatch", c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSlabFinalFailureAbortsInPut: a failure the policy may not retry — a
-// killed rank, or a transient fault with the attempts used up — on a slab
-// in the middle of a stream aborts the whole group, the rank that hit it
-// blames the put phase, and every store rolls back.
+// TestSlabFinalFailureAbortsInPut: a failed put — a killed rank, or a
+// send that fails — on a slab in the middle of a stream aborts the whole
+// group, the rank that hit it blames the put phase, and every store rolls
+// back.
 func TestSlabFinalFailureAbortsInPut(t *testing.T) {
 	const n, victim, slabs = 3, 1, 3
 	for _, tc := range []struct {
@@ -546,7 +476,7 @@ func TestSlabFinalFailureAbortsInPut(t *testing.T) {
 		kind collectives.FaultKind
 	}{
 		{"kill", collectives.FaultKill},
-		{"attempts-exhausted", collectives.FaultError},
+		{"send-error", collectives.FaultError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cluster := storage.NewCluster(n)
@@ -556,8 +486,7 @@ func TestSlabFinalFailureAbortsInPut(t *testing.T) {
 			var failed *failedPuts
 			errs := runRanks(t, n, 20*time.Second, func(c collectives.Comm) error {
 				me := c.Rank()
-				o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: slabChunk}, Name: "slab-fail",
-					Retry: RetryPolicy{Attempts: 2, Backoff: time.Millisecond}}
+				o := Options{K: 2, Approach: LocalDedup, Chunker: chunk.Spec{Size: slabChunk}, Name: "slab-fail"}
 				fc := &failedPuts{FaultyComm: collectives.InjectFaults(c, plan)}
 				if me == victim {
 					failed = fc

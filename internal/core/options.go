@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"dedupcr/internal/chunk"
 	"dedupcr/internal/obs"
@@ -38,25 +37,6 @@ func (a Approach) String() string {
 // evaluation (2^17).
 const DefaultF = 1 << 17
 
-// RetryPolicy bounds the retries of transient transport failures during
-// the window-put exchange (refused or dropped TCP connections, injected
-// transient faults). Retries never apply to collective aborts, rank
-// failures or cancellations — those terminate the dump.
-//
-// Zero values: Attempts <= 1 disables retries (every put is tried once);
-// Backoff 0 retries immediately; PutTimeout 0 leaves puts unbounded.
-type RetryPolicy struct {
-	// Attempts is the maximum number of tries per put (including the
-	// first); values below 1 mean 1.
-	Attempts int
-	// Backoff is the sleep before the first retry, doubling with every
-	// further one.
-	Backoff time.Duration
-	// PutTimeout bounds each put attempt on deadline-capable transports
-	// (TCP); a timed-out attempt counts as transient and is retried.
-	PutTimeout time.Duration
-}
-
 // Options configures a collective dump.
 //
 // Zero-value behavior, in one place: the zero Options is invalid only for
@@ -71,7 +51,6 @@ type RetryPolicy struct {
 //	Name           "" = "dataset"
 //	Trace          nil = no span recording
 //	Parallelism    0 = GOMAXPROCS; 1 = all work on the calling goroutine
-//	Retry          zero = single attempt, no backoff, unbounded puts
 type Options struct {
 	// K is the replication factor: the dataset survives the loss of any
 	// K-1 nodes. K=1 stores a single local copy.
@@ -112,11 +91,6 @@ type Options struct {
 	// tables reproduce regardless. Parallelism may differ per rank (it
 	// only shapes local execution).
 	Parallelism int
-	// Retry bounds retries of transient transport faults during the
-	// window-put exchange; the zero value disables retrying. Retry
-	// counters surface through metrics.Dump.PutRetries and the cluster
-	// telemetry plane.
-	Retry RetryPolicy
 }
 
 // normalized resolves defaults and validates against the group size.
@@ -149,7 +123,6 @@ func (o Options) normalized(groupSize int) (Options, error) {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	o.Retry.Attempts = max(o.Retry.Attempts, 1)
 	return o, nil
 }
 

@@ -292,17 +292,7 @@ func frameFailsDump(t *testing.T, k int, wrap func(collectives.Comm) collectives
 	const n, corrupter = 4, 1
 	cluster := storage.NewCluster(n)
 	buffers := cleanDump(t, n, cluster, "ckpt-0")
-	type state struct {
-		bytes  int64
-		chunks int
-		blobs  map[string][]byte
-	}
-	before := make([]state, n)
-	for r := range before {
-		s := cluster.Node(r)
-		before[r].bytes, before[r].chunks = s.Usage()
-		before[r].blobs = blobState(s, n, "ckpt-0", "ckpt-1")
-	}
+	before := storeStates(cluster.Node, n)
 	errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
 		if c.Rank() == corrupter {
 			c = wrap(c)
@@ -322,18 +312,44 @@ func frameFailsDump(t *testing.T, k int, wrap func(collectives.Comm) collectives
 	if !slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, cause) }) {
 		t.Errorf("no rank reports %v: %v", cause, errs)
 	}
-	for r := range before {
-		s := cluster.Node(r)
-		bytes, chunks := s.Usage()
-		if bytes != before[r].bytes || chunks != before[r].chunks {
-			t.Errorf("rank %d holds %d bytes in %d chunks after the failed dump, %d in %d before", r, bytes, chunks, before[r].bytes, before[r].chunks)
+	checkRolledBack(t, cluster.Node, before, buffers)
+}
+
+// storeState is a store's usage and its ckpt-0 and ckpt-1 blobs, which a
+// failed dump of ckpt-1 must leave as it found them.
+type storeState struct {
+	bytes  int64
+	chunks int
+	blobs  map[string][]byte
+}
+
+// storeStates snapshots the stores of ranks 0..n-1.
+func storeStates(node func(rank int) storage.Store, n int) []storeState {
+	states := make([]storeState, n)
+	for r := range states {
+		s := node(r)
+		states[r].bytes, states[r].chunks = s.Usage()
+		states[r].blobs = blobState(s, n, "ckpt-0", "ckpt-1")
+	}
+	return states
+}
+
+// checkRolledBack asserts that a failed dump of ckpt-1 left every store
+// as it was before (storeStates), and that ckpt-0 still restores
+// byte-identically to buffers over a fresh in-process group.
+func checkRolledBack(t *testing.T, node func(rank int) storage.Store, before []storeState, buffers [][]byte) {
+	t.Helper()
+	n := len(before)
+	for r, after := range storeStates(node, n) {
+		if after.bytes != before[r].bytes || after.chunks != before[r].chunks {
+			t.Errorf("rank %d holds %d bytes in %d chunks after the failed dump, %d in %d before", r, after.bytes, after.chunks, before[r].bytes, before[r].chunks)
 		}
-		if after := blobState(s, n, "ckpt-0", "ckpt-1"); !mapsEqual(after, before[r].blobs) {
-			t.Errorf("rank %d blobs changed: %d non-empty after, %d before", r, len(after), len(before[r].blobs))
+		if !mapsEqual(after.blobs, before[r].blobs) {
+			t.Errorf("rank %d blobs changed: %d non-empty after, %d before", r, len(after.blobs), len(before[r].blobs))
 		}
 	}
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		got, err := Restore(c, cluster.Node(c.Rank()), "ckpt-0")
+		got, err := Restore(c, node(c.Rank()), "ckpt-0")
 		if err == nil && !bytes.Equal(got, buffers[c.Rank()]) {
 			err = fmt.Errorf("rank %d: ckpt-0 changed by the failed dump", c.Rank())
 		}

@@ -99,7 +99,7 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 	label := fmt.Sprintf("fragmentation N=%d K=%d D=%d", n, k, d)
 	tr.NamePid(pid, label)
 	if cfg.Verbose {
-		obs.Logger().Info("[experiments] " + label)
+		obs.Printf("[experiments] %s", label)
 	}
 
 	cluster := storage.NewCluster(n)

@@ -78,7 +78,7 @@ func runClusterScenario(cfg Config, w Workload, n, k int, approach core.Approach
 	label := fmt.Sprintf("imbalance %s N=%d K=%d %v", w.Name, n, k, approach)
 	tr.NamePid(pid, label)
 	if cfg.Verbose {
-		obs.Logger().Info("[experiments] " + label)
+		obs.Printf("[experiments] %s", label)
 	}
 
 	cluster := storage.NewCluster(n)

@@ -200,7 +200,7 @@ func RunScenario(cfg Config, w Workload, n, k int, approach core.Approach, shuff
 
 func runScenarioUncached(cfg Config, w Workload, n, k int, approach core.Approach, shuffle bool) (*ScenarioResult, error) {
 	if cfg.Verbose {
-		obs.Logger().Info(fmt.Sprintf("[experiments] %s N=%d K=%d %v shuffle=%v", w.Name, n, k, approach, shuffle))
+		obs.Printf("[experiments] %s N=%d K=%d %v shuffle=%v", w.Name, n, k, approach, shuffle)
 	}
 	// One trace process per scenario, one thread per rank.
 	var pid int

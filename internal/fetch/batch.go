@@ -213,7 +213,7 @@ func (p *Pipeline) Ask(peer int, fps []fingerprint.FP) error {
 		req = append(req, fps[i][:]...)
 	}
 	sent := time.Now()
-	if err := collectives.Handover(p.comm, peer, p.class.reqTag(), req, time.Time{}); err != nil {
+	if err := collectives.Handover(p.comm, peer, p.class.reqTag(), req); err != nil {
 		return fmt.Errorf("fetch: batched request to rank %d: %w", peer, err)
 	}
 	p.pending[id] = ask{peer: peer, fps: fps, sent: sent}

@@ -8,7 +8,6 @@ package fetch
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
@@ -123,7 +122,7 @@ func (s *Server) reply(requester int, frame []byte) error {
 		collectives.Release(s.comm, frame)
 		return nil
 	}
-	return collectives.Handover(s.comm, requester, s.class.replyTag(requester), frame, time.Time{})
+	return collectives.Handover(s.comm, requester, s.class.replyTag(requester), frame)
 }
 
 // call performs one synchronous request to peer. Request and reply are

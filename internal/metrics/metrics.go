@@ -52,11 +52,6 @@ type Dump struct {
 	// per holding rank under local-dedup, and once per occurrence under
 	// no-dedup (which identifies no redundancy at all).
 	UniqueContentBytes int64
-	// PutRetries counts put-phase sends — window puts and the metadata
-	// sent to the partners — that were retried under the dump's
-	// RetryPolicy after a transient transport failure. Zero when no
-	// policy was set or no send needed a second attempt.
-	PutRetries int64
 	// Phases is the measured wall-clock decomposition of the dump on
 	// this rank, one duration per pipeline phase.
 	Phases Phases

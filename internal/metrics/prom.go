@@ -135,7 +135,6 @@ func (d Dump) WritePrometheus(w io.Writer) {
 	p.Counter("dedupcr_load_exchange_bytes_total", "Bytes sent for the load allgathers.", d.LoadExchangeBytes)
 	p.Counter("dedupcr_window_bytes_total", "Size of the receive window this rank opened.", d.WindowBytes)
 	p.Counter("dedupcr_unique_content_bytes_total", "Bytes of content the approach identified as unique.", d.UniqueContentBytes)
-	p.Counter("dedupcr_put_retries_total", "Put-phase sends (window puts and metadata) retried after a transient transport failure.", d.PutRetries)
 
 	p.phases("dedupcr_phase_seconds", "Wall-clock time of one dump pipeline phase.",
 		PhaseNames, d.Phases.ByName, d.Phases.Total)

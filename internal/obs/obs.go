@@ -18,6 +18,7 @@ package obs
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,6 @@ import (
 const (
 	KindPhase     = "phase"      // pipeline phase transition (NotePhase)
 	KindColl      = "coll"       // collective operation completed
-	KindRetry     = "retry"      // transient put retried
 	KindAbort     = "abort"      // abort noted (local failure or gossip receipt)
 	KindKill      = "kill"       // comm killed (fault injection or fatal error)
 	KindFault     = "fault"      // injected fault fired
@@ -38,7 +38,7 @@ const (
 	KindCompact   = "compact"    // segment compaction pass
 	KindRecover   = "recover"    // crash recovery pass over the store
 	KindStraggler = "straggler"  // rank flagged as straggler by telemetry
-	KindLog       = "log"        // leveled log line from the slog front-end
+	KindLog       = "log"        // progress or diagnostic line (Printf)
 	KindError     = "error"      // failure taxonomy record
 	KindSpan      = "span"       // trace span, or instant when Dur is 0 (Track)
 	KindFlowStart = "flow-start" // sending side of a traced wire frame
@@ -228,4 +228,13 @@ func Logf(kind string, rank int, phase string, round int64, format string, args 
 		msg = fmt.Sprintf(format, args...)
 	}
 	Default().Record(Event{Kind: kind, Rank: rank, Phase: phase, Round: round, Msg: msg})
+}
+
+// Printf is the tree's log call: it records the line into the default
+// recorder as a KindLog event of no particular rank and prints it to
+// stderr.
+func Printf(format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	Default().Record(Event{Kind: KindLog, Rank: -1, Msg: msg})
+	fmt.Fprintln(os.Stderr, msg)
 }

@@ -3,7 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,35 +217,38 @@ func TestTriggerDisabled(t *testing.T) {
 	}
 }
 
-func TestSlogFrontend(t *testing.T) {
+// TestPrintf: each line lands in the ring as a KindLog event and is
+// printed to stderr.
+func TestPrintf(t *testing.T) {
 	prevRec := obs.SetDefault(obs.NewWithClock(32, fixedClock()))
 	defer obs.SetDefault(prevRec)
-	var buf bytes.Buffer
-	prevOut := obs.SetLogOutput(&buf)
-	defer obs.SetLogOutput(prevOut)
-	obs.SetLogLevel(slog.LevelInfo)
-	defer obs.SetLogLevel(slog.LevelInfo)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevErr := os.Stderr
+	os.Stderr = w
+	obs.Printf("[experiments] %s N=%d", "hpccg", 4)
+	obs.Printf("segstore: injected crash at %s", "seal")
+	os.Stderr = prevErr
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	log := obs.Logger().With("rank", 3)
-	log.Info("dump started", "name", "ckpt-1")
-	log.Debug("noisy detail")
-
+	want := []string{"[experiments] hpccg N=4", "segstore: injected crash at seal"}
 	evs := obs.Default().Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d ring events, want 2 (debug must still be recorded)", len(evs))
+	if len(evs) != len(want) {
+		t.Fatalf("got %d ring events, want %d", len(evs), len(want))
 	}
-	if evs[0].Kind != obs.KindLog || evs[0].Rank != 3 {
-		t.Fatalf("bad log event: %+v", evs[0])
+	for i, ev := range evs {
+		if ev.Kind != obs.KindLog || ev.Rank != -1 || ev.Msg != want[i] {
+			t.Errorf("event %d = %+v, want a KindLog of rank -1 reading %q", i, ev, want[i])
+		}
 	}
-	if !strings.Contains(evs[0].Msg, "dump started") || !strings.Contains(evs[0].Msg, "name=ckpt-1") {
-		t.Fatalf("log message lost attrs: %q", evs[0].Msg)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "INFO dump started") {
-		t.Fatalf("info line not printed: %q", out)
-	}
-	if strings.Contains(out, "noisy detail") {
-		t.Fatalf("debug line printed at info level: %q", out)
+	if got := string(out); got != want[0]+"\n"+want[1]+"\n" {
+		t.Errorf("stderr = %q, want the two lines", got)
 	}
 }
 
@@ -283,7 +286,7 @@ func TestPhaseLabel(t *testing.T) {
 func TestLogfFormats(t *testing.T) {
 	prevRec := obs.SetDefault(obs.NewWithClock(8, fixedClock()))
 	defer obs.SetDefault(prevRec)
-	obs.Logf(obs.KindRetry, 1, "put", 0, "attempt %d of %d", 2, 5)
+	obs.Logf(obs.KindFault, 1, "put", 0, "attempt %d of %d", 2, 5)
 	evs := obs.Default().Events()
 	if len(evs) != 1 || evs[0].Msg != "attempt 2 of 5" {
 		t.Fatalf("bad formatted event: %+v", evs)

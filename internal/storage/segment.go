@@ -213,7 +213,7 @@ func NewSegStore(dir string, cfg SegConfig) (*SegStore, error) {
 // at the named point.
 func (s *SegStore) crash(point string) {
 	if s.cfg.CrashPoint != "" && s.cfg.CrashPoint == point {
-		obs.Logger().Error("segstore: injected crash", "point", point)
+		obs.Printf("segstore: injected crash at %s", point)
 		os.Exit(crashExitCode)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // loudly instead of mis-decoding. Each codec reads and writes its one
 // version; frames of any other version are refused, not migrated.
 const (
-	dumpWireVersion    = 3
+	dumpWireVersion    = 4
 	restoreWireVersion = 4
 	storeWireVersion   = 1
 )
@@ -44,7 +44,7 @@ func dumpLayout(w *wire, d *metrics.Dump) {
 	w.ints(&d.Rank, &d.DatasetBytes, &d.TotalChunks, &d.LocalUniqueChunks, &d.HashedBytes,
 		&d.StoredChunks, &d.StoredBytes, &d.SentChunks, &d.SentBytes, &d.RecvChunks, &d.RecvBytes,
 		&d.ReductionBytes, &d.ReductionRounds, &d.LoadExchangeBytes, &d.WindowBytes,
-		&d.UniqueContentBytes, &d.PutRetries)
+		&d.UniqueContentBytes)
 	p := &d.Phases
 	for _, name := range metrics.PhaseNames {
 		num(w, p.Slot(name))

@@ -24,7 +24,6 @@ func (cd *ClusterDump) WritePrometheus(w io.Writer) {
 	m.Gauge(p+"sent_bytes", "Replication bytes pushed to partners, summed over ranks.", cd.TotalSentBytes)
 	m.Gauge(p+"recv_bytes", "Replication bytes received from partners, summed over ranks.", cd.TotalRecvBytes)
 	m.Gauge(p+"stored_bytes", "Bytes committed to local stores, summed over ranks.", cd.TotalStoredBytes)
-	m.Gauge(p+"put_retries", "Put-phase sends (window puts and metadata) retried after transient transport failures, summed over ranks.", cd.TotalPutRetries)
 
 	rankGauge(m, p+"rank_sent_bytes", "Replication bytes one rank pushed to partners.",
 		len(cd.PerRank), func(r int) any { return cd.PerRank[r].SentBytes })

@@ -95,10 +95,6 @@ type ClusterDump struct {
 	TotalSentBytes, TotalRecvBytes int64
 	// TotalStoredBytes sums storage load over ranks.
 	TotalStoredBytes int64
-	// TotalPutRetries sums put-phase send retries (window puts and
-	// metadata) over ranks: nonzero means the dump survived transient
-	// transport faults via its RetryPolicy.
-	TotalPutRetries int64
 	// PerRank has one summary per rank, indexed by rank.
 	PerRank []RankSummary
 	// DesignationImbalance is max/mean of per-rank stored bytes: 1.0 is
@@ -149,7 +145,6 @@ func Aggregate(dumps []metrics.Dump) (*ClusterDump, error) {
 		cd.TotalSentBytes += d.SentBytes
 		cd.TotalRecvBytes += d.RecvBytes
 		cd.TotalStoredBytes += d.StoredBytes
-		cd.TotalPutRetries += d.PutRetries
 		sent[r], stored[r] = d.SentBytes, d.StoredBytes
 	}
 	cd.DesignationImbalance = imbalance(stored)

@@ -20,7 +20,7 @@ func fullDump(rank int) metrics.Dump {
 		HashedBytes: 1 << 20, StoredChunks: 210, StoredBytes: 860_000,
 		SentChunks: 120, SentBytes: 490_000, RecvChunks: 118, RecvBytes: 480_000,
 		ReductionBytes: 65_000, ReductionRounds: 3, LoadExchangeBytes: 2_048,
-		WindowBytes: 500_000, UniqueContentBytes: 820_000, PutRetries: 7,
+		WindowBytes: 500_000, UniqueContentBytes: 820_000,
 		Phases: metrics.Phases{
 			Chunking: time.Millisecond, Fingerprint: 2 * time.Millisecond,
 			LocalDedup: 300 * time.Microsecond, Reduction: 4 * time.Millisecond,
@@ -53,7 +53,7 @@ func TestDumpWireRoundTrip(t *testing.T) {
 	inCmp.PutLatency, outCmp.PutLatency = nil, nil
 	if inCmp.Rank != outCmp.Rank || inCmp.SentBytes != outCmp.SentBytes ||
 		inCmp.Phases.Put != outCmp.Phases.Put ||
-		inCmp.PutRetries != outCmp.PutRetries ||
+		inCmp.UniqueContentBytes != outCmp.UniqueContentBytes ||
 		!inCmp.BarrierExit.Equal(outCmp.BarrierExit) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", inCmp, outCmp)
 	}
@@ -137,11 +137,11 @@ func TestDumpWireRejects(t *testing.T) {
 	if _, err := DecodeDump(append([]byte{99}, enc[1:]...)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	// Wire v2 had the v3 dump layout; it is refused by its version byte
-	// all the same, like any version but the one written.
-	_, err = DecodeDump(append([]byte{2}, enc[1:]...))
-	if err == nil || !strings.Contains(err.Error(), "dump wire version 2, want 3") {
-		t.Errorf("v2 frame: got %v, want the version error", err)
+	// A v3 frame carried one more counter (put retries); it is refused by
+	// its version byte, like any version but the one written.
+	_, err = DecodeDump(append([]byte{3}, enc[1:]...))
+	if err == nil || !strings.Contains(err.Error(), "dump wire version 3, want 4") {
+		t.Errorf("v3 frame: got %v, want the version error", err)
 	}
 	for _, cut := range []int{1, 8, len(enc) / 2, len(enc) - 1} {
 		if _, err := DecodeDump(enc[:cut]); err == nil {
